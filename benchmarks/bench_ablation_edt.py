@@ -11,12 +11,15 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import TestSession
 from repro.core import edt_ablation
 
 
 @pytest.mark.benchmark(group="ablation-edt")
-def test_ablation_edt_compression(benchmark, prepared_soc, atpg_options, experiment_cache):
-    result_c = experiment_cache.run("c")
+def test_ablation_edt_compression(benchmark, prepared_soc, atpg_options):
+    session = TestSession.from_prepared(prepared_soc, options=atpg_options)
+    session.run_scenario("table1-c")
+    result_c = session.result_of("table1-c")
     rows = benchmark.pedantic(
         edt_ablation,
         args=(prepared_soc, result_c.patterns),

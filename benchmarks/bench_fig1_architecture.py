@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import instrument_soc
-from repro.netlist import area_report, validate_netlist
+from repro.analyze import lint_netlist
+from repro.api import instrument_soc
+from repro.netlist import area_report
 
 
 @pytest.mark.benchmark(group="figure1")
@@ -33,7 +34,7 @@ def test_fig1_simple_cpf_instrumentation(benchmark, prepared_soc):
         if prepared_soc.domain_map.domain_of(f.name) in {"fast", "slow"}
     )
     assert reclocked >= functional_flops
-    assert validate_netlist(top).ok
+    assert lint_netlist(top).ok
 
     base_area = area_report(prepared_soc.netlist).total
     instrumented_area = area_report(top).total

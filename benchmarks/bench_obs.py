@@ -1,7 +1,7 @@
 """Observability benchmark: telemetry overhead gate and trace-schema check.
 
-Two measurements over bench_runtime's plan workload (registered design ×
-Table 1 scenarios, tiny ATPG effort, serial ``Executor``):
+Two measurements over one session plan (registered design × Table 1
+scenarios, tiny ATPG effort, serial ``Executor``):
 
 * **overhead** — the same session executed with telemetry disabled (the
   default no-op :data:`repro.obs.NULL_TELEMETRY`) vs enabled
@@ -15,7 +15,7 @@ Table 1 scenarios, tiny ATPG effort, serial ``Executor``):
   job, and per pipeline stage.
 
 Results land in ``BENCH_obs.json`` (override with ``REPRO_BENCH_OBS_JSON``),
-uploaded by the CI ``obs-smoke`` job.
+uploaded by the CI ``perfbench-smoke`` job.
 
 Runs two ways::
 
@@ -33,6 +33,8 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -49,8 +51,7 @@ from repro.api.scenarios import resolve_scenario_or_letter
 from repro.atpg.config import AtpgOptions
 from repro.engine import ENGINE_VERSION
 from repro.obs import Telemetry
-
-from _common import emit_bench
+from repro.obs.profile import rss_kb
 
 #: Overhead gate: full tracing + metrics may cost at most this fraction on
 #: top of the telemetry-disabled run of the identical plan.
@@ -80,6 +81,38 @@ def _bench_options(num_patterns: int) -> AtpgOptions:
         backtrack_limit=15,
         random_seed=2005,
     )
+
+
+def _git_sha() -> "str | None":
+    """The checked-out commit sha, or ``None`` outside a git checkout."""
+    try:
+        out = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=Path(__file__).resolve().parent,
+            capture_output=True, text=True, timeout=10,
+        )
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    sha = out.stdout.strip()
+    return sha if out.returncode == 0 and sha else None
+
+
+def emit_bench(rows: "list[dict[str, object]]", meta: "dict[str, object]",
+               out_path: Path) -> None:
+    """Write ``BENCH_obs.json``: a fixed envelope (schema version, git sha,
+    python, platform, engine version) around the per-phase ``rows``."""
+    payload = {
+        "bench": "obs",
+        "schema_version": 1,
+        "git_sha": _git_sha(),
+        "python_version": platform.python_version(),
+        "platform": platform.platform(),
+        "engine_version": ENGINE_VERSION,
+        "backend": meta.get("backend"),
+        "meta": meta,
+        "rows": [{"rss_kb": rss_kb(), **row} for row in rows],
+    }
+    out_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {out_path}")
 
 
 def validate_chrome_trace(document: "dict[str, object]") -> "list[str]":
@@ -199,7 +232,6 @@ def run_bench(
         "counters": (snapshot or {}).get("metrics", {}).get("counters", {}),
     }
     emit_bench(
-        "obs",
         rows=[
             {"phase": "disabled", "wall_seconds": payload["disabled_seconds"]},
             {"phase": "enabled", "wall_seconds": payload["enabled_seconds"]},

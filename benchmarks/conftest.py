@@ -1,16 +1,17 @@
-"""Shared fixtures for the benchmark harness.
+"""Shared fixtures for the paper-artefact benchmarks (figures and ablations).
 
-The benchmarks regenerate every table and figure of the paper on the
-synthetic SOC.  The experiments run through the :mod:`repro.api` session
-layer (one :class:`~repro.api.session.TestSession` shared by all Table 1
-rows).  The device size and the ATPG effort are configurable through
+The benchmarks regenerate the paper's figures and ablation studies on the
+synthetic SOC.  The device size and the ATPG effort are configurable through
 environment variables so the same harness can run as a quick smoke benchmark
 (default) or as a longer, closer-to-the-paper run:
 
-* ``REPRO_SOC_SIZE``      — SOC size factor (default 1; the paper-shape run
-  in EXPERIMENTS.md used 2);
+* ``REPRO_SOC_SIZE``      — SOC size factor (default 1);
 * ``REPRO_ATPG_BACKTRACKS`` — PODEM backtrack limit (default 25);
 * ``REPRO_RANDOM_BATCHES``  — random-phase batches (default 4).
+
+The Table 1 reproduction itself runs in the tier-1 suite
+(``tests/test_experiments_results.py``) and in ``perfbench``'s
+``atpg-table1`` workload.
 """
 
 from __future__ import annotations
@@ -19,10 +20,8 @@ import os
 
 import pytest
 
-from repro.api import TestSession
-from repro.api.scenarios import TABLE1_DESCRIPTIONS, table1_scenario
+from repro.api import prepare_design
 from repro.atpg import AtpgOptions
-from repro.core import prepare_design
 
 
 def _env_int(name: str, default: int) -> int:
@@ -51,56 +50,3 @@ def atpg_options() -> AtpgOptions:
 def prepared_soc():
     """The scan-inserted synthetic SOC shared by every benchmark."""
     return prepare_design(size=SOC_SIZE, seed=2005, num_chains=6)
-
-
-class ExperimentCache:
-    """Runs each Table 1 scenario once through a session and remembers it."""
-
-    def __init__(self, prepared, options):
-        self.session = TestSession.from_prepared(prepared, options=options)
-        self.soc_size = SOC_SIZE
-        self.results = {}
-        self.outcomes = {}
-
-    def run(self, key: str):
-        if key not in self.results:
-            spec = table1_scenario(key)
-            self.outcomes[key] = self.session.run_scenario(spec)
-            self.results[key] = self.session.result_of(spec.name)
-        return self.results[key]
-
-    def row(self, key: str) -> str:
-        result = self.run(key)
-        return (
-            f"({key}) {TABLE1_DESCRIPTIONS[key]:<55} "
-            f"coverage={result.coverage.test_coverage:6.2f}%  "
-            f"patterns={result.pattern_count:5d}"
-        )
-
-
-_ACTIVE_CACHE: ExperimentCache | None = None
-
-
-@pytest.fixture(scope="session")
-def experiment_cache(prepared_soc, atpg_options) -> ExperimentCache:
-    global _ACTIVE_CACHE
-    _ACTIVE_CACHE = ExperimentCache(prepared_soc, atpg_options)
-    return _ACTIVE_CACHE
-
-
-def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    """Print the reproduced Table 1 and the paper comparison after the run.
-
-    Benchmark tests capture stdout, so the measured rows are echoed here where
-    they always reach the report (and the tee'd bench_output.txt).
-    """
-    cache = _ACTIVE_CACHE
-    if cache is None or not cache.results:
-        return
-    from repro.core import format_comparison, format_table1
-
-    terminalreporter.write_sep("=", f"Table 1 reproduction (SOC size={SOC_SIZE})")
-    terminalreporter.write_line(format_table1(cache.results))
-    if set("abcde") <= set(cache.results):
-        terminalreporter.write_line("")
-        terminalreporter.write_line(format_comparison(cache.results))

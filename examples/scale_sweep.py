@@ -15,9 +15,7 @@ simulation per execution backend.  The point of the exercise:
   disk instead of scaling resident memory with design size.
 
 Run with ``python examples/scale_sweep.py``.  The 10⁵-gate member takes
-a few seconds to build; pass ``--small`` to sweep only 10³/10⁴ (the same
-subset the CI ``scale-smoke`` job exercises through
-``benchmarks/bench_scale.py``).
+a few seconds to build; pass ``--small`` to sweep only 10³/10⁴.
 """
 
 import argparse
@@ -95,8 +93,8 @@ def main() -> None:
     for spec in specs:
         sweep(spec)
     print(
-        "\nFull wall-time/RSS curves (all four backends, cold vs warm "
-        "kernel cache): python benchmarks/bench_scale.py"
+        "\nPer-layer timing of fault grading on hier-soc-10k: "
+        "python3 perfbench/run.py --workload fault-grade-10k --seed 1 --trace 1"
     )
 
 

@@ -46,7 +46,7 @@ def lint_design(
     """Full static analysis of a prepared design.
 
     Args:
-        prepared: A :class:`~repro.core.flow.PreparedDesign` (or anything
+        prepared: A :class:`~repro.api.design.PreparedDesign` (or anything
             exposing ``netlist``/``model``/``scan``/``domain_map``/``edt``).
         setup: Optional :class:`~repro.atpg.config.TestSetup`; without it
             the setup-dependent rules (CDC coverage, constraint-aware

@@ -1,11 +1,8 @@
-"""Netlist-structure rules: the DRC set absorbed from the legacy
-``repro.netlist.validate`` module, with SCC-based loop enumeration.
+"""Netlist-structure rules: the netlist design-rule checks, with SCC-based
+loop enumeration.
 
-Rule ids, severities, messages and subjects are kept compatible with the
-legacy checker so :func:`repro.netlist.validate.validate_netlist` (now a
-deprecation shim over this registry) reports byte-identical violations —
-except ``combinational-loop``, which now reports one finding *per loop*
-(Tarjan SCC) instead of one blanket finding per netlist.
+``combinational-loop`` reports one finding *per loop* (Tarjan SCC) rather
+than one blanket finding per netlist.
 """
 
 from __future__ import annotations

@@ -86,7 +86,7 @@ class AnalysisContext:
     def for_prepared(
         cls, prepared: Any, setup: "TestSetup | None" = None
     ) -> "AnalysisContext":
-        """Context over a :class:`~repro.core.flow.PreparedDesign` bundle
+        """Context over a :class:`~repro.api.design.PreparedDesign` bundle
         (duck-typed: anything exposing netlist/model/scan/domain_map/edt)."""
         netlist = getattr(prepared, "netlist", None)
         name = ""

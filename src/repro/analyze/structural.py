@@ -29,7 +29,7 @@ from typing import Mapping
 from repro.clocking.domains import ClockDomainMap
 from repro.netlist.gates import GateType, evaluate_gate
 from repro.netlist.netlist import Netlist
-from repro.simulation.logic import Logic
+from repro.logic import Logic
 from repro.simulation.model import CircuitModel, NodeKind
 
 

@@ -42,7 +42,7 @@ from repro.faults.models import (
     TransitionFault,
     all_stuck_at_faults,
 )
-from repro.simulation.logic import Logic
+from repro.logic import Logic
 from repro.simulation.model import CircuitModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only

@@ -1,7 +1,7 @@
 """repro.api — the declarative session / scenario / design / campaign front door.
 
-Replaces the hard-coded ``prepare_design() -> run_experiment("a".."e")``
-flow with four pieces:
+The library's entry point from a device description to Table 1 style
+results, in four pieces:
 
 * :class:`~repro.api.scenario.ScenarioSpec` and the scenario registry —
   named, declarative test-generation configurations (the paper's (a)–(e)
@@ -11,7 +11,8 @@ flow with four pieces:
   declarative device-under-test configurations (the paper's SoC ships as
   ``table1-soc``, alongside variant families: ``tiny``, ``wide-edt``,
   ``many-domain``, ``interdomain-heavy``), built through a staged
-  ``build -> scan -> clocking -> model`` pipeline;
+  ``build -> scan -> clocking -> model`` pipeline into a
+  :class:`~repro.api.design.PreparedDesign` (the ATPG view);
 * :class:`~repro.api.session.TestSession` — a fluent builder that owns
   design preparation, shares the prepared/instrumented views across
   scenarios, and executes each through a pluggable stage pipeline, serially
@@ -61,9 +62,12 @@ from repro.api.design import (
     DesignSpec,
     DesignStage,
     DomainSpec,
+    PreparedDesign,
     all_designs,
     design_names,
     get_design,
+    instrument_soc,
+    prepare_design,
     prepare_from_spec,
     register_design,
     resolve_design,
@@ -113,6 +117,7 @@ __all__ = [
     "DesignSpec",
     "DesignStage",
     "DomainSpec",
+    "PreparedDesign",
     "ProcedureFactory",
     "RunReport",
     "ScenarioNotFound",
@@ -126,8 +131,10 @@ __all__ = [
     "design_names",
     "get_design",
     "get_scenario",
+    "instrument_soc",
     "merge_reports",
     "outcome_of",
+    "prepare_design",
     "prepare_from_spec",
     "register_design",
     "register_scenario",

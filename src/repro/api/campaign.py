@@ -43,18 +43,16 @@ shorthand for the registered ``table1-*`` scenarios.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Mapping, Sequence
 
-from repro.api.design import DesignSpec, prepare_from_spec, resolve_design
+from repro.api.design import DesignSpec, PreparedDesign, prepare_from_spec, resolve_design
 from repro.api.report import RunReport, ScenarioOutcome
 from repro.api.scenario import ScenarioSpec
 from repro.api.scenarios import resolve_scenario_or_letter
 from repro.api.session import DEFAULT_STAGES, ScenarioRun, outcome_of
 from repro.atpg.config import AtpgOptions
 from repro.atpg.generator import AtpgResult
-from repro.core.flow import PreparedDesign
 from repro.engine.cache import (
     ResultCache,
     campaign_cell_key,
@@ -67,9 +65,9 @@ from repro.obs.telemetry import NULL_TELEMETRY, Telemetry, coerce_telemetry
 from repro.patterns.store import PatternStore
 from repro.runtime import EXECUTOR_BACKENDS, Event, Executor, Job, Plan, PlanCancelled
 
-#: Cell fan-out backends ``Campaign.run`` accepts — the executor backend
-#: set (engine set minus ``compiled``), aliased so the front door and the
-#: executor can never drift.
+#: Fan-out backends ``Campaign.diagnose``/``diagnose_volume`` accept — the
+#: executor backend set (engine set minus ``compiled``), aliased so the
+#: front door and the executor can never drift.
 CAMPAIGN_BACKENDS = EXECUTOR_BACKENDS
 
 
@@ -527,10 +525,9 @@ class Campaign:
         backend: str | None,
         max_workers: int | None,
         executor: "Executor | None",
-        *,
-        deprecate_backend: bool,
     ) -> Executor:
-        """One executor-or-knobs resolution for ``run`` and ``diagnose``."""
+        """One executor-or-knobs resolution for ``diagnose`` and
+        ``diagnose_volume``."""
         if executor is not None:
             if backend is not None or max_workers is not None:
                 raise ValueError(
@@ -540,18 +537,9 @@ class Campaign:
         if backend is None:
             backend = "serial"
         elif backend not in CAMPAIGN_BACKENDS:
-            # Validate before deprecating: a bogus backend must fail with
-            # the documented ValueError, never a DeprecationWarning.
             raise ValueError(
                 f"unknown campaign backend {backend!r} "
                 f"(expected one of {CAMPAIGN_BACKENDS})"
-            )
-        elif deprecate_backend:
-            warnings.warn(
-                "Campaign.run(backend=...) is deprecated; pass "
-                "executor=Executor(backend=...) instead",
-                DeprecationWarning,
-                stacklevel=3,
             )
         return Executor(backend=backend, max_workers=max_workers)
 
@@ -565,10 +553,8 @@ class Campaign:
     # ----------------------------------------------------------------- running
     def run(
         self,
-        backend: str | None = None,
-        max_workers: int | None = None,
-        on_cell: "Callable[[CampaignCell], None] | None" = None,
         *,
+        on_cell: "Callable[[CampaignCell], None] | None" = None,
         executor: "Executor | None" = None,
         on_event: "Callable[[Event], None] | None" = None,
     ) -> CampaignReport:
@@ -579,21 +565,15 @@ class Campaign:
         results are deterministic and identical across backends.
 
         Args:
-            backend: Deprecated — pass ``executor=Executor(backend=...)``.
-                Kept as a shim that compiles to the same plan and emits a
-                :class:`DeprecationWarning`.
-            max_workers: Worker-pool size for the shim knobs.
             on_cell: Callback observing each :class:`CampaignCell` as it
                 lands in the report: cache hits first (grid order), then
                 executed cells in completion order.
             executor: A configured :class:`~repro.runtime.Executor`
-                (mutually exclusive with the knobs above).
+                (default: a serial one).
             on_event: Raw :class:`~repro.runtime.Event` callback (job and
                 plan-progress granularity; ``on_cell`` is derived from it).
         """
-        executor = self._resolve_executor(
-            backend, max_workers, executor, deprecate_backend=True
-        )
+        executor = executor or Executor()
         self._preflight_lint()
         plan = self.plan()
         cached = executor.effective_cache(self._cache) is not None
@@ -759,9 +739,7 @@ class Campaign:
         """
         from repro.diagnose import DiagnosisCell, DiagnosisReport, DiagnosisSpec
 
-        executor = self._resolve_executor(
-            backend, max_workers, executor, deprecate_backend=False
-        )
+        executor = self._resolve_executor(backend, max_workers, executor)
         self._preflight_lint()
         plan = self.diagnosis_plan(defects, **spec_overrides)
         defect_names = list(plan.metadata["defects"])
@@ -914,9 +892,7 @@ class Campaign:
         """
         from repro.volume.run import volume_report_builder
 
-        executor = self._resolve_executor(
-            backend, max_workers, executor, deprecate_backend=False
-        )
+        executor = self._resolve_executor(backend, max_workers, executor)
         self._preflight_lint()
         plan = self.volume_plan(store, spec, scenario=scenario, **spec_overrides)
         metadata = {

@@ -1,22 +1,24 @@
 """Declarative design specifications, the design registry, and the staged
 design pipeline.
 
-A :class:`DesignSpec` captures everything the legacy
-``repro.core.flow.prepare_design`` hard-wired — SOC geometry (size, seed,
-clock-domain and PLL layout), the scan architecture, the EDT compression
-contract, the OCC style — as a frozen, JSON-round-trippable value.  Designs
+A :class:`DesignSpec` captures everything that defines a device under
+test — SOC geometry (size, seed, clock-domain and PLL layout), the scan
+architecture, the EDT compression contract, the OCC style — as a frozen,
+JSON-round-trippable value.  Designs
 are *named buildable configurations*, exactly mirroring what
 :class:`~repro.api.scenario.ScenarioSpec` did for the scenario axis:
 registering one makes it runnable by name through
 :class:`~repro.api.session.TestSession` and :class:`~repro.api.campaign.Campaign`
 without any call site learning a new code path.
 
-The monolithic ``prepare_design`` body is replaced by a staged pipeline
-(``build -> scan -> clocking -> model``, see :data:`DESIGN_STAGES`); each
-stage reads the spec and extends a :class:`DesignBuild` context, and custom
-stages can be spliced in through :class:`DesignPipeline`.  The legacy
-``prepare_design`` / ``TestSession.for_soc`` entry points are thin shims over
-:func:`prepare_from_spec`.
+Preparation runs as a staged pipeline (``build -> scan -> clocking ->
+model``, see :data:`DESIGN_STAGES`); each stage reads the spec and extends a
+:class:`DesignBuild` context, and custom stages can be spliced in through
+:class:`DesignPipeline`.  The result is a :class:`PreparedDesign`, the *ATPG
+view* every scenario executes against.  :func:`prepare_design` (the ad-hoc
+``size``/``seed``/``num_chains`` knobs, used by ``TestSession.for_soc``) is a
+thin wrapper over :func:`prepare_from_spec`, and :func:`instrument_soc`
+produces the Figure 1 top level with one CPF per functional clock domain.
 
 Because a spec is plain data, its content fingerprint
 (:func:`repro.engine.cache.design_spec_fingerprint`) identifies the design
@@ -33,6 +35,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Mapping
 
 from repro.circuits.soc import SocDesign, build_soc
+from repro.clocking.cpf import InsertedCpf, insert_cpf
 from repro.clocking.domains import ClockDomain, ClockDomainMap
 from repro.clocking.occ import OccController
 from repro.clocking.pll import Pll
@@ -208,8 +211,8 @@ class DesignSpec:
         return replace(self, **changes)  # type: ignore[arg-type]
 
     # ------------------------------------------------------------------ building
-    def prepare(self):
-        """Build the design through the default pipeline -> ``PreparedDesign``."""
+    def prepare(self) -> "PreparedDesign":
+        """Build the design through the default pipeline -> :class:`PreparedDesign`."""
         return prepare_from_spec(self)
 
     # -------------------------------------------------------------------- sizing
@@ -320,6 +323,110 @@ class DesignSpec:
     @classmethod
     def from_json(cls, text: str) -> "DesignSpec":
         return cls.from_dict(json.loads(text))
+
+
+# --------------------------------------------------------------------------
+# The prepared design (the ATPG view)
+# --------------------------------------------------------------------------
+@dataclass
+class PreparedDesign:
+    """The ATPG view of the device under test."""
+
+    soc: SocDesign
+    netlist: Netlist
+    scan: ScanArchitecture
+    model: CircuitModel
+    domain_map: ClockDomainMap
+    occ: OccController
+    scan_enable_net: str = "scan_en"
+    scan_clock_net: str = "scan_clk"
+    test_mode_net: str = "test_mode"
+    #: The design's default EDT architecture (from ``DesignSpec.edt``); used
+    #: by the compression stage for scenarios without an explicit channel
+    #: count.  None for designs without a declared compression contract.
+    edt: EdtArchitecture | None = None
+    #: The declarative spec this design was built from (None for ad-hoc or
+    #: externally constructed designs) — campaigns key their cache on it.
+    spec: "DesignSpec | None" = None
+    #: Per-stage wall time of the design pipeline that built this view.
+    build_seconds: dict = field(default_factory=dict, repr=False, compare=False)
+    # instrument_soc memoisation, keyed by the ``enhanced`` flag.
+    _instrument_cache: dict = field(default_factory=dict, repr=False, compare=False)
+
+    @property
+    def functional_domain_names(self) -> list[str]:
+        return [d.name for d in self.soc.functional_domains]
+
+    @property
+    def all_domain_names(self) -> list[str]:
+        return [d.name for d in self.soc.domains]
+
+    def clock_net_of(self, domain: str) -> str:
+        return self.domain_map.clock_net_of(domain)
+
+    def __getstate__(self) -> dict:
+        """Pickle without the instrument memo.
+
+        The cache holds whole instrumented netlist copies; shipping it to
+        process-backend campaign/scenario workers would multiply the payload
+        for state any worker can (and should) rebuild lazily.
+        """
+        state = dict(self.__dict__)
+        state["_instrument_cache"] = {}
+        return state
+
+
+def instrument_soc(
+    prepared: PreparedDesign,
+    enhanced: bool = False,
+    refresh: bool = False,
+) -> tuple[Netlist, list[InsertedCpf]]:
+    """Produce the Figure 1 top level: the SOC with one CPF per domain.
+
+    The returned netlist is a copy of the prepared (scan-inserted) netlist
+    with the functional clock domains re-clocked from CPF outputs; the raw
+    PLL clocks, the external scan clock, scan enable and test mode become the
+    block's clock-control interface.
+
+    The result is memoised on the prepared design (per ``enhanced`` flavour),
+    so repeated structural reports are free; callers that intend to mutate
+    the returned netlist should ``copy()`` it first.
+
+    Args:
+        prepared: The prepared design.
+        enhanced: Insert enhanced (programmable) CPFs instead of the simple
+            two-pulse blocks.
+        refresh: Rebuild (and recache) even when a memoised result exists —
+            for callers that need a private netlist to mutate, or that are
+            timing the real insertion work.
+
+    Returns:
+        ``(instrumented netlist, inserted CPF records)``.
+    """
+    cached = None if refresh else prepared._instrument_cache.get(bool(enhanced))
+    if cached is not None:
+        return cached
+    top = prepared.netlist.copy(name=f"{prepared.netlist.name}_with_cpf")
+    if prepared.scan_clock_net not in top.inputs:
+        top.add_input(prepared.scan_clock_net)
+    top.declare_clock(prepared.scan_clock_net)
+    if prepared.test_mode_net not in top.inputs:
+        top.add_input(prepared.test_mode_net)
+    inserted: list[InsertedCpf] = []
+    for domain in prepared.soc.functional_domains:
+        record = insert_cpf(
+            top,
+            domain_name=domain.name,
+            pll_clk_net=domain.clock_net,
+            scan_clk_net=prepared.scan_clock_net,
+            scan_en_net=prepared.scan_enable_net,
+            test_mode_net=prepared.test_mode_net,
+            enhanced=enhanced,
+        )
+        inserted.append(record)
+    result = (top, inserted)
+    prepared._instrument_cache[bool(enhanced)] = result
+    return result
 
 
 # --------------------------------------------------------------------------
@@ -505,8 +612,8 @@ DESIGN_STAGES: tuple[tuple[str, DesignStage], ...] = (
 
 class DesignPipeline:
     """Runs a spec through the staged ``build -> scan -> clocking -> model``
-    preparation, producing the :class:`~repro.core.flow.PreparedDesign` every
-    scenario executes against."""
+    preparation, producing the :class:`PreparedDesign` every scenario
+    executes against."""
 
     def __init__(self, stages: Iterable[tuple[str, DesignStage]] = DESIGN_STAGES) -> None:
         self._stages = list(stages)
@@ -540,10 +647,8 @@ class DesignPipeline:
             build.stage_seconds[name] = time.perf_counter() - started
         return build
 
-    def prepare(self, spec: DesignSpec, soc: SocDesign | None = None):
+    def prepare(self, spec: DesignSpec, soc: SocDesign | None = None) -> PreparedDesign:
         """Execute the pipeline and assemble the prepared design."""
-        from repro.core.flow import PreparedDesign
-
         build = self.run(spec, soc=soc)
         assert build.soc is not None and build.netlist is not None
         assert build.scan is not None and build.model is not None
@@ -563,9 +668,33 @@ class DesignPipeline:
         )
 
 
-def prepare_from_spec(spec: "DesignSpec | str", soc: SocDesign | None = None):
-    """Build a (possibly registered) design spec into a ``PreparedDesign``."""
+def prepare_from_spec(
+    spec: "DesignSpec | str", soc: SocDesign | None = None
+) -> PreparedDesign:
+    """Build a (possibly registered) design spec into a :class:`PreparedDesign`."""
     return DesignPipeline().prepare(resolve_design(spec), soc=soc)
+
+
+def prepare_design(
+    size: int = 2,
+    seed: int = 2005,
+    num_chains: int = 6,
+    soc: SocDesign | None = None,
+) -> PreparedDesign:
+    """Build the synthetic SOC (or take a given one) and insert scan.
+
+    The ad-hoc equivalent of a registered spec: the knobs become an
+    unregistered :class:`DesignSpec` run through :func:`prepare_from_spec`
+    (the geometry is ignored when a caller-built ``soc`` is passed in).
+
+    Args:
+        size: SOC size factor (ignored when ``soc`` is given).
+        seed: SOC generator seed (ignored when ``soc`` is given).
+        num_chains: Number of balanced scan chains to stitch.
+        soc: Optionally, an externally constructed SOC design.
+    """
+    spec = DesignSpec(name="adhoc", size=size, seed=seed, num_chains=num_chains)
+    return prepare_from_spec(spec, soc=soc)
 
 
 # --------------------------------------------------------------------------
@@ -625,8 +754,8 @@ def resolve_design(spec_or_name: "DesignSpec | str") -> DesignSpec:
 
 
 # ------------------------------------------------------------------ built-ins
-#: The paper's SoC surrogate, byte-identical to the legacy
-#: ``prepare_design()`` defaults (Table 1 rows depend on this).
+#: The paper's SoC surrogate, byte-identical to the :func:`prepare_design`
+#: defaults (Table 1 rows depend on this).
 TABLE1_SOC = register_design(
     DesignSpec(
         name="table1-soc",

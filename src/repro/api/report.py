@@ -3,8 +3,8 @@
 A report is plain data — every field survives a ``to_json`` / ``from_json``
 round trip losslessly, so reports can be archived next to benchmark output
 and diffed across PRs.  ``table()`` renders the classic fixed-width table;
-for the built-in Table 1 scenarios it reproduces the legacy
-``repro.core.results.format_table1`` output byte for byte.
+for the built-in Table 1 scenarios it renders the paper's Table 1 layout
+(the same text ``format_table1`` prints for raw ATPG results).
 """
 
 from __future__ import annotations

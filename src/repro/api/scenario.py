@@ -1,11 +1,9 @@
 """Declarative scenario specifications and the scenario registry.
 
-A :class:`ScenarioSpec` captures everything the legacy
-``repro.core.experiments.experiment_setup`` hand-coded per experiment key —
-fault model, capture-procedure factory, output observability, input holding,
-pin constraints, ATPG options — plus the post-ATPG stage knobs (static
-compaction, EDT compression, pattern export) the old ``if/elif`` ladder could
-not express at all.
+A :class:`ScenarioSpec` captures everything that defines one test-generation
+configuration — fault model, capture-procedure factory, output observability,
+input holding, pin constraints, ATPG options — plus the post-ATPG stage knobs
+(static compaction, EDT compression, pattern export).
 
 Scenarios are *named executable configurations*: registering one makes it
 runnable by name through :class:`repro.api.session.TestSession` without any
@@ -21,10 +19,10 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from repro.atpg.config import AtpgOptions, TestSetup
 from repro.clocking.named_capture import NamedCaptureProcedure
-from repro.simulation.logic import Logic
+from repro.logic import Logic
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
-    from repro.core.flow import PreparedDesign
+    from repro.api.design import PreparedDesign
 
 #: Builds the capture procedures a scenario offers, given the prepared design
 #: (so procedure factories can reference the design's actual domain names).
@@ -128,11 +126,7 @@ class ScenarioSpec:
     def build_setup(
         self, prepared: "PreparedDesign", options: AtpgOptions | None = None
     ) -> TestSetup:
-        """Materialize the constraint environment against a prepared design.
-
-        Field-for-field equivalent to what the legacy ``experiment_setup``
-        produced for the built-in (a)–(e) scenarios.
-        """
+        """Materialize the constraint environment against a prepared design."""
         constraints: dict[str, Logic] = {}
         if self.constrain_reset:
             constraints[prepared.soc.reset_net] = Logic.ZERO

@@ -28,7 +28,7 @@ from repro.clocking.named_capture import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.flow import PreparedDesign
+    from repro.api.design import PreparedDesign
 
 #: The paper's experiment letters, in Table 1 order.
 TABLE1_KEYS = ("a", "b", "c", "d", "e")

@@ -22,7 +22,7 @@ requested, and custom stages can be spliced in with :meth:`TestSession.with_stag
 Sessions bind to their device through the design registry too:
 ``TestSession.for_design("wide-edt")`` builds a registered
 :class:`~repro.api.design.DesignSpec` through the staged design pipeline
-(``for_soc`` remains as the ad-hoc shim over the same path).
+(``for_soc`` takes ad-hoc geometry knobs down the same path).
 Design preparation and CPF instrumentation are computed once per session and
 shared by every scenario.  Execution runs on the unified
 :mod:`repro.runtime` plane: :meth:`TestSession.plan` compiles the queued
@@ -42,11 +42,16 @@ from __future__ import annotations
 
 import threading
 import time
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
-from repro.api.design import prepare_from_spec, resolve_design
+from repro.api.design import (
+    PreparedDesign,
+    instrument_soc,
+    prepare_design,
+    prepare_from_spec,
+    resolve_design,
+)
 from repro.api.report import RunReport, ScenarioOutcome
 from repro.api.scenario import ScenarioSpec, resolve_scenario
 from repro.atpg.compaction import compact_pattern_set
@@ -57,7 +62,6 @@ from repro.atpg.podem import PodemStatus
 from repro.atpg.stuck_at import StuckAtAtpg
 from repro.atpg.transition import TransitionAtpg
 from repro.circuits.soc import SocDesign
-from repro.core.flow import PreparedDesign, instrument_soc, prepare_design
 from repro.dft.edt import EdtArchitecture
 from repro.engine.cache import ResultCache, coerce_cache, scenario_key
 from repro.engine.scheduler import BACKENDS, validate_pool_size
@@ -281,7 +285,7 @@ def materialize_design(resources: dict, name: str) -> PreparedDesign:
     """The built design a plan resource entry names (memoised in-place).
 
     ``resources["designs"]`` maps design names to either an already built
-    :class:`~repro.core.flow.PreparedDesign` (the session path — shipped to
+    :class:`~repro.api.design.PreparedDesign` (the session path — shipped to
     workers once via the pool initializer) or a declarative
     :class:`~repro.api.design.DesignSpec` (the campaign path — each worker
     builds a design the first time one of its jobs touches it).
@@ -837,10 +841,9 @@ class TestSession:
 
     def run(
         self,
-        parallel: bool = False,
-        max_workers: int | None = None,
-        backend: str | None = None,
         *,
+        backend: str | None = None,
+        max_workers: int | None = None,
         executor: "Executor | None" = None,
         on_event: "Callable | None" = None,
     ) -> RunReport:
@@ -852,14 +855,11 @@ class TestSession:
         measurements differ).
 
         Args:
-            parallel: Deprecated — pass ``backend="threads"`` (or an
-                executor) instead.  Kept as a shim that compiles to the same
-                plan and emits a :class:`DeprecationWarning`.
+            backend: Plan fan-out backend — ``"serial"`` (default),
+                ``"threads"`` or ``"processes"`` (each scenario runs in its
+                own interpreter through the engine's process backend, so the
+                fan-out is not GIL-bound).
             max_workers: Worker-pool size for the pooled backends.
-            backend: Plan fan-out backend — ``"serial"``, ``"threads"`` or
-                ``"processes"`` (each scenario runs in its own interpreter
-                through the engine's process backend, so the fan-out is not
-                GIL-bound).
             executor: A fully configured :class:`~repro.runtime.Executor`
                 to run the plan on (mutually exclusive with the sizing
                 knobs above).
@@ -867,27 +867,14 @@ class TestSession:
                 (``job_started`` / ``job_finished`` / ``job_skipped`` /
                 ``plan_progress``).
         """
-        # Validate before deprecating: bad arguments must surface as the
-        # documented ValueError even under warnings-as-errors.
-        if executor is not None and (parallel or backend is not None or max_workers is not None):
-            raise ValueError(
-                "pass either executor= or the parallel/backend/max_workers knobs"
-            )
+        if executor is not None and (backend is not None or max_workers is not None):
+            raise ValueError("pass either executor= or the backend/max_workers knobs")
         if backend is not None and backend not in RUN_BACKENDS:
             raise ValueError(
                 f"unknown run backend {backend!r} (expected one of {RUN_BACKENDS})"
             )
-        if parallel:
-            warnings.warn(
-                "TestSession.run(parallel=True) is deprecated; use "
-                "run(backend='threads') or run(executor=Executor(backend='threads'))",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         if executor is None:
-            if backend is None:
-                backend = "threads" if parallel else "serial"
-            executor = Executor(backend=backend, max_workers=max_workers)
+            executor = Executor(backend=backend or "serial", max_workers=max_workers)
         specs = list(self._scenarios)
         plan = self.plan()
         cached = executor.effective_cache(self._cache) is not None

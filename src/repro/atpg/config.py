@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.clocking.named_capture import NamedCaptureProcedure
-from repro.simulation.logic import Logic
+from repro.logic import Logic
 
 
 @dataclass

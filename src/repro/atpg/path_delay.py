@@ -28,7 +28,7 @@ from repro.clocking.named_capture import NamedCaptureProcedure
 from repro.faults.models import FaultSite, PathDelayFault, TransitionFault, TransitionKind
 from repro.netlist.library import DEFAULT_LIBRARY
 from repro.patterns.pattern import TestPattern
-from repro.simulation.logic import Logic
+from repro.logic import Logic
 from repro.simulation.model import CircuitModel, NodeKind
 
 

@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 from repro.atpg.scoap import TestabilityMeasures, compute_testability
 from repro.faults.models import StuckAtFault
 from repro.netlist.gates import GateType
-from repro.simulation.logic import Logic
+from repro.logic import Logic
 from repro.simulation.model import CircuitModel, NodeKind
 
 _X = 2

@@ -14,7 +14,7 @@ from typing import Sequence
 
 from repro.clocking.named_capture import NamedCaptureProcedure
 from repro.patterns.pattern import TestPattern
-from repro.simulation.logic import Logic
+from repro.logic import Logic
 
 
 def derive_rng(seed: int, stream: str | None = None) -> random.Random:

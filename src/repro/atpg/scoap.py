@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from repro.netlist.gates import GateType
-from repro.simulation.logic import Logic
+from repro.logic import Logic
 from repro.simulation.model import CircuitModel, NodeKind
 
 #: Saturation value: effectively "uncontrollable"/"unobservable".

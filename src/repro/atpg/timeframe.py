@@ -32,7 +32,7 @@ from repro.clocking.domains import ClockDomainMap
 from repro.clocking.named_capture import NamedCaptureProcedure
 from repro.faults.models import FaultSite, StuckAtFault, TransitionFault
 from repro.netlist.gates import GateType
-from repro.simulation.logic import Logic
+from repro.logic import Logic
 from repro.simulation.model import CircuitModel, Node, NodeKind
 
 

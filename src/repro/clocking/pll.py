@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.simulation.event_sim import clock_stimulus
-from repro.simulation.logic import Logic
+from repro.logic import Logic
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from typing import Sequence
 from repro.clocking.cpf import CpfBlock
 from repro.clocking.domains import ClockDomain
 from repro.simulation.event_sim import EventSimulator, clock_stimulus
-from repro.simulation.logic import Logic
+from repro.logic import Logic
 from repro.simulation.waveform import Waveform
 
 

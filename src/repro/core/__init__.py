@@ -1,4 +1,4 @@
-"""Experiment flow: design preparation, Table 1 experiments, reporting, ablations."""
+"""Paper reporting: the Table 1 reproduction, claim checks and ablations."""
 
 from repro.core.ablation import (
     compaction_ablation,
@@ -6,14 +6,6 @@ from repro.core.ablation import (
     inter_domain_ablation,
     pulse_count_ablation,
 )
-from repro.core.experiments import (
-    EXPERIMENT_DESCRIPTIONS,
-    EXPERIMENT_KEYS,
-    experiment_setup,
-    run_all_experiments,
-    run_experiment,
-)
-from repro.core.flow import DelayTestFlow, PreparedDesign, instrument_soc, prepare_design
 from repro.core.results import (
     ClaimCheck,
     compare_with_paper,
@@ -24,21 +16,12 @@ from repro.core.results import (
 
 __all__ = [
     "ClaimCheck",
-    "DelayTestFlow",
-    "EXPERIMENT_DESCRIPTIONS",
-    "EXPERIMENT_KEYS",
-    "PreparedDesign",
     "compaction_ablation",
     "compare_with_paper",
     "edt_ablation",
-    "experiment_setup",
     "format_comparison",
     "format_table1",
-    "instrument_soc",
     "inter_domain_ablation",
-    "prepare_design",
     "pulse_count_ablation",
     "results_as_records",
-    "run_all_experiments",
-    "run_experiment",
 ]

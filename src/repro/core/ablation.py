@@ -19,15 +19,16 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Sequence
 
+from repro.api.design import PreparedDesign
+from repro.api.scenarios import table1_scenario
 from repro.atpg.config import AtpgOptions, TestSetup
 from repro.atpg.generator import AtpgResult
 from repro.atpg.transition import TransitionAtpg
 from repro.clocking.named_capture import enhanced_cpf_procedures
-from repro.core.flow import PreparedDesign
 from repro.dft.edt import EdtArchitecture
 from repro.patterns.ate import vector_memory_report
 from repro.patterns.pattern import PatternSet
-from repro.simulation.logic import Logic
+from repro.logic import Logic
 
 
 def _base_onchip_setup(
@@ -135,8 +136,6 @@ def compaction_ablation(
     options: AtpgOptions | None = None,
 ) -> dict[str, AtpgResult]:
     """Pattern count with and without dynamic compaction (simple CPF setup)."""
-    from repro.api.scenarios import table1_scenario
-
     options = options or AtpgOptions()
     results: dict[str, AtpgResult] = {}
     for label, enabled in (("with_compaction", True), ("without_compaction", False)):

@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
+from repro.api.scenarios import TABLE1_DESCRIPTIONS
 from repro.atpg.generator import AtpgResult
-from repro.core.experiments import EXPERIMENT_DESCRIPTIONS
 from repro.patterns.statistics import format_table, table_rows
 
 
@@ -35,7 +35,7 @@ class ClaimCheck:
 
 def format_table1(results: Mapping[str, AtpgResult]) -> str:
     """Render the measured Table 1 reproduction as text."""
-    rows = table_rows(results, EXPERIMENT_DESCRIPTIONS)
+    rows = table_rows(results, TABLE1_DESCRIPTIONS)
     return format_table(rows)
 
 
@@ -146,7 +146,7 @@ def results_as_records(results: Mapping[str, AtpgResult]) -> list[dict[str, obje
     for key in sorted(results):
         result = results[key]
         record = result.summary()
-        record["description"] = EXPERIMENT_DESCRIPTIONS.get(key, "")
+        record["description"] = TABLE1_DESCRIPTIONS.get(key, "")
         record["statistics"] = result.stats.as_dict()
         records.append(record)
     return records

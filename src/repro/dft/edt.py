@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 
 from repro.dft.scan import ScanArchitecture
 from repro.patterns.pattern import PatternSet, TestPattern
-from repro.simulation.logic import Logic
+from repro.logic import Logic
 
 
 @dataclass

@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 from repro.dft.chains import partition_into_chains
 from repro.netlist.gates import GateType
 from repro.netlist.netlist import Gate, Netlist
-from repro.simulation.logic import Logic
+from repro.logic import Logic
 
 
 @dataclass(frozen=True)

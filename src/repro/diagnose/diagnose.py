@@ -716,7 +716,7 @@ def run_diagnosis(
     """Execute one full diagnosis: capture (if needed), extract, score, rank.
 
     Args:
-        prepared: The :class:`~repro.core.flow.PreparedDesign` under test.
+        prepared: The :class:`~repro.api.design.PreparedDesign` under test.
         setup: The constraint environment the patterns were generated under.
         patterns: The pattern set the failing device ran on the tester.
         spec: The declarative diagnosis configuration.

@@ -11,8 +11,9 @@ disk keyed by a SHA-256 over *content*, never over identity:
   :class:`~repro.api.scenario.ScenarioSpec` (the procedure factory
   contributes its module-qualified name) and the effective
   :class:`~repro.atpg.config.AtpgOptions`;
-* the **engine version** (:data:`~repro.engine.compile.ENGINE_VERSION`), so
-  kernel-semantics changes invalidate everything at once.
+* the **engine version** (:data:`~repro.engine.compile.ENGINE_VERSION`, a
+  digest of every ``repro`` source file), so any code change invalidates
+  everything at once.
 
 Entries are a pickle payload plus a small JSON sidecar for inspection; the
 cache root defaults to ``~/.cache/repro-engine`` and can be moved with the

@@ -32,7 +32,9 @@ kernels to *identical* detection masks.
 
 from __future__ import annotations
 
+import hashlib
 import threading
+from pathlib import Path
 from typing import Callable, Sequence
 
 from repro.faults.models import StuckAtFault, TransitionFault
@@ -41,9 +43,23 @@ from repro.obs.telemetry import active_metrics
 from repro.simulation.model import CircuitModel, NodeKind
 from repro.simulation.parallel_sim import PackedPatterns
 
-#: Version tag of the compiled-kernel semantics; part of every persistent
-#: cache key so stale results are invalidated when the kernels change.
-ENGINE_VERSION = "1"
+
+
+def _source_digest() -> str:
+    """sha256 over the sorted relative paths and bytes of every ``repro/*.py``,
+    truncated to 16 hex digits."""
+    package = Path(__file__).resolve().parent.parent
+    digest = hashlib.sha256()
+    for path in sorted(package.rglob("*.py")):
+        digest.update(path.relative_to(package).as_posix().encode())
+        digest.update(path.read_bytes())
+    return digest.hexdigest()[:16]
+
+
+#: Digest of the library's own sources, computed once at import; part of
+#: every persistent cache key, so a result cached by different code is never
+#: served.
+ENGINE_VERSION = _source_digest()
 
 #: ``fn(in0, in1) -> (out0, out1)`` over dual-rail planes, pin order as in
 #: ``Node.fanin``.

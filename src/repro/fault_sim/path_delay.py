@@ -16,7 +16,7 @@ from repro.clocking.domains import ClockDomainMap
 from repro.fault_sim.transition import TransitionFaultSimulator
 from repro.faults.models import PathDelayFault
 from repro.patterns.pattern import TestPattern
-from repro.simulation.logic import Logic
+from repro.logic import Logic
 from repro.simulation.model import CircuitModel, NodeKind
 from repro.simulation.parallel_sim import unpack_value
 

@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 
 from repro.engine.scheduler import FaultSimScheduler
 from repro.faults.models import StuckAtFault
-from repro.simulation.logic import Logic
+from repro.logic import Logic
 from repro.simulation.model import CircuitModel, NodeKind
 from repro.simulation.parallel_sim import (
     PackedPatterns,

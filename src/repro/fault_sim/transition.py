@@ -36,7 +36,7 @@ from repro.clocking.named_capture import NamedCaptureProcedure
 from repro.engine.scheduler import FaultSimScheduler
 from repro.faults.models import TransitionFault
 from repro.patterns.pattern import TestPattern
-from repro.simulation.logic import Logic
+from repro.logic import Logic
 from repro.simulation.model import CircuitModel
 from repro.simulation.parallel_sim import (
     PackedPatterns,

@@ -41,7 +41,7 @@ from repro.faults.fault_list import FaultList, FaultStatus
 from repro.faults.models import FaultSite, StuckAtFault, TransitionFault
 from repro.netlist.gates import GateType
 from repro.netlist.netlist import Netlist
-from repro.simulation.logic import Logic
+from repro.logic import Logic
 from repro.simulation.model import CircuitModel, NodeKind
 
 

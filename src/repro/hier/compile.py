@@ -354,7 +354,7 @@ class HierCompiledCircuit(CompiledCircuit):
 
     # --------------------------------------------------------------- reporting
     def hier_stats(self) -> dict[str, int]:
-        """Kernel-sharing summary (surfaced by ``benchmarks/bench_scale.py``)."""
+        """Kernel-sharing summary (surfaced by ``examples/scale_sweep.py``)."""
         return {
             "instances_bound": len(self._bindings),
             "unique_core_kernels": len({t.digest for t, _ in self._bindings}),

@@ -1,4 +1,4 @@
-"""Gate-level netlist representation, construction and validation."""
+"""Gate-level netlist representation, construction and I/O."""
 
 from repro.netlist.builder import NetlistBuilder
 from repro.netlist.gates import GateType, evaluate_gate, noncontrolling_value
@@ -20,7 +20,6 @@ from repro.netlist.netlist import (
     NetlistStats,
     RamMacro,
 )
-from repro.netlist.validate import RuleSeverity, RuleViolation, ValidationReport, validate_netlist
 from repro.netlist.verilog import read_verilog, round_trip, write_verilog
 
 __all__ = [
@@ -36,9 +35,6 @@ __all__ = [
     "NetlistError",
     "NetlistStats",
     "RamMacro",
-    "RuleSeverity",
-    "RuleViolation",
-    "ValidationReport",
     "area_report",
     "critical_path_estimate",
     "evaluate_gate",
@@ -47,6 +43,5 @@ __all__ = [
     "noncontrolling_value",
     "read_verilog",
     "round_trip",
-    "validate_netlist",
     "write_verilog",
 ]

@@ -19,7 +19,7 @@ from repro.clocking.named_capture import CapturePulse, NamedCaptureProcedure
 from repro.clocking.occ import AteAction, OccController
 from repro.dft.scan import ScanArchitecture
 from repro.patterns.pattern import PatternSet, TestPattern
-from repro.simulation.logic import Logic
+from repro.logic import Logic
 
 
 def _bits(values: Iterable[Logic]) -> str:

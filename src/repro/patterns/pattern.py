@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from repro.clocking.named_capture import NamedCaptureProcedure
-from repro.simulation.logic import Logic
+from repro.logic import Logic
 
 
 def _logic_map_out(values: dict[str, Logic]) -> dict[str, str]:

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 from repro.clocking.occ import AteStep, OccController
 from repro.dft.scan import ScanArchitecture
 from repro.patterns.pattern import TestPattern
-from repro.simulation.logic import Logic
+from repro.logic import Logic
 from repro.simulation.sequential import SequentialSimulator
 
 

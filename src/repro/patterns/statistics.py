@@ -78,8 +78,8 @@ class ShapeChecks:
 def shape_checks(results: Mapping[str, "AtpgResult"]) -> ShapeChecks:
     """Evaluate the paper's qualitative claims on a set of experiment results.
 
-    Expects keys "a".."e" as produced by
-    :func:`repro.core.experiments.run_all_experiments`.
+    Expects the raw results of the ``table1-a`` .. ``table1-e`` scenarios
+    keyed by experiment letter "a".."e" (``TestSession.result_of``).
     """
     a, b, c, d, e = (results[k] for k in ("a", "b", "c", "d", "e"))
     stuck_cov = a.coverage.test_coverage

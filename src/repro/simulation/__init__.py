@@ -1,7 +1,6 @@
-"""Logic value algebras, circuit models and simulators."""
+"""Circuit models and simulators."""
 
 from repro.simulation.event_sim import EventSimulator, clock_stimulus, step_stimulus
-from repro.simulation.logic import DValue, Logic
 from repro.simulation.model import CircuitModel, Node, NodeKind, StateElement, build_model
 from repro.simulation.parallel_sim import (
     PackedPatterns,
@@ -21,10 +20,8 @@ from repro.simulation.waveform import Edge, Pulse, SignalTrace, Waveform
 
 __all__ = [
     "CircuitModel",
-    "DValue",
     "Edge",
     "EventSimulator",
-    "Logic",
     "Node",
     "NodeKind",
     "PackedPatterns",

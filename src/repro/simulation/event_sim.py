@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 from repro.netlist.gates import GateType, evaluate_gate
 from repro.netlist.library import DEFAULT_LIBRARY, CellInfo, FLOP_INFO, LATCH_INFO
 from repro.netlist.netlist import FlipFlop, Gate, Latch, Netlist
-from repro.simulation.logic import Logic
+from repro.logic import Logic
 from repro.simulation.waveform import Waveform
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.netlist.gates import GateType
-from repro.simulation.logic import Logic
+from repro.logic import Logic
 from repro.simulation.model import CircuitModel, NodeKind
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Sequence
 
 from repro.netlist.gates import evaluate_gate
-from repro.simulation.logic import Logic
+from repro.logic import Logic
 from repro.simulation.model import CircuitModel, NodeKind
 
 

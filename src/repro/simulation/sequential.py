@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from repro.netlist.netlist import Netlist, RamMacro
-from repro.simulation.logic import Logic
+from repro.logic import Logic
 from repro.simulation.model import CircuitModel, build_model
 from repro.simulation.scalar_sim import simulate
 from repro.simulation.waveform import Waveform

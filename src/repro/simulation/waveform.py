@@ -13,7 +13,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable
 
-from repro.simulation.logic import Logic
+from repro.logic import Logic
 
 
 @dataclass(frozen=True)

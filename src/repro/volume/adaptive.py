@@ -156,7 +156,7 @@ def adaptive_diagnose(
     ``max_rounds`` is spent.
 
     Args:
-        prepared: The :class:`~repro.core.flow.PreparedDesign` under test.
+        prepared: The :class:`~repro.api.design.PreparedDesign` under test.
         setup: The constraint environment of the original pattern set.
         patterns: The scenario pattern set the device originally ran.
         spec: The per-log diagnosis configuration.

@@ -400,7 +400,7 @@ def run_bp_diagnosis(
     universe and the result carries a *selected set*, not just an order.
 
     Args:
-        prepared: The :class:`~repro.core.flow.PreparedDesign` under test.
+        prepared: The :class:`~repro.api.design.PreparedDesign` under test.
         setup: The constraint environment the patterns were generated under.
         patterns: The pattern set the failing device ran on the tester.
         spec: The declarative diagnosis configuration.

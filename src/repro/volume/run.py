@@ -193,7 +193,7 @@ def run_bp_diagnosis_job(resources: dict, params: Mapping[str, object], deps: di
 def _design_fp(design: object) -> str:
     """Any design resource entry's identity digest (spec or built).
 
-    A spec-built :class:`~repro.core.flow.PreparedDesign` keys on its
+    A spec-built :class:`~repro.api.design.PreparedDesign` keys on its
     *declarative* spec fingerprint — the same identity a not-yet-built
     entry produces — so a resumed run whose designs were harvested in a
     previous execution still hits the same cache entries.
@@ -231,7 +231,7 @@ def volume_plan(
         records: A :class:`~repro.volume.store.FailLogStore` or any
             iterable of :class:`~repro.volume.store.FailLogRecord`.
         designs: Design name -> built
-            :class:`~repro.core.flow.PreparedDesign` or declarative
+            :class:`~repro.api.design.PreparedDesign` or declarative
             :class:`~repro.api.design.DesignSpec` (the resource contract of
             :func:`~repro.api.session.materialize_design`).  Every record's
             ``design`` must resolve here.

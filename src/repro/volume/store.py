@@ -68,6 +68,10 @@ class FailLogStore:
     def __init__(self, path: "Path | str") -> None:
         self.path = Path(path)
         self.kind = "jsonl" if self.path.suffix == ".jsonl" else "sqlite"
+        # ``.jsonl`` duplicate check: the names stored in the file's first
+        # ``_scanned`` bytes (lines other writers append are read on demand).
+        self._names: set[str] = set()
+        self._scanned = 0
         self.path.parent.mkdir(parents=True, exist_ok=True)
         if self.kind == "sqlite":
             with self._connect() as connection:
@@ -93,6 +97,19 @@ class FailLogStore:
                 if line:
                     yield FailLogRecord.from_dict(json.loads(line))
 
+    def _jsonl_names(self) -> set[str]:
+        """Every stored name, reading only the lines appended (by this or
+        any other writer) since the last call and decoding just their name."""
+        with self.path.open("rb") as handle:
+            handle.seek(self._scanned)
+            for line in handle:
+                if not line.endswith(b"\n"):
+                    break  # another writer is mid-append; read it next time
+                self._scanned += len(line)
+                if line.strip():
+                    self._names.add(json.loads(line)["name"])
+        return self._names
+
     # ------------------------------------------------------------------- write
     def add(
         self,
@@ -108,7 +125,7 @@ class FailLogStore:
             name=name, design=log.design, scenario=scenario, log=log
         )
         if self.kind == "jsonl":
-            if name in self.names():
+            if name in self._jsonl_names():
                 raise ValueError(f"fail log {name!r} already stored")
             with self.path.open("a", encoding="utf-8") as handle:
                 handle.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import TestSession, prepare_design, scenarios
 from repro.atpg import AtpgOptions, TestSetup
 from repro.circuits import c17, pipeline, s27, two_domain_crossing
 from repro.clocking import ClockDomain, ClockDomainMap, external_clock_procedures, stuck_at_procedures
-from repro.core import prepare_design
 from repro.dft import insert_scan
 from repro.simulation import build_model
 
@@ -69,6 +69,29 @@ def cheap_options():
         backtrack_limit=20,
         random_seed=7,
     )
+
+
+#: The Table 1 effort of perfbench's ``atpg-table1`` workload; its per-scenario
+#: coverage and pattern counts on ``tiny`` are the ``perfbench/reference.json``
+#: values.
+TABLE1_OPTIONS = AtpgOptions(
+    random_pattern_batches=4,
+    patterns_per_batch=64,
+    backtrack_limit=25,
+    random_seed=2005,
+)
+
+
+@pytest.fixture(scope="session")
+def table1_tiny():
+    """The five Table 1 scenarios on ``tiny`` at :data:`TABLE1_OPTIONS`.
+
+    Run once per test session and shared by every suite that checks Table 1
+    results; returns ``(session, report)``.
+    """
+    session = TestSession.for_design("tiny", options=TABLE1_OPTIONS)
+    report = session.add_scenarios(*scenarios.table1()).run()
+    return session, report
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,6 @@
 """Front-door integration of repro.analyze: TestSession.lint, the design
-pipeline's spliceable lint stage, the campaign pre-flight gate, plan
-linting, and the validate_netlist deprecation shim's report conversion."""
+pipeline's spliceable lint stage, the campaign pre-flight gate, and plan
+linting."""
 
 from __future__ import annotations
 
@@ -11,11 +11,11 @@ from repro.api import (
     Campaign,
     DesignPipeline,
     TestSession,
+    prepare_design,
     resolve_design,
     stage_lint,
 )
 from repro.atpg import AtpgOptions
-from repro.core import prepare_design
 from repro.netlist import Gate, GateType
 from repro.runtime import Job, Plan
 

@@ -1,7 +1,4 @@
-"""Tests for Campaign, CampaignReport, per-cell caching/resume, and the
-legacy run_all_experiments routing."""
-
-import warnings
+"""Tests for Campaign, CampaignReport, and per-cell caching/resume."""
 
 import pytest
 
@@ -12,9 +9,13 @@ from repro.api import (
     resolve_campaign_scenario,
 )
 from repro.atpg import AtpgOptions
-from repro.core import DelayTestFlow, run_all_experiments
+from repro.core import format_table1
+from repro.diagnose import DefectSpec
 from repro.engine import ResultCache
 from repro.runtime import Executor
+
+
+STUCK_SCAN_EN = DefectSpec(kind="stuck-at", net="scan_en", value=1)
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +63,29 @@ class TestCampaignBuilder:
     def test_unknown_backend_rejected(self, fast_options):
         campaign = Campaign(["tiny"], ["a"], options=fast_options)
         with pytest.raises(ValueError, match="unknown campaign backend"):
-            campaign.run(backend="gpu")
+            campaign.diagnose([STUCK_SCAN_EN], backend="gpu")
+
+    def test_run_rejects_positional_arguments(self, fast_options):
+        """``run`` is keyword-only; it takes no backend knobs at all."""
+        campaign = Campaign(["tiny"], ["a"], options=fast_options)
+        with pytest.raises(TypeError):
+            campaign.run("threads")
+        with pytest.raises(TypeError):
+            campaign.run(backend="threads")
+
+    def test_diagnose_rejects_mixing_executor_with_sizing_knobs(self, fast_options):
+        campaign = Campaign(["tiny"], ["a"], options=fast_options)
+        with pytest.raises(ValueError, match="either executor="):
+            campaign.diagnose([STUCK_SCAN_EN], backend="threads", executor=Executor())
+        with pytest.raises(ValueError, match="either executor="):
+            campaign.diagnose_volume([], max_workers=2, executor=Executor())
+
+    def test_with_backend_rejects_non_positive_pool_knobs(self, fast_options):
+        campaign = Campaign(["tiny"], ["a"], options=fast_options)
+        with pytest.raises(ValueError, match=r"shards must be a positive integer \(got 0\)"):
+            campaign.with_backend("processes", shards=0)
+        with pytest.raises(ValueError, match=r"workers must be a positive integer \(got -2\)"):
+            campaign.with_backend("threads", workers=-2)
 
 
 class TestCampaignResults:
@@ -118,21 +141,14 @@ class TestCampaignResults:
 
 class TestTable1ByteCompatibility:
     def test_campaign_table_matches_legacy_flow(self, fast_options):
-        """One campaign row == the deprecated DelayTestFlow, byte for byte.
-
-        The ``tiny`` registered design is the same device as
-        ``DelayTestFlow(size=1, seed=2005, num_chains=4)``; running the five
-        paper scenarios over it through the campaign grid must reproduce the
-        legacy table exactly (this mirrors the table1-soc acceptance check
-        at unit-test scale).
-        """
-        report = Campaign(["tiny"], ["a", "b", "c", "d", "e"],
-                          options=fast_options).run()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            flow = DelayTestFlow(size=1, seed=2005, num_chains=4, options=fast_options)
-            flow.run_all()
-        assert report.table("tiny") == flow.table1()
+        """One campaign row renders ``format_table1`` of its raw results,
+        byte for byte (the table1-soc acceptance check at unit-test scale;
+        ``test_outcomes_match_a_plain_session`` pins the cells themselves to
+        a plain session run)."""
+        campaign = Campaign(["tiny"], ["a", "b", "c", "d", "e"], options=fast_options)
+        report = campaign.run()
+        results = {key: campaign.result_of("tiny", key) for key in "abcde"}
+        assert report.table("tiny") == format_table1(results)
 
 
 class TestCampaignBackends:
@@ -201,16 +217,3 @@ class TestWireDegradedResults:
             with pytest.raises(TypeError,
                                match="did not survive the event wire"):
                 handle(event)
-
-
-class TestLegacyRouting:
-    def test_run_all_experiments_goes_through_campaign(self, tiny_prepared, cheap_options):
-        with pytest.warns(DeprecationWarning, match="run_all_experiments"):
-            results = run_all_experiments(tiny_prepared, cheap_options, keys=("a", "c"))
-        assert sorted(results) == ["a", "c"]
-        session = TestSession.from_prepared(tiny_prepared, cheap_options)
-        session.run_scenario("table1-a")
-        assert (
-            results["a"].pattern_count
-            == session.result_of("table1-a").pattern_count
-        )

@@ -15,13 +15,13 @@ from repro.api import (
     TestSession,
     design_names,
     get_design,
+    prepare_design,
     prepare_from_spec,
     register_design,
     unregister_design,
 )
 from repro.api.design import DESIGN_STAGES
 from repro.circuits import two_domain_crossing
-from repro.core import prepare_design
 from repro.dft import EdtConfig
 from repro.engine import campaign_cell_key, design_fingerprint, design_spec_fingerprint
 from repro.netlist.verilog import write_verilog
@@ -166,7 +166,8 @@ class TestFingerprintStability:
 
 class TestDesignPipeline:
     def test_pipeline_matches_legacy_prepare_design(self):
-        """The staged pipeline and the legacy shim build the same model."""
+        """The staged pipeline and the ad-hoc ``prepare_design`` knobs build
+        the same model."""
         spec = DesignSpec(name="adhoc", size=1, seed=11, num_chains=4)
         via_pipeline = prepare_from_spec(spec)
         via_legacy = prepare_design(size=1, seed=11, num_chains=4)

@@ -10,14 +10,19 @@ from repro.api import (
     scenario_names,
     unregister_scenario,
 )
-from repro.api.scenarios import TABLE1_DESCRIPTIONS, TABLE1_KEYS, table1, table1_scenario
+from repro.api.scenarios import (
+    TABLE1_DESCRIPTIONS,
+    TABLE1_KEYS,
+    resolve_scenario_or_letter,
+    table1,
+    table1_scenario,
+)
 from repro.clocking import (
     enhanced_cpf_procedures,
     external_clock_procedures,
     simple_cpf_procedures,
     stuck_at_procedures,
 )
-from repro.core import experiment_setup
 from repro.logic import Logic
 
 
@@ -90,11 +95,11 @@ class TestScenarioSpec:
 
 
 class TestBuiltinSetupsMatchLegacy:
-    """Every built-in scenario's TestSetup equals the legacy experiment_setup.
+    """Every built-in scenario's TestSetup equals the paper's experiment.
 
-    The expected values replicate the retired hand-coded ``if/elif`` ladder
-    literally, so this anchors both the registry specs and the
-    ``experiment_setup`` shim against the original behaviour.
+    The expected values replicate the original hand-coded per-letter setups
+    literally, so this anchors the registry specs and the letter shorthand
+    against the original behaviour.
     """
 
     def _expected_procedures(self, key, prepared):
@@ -135,8 +140,12 @@ class TestBuiltinSetupsMatchLegacy:
 
     @pytest.mark.parametrize("key", TABLE1_KEYS)
     def test_shim_matches_registry(self, key, tiny_prepared, cheap_options):
-        via_shim = experiment_setup(key, tiny_prepared, cheap_options)
-        via_api = table1_scenario(key).build_setup(tiny_prepared, cheap_options)
+        """The experiment-letter shorthand the campaign and diagnosis front
+        doors accept builds the registered ``table1-*`` setup."""
+        via_shim = resolve_scenario_or_letter(key.upper()).build_setup(
+            tiny_prepared, cheap_options
+        )
+        via_api = get_scenario(f"table1-{key}").build_setup(tiny_prepared, cheap_options)
         assert via_shim.name == via_api.name
         assert [p.name for p in via_shim.procedures] == [p.name for p in via_api.procedures]
         assert via_shim.observe_pos == via_api.observe_pos
@@ -144,9 +153,9 @@ class TestBuiltinSetupsMatchLegacy:
         assert via_shim.pin_constraints == via_api.pin_constraints
         assert via_shim.constrain_scan_enable == via_api.constrain_scan_enable
 
-    def test_unknown_experiment_key_raises(self, tiny_prepared):
-        with pytest.raises(KeyError, match="unknown experiment"):
-            experiment_setup("z", tiny_prepared)
+    def test_unknown_experiment_key_raises(self):
+        with pytest.raises(KeyError, match="'z'"):
+            resolve_scenario_or_letter("z")
 
 
 class TestTable1Accessors:

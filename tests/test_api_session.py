@@ -1,10 +1,11 @@
-"""Tests for TestSession, the stage pipeline, RunReport, and the legacy shims."""
+"""Tests for TestSession, the stage pipeline, and RunReport."""
 
 import pytest
 
-from repro.api import RunReport, TestSession, scenarios
+from repro.api import RunReport, TestSession, instrument_soc, scenarios
 from repro.atpg import AtpgOptions
-from repro.core import DelayTestFlow, format_table1, instrument_soc
+from repro.core import format_table1
+from repro.runtime import Executor
 
 
 @pytest.fixture(scope="module")
@@ -29,23 +30,30 @@ def table1_session(fast_options):
 
 
 @pytest.fixture(scope="module")
-def legacy_flow(fast_options):
-    """The same five experiments through the deprecated DelayTestFlow (serial)."""
-    flow = DelayTestFlow(size=1, seed=17, num_chains=4, options=fast_options)
-    flow.run_all()
-    return flow
+def serial_results(fast_options):
+    """The same five experiments run one at a time in-process (serial)."""
+    session = (
+        TestSession.for_soc(size=1, seed=17).with_chains(4).with_options(fast_options)
+    )
+    results = {}
+    for spec in scenarios.table1():
+        session.run_scenario(spec)
+        results[spec.legacy_key] = session.result_of(spec.name)
+    return results
 
 
 class TestTable1Golden:
-    def test_report_table_matches_legacy_byte_for_byte(self, table1_session, legacy_flow):
+    def test_report_table_matches_legacy_byte_for_byte(self, table1_session, serial_results):
+        """The threads-backend report renders the serial run's Table 1 byte
+        for byte."""
         _, report = table1_session
-        assert report.table() == legacy_flow.table1()
+        assert report.table() == format_table1(serial_results)
 
-    def test_parallel_results_match_serial_legacy_run(self, table1_session, legacy_flow):
-        """The parallel session and the serial legacy flow agree per experiment."""
+    def test_parallel_results_match_serial_legacy_run(self, table1_session, serial_results):
+        """The threads-backend session and the serial run agree per experiment."""
         session, report = table1_session
         for key in "abcde":
-            serial = legacy_flow.results[key]
+            serial = serial_results[key]
             outcome = report[key]
             assert outcome.test_coverage == serial.coverage.test_coverage
             assert outcome.pattern_count == serial.pattern_count
@@ -151,6 +159,30 @@ class TestSessionBuilder:
     def test_run_without_scenarios_raises(self):
         with pytest.raises(RuntimeError, match="no scenarios"):
             TestSession.for_soc(size=1).run()
+
+    def test_run_rejects_positional_arguments(self):
+        """``run`` is keyword-only: a scenario list passed positionally must
+        not be taken for a run option."""
+        session = TestSession.for_soc(size=1).add_scenario("table1-c")
+        with pytest.raises(TypeError):
+            session.run(["table1-c"])
+
+    def test_run_rejects_mixing_executor_with_sizing_knobs(self):
+        session = TestSession.for_soc(size=1).add_scenario("table1-a")
+        with pytest.raises(ValueError, match="either executor="):
+            session.run(backend="threads", executor=Executor())
+        with pytest.raises(ValueError, match="either executor="):
+            session.run(max_workers=2, executor=Executor())
+
+    def test_with_backend_rejects_non_positive_pool_knobs(self, tiny_prepared):
+        """Session and executor share one validation message."""
+        session = TestSession.from_prepared(tiny_prepared)
+        with pytest.raises(ValueError, match=r"shards must be a positive integer \(got 0\)"):
+            session.with_backend("processes", shards=0)
+        with pytest.raises(ValueError, match=r"workers must be a positive integer \(got -2\)"):
+            session.with_backend("threads", workers=-2)
+        with pytest.raises(ValueError, match=r"workers must be a positive integer \(got 0\)"):
+            Executor(backend="processes", max_workers=0)
 
     def test_duplicate_scenario_rejected(self):
         session = TestSession.for_soc(size=1).add_scenario("table1-a")
@@ -278,14 +310,3 @@ class TestInstrumentMemoisation:
     def test_session_shares_instrumented_view(self, tiny_prepared):
         session = TestSession.from_prepared(tiny_prepared)
         assert session.instrumented()[0] is instrument_soc(tiny_prepared)[0]
-
-
-class TestLegacyFlowShim:
-    def test_run_all_returns_only_requested_keys(self, legacy_flow):
-        subset = legacy_flow.run_all(keys=("a", "c"))
-        assert set(subset) == {"a", "c"}  # no stale cached keys leak out
-        assert subset["a"] is legacy_flow.results["a"]
-
-    def test_run_experiment_caches(self, legacy_flow):
-        again = legacy_flow.run_experiment("a")
-        assert legacy_flow.results["a"] is again

@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.analyze import lint_netlist
 from repro.logic import Logic
-from repro.netlist import GateType, NetlistBuilder, validate_netlist
+from repro.netlist import GateType, NetlistBuilder
 from repro.simulation import build_model, simulate_by_net
 
 
@@ -20,7 +21,7 @@ class TestBuilderBasics:
         b.output_from(y)
         netlist = b.build()
         assert netlist.outputs == ("y",)
-        assert validate_netlist(netlist).ok
+        assert lint_netlist(netlist).ok
 
     def test_output_from_with_rename_inserts_buffer(self):
         b = NetlistBuilder("t")
@@ -112,7 +113,7 @@ class TestComposites:
         assert len(state) == 3
         netlist = b.build()
         assert netlist.stats().num_flops == 7
-        assert validate_netlist(netlist).ok
+        assert lint_netlist(netlist).ok
 
     def test_adder_width_mismatch(self):
         b = NetlistBuilder("bad")

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analyze import lint_netlist
 from repro.clocking import (
     build_cpf,
     build_enhanced_cpf,
@@ -12,7 +13,7 @@ from repro.clocking import (
 )
 from repro.circuits import two_domain_crossing
 from repro.logic import Logic
-from repro.netlist import area_report, validate_netlist
+from repro.netlist import area_report
 from repro.simulation import EventSimulator, clock_stimulus
 
 
@@ -21,7 +22,7 @@ class TestSimpleCpf:
         block = build_cpf()
         assert block.gate_count <= 20
         assert block.shift_register_length == 5
-        report = validate_netlist(block.netlist, allow_floating_inputs=True)
+        report = lint_netlist(block.netlist, allow_floating_inputs=True)
         assert report.ok
 
     def test_exactly_two_pulses_no_glitches(self):
@@ -121,7 +122,7 @@ class TestCpfInsertion:
         # CPF instances were merged with the given prefix.
         assert any(name.startswith(record.instance_prefix) for name in netlist.flops)
         assert "scan_clk" in netlist.inputs
-        assert validate_netlist(netlist).ok
+        assert lint_netlist(netlist).ok
 
     def test_cpf_area_overhead_is_small(self):
         netlist = two_domain_crossing(8)

@@ -1,35 +1,35 @@
-"""Tests for the DelayTestFlow wrapper and figure-level waveform helpers."""
+"""Tests for the Table 1 delay-test flow on a session and the figure-level
+waveform helpers."""
 
-import pytest
-
-from repro.atpg import AtpgOptions
 from repro.clocking import figure2_waveform
-from repro.core import DelayTestFlow
-
-
-@pytest.fixture(scope="module")
-def quick_flow():
-    options = AtpgOptions(random_pattern_batches=2, patterns_per_batch=24, backtrack_limit=10)
-    return DelayTestFlow(size=1, seed=17, num_chains=4, options=options)
+from repro.core import format_table1
 
 
 class TestDelayTestFlow:
-    def test_run_single_experiment_and_cache(self, quick_flow):
-        first = quick_flow.run_experiment("a")
-        assert quick_flow.results["a"] is first
+    """The delay-test flow end to end: the shared Table 1 session on ``tiny``."""
+
+    def test_run_single_experiment_and_cache(self, table1_tiny):
+        session, _ = table1_tiny
+        first = session.result_of("table1-a")
+        assert session.artifacts["table1-a"].result is first
         assert first.coverage.detected > 0
 
-    def test_run_all_reuses_cached_results(self, quick_flow):
-        cached = quick_flow.results.get("a")
-        results = quick_flow.run_all(keys=("a", "c"))
-        assert results["a"] is cached or cached is None
-        assert set(results) >= {"a", "c"}
+    def test_run_all_reuses_cached_results(self, table1_tiny):
+        """The report's rows are the session's kept raw results."""
+        session, report = table1_tiny
+        assert report.scenarios() == [f"table1-{key}" for key in "abcde"]
+        for key in "abcde":
+            raw = session.result_of(f"table1-{key}")
+            assert report[key].pattern_count == raw.pattern_count
+            assert report[key].test_coverage == raw.coverage.test_coverage
 
-    def test_table_formatting_from_flow(self, quick_flow):
-        quick_flow.run_all(keys=("a", "c"))
-        table = quick_flow.table1()
+    def test_table_formatting_from_flow(self, table1_tiny):
+        session, report = table1_tiny
+        table = report.table()
         assert "Stuck-at" in table
         assert "%" in table
+        results = {key: session.result_of(f"table1-{key}") for key in "abcde"}
+        assert table == format_table1(results)
 
 
 class TestFigure2Waveform:

@@ -16,9 +16,11 @@ import random
 
 import pytest
 
+from repro.analyze import lint_design
+from repro.api import get_scenario
+from repro.api.design import prepare_from_spec
 from repro.atpg import AtpgOptions
 from repro.atpg.random_fill import random_pattern_batch
-from repro.api.design import prepare_from_spec
 from repro.diagnose import DefectSpec, DiagnosisSpec, capture_fail_log, run_diagnosis
 from repro.fault_sim import StuckAtFaultSimulator
 from repro.faults import all_stuck_at_faults, collapse_faults
@@ -85,6 +87,13 @@ def _expected_detections():
 def test_design_is_at_least_ten_thousand_gates():
     prepared, _faults, _patterns = env()
     assert len(prepared.netlist.gates) >= 10_000
+
+
+def test_design_lints_clean():
+    prepared, _faults, _patterns = env()
+    setup = get_scenario("table1-a").build_setup(prepared, ULTRA)
+    report = lint_design(prepared, setup)
+    assert report.ok, report.format_table()
 
 
 def test_hier_model_compiles_through_shared_kernels():

@@ -2,17 +2,18 @@
 
 import pytest
 
+from repro.analyze import lint_netlist
 from repro.circuits import build_soc, s27, two_domain_crossing
 from repro.dft import balance_metric, chain_length_histogram, insert_scan, partition_into_chains
 from repro.logic import Logic
-from repro.netlist import GateType, validate_netlist
+from repro.netlist import GateType
 
 
 def test_all_scannable_flops_become_scan_cells():
     netlist, arch = insert_scan(s27(), num_chains=1)
     assert all(f.is_scan for f in netlist.flops.values())
     assert arch.total_cells == 3
-    assert validate_netlist(netlist).ok
+    assert lint_netlist(netlist).ok
 
 
 def test_scan_mux_inserted_per_cell():

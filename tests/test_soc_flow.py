@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.analyze import lint_netlist
+from repro.api import instrument_soc
 from repro.circuits import build_soc
-from repro.core import instrument_soc
-from repro.netlist import validate_netlist
 from repro.simulation import build_model
 
 
@@ -17,7 +17,7 @@ class TestSocGenerator:
         assert soc.nonscan_flops
         assert {d.name for d in soc.domains} == {"fast", "slow", "tc"}
         assert soc.pll.multiplication_factor("clk_fast") == pytest.approx(6.0)
-        assert validate_netlist(soc.netlist).ok
+        assert lint_netlist(soc.netlist).ok
 
     def test_size_scales_gate_count(self):
         small = build_soc(size=1, seed=5).netlist.stats().num_gates
@@ -97,4 +97,4 @@ class TestInstrumentSoc:
             assert record.enhanced
             for net in record.ports.config:
                 assert net in top.inputs
-        assert validate_netlist(top).ok
+        assert lint_netlist(top).ok

@@ -163,6 +163,32 @@ class TestFailLogStore:
         assert [r.to_dict() for r in other] == [r.to_dict() for r in store]
 
 
+class TestJsonlStoreAdd:
+    def test_duplicate_appended_by_another_instance_is_rejected(self, tmp_path):
+        first = FailLogStore(tmp_path / "shared.jsonl")
+        second = FailLogStore(tmp_path / "shared.jsonl")
+        first.add("die-0", synthetic_log("0"))
+        second.add("die-1", synthetic_log("1"))
+        with pytest.raises(ValueError, match="already stored"):
+            second.add("die-0", synthetic_log("2"))
+        with pytest.raises(ValueError, match="already stored"):
+            first.add("die-1", synthetic_log("3"))
+        assert FailLogStore(tmp_path / "shared.jsonl").names() == ["die-0", "die-1"]
+
+    def test_add_decodes_no_stored_record(self, tmp_path, monkeypatch):
+        store = FailLogStore(tmp_path / "store.jsonl")
+        decoded = []
+        from_dict = FailLogRecord.from_dict.__func__
+        monkeypatch.setattr(
+            FailLogRecord, "from_dict",
+            classmethod(lambda cls, data: decoded.append(data) or from_dict(cls, data)),
+        )
+        for i in range(20):
+            store.add(f"die-{i}", synthetic_log(str(i)))
+        assert decoded == []
+        assert len(store) == 20
+
+
 # --------------------------------------------------------------------------
 # VolumeSpec
 # --------------------------------------------------------------------------
