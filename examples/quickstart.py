@@ -22,6 +22,7 @@ Run with ``python examples/quickstart.py``.
 from repro.api import ScenarioSpec, TestSession, register_scenario, scenario_names
 from repro.atpg import AtpgOptions
 from repro.clocking import simple_cpf_procedures
+from repro.runtime import Executor
 
 
 def main() -> None:
@@ -59,7 +60,7 @@ def main() -> None:
     session.add_scenario(custom)
 
     # 3. ------------------------------------------------------- run and report
-    report = session.run(backend="threads")
+    report = session.run(executor=Executor(backend="threads"))
     print()
     print(report.table(title="Quickstart results"))
     print()

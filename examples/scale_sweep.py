@@ -8,7 +8,7 @@ simulation per execution backend.  The point of the exercise:
 * **compile** — the hierarchical compiler builds one kernel per *unique
   core*, not per instance, so compile time stays near-flat while the
   design grows 100×;
-* **simulate** — all backends produce bit-identical detections at every
+* **simulate** — the in-process backends produce bit-identical detections at every
   size (the full suite for that claim is ``tests/test_hier_identity.py``);
 * **memory** — attach a :class:`~repro.patterns.store.PatternStore` to a
   session or campaign (``with_pattern_store``) and pattern sets spill to
@@ -29,7 +29,7 @@ from repro.faults import all_stuck_at_faults, collapse_faults
 from repro.hier.designs import register_hier_designs
 from repro.logic import Logic
 
-BACKENDS = ("serial", "compiled", "threads")
+BACKENDS = ("serial", "compiled")
 
 
 def _patterns(model, count=8, seed=11):

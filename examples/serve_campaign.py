@@ -6,7 +6,7 @@ result-cache namespace per tenant; :class:`~repro.serve.ServeWorker`
 processes register with it and execute shipped plan waves; the
 :class:`~repro.serve.ServeClient` submits a campaign, tails its event
 journal live, and assembles the final :class:`CampaignReport` — through the
-exact same merge path ``Campaign.run()`` uses, so the report is identical
+exact same event fold ``Campaign.run()`` uses, so the report is identical
 to a local run's.  A second submission of the same grid is served entirely
 from the tenant's cache: zero jobs execute.
 

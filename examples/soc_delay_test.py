@@ -21,6 +21,7 @@ from repro.atpg import AtpgOptions
 from repro.core import format_comparison
 from repro.faults import ClassifierContext, FaultClassifier
 from repro.logic import Logic
+from repro.runtime import Executor
 
 
 def main() -> None:
@@ -46,7 +47,7 @@ def main() -> None:
 
     mode = "parallel" if parallel else "serial"
     print(f"\nRunning experiments (a)-(e) ({mode}); transition runs take a while ...")
-    report = session.run(backend="threads" if parallel else "serial")
+    report = session.run(executor=Executor(backend="threads" if parallel else "serial"))
 
     print()
     print(report.table())

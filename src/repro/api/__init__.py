@@ -47,7 +47,6 @@ events, cancellation, or cache-aware resume control.
 
 from repro.api import scenarios
 from repro.api.campaign import (
-    CAMPAIGN_BACKENDS,
     Campaign,
     CampaignCell,
     CampaignHandle,
@@ -89,7 +88,6 @@ from repro.api.scenario import (
 )
 from repro.api.session import (
     DEFAULT_STAGES,
-    RUN_BACKENDS,
     ScenarioRun,
     Stage,
     TestSession,
@@ -102,11 +100,9 @@ from repro.api.session import (
 )
 
 __all__ = [
-    "CAMPAIGN_BACKENDS",
     "DEFAULT_STAGES",
     "DESIGN_STAGES",
     "FAULT_MODELS",
-    "RUN_BACKENDS",
     "Campaign",
     "CampaignCell",
     "CampaignHandle",

@@ -46,29 +46,26 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Mapping, Sequence
 
-from repro.api.design import DesignSpec, PreparedDesign, prepare_from_spec, resolve_design
+from repro.api.design import DesignSpec, PreparedDesign, resolve_design
+from repro.api.lowering import (
+    CampaignHandle,
+    DiagnosisCase,
+    execute_plan,
+    fold_events,
+    lower_diagnoses,
+    scenario_job,
+)
 from repro.api.report import RunReport, ScenarioOutcome
 from repro.api.scenario import ScenarioSpec
 from repro.api.scenarios import resolve_scenario_or_letter
-from repro.api.session import DEFAULT_STAGES, ScenarioRun, outcome_of
+from repro.api.session import DEFAULT_STAGES, ScenarioRun, materialize_design, outcome_of
 from repro.atpg.config import AtpgOptions
 from repro.atpg.generator import AtpgResult
-from repro.engine.cache import (
-    ResultCache,
-    campaign_cell_key,
-    coerce_cache,
-    design_fingerprint,
-    design_spec_fingerprint,
-)
+from repro.engine.cache import ResultCache, coerce_cache
 from repro.engine.scheduler import BACKENDS, validate_pool_size
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry, coerce_telemetry
 from repro.patterns.store import PatternStore
-from repro.runtime import EXECUTOR_BACKENDS, Event, Executor, Job, Plan, PlanCancelled
-
-#: Fan-out backends ``Campaign.diagnose``/``diagnose_volume`` accept — the
-#: executor backend set (engine set minus ``compiled``), aliased so the
-#: front door and the executor can never drift.
-CAMPAIGN_BACKENDS = EXECUTOR_BACKENDS
+from repro.runtime import Event, Executor, Job, Plan
 
 
 def resolve_campaign_scenario(spec_or_name: "ScenarioSpec | str") -> ScenarioSpec:
@@ -79,39 +76,17 @@ def resolve_campaign_scenario(spec_or_name: "ScenarioSpec | str") -> ScenarioSpe
 # --------------------------------------------------------------------------
 # Design entries
 # --------------------------------------------------------------------------
-@dataclass
-class _DesignEntry:
-    """One design axis entry: a declarative spec or an already built design."""
-
-    name: str
-    spec: DesignSpec | None = None
-    prepared: PreparedDesign | None = None
-
-    @property
-    def fingerprint(self) -> str:
-        if self.spec is not None:
-            return design_spec_fingerprint(self.spec)
-        assert self.prepared is not None
-        return design_fingerprint(self.prepared.model)
-
-    def materialize(self) -> PreparedDesign:
-        """The built design (cached on the entry for the campaign's lifetime)."""
-        if self.prepared is None:
-            assert self.spec is not None
-            self.prepared = prepare_from_spec(self.spec)
-        return self.prepared
-
-
-def _design_entry(design: "DesignSpec | str | PreparedDesign") -> _DesignEntry:
+def _design_entry(
+    design: "DesignSpec | str | PreparedDesign",
+) -> "tuple[str, DesignSpec | PreparedDesign]":
+    """One design axis entry: its name and its plan resource."""
     if isinstance(design, PreparedDesign):
-        if design.spec is not None:
-            # A spec-built design keeps its declarative identity, so cells
-            # computed from the prepared object and from the bare spec share
-            # cache entries.
-            return _DesignEntry(name=design.spec.name, spec=design.spec, prepared=design)
-        return _DesignEntry(name=design.netlist.name, prepared=design)
+        # A spec-built design keeps its declarative name (and identity, see
+        # design_identity), so cells computed from the prepared object and
+        # from the bare spec share cache entries.
+        return (design.spec.name if design.spec is not None else design.netlist.name), design
     spec = resolve_design(design)
-    return _DesignEntry(name=spec.name, spec=spec)
+    return spec.name, spec
 
 
 # --------------------------------------------------------------------------
@@ -276,15 +251,24 @@ class Campaign:
         scenarios: Iterable["ScenarioSpec | str"],
         options: AtpgOptions | None = None,
     ) -> None:
-        self._designs = [_design_entry(design) for design in designs]
+        entries = [_design_entry(design) for design in designs]
         self._scenarios = [resolve_campaign_scenario(item) for item in scenarios]
-        if not self._designs:
+        if not entries:
             raise ValueError("a campaign needs at least one design")
         if not self._scenarios:
             raise ValueError("a campaign needs at least one scenario")
-        names = [entry.name for entry in self._designs]
+        names = [name for name, _ in entries]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate designs in campaign: {names}")
+        #: Design name -> declarative spec or built design (plan resource).
+        self._designs: dict[str, DesignSpec | PreparedDesign] = dict(entries)
+        #: Designs built so far, shared with every plan as its
+        #: ``_materialized`` resource: a design built by one run (in-parent)
+        #: is reused by the next without a rebuild.
+        self._built: dict[str, PreparedDesign] = {
+            name: design for name, design in entries
+            if isinstance(design, PreparedDesign)
+        }
         scenario_names = [spec.name for spec in self._scenarios]
         if len(set(scenario_names)) != len(scenario_names):
             raise ValueError(f"duplicate scenarios in campaign: {scenario_names}")
@@ -421,14 +405,15 @@ class Campaign:
 
         self.lint_reports = {}
         failed: list[str] = []
-        for entry in self._designs:
-            prepared = entry.materialize()
+        resources = self._plan_resources()
+        for name in self._designs:
+            prepared = materialize_design(resources, name)
             setup = self._scenarios[0].build_setup(prepared, self.options)
             report = lint_design(prepared, setup, waivers=self._lint_waivers)
-            self.lint_reports[entry.name] = report
+            self.lint_reports[name] = report
             if not report.ok:
                 failed.append(
-                    f"{entry.name}: " + "; ".join(str(f) for f in report.errors[:3])
+                    f"{name}: " + "; ".join(str(f) for f in report.errors[:3])
                 )
         if failed:
             from repro.analyze import LintError
@@ -440,7 +425,7 @@ class Campaign:
     # --------------------------------------------------------------- queries
     @property
     def design_names(self) -> list[str]:
-        return [entry.name for entry in self._designs]
+        return list(self._designs)
 
     @property
     def scenario_names(self) -> list[str]:
@@ -449,9 +434,7 @@ class Campaign:
     def grid(self) -> list[tuple[str, str]]:
         """The (design, scenario) cell grid, design-major."""
         return [
-            (entry.name, spec.name)
-            for entry in self._designs
-            for spec in self._scenarios
+            (design, spec.name) for design in self._designs for spec in self._scenarios
         ]
 
     def result_of(self, design: str, scenario: str) -> AtpgResult:
@@ -476,27 +459,22 @@ class Campaign:
         """Compile the design×scenario grid into a declarative runtime plan.
 
         One ``"scenario"`` job per cell, no inter-cell dependencies; each
-        job's cache key derives from the design *spec* fingerprint (when the
-        entry is spec-backed), so an :class:`~repro.runtime.Executor` with
-        this campaign's cache skips completed cells of an interrupted run
-        without building their designs.
+        job's cache key derives from the design identity (the *spec*
+        fingerprint for spec-backed entries), so an
+        :class:`~repro.runtime.Executor` with this campaign's cache skips
+        completed cells of an interrupted run without building their
+        designs.
         """
-        jobs = tuple(
-            Job(
-                id=f"cell:{entry.name}:{spec.name}",
-                kind="scenario",
-                params={"design": entry.name, "scenario": spec.name},
-                cache_key=self._cell_key(entry, spec),
-                label=f"{entry.name}::{spec.name}",
-            )
-            for entry in self._designs
-            for spec in self._scenarios
-        )
+        resources = self._plan_resources()
         return Plan(
             name="campaign",
-            jobs=jobs,
+            jobs=tuple(
+                scenario_job(f"cell:{design}:{spec.name}", design, spec, resources)
+                for design in self._designs
+                for spec in self._scenarios
+            ),
             metadata={"designs": self.design_names, "scenarios": self.scenario_names},
-            resources=self._plan_resources(),
+            resources=resources,
         )
 
     def _plan_resources(self) -> dict[str, object]:
@@ -510,45 +488,24 @@ class Campaign:
             "options": self.options,
             "stages": tuple(DEFAULT_STAGES),
             "designs": {
-                entry.name: entry.prepared if entry.prepared is not None else entry.spec
-                for entry in self._designs
+                name: self._built.get(name, design)
+                for name, design in self._designs.items()
             },
             "scenarios": {spec.name: spec for spec in self._scenarios},
+            "_materialized": self._built,
         }
         if self._pattern_store is not None:
             resources["pattern_store"] = str(self._pattern_store.path)
             resources["pattern_store_stream"] = self._pattern_store_stream
         return resources
 
-    def _resolve_executor(
-        self,
-        backend: str | None,
-        max_workers: int | None,
-        executor: "Executor | None",
-    ) -> Executor:
-        """One executor-or-knobs resolution for ``diagnose`` and
-        ``diagnose_volume``."""
-        if executor is not None:
-            if backend is not None or max_workers is not None:
-                raise ValueError(
-                    "pass either executor= or the backend/max_workers knobs"
-                )
-            return executor
-        if backend is None:
-            backend = "serial"
-        elif backend not in CAMPAIGN_BACKENDS:
-            raise ValueError(
-                f"unknown campaign backend {backend!r} "
-                f"(expected one of {CAMPAIGN_BACKENDS})"
-            )
-        return Executor(backend=backend, max_workers=max_workers)
-
-    def _harvest_builds(self, plan: Plan) -> None:
-        """Keep designs built in-parent for later runs/diagnoses."""
-        built = (plan.resources or {}).get("_materialized", {})
-        for entry in self._designs:
-            if entry.prepared is None and entry.name in built:
-                entry.prepared = built[entry.name]
+    def _execute(self, plan: Plan, executor: Executor, report, handle) -> None:
+        """The shared execute step, bound to this campaign's cache and
+        telemetry; fallbacks and the snapshot land in the report header."""
+        execute_plan(
+            plan, executor, cache=self._cache, telemetry=self._telemetry,
+            metadata=report.campaign, on_event=handle,
+        )
 
     # ----------------------------------------------------------------- running
     def run(
@@ -576,18 +533,10 @@ class Campaign:
         executor = executor or Executor()
         self._preflight_lint()
         plan = self.plan()
-        cached = executor.effective_cache(self._cache) is not None
-        report, handle, finalize = self._report_builder(
-            plan, metadata=self._metadata(executor), cached=cached,
-            on_cell=on_cell, on_event=on_event,
+        report, handle, finalize = self._fold(
+            plan, self._metadata(executor), on_cell=on_cell, on_event=on_event
         )
-        with self._telemetry.activate():
-            result = executor.execute(plan, cache=self._cache, on_event=handle)
-        self._harvest_builds(plan)
-        if result.fallbacks:
-            report.campaign["backend_fallbacks"] = list(result.fallbacks)
-        if self._telemetry:
-            report.campaign["telemetry"] = self._telemetry.snapshot()
+        self._execute(plan, executor, report, handle)
         return finalize()
 
     # ------------------------------------------------------------- submission
@@ -598,7 +547,7 @@ class Campaign:
         tenant: str = "default",
         name: "str | None" = None,
         metadata: "Mapping[str, object] | None" = None,
-    ) -> "CampaignHandle":
+    ) -> CampaignHandle:
         """Submit the grid to a running serve server; returns a handle.
 
         The fire-and-forget counterpart of :meth:`run`: the grid compiles to
@@ -606,9 +555,10 @@ class Campaign:
         pickled resource bindings) and executes there — on the server's
         remote workers when any are registered, locally otherwise, always
         against the tenant's persistent result cache.  The returned
-        :class:`CampaignHandle` can stream progress, cancel, and assemble
-        the final :class:`CampaignReport` through the exact same merge path
-        ``run()`` uses, so the report is identical to a local run's.
+        :class:`~repro.api.lowering.CampaignHandle` can stream progress,
+        cancel, and assemble the final :class:`CampaignReport` through the
+        exact same fold ``run()`` uses, so the report is identical to a
+        local run's.
 
         Args:
             client: A :class:`~repro.serve.ServeClient` connected to the
@@ -624,7 +574,11 @@ class Campaign:
         job_id = client.submit(
             plan, tenant=tenant, name=name or "campaign", metadata=metadata
         )
-        return CampaignHandle(campaign=self, client=client, job_id=job_id, plan=plan)
+        header = self._metadata(None)
+        return CampaignHandle(
+            client, job_id, plan,
+            fold=lambda **callbacks: self._fold(plan, header, **callbacks),
+        )
 
     # --------------------------------------------------------------- diagnosis
     def diagnosis_plan(
@@ -640,69 +594,40 @@ class Campaign:
         design build, no ATPG.
         """
         from repro.diagnose import DiagnosisSpec
-        from repro.engine.cache import diagnosis_cell_key
 
         defect_list = list(defects)
         if not defect_list:
             raise ValueError("a diagnosis campaign needs at least one defect")
-        jobs: list[Job] = []
-        for entry in self._designs:
-            for scenario in self._scenarios:
-                provider = Job(
-                    id=f"patterns:{entry.name}:{scenario.name}",
-                    kind="scenario",
-                    params={"design": entry.name, "scenario": scenario.name},
-                    cache_key=self._cell_key(entry, scenario),
-                    label=f"{entry.name}::{scenario.name}",
-                    if_needed=True,
-                )
-                jobs.append(provider)
-                for index, defect in enumerate(defect_list):
-                    diagnosis_spec = DiagnosisSpec(
-                        scenario=scenario.name, defect=defect, **spec_overrides  # type: ignore[arg-type]
-                    )
-                    # Cells run the default stage pipeline; fold it in
-                    # exactly like TestSession.diagnose does.  Keys derive
-                    # from the design *fingerprint*, so a resumed sweep
-                    # probes without constructing any design.
-                    key = diagnosis_cell_key(
-                        entry.fingerprint, scenario, diagnosis_spec,
-                        self.options, extra=tuple(DEFAULT_STAGES),
-                    )
-                    jobs.append(
-                        Job(
-                            id=f"diagnose:{entry.name}:{scenario.name}:{index}",
-                            kind="diagnosis",
-                            params={
-                                "design": entry.name,
-                                "scenario": scenario.name,
-                                "spec": diagnosis_spec.to_dict(),
-                                "patterns": provider.id,
-                            },
-                            deps=(provider.id,),
-                            cache_key=key,
-                            label=f"diagnose::{entry.name}::{scenario.name}::"
-                                  f"{defect.describe()}",
-                        )
-                    )
-        return Plan(
+        cases = [
+            DiagnosisCase(
+                id=f"diagnose:{design}:{scenario.name}:{index}",
+                design=design,
+                scenario=scenario.name,
+                spec=DiagnosisSpec(
+                    scenario=scenario.name, defect=defect, **spec_overrides  # type: ignore[arg-type]
+                ),
+                described=defect.describe(),
+            )
+            for design in self._designs
+            for scenario in self._scenarios
+            for index, defect in enumerate(defect_list)
+        ]
+        return lower_diagnoses(
+            cases,
+            self._plan_resources(),
             name="campaign-diagnosis",
-            jobs=tuple(jobs),
             metadata={
                 "designs": self.design_names,
                 "scenarios": self.scenario_names,
                 "defects": [defect.describe() for defect in defect_list],
             },
-            resources=self._plan_resources(),
         )
 
     def diagnose(
         self,
         defects: Iterable[object],
-        backend: str | None = None,
-        max_workers: int | None = None,
-        on_cell: "Callable[[object], None] | None" = None,
         *,
+        on_cell: "Callable[[object], None] | None" = None,
         executor: "Executor | None" = None,
         on_event: "Callable[[Event], None] | None" = None,
         **spec_overrides: object,
@@ -725,13 +650,10 @@ class Campaign:
         Args:
             defects: The :class:`~repro.diagnose.DefectSpec` values to
                 inject (the defect axis of the grid).
-            backend: Cell fan-out backend — ``"serial"`` (default),
-                ``"threads"`` or ``"processes"``.  Results are deterministic
-                and identical across backends.
-            max_workers: Worker-pool size for the pooled backends.
             on_cell: Callback observing each cell as it lands in the report.
             executor: A configured :class:`~repro.runtime.Executor`
-                (mutually exclusive with backend/max_workers).
+                (default: a serial one).  Results are deterministic and
+                identical across backends.
             on_event: Raw :class:`~repro.runtime.Event` callback.
             **spec_overrides: Extra :class:`~repro.diagnose.DiagnosisSpec`
                 fields applied to every cell (``candidate_kinds``,
@@ -739,61 +661,23 @@ class Campaign:
         """
         from repro.diagnose import DiagnosisCell, DiagnosisReport, DiagnosisSpec
 
-        executor = self._resolve_executor(backend, max_workers, executor)
+        def cell_of(job: Job, result, cache_hit: bool) -> DiagnosisCell:
+            if cache_hit:
+                result.cache_hit = True
+            spec = DiagnosisSpec.from_dict(job.params["spec"])
+            return DiagnosisCell.from_result(job.params["design"], spec, result)
+
+        executor = executor or Executor()
         self._preflight_lint()
         plan = self.diagnosis_plan(defects, **spec_overrides)
-        defect_names = list(plan.metadata["defects"])
-        report = DiagnosisReport(
-            campaign={
-                **self._metadata(executor),
-                "defects": defect_names,
-            }
+        header = {**self._metadata(executor), "defects": list(plan.metadata["defects"])}
+        report, handle, finalize = fold_events(
+            plan, DiagnosisReport(campaign=header), cell_of,
+            on_cell=on_cell, on_event=on_event,
         )
-        entries = {entry.name: entry for entry in self._designs}
-        diagnosis_jobs = {
-            job.id: (
-                entries[job.params["design"]],
-                DiagnosisSpec.from_dict(job.params["spec"]),
-            )
-            for job in plan.jobs
-            if job.kind == "diagnosis"
-        }
-        landed: dict[str, object] = {}
-
-        def handle(event: Event) -> None:
-            target = diagnosis_jobs.get(event.job) if event.job is not None else None
-            if target is not None and event.kind in ("job_finished", "job_skipped"):
-                entry, diagnosis_spec = target
-                result = event.value
-                if event.kind == "job_skipped":
-                    result.cache_hit = True
-                cell = DiagnosisCell.from_result(entry.name, diagnosis_spec, result)
-                landed[event.job] = report.add_cell(cell)
-                if on_cell is not None:
-                    on_cell(cell)
-            if on_event is not None:
-                on_event(event)
-
-        with self._telemetry.activate():
-            outcome = executor.execute(plan, cache=self._cache, on_event=handle)
-        self._harvest_builds(plan)
-        missing = [job_id for job_id in diagnosis_jobs if job_id not in landed]
-        if missing:
-            raise PlanCancelled(
-                f"diagnosis sweep cancelled before {len(missing)} cell(s) "
-                f"completed (first: {missing[0]!r})"
-            )
-        # Re-order the cells into grid order for the final report (the
-        # streaming callback saw completion order) — pooled backends land
-        # cells as they finish, and the report must be deterministic and
-        # identical across backends.
-        report.cells = [landed[job_id] for job_id in diagnosis_jobs]
-        if outcome.fallbacks:
-            report.campaign["backend_fallbacks"] = list(outcome.fallbacks)
-        if self._telemetry:
-            report.campaign["telemetry"] = self._telemetry.snapshot()
-        self.diagnosis_report = report
-        return report
+        self._execute(plan, executor, report, handle)
+        self.diagnosis_report = finalize()
+        return self.diagnosis_report
 
     # ----------------------------------------------------------------- volume
     def volume_plan(
@@ -816,12 +700,11 @@ class Campaign:
         from repro.volume.run import volume_plan as compile_volume_plan
 
         records = list(store.records() if hasattr(store, "records") else store)
-        known = {entry.name for entry in self._designs}
-        records = [record for record in records if record.design in known]
+        records = [record for record in records if record.design in self._designs]
         if not records:
             raise ValueError(
                 f"the fail-log store holds no records for this campaign's "
-                f"designs ({sorted(known)})"
+                f"designs ({sorted(self._designs)})"
             )
         if scenario is None:
             scenario_name = self._scenarios[0].name
@@ -834,26 +717,22 @@ class Campaign:
             spec = VolumeSpec(scenario=scenario_name, **spec_overrides)  # type: ignore[arg-type]
         elif spec_overrides or scenario is not None:
             spec = spec.with_overrides(scenario=scenario_name, **spec_overrides)
+        resources = self._plan_resources()
         return compile_volume_plan(
             records,
-            {
-                entry.name: entry.prepared if entry.prepared is not None else entry.spec
-                for entry in self._designs
-            },
-            {s.name: s for s in self._scenarios},
+            resources["designs"],
+            resources["scenarios"],
             spec,
             options=self.options,
-            stages=tuple(DEFAULT_STAGES),
+            stages=resources["stages"],
         )
 
     def diagnose_volume(
         self,
         store,
         spec=None,
-        backend: str | None = None,
-        max_workers: int | None = None,
-        on_cell: "Callable[[object], None] | None" = None,
         *,
+        on_cell: "Callable[[object], None] | None" = None,
         scenario: "ScenarioSpec | str | None" = None,
         executor: "Executor | None" = None,
         on_event: "Callable[[Event], None] | None" = None,
@@ -876,39 +755,26 @@ class Campaign:
                 :class:`~repro.volume.FailLogRecord`.
             spec: A :class:`~repro.volume.VolumeSpec`; built from
                 ``scenario``/``spec_overrides`` when omitted.
-            backend: Log fan-out backend — ``"serial"`` (default),
-                ``"threads"`` or ``"processes"``.  Reports are
-                deterministic and identical across backends.
-            max_workers: Worker-pool size for the pooled backends.
             on_cell: Callback observing each landed
                 :class:`~repro.volume.BpDiagnosisCell`.
             scenario: Pattern-set scenario for records without their own
                 label (default: the campaign's first scenario).
             executor: A configured :class:`~repro.runtime.Executor`
-                (mutually exclusive with backend/max_workers).
+                (default: a serial one).  Reports are deterministic and
+                identical across backends.
             on_event: Raw :class:`~repro.runtime.Event` callback.
             **spec_overrides: Extra :class:`~repro.volume.VolumeSpec`
                 fields (``candidate_kinds``, ``bp``, ...).
         """
         from repro.volume.run import volume_report_builder
 
-        executor = self._resolve_executor(backend, max_workers, executor)
+        executor = executor or Executor()
         self._preflight_lint()
         plan = self.volume_plan(store, spec, scenario=scenario, **spec_overrides)
-        metadata = {
-            **self._metadata(executor),
-            "logs": len(plan.metadata["logs"]),
-        }
         report, handle, finalize = volume_report_builder(
-            plan, metadata=metadata, on_cell=on_cell, on_event=on_event
+            plan, metadata=self._metadata(executor), on_cell=on_cell, on_event=on_event
         )
-        with self._telemetry.activate():
-            result = executor.execute(plan, cache=self._cache, on_event=handle)
-        self._harvest_builds(plan)
-        if result.fallbacks:
-            report.campaign["backend_fallbacks"] = list(result.fallbacks)
-        if self._telemetry:
-            report.campaign["telemetry"] = self._telemetry.snapshot()
+        self._execute(plan, executor, report, handle)
         self.volume_report = finalize()
         return self.volume_report
 
@@ -923,15 +789,15 @@ class Campaign:
         name: "str | None" = None,
         metadata: "Mapping[str, object] | None" = None,
         **spec_overrides: object,
-    ):
+    ) -> CampaignHandle:
         """Submit a volume-diagnosis plan to a running serve server.
 
         The fire-and-forget counterpart of :meth:`diagnose_volume`: the
         identical plan ships to the server and executes there against the
-        tenant's persistent result cache.  The returned
-        :class:`~repro.volume.VolumeHandle` streams progress, cancels, and
-        assembles the final :class:`~repro.volume.BpDiagnosisReport`
-        through the exact same merge path a local run uses.
+        tenant's persistent result cache.  The returned handle streams
+        progress, cancels, and assembles the final
+        :class:`~repro.volume.BpDiagnosisReport` through the exact same
+        fold a local run uses.
         """
         from repro.volume.run import submit_volume as submit_volume_plan
 
@@ -942,201 +808,81 @@ class Campaign:
         )
 
     # -------------------------------------------------------------- internals
-    def _metadata(self, executor: Executor) -> dict[str, object]:
-        # ``cached`` reflects the *effective* cache — the campaign's own
-        # (which wins) or one attached to the executor.
+    def _metadata(self, executor: "Executor | None") -> dict[str, object]:
+        """The report header; ``executor=None`` == a serve submission.
+
+        ``cached`` reflects the *effective* cache — the campaign's own
+        (which wins) or one attached to the executor; a serve tenant always
+        has one.
+        """
         return {
             "designs": self.design_names,
             "scenarios": self.scenario_names,
             "design_sizes": self._design_sizes(),
-            "backend": executor.backend,
-            "cached": executor.effective_cache(self._cache) is not None,
+            "backend": "serve" if executor is None else executor.backend,
+            "cached": executor is None or executor.effective_cache(self._cache) is not None,
         }
 
     def _design_sizes(self) -> dict[str, dict[str, object]]:
         """Build-free size estimates per design (scaling-report metadata).
 
-        Spec-backed entries use :meth:`DesignSpec.size_estimate`; entries
-        already materialized report their exact netlist stats instead.
+        Spec-backed entries use :meth:`DesignSpec.size_estimate`; designs
+        already built report their exact netlist stats instead.
         """
         sizes: dict[str, dict[str, object]] = {}
-        for entry in self._designs:
-            if entry.prepared is not None:
-                stats = entry.prepared.netlist.stats()
-                sizes[entry.name] = {
+        for name, design in self._designs.items():
+            prepared = self._built.get(name)
+            if prepared is not None:
+                stats = prepared.netlist.stats()
+                sizes[name] = {
                     "family": "prepared",
                     "gates": stats.num_gates,
                     "flops": stats.num_flops,
                     "exact": True,
                 }
-            elif entry.spec is not None:
-                sizes[entry.name] = entry.spec.size_estimate()
+            else:
+                sizes[name] = design.size_estimate()
         return sizes
 
-    def _cell_key(self, entry: _DesignEntry, spec: ScenarioSpec) -> str:
-        # The default stage pipeline is folded in exactly like TestSession
-        # does.  Spec-backed designs key on the spec fingerprint (computable
-        # without a build); only spec-less prepared designs key on the model
-        # fingerprint and can therefore share entries with default-pipeline
-        # session runs.
-        return campaign_cell_key(
-            entry.fingerprint, spec, self.options, extra=tuple(DEFAULT_STAGES)
-        )
-
-    def _merge(
-        self,
-        entry: _DesignEntry,
-        spec: ScenarioSpec,
-        run: ScenarioRun,
-        key: str | None,
-        report: CampaignReport,
-        *,
-        cache_hit: bool,
-        on_cell: "Callable[[CampaignCell], None] | None",
-    ) -> CampaignCell:
-        self.artifacts[(entry.name, spec.name)] = run
-        cell = CampaignCell(
-            design=entry.name,
-            scenario=spec.name,
-            outcome=outcome_of(run),
-            cell_key=key,
-            cache_hit=cache_hit,
-            wall_seconds=sum(run.stage_seconds.values()),
-        )
-        report.add_cell(cell)
-        if on_cell is not None:
-            on_cell(cell)
-        return cell
-
-    def _report_builder(
+    def _fold(
         self,
         plan: Plan,
-        *,
         metadata: dict[str, object],
-        cached: bool,
+        *,
         on_cell: "Callable[[CampaignCell], None] | None" = None,
         on_event: "Callable[[Event], None] | None" = None,
     ) -> "tuple[CampaignReport, Callable[[Event], None], Callable[[], CampaignReport]]":
-        """Event-driven report assembly shared by :meth:`run` and serve handles.
+        """Fold a grid plan's events into a :class:`CampaignReport`.
 
-        Returns ``(report, handle, finalize)``: feed every
-        :class:`~repro.runtime.Event` of the plan's execution — live from an
-        executor or replayed from a serve journal — to ``handle``, then call
-        ``finalize`` for the grid-ordered report.  One code path means a
-        remotely executed campaign's report is assembled exactly like a local
-        one.  Events seen twice (a requeued serve job replays its journal
-        from the start) simply re-merge the same cell; ``finalize`` keeps the
-        last merge per cell.
+        Shared by :meth:`run` and the serve handle, so a remotely executed
+        campaign's report is assembled exactly like a local one.  Each
+        landed cell's run is kept in :attr:`artifacts`; with a cache in
+        effect (``metadata["cached"]``) it carries its cache provenance.
         """
-        report = CampaignReport(campaign=metadata)
-        # The job -> cell mapping derives from the plan itself (params carry
-        # the design/scenario names), so the id format lives only in plan().
-        entries = {entry.name: entry for entry in self._designs}
-        specs = {spec.name: spec for spec in self._scenarios}
-        cells = {
-            job.id: (entries[job.params["design"]], specs[job.params["scenario"]])
-            for job in plan.jobs
-        }
-        keys = {job.id: job.cache_key for job in plan.jobs}
-        merged: dict[tuple[str, str], CampaignCell] = {}
+        cached = bool(metadata["cached"])
 
-        def handle(event: Event) -> None:
-            target = cells.get(event.job) if event.job is not None else None
-            if target is not None and event.kind in ("job_finished", "job_skipped"):
-                entry, spec = target
-                run = event.value
-                if run is None or not hasattr(run, "stage_seconds"):
-                    # The event wire degrades unpicklable values to a repr
-                    # string and corrupt pickles to None; a journal-replayed
-                    # campaign must say so rather than die on an attribute.
-                    raise TypeError(
-                        f"campaign cell ({entry.name!r}, {spec.name!r}) "
-                        f"result did not survive the event wire: expected a "
-                        f"scenario run, got {type(run).__name__} "
-                        f"({str(run)[:80]!r}) — the scenario result was "
-                        f"degraded to a repr string or None by the serve "
-                        f"journal encoding (is it picklable?)"
-                    )
-                key = keys[event.job] if cached else None
-                cache_hit = event.kind == "job_skipped"
-                if key is not None:
-                    run.cache_info = {"hit": cache_hit, "key": key}
-                cell = self._merge(entry, spec, run, key, report,
-                                   cache_hit=cache_hit, on_cell=on_cell)
-                merged[(entry.name, spec.name)] = cell
-            if on_event is not None:
-                on_event(event)
+        def cell_of(job: Job, run: ScenarioRun, cache_hit: bool) -> CampaignCell:
+            key = job.cache_key if cached else None
+            if key is not None:
+                run.cache_info = {"hit": cache_hit, "key": key}
+            design, scenario = job.params["design"], job.params["scenario"]
+            self.artifacts[(design, scenario)] = run
+            return CampaignCell(
+                design=design,
+                scenario=scenario,
+                outcome=outcome_of(run),
+                cell_key=key,
+                cache_hit=cache_hit,
+                wall_seconds=sum(run.stage_seconds.values()),
+            )
 
-        def finalize() -> CampaignReport:
-            # Re-order the cells into grid order for the final report (the
-            # streaming callback saw completion order).
-            try:
-                report.cells = [merged[cell] for cell in self.grid()]
-            except KeyError as exc:
-                raise PlanCancelled(
-                    f"campaign cancelled before cell {exc.args[0]} completed"
-                ) from None
-            self.report = report
-            return report
-
-        return report, handle, finalize
-
-
-@dataclass
-class CampaignHandle:
-    """A campaign submitted to a serve server via :meth:`Campaign.submit`.
-
-    Holds the queue job id plus the compiled plan, which is what lets
-    :meth:`report` rebuild the :class:`CampaignReport` client-side from the
-    server's event journal — through the same merge path :meth:`Campaign.run`
-    uses, so the two reports are identical for identical inputs.
-    """
-
-    campaign: Campaign
-    client: object
-    job_id: int
-    plan: Plan
-
-    def status(self) -> dict[str, object]:
-        """The job's queue-side status dict (state, attempts, summary...)."""
-        return self.client.status(self.job_id)  # type: ignore[attr-defined]
-
-    def cancel(self) -> str:
-        """Ask the server to cancel; returns the state after the request."""
-        return self.client.cancel(self.job_id)  # type: ignore[attr-defined]
-
-    def report(
-        self,
-        *,
-        timeout: "float | None" = None,
-        on_cell: "Callable[[CampaignCell], None] | None" = None,
-        on_event: "Callable[[Event], None] | None" = None,
-    ) -> CampaignReport:
-        """Wait for completion and assemble the campaign report.
-
-        Streams the server's event journal (so ``on_cell``/``on_event`` see
-        live progress exactly as with :meth:`Campaign.run`) and finalizes the
-        grid-ordered report from the journaled results.  Raises
-        :class:`~repro.runtime.PlanCancelled` if the job ended in any state
-        but ``done``.
-        """
-        campaign = self.campaign
-        metadata = {
-            "designs": campaign.design_names,
-            "scenarios": campaign.scenario_names,
-            "backend": "serve",
-            "cached": True,
-        }
-        report, handle, finalize = campaign._report_builder(
-            self.plan, metadata=metadata, cached=True,
+        report, handle, finalize = fold_events(
+            plan, CampaignReport(campaign=metadata), cell_of,
             on_cell=on_cell, on_event=on_event,
         )
-        final = self.client.wait(  # type: ignore[attr-defined]
-            self.job_id, timeout=timeout, on_event=handle
-        )
-        if final["state"] != "done":
-            detail = f": {final['error']}" if final.get("error") else ""
-            raise PlanCancelled(
-                f"serve job {self.job_id} ended {final['state']!r}{detail}"
-            )
-        return finalize()
+
+        def keep() -> CampaignReport:
+            self.report = finalize()
+            return self.report
+
+        return report, handle, keep

@@ -5,6 +5,7 @@ prepared design) to any number of registered scenarios and executes each
 through a pluggable stage pipeline::
 
     from repro.api import TestSession, scenarios
+    from repro.runtime import Executor
 
     report = (
         TestSession.for_soc(size=2)
@@ -12,7 +13,7 @@ through a pluggable stage pipeline::
         .with_options(backtrack_limit=30)
         .add_scenarios(*scenarios.table1())
         .add_scenario("stuck-at-edt")
-        .run(backend="threads")
+        .run(executor=Executor(backend="threads"))
     )
     print(report.table())
 
@@ -27,9 +28,9 @@ Design preparation and CPF instrumentation are computed once per session and
 shared by every scenario.  Execution runs on the unified
 :mod:`repro.runtime` plane: :meth:`TestSession.plan` compiles the queued
 scenarios into a declarative :class:`~repro.runtime.Plan` and ``run()`` is a
-thin ``Executor(...).execute(plan)`` — pass ``run(backend="processes")`` (or
-your own :class:`~repro.runtime.Executor` via ``run(executor=...)``) to fan
-scenarios out over worker interpreters; because every scenario owns its
+thin ``Executor(...).execute(plan)`` — pass
+``run(executor=Executor(backend="processes"))`` to fan scenarios out over
+worker interpreters; because every scenario owns its
 generator, RNG and fault list, every fan-out produces the same deterministic
 results as serial.  ``with_backend()`` selects the :mod:`repro.engine`
 backend the fault simulation inside each scenario runs on, and
@@ -63,7 +64,14 @@ from repro.atpg.stuck_at import StuckAtAtpg
 from repro.atpg.transition import TransitionAtpg
 from repro.circuits.soc import SocDesign
 from repro.dft.edt import EdtArchitecture
-from repro.engine.cache import ResultCache, coerce_cache, scenario_key
+from repro.api.lowering import (
+    DiagnosisCase,
+    execute_plan,
+    lower_diagnoses,
+    pattern_key,
+    scenario_job,
+)
+from repro.engine.cache import ResultCache, coerce_cache
 from repro.engine.scheduler import BACKENDS, validate_pool_size
 from repro.obs.telemetry import (
     NULL_TELEMETRY,
@@ -74,7 +82,7 @@ from repro.obs.telemetry import (
 from repro.patterns.ate import export_stil
 from repro.patterns.pattern import PatternSet
 from repro.patterns.store import PatternStore, StoredPatternView
-from repro.runtime import EXECUTOR_BACKENDS, Executor, Job, Plan, register_job_kind
+from repro.runtime import Executor, Plan, register_job_kind
 
 
 @dataclass
@@ -267,11 +275,6 @@ DEFAULT_STAGES: tuple[tuple[str, Stage], ...] = (
 )
 
 
-#: Scenario fan-out backends ``TestSession.run`` accepts — the executor
-#: backend set, aliased so the front door and the executor can never drift.
-RUN_BACKENDS = EXECUTOR_BACKENDS
-
-
 # --------------------------------------------------------------------------
 # Runtime job handlers (module level: process-pool workers re-import this
 # module, which re-runs the ``register_job_kind`` calls)
@@ -335,16 +338,17 @@ def run_scenario_job(resources: dict, params: Mapping[str, object], deps: dict):
     return session._execute_stages(spec)
 
 
-@register_job_kind("diagnosis")
-def run_diagnosis_job(resources: dict, params: Mapping[str, object], deps: dict):
-    """Diagnose one defect against a dependency-supplied pattern set.
+def _diagnosis_inputs(resources: dict, params: Mapping[str, object], deps: dict):
+    """The argument resolution the ``"diagnosis"`` and ``"bp-diagnosis"``
+    kinds share: ``(positional, keyword)`` arguments of the diagnosis call.
 
-    ``params["patterns"]`` names the scenario job whose
-    :class:`ScenarioRun` (with its committed pattern set) arrives through
-    ``deps`` — generated once per (design, scenario) no matter how many
-    defects the plan diagnoses against it.
+    ``params["patterns"]`` names the provider job whose :class:`ScenarioRun`
+    arrives through ``deps`` — generated once per (design, scenario) no
+    matter how many diagnoses the plan runs against it.  An external fail
+    log arrives by name through ``resources["fail_logs"]`` (picklable, so it
+    ships to process workers).
     """
-    from repro.diagnose import DiagnosisSpec, run_diagnosis
+    from repro.diagnose import DiagnosisSpec
 
     prepared = materialize_design(resources, params["design"])
     options = resources.get("options") or AtpgOptions()
@@ -355,21 +359,40 @@ def run_diagnosis_job(resources: dict, params: Mapping[str, object], deps: dict)
         raise ValueError(
             f"scenario {scenario_spec.name!r} produced no patterns to diagnose"
         )
-    fail_log = None
-    fail_log_key = params.get("fail_log")
-    if fail_log_key is not None:
-        fail_log = resources["fail_logs"][fail_log_key]
+    log = params.get("log")
     setup = materialize_setup(
         resources, prepared, scenario_spec, params["design"], options
     )
-    return run_diagnosis(
-        prepared,
-        setup,
-        run.patterns,
-        spec,
-        fail_log=fail_log,
-        options=options,
-        scheduler=_diagnosis_job_scheduler(resources, prepared, spec, options),
+    return (prepared, setup, run.patterns, spec), {
+        "fail_log": resources["fail_logs"][log] if log is not None else None,
+        "options": options,
+        "scheduler": _diagnosis_job_scheduler(resources, prepared, spec, options),
+    }
+
+
+@register_job_kind("diagnosis")
+def run_diagnosis_job(resources: dict, params: Mapping[str, object], deps: dict):
+    """Rank one device's candidates by syndrome match (single defect)."""
+    from repro.diagnose import run_diagnosis
+
+    args, kwargs = _diagnosis_inputs(resources, params, deps)
+    return run_diagnosis(*args, **kwargs)
+
+
+@register_job_kind("bp-diagnosis")
+def run_bp_diagnosis_job(resources: dict, params: Mapping[str, object], deps: dict):
+    """Select one device's explaining candidate set with loopy BP.
+
+    Closed-loop experiments may inject several defects
+    (``params["defects"]``) instead of shipping a fail log.
+    """
+    from repro.diagnose import DefectSpec
+    from repro.volume import BpOptions, run_bp_diagnosis
+
+    args, kwargs = _diagnosis_inputs(resources, params, deps)
+    defects = [DefectSpec.from_dict(item) for item in params.get("defects") or ()]
+    return run_bp_diagnosis(
+        *args, BpOptions.from_dict(params["bp"]), defects=defects or None, **kwargs
     )
 
 
@@ -378,9 +401,8 @@ def materialize_setup(
 ):
     """One constraint environment per (design, scenario), memoised in-place.
 
-    Shared by every defect diagnosed against that row — and by the volume
-    plane's per-log BP jobs (lock: concurrent thread-wave jobs must not
-    each build one).
+    Shared by every diagnosis job against that row (lock: concurrent
+    thread-wave jobs must not each build one).
     """
     setups = resources.setdefault("_setups", {})
     setup_key = (design_name, scenario_spec.name)
@@ -787,24 +809,18 @@ class TestSession:
             raise RuntimeError("no scenarios queued; call add_scenario() first")
         specs = list(self._scenarios)
         design_name = self.prepared.netlist.name
-        jobs = tuple(
-            Job(
-                id=f"scenario:{spec.name}",
-                kind="scenario",
-                params={"design": design_name, "scenario": spec.name},
-                cache_key=self._cache_key(spec),
-                label=spec.name,
-            )
-            for spec in specs
-        )
+        resources = self.resources()
         return Plan(
             name=f"session:{design_name}",
-            jobs=jobs,
+            jobs=tuple(
+                scenario_job(f"scenario:{spec.name}", design_name, spec, resources)
+                for spec in specs
+            ),
             metadata={
                 "design": design_name,
                 "scenarios": [spec.name for spec in specs],
             },
-            resources=self.resources(),
+            resources=resources,
         )
 
     def resources(self) -> dict[str, object]:
@@ -835,15 +851,12 @@ class TestSession:
         """Execute one scenario through the stage pipeline immediately."""
         spec = resolve_scenario(spec_or_name)
         run = self._execute(spec)
-        outcome = self._outcome(run)
         self.artifacts[spec.name] = run
-        return outcome
+        return outcome_of(run)
 
     def run(
         self,
         *,
-        backend: str | None = None,
-        max_workers: int | None = None,
         executor: "Executor | None" = None,
         on_event: "Callable | None" = None,
     ) -> RunReport:
@@ -855,48 +868,36 @@ class TestSession:
         measurements differ).
 
         Args:
-            backend: Plan fan-out backend — ``"serial"`` (default),
-                ``"threads"`` or ``"processes"`` (each scenario runs in its
-                own interpreter through the engine's process backend, so the
-                fan-out is not GIL-bound).
-            max_workers: Worker-pool size for the pooled backends.
-            executor: A fully configured :class:`~repro.runtime.Executor`
-                to run the plan on (mutually exclusive with the sizing
-                knobs above).
+            executor: The :class:`~repro.runtime.Executor` to run the plan on
+                (default: a serial one; ``Executor(backend="processes")``
+                runs each scenario in its own interpreter).
             on_event: Streaming :class:`~repro.runtime.Event` callback
                 (``job_started`` / ``job_finished`` / ``job_skipped`` /
                 ``plan_progress``).
         """
-        if executor is not None and (backend is not None or max_workers is not None):
-            raise ValueError("pass either executor= or the backend/max_workers knobs")
-        if backend is not None and backend not in RUN_BACKENDS:
-            raise ValueError(
-                f"unknown run backend {backend!r} (expected one of {RUN_BACKENDS})"
-            )
-        if executor is None:
-            executor = Executor(backend=backend or "serial", max_workers=max_workers)
+        executor = executor or Executor()
         specs = list(self._scenarios)
         plan = self.plan()
         cached = executor.effective_cache(self._cache) is not None
-        with self._telemetry.activate():
-            result = executor.execute(plan, cache=self._cache, on_event=on_event)
-        outcomes = []
-        for spec, job in zip(specs, plan.jobs):
-            job_result = result[job.id]
-            run = job_result.value
-            if cached:
-                run.cache_info = {"hit": job_result.skipped, "key": job_result.cache_key}
-            self.artifacts[spec.name] = run
-            outcomes.append(self._outcome(run))
         metadata = self._session_metadata(specs)
-        if result.fallbacks:
-            metadata["backend_fallbacks"] = list(result.fallbacks)
-        if self._telemetry:
-            # Only when enabled: a disabled session's report must stay
-            # byte-identical to one that never heard of telemetry.
-            metadata["telemetry"] = self._telemetry.snapshot()
+        result = execute_plan(
+            plan, executor, cache=self._cache, telemetry=self._telemetry,
+            metadata=metadata, on_event=on_event,
+        )
+        outcomes = [
+            outcome_of(self._keep(spec.name, result[job.id], cached))
+            for spec, job in zip(specs, plan.jobs)
+        ]
         self.report = RunReport(session=metadata, outcomes=outcomes)
         return self.report
+
+    def _keep(self, name: str, job_result, cached: bool) -> ScenarioRun:
+        """Record an executed (or cache-served) scenario run as an artifact."""
+        run = job_result.value
+        if cached:
+            run.cache_info = {"hit": job_result.skipped, "key": job_result.cache_key}
+        self.artifacts[name] = run
+        return run
 
     def result_of(self, name: str) -> AtpgResult:
         """The raw :class:`AtpgResult` of an executed fault-model scenario."""
@@ -948,10 +949,12 @@ class TestSession:
         session's engine backend — and ranked by syndrome match.
 
         Diagnosis runs as an ordinary two-job plan on the runtime plane
-        (compiled by :meth:`diagnosis_plan`): a pattern-provider scenario
-        job feeding one diagnosis job.  A persistent-cache hit on the
-        diagnosis job prunes the provider entirely — a cached diagnosis
-        never pays for an ATPG run it would discard.
+        (the shared lowering of :mod:`repro.api.lowering`): a
+        pattern-provider scenario job feeding one diagnosis job.  A
+        persistent-cache hit on the diagnosis job prunes the provider
+        entirely — a cached diagnosis never pays for an ATPG run it would
+        discard.  The provider's pattern run is kept in :attr:`artifacts`
+        either way, so a later diagnosis of the same scenario reuses it.
 
         Args:
             spec_or_defect: A full :class:`~repro.diagnose.DiagnosisSpec`, or
@@ -962,8 +965,8 @@ class TestSession:
                 both are given.
             fail_log: An externally captured
                 :class:`~repro.diagnose.FailLog` to diagnose instead of
-                injecting ``spec.defect`` (external logs bypass the
-                persistent cache — they are not content-addressed).
+                injecting ``spec.defect`` (content-addressed by its
+                fingerprint, so a re-diagnosed tester log is a cache hit).
             executor: A configured :class:`~repro.runtime.Executor` to run
                 the plan on (default: a serial one; the heavy lifting is
                 sharded by the engine backend inside the diagnosis job).
@@ -972,8 +975,7 @@ class TestSession:
                 diagnosis through the loopy-BP multi-defect plane
                 (:func:`~repro.volume.run_bp_diagnosis`): union-cone
                 candidates, calibrated per-candidate confidences and a
-                selected candidate *set*; the plan's BP job is
-                content-addressed per fail log, so external logs cache too.
+                selected candidate *set*.
             defects: Several :class:`~repro.diagnose.DefectSpec` values to
                 inject into one device (implies the BP plane — the
                 classical ranking is single-defect by construction).
@@ -1000,44 +1002,35 @@ class TestSession:
         spec, scenario_spec = self._resolve_diagnosis_request(
             spec_or_defect, scenario, overrides
         )
+        bp_options = None
         if bp or defects is not None:
-            return self._diagnose_bp(
-                spec, scenario_spec, fail_log, defects, bp,
-                executor=executor, on_event=on_event,
-            )
-        plan = self._compile_diagnosis_plan(spec, scenario_spec, fail_log)
-        pattern_job, diagnosis_job = plan.jobs
+            from repro.volume import BpOptions
+
+            bp_options = bp if isinstance(bp, BpOptions) else BpOptions()
+        plan = self._lower_diagnosis(
+            spec, scenario_spec, fail_log, bp_options, defects
+        )
+        provider, diagnosis_job = plan.jobs
 
         # An earlier run of the scenario in this session seeds the provider
         # job — reused as-is, exactly like the pre-plan artifact short cut.
         seeds: dict[str, object] = {}
         artifact = self.artifacts.get(scenario_spec.name)
         if artifact is not None and artifact.patterns is not None:
-            seeds[pattern_job.id] = artifact
-
+            seeds[provider.id] = artifact
         executor = executor or Executor()
-        cached = executor.effective_cache(self._cache) is not None
-        with self._telemetry.activate():
-            result = executor.execute(
-                plan, seeds=seeds, cache=self._cache, on_event=on_event
-            )
-        pattern_result = result.results.get(pattern_job.id)
-        if (
-            pattern_result is not None
-            and pattern_result.reason in (None, "cache")
-            and pattern_result.value is not None
-        ):
-            run = pattern_result.value
-            if cached:
-                run.cache_info = {
-                    "hit": pattern_result.skipped, "key": pattern_result.cache_key
-                }
-            self.artifacts[scenario_spec.name] = run
-        diagnosis_result = result[diagnosis_job.id]
-        value = diagnosis_result.value
-        if diagnosis_result.skipped:
-            value.cache_hit = True
-        return value
+        result = execute_plan(
+            plan, executor, cache=self._cache, telemetry=self._telemetry,
+            seeds=seeds, on_event=on_event,
+        )
+        provided = result.results.get(provider.id)
+        if provided is not None and provided.reason in (None, "cache"):
+            cached = executor.effective_cache(self._cache) is not None
+            self._keep(scenario_spec.name, provided, cached)
+        diagnosis = result[diagnosis_job.id]
+        if diagnosis.skipped:
+            diagnosis.value.cache_hit = True
+        return diagnosis.value
 
     def diagnosis_plan(
         self,
@@ -1049,185 +1042,65 @@ class TestSession:
     ) -> Plan:
         """Compile one diagnosis into a two-job runtime plan.
 
-        Job 1 (``patterns:<scenario>``) generates the scenario's pattern set
-        through the session's stage pipeline; it is an ``if_needed``
-        provider, pruned when the diagnosis job itself is served from the
-        cache.  Job 2 (``diagnose:<scenario>``) consumes the provider's
-        :class:`ScenarioRun` and runs the closed-loop (or external fail-log)
-        diagnosis.  The plan is bound to this session's resources, including
-        its memoised scoring scheduler.
+        Job 1 (``patterns:<design>:<scenario>``) generates the scenario's
+        pattern set through the session's stage pipeline; it is an
+        ``if_needed`` provider, pruned when the diagnosis job itself is
+        served from the cache.  Job 2 (``diagnose:<scenario>``) consumes the
+        provider's :class:`ScenarioRun` and runs the closed-loop (or external
+        fail-log) diagnosis.  The plan is bound to this session's resources,
+        including its memoised scoring scheduler.
         """
         spec, scenario_spec = self._resolve_diagnosis_request(
             spec_or_defect, scenario, overrides
         )
-        return self._compile_diagnosis_plan(spec, scenario_spec, fail_log)
+        return self._lower_diagnosis(spec, scenario_spec, fail_log, None, None)
 
-    def _compile_diagnosis_plan(
-        self, spec, scenario_spec: ScenarioSpec, fail_log: "object | None"
+    def _lower_diagnosis(
+        self,
+        spec,
+        scenario_spec: ScenarioSpec,
+        fail_log: "object | None",
+        bp: "object | None",
+        defects: "Sequence | None",
     ) -> Plan:
-        """Lower one already-resolved diagnosis request into its plan."""
-        from repro.engine.cache import diagnosis_key
+        """Lower one resolved diagnosis request into its two-job plan.
 
-        prepared = self.prepared
-        design_name = prepared.netlist.name
-        pattern_job = Job(
-            id=f"patterns:{scenario_spec.name}",
-            kind="scenario",
-            params={"design": design_name, "scenario": scenario_spec.name},
-            cache_key=self._cache_key(scenario_spec),
-            label=scenario_spec.name,
-            if_needed=True,
-        )
-        key = None
-        if fail_log is None and spec.defect is not None:
-            # The stage pipeline shaped the diagnosed pattern set, so it is
-            # part of the key — exactly like the scenario-run cache.
-            key = diagnosis_key(
-                prepared.model, scenario_spec, spec, self.options,
-                extra=tuple(self._stages),
-            )
-        params: dict[str, object] = {
-            "design": design_name,
-            "scenario": scenario_spec.name,
-            "spec": spec.to_dict(),
-            "patterns": pattern_job.id,
-        }
+        ``bp`` (a :class:`~repro.volume.BpOptions`) selects the BP plane; the
+        injected ``defects`` list rides in the job's cache key.
+        """
+        design_name = self.prepared.netlist.name
         resources = self.resources()
         resources["scenarios"][scenario_spec.name] = scenario_spec
         # Lazy: a cache-served diagnosis must not pay for kernel compilation
         # (the scheduler is only materialised when the job actually runs).
         resources["_scheduler_factory"] = lambda: self._diagnosis_scheduler(spec)
-        if fail_log is not None:
-            params["fail_log"] = "external"
-            resources["fail_logs"] = {"external": fail_log}
-        described = spec.defect.describe() if spec.defect is not None else "fail-log"
-        diagnosis_job = Job(
-            id=f"diagnose:{scenario_spec.name}",
-            kind="diagnosis",
-            params=params,
-            deps=(pattern_job.id,),
-            cache_key=key,
-            label=f"diagnose::{scenario_spec.name}::{described}",
-        )
-        return Plan(
-            name=f"diagnose:{design_name}:{scenario_spec.name}",
-            jobs=(pattern_job, diagnosis_job),
-            metadata={
-                "design": design_name,
-                "scenario": scenario_spec.name,
-                "defect": described,
-            },
-            resources=resources,
-        )
-
-    def _diagnose_bp(
-        self,
-        spec,
-        scenario_spec: ScenarioSpec,
-        fail_log: "object | None",
-        defects: "Sequence | None",
-        bp: "bool | object",
-        *,
-        executor: "Executor | None",
-        on_event: "Callable | None",
-    ):
-        """Run one diagnosis through the loopy-BP volume plane.
-
-        Same two-job plan shape as the classical path (pattern provider
-        feeding one ``"bp-diagnosis"`` job), but the diagnosis job is
-        content-addressed by :func:`~repro.engine.cache.bp_diagnosis_key` —
-        which fingerprints external fail logs, so tester logs cache too.
-        """
-        import repro.volume.run  # noqa: F401 — registers the "bp-diagnosis" kind
-        from repro.volume.bp import BpOptions
-
-        bp_options = bp if isinstance(bp, BpOptions) else BpOptions()
-        plan = self._compile_bp_plan(
-            spec, scenario_spec, fail_log, defects, bp_options
-        )
-        pattern_job, bp_job = plan.jobs
-        seeds: dict[str, object] = {}
-        artifact = self.artifacts.get(scenario_spec.name)
-        if artifact is not None and artifact.patterns is not None:
-            seeds[pattern_job.id] = artifact
-        executor = executor or Executor()
-        with self._telemetry.activate():
-            result = executor.execute(
-                plan, seeds=seeds, cache=self._cache, on_event=on_event
-            )
-        job_result = result[bp_job.id]
-        value = job_result.value
-        if job_result.skipped:
-            value.cache_hit = True
-        return value
-
-    def _compile_bp_plan(
-        self, spec, scenario_spec: ScenarioSpec, fail_log: "object | None",
-        defects: "Sequence | None", bp_options,
-    ) -> Plan:
-        """Lower one BP diagnosis request into its two-job plan."""
-        from repro.engine.cache import (
-            bp_diagnosis_key,
-            design_fingerprint,
-            fail_log_fingerprint,
-        )
-
-        prepared = self.prepared
-        design_name = prepared.netlist.name
-        pattern_job = Job(
-            id=f"patterns:{scenario_spec.name}",
-            kind="scenario",
-            params={"design": design_name, "scenario": scenario_spec.name},
-            cache_key=self._cache_key(scenario_spec),
-            label=scenario_spec.name,
-            if_needed=True,
-        )
-        # The injected defect list rides in ``extra`` (the spec only holds
-        # one defect); external logs are content-addressed by fingerprint.
-        extra: tuple = (tuple(self._stages), tuple(defects or ()))
-        log_fp = fail_log_fingerprint(fail_log) if fail_log is not None else None
-        key = bp_diagnosis_key(
-            design_fingerprint(prepared.model), scenario_spec, spec,
-            bp_options, self.options, extra=extra, log_fp=log_fp,
-        )
-        params: dict[str, object] = {
-            "design": design_name,
-            "scenario": scenario_spec.name,
-            "spec": spec.to_dict(),
-            "bp": bp_options.to_dict(),
-            "patterns": pattern_job.id,
-        }
-        resources = self.resources()
-        resources["scenarios"][scenario_spec.name] = scenario_spec
-        resources["_scheduler_factory"] = lambda: self._diagnosis_scheduler(spec)
-        if fail_log is not None:
-            params["log"] = "external"
-            resources["fail_logs"] = {"external": fail_log}
-        if defects:
-            params["defects"] = [defect.to_dict() for defect in defects]
         if defects:
             described = " + ".join(defect.describe() for defect in defects)
         elif spec.defect is not None:
             described = spec.defect.describe()
         else:
             described = "fail-log"
-        bp_job = Job(
-            id=f"bp-diagnose:{scenario_spec.name}",
-            kind="bp-diagnosis",
-            params=params,
-            deps=(pattern_job.id,),
-            cache_key=key,
-            label=f"bp-diagnose::{scenario_spec.name}::{described}",
+        prefix = "diagnose" if bp is None else "bp-diagnose"
+        case = DiagnosisCase(
+            id=f"{prefix}:{scenario_spec.name}",
+            design=design_name,
+            scenario=scenario_spec.name,
+            spec=spec,
+            described=described,
+            bp=bp,
+            defects=tuple(defects or ()),
+            log=None if fail_log is None else "external",
+            fail_log=fail_log,
         )
-        return Plan(
-            name=f"bp-diagnose:{design_name}:{scenario_spec.name}",
-            jobs=(pattern_job, bp_job),
+        return lower_diagnoses(
+            [case],
+            resources,
+            name=f"{prefix}:{design_name}:{scenario_spec.name}",
             metadata={
                 "design": design_name,
                 "scenario": scenario_spec.name,
                 "defect": described,
             },
-            resources=resources,
         )
 
     def _resolve_diagnosis_request(
@@ -1317,9 +1190,7 @@ class TestSession:
     def _cache_key(self, spec: ScenarioSpec) -> str:
         # The stage pipeline is part of the key: a session with custom
         # stages must never be served a default-pipeline cache entry.
-        return scenario_key(
-            self.prepared.model, spec, self.options, extra=tuple(self._stages)
-        )
+        return pattern_key(self.resources(), self.prepared.netlist.name, spec)
 
     def _cache_lookup(self, spec: ScenarioSpec) -> ScenarioRun | None:
         if self._cache is None:
@@ -1337,9 +1208,6 @@ class TestSession:
         key = self._cache_key(spec)
         run.cache_info = {"hit": False, "key": key}
         self._cache.put(key, run, label=spec.name)
-
-    def _outcome(self, run: ScenarioRun) -> ScenarioOutcome:
-        return outcome_of(run)
 
     def _session_metadata(self, specs: Sequence[ScenarioSpec]) -> dict[str, object]:
         meta: dict[str, object] = {

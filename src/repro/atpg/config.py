@@ -24,8 +24,8 @@ class AtpgOptions:
 
     The ``sim_*`` fields select the execution backend of
     :mod:`repro.engine`: ``sim_backend`` is one of ``"serial"`` (interpreted
-    reference path), ``"compiled"`` (default), ``"threads"`` or
-    ``"processes"`` (compiled kernels over fault shards); ``sim_shards`` /
+    reference path), ``"compiled"`` (default) or ``"processes"``
+    (compiled kernels over fault shards); ``sim_shards`` /
     ``sim_workers`` bound the sharding fan-out (``None`` == auto).  Every
     backend produces bit-identical patterns and coverage for a given
     ``random_seed``.

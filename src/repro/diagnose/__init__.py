@@ -15,7 +15,7 @@ back to ranked candidate defects.  Four pieces:
 * :mod:`repro.diagnose.candidates` — cone-intersection candidate extraction
   over the engine's cached fanout cones;
 * :mod:`repro.diagnose.diagnose` — per-candidate fault simulation scored by
-  syndrome match, sharded over the engine's serial/compiled/threads/processes
+  syndrome match, sharded over the engine's serial/compiled/processes
   backends, with iterative re-ranking of tied candidates.
 
 API integration lives in :meth:`repro.api.session.TestSession.diagnose` and

@@ -12,7 +12,7 @@ more, exactly like a belief-propagation message.
 
 This is the engine's first high-traffic *inner-loop* workload: one diagnosis
 fans hundreds of candidate fault simulations over the
-serial/compiled/threads/processes backends of
+serial/compiled/processes backends of
 :class:`~repro.engine.scheduler.FaultSimScheduler` (per-observation-node
 ``syndrome_batch``), and results flow through the persistent engine cache so
 re-diagnosing an unchanged (design, scenario, defect) cell is a disk read.

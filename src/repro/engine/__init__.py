@@ -7,7 +7,7 @@ Three pieces:
   tapes (gate-specialized plane evaluators, cached fanout cones), replacing
   the per-call dict walks of the interpreted simulators;
 * :mod:`repro.engine.scheduler` — the ``Backend`` protocol (``serial`` /
-  ``compiled`` / ``threads`` / ``processes``) and the
+  ``compiled`` / ``processes``) and the
   :class:`~repro.engine.scheduler.FaultSimScheduler` that shards fault
   batches across workers and merges detection masks deterministically;
 * :mod:`repro.engine.cache` — a persistent content-addressed result store
@@ -22,14 +22,13 @@ reference backend for equivalence testing.
 from repro.engine.cache import (
     CACHE_ENV_VAR,
     ResultCache,
-    bp_diagnosis_key,
     campaign_cell_key,
     default_cache_root,
     design_fingerprint,
+    design_identity,
     design_spec_fingerprint,
     diagnosis_key,
     fail_log_fingerprint,
-    scenario_key,
     spec_fingerprint,
 )
 from repro.engine.compile import ENGINE_VERSION, CompiledCircuit, compile_circuit
@@ -62,15 +61,14 @@ __all__ = [
     "ResultCache",
     "SerialBackend",
     "ThreadBackend",
-    "bp_diagnosis_key",
     "campaign_cell_key",
     "compile_circuit",
     "default_cache_root",
     "default_worker_count",
     "design_fingerprint",
+    "design_identity",
     "design_spec_fingerprint",
     "diagnosis_key",
     "fail_log_fingerprint",
-    "scenario_key",
     "spec_fingerprint",
 ]

@@ -149,68 +149,37 @@ def spec_fingerprint(spec: Any, options: Any = None, extra: Any = None) -> str:
     return _digest(json.dumps(payload, sort_keys=True))
 
 
+def design_identity(design: Any) -> str:
+    """The design-identity digest every pattern-set and diagnosis key uses.
+
+    ``design`` is a declarative :class:`~repro.api.design.DesignSpec` or a
+    built :class:`~repro.api.design.PreparedDesign`.  A design built from a
+    spec keys on that spec's :func:`design_spec_fingerprint` — computable
+    without a build, so a resumed run probes the cache before paying for
+    netlist generation, and a session, a campaign and a volume plan on the
+    same spec share entries.  Only a design with no declarative identity (a
+    caller-built SoC) keys on its model content (:func:`design_fingerprint`).
+    """
+    model = getattr(design, "model", None)
+    if model is None:
+        return design_spec_fingerprint(design)
+    if design.spec is not None:
+        return design_spec_fingerprint(design.spec)
+    return design_fingerprint(model)
+
+
 def campaign_cell_key(
     design_fp: str, spec: Any, options: Any = None, extra: Any = None
 ) -> str:
-    """The cache key of one (design, scenario) campaign cell.
+    """The cache key of one (design, scenario) pattern-set execution.
 
-    ``design_fp`` is any design-identity digest — :func:`design_fingerprint`
-    of a built model, or :func:`design_spec_fingerprint` of a declarative
-    spec (the campaign path, which never needs the model to probe the cache).
+    ``design_fp`` is :func:`design_identity` of the design (or any other
+    design digest); ``extra`` folds in the stage pipeline that shaped the
+    pattern set.
     """
     return _digest(
         f"engine={ENGINE_VERSION}|design={design_fp}|"
         f"scenario={spec_fingerprint(spec, options, extra)}"
-    )
-
-
-def scenario_key(
-    model: CircuitModel, spec: Any, options: Any = None, extra: Any = None
-) -> str:
-    """The full cache key of one scenario execution on one design."""
-    return campaign_cell_key(design_fingerprint(model), spec, options, extra)
-
-
-def diagnosis_cell_key(
-    design_fp: str,
-    scenario_spec: Any,
-    diagnosis_spec: Any,
-    options: Any = None,
-    extra: Any = None,
-) -> str:
-    """The cache key of one diagnosis run, from any design-identity digest.
-
-    ``design_fp`` is :func:`design_fingerprint` of a built model or
-    :func:`design_spec_fingerprint` of a declarative spec — the latter lets
-    a diagnosis campaign probe for completed cells *without building the
-    design*, exactly like :func:`campaign_cell_key` does for scenario cells.
-    """
-    return _digest(
-        f"diagnosis|engine={ENGINE_VERSION}|design={design_fp}|"
-        f"scenario={spec_fingerprint(scenario_spec, options, extra)}|"
-        f"spec={spec_fingerprint(diagnosis_spec)}"
-    )
-
-
-def diagnosis_key(
-    model: CircuitModel,
-    scenario_spec: Any,
-    diagnosis_spec: Any,
-    options: Any = None,
-    extra: Any = None,
-) -> str:
-    """The cache key of one diagnosis run on one built design.
-
-    Keyed on the design content, the scenario that produced the pattern set
-    (including the effective ATPG options and — via ``extra`` — the
-    session's stage pipeline, both of which the patterns depend on), the
-    declarative diagnosis spec (defect, candidate kinds, re-ranking knobs)
-    and the engine version.  Only closed-loop runs (injected defect, no
-    external fail log) are cacheable this way; a tester-supplied fail log is
-    not content-addressed by any spec.
-    """
-    return diagnosis_cell_key(
-        design_fingerprint(model), scenario_spec, diagnosis_spec, options, extra
     )
 
 
@@ -219,38 +188,38 @@ def fail_log_fingerprint(fail_log: Any) -> str:
 
     Derived from the log's stable dict lowering (design, pattern count,
     every fail bit, injected-defect provenance), so an externally captured
-    tester log becomes content-addressed: volume diagnosis can cache BP
-    results per log (:func:`bp_diagnosis_key`) even though no declarative
-    spec describes where the log came from.
+    tester log becomes content-addressed: diagnoses cache per log
+    (:func:`diagnosis_key`) even though no declarative spec describes where
+    the log came from.
     """
     return _digest(
         "faillog|" + json.dumps(_stable(fail_log.to_dict()), sort_keys=True)
     )
 
 
-def bp_diagnosis_key(
+def diagnosis_key(
     design_fp: str,
     scenario_spec: Any,
-    diagnosis_spec: Any,
-    bp_options: Any = None,
+    diagnosis: Any,
     options: Any = None,
     extra: Any = None,
     log_fp: str | None = None,
 ) -> str:
-    """The cache key of one volume BP diagnosis.
+    """The cache key of one diagnosis job, classical or BP.
 
-    Same shape as :func:`diagnosis_cell_key` plus the BP inference knobs
-    and — the volume-mode difference — an optional
-    :func:`fail_log_fingerprint`: keying on the log's *content* makes
-    externally captured tester logs cacheable, so a killed volume plan
-    resumes with zero re-runs.  Closed-loop runs (injected defects, no
-    external log) pass ``log_fp=None`` and are keyed by the diagnosis spec
-    alone, mirroring :func:`diagnosis_key`.
+    Keyed on the design identity, the scenario that produced the pattern
+    set (with the effective ATPG options and — via ``extra`` — the stage
+    pipeline, both of which the patterns depend on), ``diagnosis`` (the
+    job's JSON-safe verdict inputs: diagnosis spec, BP knobs, injected
+    defect list) and the engine version.  ``log_fp`` is the
+    :func:`fail_log_fingerprint` of an externally captured fail log, so
+    tester logs are content-addressed too; closed-loop runs pass ``None``
+    and are keyed by their injected defects alone.
     """
     return _digest(
-        f"bp-diagnosis|engine={ENGINE_VERSION}|design={design_fp}|"
+        f"diagnosis|engine={ENGINE_VERSION}|design={design_fp}|"
         f"scenario={spec_fingerprint(scenario_spec, options, extra)}|"
-        f"spec={spec_fingerprint(diagnosis_spec, bp_options)}|log={log_fp}"
+        f"spec={spec_fingerprint(diagnosis)}|log={log_fp}"
     )
 
 
@@ -264,8 +233,7 @@ def job_key(
     """The cache key of one generic :class:`~repro.runtime.plan.Job`.
 
     The scenario/diagnosis plan compilers use the dedicated key functions
-    above (their key spaces predate the execution plane and must stay
-    stable); custom job kinds get content-addressed identity from their kind
+    above; custom job kinds get content-addressed identity from their kind
     name, JSON-safe params, the design digest they operate on, and the
     engine version.
     """

@@ -9,8 +9,6 @@ function over work items:
   compiled kernels to identical results);
 * ``compiled`` — in-process, compiled kernels, no sharding overhead (the
   default everywhere);
-* ``threads`` — compiled kernels over fault shards on a thread pool (GIL
-  bound; exists for protocol completeness and for I/O-heavy custom stages);
 * ``processes`` — compiled kernels over fault shards on a
   ``ProcessPoolExecutor``.  Each worker unpickles the circuit model once (in
   the pool initializer), compiles it once, and then receives only
@@ -45,7 +43,7 @@ from repro.simulation.model import CircuitModel
 from repro.simulation.parallel_sim import PackedPatterns
 
 #: Recognised execution backend names.
-BACKENDS = ("serial", "compiled", "threads", "processes")
+BACKENDS = ("serial", "compiled", "processes")
 
 # --------------------------------------------------------------------------
 # Pluggable backend registry
@@ -508,7 +506,7 @@ def _shard(items: list, shard_count: int) -> list[list]:
 class FaultSimScheduler:
     """Runs fault-detection batches for one circuit on a chosen backend.
 
-    The scheduler owns the backend (and its worker pool, for ``threads`` /
+    The scheduler owns the backend (and its worker pool, for
     ``processes``); reusing one scheduler across pattern batches amortizes
     pool start-up and the one-time model transfer.  Use as a context manager
     or call :meth:`close` when done — dropping the reference also works, the
@@ -547,9 +545,7 @@ class FaultSimScheduler:
     # ------------------------------------------------------------- lifecycle
     def _pool(self) -> Backend:
         if self._backend is None:
-            if self.backend_name == "threads":
-                self._backend = ThreadBackend(self.max_workers)
-            elif self.backend_name == "processes":
+            if self.backend_name == "processes":
                 self._backend = ProcessBackend(
                     self.max_workers,
                     initializer=_fault_worker_init,
@@ -629,54 +625,30 @@ class FaultSimScheduler:
         shards = _shard(list(faults), self.shard_count)
         if telemetry:
             telemetry.metrics.inc("engine.sharded_rounds")
-        if name == "threads":
-            observation = list(observation)
-
-            def run_shard(shard: list) -> list:
-                return [
-                    compiled_fn(compiled, fault, final, observation, launch)
-                    for fault in shard
-                ]
-
-            if telemetry:
-                # Workers time themselves; spans are folded in below, at the
-                # same order-preserving seam that merges the masks.
-                def run_shard_timed(shard: list) -> tuple[list, tuple[float, float]]:
-                    started = time.perf_counter()
-                    masks = run_shard(shard)
-                    return masks, (started, time.perf_counter())
-
-                results = self._pool().map(run_shard_timed, shards)
-            else:
-                results = self._pool().map(run_shard, shards)
-        else:  # processes
-            launch_planes = (
-                (launch.num_patterns, launch.can0, launch.can1)
-                if launch is not None
-                else None
-            )
-            final_planes = (final.num_patterns, final.can0, final.can1)
-            tasks = [
-                (launch_planes, final_planes, shard, list(observation))
-                for shard in shards
-            ]
-            if telemetry:
-                dispatch = time.perf_counter()
-                results = self._pool().map(_TIMED_WORKERS[worker_fn], tasks)
-            else:
-                results = self._pool().map(worker_fn, tasks)
+        launch_planes = (
+            (launch.num_patterns, launch.can0, launch.can1)
+            if launch is not None
+            else None
+        )
+        final_planes = (final.num_patterns, final.can0, final.can1)
+        tasks = [
+            (launch_planes, final_planes, shard, list(observation))
+            for shard in shards
+        ]
+        if telemetry:
+            dispatch = time.perf_counter()
+            results = self._pool().map(_TIMED_WORKERS[worker_fn], tasks)
+        else:
+            results = self._pool().map(worker_fn, tasks)
         merged: list = []
         if telemetry:
             # Same seam as the mask merge: shard spans land in shard order,
             # so the trace is as deterministic as the results.
             tracer = telemetry.tracer
-            for index, (shard_masks, timing) in enumerate(results):
-                if isinstance(timing, tuple):  # threads: same-clock start/end
-                    tracer.record(f"shard:{index}", start=timing[0], end=timing[1],
-                                  backend=name, faults=len(shards[index]))
-                else:  # processes: wall measured in the worker, anchored here
-                    tracer.record(f"shard:{index}", start=dispatch, duration=timing,
-                                  backend=name, faults=len(shards[index]))
+            for index, (shard_masks, seconds) in enumerate(results):
+                # Wall time measured in the worker, anchored at dispatch.
+                tracer.record(f"shard:{index}", start=dispatch, duration=seconds,
+                              backend=name, faults=len(shards[index]))
                 merged.extend(shard_masks)
         else:
             for shard_masks in results:

@@ -12,7 +12,7 @@ it remains the ``serial`` reference backend of :mod:`repro.engine` and the
 ground truth the compiled kernels are equivalence-tested against.  The
 simulator class routes through a
 :class:`~repro.engine.scheduler.FaultSimScheduler`, so the backend (and the
-shard fan-out of the ``threads``/``processes`` backends) is selectable per
+shard fan-out of the ``processes`` backend) is selectable per
 instance.
 """
 
@@ -149,8 +149,8 @@ class StuckAtFaultSimulator:
     Args:
         backend: Engine execution backend (``"serial"`` runs the interpreted
             reference path above; ``"compiled"``, the default, uses the
-            precompiled kernels; ``"threads"``/``"processes"`` shard the
-            fault batch over workers).  All backends produce identical
+            precompiled kernels; ``"processes"`` shards the fault batch
+            over worker processes).  All backends produce identical
             detection masks.
         shard_count / max_workers: Sharding fan-out for the pooled backends.
     """

@@ -19,7 +19,7 @@ inter-domain launch/capture procedures of the enhanced CPF.
 Per-fault detection routes through a
 :class:`~repro.engine.scheduler.FaultSimScheduler`, so the execution backend
 (interpreted ``serial`` reference, in-process ``compiled`` kernels, or
-sharded ``threads``/``processes`` pools) follows
+sharded ``processes`` pool) follows
 ``setup.options.sim_backend`` unless overridden per instance; every backend
 yields identical detections.
 """

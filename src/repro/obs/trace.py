@@ -16,7 +16,7 @@ Design constraints inherited from the engine:
 * **thread-safe** — spans may open/close on executor worker threads; the
   current-span stack is thread-local and the finished list lock-guarded;
 * **merge-friendly** — work that was timed elsewhere (fault-simulation
-  shards in worker threads/processes) is folded in *after the fact* with
+  shards in worker processes) is folded in *after the fact* with
   :meth:`Tracer.record`, called in shard order at the same seam that merges
   detection masks, so span order is as deterministic as the results;
 * **zero-dependency** — stdlib only, like everything under ``repro``.

@@ -35,7 +35,6 @@ from repro.volume.graph import (
 from repro.volume.run import (
     BpDiagnosisCell,
     BpDiagnosisReport,
-    VolumeHandle,
     VolumeSpec,
     execute_volume_plan,
     submit_volume,
@@ -55,7 +54,6 @@ __all__ = [
     "CandidateFactorGraph",
     "FailLogRecord",
     "FailLogStore",
-    "VolumeHandle",
     "VolumeSpec",
     "adaptive_diagnose",
     "build_factor_graph",

@@ -12,14 +12,18 @@ Three properties carry over from the campaign plane by construction:
   :class:`~repro.runtime.Executor` backend (serial/threads/processes and
   serve's remote workers) with bit-identical reports;
 * **resumable**: BP jobs are content-addressed by
-  :func:`~repro.engine.cache.bp_diagnosis_key` (design x scenario x spec
+  :func:`~repro.engine.cache.diagnosis_key` (design x scenario x spec
   x BP knobs x *log fingerprint*), so a killed run resumes from a
   :class:`~repro.engine.cache.ResultCache` with zero re-runs and a fully
   cached store prunes every pattern provider;
 * **serve-submittable**: :func:`submit_volume` ships the identical plan
-  to a :mod:`repro.serve` server and :meth:`VolumeHandle.report` rebuilds
-  the report from the event journal through the same merge path a local
-  run uses.
+  to a :mod:`repro.serve` server and the returned
+  :class:`~repro.api.lowering.CampaignHandle` rebuilds the report from the
+  event journal through the same fold a local run uses.
+
+The lowering, the execute step and the fold are the shared ones of
+:mod:`repro.api.lowering`; this module adds the volume configuration, the
+per-log cells and the report.
 """
 
 from __future__ import annotations
@@ -28,26 +32,20 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Mapping
 
-from repro.diagnose.defects import DEFECT_KINDS, DefectSpec
+from repro.api.lowering import (
+    CampaignHandle,
+    DiagnosisCase,
+    execute_plan,
+    fold_events,
+    lower_diagnoses,
+)
+from repro.api.session import DEFAULT_STAGES
+from repro.diagnose.defects import DEFECT_KINDS
 from repro.diagnose.diagnose import DiagnosisSpec
-from repro.engine.cache import (
-    bp_diagnosis_key,
-    campaign_cell_key,
-    design_fingerprint,
-    design_spec_fingerprint,
-    fail_log_fingerprint,
-)
 from repro.engine.scheduler import BACKENDS
-from repro.runtime import (
-    Event,
-    Executor,
-    Job,
-    Plan,
-    PlanCancelled,
-    register_job_kind,
-)
+from repro.runtime import Event, Executor, Job, Plan
 from repro.volume.bp import BpOptions
-from repro.volume.graph import BpDiagnosisResult, run_bp_diagnosis
+from repro.volume.graph import BpDiagnosisResult
 from repro.volume.store import FailLogRecord, FailLogStore
 
 
@@ -135,78 +133,8 @@ class VolumeSpec:
 
 
 # --------------------------------------------------------------------------
-# The job handler (module-level so process/remote workers re-import it)
-# --------------------------------------------------------------------------
-@register_job_kind("bp-diagnosis")
-def run_bp_diagnosis_job(resources: dict, params: Mapping[str, object], deps: dict):
-    """Diagnose one fail log with BP against a dependency-supplied pattern set.
-
-    Shares every materialization seam with the ``"diagnosis"`` kind —
-    designs, per-(design, scenario) constraint setups and scoring
-    schedulers are memoised in the resources dict, so a thousand-log plan
-    builds each exactly once per worker.  The log arrives by name through
-    ``resources["fail_logs"]`` (picklable, ships to process workers);
-    closed-loop experiments may pass ``params["defects"]`` instead.
-    """
-    from repro.api.session import (
-        _diagnosis_job_scheduler,
-        materialize_design,
-        materialize_setup,
-    )
-    from repro.atpg.config import AtpgOptions
-
-    prepared = materialize_design(resources, params["design"])
-    options = resources.get("options") or AtpgOptions()
-    scenario_spec = resources["scenarios"][params["scenario"]]
-    spec = DiagnosisSpec.from_dict(params["spec"])
-    bp = BpOptions.from_dict(params["bp"])
-    run = deps[params["patterns"]]
-    if run is None or run.patterns is None:
-        raise ValueError(
-            f"scenario {scenario_spec.name!r} produced no patterns to diagnose"
-        )
-    fail_log = None
-    if params.get("log") is not None:
-        fail_log = resources["fail_logs"][params["log"]]
-    defects = None
-    if params.get("defects"):
-        defects = [DefectSpec.from_dict(item) for item in params["defects"]]
-    setup = materialize_setup(
-        resources, prepared, scenario_spec, params["design"], options
-    )
-    return run_bp_diagnosis(
-        prepared,
-        setup,
-        run.patterns,
-        spec,
-        bp,
-        fail_log=fail_log,
-        defects=defects,
-        options=options,
-        scheduler=_diagnosis_job_scheduler(resources, prepared, spec, options),
-    )
-
-
-# --------------------------------------------------------------------------
 # Plan compilation
 # --------------------------------------------------------------------------
-def _design_fp(design: object) -> str:
-    """Any design resource entry's identity digest (spec or built).
-
-    A spec-built :class:`~repro.api.design.PreparedDesign` keys on its
-    *declarative* spec fingerprint — the same identity a not-yet-built
-    entry produces — so a resumed run whose designs were harvested in a
-    previous execution still hits the same cache entries.
-    """
-    model = getattr(design, "model", None)
-    if model is not None:
-        spec = getattr(design, "spec", None)
-        if spec is not None:
-            return design_spec_fingerprint(spec)
-        return design_fingerprint(model)
-    return design_spec_fingerprint(design)
-
-
 def volume_plan(
     records: "FailLogStore | Iterable[FailLogRecord]",
     designs: Mapping[str, object],
@@ -222,10 +150,10 @@ def volume_plan(
     Per (design, scenario) row touched by the records one ``if_needed``
     pattern-provider job (cache key shared with ordinary campaign cells,
     so pattern sets flow between scenario campaigns, diagnosis sweeps and
-    volume runs); per record one ``"bp-diagnosis"`` job keyed on
-    :func:`~repro.engine.cache.bp_diagnosis_key` *including the log's
-    content fingerprint* — a fully cached store prunes every provider and
-    re-runs nothing.
+    volume runs); per record one ``"bp-diagnosis"`` job ``bp:<log name>``
+    keyed on :func:`~repro.engine.cache.diagnosis_key` *including the
+    log's content fingerprint* — a fully cached store prunes every provider
+    and re-runs nothing.
 
     Args:
         records: A :class:`~repro.volume.store.FailLogStore` or any
@@ -243,17 +171,10 @@ def volume_plan(
         stages: The session stage pipeline folded into cache keys
             (default: the standard pipeline).
     """
-    if stages is None:
-        from repro.api.session import DEFAULT_STAGES
-
-        stages = tuple(DEFAULT_STAGES)
     record_list = list(records)
     if not record_list:
         raise ValueError("a volume plan needs at least one fail-log record")
-    fingerprints = {name_: _design_fp(design) for name_, design in designs.items()}
-    jobs: list[Job] = []
-    providers: dict[tuple[str, str], Job] = {}
-    fail_logs: dict[str, object] = {}
+    cases: list[DiagnosisCase] = []
     seen: set[str] = set()
     for record in record_list:
         if record.name in seen:
@@ -265,66 +186,36 @@ def volume_plan(
                 f"{record.design!r} (known: {sorted(designs)})"
             )
         scenario_name = record.scenario or spec.scenario
-        scenario_spec = scenarios.get(scenario_name)
-        if scenario_spec is None:
+        if scenario_name not in scenarios:
             raise ValueError(
                 f"fail log {record.name!r} names unknown scenario "
                 f"{scenario_name!r} (known: {sorted(scenarios)})"
             )
-        row = (record.design, scenario_name)
-        provider = providers.get(row)
-        if provider is None:
-            provider = Job(
-                id=f"patterns:{record.design}:{scenario_name}",
-                kind="scenario",
-                params={"design": record.design, "scenario": scenario_name},
-                cache_key=campaign_cell_key(
-                    fingerprints[record.design], scenario_spec,
-                    options, extra=stages,
-                ),
-                label=f"{record.design}::{scenario_name}",
-                if_needed=True,
-            )
-            providers[row] = provider
-            jobs.append(provider)
-        diagnosis_spec = spec.diagnosis_spec(scenario_name)
-        key = bp_diagnosis_key(
-            fingerprints[record.design], scenario_spec, diagnosis_spec,
-            spec.bp, options, extra=stages,
-            log_fp=fail_log_fingerprint(record.log),
-        )
-        fail_logs[record.name] = record.log
-        jobs.append(
-            Job(
+        cases.append(
+            DiagnosisCase(
                 id=f"bp:{record.name}",
-                kind="bp-diagnosis",
-                params={
-                    "design": record.design,
-                    "scenario": scenario_name,
-                    "spec": diagnosis_spec.to_dict(),
-                    "bp": spec.bp.to_dict(),
-                    "patterns": provider.id,
-                    "log": record.name,
-                },
-                deps=(provider.id,),
-                cache_key=key,
-                label=f"bp::{record.design}::{scenario_name}::{record.name}",
+                design=record.design,
+                scenario=scenario_name,
+                spec=spec.diagnosis_spec(scenario_name),
+                described=record.name,
+                bp=spec.bp,
+                log=record.name,
+                fail_log=record.log,
             )
         )
-    return Plan(
-        name=name,
-        jobs=tuple(jobs),
-        metadata={
-            "designs": sorted({record.design for record in record_list}),
-            "scenarios": sorted({row[1] for row in providers}),
-            "logs": [record.name for record in record_list],
-        },
-        resources={
+    return lower_diagnoses(
+        cases,
+        {
             "options": options,
-            "stages": stages,
+            "stages": tuple(DEFAULT_STAGES) if stages is None else stages,
             "designs": dict(designs),
             "scenarios": dict(scenarios),
-            "fail_logs": fail_logs,
+        },
+        name=name,
+        metadata={
+            "designs": sorted({case.design for case in cases}),
+            "scenarios": sorted({case.scenario for case in cases}),
+            "logs": [case.log for case in cases],
         },
     )
 
@@ -520,57 +411,29 @@ def volume_report_builder(
 ) -> "tuple[BpDiagnosisReport, Callable[[Event], None], Callable[[], BpDiagnosisReport]]":
     """Fold a volume plan's event stream into its report.
 
-    Returns ``(report, handle, finalize)``: feed every
+    Returns ``(report, handle, finalize)`` from the shared
+    :func:`~repro.api.lowering.fold_events`: feed every
     :class:`~repro.runtime.Event` — live from an executor or replayed from
     a serve journal — to ``handle``, then call ``finalize`` for the
-    store-ordered report.  One code path means a remotely executed volume
-    run's report is assembled exactly like a local one (a requeued serve
-    job replays its journal from the start; ``finalize`` keeps the last
-    merge per log).
+    store-ordered report.  The header starts from the plan's designs,
+    scenarios and log count; ``metadata`` extends or overrides it.
     """
-    report = BpDiagnosisReport(campaign=dict(metadata or {}))
-    bp_jobs = {
-        job.id: str(job.params["log"])
-        for job in plan.jobs
-        if job.kind == "bp-diagnosis"
+    header: dict[str, object] = {
+        "designs": list(plan.metadata.get("designs", [])),
+        "scenarios": list(plan.metadata.get("scenarios", [])),
+        "logs": len(plan.metadata.get("logs", [])),
+        **(metadata or {}),
     }
-    landed: dict[str, BpDiagnosisCell] = {}
 
-    def handle(event: Event) -> None:
-        log_name = bp_jobs.get(event.job) if event.job is not None else None
-        if log_name is not None and event.kind in ("job_finished", "job_skipped"):
-            result = event.value
-            if not isinstance(result, BpDiagnosisResult):
-                # The event wire degrades unpicklable values to a repr
-                # string and corrupt pickles to None; say so rather than
-                # die on an attribute below.
-                raise TypeError(
-                    f"volume cell for log {log_name!r} did not survive the "
-                    f"event wire: expected a BpDiagnosisResult, got "
-                    f"{type(result).__name__} ({str(result)[:80]!r})"
-                )
-            if event.kind == "job_skipped":
-                result.cache_hit = True
-            cell = BpDiagnosisCell.from_result(log_name, result)
-            landed[event.job] = report.add_cell(cell)
-            if on_cell is not None:
-                on_cell(cell)
-        if on_event is not None:
-            on_event(event)
+    def cell_of(job: Job, result: BpDiagnosisResult, cache_hit: bool) -> BpDiagnosisCell:
+        if cache_hit:
+            result.cache_hit = True
+        return BpDiagnosisCell.from_result(str(job.params["log"]), result)
 
-    def finalize() -> BpDiagnosisReport:
-        missing = [job_id for job_id in bp_jobs if job_id not in landed]
-        if missing:
-            raise PlanCancelled(
-                f"volume diagnosis cancelled before {len(missing)} log(s) "
-                f"completed (first: {bp_jobs[missing[0]]!r})"
-            )
-        # Store order, not completion order: pooled backends land cells as
-        # they finish, and the report must be identical across backends.
-        report.cells = [landed[job_id] for job_id in bp_jobs]
-        return report
-
-    return report, handle, finalize
+    return fold_events(
+        plan, BpDiagnosisReport(campaign=header), cell_of,
+        on_cell=on_cell, on_event=on_event,
+    )
 
 
 def execute_volume_plan(
@@ -584,83 +447,19 @@ def execute_volume_plan(
     """Run one compiled volume plan locally and assemble its report."""
     executor = executor or Executor()
     metadata = {
-        "designs": list(plan.metadata.get("designs", [])),
-        "scenarios": list(plan.metadata.get("scenarios", [])),
-        "logs": len(plan.metadata.get("logs", [])),
         "backend": executor.backend,
         "cached": executor.effective_cache(cache) is not None,
     }
     report, handle, finalize = volume_report_builder(
         plan, metadata=metadata, on_cell=on_cell, on_event=on_event
     )
-    result = executor.execute(plan, cache=cache, on_event=handle)
-    if result.fallbacks:
-        report.campaign["backend_fallbacks"] = list(result.fallbacks)
+    execute_plan(plan, executor, cache=cache, metadata=report.campaign, on_event=handle)
     return finalize()
 
 
 # --------------------------------------------------------------------------
 # Serve submission
 # --------------------------------------------------------------------------
-@dataclass
-class VolumeHandle:
-    """A volume plan submitted to a serve server via :func:`submit_volume`.
-
-    Holds the queue job id plus the compiled plan, which is what lets
-    :meth:`report` rebuild the :class:`BpDiagnosisReport` client-side from
-    the server's event journal — through the same merge path
-    :func:`execute_volume_plan` uses, so the two reports are identical for
-    identical inputs.
-    """
-
-    client: object
-    job_id: int
-    plan: Plan
-
-    def status(self) -> dict[str, object]:
-        """The job's queue-side status dict (state, attempts, summary...)."""
-        return self.client.status(self.job_id)  # type: ignore[attr-defined]
-
-    def cancel(self) -> str:
-        """Ask the server to cancel; returns the state after the request."""
-        return self.client.cancel(self.job_id)  # type: ignore[attr-defined]
-
-    def report(
-        self,
-        *,
-        timeout: "float | None" = None,
-        on_cell: "Callable[[BpDiagnosisCell], None] | None" = None,
-        on_event: "Callable[[Event], None] | None" = None,
-    ) -> BpDiagnosisReport:
-        """Wait for completion and assemble the volume report.
-
-        Streams the server's event journal (so ``on_cell``/``on_event``
-        see live progress exactly as with a local run) and finalizes the
-        store-ordered report.  Raises
-        :class:`~repro.runtime.PlanCancelled` if the job ended in any
-        state but ``done``.
-        """
-        metadata = {
-            "designs": list(self.plan.metadata.get("designs", [])),
-            "scenarios": list(self.plan.metadata.get("scenarios", [])),
-            "logs": len(self.plan.metadata.get("logs", [])),
-            "backend": "serve",
-            "cached": True,
-        }
-        report, handle, finalize = volume_report_builder(
-            self.plan, metadata=metadata, on_cell=on_cell, on_event=on_event
-        )
-        final = self.client.wait(  # type: ignore[attr-defined]
-            self.job_id, timeout=timeout, on_event=handle
-        )
-        if final["state"] != "done":
-            detail = f": {final['error']}" if final.get("error") else ""
-            raise PlanCancelled(
-                f"serve job {self.job_id} ended {final['state']!r}{detail}"
-            )
-        return finalize()
-
-
 def submit_volume(
     client,
     plan: Plan,
@@ -668,16 +467,20 @@ def submit_volume(
     tenant: str = "default",
     name: "str | None" = None,
     metadata: "Mapping[str, object] | None" = None,
-) -> VolumeHandle:
+) -> CampaignHandle:
     """Submit a compiled volume plan to a running serve server.
 
     The fire-and-forget counterpart of :func:`execute_volume_plan`: the
     identical plan ships to the server (declarative JSON plus pickled
     resource bindings — the fail logs ride along) and executes there,
-    against the tenant's persistent result cache.  Works with the PR-8
-    serve plane unchanged: a volume plan is just a plan.
+    against the tenant's persistent result cache.  The returned handle's
+    ``report()`` folds the journal into a :class:`BpDiagnosisReport`.
     """
     job_id = client.submit(
         plan, tenant=tenant, name=name or plan.name, metadata=metadata
     )
-    return VolumeHandle(client=client, job_id=job_id, plan=plan)
+    header = {"backend": "serve", "cached": True}
+    return CampaignHandle(
+        client, job_id, plan,
+        fold=lambda **callbacks: volume_report_builder(plan, metadata=header, **callbacks),
+    )

@@ -9,6 +9,7 @@ from repro.analyze import cross_check_with_classifier, prove_untestable, prune_f
 from repro.api import TestSession, design_names, get_scenario, prepare_from_spec
 from repro.atpg import AtpgOptions
 from repro.atpg.stuck_at import StuckAtAtpg
+from repro.engine.scheduler import BACKENDS
 from repro.faults.classify import ClassifierContext, FaultClassifier
 from repro.faults.fault_list import FaultList, FaultStatus
 from repro.faults.models import all_stuck_at_faults, all_transition_faults
@@ -119,7 +120,7 @@ def test_proofs_are_sound_against_unpruned_atpg(tiny_prepared):
 # ---------------------------------------------------------------------------
 # ATPG integration: bit-identical accounting across every backend
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("backends", [("serial", "compiled", "threads", "processes")])
+@pytest.mark.parametrize("backends", [BACKENDS])
 def test_pruned_coverage_bit_identical_across_backends(backends):
     results = {}
     for backend in backends:

@@ -62,7 +62,9 @@ class TestCampaignBuilder:
 
     def test_unknown_backend_rejected(self, fast_options):
         campaign = Campaign(["tiny"], ["a"], options=fast_options)
-        with pytest.raises(ValueError, match="unknown campaign backend"):
+        with pytest.raises(ValueError, match="unknown engine backend"):
+            campaign.with_backend("gpu")
+        with pytest.raises(ValueError, match="unknown engine backend"):
             campaign.diagnose([STUCK_SCAN_EN], backend="gpu")
 
     def test_run_rejects_positional_arguments(self, fast_options):
@@ -74,18 +76,22 @@ class TestCampaignBuilder:
             campaign.run(backend="threads")
 
     def test_diagnose_rejects_mixing_executor_with_sizing_knobs(self, fast_options):
+        """``diagnose``/``diagnose_volume`` take ``executor=`` only: the old
+        positional fan-out knobs and ``max_workers`` are gone."""
         campaign = Campaign(["tiny"], ["a"], options=fast_options)
-        with pytest.raises(ValueError, match="either executor="):
-            campaign.diagnose([STUCK_SCAN_EN], backend="threads", executor=Executor())
-        with pytest.raises(ValueError, match="either executor="):
-            campaign.diagnose_volume([], max_workers=2, executor=Executor())
+        with pytest.raises(TypeError):
+            campaign.diagnose([STUCK_SCAN_EN], "threads", executor=Executor())
+        with pytest.raises(TypeError):
+            campaign.diagnose([STUCK_SCAN_EN], max_workers=2, executor=Executor())
+        with pytest.raises(TypeError):
+            campaign.diagnose_volume([], None, "threads", executor=Executor())
 
     def test_with_backend_rejects_non_positive_pool_knobs(self, fast_options):
         campaign = Campaign(["tiny"], ["a"], options=fast_options)
         with pytest.raises(ValueError, match=r"shards must be a positive integer \(got 0\)"):
             campaign.with_backend("processes", shards=0)
         with pytest.raises(ValueError, match=r"workers must be a positive integer \(got -2\)"):
-            campaign.with_backend("threads", workers=-2)
+            campaign.with_backend("processes", workers=-2)
 
 
 class TestCampaignResults:
@@ -198,6 +204,20 @@ class TestCampaignCacheResume:
         assert report.cache_hits() == 0
 
 
+class TestSharedKeys:
+    def test_session_and_campaign_share_pattern_and_diagnosis_keys(self, fast_options):
+        """On a spec-built design both front doors take the design identity
+        from the spec fingerprint, so they address the same cache entries."""
+        session = TestSession.for_design("tiny", options=fast_options)
+        campaign = Campaign(["tiny"], ["a"], options=fast_options)
+        session_plan = session.diagnosis_plan(STUCK_SCAN_EN, scenario="a")
+        campaign_plan = campaign.diagnosis_plan([STUCK_SCAN_EN])
+        assert session_plan.jobs[0].cache_key == campaign_plan.jobs[0].cache_key
+        assert session_plan.jobs[1].cache_key == campaign_plan.jobs[1].cache_key
+        session.add_scenario("table1-a")
+        assert session.plan().jobs[0].cache_key == campaign.plan().jobs[0].cache_key
+
+
 class TestWireDegradedResults:
     def test_report_builder_rejects_degraded_event_values(self, fast_options):
         """A serve journal degrades unpicklable run values to a repr string
@@ -208,9 +228,7 @@ class TestWireDegradedResults:
         campaign = Campaign(designs=["tiny"], scenarios=["a"],
                             options=fast_options)
         plan = campaign.plan()
-        _, handle, _ = campaign._report_builder(
-            plan, metadata={}, cached=False
-        )
+        _, handle, _ = campaign._fold(plan, {"cached": False})
         for degraded in ("ScenarioRun(...)", None):
             event = Event(kind="job_finished", plan=plan.name,
                           job=plan.jobs[0].id, value=degraded)

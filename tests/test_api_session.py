@@ -25,7 +25,7 @@ def table1_session(fast_options):
         .with_options(fast_options)
         .add_scenarios(*scenarios.table1())
     )
-    report = session.run(backend="threads")
+    report = session.run(executor=Executor(backend="threads"))
     return session, report
 
 
@@ -108,7 +108,7 @@ class TestExtendedScenarios:
             .with_options(fast_options)
             .add_scenarios(*scenarios.extended())
         )
-        report = session.run(backend="threads")
+        report = session.run(executor=Executor(backend="threads"))
         return session, report
 
     def test_at_least_four_run_end_to_end(self, extended_report):
@@ -168,10 +168,12 @@ class TestSessionBuilder:
             session.run(["table1-c"])
 
     def test_run_rejects_mixing_executor_with_sizing_knobs(self):
+        """``run`` takes ``executor=`` only: the backend/max_workers knobs
+        are gone."""
         session = TestSession.for_soc(size=1).add_scenario("table1-a")
-        with pytest.raises(ValueError, match="either executor="):
+        with pytest.raises(TypeError):
             session.run(backend="threads", executor=Executor())
-        with pytest.raises(ValueError, match="either executor="):
+        with pytest.raises(TypeError):
             session.run(max_workers=2, executor=Executor())
 
     def test_with_backend_rejects_non_positive_pool_knobs(self, tiny_prepared):
@@ -180,7 +182,7 @@ class TestSessionBuilder:
         with pytest.raises(ValueError, match=r"shards must be a positive integer \(got 0\)"):
             session.with_backend("processes", shards=0)
         with pytest.raises(ValueError, match=r"workers must be a positive integer \(got -2\)"):
-            session.with_backend("threads", workers=-2)
+            session.with_backend("processes", workers=-2)
         with pytest.raises(ValueError, match=r"workers must be a positive integer \(got 0\)"):
             Executor(backend="processes", max_workers=0)
 
@@ -250,7 +252,7 @@ class TestSessionBuilder:
             .add_scenario("table1-a")
         )
         session.custom_tag = "caller-state"
-        report = session.run(backend=backend)
+        report = session.run(executor=Executor(backend=backend))
         assert report["a"].extras["tag"] == "caller-state"
 
     def test_trimmed_pipeline_respected_by_process_workers(
@@ -269,7 +271,7 @@ class TestSessionBuilder:
             )
 
         serial = trimmed().run()
-        processes = trimmed().run(backend="processes")
+        processes = trimmed().run(executor=Executor(backend="processes"))
         for key in ("a", "b"):
             assert set(processes[key].stage_seconds) == {"setup", "atpg"}
         assert processes.same_results(serial)

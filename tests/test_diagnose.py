@@ -411,6 +411,37 @@ class TestSessionDiagnose:
         assert again.cache_hit
         assert again.same_ranking(first)
 
+    def test_external_fail_log_is_content_addressed(self, diagnosis_env, tmp_path):
+        """A classical diagnosis of a tester log is keyed on the log's
+        content: the same log re-diagnosed in a fresh session (here after a
+        text round trip) is a cache hit; a different log is not."""
+        session, spec, run, setup = diagnosis_env
+        prepared = session.prepared
+        defect = detected_defect(session, session.result_of("table1-a"))
+        log = capture_fail_log(
+            prepared.model, prepared.domain_map, prepared.scan, setup,
+            run.patterns, defect,
+        )
+        other = capture_fail_log(
+            prepared.model, prepared.domain_map, prepared.scan, setup,
+            run.patterns, DefectSpec(kind="stuck-at", net="scan_en", value=1),
+        )
+        assert other.to_dict() != log.to_dict()
+
+        def diagnose(fail_log):
+            return (
+                TestSession.for_design("tiny", options=CHEAP)
+                .with_cache(tmp_path / "cache")
+                .diagnose(DiagnosisSpec(scenario=spec.name), fail_log=fail_log)
+            )
+
+        cold = diagnose(log)
+        assert not cold.cache_hit
+        warm = diagnose(parse_fail_log(log.to_text()))
+        assert warm.cache_hit
+        assert warm.same_ranking(cold)
+        assert not diagnose(other).cache_hit
+
     def test_ad_hoc_scenario_spec_object(self):
         """An unregistered ScenarioSpec drives diagnosis without a registry hit."""
         session = TestSession.for_design("tiny", options=CHEAP)
@@ -422,7 +453,7 @@ class TestSessionDiagnose:
         assert result.rank_of_defect == 1
 
     def test_custom_stage_pipeline_never_served_default_cache(self, tmp_path):
-        """diagnosis_key folds in the stage pipeline, like the scenario cache."""
+        """The diagnosis key folds in the stage pipeline, like the scenario cache."""
         defect = DefectSpec(kind="stuck-at", net="scan_en", value=1)
         first = (
             TestSession.for_design("tiny", options=CHEAP)
@@ -475,7 +506,7 @@ class TestSessionDiagnose:
 
     def test_campaign_diagnose_resume_never_builds_designs(self, tmp_path, monkeypatch):
         """A fully cached diagnosis sweep must stream without any design build."""
-        import repro.api.campaign as campaign_mod
+        import repro.api.session as session_mod
         from repro.api import Campaign
 
         defects = [DefectSpec(kind="stuck-at", net="scan_en", value=1)]
@@ -483,10 +514,11 @@ class TestSessionDiagnose:
                 .with_cache(tmp_path / "cache").diagnose(defects))
         assert cold.cache_hits() == 0
 
-        def forbidden(self):
+        def forbidden(*args, **kwargs):
             raise AssertionError("design build during a fully cached resume")
 
-        monkeypatch.setattr(campaign_mod._DesignEntry, "materialize", forbidden)
+        # Every campaign design build goes through materialize_design.
+        monkeypatch.setattr(session_mod, "prepare_from_spec", forbidden)
         warm = (Campaign(designs=["tiny"], scenarios=["a"], options=CHEAP)
                 .with_cache(tmp_path / "cache").diagnose(defects))
         assert warm.cache_hits() == len(warm.cells) == 1

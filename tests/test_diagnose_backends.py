@@ -3,8 +3,8 @@ bit-identical candidate rankings across all four engine backends.
 
 For each registered design and each defect family (stuck-at, transition,
 inter-domain) a single defect is injected, its fail log captured, and the
-Table 1 scenario's pattern set diagnosed on serial / compiled / threads /
-processes — every backend (and shard count) must produce the identical
+Table 1 scenario's pattern set diagnosed on every engine backend
+(``repro.engine.scheduler.BACKENDS``) — every backend (and shard count) must produce the identical
 ranking, with the injected defect at rank 1.
 """
 
@@ -17,9 +17,8 @@ from repro.api.design import design_names
 from repro.api.scenarios import table1_scenario
 from repro.atpg import AtpgOptions
 from repro.diagnose import DefectSpec, DiagnosisSpec, capture_fail_log, run_diagnosis
+from repro.engine.scheduler import BACKENDS as ALL_BACKENDS
 from repro.faults.fault_list import FaultStatus
-
-ALL_BACKENDS = ("serial", "compiled", "threads", "processes")
 
 #: Minimal ATPG effort: diagnosis needs a *detected* defect, not coverage.
 ULTRA = AtpgOptions(
@@ -125,7 +124,7 @@ def test_shard_count_does_not_change_rankings(shards):
         DiagnosisSpec(scenario=spec.name, defect=defect, backend="compiled"),
         options=ULTRA,
     )
-    for backend in ("threads", "processes"):
+    for backend in ("processes",):
         sharded = run_diagnosis(
             session.prepared, setup, run.patterns,
             DiagnosisSpec(scenario=spec.name, defect=defect, backend=backend),

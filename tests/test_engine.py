@@ -16,14 +16,15 @@ from repro.engine import (
     ENGINE_VERSION,
     FaultSimScheduler,
     ResultCache,
+    campaign_cell_key,
     compile_circuit,
     design_fingerprint,
-    scenario_key,
     spec_fingerprint,
 )
 from repro.faults import all_stuck_at_faults, collapse_faults
 from repro.fault_sim.stuck_at import propagate_fault_packed
 from repro.logic import Logic
+from repro.runtime import Executor
 from repro.simulation import build_model
 from repro.simulation.parallel_sim import pack_patterns, simulate_packed
 
@@ -119,8 +120,8 @@ class TestSchedulerPlumbing:
 
     def test_run_backend_validated(self):
         session = TestSession.for_soc(size=1).add_scenario("table1-a")
-        with pytest.raises(ValueError, match="unknown run backend"):
-            session.run(backend="fpga")
+        with pytest.raises(ValueError, match="unknown executor backend"):
+            session.run(executor=Executor(backend="fpga"))
 
     def test_spec_backend_reaches_setup_options(self):
         spec = table1_scenario("a").with_overrides(backend="serial", rng_seed=99)
@@ -190,7 +191,7 @@ class TestFingerprints:
 
     def test_scenario_key_covers_engine_version(self):
         model = build_model(random_combinational(6, 30, 3, seed=2))
-        key = scenario_key(model, table1_scenario("a"), AtpgOptions())
+        key = campaign_cell_key(design_fingerprint(model), table1_scenario("a"), AtpgOptions())
         assert len(key) == 64
         assert ENGINE_VERSION  # the key embeds it; bumping it must invalidate
 

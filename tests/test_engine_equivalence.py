@@ -19,6 +19,7 @@ from repro.atpg.random_fill import random_pattern_batch
 from repro.circuits import random_sequential
 from repro.clocking import ClockDomain, ClockDomainMap, external_clock_procedures
 from repro.dft import insert_scan
+from repro.engine.scheduler import BACKENDS as ALL_BACKENDS
 from repro.fault_sim import StuckAtFaultSimulator, TransitionFaultSimulator
 from repro.faults import (
     all_stuck_at_faults,
@@ -26,9 +27,8 @@ from repro.faults import (
     collapse_faults,
 )
 from repro.logic import Logic
+from repro.runtime import Executor
 from repro.simulation import build_model
-
-ALL_BACKENDS = ("serial", "compiled", "threads", "processes")
 
 
 def _random_design(seed):
@@ -84,7 +84,7 @@ def test_stuck_at_detection_masks_identical_across_backends(seed):
     faults = collapse_faults(model, all_stuck_at_faults(model)).representatives
     patterns = _flat_patterns(model, seed)
     reference = None
-    for backend in ("serial", "compiled", "threads"):
+    for backend in ALL_BACKENDS:
         simulator = StuckAtFaultSimulator(
             model, batch_size=8, backend=backend, shard_count=3, max_workers=2
         )
@@ -157,7 +157,7 @@ def test_shard_count_does_not_change_results(shard_count):
     baseline = StuckAtFaultSimulator(model, backend="compiled")
     expected = baseline.simulate(patterns, faults).detections
     sharded = StuckAtFaultSimulator(
-        model, backend="threads", shard_count=shard_count, max_workers=2
+        model, backend="processes", shard_count=shard_count, max_workers=2
     )
     sharded.scheduler.spill_threshold = 0
     try:
@@ -183,7 +183,7 @@ class TestSessionLevelEquivalence:
             .with_backend(sim_backend)
             .add_scenarios("table1-a", "table1-c")
         )
-        report = session.run(backend=run_backend)
+        report = session.run(executor=Executor(backend=run_backend))
         return [
             (o.scenario, round(o.test_coverage, 6), round(o.fault_coverage, 6),
              o.pattern_count)

@@ -49,17 +49,14 @@ def test_one_changed_kernel_byte_changes_the_version(tmp_path):
 
 
 def _all_keys(model) -> dict[str, str]:
+    design = engine_cache.design_fingerprint(model)
     return {
-        "campaign_cell_key": engine_cache.campaign_cell_key("design", "scenario"),
-        "scenario_key": engine_cache.scenario_key(model, "scenario"),
-        "diagnosis_cell_key": engine_cache.diagnosis_cell_key(
-            "design", "scenario", "diagnosis"
+        "campaign_cell_key": engine_cache.campaign_cell_key(design, "scenario"),
+        "diagnosis_key": engine_cache.diagnosis_key(design, "scenario", {"spec": {}}),
+        "diagnosis_key[log]": engine_cache.diagnosis_key(
+            design, "scenario", {"spec": {}}, log_fp="log"
         ),
-        "diagnosis_key": engine_cache.diagnosis_key(model, "scenario", "diagnosis"),
-        "bp_diagnosis_key": engine_cache.bp_diagnosis_key(
-            "design", "scenario", "diagnosis", log_fp="log"
-        ),
-        "job_key": engine_cache.job_key("kind", {"x": 1}, design_fp="design"),
+        "job_key": engine_cache.job_key("kind", {"x": 1}, design_fp=design),
     }
 
 

@@ -5,8 +5,8 @@ The hierarchical compiler (:mod:`repro.hier.compile`) is only admissible
 because it changes *where* closures are built, never *what* they compute.
 This suite holds it to that bar at ``hier-soc-10k`` scale for fault
 simulation, legacy diagnosis and one volume BP diagnosis — hier versus the
-flat reference (``model.without_hierarchy()``), serial/compiled/threads/
-processes, shard counts 1 and 4.
+flat reference (``model.without_hierarchy()``), every engine backend,
+shard counts 1 and 4.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from repro.api.design import prepare_from_spec
 from repro.atpg import AtpgOptions
 from repro.atpg.random_fill import random_pattern_batch
 from repro.diagnose import DefectSpec, DiagnosisSpec, capture_fail_log, run_diagnosis
+from repro.engine.scheduler import BACKENDS as ALL_BACKENDS
 from repro.fault_sim import StuckAtFaultSimulator
 from repro.faults import all_stuck_at_faults, collapse_faults
 from repro.hier.compile import HierCompiledCircuit
@@ -29,8 +30,6 @@ from repro.hier.designs import HIER_SOC_10K
 from repro.logic import Logic
 from repro.patterns.pattern import PatternSet
 from repro.volume import run_bp_diagnosis
-
-ALL_BACKENDS = ("serial", "compiled", "threads", "processes")
 
 #: Diagnosis needs a detected defect, not coverage.
 ULTRA = AtpgOptions(
@@ -133,7 +132,7 @@ def test_shard_count_does_not_change_results(shard_count):
     prepared, faults, patterns = env()
     expected = _expected_detections()
     simulator = StuckAtFaultSimulator(
-        prepared.model, batch_size=8, backend="threads",
+        prepared.model, batch_size=8, backend="processes",
         shard_count=shard_count, max_workers=2,
     )
     simulator.scheduler.spill_threshold = 0
@@ -229,7 +228,7 @@ def test_bp_diagnosis_identical_flat_vs_hier():
                       backend="compiled"),
         options=ULTRA,
     )
-    for backend in ("serial", "compiled", "threads"):
+    for backend in ALL_BACKENDS:
         result = run_bp_diagnosis(
             prepared, setup, patterns,
             DiagnosisSpec(scenario="hier-identity", defect=defect,

@@ -422,7 +422,7 @@ class TestFaultShardSpans:
         faults = collapse_faults(model, all_stuck_at_faults(model)).representatives
         return model, patterns, faults
 
-    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    @pytest.mark.parametrize("backend", ["processes"])
     def test_shard_spans_recorded_without_changing_masks(self, backend):
         model, patterns, faults = self._workload()
         baseline = StuckAtFaultSimulator(model, backend="compiled")

@@ -72,7 +72,9 @@ class TestSessionEquivalence:
         self, prepared_designs, reference_reports, backend
     ):
         for name in DESIGNS:
-            report = _session(prepared_designs[name]).run(backend=backend)
+            report = _session(prepared_designs[name]).run(
+                executor=Executor(backend=backend)
+            )
             reference = reference_reports[name]
             assert report.table() == reference.table(), (name, backend)
             assert report.same_results(reference), (name, backend)

@@ -242,7 +242,7 @@ class TestCampaignVolume:
         assert "recovered all defects: 3/3" in report.summary()
         pooled = Campaign(
             designs=["tiny"], scenarios=["a"], options=ULTRA
-        ).diagnose_volume(store, backend="processes", max_workers=2)
+        ).diagnose_volume(store, executor=Executor(backend="processes", max_workers=2))
         assert pooled.same_results(report)
 
     def test_report_json_round_trip(self, tmp_path):
@@ -338,7 +338,7 @@ class TestVolumeKillResume:
                 if len(finished) == 10:
                     executor.cancel()
 
-        with pytest.raises(PlanCancelled, match="volume diagnosis cancelled"):
+        with pytest.raises(PlanCancelled, match="'volume-diagnosis' cancelled before"):
             execute_volume_plan(plan, executor=executor, on_event=killer)
         assert executor.cancelled
         assert len(finished) >= 10
@@ -522,6 +522,27 @@ class TestSessionBpDiagnose:
             session.diagnose([d1], scenario="a", defects=[d2])
         with pytest.raises(ValueError, match="empty"):
             session.diagnose([], scenario="a")
+
+    def test_bp_diagnosis_keeps_its_pattern_run(self):
+        """The BP path records the provider's run like the classical one: a
+        second diagnosis is seeded from the artifact instead of re-running
+        ATPG, and ``result_of`` works afterwards."""
+        (defect,) = visible_defects(1)
+        session = TestSession.for_design("tiny", options=ULTRA)
+        first = session.diagnose(defect, scenario="a", bp=True)
+        assert sorted(session.artifacts) == ["table1-a"]
+        kept = session.artifacts["table1-a"]
+        assert session.result_of("table1-a").pattern_count == len(kept.patterns)
+
+        events: list = []
+        second = session.diagnose(
+            defect, scenario="a", bp=True, on_event=events.append
+        )
+        provider = session.diagnosis_plan(defect, scenario="a").jobs[0].id
+        assert [e.reason for e in events if e.job == provider] == ["seed"]
+        assert not any(e.kind == "job_started" and e.job == provider for e in events)
+        assert session.artifacts["table1-a"] is kept
+        assert second.same_ranking(first)
 
     def test_bp_results_cache_across_sessions(self, tmp_path):
         (defect,) = visible_defects(1)

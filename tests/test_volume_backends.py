@@ -5,7 +5,7 @@ engine backends and shard counts, and multi-defect set recovery.
 Mirrors ``tests/test_diagnose_backends.py``: one defect per family is
 injected per design, its fail log captured, and the BP diagnosis must put
 it at rank 1 (matching or beating the classical ranking) with an identical
-candidate table on serial / compiled / threads / processes.
+candidate table on every engine backend (``repro.engine.scheduler.BACKENDS``).
 """
 
 from __future__ import annotations
@@ -17,10 +17,9 @@ from repro.api.design import design_names
 from repro.api.scenarios import table1_scenario
 from repro.atpg import AtpgOptions
 from repro.diagnose import DefectSpec, DiagnosisSpec, capture_fail_log, run_diagnosis
+from repro.engine.scheduler import BACKENDS as ALL_BACKENDS
 from repro.faults.fault_list import FaultStatus
 from repro.volume import run_bp_diagnosis
-
-ALL_BACKENDS = ("serial", "compiled", "threads", "processes")
 
 #: Minimal ATPG effort: diagnosis needs a *detected* defect, not coverage.
 ULTRA = AtpgOptions(
@@ -136,7 +135,7 @@ def test_bp_shard_count_does_not_change_rankings(shards):
         DiagnosisSpec(scenario=spec.name, defect=defect, backend="compiled"),
         options=ULTRA,
     )
-    for backend in ("threads", "processes"):
+    for backend in ("processes",):
         sharded = run_bp_diagnosis(
             session.prepared, setup, run.patterns,
             DiagnosisSpec(scenario=spec.name, defect=defect, backend=backend),
