@@ -4,7 +4,7 @@
 The library's top layer is declarative: *scenarios* (named test-generation
 configurations) run through a :class:`repro.api.TestSession`, which owns
 design preparation and executes each scenario through the
-``setup -> atpg -> compaction -> compression -> export`` stage pipeline.
+fixed ``setup -> atpg -> compaction -> compression -> export`` pipeline.
 
 This walks through the three core moves:
 

@@ -10,13 +10,15 @@ results, in four pieces:
 * :class:`~repro.api.design.DesignSpec` and the design registry — named,
   declarative device-under-test configurations (the paper's SoC ships as
   ``table1-soc``, alongside variant families: ``tiny``, ``wide-edt``,
-  ``many-domain``, ``interdomain-heavy``), built through a staged
-  ``build -> scan -> clocking -> model`` pipeline into a
-  :class:`~repro.api.design.PreparedDesign` (the ATPG view);
+  ``many-domain``, ``interdomain-heavy``), built by
+  :func:`~repro.api.design.prepare_from_spec` (``build -> scan -> clocking
+  -> model``) into a :class:`~repro.api.design.PreparedDesign` (the ATPG
+  view);
 * :class:`~repro.api.session.TestSession` — a fluent builder that owns
   design preparation, shares the prepared/instrumented views across
-  scenarios, and executes each through a pluggable stage pipeline, serially
-  or in parallel;
+  scenarios, and executes each through the fixed ``setup -> atpg ->
+  compaction -> compression -> export`` pipeline
+  (:func:`~repro.api.session.execute_scenario`), serially or in parallel;
 * :class:`~repro.api.campaign.Campaign` — design×scenario grid sweeps over
   the engine's backends, with per-cell persistent caching (resumable
   campaigns) and a streaming :class:`~repro.api.campaign.CampaignReport`.
@@ -51,15 +53,10 @@ from repro.api.campaign import (
     CampaignCell,
     CampaignHandle,
     CampaignReport,
-    resolve_campaign_scenario,
 )
 from repro.api.design import (
-    DESIGN_STAGES,
-    DesignBuild,
     DesignNotFound,
-    DesignPipeline,
     DesignSpec,
-    DesignStage,
     DomainSpec,
     PreparedDesign,
     all_designs,
@@ -70,10 +67,9 @@ from repro.api.design import (
     prepare_from_spec,
     register_design,
     resolve_design,
-    stage_lint,
     unregister_design,
 )
-from repro.api.report import RunReport, ScenarioOutcome, merge_reports
+from repro.api.report import RunReport, ScenarioOutcome
 from repro.api.scenario import (
     FAULT_MODELS,
     ProcedureFactory,
@@ -87,31 +83,20 @@ from repro.api.scenario import (
     unregister_scenario,
 )
 from repro.api.session import (
-    DEFAULT_STAGES,
     ScenarioRun,
-    Stage,
     TestSession,
+    execute_scenario,
     outcome_of,
-    stage_atpg,
-    stage_compaction,
-    stage_compression,
-    stage_export,
-    stage_setup,
 )
 
 __all__ = [
-    "DEFAULT_STAGES",
-    "DESIGN_STAGES",
     "FAULT_MODELS",
     "Campaign",
     "CampaignCell",
     "CampaignHandle",
     "CampaignReport",
-    "DesignBuild",
     "DesignNotFound",
-    "DesignPipeline",
     "DesignSpec",
-    "DesignStage",
     "DomainSpec",
     "PreparedDesign",
     "ProcedureFactory",
@@ -120,31 +105,23 @@ __all__ = [
     "ScenarioOutcome",
     "ScenarioRun",
     "ScenarioSpec",
-    "Stage",
     "TestSession",
     "all_designs",
     "all_scenarios",
     "design_names",
+    "execute_scenario",
     "get_design",
     "get_scenario",
     "instrument_soc",
-    "merge_reports",
     "outcome_of",
     "prepare_design",
     "prepare_from_spec",
     "register_design",
     "register_scenario",
-    "resolve_campaign_scenario",
     "resolve_design",
     "resolve_scenario",
     "scenario_names",
     "scenarios",
-    "stage_atpg",
-    "stage_compaction",
-    "stage_compression",
-    "stage_export",
-    "stage_lint",
-    "stage_setup",
     "unregister_design",
     "unregister_scenario",
 ]

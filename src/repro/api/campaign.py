@@ -13,7 +13,7 @@ registered scenarios::
     )
     print(report.table("table1-soc"))   # byte-compatible with format_table1
 
-Each cell (one design, one scenario) executes the same stage pipeline a
+Each cell (one design, one scenario) executes the same scenario pipeline a
 :class:`~repro.api.session.TestSession` runs, so a one-design campaign and a
 session produce identical outcomes.  The campaign itself is a *plan
 compiler*: :meth:`Campaign.plan` and :meth:`Campaign.diagnosis_plan` lower
@@ -23,8 +23,8 @@ What the campaign layer adds:
 
 * **declarative device axis** — designs are
   :class:`~repro.api.design.DesignSpec` values resolved from the design
-  registry, built through the staged design pipeline once per design (and
-  once per worker on the process backend);
+  registry, built (:func:`~repro.api.design.prepare_from_spec`) once per
+  design (and once per worker on the process backend);
 * **cache-backed resume** — with :meth:`with_cache`, every cell job carries
   an engine cache key derived from the *spec* fingerprint
   (:func:`repro.engine.cache.campaign_cell_key`), so a re-run of an
@@ -58,19 +58,13 @@ from repro.api.lowering import (
 from repro.api.report import RunReport, ScenarioOutcome
 from repro.api.scenario import ScenarioSpec
 from repro.api.scenarios import resolve_scenario_or_letter
-from repro.api.session import DEFAULT_STAGES, ScenarioRun, materialize_design, outcome_of
+from repro.api.session import ScenarioRun, materialize_design, outcome_of, spill_run
 from repro.atpg.config import AtpgOptions
 from repro.atpg.generator import AtpgResult
 from repro.engine.cache import ResultCache, coerce_cache
-from repro.engine.scheduler import BACKENDS, validate_pool_size
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry, coerce_telemetry
 from repro.patterns.store import PatternStore
 from repro.runtime import Event, Executor, Job, Plan
-
-
-def resolve_campaign_scenario(spec_or_name: "ScenarioSpec | str") -> ScenarioSpec:
-    """Scenario lookup that also accepts the paper's experiment letters."""
-    return resolve_scenario_or_letter(spec_or_name)
 
 
 # --------------------------------------------------------------------------
@@ -252,7 +246,7 @@ class Campaign:
         options: AtpgOptions | None = None,
     ) -> None:
         entries = [_design_entry(design) for design in designs]
-        self._scenarios = [resolve_campaign_scenario(item) for item in scenarios]
+        self._scenarios = [resolve_scenario_or_letter(item) for item in scenarios]
         if not entries:
             raise ValueError("a campaign needs at least one design")
         if not self._scenarios:
@@ -293,35 +287,15 @@ class Campaign:
     def with_options(
         self, options: AtpgOptions | None = None, **knobs: object
     ) -> "Campaign":
-        """Set the campaign's ATPG options, or tweak individual knobs."""
+        """Set the campaign's ATPG options, or tweak individual knobs
+        (``sim_backend``/``sim_shards``/``sim_workers`` select the engine
+        backend fault simulation runs on inside each cell)."""
         if options is not None and knobs:
             raise ValueError("pass either an AtpgOptions object or keyword knobs")
         if options is not None:
             self.options = options
         else:
             self.options = replace(self.options, **knobs)  # type: ignore[arg-type]
-        return self
-
-    def with_backend(
-        self,
-        backend: str,
-        *,
-        shards: int | None = None,
-        workers: int | None = None,
-    ) -> "Campaign":
-        """Select the engine backend fault simulation runs on inside each cell."""
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"unknown engine backend {backend!r} (expected one of {BACKENDS})"
-            )
-        validate_pool_size("shards", shards)
-        validate_pool_size("workers", workers)
-        changes: dict[str, object] = {"sim_backend": backend}
-        if shards is not None:
-            changes["sim_shards"] = shards
-        if workers is not None:
-            changes["sim_workers"] = workers
-        self.options = replace(self.options, **changes)  # type: ignore[arg-type]
         return self
 
     def with_cache(self, cache: "ResultCache | str | bool | None" = True) -> "Campaign":
@@ -342,16 +316,16 @@ class Campaign:
         *,
         stream: bool = False,
     ) -> "Campaign":
-        """Spill every executed cell's patterns to a disk-backed store.
+        """Spill every landed grid cell's patterns to a disk-backed store.
 
-        Each cell's pattern set lands in the
-        :class:`~repro.patterns.store.PatternStore` grouped by
-        ``(design, scenario)`` — written once per group, so an interrupted
-        campaign resumed over the same store does not duplicate.  With
-        ``stream=True`` the runs' in-memory sets are replaced by the
-        store's lazy views (memory-bounded at SoC scale; prefer the sqlite
-        backend for process fan-out).  Cache-served cells skip their jobs
-        entirely and therefore do not spill.
+        Each cell's pattern set — executed or served from the cache — lands
+        in the :class:`~repro.patterns.store.PatternStore` grouped by
+        ``(design, scenario)`` as the cell folds into the report
+        (:func:`~repro.api.session.spill_run`): written once per group, so
+        an interrupted campaign resumed over the same store does not
+        duplicate.  With ``stream=True`` the kept runs' in-memory sets are
+        replaced by the store's lazy views (memory-bounded at SoC scale).
+        Diagnosis and volume pattern providers do not spill.
         """
         self._pattern_store = (
             store
@@ -367,7 +341,7 @@ class Campaign:
         """Attach an observability plane to this campaign's executions.
 
         ``run()``/``diagnose()`` activate it around their plan execution —
-        every layer below (executor waves, stage pipelines, ATPG, fault-sim
+        every layer below (executor waves, scenario pipelines, ATPG, fault-sim
         shards, the cache) records spans and counters into it, and the
         report's ``campaign["telemetry"]`` carries the metrics snapshot.
         Accepts a :class:`~repro.obs.Telemetry`, ``True`` (fresh enabled)
@@ -484,9 +458,8 @@ class Campaign:
         so process workers (and cache-resumed runs) only build the designs
         their jobs actually touch.
         """
-        resources: dict[str, object] = {
+        return {
             "options": self.options,
-            "stages": tuple(DEFAULT_STAGES),
             "designs": {
                 name: self._built.get(name, design)
                 for name, design in self._designs.items()
@@ -494,10 +467,6 @@ class Campaign:
             "scenarios": {spec.name: spec for spec in self._scenarios},
             "_materialized": self._built,
         }
-        if self._pattern_store is not None:
-            resources["pattern_store"] = str(self._pattern_store.path)
-            resources["pattern_store_stream"] = self._pattern_store_stream
-        return resources
 
     def _execute(self, plan: Plan, executor: Executor, report, handle) -> None:
         """The shared execute step, bound to this campaign's cache and
@@ -709,10 +678,7 @@ class Campaign:
         if scenario is None:
             scenario_name = self._scenarios[0].name
         else:
-            scenario_name = (
-                scenario.name if isinstance(scenario, ScenarioSpec)
-                else resolve_campaign_scenario(scenario).name
-            )
+            scenario_name = resolve_scenario_or_letter(scenario).name
         if spec is None:
             spec = VolumeSpec(scenario=scenario_name, **spec_overrides)  # type: ignore[arg-type]
         elif spec_overrides or scenario is not None:
@@ -724,7 +690,6 @@ class Campaign:
             resources["scenarios"],
             spec,
             options=self.options,
-            stages=resources["stages"],
         )
 
     def diagnose_volume(
@@ -856,16 +821,20 @@ class Campaign:
 
         Shared by :meth:`run` and the serve handle, so a remotely executed
         campaign's report is assembled exactly like a local one.  Each
-        landed cell's run is kept in :attr:`artifacts`; with a cache in
-        effect (``metadata["cached"]``) it carries its cache provenance.
+        landed cell's run is spilled to the pattern store (if attached) and
+        kept in :attr:`artifacts`; with a cache in effect
+        (``metadata["cached"]``) it carries its cache provenance.
         """
         cached = bool(metadata["cached"])
 
         def cell_of(job: Job, run: ScenarioRun, cache_hit: bool) -> CampaignCell:
+            design, scenario = job.params["design"], job.params["scenario"]
+            run = spill_run(
+                run, self._pattern_store, design, stream=self._pattern_store_stream
+            )
             key = job.cache_key if cached else None
             if key is not None:
                 run.cache_info = {"hit": cache_hit, "key": key}
-            design, scenario = job.params["design"], job.params["scenario"]
             self.artifacts[(design, scenario)] = run
             return CampaignCell(
                 design=design,

@@ -1,5 +1,5 @@
-"""Declarative design specifications, the design registry, and the staged
-design pipeline.
+"""Declarative design specifications, the design registry, and design
+preparation.
 
 A :class:`DesignSpec` captures everything that defines a device under
 test — SOC geometry (size, seed, clock-domain and PLL layout), the scan
@@ -11,11 +11,11 @@ registering one makes it runnable by name through
 :class:`~repro.api.session.TestSession` and :class:`~repro.api.campaign.Campaign`
 without any call site learning a new code path.
 
-Preparation runs as a staged pipeline (``build -> scan -> clocking ->
-model``, see :data:`DESIGN_STAGES`); each stage reads the spec and extends a
-:class:`DesignBuild` context, and custom stages can be spliced in through
-:class:`DesignPipeline`.  The result is a :class:`PreparedDesign`, the *ATPG
-view* every scenario executes against.  :func:`prepare_design` (the ad-hoc
+Preparation (:func:`prepare_from_spec`) runs the fixed sequence ``build ->
+scan -> clocking -> model``, each step timed into
+``PreparedDesign.build_seconds`` and traced as a ``design:<step>`` span.
+The result is a :class:`PreparedDesign`, the *ATPG view* every scenario
+executes against.  :func:`prepare_design` (the ad-hoc
 ``size``/``seed``/``num_chains`` knobs, used by ``TestSession.for_soc``) is a
 thin wrapper over :func:`prepare_from_spec`, and :func:`instrument_soc`
 produces the Figure 1 top level with one CPF per functional clock domain.
@@ -31,8 +31,9 @@ from __future__ import annotations
 
 import json
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Mapping
+from typing import Iterator, Mapping
 
 from repro.circuits.soc import SocDesign, build_soc
 from repro.clocking.cpf import InsertedCpf, insert_cpf
@@ -104,20 +105,20 @@ class DesignSpec:
         num_chains: Balanced scan chains to stitch.
         edt: Optional declarative EDT compression contract; when set, the
             prepared design carries a default :class:`EdtArchitecture` that
-            the session's compression stage uses for scenarios that do not
+            the session's compression step uses for scenarios that do not
             pin their own channel count.
         occ_style: CPF/OCC flavour — "simple" (fixed two-pulse) or
             "enhanced" (programmable pulse count/delay).
         trigger_latency: PLL cycles between trigger and first at-speed pulse.
         reset_net: Name of the system reset primary input.
-        hier_cores: When positive, the build stage runs the *hierarchical*
+        hier_cores: When positive, the build step runs the *hierarchical*
             SOC generator (:func:`repro.circuits.hier_soc.build_hier_soc`)
             with this many repeated core instances instead of the flat
             generator — the ``hier-soc-*`` scaling families.
         hier_core_gates: Combinational gates per hierarchical core.
         hier_core_kinds: Unique core types among the instances.
         netlist_verilog: Optional structural-Verilog source; when set the
-            build stage parses it instead of running the SOC generator, and
+            build step parses it instead of running the SOC generator, and
             ``domains`` must describe its clock layout.
         netlist_bench: Optional ISCAS/ITC-style ``.bench`` source
             (:mod:`repro.netlist.bench`); same contract as
@@ -212,7 +213,7 @@ class DesignSpec:
 
     # ------------------------------------------------------------------ building
     def prepare(self) -> "PreparedDesign":
-        """Build the design through the default pipeline -> :class:`PreparedDesign`."""
+        """Build the design -> :class:`PreparedDesign`."""
         return prepare_from_spec(self)
 
     # -------------------------------------------------------------------- sizing
@@ -266,10 +267,7 @@ class DesignSpec:
 
     def gate_count(self) -> int:
         """The exact pre-scan gate count (builds the netlist; expensive)."""
-        build = DesignBuild(spec=self)
-        stage_build(build)
-        assert build.netlist is not None
-        return len(build.netlist.gates)
+        return len(_build_soc(self).netlist.gates)
 
     # ------------------------------------------------------------- serialization
     def to_dict(self) -> dict[str, object]:
@@ -342,13 +340,13 @@ class PreparedDesign:
     scan_clock_net: str = "scan_clk"
     test_mode_net: str = "test_mode"
     #: The design's default EDT architecture (from ``DesignSpec.edt``); used
-    #: by the compression stage for scenarios without an explicit channel
+    #: by the compression step for scenarios without an explicit channel
     #: count.  None for designs without a declared compression contract.
     edt: EdtArchitecture | None = None
     #: The declarative spec this design was built from (None for ad-hoc or
     #: externally constructed designs) — campaigns key their cache on it.
     spec: "DesignSpec | None" = None
-    #: Per-stage wall time of the design pipeline that built this view.
+    #: Per-step wall time of the preparation that built this view.
     build_seconds: dict = field(default_factory=dict, repr=False, compare=False)
     # instrument_soc memoisation, keyed by the ``enhanced`` flag.
     _instrument_cache: dict = field(default_factory=dict, repr=False, compare=False)
@@ -430,43 +428,78 @@ def instrument_soc(
 
 
 # --------------------------------------------------------------------------
-# The staged design pipeline
+# Preparation
 # --------------------------------------------------------------------------
-@dataclass
-class DesignBuild:
-    """Mutable context the design pipeline's stages operate on."""
-
-    spec: DesignSpec
-    soc: SocDesign | None = None
-    netlist: Netlist | None = None
-    scan: ScanArchitecture | None = None
-    edt: EdtArchitecture | None = None
-    domain_map: ClockDomainMap | None = None
-    occ: OccController | None = None
-    model: CircuitModel | None = None
-    lint_report: object | None = None
-    stage_seconds: dict[str, float] = field(default_factory=dict)
+@contextmanager
+def timed_step(
+    seconds: dict[str, float], kind: str, name: str, **attrs: object
+) -> Iterator[None]:
+    """Time one step of a fixed pipeline: a ``<kind>:<name>`` span on the
+    ambient tracer, and the step's wall time into ``seconds[name]``."""
+    started = time.perf_counter()
+    with active_tracer().span(f"{kind}:{name}", **attrs):
+        yield
+    seconds[name] = time.perf_counter() - started
 
 
-#: A pipeline stage: reads the spec, extends the build context.
-DesignStage = Callable[[DesignBuild], None]
+def prepare_from_spec(
+    spec: "DesignSpec | str", soc: SocDesign | None = None
+) -> PreparedDesign:
+    """Build a (possibly registered) design spec into a :class:`PreparedDesign`.
+
+    Runs ``build -> scan -> clocking -> model``.  A caller-built ``soc``
+    replaces the build step's generator; the result then advertises no
+    declarative identity (``spec=None``), since the spec does not describe
+    that SOC.
+    """
+    spec = resolve_design(spec)
+    seconds: dict[str, float] = {}
+    external = soc is not None
+    with timed_step(seconds, "design", "build", design=spec.name):
+        if soc is None:
+            soc = _build_soc(spec)
+    with timed_step(seconds, "design", "scan", design=spec.name):
+        netlist, scan = insert_scan(
+            soc.netlist,
+            num_chains=spec.num_chains,
+            scan_enable_net="scan_en",
+            group_by_clock=True,
+            in_place=True,
+        )
+        edt = spec.edt.build(scan) if spec.edt is not None else None
+    with timed_step(seconds, "design", "clocking", design=spec.name):
+        domain_map = ClockDomainMap.from_netlist(netlist, soc.domains)
+        occ = OccController.for_domains(
+            [d.name for d in soc.functional_domains],
+            style=spec.occ_style,
+            trigger_latency=spec.trigger_latency,
+        )
+    with timed_step(seconds, "design", "model", design=spec.name):
+        model = build_model(netlist)
+    return PreparedDesign(
+        soc=soc,
+        netlist=netlist,
+        scan=scan,
+        model=model,
+        domain_map=domain_map,
+        occ=occ,
+        edt=edt,
+        spec=None if external else spec,
+        build_seconds=seconds,
+    )
 
 
-def stage_build(build: DesignBuild) -> None:
-    """Materialize the device under test: generator, Verilog source, or a
-    caller-provided :class:`SocDesign` (already present on the context)."""
-    if build.soc is not None:
-        build.netlist = build.soc.netlist
-        return
-    spec = build.spec
+def _build_soc(spec: DesignSpec) -> SocDesign:
+    """The device under test a spec describes: parsed external netlist,
+    hierarchical or flat SOC generator."""
     if spec.netlist_bench is not None:
-        build.soc = _soc_from_bench(spec)
-    elif spec.netlist_verilog is not None:
-        build.soc = _soc_from_verilog(spec)
-    elif spec.hier_cores > 0:
+        return _soc_from_bench(spec)
+    if spec.netlist_verilog is not None:
+        return _soc_from_verilog(spec)
+    if spec.hier_cores > 0:
         from repro.circuits.hier_soc import build_hier_soc
 
-        build.soc = build_hier_soc(
+        return build_hier_soc(
             num_cores=spec.hier_cores,
             core_gates=spec.hier_core_gates,
             core_kinds=spec.hier_core_kinds,
@@ -476,20 +509,18 @@ def stage_build(build: DesignBuild) -> None:
             pll_reference_mhz=spec.pll_reference_mhz,
             name=spec.name.replace("-", "_"),
         )
-    else:
-        build.soc = build_soc(
-            size=spec.size,
-            seed=spec.seed,
-            fast_mhz=spec.fast_mhz,
-            slow_mhz=spec.slow_mhz,
-            nonscan_per_domain=spec.nonscan_per_domain,
-            ram_address_bits=spec.ram_address_bits,
-            ram_width=spec.ram_width,
-            extra_domains=spec.extra_domains,
-            inter_domain_factor=spec.inter_domain_factor,
-            pll_reference_mhz=spec.pll_reference_mhz,
-        )
-    build.netlist = build.soc.netlist
+    return build_soc(
+        size=spec.size,
+        seed=spec.seed,
+        fast_mhz=spec.fast_mhz,
+        slow_mhz=spec.slow_mhz,
+        nonscan_per_domain=spec.nonscan_per_domain,
+        ram_address_bits=spec.ram_address_bits,
+        ram_width=spec.ram_width,
+        extra_domains=spec.extra_domains,
+        inter_domain_factor=spec.inter_domain_factor,
+        pll_reference_mhz=spec.pll_reference_mhz,
+    )
 
 
 def _soc_from_verilog(spec: DesignSpec) -> SocDesign:
@@ -551,128 +582,6 @@ def _wrap_external_netlist(spec: DesignSpec, netlist: Netlist) -> SocDesign:
         ],
         io_outputs=list(netlist.outputs),
     )
-
-
-def stage_scan(build: DesignBuild) -> None:
-    """Insert mux-D scan and instantiate the design's EDT contract (if any)."""
-    assert build.netlist is not None, "build stage must run before scan"
-    build.netlist, build.scan = insert_scan(
-        build.netlist,
-        num_chains=build.spec.num_chains,
-        scan_enable_net="scan_en",
-        group_by_clock=True,
-        in_place=True,
-    )
-    if build.spec.edt is not None:
-        build.edt = build.spec.edt.build(build.scan)
-
-
-def stage_clocking(build: DesignBuild) -> None:
-    """Compute the clock-domain map and the OCC controller for the spec's style."""
-    assert build.soc is not None and build.netlist is not None
-    build.domain_map = ClockDomainMap.from_netlist(build.netlist, build.soc.domains)
-    build.occ = OccController.for_domains(
-        [d.name for d in build.soc.functional_domains],
-        style=build.spec.occ_style,
-        trigger_latency=build.spec.trigger_latency,
-    )
-
-
-def stage_model(build: DesignBuild) -> None:
-    """Flatten the scan-inserted netlist into the ATPG circuit model."""
-    assert build.netlist is not None, "scan stage must run before model"
-    build.model = build_model(build.netlist)
-
-
-def stage_lint(build: DesignBuild) -> None:
-    """Optional stage: run the structural rule registry over the build.
-
-    Not part of ``DESIGN_STAGES``; splice it in where wanted::
-
-        DesignPipeline().with_stage("lint", stage_lint, after="model")
-
-    The report lands on ``build.lint_report``; preparation is not aborted
-    on findings — callers gate on ``build.lint_report.ok`` (or call
-    ``raise_on_error()``) so a pipeline can still hand back the build for
-    inspection.
-    """
-    from repro.analyze import lint_design
-
-    assert build.netlist is not None, "build stage must run before lint"
-    build.lint_report = lint_design(build, categories=("netlist", "scan", "edt"))
-
-
-DESIGN_STAGES: tuple[tuple[str, DesignStage], ...] = (
-    ("build", stage_build),
-    ("scan", stage_scan),
-    ("clocking", stage_clocking),
-    ("model", stage_model),
-)
-
-
-class DesignPipeline:
-    """Runs a spec through the staged ``build -> scan -> clocking -> model``
-    preparation, producing the :class:`PreparedDesign` every scenario
-    executes against."""
-
-    def __init__(self, stages: Iterable[tuple[str, DesignStage]] = DESIGN_STAGES) -> None:
-        self._stages = list(stages)
-
-    @property
-    def stage_names(self) -> list[str]:
-        return [name for name, _ in self._stages]
-
-    def with_stage(
-        self, name: str, stage: DesignStage, *, after: str | None = None
-    ) -> "DesignPipeline":
-        """Splice a custom stage into the pipeline (appended by default)."""
-        entry = (name, stage)
-        if after is None:
-            self._stages.append(entry)
-            return self
-        for index, (existing, _) in enumerate(self._stages):
-            if existing == after:
-                self._stages.insert(index + 1, entry)
-                return self
-        raise KeyError(f"no design stage named {after!r}")
-
-    def run(self, spec: DesignSpec, soc: SocDesign | None = None) -> DesignBuild:
-        """Execute every stage; returns the completed build context."""
-        build = DesignBuild(spec=spec, soc=soc)
-        tracer = active_tracer()
-        for name, stage in self._stages:
-            started = time.perf_counter()
-            with tracer.span(f"design:{name}", design=spec.name):
-                stage(build)
-            build.stage_seconds[name] = time.perf_counter() - started
-        return build
-
-    def prepare(self, spec: DesignSpec, soc: SocDesign | None = None) -> PreparedDesign:
-        """Execute the pipeline and assemble the prepared design."""
-        build = self.run(spec, soc=soc)
-        assert build.soc is not None and build.netlist is not None
-        assert build.scan is not None and build.model is not None
-        assert build.domain_map is not None and build.occ is not None
-        return PreparedDesign(
-            soc=build.soc,
-            netlist=build.netlist,
-            scan=build.scan,
-            model=build.model,
-            domain_map=build.domain_map,
-            occ=build.occ,
-            edt=build.edt,
-            # An externally built SOC is not described by the spec; advertise
-            # no declarative identity rather than a wrong one.
-            spec=None if soc is not None else spec,
-            build_seconds=dict(build.stage_seconds),
-        )
-
-
-def prepare_from_spec(
-    spec: "DesignSpec | str", soc: SocDesign | None = None
-) -> PreparedDesign:
-    """Build a (possibly registered) design spec into a :class:`PreparedDesign`."""
-    return DesignPipeline().prepare(resolve_design(spec), soc=soc)
 
 
 def prepare_design(

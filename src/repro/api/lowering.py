@@ -43,12 +43,11 @@ from repro.runtime import Event, Executor, Job, Plan, PlanCancelled, PlanResult
 # --------------------------------------------------------------------------
 def pattern_key(resources: Mapping[str, Any], design: str, scenario_spec: Any) -> str:
     """The cache key of one (design, scenario) pattern set under a plan's
-    resources (the design entry, ATPG options and stage pipeline)."""
+    resources (the design entry and the ATPG options)."""
     return campaign_cell_key(
         design_identity(resources["designs"][design]),
         scenario_spec,
         resources.get("options"),
-        extra=resources.get("stages"),
     )
 
 
@@ -60,7 +59,7 @@ def scenario_job(
     *,
     if_needed: bool = False,
 ) -> Job:
-    """One ``"scenario"`` job: a scenario's stage pipeline on one design."""
+    """One ``"scenario"`` job: a scenario's pipeline on one design."""
     return Job(
         id=job_id,
         kind="scenario",
@@ -100,8 +99,8 @@ def lower_diagnoses(
 ) -> Plan:
     """Lower diagnosis cases into one plan.
 
-    ``resources`` binds the plan: ``designs``, ``scenarios``, ``options``
-    and ``stages`` (plus anything a front door adds).  Each (design,
+    ``resources`` binds the plan: ``designs``, ``scenarios`` and
+    ``options`` (plus anything a front door adds).  Each (design,
     scenario) row gets one ``if_needed`` pattern provider, so a fully
     cached plan never builds a design or runs ATPG.  Each case's job is
     content-addressed on the row, its JSON-safe verdict inputs (spec, BP
@@ -133,7 +132,7 @@ def lower_diagnoses(
             log_fp = fail_log_fingerprint(case.fail_log)
         key = diagnosis_key(
             identities[case.design], scenario_spec, inputs, resources.get("options"),
-            extra=resources.get("stages"), log_fp=log_fp,
+            log_fp=log_fp,
         )
         params = {
             "design": case.design,

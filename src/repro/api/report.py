@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from repro.patterns.statistics import TableRow, format_table
 
@@ -28,7 +28,7 @@ class ScenarioOutcome:
         fault_coverage: Detected / total, percent.
         atpg_effectiveness: Resolved / total, percent.
         pattern_count: Final number of committed patterns.
-        cpu_seconds: Total wall time of the scenario's stage pipeline.
+        cpu_seconds: Total wall time of the scenario's scenario pipeline.
         stage_seconds: Per-stage wall time, keyed by stage name.
         legacy_key: Paper experiment letter for Table 1 scenarios, else None.
         extras: Stage-specific data (EDT statistics, compaction deltas,
@@ -224,13 +224,3 @@ class RunReport:
             mine.same_results(theirs)
             for mine, theirs in zip(self.outcomes, other.outcomes)
         )
-
-
-def merge_reports(reports: Iterable[RunReport]) -> RunReport:
-    """Concatenate several reports (e.g. one per SOC size in a sweep)."""
-    merged = RunReport()
-    for report in reports:
-        if not merged.session:
-            merged.session = dict(report.session)
-        merged.outcomes.extend(report.outcomes)
-    return merged

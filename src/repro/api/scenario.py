@@ -15,7 +15,7 @@ new workloads — a new fault-model mix or clocking scheme is one
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from repro.atpg.config import AtpgOptions, TestSetup
 from repro.clocking.named_capture import NamedCaptureProcedure
@@ -214,9 +214,3 @@ def resolve_scenario(spec_or_name: "ScenarioSpec | str") -> ScenarioSpec:
     if isinstance(spec_or_name, ScenarioSpec):
         return spec_or_name
     return get_scenario(spec_or_name)
-
-
-def resolve_scenarios(
-    specs_or_names: Iterable["ScenarioSpec | str"],
-) -> list[ScenarioSpec]:
-    return [resolve_scenario(item) for item in specs_or_names]

@@ -2,7 +2,7 @@
 
 A session binds one device under test (a synthetic SOC or an externally
 prepared design) to any number of registered scenarios and executes each
-through a pluggable stage pipeline::
+through the fixed scenario pipeline::
 
     from repro.api import TestSession, scenarios
     from repro.runtime import Executor
@@ -17,13 +17,15 @@ through a pluggable stage pipeline::
     )
     print(report.table())
 
-The default pipeline is ``setup -> atpg -> compaction -> compression ->
-export``; stages consult the scenario spec and skip themselves when not
-requested, and custom stages can be spliced in with :meth:`TestSession.with_stage`.
+Every scenario runs the same ``setup -> atpg -> compaction -> compression
+-> export`` sequence (:func:`execute_scenario`); each step consults the
+scenario spec and leaves the run untouched when not requested.  A
+``"scenario"`` job is therefore a pure function of what its cache key
+covers — design, scenario and ATPG options.
 Sessions bind to their device through the design registry too:
 ``TestSession.for_design("wide-edt")`` builds a registered
-:class:`~repro.api.design.DesignSpec` through the staged design pipeline
-(``for_soc`` takes ad-hoc geometry knobs down the same path).
+:class:`~repro.api.design.DesignSpec` (``for_soc`` takes ad-hoc geometry
+knobs down the same path).
 Design preparation and CPF instrumentation are computed once per session and
 shared by every scenario.  Execution runs on the unified
 :mod:`repro.runtime` plane: :meth:`TestSession.plan` compiles the queued
@@ -32,17 +34,16 @@ thin ``Executor(...).execute(plan)`` — pass
 ``run(executor=Executor(backend="processes"))`` to fan scenarios out over
 worker interpreters; because every scenario owns its
 generator, RNG and fault list, every fan-out produces the same deterministic
-results as serial.  ``with_backend()`` selects the :mod:`repro.engine`
-backend the fault simulation inside each scenario runs on, and
-``with_cache()`` attaches the persistent content-addressed result cache so
-unchanged scenarios are served from disk (the executor skips their jobs
-entirely).
+results as serial.  ``with_options(sim_backend=...)`` selects the
+:mod:`repro.engine` backend the fault simulation inside each scenario runs
+on, and ``with_cache()`` attaches the persistent content-addressed result
+cache so unchanged scenarios are served from disk (the executor skips their
+jobs entirely).
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
@@ -52,9 +53,11 @@ from repro.api.design import (
     prepare_design,
     prepare_from_spec,
     resolve_design,
+    timed_step,
 )
 from repro.api.report import RunReport, ScenarioOutcome
-from repro.api.scenario import ScenarioSpec, resolve_scenario
+from repro.api.scenario import ScenarioSpec
+from repro.api.scenarios import resolve_scenario_or_letter
 from repro.atpg.compaction import compact_pattern_set
 from repro.atpg.config import AtpgOptions, TestSetup
 from repro.atpg.generator import AtpgResult
@@ -68,17 +71,10 @@ from repro.api.lowering import (
     DiagnosisCase,
     execute_plan,
     lower_diagnoses,
-    pattern_key,
     scenario_job,
 )
 from repro.engine.cache import ResultCache, coerce_cache
-from repro.engine.scheduler import BACKENDS, validate_pool_size
-from repro.obs.telemetry import (
-    NULL_TELEMETRY,
-    Telemetry,
-    active_tracer,
-    coerce_telemetry,
-)
+from repro.obs.telemetry import NULL_TELEMETRY, Telemetry, coerce_telemetry
 from repro.patterns.ate import export_stil
 from repro.patterns.pattern import PatternSet
 from repro.patterns.store import PatternStore, StoredPatternView
@@ -87,7 +83,7 @@ from repro.runtime import Executor, Plan, register_job_kind
 
 @dataclass
 class ScenarioRun:
-    """Mutable context one scenario's stage pipeline operates on.
+    """The result of one scenario's pipeline on one design.
 
     ``cache_info`` is deliberately separate from ``extras``: extras feed the
     scenario outcome (and its ``same_results`` comparison), and a cached
@@ -104,36 +100,49 @@ class ScenarioRun:
     cache_info: dict[str, object] | None = None
 
 
-#: A pipeline stage: reads/extends the run context; may no-op for scenarios
-#: that did not request it.
-Stage = Callable[["TestSession", ScenarioRun], None]
-
-
 # --------------------------------------------------------------------------
-# Default stages
+# The scenario pipeline
 # --------------------------------------------------------------------------
-def stage_setup(session: "TestSession", run: ScenarioRun) -> None:
-    """Materialize the scenario's constraint environment for this session."""
-    run.setup = run.spec.build_setup(session.prepared, session.options)
+def execute_scenario(
+    prepared: PreparedDesign, options: AtpgOptions, spec: ScenarioSpec
+) -> ScenarioRun:
+    """Run one scenario against a prepared design.
+
+    The fixed sequence ``setup -> atpg -> compaction -> compression ->
+    export``; each step times itself into ``run.stage_seconds`` and opens a
+    ``stage:<name>`` span on the ambient tracer (the executor's telemetry,
+    also inside a process worker).
+    """
+    run = ScenarioRun(spec=spec)
+    seconds = run.stage_seconds
+    with timed_step(seconds, "stage", "setup", scenario=spec.name):
+        run.setup = spec.build_setup(prepared, options)
+    with timed_step(seconds, "stage", "atpg", scenario=spec.name):
+        _atpg(prepared, run)
+    with timed_step(seconds, "stage", "compaction", scenario=spec.name):
+        _compact(run)
+    with timed_step(seconds, "stage", "compression", scenario=spec.name):
+        _compress(prepared, run)
+    with timed_step(seconds, "stage", "export", scenario=spec.name):
+        _export(prepared, run)
+    return run
 
 
-def stage_atpg(session: "TestSession", run: ScenarioRun) -> None:
+def _atpg(prepared: PreparedDesign, run: ScenarioRun) -> None:
     """Generate (and fault-simulate) patterns for the scenario's fault model."""
-    prepared = session.prepared
-    spec = run.spec
-    assert run.setup is not None, "setup stage must run before atpg"
-    if spec.fault_model == "stuck-at":
+    fault_model = run.spec.fault_model
+    if fault_model == "stuck-at":
         run.result = StuckAtAtpg(prepared.model, prepared.domain_map, run.setup).run()
         run.patterns = run.result.patterns
-    elif spec.fault_model == "transition":
+    elif fault_model == "transition":
         run.result = TransitionAtpg(prepared.model, prepared.domain_map, run.setup).run()
         run.patterns = run.result.patterns
-    elif spec.fault_model == "mixed":
+    elif fault_model == "mixed":
         _run_mixed(prepared, run)
-    elif spec.fault_model == "path-delay":
+    elif fault_model == "path-delay":
         _run_path_delay(prepared, run)
     else:  # pragma: no cover - ScenarioSpec.__post_init__ rejects this earlier
-        raise ValueError(f"unknown fault model {spec.fault_model!r}")
+        raise ValueError(f"unknown fault model {fault_model!r}")
 
 
 def _run_mixed(prepared: PreparedDesign, run: ScenarioRun) -> None:
@@ -178,7 +187,7 @@ def _run_path_delay(prepared: PreparedDesign, run: ScenarioRun) -> None:
     }
 
 
-def stage_compaction(session: "TestSession", run: ScenarioRun) -> None:
+def _compact(run: ScenarioRun) -> None:
     """Static compaction of the committed pattern set (when requested)."""
     if not run.spec.static_compaction or run.patterns is None:
         return
@@ -191,22 +200,19 @@ def stage_compaction(session: "TestSession", run: ScenarioRun) -> None:
     }
 
 
-def stage_compression(session: "TestSession", run: ScenarioRun) -> None:
+def _compress(prepared: PreparedDesign, run: ScenarioRun) -> None:
     """EDT compression accounting over the final pattern set.
 
-    Runs when the scenario pins a channel count, or — new with the design
-    registry — when the design itself declares an EDT contract
-    (``DesignSpec.edt``); a scenario's explicit ``edt_channels`` always wins
-    over the design default.
+    Runs when the scenario pins a channel count, or when the design itself
+    declares an EDT contract (``DesignSpec.edt``); a scenario's explicit
+    ``edt_channels`` always wins over the design default.
     """
     if run.patterns is None:
         return
     if run.spec.edt_channels is not None:
-        edt = EdtArchitecture(
-            session.prepared.scan, num_input_channels=run.spec.edt_channels
-        )
-    elif session.prepared.edt is not None:
-        edt = session.prepared.edt
+        edt = EdtArchitecture(prepared.scan, num_input_channels=run.spec.edt_channels)
+    elif prepared.edt is not None:
+        edt = prepared.edt
     else:
         return
     stats = edt.statistics(run.patterns)
@@ -219,11 +225,10 @@ def stage_compression(session: "TestSession", run: ScenarioRun) -> None:
     }
 
 
-def stage_export(session: "TestSession", run: ScenarioRun) -> None:
+def _export(prepared: PreparedDesign, run: ScenarioRun) -> None:
     """Serialize the final pattern set to the STIL-flavoured format."""
     if not run.spec.export_patterns or run.patterns is None:
         return
-    prepared = session.prepared
     run.stil = export_stil(
         run.patterns, prepared.scan, prepared.occ, design_name=prepared.netlist.name
     )
@@ -234,45 +239,29 @@ def stage_export(session: "TestSession", run: ScenarioRun) -> None:
     }
 
 
-def stage_store(session: "TestSession", run: ScenarioRun) -> None:
-    """Spill the scenario's patterns into the session's pattern store.
+def spill_run(
+    run: ScenarioRun, store: "PatternStore | None", design: str, *, stream: bool = False
+) -> ScenarioRun:
+    """Spill a landed scenario run's patterns into a pattern store.
 
-    Each ``(design, scenario)`` group is written once — a rerun (or a
-    cache-served rerun) finds the group already present and leaves the
-    store untouched; delete the store file to refresh it.  In streaming
-    mode the in-memory pattern set is then replaced with the store-backed
-    lazy view, so downstream consumers hold one batch at a time.
+    Called by the front doors on every run they keep, executed or served
+    from the cache, so the cached value itself is always the plain
+    in-memory run.  Each ``(design, scenario)`` group is written once — a
+    rerun finds the group present and leaves the store untouched; delete
+    the store file to refresh it.  With ``stream`` the in-memory pattern
+    set is replaced by the store-backed lazy view, so downstream consumers
+    hold one batch at a time.
     """
-    store = session._pattern_store
     if store is None or run.patterns is None:
-        return
-    # Campaign jobs label groups with the campaign's design name (distinct
-    # even when two entries build the same netlist family); plain sessions
-    # fall back to the netlist name.
-    design_name = session._pattern_store_label or session.prepared.netlist.name
-    present = store.count(design=design_name, scenario=run.spec.name)
-    if present:
-        count = present
-    else:
-        count = store.extend(
-            iter(run.patterns), design=design_name, scenario=run.spec.name
-        )
-    run.extras["store"] = {
-        "path": str(store.path),
-        "kind": store.kind,
-        "patterns": count,
-    }
-    if session._pattern_store_stream:
-        run.patterns = store.view(design=design_name, scenario=run.spec.name)
-
-
-DEFAULT_STAGES: tuple[tuple[str, Stage], ...] = (
-    ("setup", stage_setup),
-    ("atpg", stage_atpg),
-    ("compaction", stage_compaction),
-    ("compression", stage_compression),
-    ("export", stage_export),
-)
+        return run
+    scenario = run.spec.name
+    count = store.count(design=design, scenario=scenario) or store.extend(
+        iter(run.patterns), design=design, scenario=scenario
+    )
+    run.extras["store"] = {"path": str(store.path), "kind": store.kind, "patterns": count}
+    if stream:
+        run.patterns = store.view(design=design, scenario=scenario)
+    return run
 
 
 # --------------------------------------------------------------------------
@@ -308,34 +297,16 @@ def materialize_design(resources: dict, name: str) -> PreparedDesign:
 
 @register_job_kind("scenario")
 def run_scenario_job(resources: dict, params: Mapping[str, object], deps: dict):
-    """Execute one scenario's stage pipeline against one design.
+    """Execute one scenario's pipeline against one design.
 
-    In-parent executions (serial/threads) run on the compiling session
-    itself (``resources["_session"]``), so custom ``with_stage`` stages that
-    read caller-session state keep working exactly as before the execution
-    plane; ``_``-prefixed resources never ship to process workers, which
-    rebuild a session per worker — the historical processes behaviour.
+    Reads only what the job's cache key covers: the design, the scenario
+    and the plan's ATPG options.
     """
-    session = resources.get("_session")
-    if session is None:
-        prepared = materialize_design(resources, params["design"])
-        session = TestSession.from_prepared(prepared, resources.get("options"))
-        stages = resources.get("stages")
-        if stages is not None:
-            # Unconditional when bound — an intentionally emptied pipeline
-            # must stay empty in workers, not fall back to the defaults.
-            session._stages = list(stages)
-        store_path = resources.get("pattern_store")
-        if store_path is not None:
-            session._pattern_store = PatternStore(store_path)
-            session._pattern_store_stream = bool(
-                resources.get("pattern_store_stream")
-            )
-            session._pattern_store_label = str(params["design"])
-            if all(name != "store" for name, _ in session._stages):
-                session._stages.append(("store", stage_store))
-    spec = resources["scenarios"][params["scenario"]]
-    return session._execute_stages(spec)
+    return execute_scenario(
+        materialize_design(resources, params["design"]),
+        resources.get("options") or AtpgOptions(),
+        resources["scenarios"][params["scenario"]],
+    )
 
 
 def _diagnosis_inputs(resources: dict, params: Mapping[str, object], deps: dict):
@@ -420,22 +391,14 @@ def materialize_setup(
 def _diagnosis_job_scheduler(resources, prepared, spec, options):
     """The candidate-scoring scheduler a diagnosis job should use.
 
-    A session-provided scheduler wins — ``resources["_scheduler_factory"]``
-    is the session's lazy hook onto its memoised pool (lazy so a fully
-    cached diagnosis never compiles kernels it will not use), and a direct
-    ``resources["scheduler"]`` object is honoured too.  Otherwise schedulers
-    are memoised into the resources dict per (design, backend, sharding) so
-    one worker pool serves a whole plan's defect stream; lifecycle is the
-    scheduler's own GC finalizer.
+    Memoised into ``resources["_schedulers"]`` per (design, backend,
+    sharding), so one worker pool serves a whole plan's defect stream.  A
+    session binds its own persistent dict there, so its pools also outlive
+    one ``diagnose()`` call; the dict is filled lazily, so a fully cached
+    diagnosis never compiles kernels it will not use.
     """
     from repro.engine.scheduler import FaultSimScheduler
 
-    factory = resources.get("_scheduler_factory")
-    if factory is not None:
-        return factory()
-    provided = resources.get("scheduler")
-    if provided is not None:
-        return provided
     memo = resources.setdefault("_schedulers", {})
     backend = spec.backend or options.sim_backend
     key = (id(prepared.model), backend, options.sim_shards, options.sim_workers)
@@ -483,19 +446,18 @@ class TestSession:
         self._external_design = prepared is not None
         self.options = options or AtpgOptions()
         self._scenarios: list[ScenarioSpec] = []
-        self._stages: list[tuple[str, Stage]] = list(DEFAULT_STAGES)
         self._pattern_store: PatternStore | None = None
         self._pattern_store_stream = False
-        self._pattern_store_label: str | None = None
         self._cache: ResultCache | None = None
         self._telemetry: Telemetry = NULL_TELEMETRY
         self.artifacts: dict[str, ScenarioRun] = {}
         self.report: RunReport | None = None
-        # Diagnosis scoring schedulers, keyed (backend, shards, workers):
-        # reused across diagnose() calls so one worker pool serves a whole
-        # device stream.  Closed explicitly when the design or options
-        # change (the remainder by the scheduler's GC finalizer at teardown).
-        self._diagnosis_schedulers: dict = {}
+        # Diagnosis scoring schedulers, bound into every plan as the
+        # ``_schedulers`` memo: reused across diagnose() calls so one worker
+        # pool serves a whole device stream.  Closed explicitly when the
+        # design or options change (the remainder by the scheduler's GC
+        # finalizer at teardown).
+        self._schedulers: dict = {}
 
     # ----------------------------------------------------------- constructors
     @classmethod
@@ -523,8 +485,8 @@ class TestSession:
     ) -> "TestSession":
         """Start a session on a registered (or ad-hoc) declarative design spec.
 
-        The spec is built lazily through the staged design pipeline; the
-        structural builders (``with_size``/``with_seed``/``with_chains``)
+        The spec is built lazily (:func:`~repro.api.design.prepare_from_spec`);
+        the structural builders (``with_size``/``with_seed``/``with_chains``)
         override the corresponding spec fields instead of raising.
         """
         return cls(design=design, options=options)
@@ -553,9 +515,9 @@ class TestSession:
 
     def _close_diagnosis_schedulers(self) -> None:
         """Release memoised diagnosis schedulers (and their worker pools)."""
-        for scheduler in self._diagnosis_schedulers.values():
+        for scheduler in self._schedulers.values():
             scheduler.close()
-        self._diagnosis_schedulers.clear()
+        self._schedulers.clear()
 
     def with_size(self, size: int) -> "TestSession":
         if self._override_design(size=size):
@@ -589,6 +551,9 @@ class TestSession:
     ) -> "TestSession":
         """Set the session's ATPG options, or tweak individual knobs.
 
+        The engine backend fault simulation runs on is a knob too:
+        ``with_options(sim_backend="processes", sim_shards=4,
+        sim_workers=2)`` (validated by :class:`~repro.atpg.AtpgOptions`).
         Executed scenario artifacts are dropped: they were produced under
         the previous options and no longer describe this session (reusing
         them would, e.g., let ``diagnose()`` pair stale patterns with a
@@ -597,39 +562,6 @@ class TestSession:
         if options is not None and knobs:
             raise ValueError("pass either an AtpgOptions object or keyword knobs")
         self.options = options if options is not None else replace(self.options, **knobs)
-        self.artifacts.clear()
-        self._close_diagnosis_schedulers()
-        return self
-
-    def with_backend(
-        self,
-        backend: str,
-        *,
-        shards: int | None = None,
-        workers: int | None = None,
-    ) -> "TestSession":
-        """Select the engine backend fault simulation runs on.
-
-        Args:
-            backend: One of :data:`repro.engine.scheduler.BACKENDS`
-                (``serial`` keeps the interpreted reference path).
-            shards: Fault shards per batch for the pooled backends
-                (omitted == keep the options' current value).
-            workers: Worker-pool size for the pooled backends
-                (omitted == keep the options' current value).
-        """
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"unknown engine backend {backend!r} (expected one of {BACKENDS})"
-            )
-        validate_pool_size("shards", shards)
-        validate_pool_size("workers", workers)
-        changes: dict[str, object] = {"sim_backend": backend}
-        if shards is not None:
-            changes["sim_shards"] = shards
-        if workers is not None:
-            changes["sim_workers"] = workers
-        self.options = replace(self.options, **changes)  # type: ignore[arg-type]
         self.artifacts.clear()
         self._close_diagnosis_schedulers()
         return self
@@ -658,31 +590,27 @@ class TestSession:
         *,
         stream: bool = False,
     ) -> "TestSession":
-        """Spill every executed scenario's patterns to a disk-backed store.
+        """Spill every kept scenario run's patterns to a disk-backed store.
 
-        Adds a ``store`` stage after ``export``: pattern sets are written
-        to the :class:`~repro.patterns.store.PatternStore` grouped by
-        ``(design, scenario)``.  With ``stream=True`` the in-memory set on
-        each :class:`ScenarioRun` is replaced by the store's lazy view, so
-        a 10⁵-gate campaign holds one batch of patterns in memory at a
-        time instead of every scan load of every scenario.
+        Every run the session keeps — executed or served from the cache —
+        is written to the :class:`~repro.patterns.store.PatternStore`
+        grouped by ``(design, scenario)`` (:func:`spill_run`).  With
+        ``stream=True`` the in-memory set on each kept :class:`ScenarioRun`
+        is replaced by the store's lazy view, so a 10⁵-gate session holds
+        one batch of patterns in memory at a time instead of every scan
+        load of every scenario.
 
         Args:
             store: A :class:`PatternStore`, a path (``.jsonl`` or sqlite),
-                or ``None`` to detach the store and remove the stage.
+                or ``None`` to detach the store.
             stream: Replace ``run.patterns`` with the disk-backed view
                 (memory-bounded; the store file must outlive the run).
         """
-        self.without_stage("store")
-        if store is None:
-            self._pattern_store = None
-            self._pattern_store_stream = False
-            return self
-        self._pattern_store = (
-            store if isinstance(store, PatternStore) else PatternStore(store)
-        )
+        if store is not None and not isinstance(store, PatternStore):
+            store = PatternStore(store)
+        self._pattern_store = store
         self._pattern_store_stream = stream
-        return self.with_stage("store", stage_store, after="export")
+        return self
 
     def with_telemetry(
         self, telemetry: "Telemetry | bool | None" = True
@@ -690,7 +618,7 @@ class TestSession:
         """Attach an observability plane to this session's executions.
 
         ``run()``/``diagnose()`` activate the telemetry around their plan
-        execution, so the executor, the stage pipeline, ATPG, the fault-sim
+        execution, so the executor, the scenario pipeline, ATPG, the fault-sim
         scheduler and the result cache all record into it; the report's
         ``session["telemetry"]`` carries the metrics snapshot.
 
@@ -708,29 +636,12 @@ class TestSession:
         """The session's telemetry (the shared no-op unless attached)."""
         return self._telemetry
 
-    def with_stage(
-        self, name: str, stage: Stage, *, after: str | None = None
-    ) -> "TestSession":
-        """Splice a custom stage into the pipeline (appended by default)."""
-        entry = (name, stage)
-        if after is None:
-            self._stages.append(entry)
-            return self
-        for index, (existing, _) in enumerate(self._stages):
-            if existing == after:
-                self._stages.insert(index + 1, entry)
-                return self
-        raise KeyError(f"no pipeline stage named {after!r}")
-
-    def without_stage(self, name: str) -> "TestSession":
-        self._stages = [(n, s) for n, s in self._stages if n != name]
-        return self
-
     def add_scenario(
         self, spec_or_name: ScenarioSpec | str, **overrides: object
     ) -> "TestSession":
-        """Queue a scenario (by spec or registered name) for the next run."""
-        spec = resolve_scenario(spec_or_name)
+        """Queue a scenario (by spec, registered name or paper letter
+        "a".."e") for the next run."""
+        spec = resolve_scenario_or_letter(spec_or_name)
         if overrides:
             spec = spec.with_overrides(**overrides)
         if any(existing.name == spec.name for existing in self._scenarios):
@@ -807,9 +718,12 @@ class TestSession:
         """
         if not self._scenarios:
             raise RuntimeError("no scenarios queued; call add_scenario() first")
-        specs = list(self._scenarios)
+        return self._plan(self._scenarios)
+
+    def _plan(self, specs: Sequence[ScenarioSpec]) -> Plan:
         design_name = self.prepared.netlist.name
         resources = self.resources()
+        resources["scenarios"] = {spec.name: spec for spec in specs}
         return Plan(
             name=f"session:{design_name}",
             jobs=tuple(
@@ -826,33 +740,23 @@ class TestSession:
     def resources(self) -> dict[str, object]:
         """The runtime bindings this session's plans execute against.
 
-        ``_session`` binds in-parent scenario jobs to *this* session (so
-        custom stages observe caller-session state, exactly like the
-        pre-plane serial/threads paths); ``_``-prefixed entries never ship
-        to process workers, which rebuild from the picklable remainder.
+        ``_schedulers`` is the session's persistent diagnosis-scheduler
+        memo; ``_``-prefixed entries never ship to process workers.
         """
         prepared = self.prepared
-        resources: dict[str, object] = {
+        return {
             "options": self.options,
-            "stages": tuple(self._stages),
             "designs": {prepared.netlist.name: prepared},
             "scenarios": {spec.name: spec for spec in self._scenarios},
-            "_session": self,
+            "_schedulers": self._schedulers,
         }
-        if self._pattern_store is not None:
-            # Process workers rebuild a session per worker; ship the store
-            # by path (sqlite/jsonl handles are per-call, never pickled).
-            resources["pattern_store"] = str(self._pattern_store.path)
-            resources["pattern_store_stream"] = self._pattern_store_stream
-        return resources
 
     # ----------------------------------------------------------------- running
     def run_scenario(self, spec_or_name: ScenarioSpec | str) -> ScenarioOutcome:
-        """Execute one scenario through the stage pipeline immediately."""
-        spec = resolve_scenario(spec_or_name)
-        run = self._execute(spec)
-        self.artifacts[spec.name] = run
-        return outcome_of(run)
+        """Execute one scenario immediately (a one-job plan, run serially)."""
+        spec = resolve_scenario_or_letter(spec_or_name)
+        (outcome,) = self._run_plan(self._plan([spec]), Executor())
+        return outcome
 
     def run(
         self,
@@ -875,25 +779,40 @@ class TestSession:
                 (``job_started`` / ``job_finished`` / ``job_skipped`` /
                 ``plan_progress``).
         """
-        executor = executor or Executor()
-        specs = list(self._scenarios)
         plan = self.plan()
-        cached = executor.effective_cache(self._cache) is not None
-        metadata = self._session_metadata(specs)
+        metadata = self._session_metadata(self._scenarios)
+        outcomes = self._run_plan(
+            plan, executor or Executor(), metadata=metadata, on_event=on_event
+        )
+        self.report = RunReport(session=metadata, outcomes=outcomes)
+        return self.report
+
+    def _run_plan(
+        self,
+        plan: Plan,
+        executor: Executor,
+        *,
+        metadata: "dict[str, object] | None" = None,
+        on_event: "Callable | None" = None,
+    ) -> list[ScenarioOutcome]:
+        """Execute a scenario plan and keep every landed run, in plan order."""
         result = execute_plan(
             plan, executor, cache=self._cache, telemetry=self._telemetry,
             metadata=metadata, on_event=on_event,
         )
-        outcomes = [
-            outcome_of(self._keep(spec.name, result[job.id], cached))
-            for spec, job in zip(specs, plan.jobs)
+        cached = executor.effective_cache(self._cache) is not None
+        return [
+            outcome_of(self._keep(job.params["scenario"], result[job.id], cached))
+            for job in plan.jobs
         ]
-        self.report = RunReport(session=metadata, outcomes=outcomes)
-        return self.report
 
     def _keep(self, name: str, job_result, cached: bool) -> ScenarioRun:
-        """Record an executed (or cache-served) scenario run as an artifact."""
-        run = job_result.value
+        """Record an executed (or cache-served) scenario run as an artifact,
+        spilling it to the session's pattern store first."""
+        run = spill_run(
+            job_result.value, self._pattern_store, self.prepared.netlist.name,
+            stream=self._pattern_store_stream,
+        )
         if cached:
             run.cache_info = {"hit": job_result.skipped, "key": job_result.cache_key}
         self.artifacts[name] = run
@@ -942,7 +861,7 @@ class TestSession:
         """Diagnose a failing device against one scenario's pattern set.
 
         Closes the tester loop: the scenario's patterns are (re)generated
-        through the normal stage pipeline (served from the engine cache when
+        through the scenario pipeline (served from the engine cache when
         attached), the defect is injected into the compiled circuit model
         (netlist untouched), an ATE-style fail log is captured, and every
         cone-intersection candidate is fault-simulated — sharded over the
@@ -1043,7 +962,7 @@ class TestSession:
         """Compile one diagnosis into a two-job runtime plan.
 
         Job 1 (``patterns:<design>:<scenario>``) generates the scenario's
-        pattern set through the session's stage pipeline; it is an
+        pattern set through the scenario pipeline; it is an
         ``if_needed`` provider, pruned when the diagnosis job itself is
         served from the cache.  Job 2 (``diagnose:<scenario>``) consumes the
         provider's :class:`ScenarioRun` and runs the closed-loop (or external
@@ -1071,9 +990,6 @@ class TestSession:
         design_name = self.prepared.netlist.name
         resources = self.resources()
         resources["scenarios"][scenario_spec.name] = scenario_spec
-        # Lazy: a cache-served diagnosis must not pay for kernel compilation
-        # (the scheduler is only materialised when the job actually runs).
-        resources["_scheduler_factory"] = lambda: self._diagnosis_scheduler(spec)
         if defects:
             described = " + ".join(defect.describe() for defect in defects)
         elif spec.defect is not None:
@@ -1118,7 +1034,7 @@ class TestSession:
         from repro.diagnose import DefectSpec, DiagnosisSpec
 
         scenario_spec = (
-            self._resolve_diagnosis_scenario(scenario) if scenario is not None else None
+            resolve_scenario_or_letter(scenario) if scenario is not None else None
         )
         if isinstance(spec_or_defect, DefectSpec):
             if scenario_spec is None:
@@ -1138,76 +1054,8 @@ class TestSession:
         if overrides:
             spec = spec.with_overrides(**overrides)
         if scenario_spec is None:
-            scenario_spec = self._resolve_diagnosis_scenario(spec.scenario)
+            scenario_spec = resolve_scenario_or_letter(spec.scenario)
         return spec, scenario_spec
-
-    @staticmethod
-    def _resolve_diagnosis_scenario(scenario: "ScenarioSpec | str") -> ScenarioSpec:
-        """Scenario lookup that also accepts the paper's experiment letters."""
-        from repro.api.scenarios import resolve_scenario_or_letter
-
-        return resolve_scenario_or_letter(scenario)
-
-    def _diagnosis_scheduler(self, spec):
-        """The (memoised) candidate-scoring scheduler for one diagnosis spec."""
-        from repro.engine.scheduler import FaultSimScheduler
-
-        backend = spec.backend or self.options.sim_backend
-        key = (backend, self.options.sim_shards, self.options.sim_workers)
-        scheduler = self._diagnosis_schedulers.get(key)
-        if scheduler is None or scheduler.model is not self.prepared.model:
-            scheduler = FaultSimScheduler(
-                self.prepared.model,
-                backend=backend,
-                shard_count=self.options.sim_shards,
-                max_workers=self.options.sim_workers,
-            )
-            self._diagnosis_schedulers[key] = scheduler
-        return scheduler
-
-    # -------------------------------------------------------------- internals
-    def _execute(self, spec: ScenarioSpec) -> ScenarioRun:
-        cached = self._cache_lookup(spec)
-        if cached is not None:
-            return cached
-        run = self._execute_stages(spec)
-        self._cache_store(spec, run)
-        return run
-
-    def _execute_stages(self, spec: ScenarioSpec) -> ScenarioRun:
-        run = ScenarioRun(spec=spec)
-        # Ambient, not self._telemetry: when this session is rebuilt inside
-        # a plan job handler (possibly in a worker), the executor's active
-        # telemetry is the one that should receive the stage spans.
-        tracer = active_tracer()
-        for name, stage in self._stages:
-            started = time.perf_counter()
-            with tracer.span(f"stage:{name}", scenario=spec.name):
-                stage(self, run)
-            run.stage_seconds[name] = time.perf_counter() - started
-        return run
-
-    def _cache_key(self, spec: ScenarioSpec) -> str:
-        # The stage pipeline is part of the key: a session with custom
-        # stages must never be served a default-pipeline cache entry.
-        return pattern_key(self.resources(), self.prepared.netlist.name, spec)
-
-    def _cache_lookup(self, spec: ScenarioSpec) -> ScenarioRun | None:
-        if self._cache is None:
-            return None
-        key = self._cache_key(spec)
-        run = self._cache.get(key)
-        if run is None:
-            return None
-        run.cache_info = {"hit": True, "key": key}
-        return run
-
-    def _cache_store(self, spec: ScenarioSpec, run: ScenarioRun) -> None:
-        if self._cache is None:
-            return
-        key = self._cache_key(spec)
-        run.cache_info = {"hit": False, "key": key}
-        self._cache.put(key, run, label=spec.name)
 
     def _session_metadata(self, specs: Sequence[ScenarioSpec]) -> dict[str, object]:
         meta: dict[str, object] = {

@@ -26,9 +26,10 @@ class AtpgOptions:
     :mod:`repro.engine`: ``sim_backend`` is one of ``"serial"`` (interpreted
     reference path), ``"compiled"`` (default) or ``"processes"``
     (compiled kernels over fault shards); ``sim_shards`` /
-    ``sim_workers`` bound the sharding fan-out (``None`` == auto).  Every
-    backend produces bit-identical patterns and coverage for a given
-    ``random_seed``.
+    ``sim_workers`` bound the sharding fan-out (``None`` == auto).  All
+    three are validated on construction, so a typo fails where the option
+    is set, not inside the first job.  Every backend produces bit-identical
+    patterns and coverage for a given ``random_seed``.
 
     ``prune_untestable`` runs the static untestability prover
     (:mod:`repro.analyze.testability`) before any pattern is generated:
@@ -51,6 +52,17 @@ class AtpgOptions:
     sim_shards: int | None = None
     sim_workers: int | None = None
     prune_untestable: bool = False
+
+    def __post_init__(self) -> None:
+        from repro.engine.scheduler import BACKENDS, validate_pool_size
+
+        if self.sim_backend not in BACKENDS:
+            raise ValueError(
+                f"unknown engine backend {self.sim_backend!r} "
+                f"(expected one of {BACKENDS})"
+            )
+        validate_pool_size("sim_shards", self.sim_shards)
+        validate_pool_size("sim_workers", self.sim_workers)
 
 
 @dataclass

@@ -19,7 +19,7 @@ re-diagnosing an unchanged (design, scenario, defect) cell is a disk read.
 
 Every backend and shard count produces bit-identical syndrome scores and
 therefore identical rankings — ``tests/test_diagnose_backends.py`` holds the
-four backends to exactly that.
+three backends to exactly that.
 """
 
 from __future__ import annotations

@@ -43,7 +43,6 @@ from repro.engine.scheduler import (
     default_worker_count,
     has_backend_factory,
     register_backend,
-    registered_backends,
 )
 
 __all__ = [
@@ -52,7 +51,6 @@ __all__ = [
     "backend_factory",
     "has_backend_factory",
     "register_backend",
-    "registered_backends",
     "CACHE_ENV_VAR",
     "CompiledCircuit",
     "ENGINE_VERSION",

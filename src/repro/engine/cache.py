@@ -138,14 +138,9 @@ def design_spec_fingerprint(spec: Any) -> str:
     return _digest("designspec|" + json.dumps(_stable(spec), sort_keys=True))
 
 
-def spec_fingerprint(spec: Any, options: Any = None, extra: Any = None) -> str:
-    """Content hash of a scenario spec (and the effective ATPG options).
-
-    ``extra`` folds additional execution-affecting state into the hash —
-    the session passes its stage pipeline, so a run with custom stages
-    never aliases a default-pipeline cache entry.
-    """
-    payload = {"spec": _stable(spec), "options": _stable(options), "extra": _stable(extra)}
+def spec_fingerprint(spec: Any, options: Any = None) -> str:
+    """Content hash of a scenario spec (and the effective ATPG options)."""
+    payload = {"spec": _stable(spec), "options": _stable(options)}
     return _digest(json.dumps(payload, sort_keys=True))
 
 
@@ -168,18 +163,16 @@ def design_identity(design: Any) -> str:
     return design_fingerprint(model)
 
 
-def campaign_cell_key(
-    design_fp: str, spec: Any, options: Any = None, extra: Any = None
-) -> str:
+def campaign_cell_key(design_fp: str, spec: Any, options: Any = None) -> str:
     """The cache key of one (design, scenario) pattern-set execution.
 
     ``design_fp`` is :func:`design_identity` of the design (or any other
-    design digest); ``extra`` folds in the stage pipeline that shaped the
-    pattern set.
+    design digest).  The scenario pipeline is fixed, so design, scenario
+    and options are everything a pattern set depends on.
     """
     return _digest(
         f"engine={ENGINE_VERSION}|design={design_fp}|"
-        f"scenario={spec_fingerprint(spec, options, extra)}"
+        f"scenario={spec_fingerprint(spec, options)}"
     )
 
 
@@ -202,14 +195,13 @@ def diagnosis_key(
     scenario_spec: Any,
     diagnosis: Any,
     options: Any = None,
-    extra: Any = None,
     log_fp: str | None = None,
 ) -> str:
     """The cache key of one diagnosis job, classical or BP.
 
     Keyed on the design identity, the scenario that produced the pattern
-    set (with the effective ATPG options and — via ``extra`` — the stage
-    pipeline, both of which the patterns depend on), ``diagnosis`` (the
+    set (with the effective ATPG options the patterns depend on),
+    ``diagnosis`` (the
     job's JSON-safe verdict inputs: diagnosis spec, BP knobs, injected
     defect list) and the engine version.  ``log_fp`` is the
     :func:`fail_log_fingerprint` of an externally captured fail log, so
@@ -218,34 +210,8 @@ def diagnosis_key(
     """
     return _digest(
         f"diagnosis|engine={ENGINE_VERSION}|design={design_fp}|"
-        f"scenario={spec_fingerprint(scenario_spec, options, extra)}|"
+        f"scenario={spec_fingerprint(scenario_spec, options)}|"
         f"spec={spec_fingerprint(diagnosis)}|log={log_fp}"
-    )
-
-
-def job_key(
-    kind: str,
-    params: Any,
-    design_fp: str | None = None,
-    options: Any = None,
-    extra: Any = None,
-) -> str:
-    """The cache key of one generic :class:`~repro.runtime.plan.Job`.
-
-    The scenario/diagnosis plan compilers use the dedicated key functions
-    above; custom job kinds get content-addressed identity from their kind
-    name, JSON-safe params, the design digest they operate on, and the
-    engine version.
-    """
-    payload = {
-        "kind": kind,
-        "params": _stable(params),
-        "options": _stable(options),
-        "extra": _stable(extra),
-    }
-    return _digest(
-        f"job|engine={ENGINE_VERSION}|design={design_fp}|"
-        + json.dumps(payload, sort_keys=True)
     )
 
 

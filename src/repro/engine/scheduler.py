@@ -92,11 +92,6 @@ def backend_factory(name: str) -> Callable:
         ) from None
 
 
-def registered_backends() -> tuple[str, ...]:
-    """Names of the pluggable backends currently registered (sorted)."""
-    return tuple(sorted(_BACKEND_FACTORIES))
-
-
 def default_worker_count() -> int:
     """Worker-pool size when the caller does not pin one."""
     return max(1, min(4, os.cpu_count() or 1))
@@ -105,10 +100,10 @@ def default_worker_count() -> int:
 def validate_pool_size(name: str, value: "int | None") -> "int | None":
     """Shared validation of pool-sizing knobs (``shards``, ``workers``, ...).
 
-    Every execution front door — ``TestSession.with_backend``,
-    ``Campaign.with_backend``, the runtime ``Executor`` — accepts the same
-    knobs and must reject nonsense with the same message, so degraded
-    configurations fail loudly at the call site instead of hanging a pool.
+    Every place the knobs live — :class:`~repro.atpg.AtpgOptions`
+    (``sim_shards``/``sim_workers``) and the runtime ``Executor`` — must
+    reject nonsense with the same message, so degraded configurations fail
+    loudly where they are set instead of hanging a pool.
     ``None`` (== "keep the default") passes through.
     """
     if value is None:

@@ -19,7 +19,7 @@ Everything hangs off one :class:`Telemetry` object::
 
 The default everywhere is the shared, falsy :data:`NULL_TELEMETRY`: with it,
 instrumented code records nothing, reports stay byte-identical to their
-un-instrumented output, and all four engine backends remain bit-identical.
+un-instrumented output, and all three engine backends remain bit-identical.
 
 Counter taxonomy (prefix per plane): ``cache.*`` result-cache I/O,
 ``executor.*`` runtime dispatch (retries, backend fallbacks, sink errors),

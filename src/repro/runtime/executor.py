@@ -744,7 +744,7 @@ class Executor:
             if backend is None:
                 shippable = {
                     key: value for key, value in resources.items()
-                    if not key.startswith("_") and key != "scheduler"
+                    if not key.startswith("_")
                 }
                 designs = shippable.get("designs")
                 if design_hint and isinstance(designs, dict):

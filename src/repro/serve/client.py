@@ -34,15 +34,11 @@ def shippable_resources(resources: "Mapping[str, Any] | None") -> dict[str, Any]
     """The subset of a resources dict that crosses process boundaries.
 
     Mirrors the executor's own filtering for its process pool: private
-    (``_``-prefixed) keys and the live ``scheduler`` binding stay behind.
+    (``_``-prefixed) keys stay behind.
     """
     if not resources:
         return {}
-    return {
-        key: value
-        for key, value in resources.items()
-        if not key.startswith("_") and key != "scheduler"
-    }
+    return {key: value for key, value in resources.items() if not key.startswith("_")}
 
 
 class ServeError(RuntimeError):

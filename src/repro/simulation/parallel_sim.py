@@ -20,7 +20,7 @@ pattern batch regardless of its size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.netlist.gates import GateType
 from repro.logic import Logic
@@ -181,24 +181,6 @@ def known_equal_mask(packed: PackedPatterns, node_index: int, value: Logic) -> i
     return 0
 
 
-def known_difference_mask(
-    good: PackedPatterns, faulty_can0: int, faulty_can1: int, node_index: int
-) -> int:
-    """Patterns where a node differs between good/faulty machines with both
-    values known (hard detection)."""
-    g0 = good.can0[node_index]
-    g1 = good.can1[node_index]
-    good_known = g0 ^ g1
-    faulty_known = faulty_can0 ^ faulty_can1
-    differ = (g1 & faulty_can0) | (g0 & faulty_can1)
-    return good_known & faulty_known & differ
-
-
-def active_pattern_mask(num_patterns: int) -> int:
-    """Mask with a 1 bit for every valid pattern slot in the batch."""
-    return (1 << num_patterns) - 1
-
-
 def mask_to_indices(mask: int, offset: int = 0) -> list[int]:
     """Indices of set bits in a detection mask (plus an optional offset)."""
     indices: list[int] = []
@@ -217,13 +199,3 @@ def _planes_of(value: Logic, full: int) -> tuple[int, int]:
     if value is Logic.ONE:
         return 0, full
     return full, full
-
-
-def patterns_from_vectors(
-    model: CircuitModel, vectors: Iterable[dict[str, Logic]]
-) -> list[dict[int, Logic]]:
-    """Translate net-name keyed vectors into node-index keyed assignments."""
-    converted: list[dict[int, Logic]] = []
-    for vector in vectors:
-        converted.append({model.node_of_net[net]: val for net, val in vector.items()})
-    return converted

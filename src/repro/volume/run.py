@@ -39,7 +39,6 @@ from repro.api.lowering import (
     fold_events,
     lower_diagnoses,
 )
-from repro.api.session import DEFAULT_STAGES
 from repro.diagnose.defects import DEFECT_KINDS
 from repro.diagnose.diagnose import DiagnosisSpec
 from repro.engine.scheduler import BACKENDS
@@ -142,7 +141,6 @@ def volume_plan(
     spec: VolumeSpec,
     *,
     options: object = None,
-    stages: "tuple | None" = None,
     name: str = "volume-diagnosis",
 ) -> Plan:
     """Compile a fail-log stream into one resumable runtime plan.
@@ -168,8 +166,6 @@ def volume_plan(
         spec: The volume configuration applied to every log.
         options: :class:`~repro.atpg.AtpgOptions` the pattern sets were
             generated under.
-        stages: The session stage pipeline folded into cache keys
-            (default: the standard pipeline).
     """
     record_list = list(records)
     if not record_list:
@@ -207,7 +203,6 @@ def volume_plan(
         cases,
         {
             "options": options,
-            "stages": tuple(DEFAULT_STAGES) if stages is None else stages,
             "designs": dict(designs),
             "scenarios": dict(scenarios),
         },

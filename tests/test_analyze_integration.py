@@ -1,20 +1,12 @@
-"""Front-door integration of repro.analyze: TestSession.lint, the design
-pipeline's spliceable lint stage, the campaign pre-flight gate, and plan
-linting."""
+"""Front-door integration of repro.analyze: TestSession.lint, linting a
+prepared design, the campaign pre-flight gate, and plan linting."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.analyze import LintError, LintReport, lint_plan
-from repro.api import (
-    Campaign,
-    DesignPipeline,
-    TestSession,
-    prepare_design,
-    resolve_design,
-    stage_lint,
-)
+from repro.analyze import LintError, LintReport, lint_design, lint_plan
+from repro.api import Campaign, TestSession, prepare_design, prepare_from_spec
 from repro.atpg import AtpgOptions
 from repro.netlist import Gate, GateType
 from repro.runtime import Job, Plan
@@ -65,20 +57,14 @@ def test_session_lint_reports_seeded_error():
 
 
 # ---------------------------------------------------------------------------
-# Design pipeline lint stage
+# Structural lint of a prepared design
 # ---------------------------------------------------------------------------
-def test_pipeline_lint_stage_splices_after_model():
-    pipeline_obj = DesignPipeline().with_stage("lint", stage_lint, after="model")
-    assert pipeline_obj.stage_names == ["build", "scan", "clocking", "model", "lint"]
-    build = pipeline_obj.run(resolve_design("tiny"))
-    assert isinstance(build.lint_report, LintReport)
-    assert build.lint_report.ok
-    assert "lint" in build.stage_seconds
-
-
-def test_default_pipeline_skips_lint():
-    build = DesignPipeline().run(resolve_design("tiny"))
-    assert build.lint_report is None
+def test_prepared_design_structural_lint():
+    report = lint_design(
+        prepare_from_spec("tiny"), categories=("netlist", "scan", "edt")
+    )
+    assert isinstance(report, LintReport)
+    assert report.ok
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.api import (
-    Campaign,
-    CampaignReport,
-    TestSession,
-    resolve_campaign_scenario,
-)
+from repro.api import Campaign, CampaignReport, TestSession
 from repro.atpg import AtpgOptions
 from repro.core import format_table1
 from repro.diagnose import DefectSpec
@@ -37,9 +32,8 @@ def small_grid_report(fast_options):
 
 class TestCampaignBuilder:
     def test_letters_resolve_to_table1_scenarios(self):
-        assert resolve_campaign_scenario("a").name == "table1-a"
-        assert resolve_campaign_scenario("table1-b").name == "table1-b"
-        assert resolve_campaign_scenario("stuck-at-edt").name == "stuck-at-edt"
+        campaign = Campaign(["tiny"], ["a", "table1-b", "stuck-at-edt"])
+        assert campaign.scenario_names == ["table1-a", "table1-b", "stuck-at-edt"]
 
     def test_grid_is_design_major(self, fast_options):
         campaign = Campaign(["tiny", "wide-edt"], ["a", "c"], options=fast_options)
@@ -63,7 +57,7 @@ class TestCampaignBuilder:
     def test_unknown_backend_rejected(self, fast_options):
         campaign = Campaign(["tiny"], ["a"], options=fast_options)
         with pytest.raises(ValueError, match="unknown engine backend"):
-            campaign.with_backend("gpu")
+            campaign.with_options(sim_backend="gpu")
         with pytest.raises(ValueError, match="unknown engine backend"):
             campaign.diagnose([STUCK_SCAN_EN], backend="gpu")
 
@@ -86,12 +80,12 @@ class TestCampaignBuilder:
         with pytest.raises(TypeError):
             campaign.diagnose_volume([], None, "threads", executor=Executor())
 
-    def test_with_backend_rejects_non_positive_pool_knobs(self, fast_options):
+    def test_options_reject_non_positive_pool_knobs(self, fast_options):
         campaign = Campaign(["tiny"], ["a"], options=fast_options)
-        with pytest.raises(ValueError, match=r"shards must be a positive integer \(got 0\)"):
-            campaign.with_backend("processes", shards=0)
-        with pytest.raises(ValueError, match=r"workers must be a positive integer \(got -2\)"):
-            campaign.with_backend("processes", workers=-2)
+        with pytest.raises(ValueError, match=r"sim_shards must be a positive integer \(got 0\)"):
+            campaign.with_options(sim_backend="processes", sim_shards=0)
+        with pytest.raises(ValueError, match=r"sim_workers must be a positive integer \(got -2\)"):
+            campaign.with_options(sim_backend="processes", sim_workers=-2)
 
 
 class TestCampaignResults:

@@ -1,5 +1,5 @@
-"""Tests for DesignSpec, the design registry, the staged design pipeline,
-and design-fingerprint / cache-key stability."""
+"""Tests for DesignSpec, the design registry, design preparation, and
+design-fingerprint / cache-key stability."""
 
 import os
 import subprocess
@@ -9,7 +9,6 @@ import pytest
 
 from repro.api import (
     DesignNotFound,
-    DesignPipeline,
     DesignSpec,
     DomainSpec,
     TestSession,
@@ -20,7 +19,6 @@ from repro.api import (
     register_design,
     unregister_design,
 )
-from repro.api.design import DESIGN_STAGES
 from repro.circuits import two_domain_crossing
 from repro.dft import EdtConfig
 from repro.engine import campaign_cell_key, design_fingerprint, design_spec_fingerprint
@@ -164,10 +162,10 @@ class TestFingerprintStability:
         )
 
 
-class TestDesignPipeline:
+class TestDesignPreparation:
     def test_pipeline_matches_legacy_prepare_design(self):
-        """The staged pipeline and the ad-hoc ``prepare_design`` knobs build
-        the same model."""
+        """``prepare_from_spec`` and the ad-hoc ``prepare_design`` knobs
+        build the same model."""
         spec = DesignSpec(name="adhoc", size=1, seed=11, num_chains=4)
         via_pipeline = prepare_from_spec(spec)
         via_legacy = prepare_design(size=1, seed=11, num_chains=4)
@@ -178,24 +176,8 @@ class TestDesignPipeline:
 
     def test_stage_names_and_timings(self):
         prepared = prepare_from_spec("tiny")
-        assert [name for name, _ in DESIGN_STAGES] == [
-            "build", "scan", "clocking", "model"
-        ]
-        assert set(prepared.build_seconds) == {"build", "scan", "clocking", "model"}
+        assert list(prepared.build_seconds) == ["build", "scan", "clocking", "model"]
         assert prepared.spec is not None and prepared.spec.name == "tiny"
-
-    def test_custom_stage_splices_in(self):
-        seen = []
-
-        def probe(build):
-            seen.append((build.spec.name, build.scan is not None))
-
-        pipeline = DesignPipeline().with_stage("probe", probe, after="scan")
-        prepared = pipeline.prepare(get_design("tiny"))
-        assert seen == [("tiny", True)]
-        assert "probe" in prepared.build_seconds
-        with pytest.raises(KeyError, match="no design stage"):
-            DesignPipeline().with_stage("x", probe, after="nope")
 
     def test_variant_families_build(self):
         many = prepare_from_spec("many-domain")

@@ -1,4 +1,4 @@
-"""Tests for TestSession, the stage pipeline, and RunReport."""
+"""Tests for TestSession, the scenario pipeline, and RunReport."""
 
 import pytest
 
@@ -176,18 +176,27 @@ class TestSessionBuilder:
         with pytest.raises(TypeError):
             session.run(max_workers=2, executor=Executor())
 
-    def test_with_backend_rejects_non_positive_pool_knobs(self, tiny_prepared):
-        """Session and executor share one validation message."""
+    def test_options_reject_non_positive_pool_knobs(self, tiny_prepared):
+        """Session options and executor share one validation message."""
         session = TestSession.from_prepared(tiny_prepared)
-        with pytest.raises(ValueError, match=r"shards must be a positive integer \(got 0\)"):
-            session.with_backend("processes", shards=0)
-        with pytest.raises(ValueError, match=r"workers must be a positive integer \(got -2\)"):
-            session.with_backend("processes", workers=-2)
+        with pytest.raises(ValueError, match=r"sim_shards must be a positive integer \(got 0\)"):
+            session.with_options(sim_backend="processes", sim_shards=0)
+        with pytest.raises(ValueError, match=r"sim_workers must be a positive integer \(got -2\)"):
+            session.with_options(sim_backend="processes", sim_workers=-2)
         with pytest.raises(ValueError, match=r"workers must be a positive integer \(got 0\)"):
             Executor(backend="processes", max_workers=0)
 
     def test_duplicate_scenario_rejected(self):
         session = TestSession.for_soc(size=1).add_scenario("table1-a")
+        with pytest.raises(ValueError, match="already queued"):
+            session.add_scenario("table1-a")
+
+    def test_add_scenario_accepts_paper_letters(self):
+        """Sessions resolve scenarios like campaigns and diagnose() do."""
+        session = TestSession.for_soc(size=1).add_scenarios("a", "stuck-at-edt")
+        assert [spec.name for spec in session.queued_scenarios] == [
+            "table1-a", "stuck-at-edt"
+        ]
         with pytest.raises(ValueError, match="already queued"):
             session.add_scenario("table1-a")
 
@@ -210,71 +219,10 @@ class TestSessionBuilder:
         with pytest.raises(ValueError):
             session.with_options(AtpgOptions(), backtrack_limit=5)
 
-    def test_unknown_stage_anchor_raises(self):
-        session = TestSession.for_soc(size=1)
-        with pytest.raises(KeyError, match="no pipeline stage"):
-            session.with_stage("x", lambda s, r: None, after="nope")
-
-    def test_custom_stage_runs_in_order(self, tiny_prepared, cheap_options):
-        seen = []
-
-        def probe(session, run):
-            seen.append((run.spec.name, run.result is not None))
-
-        session = (
-            TestSession.from_prepared(tiny_prepared, options=cheap_options)
-            .with_stage("probe", probe, after="atpg")
-            .without_stage("compression")
-        )
-        outcome = session.run_scenario("table1-a")
-        assert seen == [("table1-a", True)]
-        assert "probe" in outcome.stage_seconds
-        assert "compression" not in outcome.stage_seconds
-
     def test_result_of_unknown_scenario(self):
         session = TestSession.for_soc(size=1)
         with pytest.raises(KeyError, match="has not been executed"):
             session.result_of("table1-a")
-
-    @pytest.mark.parametrize("backend", ("serial", "threads"))
-    def test_custom_stage_sees_caller_session_state(
-        self, tiny_prepared, cheap_options, backend
-    ):
-        """In-parent executions run stages on the compiling session itself,
-        so stages reading caller-session attributes keep working."""
-
-        def probe(session, run):
-            run.extras["tag"] = session.custom_tag
-
-        session = (
-            TestSession.from_prepared(tiny_prepared, options=cheap_options)
-            .with_stage("probe", probe)
-            .add_scenario("table1-a")
-        )
-        session.custom_tag = "caller-state"
-        report = session.run(executor=Executor(backend=backend))
-        assert report["a"].extras["tag"] == "caller-state"
-
-    def test_trimmed_pipeline_respected_by_process_workers(
-        self, tiny_prepared, cheap_options
-    ):
-        """Workers must honour an intentionally trimmed stage list — never
-        substitute the default pipeline."""
-
-        def trimmed() -> TestSession:
-            return (
-                TestSession.from_prepared(tiny_prepared, options=cheap_options)
-                .without_stage("compaction")
-                .without_stage("compression")
-                .without_stage("export")
-                .add_scenarios("table1-a", "table1-b")
-            )
-
-        serial = trimmed().run()
-        processes = trimmed().run(executor=Executor(backend="processes"))
-        for key in ("a", "b"):
-            assert set(processes[key].stage_seconds) == {"setup", "atpg"}
-        assert processes.same_results(serial)
 
     def test_cached_diagnosis_never_builds_a_scheduler(self, tiny_prepared, tmp_path):
         """A cache-served diagnose() must not pay for kernel compilation."""
@@ -294,7 +242,7 @@ class TestSessionBuilder:
         )
         result = fresh.diagnose(defect, scenario="a")
         assert result.cache_hit
-        assert fresh._diagnosis_schedulers == {}
+        assert fresh._schedulers == {}
 
 
 class TestInstrumentMemoisation:

@@ -452,27 +452,6 @@ class TestSessionDiagnose:
         assert result.scenario == "my-custom-a"
         assert result.rank_of_defect == 1
 
-    def test_custom_stage_pipeline_never_served_default_cache(self, tmp_path):
-        """The diagnosis key folds in the stage pipeline, like the scenario cache."""
-        defect = DefectSpec(kind="stuck-at", net="scan_en", value=1)
-        first = (
-            TestSession.for_design("tiny", options=CHEAP)
-            .with_cache(tmp_path / "cache")
-            .diagnose(defect, scenario="a")
-        )
-        assert not first.cache_hit
-
-        def noop_stage(session, run):
-            return None
-
-        custom = (
-            TestSession.for_design("tiny", options=CHEAP)
-            .with_cache(tmp_path / "cache")
-            .with_stage("noop", noop_stage)
-            .diagnose(defect, scenario="a")
-        )
-        assert not custom.cache_hit
-
     def test_scheduler_is_reused_across_diagnoses(self):
         session = TestSession.for_design("tiny", options=CHEAP)
         defect = DefectSpec(kind="stuck-at", net="scan_en", value=1)
@@ -481,7 +460,7 @@ class TestSessionDiagnose:
             DefectSpec(kind="transition", net="scan_en", polarity="slow-to-fall"),
             scenario="a",
         )
-        assert len(session._diagnosis_schedulers) == 1
+        assert len(session._schedulers) == 1
 
     def test_campaign_diagnose_grid(self):
         from repro.api import Campaign

@@ -101,22 +101,31 @@ class TestSchedulerPlumbing:
                 backend="quantum",
             )
 
-    def test_session_with_backend_updates_options(self):
-        session = TestSession.for_soc(size=1).with_backend(
-            "processes", shards=3, workers=2
+    def test_session_options_select_engine_backend(self):
+        session = TestSession.for_soc(size=1).with_options(
+            sim_backend="processes", sim_shards=3, sim_workers=2
         )
         assert session.options.sim_backend == "processes"
         assert session.options.sim_shards == 3
         assert session.options.sim_workers == 2
         with pytest.raises(ValueError, match="unknown engine backend"):
-            session.with_backend("gpu")
+            session.with_options(sim_backend="gpu")
 
-    def test_with_backend_preserves_configured_sharding(self):
+    def test_backend_switch_preserves_configured_sharding(self):
         session = TestSession.for_soc(size=1).with_options(
             sim_shards=8, sim_workers=8
-        ).with_backend("processes")
+        ).with_options(sim_backend="processes")
         assert session.options.sim_shards == 8
         assert session.options.sim_workers == 8
+
+    def test_options_validate_engine_knobs_where_they_are_set(self):
+        """A bad ``sim_*`` knob fails at construction, not in the first job."""
+        with pytest.raises(ValueError, match="unknown engine backend 'threads'"):
+            AtpgOptions(sim_backend="threads")
+        with pytest.raises(ValueError, match=r"sim_workers must be a positive integer \(got 0\)"):
+            AtpgOptions(sim_workers=0)
+        with pytest.raises(ValueError, match=r"sim_shards must be a positive integer \(got -1\)"):
+            AtpgOptions(sim_shards=-1)
 
     def test_run_backend_validated(self):
         session = TestSession.for_soc(size=1).add_scenario("table1-a")
@@ -258,20 +267,6 @@ class TestSessionCache:
         session.run()
         run = session.artifacts["table1-a"]
         assert run.cache_info is not None and run.cache_info["hit"] is False
-
-    def test_custom_stage_changes_cache_key(self, tmp_path):
-        self._session(tmp_path).run()
-
-        def audit(session, run):
-            run.extras["audit"] = True
-
-        session = self._session(tmp_path).with_stage("audit", audit)
-        session.run()
-        run = session.artifacts["table1-a"]
-        # A default-pipeline cache entry must not satisfy a session with a
-        # custom stage — the stage has to actually execute.
-        assert run.cache_info is not None and run.cache_info["hit"] is False
-        assert run.extras["audit"] is True
 
     def test_with_cache_false_detaches(self, tmp_path):
         session = self._session(tmp_path).with_cache(False)

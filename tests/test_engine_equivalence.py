@@ -180,7 +180,7 @@ class TestSessionLevelEquivalence:
         session = (
             TestSession.for_soc(size=1)
             .with_options(self.OPTIONS)
-            .with_backend(sim_backend)
+            .with_options(sim_backend=sim_backend)
             .add_scenarios("table1-a", "table1-c")
         )
         report = session.run(executor=Executor(backend=run_backend))
@@ -205,7 +205,7 @@ class TestSessionLevelEquivalence:
             session = (
                 TestSession.for_soc(size=1)
                 .with_options(self.OPTIONS)
-                .with_backend(sim_backend)
+                .with_options(sim_backend=sim_backend)
                 .add_scenario("table1-a", rng_seed=1234)
             )
             outcome = session.run().outcomes[0]

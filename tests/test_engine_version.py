@@ -56,7 +56,6 @@ def _all_keys(model) -> dict[str, str]:
         "diagnosis_key[log]": engine_cache.diagnosis_key(
             design, "scenario", {"spec": {}}, log_fp="log"
         ),
-        "job_key": engine_cache.job_key("kind", {"x": 1}, design_fp=design),
     }
 
 

@@ -7,11 +7,13 @@ the session/campaign wiring that spills executed scenarios' patterns.
 from __future__ import annotations
 
 import pickle
+import shutil
 
 import pytest
 
 from repro.api import TestSession
 from repro.api.campaign import Campaign
+from repro.atpg import AtpgOptions
 from repro.logic import Logic
 from repro.clocking import CapturePulse, NamedCaptureProcedure
 from repro.patterns.pattern import PatternSet, TestPattern
@@ -19,6 +21,11 @@ from repro.patterns.store import PatternStore, StoredPatternView
 from repro.runtime import Executor
 
 BACKEND_PATHS = {"sqlite": "store.db", "jsonl": "store.jsonl"}
+
+CHEAP = AtpgOptions(
+    random_pattern_batches=1, patterns_per_batch=8, backtrack_limit=4,
+    max_patterns=4,
+)
 
 
 def _procedure(name="stuck", at_speed=False):
@@ -151,6 +158,28 @@ class TestSessionStoreStage:
         assert len(store) == 0
         assert "store" not in session.artifacts["table1-a"].extras
 
+    def test_cache_hit_spills_to_its_own_store(self, tmp_path):
+        """A cached run is the plain in-memory run: a session on another
+        store is never served the first session's lazy view."""
+
+        def session(store: str, stream: bool) -> TestSession:
+            return (
+                TestSession.for_design("tiny", options=CHEAP)
+                .with_cache(tmp_path / "cache")
+                .add_scenario("table1-a")
+                .with_pattern_store(tmp_path / store, stream=stream)
+            )
+
+        session("p.jsonl", True).run()
+        second = session("q.jsonl", False)
+        second.run()
+        run = second.artifacts["table1-a"]
+        assert run.cache_info is not None and run.cache_info["hit"] is True
+        assert not isinstance(run.patterns, StoredPatternView)
+        assert run.extras["store"]["path"] == str(tmp_path / "q.jsonl")
+        stored = PatternStore(tmp_path / "q.jsonl").count(scenario="table1-a")
+        assert stored == len(run.patterns) > 0
+
 
 class TestCampaignStore:
     def test_campaign_groups_by_design_name(self, tmp_path):
@@ -164,3 +193,27 @@ class TestCampaignStore:
         assert ("tiny", "table1-a") in groups
         assert ("wide-edt", "table1-a") in groups
         assert all(store.count(design=d, scenario=s) > 0 for d, s in groups)
+
+    def test_plain_campaign_never_served_another_campaigns_store(self, tmp_path):
+        """A streaming campaign's cache entries hold plain runs, so a later
+        campaign without a store survives that store's deletion."""
+        store_dir = tmp_path / "stores"
+        store_dir.mkdir()
+
+        def campaign() -> Campaign:
+            return Campaign(["tiny"], ["table1-a"], CHEAP).with_cache(tmp_path / "cache")
+
+        streamed = campaign().with_pattern_store(store_dir / "grid.db", stream=True)
+        first = streamed.run()
+        assert isinstance(
+            streamed.artifacts[("tiny", "table1-a")].patterns, StoredPatternView
+        )
+        shutil.rmtree(store_dir)
+        plain = campaign()
+        report = plain.run()
+        assert report.cache_hits() == 1
+        cell, first_cell = report.cell("tiny", "a"), first.cell("tiny", "a")
+        assert cell.outcome.pattern_count == first_cell.outcome.pattern_count > 0
+        run = plain.artifacts[("tiny", "table1-a")]
+        assert not isinstance(run.patterns, StoredPatternView)
+        assert "store" not in run.extras

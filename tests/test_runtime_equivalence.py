@@ -4,7 +4,7 @@ The acceptance contract of the execution-plane redesign: for **every**
 registry design × **every** registry scenario, the report produced through
 ``Executor``-driven ``TestSession.run`` / ``Campaign.run`` is byte-identical
 (table output; deterministic fields via ``same_results``) to the direct
-stage-pipeline execution, on every plan backend — and a diagnosis plan ranks
+scenario-pipeline execution, on every plan backend — and a diagnosis plan ranks
 identically to a direct ``run_diagnosis`` call.
 
 ATPG effort is deliberately tiny: these tests pin plumbing equivalence, not
@@ -22,6 +22,7 @@ from repro.api import (
     TestSession,
     all_scenarios,
     design_names,
+    execute_scenario,
     outcome_of,
     prepare_from_spec,
     resolve_design,
@@ -51,12 +52,12 @@ def _session(prepared) -> TestSession:
 
 @pytest.fixture(scope="module")
 def reference_reports(prepared_designs):
-    """The direct path: every scenario through the raw stage pipeline."""
+    """The direct path: every scenario through the raw scenario pipeline."""
     reports: dict[str, RunReport] = {}
     for name, prepared in prepared_designs.items():
         session = _session(prepared)
         outcomes = [
-            outcome_of(session._execute_stages(spec))
+            outcome_of(execute_scenario(prepared, CHEAP, spec))
             for spec in session.queued_scenarios
         ]
         reports[name] = RunReport(
@@ -117,8 +118,7 @@ class TestDiagnosisEquivalence:
 
         prepared = prepared_designs["tiny"]
         scenario = resolve_scenario_or_letter("a")
-        session = TestSession.from_prepared(prepared, CHEAP)
-        run = session._execute_stages(scenario)
+        run = execute_scenario(prepared, CHEAP, scenario)
         setup = scenario.build_setup(prepared, CHEAP)
         return run_diagnosis(
             prepared, setup, run.patterns,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine.cache import job_key, plan_fingerprint
+from repro.engine.cache import plan_fingerprint
 from repro.runtime import (
     Job,
     JobKindNotFound,
@@ -139,12 +139,3 @@ class TestRegistry:
 
         assert handler_for("scenario").__module__ == "repro.api.session"
         assert handler_for("diagnosis").__module__ == "repro.api.session"
-
-
-class TestJobKeyHelper:
-    def test_job_key_is_content_addressed(self):
-        base = job_key("custom", {"a": 1}, design_fp="fp")
-        assert base == job_key("custom", {"a": 1}, design_fp="fp")
-        assert base != job_key("custom", {"a": 2}, design_fp="fp")
-        assert base != job_key("custom", {"a": 1}, design_fp="other")
-        assert base != job_key("other", {"a": 1}, design_fp="fp")
