@@ -12,12 +12,14 @@ makes the free energy convex and the marginals usable as confidences
 with Convex Free Energies").
 
 The module is deliberately a leaf: pure Python over plain lists and dicts,
-importing nothing from the diagnosis or engine planes, so both
-:mod:`repro.diagnose.diagnose` (the cheap tie-only re-ranker) and
-:mod:`repro.volume.graph` (full multi-defect inference) can share one
-message kernel without an import cycle.  Every operation iterates in a
-fixed order over the adjacency lists, so results are bit-identical for a
-given graph regardless of which engine backend produced the evidence.
+importing nothing from the diagnosis or engine planes, so
+:mod:`repro.diagnose.diagnose` (the cheap tie-only re-ranker,
+:func:`rerank_tied_scores`) and :mod:`repro.volume.graph` (full
+multi-defect inference, :func:`max_product_bp`) can both import their
+kernel from here without an import cycle.  The two are separate kernels.
+Every operation iterates in a fixed order over the adjacency lists, so
+results are bit-identical for a given graph regardless of which engine
+backend produced the evidence.
 """
 
 from __future__ import annotations
@@ -185,6 +187,17 @@ def max_product_bp(
       off, capped at CAP (just above the costliest candidate) so a sole
       explainer is forced on rather than driven to infinity.
 
+    Each factor's leave-one-out minima come from its two smallest ``mu``
+    values: ``low`` at the first argmin (a strict ``<`` scan, as ``min``
+    does) and ``second``, the minimum over every other slot.  The
+    first-argmin slot receives ``second`` and every other slot ``low``.
+    Since ``min`` keeps the first of equal values, these are the very
+    floats — ties and signed zeros included — that a per-edge ``min`` over
+    the other explainers returns, so the result is bit-identical to that
+    textbook O(d^2)-per-factor form at O(d) per factor: a sweep costs
+    O(edges).  The clip runs once per factor on the two values, and the
+    convexified unary split is computed once before the sweeps.
+
     Deterministic: messages update in factor order, sums run in adjacency
     order, no randomness — the same graph yields bit-identical beliefs on
     every platform, which is what lets volume diagnosis promise backend
@@ -206,6 +219,12 @@ def max_product_bp(
     for factor in adjacency:
         for j in factor:
             degree[j] += 1
+    unary = [
+        cost / count if opts.convexified and count else cost
+        for cost, count in zip(cost_list, degree)
+    ]
+    keep = opts.damping
+    take = 1.0 - keep
     # messages[e][k] pairs with adjacency[e][k]: factor e -> candidate j.
     messages = [[0.0] * len(factor) for factor in adjacency]
     incoming = [0.0] * len(cost_list)  # sum of factor->variable messages
@@ -214,26 +233,28 @@ def max_product_bp(
     converged = False
     for sweeps in range(1, opts.iterations + 1):
         max_delta = 0.0
-        for e, factor in enumerate(adjacency):
-            row = messages[e]
+        for factor, row in zip(adjacency, messages):
             # mu_{j->e}: unary cost (possibly split) minus the other
             # factors' pressure; subtracting this factor's own previous
             # message keeps the exchange extrinsic.
-            mu = []
+            mu = [unary[j] - (incoming[j] - old) for j, old in zip(factor, row)]
+            if len(mu) == 1:
+                first, low, second = 0, cap, cap
+            else:
+                # Leave-one-out minima: slot ``first`` sees ``second``,
+                # every other slot ``low`` (bit-identical; see docstring).
+                low = min(mu)
+                first = mu.index(low)
+                second = min(mu[:first] + mu[first + 1:])
+                low = min(max(low, 0.0), cap)
+                second = min(max(second, 0.0), cap)
             for k, j in enumerate(factor):
-                unary = cost_list[j] / degree[j] if opts.convexified else cost_list[j]
-                mu.append(unary - (incoming[j] - row[k]))
-            for k, j in enumerate(factor):
-                if len(factor) == 1:
-                    raw = cap
-                else:
-                    best = min(mu[i] for i in range(len(factor)) if i != k)
-                    raw = min(max(best, 0.0), cap)
-                updated = (1.0 - opts.damping) * raw + opts.damping * row[k]
-                delta = abs(updated - row[k])
+                old = row[k]
+                updated = take * (second if k == first else low) + keep * old
+                delta = abs(updated - old)
                 if delta > max_delta:
                     max_delta = delta
-                incoming[j] += updated - row[k]
+                incoming[j] += updated - old
                 row[k] = updated
         if max_delta < opts.tolerance:
             converged = True

@@ -468,22 +468,24 @@ def run_bp_diagnosis(
 
     # ------------------------------------------------------------------ ranking
     total_observed = evidence.total_observed
-    def sort_key(index: int) -> tuple:
-        return (
+    # The stable sort over ascending indices breaks key ties by index;
+    # candidates with equal keys share a rank.
+    keys = [
+        (
             -round(outcome.marginals[index], 9),
             (total_observed - len(evidence.hit_pairs[index]))
             + evidence.false_alarms[index],
             -len(evidence.hit_pairs[index]),
-            index,
         )
-
-    order = sorted(range(len(graph.costs)), key=sort_key)
+        for index in range(len(graph.costs))
+    ]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
     rows: list[BpScoredCandidate] = []
     row_of: dict[int, int] = {}
     rank = 0
     previous_key: tuple | None = None
     for position, index in enumerate(order):
-        key = sort_key(index)[:3]
+        key = keys[index]
         if key != previous_key:
             rank = position + 1
             previous_key = key

@@ -5,6 +5,9 @@ where the LP optimum is obvious, so regressions in the schedule show up
 as wrong selections rather than as subtle accuracy drift downstream.
 """
 
+import math
+import random
+
 import pytest
 
 from repro.diagnose.diagnose import _rerank_scores
@@ -106,9 +109,146 @@ class TestMaxProductBp:
         assert out.iterations <= 2
 
 
+def _reference_bp(costs, factors, opts):
+    """The textbook O(d^2)-per-factor sweep: each message is the minimum
+    over the other explainers, recomputed per edge.  The oracle the
+    O(d) kernel must match bit for bit."""
+    cost_list = [float(cost) for cost in costs]
+    adjacency = [tuple(factor) for factor in factors]
+    cap = (max(cost_list) if cost_list else 1.0) + 1.0
+    degree = [0] * len(cost_list)
+    for factor in adjacency:
+        for j in factor:
+            degree[j] += 1
+    messages = [[0.0] * len(factor) for factor in adjacency]
+    incoming = [0.0] * len(cost_list)
+    sweeps = 0
+    max_delta = math.inf
+    converged = False
+    for sweeps in range(1, opts.iterations + 1):
+        max_delta = 0.0
+        for e, factor in enumerate(adjacency):
+            row = messages[e]
+            mu = []
+            for k, j in enumerate(factor):
+                unary = cost_list[j] / degree[j] if opts.convexified else cost_list[j]
+                mu.append(unary - (incoming[j] - row[k]))
+            for k, j in enumerate(factor):
+                if len(factor) == 1:
+                    raw = cap
+                else:
+                    best = min(mu[i] for i in range(len(factor)) if i != k)
+                    raw = min(max(best, 0.0), cap)
+                updated = (1.0 - opts.damping) * raw + opts.damping * row[k]
+                delta = abs(updated - row[k])
+                if delta > max_delta:
+                    max_delta = delta
+                incoming[j] += updated - row[k]
+                row[k] = updated
+        if max_delta < opts.tolerance:
+            converged = True
+            break
+    beliefs = [cost_list[j] - incoming[j] for j in range(len(cost_list))]
+    marginals = [
+        1.0 / (1.0 + math.exp(min(max(belief, -50.0), 50.0)))
+        for belief in beliefs
+    ]
+    return beliefs, marginals, sweeps, converged, max_delta
+
+
+def _random_graph(seed, *, equal_costs=False, singletons=False,
+                  duplicates=False, orphan=False):
+    rng = random.Random(seed)
+    n = rng.randint(3, 24)
+    if equal_costs:
+        costs = [1.0] * n
+    else:
+        costs = [rng.choice((1.0, 1.25, 1.5)) + 0.25 * rng.randint(0, 6)
+                 for _ in range(n)]
+    used = n - 1 if orphan else n  # the last candidate explains nothing
+    factors = []
+    for _ in range(rng.randint(2, 3 * n)):
+        size = 1 if singletons and rng.random() < 0.3 else rng.randint(1, min(used, 8))
+        factors.append(rng.sample(range(used), size))
+        if duplicates and rng.random() < 0.4:
+            factors.append(list(factors[-1]))
+    return costs, factors
+
+
+def _assert_matches_reference(costs, factors, opts):
+    out = max_product_bp(costs, factors, opts)
+    beliefs, marginals, iterations, converged, max_delta = _reference_bp(
+        costs, factors, opts
+    )
+    assert out.beliefs == beliefs
+    assert out.marginals == marginals
+    assert out.iterations == iterations
+    assert out.converged == converged
+    assert out.max_delta == max_delta
+    # ``==`` equates -0.0 and 0.0; the sign bits must agree too.
+    assert [math.copysign(1.0, b) for b in out.beliefs] == [
+        math.copysign(1.0, b) for b in beliefs
+    ]
+    return out
+
+
+class TestLeaveOneOutOracle:
+    """The two-smallest kernel is bit-identical to the O(d^2) schedule."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_graphs(self, seed):
+        _assert_matches_reference(*_random_graph(seed), BpOptions())
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equal_costs_tie_mu(self, seed):
+        _assert_matches_reference(
+            *_random_graph(100 + seed, equal_costs=True), BpOptions()
+        )
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_singleton_factors(self, seed):
+        _assert_matches_reference(
+            *_random_graph(200 + seed, singletons=True), BpOptions()
+        )
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_repeated_identical_factors(self, seed):
+        _assert_matches_reference(
+            *_random_graph(300 + seed, duplicates=True, equal_costs=seed % 2 == 0),
+            BpOptions(),
+        )
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_candidate_in_no_factor(self, seed):
+        costs, factors = _random_graph(400 + seed, orphan=True)
+        out = _assert_matches_reference(costs, factors, BpOptions())
+        assert out.beliefs[-1] == costs[-1]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_not_convexified(self, seed):
+        _assert_matches_reference(
+            *_random_graph(500 + seed, equal_costs=seed % 2 == 0),
+            BpOptions(convexified=False),
+        )
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_undamped(self, seed):
+        _assert_matches_reference(
+            *_random_graph(600 + seed, equal_costs=seed % 2 == 0),
+            BpOptions(damping=0.0),
+        )
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_budget_ends_unconverged(self, seed):
+        costs, factors = _random_graph(700 + seed, duplicates=True)
+        out = _assert_matches_reference(costs, factors, BpOptions(iterations=2))
+        assert out.iterations == 2
+        assert not out.converged
+
+
 class TestRerankDelegation:
-    """Satellite: the classical tie re-ranker and the volume plane share one
-    kernel — `_rerank_scores` must be the same function applied."""
+    """The classical tie re-ranker delegates to the volume plane's
+    `rerank_tied_scores` — `_rerank_scores` must be that function applied."""
 
     def _case(self):
         hit_pairs = [
