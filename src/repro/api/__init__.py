@@ -14,14 +14,15 @@ results, in four pieces:
   :func:`~repro.api.design.prepare_from_spec` (``build -> scan -> clocking
   -> model``) into a :class:`~repro.api.design.PreparedDesign` (the ATPG
   view);
-* :class:`~repro.api.session.TestSession` — a fluent builder that owns
-  design preparation, shares the prepared/instrumented views across
-  scenarios, and executes each through the fixed ``setup -> atpg ->
-  compaction -> compression -> export`` pipeline
-  (:func:`~repro.api.session.execute_scenario`), serially or in parallel;
-* :class:`~repro.api.campaign.Campaign` — design×scenario grid sweeps over
-  the engine's backends, with per-cell persistent caching (resumable
-  campaigns) and a streaming :class:`~repro.api.campaign.CampaignReport`.
+* :class:`~repro.api.campaign.Campaign` — design×scenario grid sweeps:
+  every cell runs the fixed ``setup -> atpg -> compaction -> compression
+  -> export`` pipeline (:func:`~repro.api.pipeline.execute_scenario`) on
+  any executor backend, with per-cell persistent caching (resumable
+  campaigns), kept runs and a streaming
+  :class:`~repro.api.campaign.CampaignReport`;
+* :class:`~repro.api.session.TestSession` — the same machinery for one
+  design: a facade over a one-design campaign that adds in-place design
+  overrides, lookups by scenario name and single-device diagnosis.
 
 Quickstart::
 
@@ -41,10 +42,9 @@ Quickstart::
     ).run(executor=Executor(backend="processes"))
     print(sweep.table("table1-soc"))
 
-Execution itself lives on the :mod:`repro.runtime` plane: ``session.plan()``
-and ``campaign.plan()`` / ``campaign.diagnosis_plan()`` expose the compiled
-:class:`~repro.runtime.Plan` directly for callers that want streaming
-events, cancellation, or cache-aware resume control.
+``session.plan()``, ``campaign.plan()`` and ``campaign.diagnosis_plan()``
+expose the compiled :class:`~repro.runtime.Plan` for callers that want
+streaming events, cancellation, or cache-aware resume control.
 """
 
 from repro.api import scenarios
@@ -82,12 +82,8 @@ from repro.api.scenario import (
     scenario_names,
     unregister_scenario,
 )
-from repro.api.session import (
-    ScenarioRun,
-    TestSession,
-    execute_scenario,
-    outcome_of,
-)
+from repro.api.pipeline import ScenarioRun, execute_scenario, outcome_of
+from repro.api.session import TestSession
 
 __all__ = [
     "FAULT_MODELS",

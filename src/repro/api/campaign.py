@@ -13,23 +13,26 @@ registered scenarios::
     )
     print(report.table("table1-soc"))   # byte-compatible with format_table1
 
-Each cell (one design, one scenario) executes the same scenario pipeline a
-:class:`~repro.api.session.TestSession` runs, so a one-design campaign and a
-session produce identical outcomes.  The campaign itself is a *plan
-compiler*: :meth:`Campaign.plan` and :meth:`Campaign.diagnosis_plan` lower
-the grid into declarative :class:`~repro.runtime.Plan` graphs and
-``run()``/``diagnose()`` hand them to a :class:`~repro.runtime.Executor`.
-What the campaign layer adds:
+Every cell (one design, one scenario) runs the fixed scenario pipeline of
+:mod:`repro.api.pipeline`; a :class:`~repro.api.session.TestSession` is a
+one-design campaign behind a session-shaped facade.  The campaign is a
+*plan compiler*: :meth:`Campaign.plan` and :meth:`Campaign.diagnosis_plan`
+lower the grid into :class:`~repro.runtime.Plan` graphs and
+``run()``/``diagnose()`` hand them to a :class:`~repro.runtime.Executor`:
 
 * **declarative device axis** — designs are
   :class:`~repro.api.design.DesignSpec` values resolved from the design
-  registry, built (:func:`~repro.api.design.prepare_from_spec`) once per
-  design (and once per worker on the process backend);
+  registry (or built :class:`~repro.api.design.PreparedDesign` objects),
+  built (:func:`~repro.api.design.prepare_from_spec`) once per design (and
+  once per worker on the process backend);
 * **cache-backed resume** — with :meth:`with_cache`, every cell job carries
   an engine cache key derived from the *spec* fingerprint
   (:func:`repro.engine.cache.campaign_cell_key`), so a re-run of an
   interrupted campaign serves completed cells from disk without even
   building their designs (the executor skips those jobs outright);
+* **kept runs** — every pattern run that lands (grid cell or diagnosis
+  provider) is kept in :attr:`Campaign.artifacts`, spilled to the pattern
+  store, and seeds later diagnosis plans; new options drop them;
 * **streaming report** — :class:`CampaignReport` grows cell by cell as the
   executor's events land (cache hits first, then executed cells in
   completion order) and an ``on_cell`` callback observes each one;
@@ -58,13 +61,13 @@ from repro.api.lowering import (
 from repro.api.report import RunReport, ScenarioOutcome
 from repro.api.scenario import ScenarioSpec
 from repro.api.scenarios import resolve_scenario_or_letter
-from repro.api.session import ScenarioRun, materialize_design, outcome_of, spill_run
+from repro.api.pipeline import ScenarioRun, materialize_design, outcome_of, spill_run
 from repro.atpg.config import AtpgOptions
 from repro.atpg.generator import AtpgResult
 from repro.engine.cache import ResultCache, coerce_cache
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry, coerce_telemetry
 from repro.patterns.store import PatternStore
-from repro.runtime import Event, Executor, Job, Plan
+from repro.runtime import Event, Executor, Job, Plan, PlanResult
 
 
 # --------------------------------------------------------------------------
@@ -98,14 +101,7 @@ class CampaignCell:
     wall_seconds: float = 0.0
 
     def to_dict(self) -> dict[str, object]:
-        return {
-            "design": self.design,
-            "scenario": self.scenario,
-            "outcome": self.outcome.to_dict(),
-            "cell_key": self.cell_key,
-            "cache_hit": self.cache_hit,
-            "wall_seconds": self.wall_seconds,
-        }
+        return {**vars(self), "outcome": self.outcome.to_dict()}
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "CampaignCell":
@@ -139,18 +135,10 @@ class CampaignReport:
         return cell
 
     def designs(self) -> list[str]:
-        seen: list[str] = []
-        for cell in self.cells:
-            if cell.design not in seen:
-                seen.append(cell.design)
-        return seen
+        return list(dict.fromkeys(cell.design for cell in self.cells))
 
     def scenarios(self) -> list[str]:
-        seen: list[str] = []
-        for cell in self.cells:
-            if cell.scenario not in seen:
-                seen.append(cell.scenario)
-        return seen
+        return list(dict.fromkeys(cell.scenario for cell in self.cells))
 
     def cell(self, design: str, scenario: str) -> CampaignCell:
         """Look up one cell (scenario accepts name or experiment letter)."""
@@ -246,26 +234,38 @@ class Campaign:
         options: AtpgOptions | None = None,
     ) -> None:
         entries = [_design_entry(design) for design in designs]
-        self._scenarios = [resolve_scenario_or_letter(item) for item in scenarios]
+        specs = [resolve_scenario_or_letter(item) for item in scenarios]
         if not entries:
             raise ValueError("a campaign needs at least one design")
-        if not self._scenarios:
+        if not specs:
             raise ValueError("a campaign needs at least one scenario")
         names = [name for name, _ in entries]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate designs in campaign: {names}")
+        scenario_names = [spec.name for spec in specs]
+        if len(set(scenario_names)) != len(scenario_names):
+            raise ValueError(f"duplicate scenarios in campaign: {scenario_names}")
+        self._bind(dict(entries), specs, options)
+
+    @classmethod
+    def _single(cls, design, options: AtpgOptions | None) -> "Campaign":
+        """A one-design campaign whose scenario axis starts empty (the
+        campaign behind a :class:`~repro.api.session.TestSession`)."""
+        campaign = cls.__new__(cls)
+        campaign._bind(dict([_design_entry(design)]), [], options)
+        return campaign
+
+    def _bind(self, designs: dict, scenarios: list, options: AtpgOptions | None) -> None:
         #: Design name -> declarative spec or built design (plan resource).
-        self._designs: dict[str, DesignSpec | PreparedDesign] = dict(entries)
+        self._designs = designs
         #: Designs built so far, shared with every plan as its
         #: ``_materialized`` resource: a design built by one run (in-parent)
         #: is reused by the next without a rebuild.
         self._built: dict[str, PreparedDesign] = {
-            name: design for name, design in entries
+            name: design for name, design in designs.items()
             if isinstance(design, PreparedDesign)
         }
-        scenario_names = [spec.name for spec in self._scenarios]
-        if len(set(scenario_names)) != len(scenario_names):
-            raise ValueError(f"duplicate scenarios in campaign: {scenario_names}")
+        self._scenarios = scenarios
         self.options = options or AtpgOptions()
         self._cache: ResultCache | None = None
         self._pattern_store: "PatternStore | None" = None
@@ -273,6 +273,11 @@ class Campaign:
         self._telemetry: Telemetry = NULL_TELEMETRY
         self._lint = False
         self._lint_waivers: tuple = ()
+        #: Diagnosis scoring schedulers, bound into every plan as the
+        #: ``_schedulers`` memo: reused across diagnose() calls so one worker
+        #: pool serves a whole device stream.  Closed when the design or the
+        #: options change (the remainder by the scheduler's GC finalizer).
+        self._schedulers: dict = {}
         #: LintReport per design from the last pre-flight gate (if enabled).
         self.lint_reports: dict[str, object] = {}
         #: Raw ScenarioRun per executed/cached cell, keyed (design, scenario).
@@ -283,29 +288,48 @@ class Campaign:
         #: The last :meth:`diagnose_volume` run's report (None before the first).
         self.volume_report = None
 
+    def _rebind_design(self, design: "DesignSpec | PreparedDesign") -> None:
+        """Replace a one-design campaign's design (a session's override)."""
+        name, entry = _design_entry(design)
+        self._designs = {name: entry}
+        self._built = {name: entry} if isinstance(entry, PreparedDesign) else {}
+        self._forget()
+
+    def _forget(self) -> None:
+        """Drop the kept runs and close the memoised schedulers (and their
+        worker pools): they describe the previous design or options."""
+        self.artifacts.clear()
+        for scheduler in self._schedulers.values():
+            scheduler.close()
+        self._schedulers.clear()
+
     # -------------------------------------------------------- fluent builders
     def with_options(
         self, options: AtpgOptions | None = None, **knobs: object
     ) -> "Campaign":
-        """Set the campaign's ATPG options, or tweak individual knobs
-        (``sim_backend``/``sim_shards``/``sim_workers`` select the engine
-        backend fault simulation runs on inside each cell)."""
+        """Set the ATPG options, or tweak individual knobs (the engine
+        backend is one: ``sim_backend``/``sim_shards``/``sim_workers``).
+
+        Kept :attr:`artifacts` are dropped and memoised schedulers closed:
+        they were made under the old options (reusing them would pair stale
+        patterns with a cache key derived from the new ones).
+        """
         if options is not None and knobs:
             raise ValueError("pass either an AtpgOptions object or keyword knobs")
-        if options is not None:
-            self.options = options
-        else:
-            self.options = replace(self.options, **knobs)  # type: ignore[arg-type]
+        self.options = options if options is not None else replace(self.options, **knobs)  # type: ignore[arg-type]
+        self._forget()
         return self
 
     def with_cache(self, cache: "ResultCache | str | bool | None" = True) -> "Campaign":
         """Attach the persistent engine result cache (cell-level resume).
 
-        Every cell is keyed on (design fingerprint, scenario+options
-        fingerprint, engine version); re-running a campaign after an
-        interruption serves all previously completed cells from disk —
-        without rebuilding their designs, because spec-backed fingerprints
-        are computed from the declarative spec alone.
+        Every job is keyed on (design identity, scenario+options
+        fingerprint, engine version), so a rerun of an unchanged cell — in
+        this or any later campaign or session — is served from disk without
+        rebuilding its design (spec identities need no build).  ``cache``:
+        ``True`` (default root, honoring ``REPRO_ENGINE_CACHE``), a
+        directory, a :class:`~repro.engine.cache.ResultCache`, or
+        ``False``/``None`` to detach.
         """
         self._cache = coerce_cache(cache)
         return self
@@ -316,56 +340,47 @@ class Campaign:
         *,
         stream: bool = False,
     ) -> "Campaign":
-        """Spill every landed grid cell's patterns to a disk-backed store.
+        """Spill every kept run's patterns to a disk-backed store.
 
-        Each cell's pattern set — executed or served from the cache — lands
-        in the :class:`~repro.patterns.store.PatternStore` grouped by
-        ``(design, scenario)`` as the cell folds into the report
-        (:func:`~repro.api.session.spill_run`): written once per group, so
-        an interrupted campaign resumed over the same store does not
-        duplicate.  With ``stream=True`` the kept runs' in-memory sets are
-        replaced by the store's lazy views (memory-bounded at SoC scale).
-        Diagnosis and volume pattern providers do not spill.
+        Every run that lands — a grid cell or a diagnosis/volume pattern
+        provider, executed or cache-served — is written to the
+        :class:`~repro.patterns.store.PatternStore` (a path or store;
+        ``None`` detaches) grouped by ``(design, scenario)``, once per group
+        (:func:`~repro.api.pipeline.spill_run`).  ``stream=True`` replaces
+        the kept in-memory sets by the store's lazy views (memory-bounded;
+        the store file must outlive the run).
         """
-        self._pattern_store = (
-            store
-            if store is None or isinstance(store, PatternStore)
-            else PatternStore(store)
-        )
+        if store is not None and not isinstance(store, PatternStore):
+            store = PatternStore(store)
+        self._pattern_store = store
         self._pattern_store_stream = stream
         return self
 
     def with_telemetry(
         self, telemetry: "Telemetry | bool | None" = True
     ) -> "Campaign":
-        """Attach an observability plane to this campaign's executions.
+        """Attach an observability plane to every execution.
 
-        ``run()``/``diagnose()`` activate it around their plan execution —
-        every layer below (executor waves, scenario pipelines, ATPG, fault-sim
-        shards, the cache) records spans and counters into it, and the
-        report's ``campaign["telemetry"]`` carries the metrics snapshot.
-        Accepts a :class:`~repro.obs.Telemetry`, ``True`` (fresh enabled)
-        or ``False``/``None`` (detach; the default no-op leaves reports
-        byte-identical to an un-instrumented campaign).
+        Each plan runs with it active, so every layer below records spans
+        and counters into it; the report header (``campaign``/``session``)
+        carries the ``"telemetry"`` snapshot.  Accepts a
+        :class:`~repro.obs.Telemetry`, ``True`` (fresh enabled) or
+        ``False``/``None`` (detach: reports stay byte-identical).
         """
         self._telemetry = coerce_telemetry(telemetry)
         return self
 
     @property
     def telemetry(self) -> Telemetry:
-        """The campaign's telemetry (the shared no-op unless attached)."""
+        """The attached telemetry (the shared no-op unless attached)."""
         return self._telemetry
 
     def with_lint(self, enabled: bool = True, *, waivers: "Sequence | tuple" = ()) -> "Campaign":
-        """Enable the static-analysis pre-flight gate.
-
-        Before any cell executes, every design on the grid is linted
-        (:func:`repro.analyze.lint_design`, with the first scenario's
-        :class:`~repro.atpg.config.TestSetup` as the constraint
-        environment).  Unwaived ERROR findings abort the campaign with a
-        :class:`repro.analyze.LintError` before a single pattern is
-        generated.  Opt-in because the gate must materialize every design
-        up front, which defeats spec-laziness and cache-only resumes.
+        """Enable the static-analysis pre-flight gate: before any cell runs,
+        every design is linted (:func:`repro.analyze.lint_design`, first
+        scenario's setup) and unwaived ERROR findings raise
+        :class:`repro.analyze.LintError`.  Opt-in: the gate builds every
+        design up front, which defeats spec-laziness and cache-only resumes.
         """
         self._lint = enabled
         self._lint_waivers = tuple(waivers)
@@ -379,9 +394,8 @@ class Campaign:
 
         self.lint_reports = {}
         failed: list[str] = []
-        resources = self._plan_resources()
         for name in self._designs:
-            prepared = materialize_design(resources, name)
+            prepared = self._prepared(name)
             setup = self._scenarios[0].build_setup(prepared, self.options)
             report = lint_design(prepared, setup, waivers=self._lint_waivers)
             self.lint_reports[name] = report
@@ -411,6 +425,13 @@ class Campaign:
             (design, spec.name) for design in self._designs for spec in self._scenarios
         ]
 
+    def _prepared(self, name: str) -> PreparedDesign:
+        """One design of the grid, built at most once (memoised in
+        ``_built``, which every plan shares as ``_materialized``)."""
+        return materialize_design(
+            {"designs": self._designs, "_materialized": self._built}, name
+        )
+
     def result_of(self, design: str, scenario: str) -> AtpgResult:
         """The raw AtpgResult of one executed fault-model cell."""
         for (design_name, scenario_name), run in self.artifacts.items():
@@ -430,51 +451,106 @@ class Campaign:
 
     # ------------------------------------------------------- plan compilation
     def plan(self) -> Plan:
-        """Compile the design×scenario grid into a declarative runtime plan.
+        """Compile the grid into a runtime plan: one ``"scenario"`` job per
+        cell, keyed on the design identity (the *spec* fingerprint for
+        spec-backed entries), so a cached executor skips completed cells of
+        an interrupted run without building their designs."""
+        return self._grid_plan(self._scenarios)
 
-        One ``"scenario"`` job per cell, no inter-cell dependencies; each
-        job's cache key derives from the design identity (the *spec*
-        fingerprint for spec-backed entries), so an
-        :class:`~repro.runtime.Executor` with this campaign's cache skips
-        completed cells of an interrupted run without building their
-        designs.
-        """
-        resources = self._plan_resources()
+    def _grid_plan(self, specs: Sequence[ScenarioSpec]) -> Plan:
+        resources = self._plan_resources(specs)
         return Plan(
             name="campaign",
             jobs=tuple(
                 scenario_job(f"cell:{design}:{spec.name}", design, spec, resources)
                 for design in self._designs
-                for spec in self._scenarios
+                for spec in specs
             ),
-            metadata={"designs": self.design_names, "scenarios": self.scenario_names},
+            metadata={
+                "designs": self.design_names,
+                "scenarios": [spec.name for spec in specs],
+            },
             resources=resources,
         )
 
-    def _plan_resources(self) -> dict[str, object]:
-        """Runtime bindings for this campaign's plans.
-
-        Built designs ride along as-is; spec-backed entries stay declarative
-        so process workers (and cache-resumed runs) only build the designs
-        their jobs actually touch.
-        """
+    def _plan_resources(self, specs: Sequence[ScenarioSpec]) -> dict[str, object]:
+        """Runtime bindings for this campaign's plans: built designs ride
+        along as-is, spec entries stay declarative (workers build only what
+        their jobs touch); ``_``-prefixed memos never ship to workers."""
         return {
             "options": self.options,
             "designs": {
                 name: self._built.get(name, design)
                 for name, design in self._designs.items()
             },
-            "scenarios": {spec.name: spec for spec in self._scenarios},
+            "scenarios": {spec.name: spec for spec in specs},
             "_materialized": self._built,
+            "_schedulers": self._schedulers,
         }
 
-    def _execute(self, plan: Plan, executor: Executor, report, handle) -> None:
-        """The shared execute step, bound to this campaign's cache and
-        telemetry; fallbacks and the snapshot land in the report header."""
-        execute_plan(
-            plan, executor, cache=self._cache, telemetry=self._telemetry,
-            metadata=report.campaign, on_event=handle,
+    # --------------------------------------------------------------- execution
+    def _cached(self, executor: "Executor | None") -> bool:
+        """Whether a result cache is in effect (the campaign's or the
+        executor's; a serve tenant, ``executor=None``, always has one)."""
+        return executor is None or executor.effective_cache(self._cache) is not None
+
+    def _keep(self, job: Job, run: ScenarioRun, cache_hit: bool, cached: bool) -> ScenarioRun:
+        """Keep one landed pattern run: spill it, stamp its cache
+        provenance, record it in :attr:`artifacts`."""
+        design, scenario = job.params["design"], job.params["scenario"]
+        run = spill_run(
+            run, self._pattern_store, design, stream=self._pattern_store_stream
         )
+        if cached:
+            run.cache_info = {"hit": cache_hit, "key": job.cache_key}
+        self.artifacts[(design, scenario)] = run
+        return run
+
+    def _execute(
+        self,
+        plan: Plan,
+        executor: Executor,
+        *,
+        metadata: "dict[str, object] | None" = None,
+        on_event: "Callable[[Event], None] | None" = None,
+    ) -> PlanResult:
+        """The execute step behind every run: seed pattern providers from
+        :attr:`artifacts`, execute under the campaign's cache and telemetry
+        (``metadata`` is the report header), keep every provider that ran or
+        came from the cache.  Grid cells are kept by :meth:`_fold`."""
+        providers = [job for job in plan.jobs if job.if_needed]
+        seeds: dict[str, object] = {}
+        for job in providers:
+            run = self.artifacts.get((job.params["design"], job.params["scenario"]))
+            if run is not None and run.patterns is not None:
+                seeds[job.id] = run
+        result = execute_plan(
+            plan, executor, cache=self._cache, telemetry=self._telemetry,
+            metadata=metadata, seeds=seeds, on_event=on_event,
+        )
+        cached = self._cached(executor)
+        for job in providers:
+            landed = result.results.get(job.id)
+            if landed is not None and landed.reason in (None, "cache"):
+                self._keep(job, landed.value, landed.skipped, cached)
+        return result
+
+    def _run_grid(
+        self,
+        specs: Sequence[ScenarioSpec],
+        executor: Executor,
+        metadata: dict[str, object],
+        *,
+        on_cell: "Callable[[CampaignCell], None] | None" = None,
+        on_event: "Callable[[Event], None] | None" = None,
+    ) -> CampaignReport:
+        """Run ``specs`` on every design; ``metadata`` is the report header."""
+        plan = self._grid_plan(specs)
+        report, handle, finalize = self._fold(
+            plan, metadata, self._cached(executor), on_cell=on_cell, on_event=on_event
+        )
+        self._execute(plan, executor, metadata=report.campaign, on_event=handle)
+        return finalize()
 
     # ----------------------------------------------------------------- running
     def run(
@@ -484,29 +560,18 @@ class Campaign:
         executor: "Executor | None" = None,
         on_event: "Callable[[Event], None] | None" = None,
     ) -> CampaignReport:
-        """Execute the grid and return the streaming campaign report.
-
-        The grid compiles to a :class:`~repro.runtime.Plan` (see
-        :meth:`plan`) and runs on a :class:`~repro.runtime.Executor`;
-        results are deterministic and identical across backends.
-
-        Args:
-            on_cell: Callback observing each :class:`CampaignCell` as it
-                lands in the report: cache hits first (grid order), then
-                executed cells in completion order.
-            executor: A configured :class:`~repro.runtime.Executor`
-                (default: a serial one).
-            on_event: Raw :class:`~repro.runtime.Event` callback (job and
-                plan-progress granularity; ``on_cell`` is derived from it).
+        """Execute the grid (:meth:`plan`) on ``executor`` (default: serial)
+        and return the streaming campaign report; results are identical
+        across backends.  ``on_cell`` observes each :class:`CampaignCell`
+        as it lands (cache hits first, then completion order); ``on_event``
+        sees every raw :class:`~repro.runtime.Event`.
         """
         executor = executor or Executor()
         self._preflight_lint()
-        plan = self.plan()
-        report, handle, finalize = self._fold(
-            plan, self._metadata(executor), on_cell=on_cell, on_event=on_event
+        return self._run_grid(
+            self._scenarios, executor, self._metadata(executor),
+            on_cell=on_cell, on_event=on_event,
         )
-        self._execute(plan, executor, report, handle)
-        return finalize()
 
     # ------------------------------------------------------------- submission
     def submit(
@@ -519,24 +584,14 @@ class Campaign:
     ) -> CampaignHandle:
         """Submit the grid to a running serve server; returns a handle.
 
-        The fire-and-forget counterpart of :meth:`run`: the grid compiles to
-        the same plan, ships to the server (declarative plan JSON plus the
-        pickled resource bindings) and executes there — on the server's
-        remote workers when any are registered, locally otherwise, always
-        against the tenant's persistent result cache.  The returned
-        :class:`~repro.api.lowering.CampaignHandle` can stream progress,
-        cancel, and assemble the final :class:`CampaignReport` through the
-        exact same fold ``run()`` uses, so the report is identical to a
-        local run's.
-
-        Args:
-            client: A :class:`~repro.serve.ServeClient` connected to the
-                server (duck-typed — anything with ``submit``/``wait``/
-                ``status``/``cancel``).
-            tenant: Result-store tenant the execution is billed to.
-            name: Queue display name (defaults to the plan's).
-            metadata: Extra submission metadata (e.g. ``{"backend":
-                "threads"}`` to pin the server's local backend).
+        The fire-and-forget counterpart of :meth:`run`: the same plan ships
+        to the server (a :class:`~repro.serve.ServeClient`, or anything with
+        ``submit``/``wait``/``status``/``cancel``) and executes there
+        against ``tenant``'s persistent result cache; ``metadata`` (e.g.
+        ``{"backend": "threads"}``) rides with the submission.  The
+        :class:`~repro.api.lowering.CampaignHandle` streams progress,
+        cancels, and assembles the :class:`CampaignReport` through the fold
+        ``run()`` uses, so the report is identical to a local run's.
         """
         self._preflight_lint()
         plan = self.plan()
@@ -546,7 +601,7 @@ class Campaign:
         header = self._metadata(None)
         return CampaignHandle(
             client, job_id, plan,
-            fold=lambda **callbacks: self._fold(plan, header, **callbacks),
+            fold=lambda **callbacks: self._fold(plan, header, cached=True, **callbacks),
         )
 
     # --------------------------------------------------------------- diagnosis
@@ -555,12 +610,9 @@ class Campaign:
     ) -> Plan:
         """Compile a design×scenario×defect sweep into one runtime plan.
 
-        Per (design, scenario) row one ``if_needed`` pattern-provider job
-        (sharing its cache key with the ordinary :meth:`plan` cells, so
-        pattern sets flow between scenario campaigns and diagnosis sweeps);
-        per defect one ``"diagnosis"`` job depending on its row's provider.
-        A fully cache-resumed sweep therefore prunes every provider — no
-        design build, no ATPG.
+        Per (design, scenario) row one ``if_needed`` pattern provider (keyed
+        like the :meth:`plan` cells), per defect one ``"diagnosis"`` job on
+        it; a fully cached sweep prunes every provider (no build, no ATPG).
         """
         from repro.diagnose import DiagnosisSpec
 
@@ -583,7 +635,7 @@ class Campaign:
         ]
         return lower_diagnoses(
             cases,
-            self._plan_resources(),
+            self._plan_resources(self._scenarios),
             name="campaign-diagnosis",
             metadata={
                 "designs": self.design_names,
@@ -603,30 +655,17 @@ class Campaign:
     ):
         """Sweep a design x scenario x defect diagnosis grid.
 
-        Every cell injects one defect into one design, runs the scenario's
-        pattern set against the injected device, captures the fail log and
-        ranks the cone-intersection candidates — streaming one
-        :class:`~repro.diagnose.DiagnosisCell` per completed cell into a
-        :class:`~repro.diagnose.DiagnosisReport` (rank of the true defect,
-        resolution, candidate counts).
-
-        The sweep compiles to one plan (see :meth:`diagnosis_plan`): pattern
-        sets are generated once per (design, scenario) provider job and
-        shared by every defect on that row; with :meth:`with_cache` attached
-        both the pattern sets and the diagnosis results resume from the
-        persistent engine cache.
-
-        Args:
-            defects: The :class:`~repro.diagnose.DefectSpec` values to
-                inject (the defect axis of the grid).
-            on_cell: Callback observing each cell as it lands in the report.
-            executor: A configured :class:`~repro.runtime.Executor`
-                (default: a serial one).  Results are deterministic and
-                identical across backends.
-            on_event: Raw :class:`~repro.runtime.Event` callback.
-            **spec_overrides: Extra :class:`~repro.diagnose.DiagnosisSpec`
-                fields applied to every cell (``candidate_kinds``,
-                ``max_sites``, ``rerank_iterations``, ...).
+        Every cell injects one of ``defects`` into one design, runs the
+        scenario's patterns against it, captures the fail log and ranks the
+        candidates — one :class:`~repro.diagnose.DiagnosisCell` per cell,
+        streamed into a :class:`~repro.diagnose.DiagnosisReport`.  The sweep
+        is one plan (:meth:`diagnosis_plan`): each (design, scenario) row's
+        patterns are generated once — or taken from :attr:`artifacts` — and
+        the provider that lands is kept (and spilled) like a grid cell; with
+        :meth:`with_cache` both resume from the engine cache.
+        ``spec_overrides`` are extra :class:`~repro.diagnose.DiagnosisSpec`
+        fields for every cell; ``executor``/``on_cell``/``on_event`` as in
+        :meth:`run`.
         """
         from repro.diagnose import DiagnosisCell, DiagnosisReport, DiagnosisSpec
 
@@ -644,9 +683,69 @@ class Campaign:
             plan, DiagnosisReport(campaign=header), cell_of,
             on_cell=on_cell, on_event=on_event,
         )
-        self._execute(plan, executor, report, handle)
+        self._execute(plan, executor, metadata=report.campaign, on_event=handle)
         self.diagnosis_report = finalize()
         return self.diagnosis_report
+
+    def _case_plan(
+        self,
+        spec,
+        scenario_spec: ScenarioSpec,
+        *,
+        fail_log: "object | None" = None,
+        bp: "object | None" = None,
+        defects: "Sequence | None" = None,
+    ) -> Plan:
+        """Lower one diagnosis on a one-design campaign: an ``if_needed``
+        pattern provider feeding one diagnosis job (``bp``, a
+        :class:`~repro.volume.BpOptions`, selects the BP plane)."""
+        (design,) = self._designs
+        if defects:
+            described = " + ".join(defect.describe() for defect in defects)
+        elif spec.defect is not None:
+            described = spec.defect.describe()
+        else:
+            described = "fail-log"
+        prefix = "diagnose" if bp is None else "bp-diagnose"
+        case = DiagnosisCase(
+            id=f"{prefix}:{scenario_spec.name}",
+            design=design,
+            scenario=scenario_spec.name,
+            spec=spec,
+            described=described,
+            bp=bp,
+            defects=tuple(defects or ()),
+            log=None if fail_log is None else "external",
+            fail_log=fail_log,
+        )
+        return lower_diagnoses(
+            [case],
+            self._plan_resources([scenario_spec]),
+            name=f"{prefix}:{design}:{scenario_spec.name}",
+            metadata={
+                "design": design,
+                "scenario": scenario_spec.name,
+                "defect": described,
+            },
+        )
+
+    def _diagnose_case(
+        self,
+        spec,
+        scenario_spec: ScenarioSpec,
+        *,
+        executor: Executor,
+        on_event: "Callable[[Event], None] | None" = None,
+        **case: object,
+    ):
+        """Execute one :meth:`_case_plan` diagnosis; returns the raw
+        :class:`~repro.diagnose.DiagnosisResult` (or BP result), flagged
+        ``cache_hit`` when the diagnosis came from the cache."""
+        plan = self._case_plan(spec, scenario_spec, **case)
+        diagnosis = self._execute(plan, executor, on_event=on_event)[plan.jobs[-1].id]
+        if diagnosis.skipped:
+            diagnosis.value.cache_hit = True
+        return diagnosis.value
 
     # ----------------------------------------------------------------- volume
     def volume_plan(
@@ -657,14 +756,9 @@ class Campaign:
         scenario: "ScenarioSpec | str | None" = None,
         **spec_overrides: object,
     ) -> Plan:
-        """Compile a fail-log store's share of this campaign into one plan.
-
-        Records whose design is not part of this campaign are filtered out
-        (one store can hold several campaigns' logs); every surviving log
-        becomes one content-addressed ``"bp-diagnosis"`` job (see
-        :func:`~repro.volume.run.volume_plan`), so an interrupted run
-        resumes from the cache with zero re-runs.
-        """
+        """Compile a fail-log store's share of this campaign (records of
+        other designs are skipped) into one plan of content-addressed
+        ``"bp-diagnosis"`` jobs (:func:`~repro.volume.run.volume_plan`)."""
         from repro.volume.run import VolumeSpec
         from repro.volume.run import volume_plan as compile_volume_plan
 
@@ -683,7 +777,7 @@ class Campaign:
             spec = VolumeSpec(scenario=scenario_name, **spec_overrides)  # type: ignore[arg-type]
         elif spec_overrides or scenario is not None:
             spec = spec.with_overrides(scenario=scenario_name, **spec_overrides)
-        resources = self._plan_resources()
+        resources = self._plan_resources(self._scenarios)
         return compile_volume_plan(
             records,
             resources["designs"],
@@ -705,31 +799,16 @@ class Campaign:
     ):
         """Diagnose every stored fail log with loopy BP as one plan.
 
-        The volume counterpart of :meth:`diagnose`: instead of a defect
-        grid, the evidence axis is a persistent
-        :class:`~repro.volume.FailLogStore` (or any record iterable), and
-        each log's verdict is a BP-selected candidate *set* with
-        calibrated confidences — streamed into a
-        :class:`~repro.volume.BpDiagnosisReport`.  Pattern sets are
-        generated once per (design, scenario) row and shared by every log
-        on it; with :meth:`with_cache` attached both the pattern sets and
-        the per-log BP results resume from the persistent engine cache.
-
-        Args:
-            store: A :class:`~repro.volume.FailLogStore` or iterable of
-                :class:`~repro.volume.FailLogRecord`.
-            spec: A :class:`~repro.volume.VolumeSpec`; built from
-                ``scenario``/``spec_overrides`` when omitted.
-            on_cell: Callback observing each landed
-                :class:`~repro.volume.BpDiagnosisCell`.
-            scenario: Pattern-set scenario for records without their own
-                label (default: the campaign's first scenario).
-            executor: A configured :class:`~repro.runtime.Executor`
-                (default: a serial one).  Reports are deterministic and
-                identical across backends.
-            on_event: Raw :class:`~repro.runtime.Event` callback.
-            **spec_overrides: Extra :class:`~repro.volume.VolumeSpec`
-                fields (``candidate_kinds``, ``bp``, ...).
+        The volume counterpart of :meth:`diagnose`: the evidence axis is a
+        :class:`~repro.volume.FailLogStore` (or any record iterable) and
+        each log's verdict is a BP-selected candidate *set* with calibrated
+        confidences, streamed into a
+        :class:`~repro.volume.BpDiagnosisReport`.  Pattern providers behave
+        as in :meth:`diagnose`.  ``spec`` (a
+        :class:`~repro.volume.VolumeSpec`) is built from ``scenario`` (for
+        records without their own label; default: the first scenario) and
+        ``spec_overrides`` when omitted; ``executor``/``on_cell``/
+        ``on_event`` as in :meth:`run`.
         """
         from repro.volume.run import volume_report_builder
 
@@ -739,7 +818,7 @@ class Campaign:
         report, handle, finalize = volume_report_builder(
             plan, metadata=self._metadata(executor), on_cell=on_cell, on_event=on_event
         )
-        self._execute(plan, executor, report, handle)
+        self._execute(plan, executor, metadata=report.campaign, on_event=handle)
         self.volume_report = finalize()
         return self.volume_report
 
@@ -757,12 +836,8 @@ class Campaign:
     ) -> CampaignHandle:
         """Submit a volume-diagnosis plan to a running serve server.
 
-        The fire-and-forget counterpart of :meth:`diagnose_volume`: the
-        identical plan ships to the server and executes there against the
-        tenant's persistent result cache.  The returned handle streams
-        progress, cancels, and assembles the final
-        :class:`~repro.volume.BpDiagnosisReport` through the exact same
-        fold a local run uses.
+        The fire-and-forget counterpart of :meth:`diagnose_volume`, as
+        :meth:`submit` is of :meth:`run`.
         """
         from repro.volume.run import submit_volume as submit_volume_plan
 
@@ -774,18 +849,13 @@ class Campaign:
 
     # -------------------------------------------------------------- internals
     def _metadata(self, executor: "Executor | None") -> dict[str, object]:
-        """The report header; ``executor=None`` == a serve submission.
-
-        ``cached`` reflects the *effective* cache — the campaign's own
-        (which wins) or one attached to the executor; a serve tenant always
-        has one.
-        """
+        """The report header; ``executor=None`` == a serve submission."""
         return {
             "designs": self.design_names,
             "scenarios": self.scenario_names,
             "design_sizes": self._design_sizes(),
             "backend": "serve" if executor is None else executor.backend,
-            "cached": executor is None or executor.effective_cache(self._cache) is not None,
+            "cached": self._cached(executor),
         }
 
     def _design_sizes(self) -> dict[str, dict[str, object]]:
@@ -813,34 +883,22 @@ class Campaign:
         self,
         plan: Plan,
         metadata: dict[str, object],
+        cached: bool,
         *,
         on_cell: "Callable[[CampaignCell], None] | None" = None,
         on_event: "Callable[[Event], None] | None" = None,
     ) -> "tuple[CampaignReport, Callable[[Event], None], Callable[[], CampaignReport]]":
-        """Fold a grid plan's events into a :class:`CampaignReport`.
-
-        Shared by :meth:`run` and the serve handle, so a remotely executed
-        campaign's report is assembled exactly like a local one.  Each
-        landed cell's run is spilled to the pattern store (if attached) and
-        kept in :attr:`artifacts`; with a cache in effect
-        (``metadata["cached"]``) it carries its cache provenance.
-        """
-        cached = bool(metadata["cached"])
+        """Fold a grid plan's events into a :class:`CampaignReport`, keeping
+        each landed cell's run (:meth:`_keep`).  Shared by local runs and
+        the serve handle, so both assemble the same report."""
 
         def cell_of(job: Job, run: ScenarioRun, cache_hit: bool) -> CampaignCell:
-            design, scenario = job.params["design"], job.params["scenario"]
-            run = spill_run(
-                run, self._pattern_store, design, stream=self._pattern_store_stream
-            )
-            key = job.cache_key if cached else None
-            if key is not None:
-                run.cache_info = {"hit": cache_hit, "key": key}
-            self.artifacts[(design, scenario)] = run
+            run = self._keep(job, run, cache_hit, cached)
             return CampaignCell(
-                design=design,
-                scenario=scenario,
+                design=job.params["design"],
+                scenario=job.params["scenario"],
                 outcome=outcome_of(run),
-                cell_key=key,
+                cell_key=job.cache_key if cached else None,
                 cache_hit=cache_hit,
                 wall_seconds=sum(run.stage_seconds.values()),
             )

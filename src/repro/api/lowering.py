@@ -1,13 +1,14 @@
 """One path from plan to report, shared by every front door.
 
-``TestSession``, ``Campaign`` and the volume plane
-(:func:`repro.volume.volume_plan`) all run the same flow: lower a request
+``Campaign`` (and so ``TestSession``, a one-design campaign) and the
+volume plane (:func:`repro.volume.volume_plan`) run the same flow: lower a request
 into a :class:`~repro.runtime.Plan`, execute it, and fold the executor's
 event stream into a report.  This module holds the single copy of each
 step:
 
 * :func:`scenario_job` / :func:`lower_diagnoses` — the lowering.  Pattern
-  sets are ``"scenario"`` jobs keyed on :func:`pattern_key`; a diagnosis
+  sets are ``"scenario"`` jobs keyed on
+  :func:`~repro.engine.cache.campaign_cell_key`; a diagnosis
   plan adds one ``if_needed`` pattern provider per (design, scenario) row
   and one ``"diagnosis"`` or ``"bp-diagnosis"`` job per
   :class:`DiagnosisCase`, keyed on
@@ -41,16 +42,6 @@ from repro.runtime import Event, Executor, Job, Plan, PlanCancelled, PlanResult
 # --------------------------------------------------------------------------
 # Lowering
 # --------------------------------------------------------------------------
-def pattern_key(resources: Mapping[str, Any], design: str, scenario_spec: Any) -> str:
-    """The cache key of one (design, scenario) pattern set under a plan's
-    resources (the design entry and the ATPG options)."""
-    return campaign_cell_key(
-        design_identity(resources["designs"][design]),
-        scenario_spec,
-        resources.get("options"),
-    )
-
-
 def scenario_job(
     job_id: str,
     design: str,
@@ -59,12 +50,17 @@ def scenario_job(
     *,
     if_needed: bool = False,
 ) -> Job:
-    """One ``"scenario"`` job: a scenario's pipeline on one design."""
+    """One ``"scenario"`` job: a scenario's pipeline on one design, keyed
+    on the plan's design entry and ATPG options."""
     return Job(
         id=job_id,
         kind="scenario",
         params={"design": design, "scenario": scenario_spec.name},
-        cache_key=pattern_key(resources, design, scenario_spec),
+        cache_key=campaign_cell_key(
+            design_identity(resources["designs"][design]),
+            scenario_spec,
+            resources.get("options"),
+        ),
         label=f"{design}::{scenario_spec.name}",
         if_needed=if_needed,
     )

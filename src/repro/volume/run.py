@@ -159,7 +159,7 @@ def volume_plan(
         designs: Design name -> built
             :class:`~repro.api.design.PreparedDesign` or declarative
             :class:`~repro.api.design.DesignSpec` (the resource contract of
-            :func:`~repro.api.session.materialize_design`).  Every record's
+            :func:`~repro.api.pipeline.materialize_design`).  Every record's
             ``design`` must resolve here.
         scenarios: Scenario name -> :class:`~repro.api.scenarios.ScenarioSpec`;
             must cover ``spec.scenario`` and every record-level label.

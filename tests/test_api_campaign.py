@@ -125,6 +125,16 @@ class TestCampaignResults:
         with pytest.raises(KeyError, match="has not been executed"):
             campaign.result_of("tiny", "e")
 
+    def test_with_options_drops_kept_runs(self, fast_options):
+        """Runs made under the old options no longer describe the campaign."""
+        campaign = Campaign(["tiny"], ["a"], options=fast_options)
+        campaign.run()
+        assert campaign.result_of("tiny", "a").pattern_count > 0
+        campaign.with_options(backtrack_limit=9)
+        assert campaign.artifacts == {}
+        with pytest.raises(KeyError, match="has not been executed"):
+            campaign.result_of("tiny", "a")
+
     def test_json_round_trip(self, small_grid_report):
         _, report = small_grid_report
         restored = CampaignReport.from_json(report.to_json())
@@ -222,7 +232,7 @@ class TestWireDegradedResults:
         campaign = Campaign(designs=["tiny"], scenarios=["a"],
                             options=fast_options)
         plan = campaign.plan()
-        _, handle, _ = campaign._fold(plan, {"cached": False})
+        _, handle, _ = campaign._fold(plan, {}, False)
         for degraded in ("ScenarioRun(...)", None):
             event = Event(kind="job_finished", plan=plan.name,
                           job=plan.jobs[0].id, value=degraded)

@@ -224,8 +224,11 @@ class TestSessionBuilder:
         with pytest.raises(KeyError, match="has not been executed"):
             session.result_of("table1-a")
 
-    def test_cached_diagnosis_never_builds_a_scheduler(self, tiny_prepared, tmp_path):
+    def test_cached_diagnosis_never_builds_a_scheduler(
+        self, tiny_prepared, tmp_path, monkeypatch
+    ):
         """A cache-served diagnose() must not pay for kernel compilation."""
+        import repro.engine.scheduler as scheduler_mod
         from repro.diagnose import DefectSpec
 
         options = AtpgOptions(
@@ -240,9 +243,13 @@ class TestSessionBuilder:
         fresh = TestSession.from_prepared(tiny_prepared, options).with_cache(
             tmp_path / "cache"
         )
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("scoring scheduler built for a cached diagnosis")
+
+        monkeypatch.setattr(scheduler_mod, "FaultSimScheduler", forbidden)
         result = fresh.diagnose(defect, scenario="a")
         assert result.cache_hit
-        assert fresh._schedulers == {}
 
 
 class TestInstrumentMemoisation:

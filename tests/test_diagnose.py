@@ -452,7 +452,17 @@ class TestSessionDiagnose:
         assert result.scenario == "my-custom-a"
         assert result.rank_of_defect == 1
 
-    def test_scheduler_is_reused_across_diagnoses(self):
+    def test_scheduler_is_reused_across_diagnoses(self, monkeypatch):
+        import repro.engine.scheduler as scheduler_mod
+
+        built = []
+
+        class CountingScheduler(scheduler_mod.FaultSimScheduler):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(scheduler_mod, "FaultSimScheduler", CountingScheduler)
         session = TestSession.for_design("tiny", options=CHEAP)
         defect = DefectSpec(kind="stuck-at", net="scan_en", value=1)
         session.diagnose(defect, scenario="a")
@@ -460,7 +470,7 @@ class TestSessionDiagnose:
             DefectSpec(kind="transition", net="scan_en", polarity="slow-to-fall"),
             scenario="a",
         )
-        assert len(session._schedulers) == 1
+        assert len(built) == 1
 
     def test_campaign_diagnose_grid(self):
         from repro.api import Campaign
@@ -485,7 +495,7 @@ class TestSessionDiagnose:
 
     def test_campaign_diagnose_resume_never_builds_designs(self, tmp_path, monkeypatch):
         """A fully cached diagnosis sweep must stream without any design build."""
-        import repro.api.session as session_mod
+        import repro.api.pipeline as pipeline_mod
         from repro.api import Campaign
 
         defects = [DefectSpec(kind="stuck-at", net="scan_en", value=1)]
@@ -497,7 +507,7 @@ class TestSessionDiagnose:
             raise AssertionError("design build during a fully cached resume")
 
         # Every campaign design build goes through materialize_design.
-        monkeypatch.setattr(session_mod, "prepare_from_spec", forbidden)
+        monkeypatch.setattr(pipeline_mod, "prepare_from_spec", forbidden)
         warm = (Campaign(designs=["tiny"], scenarios=["a"], options=CHEAP)
                 .with_cache(tmp_path / "cache").diagnose(defects))
         assert warm.cache_hits() == len(warm.cells) == 1

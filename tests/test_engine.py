@@ -269,5 +269,8 @@ class TestSessionCache:
         assert run.cache_info is not None and run.cache_info["hit"] is False
 
     def test_with_cache_false_detaches(self, tmp_path):
+        self._session(tmp_path).run()
         session = self._session(tmp_path).with_cache(False)
-        assert session._cache is None
+        session.run()
+        # No cache in effect: the run carries no cache provenance at all.
+        assert session.artifacts["table1-a"].cache_info is None

@@ -217,3 +217,29 @@ class TestCampaignStore:
         run = plain.artifacts[("tiny", "table1-a")]
         assert not isinstance(run.patterns, StoredPatternView)
         assert "store" not in run.extras
+
+    def test_session_and_campaign_share_one_group(self, tmp_path):
+        """A session labels its design like a one-design campaign does (the
+        spec name), so both front doors spill one pattern set to one group."""
+        store = PatternStore(tmp_path / "shared.db")
+        session = (
+            TestSession.for_design("tiny", options=CHEAP)
+            .add_scenario("table1-a")
+            .with_pattern_store(store)
+        )
+        session.run()
+        Campaign(["tiny"], ["table1-a"], CHEAP).with_pattern_store(store).run()
+        assert store.groups() == [("tiny", "table1-a")]
+        assert store.count() == len(session.artifacts["table1-a"].patterns)
+
+    def test_diagnosis_providers_spill(self, tmp_path):
+        """A campaign diagnosis keeps its pattern provider's run and spills
+        it, as a session diagnosis does."""
+        from repro.diagnose import DefectSpec
+
+        store = PatternStore(tmp_path / "diagnose.db")
+        campaign = Campaign(["tiny"], ["table1-a"], CHEAP).with_pattern_store(store)
+        campaign.diagnose([DefectSpec(kind="stuck-at", net="scan_en", value=1)])
+        run = campaign.artifacts[("tiny", "table1-a")]
+        assert store.groups() == [("tiny", "table1-a")]
+        assert run.extras["store"]["patterns"] == store.count() == len(run.patterns) > 0

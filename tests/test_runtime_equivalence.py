@@ -60,10 +60,15 @@ def reference_reports(prepared_designs):
             outcome_of(execute_scenario(prepared, CHEAP, spec))
             for spec in session.queued_scenarios
         ]
-        reports[name] = RunReport(
-            session=session._session_metadata(session.queued_scenarios),
-            outcomes=outcomes,
-        )
+        # The header a from_prepared session on a spec-built design writes.
+        header = {
+            "design": prepared.netlist.name,
+            "num_chains": prepared.scan.num_chains,
+            "scenarios": list(SCENARIOS),
+            "design_spec": prepared.spec.name,
+            "design_size": prepared.spec.size_estimate(),
+        }
+        reports[name] = RunReport(session=header, outcomes=outcomes)
     return reports
 
 

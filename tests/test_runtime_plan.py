@@ -137,5 +137,5 @@ class TestRegistry:
     def test_builtin_kinds_registered_by_api_import(self):
         import repro.api  # noqa: F401 - registration side effect
 
-        assert handler_for("scenario").__module__ == "repro.api.session"
-        assert handler_for("diagnosis").__module__ == "repro.api.session"
+        assert handler_for("scenario").__module__ == "repro.api.pipeline"
+        assert handler_for("diagnosis").__module__ == "repro.api.pipeline"
