@@ -15,18 +15,33 @@ the delay-test semantics of the paper:
 
 Values are tracked as separate good/faulty 3-valued integers (0, 1, 2=X) for
 speed; the public result converts back to :class:`~repro.logic.Logic`.
+
+Implication is event-driven.  The constructor lowers the model once into
+per-node tables: fanin tuples and, per gate, a truth-table lookup
+specialized to its type and fanin (the idiom of :mod:`repro.engine.compile`).
+A decision re-evaluates only nodes with a changed fanin, in index
+(topological) order off a heap and each at most once, and stops where a
+value does not change.  It records the (node, old good, old faulty) triples
+it overwrote on an undo trail; the search undoes decisions in LIFO order, so
+an undo restores its trail entry without simulating anything.  The earlier
+form, which re-simulated the input's whole sorted fanout cone on every
+decision and every undo, lives on only as the exactness oracle in
+``tests/test_podem.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, Sequence
+from heapq import heappop, heappush
+from itertools import product
+from typing import Callable, Mapping, Sequence
 
 from repro.atpg.scoap import TestabilityMeasures, compute_testability
 from repro.faults.models import StuckAtFault
-from repro.netlist.gates import GateType
+from repro.netlist.gates import GateType, evaluate_gate
 from repro.logic import Logic
+from repro.obs.telemetry import active_metrics
 from repro.simulation.model import CircuitModel, NodeKind
 
 _X = 2
@@ -44,58 +59,69 @@ def _int_to_logic(value: int) -> Logic:
     return (Logic.ZERO, Logic.ONE, Logic.X)[value]
 
 
-def _eval_gate_int(gtype: GateType, values: Sequence[int]) -> int:
-    """3-valued gate evaluation over integers 0/1/2(X)."""
-    if gtype is GateType.BUF:
-        return values[0]
-    if gtype is GateType.NOT:
-        v = values[0]
-        return v if v == _X else 1 - v
-    if gtype is GateType.AND or gtype is GateType.NAND:
-        out = 1
-        for v in values:
-            if v == 0:
-                out = 0
-                break
-            if v == _X:
-                out = _X
-        if gtype is GateType.NAND and out != _X:
-            out = 1 - out
-        return out
-    if gtype is GateType.OR or gtype is GateType.NOR:
-        out = 0
-        for v in values:
-            if v == 1:
-                out = 1
-                break
-            if v == _X:
-                out = _X
-        if gtype is GateType.NOR and out != _X:
-            out = 1 - out
-        return out
-    if gtype is GateType.XOR or gtype is GateType.XNOR:
-        out = 0
-        for v in values:
-            if v == _X:
-                return _X
-            out ^= v
-        if gtype is GateType.XNOR:
-            out = 1 - out
-        return out
-    if gtype is GateType.MUX2:
-        sel, a, b = values
-        if sel == 0:
-            return a
-        if sel == 1:
-            return b
-        if a == b and a != _X:
-            return a
-        return _X
-    if gtype is GateType.TIE0:
-        return 0
-    if gtype is GateType.TIE1:
-        return 1
-    raise ValueError(f"unsupported gate type {gtype!r}")
+def _truth_table(gtype: GateType, arity: int) -> tuple[int, ...]:
+    """3-valued truth table of one gate over integers 0/1/2(X), indexed by the
+    base-3 digits of its inputs (first pin most significant)."""
+    return tuple(
+        _logic_to_int(evaluate_gate(gtype, [_int_to_logic(v) for v in digits]))
+        for digits in product(range(3), repeat=arity)
+    )
+
+
+#: Every legal gate of up to three inputs, tabulated once.
+_TRUTH_TABLES = {
+    (gtype, arity): _truth_table(gtype, arity)
+    for gtype in GateType
+    for arity in range(4)
+    if gtype.min_inputs <= arity
+    and (gtype.max_inputs is None or arity <= gtype.max_inputs)
+}
+
+#: Wide (4+ input) gates fold pairwise through their non-inverting two-input
+#: table — 3-valued AND, OR and XOR are associative — then map the output.
+_WIDE_FOLD = {
+    GateType.AND: (GateType.AND, (0, 1, _X)),
+    GateType.NAND: (GateType.AND, (1, 0, _X)),
+    GateType.OR: (GateType.OR, (0, 1, _X)),
+    GateType.NOR: (GateType.OR, (1, 0, _X)),
+    GateType.XOR: (GateType.XOR, (0, 1, _X)),
+    GateType.XNOR: (GateType.XOR, (1, 0, _X)),
+}
+
+#: ``fn(values) -> value`` of one node, reading its fanin out of ``values``.
+NodeEvaluator = Callable[[Sequence[int]], int]
+
+
+def _gate_evaluator(gtype: GateType, fanin: Sequence[int]) -> NodeEvaluator:
+    """A truth-table lookup specialized to one gate's type and fanin."""
+    arity = len(fanin)
+    if arity > 3:
+        base, output = _WIDE_FOLD[gtype]
+        pair = _TRUTH_TABLES[(base, 2)]
+        first, rest = fanin[0], tuple(fanin[1:])
+
+        def wide(values: Sequence[int]) -> int:
+            acc = values[first]
+            for i in rest:
+                acc = pair[acc * 3 + values[i]]
+            return output[acc]
+
+        return wide
+    table = _TRUTH_TABLES[(gtype, arity)]
+    if arity == 3:
+        a, b, c = fanin
+        return lambda values: table[(values[a] * 3 + values[b]) * 3 + values[c]]
+    if arity == 2:
+        a, b = fanin
+        return lambda values: table[values[a] * 3 + values[b]]
+    if arity == 1:
+        (a,) = fanin
+        return lambda values: table[values[a]]
+    return _constant(table[0])
+
+
+def _constant(value: int) -> NodeEvaluator:
+    return lambda values: value
 
 
 class PodemStatus(str, Enum):
@@ -145,19 +171,39 @@ class PodemEngine:
 
         self._nodes = model.nodes
         self._num = model.num_nodes
+        self._fanin = [node.fanin for node in self._nodes]
+        self._fanout = model.fanout
+        # One evaluator per node; ``None`` marks a source (PI/PPI/RAM_OUT),
+        # whose value is its fixed constraint or decision.
+        self._evals: list[NodeEvaluator | None] = []
+        for node in self._nodes:
+            if node.kind is NodeKind.GATE:
+                self._evals.append(_gate_evaluator(node.gtype, node.fanin))
+            elif node.kind is NodeKind.CONST0:
+                self._evals.append(_constant(0))
+            elif node.kind is NodeKind.CONST1:
+                self._evals.append(_constant(1))
+            else:
+                self._evals.append(None)
         self._obs_set = set(self.observation)
         self._obs_reachable = self._compute_obs_reachable()
+        # Fault-site fanout cones, sorted (index order is topological).
         self._cone_cache: dict[int, list[int]] = {}
 
         # Per-run state.
         self._good = [_X] * self._num
         self._faulty = [_X] * self._num
         self._assignment: dict[int, int] = {}
+        # One entry per decision on the stack: the (node, old good, old
+        # faulty) triples its implication overwrote.
+        self._trail: list[list[tuple[int, int, int]]] = []
         self._fault_node = -1
         self._fault_pin: int | None = None
+        self._fault_eval: NodeEvaluator = _constant(_X)
         self._stuck = 0
         self._required: list[tuple[int, int]] = []
         self._fault_cone: list[int] = []
+        self._fault_cone_set: set[int] = set()
         self._obs_in_cone: list[int] = []
         # Baseline (no decisions, no fault): every run starts from a copy of
         # this instead of re-evaluating the whole model.
@@ -180,21 +226,39 @@ class PodemEngine:
             A :class:`PodemResult`; when a test is found, ``assignment`` maps
             every controllable node the algorithm assigned to its value.
         """
+        result = self._search(fault, required)
+        metrics = active_metrics()
+        if metrics is not None:
+            metrics.inc("atpg.backtracks", result.backtracks)
+            metrics.inc("atpg.decisions", result.decisions)
+        return result
+
+    def _search(
+        self,
+        fault: StuckAtFault,
+        required: Sequence[tuple[int, Logic]],
+    ) -> PodemResult:
         self._fault_node = fault.site.node
         self._fault_pin = fault.site.pin
         self._stuck = fault.value
+        if self._fault_pin is not None:
+            # Evaluates the fault gate over its own fanin values, pin order.
+            gtype = self._nodes[self._fault_node].gtype
+            arity = len(self._fanin[self._fault_node])
+            self._fault_eval = _gate_evaluator(gtype, range(arity))
         self._required = [(node, _logic_to_int(value)) for node, value in required]
         self._assignment = {}
+        self._trail = []
         self._good = list(self._baseline)
         self._faulty = list(self._baseline)
         # Fault effects can only live inside the fault node's fanout cone, so
-        # frontier scans and observation checks are restricted to it.
+        # frontier scans and observation checks are restricted to it, and
+        # outside it the faulty machine equals the good one.
         self._fault_cone = self._cone(self._fault_node)
-        cone_set = set(self._fault_cone)
-        self._obs_in_cone = [idx for idx in self.observation if idx in cone_set]
+        self._fault_cone_set = set(self._fault_cone)
+        self._obs_in_cone = [idx for idx in self.observation if idx in self._fault_cone_set]
         # Inject the fault into the otherwise fault-free baseline.
-        for idx in self._fault_cone:
-            self._evaluate_node(idx)
+        self._imply(self._fault_node)
 
         # Impossible straight away (e.g. launch node fixed to the wrong value).
         if self._is_conflict():
@@ -252,46 +316,13 @@ class PodemEngine:
                     decisions=decisions,
                 )
 
-    # ------------------------------------------------------------- evaluation
-    def _source_value(self, idx: int) -> int:
-        if idx in self.fixed:
-            return self.fixed[idx]
-        return self._assignment.get(idx, _X)
-
-    def _evaluate_node(self, idx: int) -> None:
-        node = self._nodes[idx]
-        kind = node.kind
-        if kind is NodeKind.CONST0:
-            good = faulty = 0
-        elif kind is NodeKind.CONST1:
-            good = faulty = 1
-        elif kind is not NodeKind.GATE:
-            good = faulty = self._source_value(idx)
-        else:
-            fanin = node.fanin
-            good = _eval_gate_int(node.gtype, [self._good[i] for i in fanin])
-            if self._fault_pin is not None and idx == self._fault_node:
-                fvals = [self._faulty[i] for i in fanin]
-                fvals[self._fault_pin] = self._stuck
-                faulty = _eval_gate_int(node.gtype, fvals)
-            else:
-                faulty = _eval_gate_int(node.gtype, [self._faulty[i] for i in fanin])
-        if idx == self._fault_node and self._fault_pin is None:
-            faulty = self._stuck
-        self._good[idx] = good
-        self._faulty[idx] = faulty
-
+    # ------------------------------------------------------------- implication
     def _compute_baseline(self) -> list[int]:
         """Fault-free values with no decisions taken (only fixed constraints)."""
-        saved_fault, saved_pin = self._fault_node, self._fault_pin
-        self._fault_node, self._fault_pin = -1, None
-        self._good = [_X] * self._num
-        self._faulty = [_X] * self._num
-        for idx in range(self._num):
-            self._evaluate_node(idx)
-        baseline = list(self._good)
-        self._fault_node, self._fault_pin = saved_fault, saved_pin
-        return baseline
+        values = [_X] * self._num
+        for idx, evaluate in enumerate(self._evals):
+            values[idx] = self.fixed.get(idx, _X) if evaluate is None else evaluate(values)
+        return values
 
     def observable(self, node_index: int) -> bool:
         """True when a fault effect at ``node_index`` can structurally reach an
@@ -306,34 +337,83 @@ class PodemEngine:
             self._cone_cache[source] = cone
         return cone
 
+    def _imply(self, start: int) -> list[tuple[int, int, int]]:
+        """Bring the good and faulty machines up to date after ``start``'s
+        value may have changed.
+
+        Nodes are evaluated in index (topological) order off a heap, each at
+        most once, and a node's fanout is queued only when its good or faulty
+        value changed.  Returns the (node, old good, old faulty) triples it
+        overwrote.
+        """
+        good, faulty = self._good, self._faulty
+        evals, fanout = self._evals, self._fanout
+        fault_node, cone = self._fault_node, self._fault_cone_set
+        changed: list[tuple[int, int, int]] = []
+        heap = [start]
+        queued = {start}
+        while heap:
+            idx = heappop(heap)
+            evaluate = evals[idx]
+            if evaluate is None:
+                new_good = new_faulty = self.fixed.get(idx, self._assignment.get(idx, _X))
+            else:
+                new_good = evaluate(good)
+                new_faulty = evaluate(faulty) if idx in cone else new_good
+            if idx == fault_node:
+                new_faulty = self._fault_site_value()
+            old_good, old_faulty = good[idx], faulty[idx]
+            if new_good == old_good and new_faulty == old_faulty:
+                continue
+            changed.append((idx, old_good, old_faulty))
+            good[idx] = new_good
+            faulty[idx] = new_faulty
+            for nxt in fanout[idx]:
+                if nxt not in queued:
+                    queued.add(nxt)
+                    heappush(heap, nxt)
+        return changed
+
+    def _fault_site_value(self) -> int:
+        """Faulty-machine value of the fault node itself."""
+        if self._fault_pin is None:
+            return self._stuck
+        values = [self._faulty[i] for i in self._fanin[self._fault_node]]
+        values[self._fault_pin] = self._stuck
+        return self._fault_eval(values)
+
     def _assign(self, pi: int, value: int) -> None:
         self._assignment[pi] = value
-        for idx in self._cone(pi):
-            self._evaluate_node(idx)
+        self._trail.append(self._imply(pi))
 
     def _unassign(self, pi: int) -> None:
+        # Decisions are undone in LIFO order, so the top trail entry is pi's.
         self._assignment.pop(pi, None)
-        for idx in self._cone(pi):
-            self._evaluate_node(idx)
+        good, faulty = self._good, self._faulty
+        for idx, old_good, old_faulty in self._trail.pop():
+            good[idx] = old_good
+            faulty[idx] = old_faulty
 
     # ----------------------------------------------------------- status checks
     def _activation_node(self) -> int:
         if self._fault_pin is None:
             return self._fault_node
-        return self._nodes[self._fault_node].fanin[self._fault_pin]
+        return self._fanin[self._fault_node][self._fault_pin]
 
     def _fault_effect_at(self, idx: int) -> bool:
-        return (
-            self._good[idx] != _X
-            and self._faulty[idx] != _X
-            and self._good[idx] != self._faulty[idx]
-        )
+        """True when the machines disagree on known values (0/1 or 1/0) at
+        ``idx``: with X encoded as 2, exactly when good + faulty == 1."""
+        return self._good[idx] + self._faulty[idx] == 1
+
+    def _effect_observed(self) -> bool:
+        good, faulty = self._good, self._faulty
+        return any(good[idx] + faulty[idx] == 1 for idx in self._obs_in_cone)
 
     def _is_success(self) -> bool:
         for node, value in self._required:
             if self._good[node] != value:
                 return False
-        return any(self._fault_effect_at(idx) for idx in self._obs_in_cone)
+        return self._effect_observed()
 
     def _is_conflict(self) -> bool:
         # A required objective already violated can never recover (values only
@@ -352,31 +432,29 @@ class PodemEngine:
         return False
 
     def _d_frontier(self) -> list[int]:
+        """Fault-cone gates with an X output in either machine and a fault
+        effect on an input (the faulty pin of a pin fault included)."""
+        good, faulty, fanins = self._good, self._faulty, self._fanin
+        fault_node = self._fault_node
+        pin_effect = self._fault_pin is not None and self._fault_effect_anywhere()
         frontier: list[int] = []
         for idx in self._fault_cone:
-            node = self._nodes[idx]
-            if node.kind is not NodeKind.GATE:
+            if good[idx] != _X and faulty[idx] != _X:
                 continue
-            if self._good[idx] != _X and self._faulty[idx] != _X:
-                continue
-            has_effect = any(self._fault_effect_at(i) for i in node.fanin)
-            if not has_effect and idx == self._fault_node and self._fault_pin is not None:
-                driver = node.fanin[self._fault_pin]
-                good = self._good[driver]
-                has_effect = good != _X and good != self._stuck
-            if has_effect:
-                frontier.append(idx)
+            for i in fanins[idx]:
+                if good[i] + faulty[i] == 1:  # a fault effect, see _fault_effect_at
+                    frontier.append(idx)
+                    break
+            else:
+                if pin_effect and idx == fault_node:
+                    frontier.append(idx)
         return frontier
 
     def _d_frontier_alive(self) -> bool:
         """True while the fault effect is observed or can still be propagated."""
-        if any(self._fault_effect_at(idx) for idx in self._obs_in_cone):
+        if self._effect_observed():
             return True
-        frontier = self._d_frontier()
-        if self._fault_effect_anywhere():
-            if not frontier:
-                return False
-        else:
+        if not self._fault_effect_anywhere():
             # Fault not activated yet: alive as long as activation is possible
             # and the fault cone reaches an observation point at all.
             activation = self._activation_node()
@@ -385,29 +463,31 @@ class PodemEngine:
             return self._obs_reachable[self._fault_node]
         # X-path check: some frontier gate must reach an observation point
         # through not-yet-determined values.
-        return any(self._x_path_exists(idx) for idx in frontier)
+        return self._x_path_exists(self._d_frontier())
 
     def _fault_effect_anywhere(self) -> bool:
         activation = self._activation_node()
         good = self._good[activation]
         return good != _X and good != self._stuck
 
-    def _x_path_exists(self, start: int) -> bool:
-        seen = set()
-        stack = [start]
+    def _x_path_exists(self, starts: Sequence[int]) -> bool:
+        """True when some start reaches an observation point through nodes
+        where the two machines do not agree on a known value."""
+        good, faulty, fanout = self._good, self._faulty, self._fanout
+        reachable, observed = self._obs_reachable, self._obs_set
+        seen: set[int] = set()
+        stack = list(starts)
         while stack:
             idx = stack.pop()
             if idx in seen:
                 continue
             seen.add(idx)
-            if not self._obs_reachable[idx]:
+            if not reachable[idx]:
                 continue
-            if idx in self._obs_set:
+            if idx in observed:
                 return True
-            for nxt in self.model.fanout[idx]:
-                if self._good[nxt] == _X or self._faulty[nxt] == _X:
-                    stack.append(nxt)
-                elif self._fault_effect_at(nxt):
+            for nxt in fanout[idx]:
+                if good[nxt] == _X or faulty[nxt] != good[nxt]:
                     stack.append(nxt)
         return False
 
@@ -418,7 +498,7 @@ class PodemEngine:
         for idx in range(self._num - 1, -1, -1):
             if reachable[idx]:
                 continue
-            reachable[idx] = any(reachable[out] for out in self.model.fanout[idx])
+            reachable[idx] = any(reachable[out] for out in self._fanout[idx])
         return reachable
 
     # -------------------------------------------------------------- objectives
@@ -450,11 +530,6 @@ class PodemEngine:
                 candidates.append(objective)
         return candidates
 
-    def _pick_objective(self) -> tuple[int, int] | None:
-        """First candidate objective (kept for introspection and tests)."""
-        candidates = self._candidate_objectives()
-        return candidates[0] if candidates else None
-
     def _sensitize_objectives(self, node) -> list[tuple[int, int]]:
         """Objectives that would sensitize one D-frontier gate."""
         gtype = node.gtype
@@ -475,10 +550,6 @@ class PodemEngine:
             return [(target, 0) for target in x_inputs]
         # XOR/XNOR/BUF/NOT: any X input set to a known value helps.
         return [(target, 0) for target in x_inputs]
-
-    def _sensitize_objective(self, node) -> tuple[int, int] | None:
-        objectives = self._sensitize_objectives(node)
-        return objectives[0] if objectives else None
 
     # --------------------------------------------------------------- backtrace
     def _backtrace(self, node: int, value: int) -> tuple[int, int] | None:

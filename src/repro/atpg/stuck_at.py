@@ -18,7 +18,6 @@ from repro.clocking.domains import ClockDomainMap
 from repro.clocking.named_capture import NamedCaptureProcedure
 from repro.fault_sim.transition import TransitionFaultSimulator
 from repro.faults.models import StuckAtFault, all_stuck_at_faults
-from repro.obs.telemetry import active_metrics
 from repro.patterns.pattern import TestPattern
 from repro.simulation.model import CircuitModel
 
@@ -59,10 +58,6 @@ class StuckAtAtpg(AtpgGenerator):
                 statuses.append(PodemStatus.UNTESTABLE)
                 continue
             result = engine.run(expanded)
-            metrics = active_metrics()
-            if metrics is not None:
-                metrics.inc("atpg.backtracks", result.backtracks)
-                metrics.inc("atpg.decisions", result.decisions)
             statuses.append(result.status)
             if result.found:
                 scan_load, pi_frames = view.pattern_fields(result.assignment)

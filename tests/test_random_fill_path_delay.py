@@ -17,6 +17,7 @@ from repro.clocking import external_clock_procedures
 from repro.fault_sim import PathDelaySensitizationChecker
 from repro.faults import PathDelayFault
 from repro.logic import Logic
+from repro.obs import Telemetry
 
 
 @pytest.fixture()
@@ -94,3 +95,13 @@ class TestPathDelay:
         for test in generated:
             filled = fill_pattern(test.pattern, random.Random(1))
             assert checker.sensitizes(filled, test.fault)
+
+    def test_generation_reports_podem_telemetry(self, pipeline_env):
+        _, _, model, domain_map, setup = pipeline_env
+        telemetry = Telemetry.on()
+        with telemetry.activate():
+            PathDelayAtpg(model, domain_map, setup).generate_all(
+                select_critical_paths(model, count=4)
+            )
+        counters = telemetry.metrics.snapshot()["counters"]
+        assert counters["atpg.decisions"] > 0
