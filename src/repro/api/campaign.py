@@ -278,6 +278,10 @@ class Campaign:
         #: pool serves a whole device stream.  Closed when the design or the
         #: options change (the remainder by the scheduler's GC finalizer).
         self._schedulers: dict = {}
+        #: Syndrome dictionaries per pattern set, bound into every plan as
+        #: the ``_syndromes`` memo: each diagnosis candidate is simulated
+        #: once per pattern set across all diagnose() calls.
+        self._syndromes: dict = {}
         #: LintReport per design from the last pre-flight gate (if enabled).
         self.lint_reports: dict[str, object] = {}
         #: Raw ScenarioRun per executed/cached cell, keyed (design, scenario).
@@ -296,9 +300,11 @@ class Campaign:
         self._forget()
 
     def _forget(self) -> None:
-        """Drop the kept runs and close the memoised schedulers (and their
-        worker pools): they describe the previous design or options."""
+        """Drop the kept runs and syndrome dictionaries and close the
+        memoised schedulers (and their worker pools): they describe the
+        previous design or options."""
         self.artifacts.clear()
+        self._syndromes.clear()
         for scheduler in self._schedulers.values():
             scheduler.close()
         self._schedulers.clear()
@@ -486,6 +492,7 @@ class Campaign:
             "scenarios": {spec.name: spec for spec in specs},
             "_materialized": self._built,
             "_schedulers": self._schedulers,
+            "_syndromes": self._syndromes,
         }
 
     # --------------------------------------------------------------- execution
@@ -758,7 +765,11 @@ class Campaign:
     ) -> Plan:
         """Compile a fail-log store's share of this campaign (records of
         other designs are skipped) into one plan of content-addressed
-        ``"bp-diagnosis"`` jobs (:func:`~repro.volume.run.volume_plan`)."""
+        ``"bp-diagnosis"`` jobs (:func:`~repro.volume.run.volume_plan`).
+
+        The plan binds the campaign's memos, so built designs, scoring
+        schedulers and syndrome dictionaries carry over between
+        :meth:`diagnose_volume` calls."""
         from repro.volume.run import VolumeSpec
         from repro.volume.run import volume_plan as compile_volume_plan
 
@@ -784,6 +795,7 @@ class Campaign:
             resources["scenarios"],
             spec,
             options=self.options,
+            memos={key: value for key, value in resources.items() if key.startswith("_")},
         )
 
     def diagnose_volume(

@@ -100,7 +100,9 @@ def lower_diagnoses(
     scenario) row gets one ``if_needed`` pattern provider, so a fully
     cached plan never builds a design or runs ATPG.  Each case's job is
     content-addressed on the row, its JSON-safe verdict inputs (spec, BP
-    knobs, injected defects) and the fingerprint of its external fail log.
+    knobs, injected defects) and the fingerprint of its external fail log;
+    its ``pattern_key`` param names the provider's cache key, which keys
+    the pattern set's syndrome dictionary.
     """
     identities = {
         design: design_identity(entry) for design, entry in resources["designs"].items()
@@ -134,6 +136,7 @@ def lower_diagnoses(
             "design": case.design,
             "scenario": case.scenario,
             "patterns": provider.id,
+            "pattern_key": provider.cache_key,
             **inputs,
         }
         if case.log is not None:

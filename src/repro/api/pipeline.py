@@ -222,27 +222,40 @@ def spill_run(
 _MATERIALIZE_LOCK = threading.Lock()
 
 
+def _memoised(resources: dict, memo: str, key, build):
+    """``resources[memo][key]``, built on first use.
+
+    Double-checked under :data:`_MATERIALIZE_LOCK`, so concurrent
+    thread-wave jobs never build one entry twice.  A campaign binds its own
+    memo dicts, shared by all its plans; ``_``-prefixed memos never ship to
+    process workers, which fill their own.
+    """
+    entries = resources.setdefault(memo, {})
+    value = entries.get(key)
+    if value is None:
+        with _MATERIALIZE_LOCK:
+            value = entries.get(key)
+            if value is None:
+                value = entries[key] = build()
+    return value
+
+
 def materialize_design(resources: dict, name: str) -> PreparedDesign:
-    """The built design a plan resource entry names (memoised in-place).
+    """The built design a plan resource entry names (memoised in
+    ``_materialized``).
 
     ``resources["designs"]`` maps design names to either an already built
     :class:`~repro.api.design.PreparedDesign` (shipped to process workers
     once via the pool initializer) or a declarative
     :class:`~repro.api.design.DesignSpec` (each worker builds it the first
-    time one of its jobs touches it).  A campaign binds its own
-    ``_materialized`` dict, shared by all its plans.
+    time one of its jobs touches it).
     """
-    built = resources.setdefault("_materialized", {})
-    prepared = built.get(name)
-    if prepared is None:
-        with _MATERIALIZE_LOCK:
-            prepared = built.get(name)
-            if prepared is None:
-                design = resources["designs"][name]
-                if not isinstance(design, PreparedDesign):
-                    design = prepare_from_spec(design)
-                prepared = built[name] = design
-    return prepared
+
+    def build() -> PreparedDesign:
+        design = resources["designs"][name]
+        return design if isinstance(design, PreparedDesign) else prepare_from_spec(design)
+
+    return _memoised(resources, "_materialized", name, build)
 
 
 @register_job_kind("scenario")
@@ -265,11 +278,15 @@ def _diagnosis_inputs(resources: dict, params: Mapping[str, object], deps: dict)
 
     ``params["patterns"]`` names the provider job whose :class:`ScenarioRun`
     arrives through ``deps`` — generated once per (design, scenario) no
-    matter how many diagnoses the plan runs against it.  An external fail
-    log arrives by name through ``resources["fail_logs"]`` (picklable, so it
-    ships to process workers).
+    matter how many diagnoses the plan runs against it.  Its syndrome
+    dictionary lives in ``resources["_syndromes"]``, keyed by content: the
+    provider's cache key (``params["pattern_key"]``), the scenario and the
+    batch size — never by object identity, since every diagnosis receives
+    its own copy of the pattern list.  An external fail log arrives by name
+    through ``resources["fail_logs"]`` (picklable, so it ships to process
+    workers).
     """
-    from repro.diagnose import DiagnosisSpec
+    from repro.diagnose import DiagnosisSpec, SyndromeDictionary
 
     prepared = materialize_design(resources, params["design"])
     options = resources.get("options") or AtpgOptions()
@@ -288,6 +305,11 @@ def _diagnosis_inputs(resources: dict, params: Mapping[str, object], deps: dict)
         "fail_log": resources["fail_logs"][log] if log is not None else None,
         "options": options,
         "scheduler": _diagnosis_job_scheduler(resources, prepared, spec, options),
+        "dictionary": _memoised(
+            resources, "_syndromes",
+            (params["pattern_key"], params["scenario"], spec.batch_size),
+            SyndromeDictionary,
+        ),
     }
 
 
@@ -320,22 +342,12 @@ def run_bp_diagnosis_job(resources: dict, params: Mapping[str, object], deps: di
 def materialize_setup(
     resources: dict, prepared: PreparedDesign, scenario_spec, design_name, options
 ):
-    """One constraint environment per (design, scenario), memoised in-place.
-
-    Shared by every diagnosis job against that row (lock: concurrent
-    thread-wave jobs must not each build one).
-    """
-    setups = resources.setdefault("_setups", {})
-    setup_key = (design_name, scenario_spec.name)
-    setup = setups.get(setup_key)
-    if setup is None:
-        with _MATERIALIZE_LOCK:
-            setup = setups.get(setup_key)
-            if setup is None:
-                setup = setups[setup_key] = scenario_spec.build_setup(
-                    prepared, options
-                )
-    return setup
+    """One constraint environment per (design, scenario), memoised in
+    ``_setups`` and shared by every diagnosis job against that row."""
+    return _memoised(
+        resources, "_setups", (design_name, scenario_spec.name),
+        lambda: scenario_spec.build_setup(prepared, options),
+    )
 
 
 def _diagnosis_job_scheduler(resources, prepared, spec, options):
@@ -349,23 +361,17 @@ def _diagnosis_job_scheduler(resources, prepared, spec, options):
     """
     from repro.engine.scheduler import FaultSimScheduler
 
-    memo = resources.setdefault("_schedulers", {})
     backend = spec.backend or options.sim_backend
-    key = (id(prepared.model), backend, options.sim_shards, options.sim_workers)
-    scheduler = memo.get(key)
-    if scheduler is None:
-        # Lock: one scheduler (and one worker pool) per key even when a
-        # thread wave lands many diagnosis jobs on the same design at once.
-        with _MATERIALIZE_LOCK:
-            scheduler = memo.get(key)
-            if scheduler is None:
-                scheduler = memo[key] = FaultSimScheduler(
-                    prepared.model,
-                    backend=backend,
-                    shard_count=options.sim_shards,
-                    max_workers=options.sim_workers,
-                )
-    return scheduler
+    return _memoised(
+        resources, "_schedulers",
+        (id(prepared.model), backend, options.sim_shards, options.sim_workers),
+        lambda: FaultSimScheduler(
+            prepared.model,
+            backend=backend,
+            shard_count=options.sim_shards,
+            max_workers=options.sim_workers,
+        ),
+    )
 
 
 def outcome_of(run: ScenarioRun) -> ScenarioOutcome:

@@ -14,9 +14,10 @@ back to ranked candidate defects.  Four pieces:
   STIL-flavoured text format);
 * :mod:`repro.diagnose.candidates` — cone-intersection candidate extraction
   over the engine's cached fanout cones;
-* :mod:`repro.diagnose.diagnose` — per-candidate fault simulation scored by
-  syndrome match, sharded over the engine's serial/compiled/processes
-  backends, with iterative re-ranking of tied candidates.
+* :mod:`repro.diagnose.diagnose` — candidate syndromes from a per-pattern-set
+  :class:`SyndromeDictionary` (each fault simulated once, sharded over the
+  engine's serial/compiled/processes backends), tallied per log by syndrome
+  match, with iterative re-ranking of tied candidates.
 
 API integration lives in :meth:`repro.api.session.TestSession.diagnose` and
 :meth:`repro.api.campaign.Campaign.diagnose`.
@@ -42,6 +43,7 @@ from repro.diagnose.diagnose import (
     DiagnosisResult,
     DiagnosisSpec,
     ScoredCandidate,
+    SyndromeDictionary,
     SyndromeEvidence,
     run_diagnosis,
     score_candidates,
@@ -70,6 +72,7 @@ __all__ = [
     "FailBit",
     "FailLog",
     "ScoredCandidate",
+    "SyndromeDictionary",
     "SyndromeEvidence",
     "candidate_nodes",
     "capture_fail_log",

@@ -10,12 +10,15 @@ tied candidates are re-ranked by reweighting each observed failing bit by
 how many of its explaining candidates remain — rare evidence counts for
 more, exactly like a belief-propagation message.
 
-This is the engine's first high-traffic *inner-loop* workload: one diagnosis
-fans hundreds of candidate fault simulations over the
+Predictions come from a :class:`SyndromeDictionary`, one per pattern set:
+a candidate's syndrome depends only on the design, the patterns, the
+capture procedures and its fault, so each fault is simulated once per
+pattern set (per-observation-node ``syndrome_batch`` over the
 serial/compiled/processes backends of
-:class:`~repro.engine.scheduler.FaultSimScheduler` (per-observation-node
-``syndrome_batch``), and results flow through the persistent engine cache so
-re-diagnosing an unchanged (design, scenario, defect) cell is a disk read.
+:class:`~repro.engine.scheduler.FaultSimScheduler`) and every later log
+only tallies against it.  Results flow through the persistent engine cache
+so re-diagnosing an unchanged (design, scenario, defect) cell is a disk
+read.
 
 Every backend and shard count produces bit-identical syndrome scores and
 therefore identical rankings — ``tests/test_diagnose_backends.py`` holds the
@@ -25,11 +28,13 @@ three backends to exactly that.
 from __future__ import annotations
 
 import json
+import threading
 import time
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 from repro.atpg.config import AtpgOptions, TestSetup
+from repro.clocking.named_capture import NamedCaptureProcedure
 from repro.diagnose.candidates import (
     Candidate,
     CandidateSet,
@@ -43,7 +48,7 @@ from repro.fault_sim.transition import FrameSimulator
 from repro.obs.telemetry import active_metrics, active_tracer
 from repro.patterns.pattern import PatternSet, TestPattern
 from repro.simulation.model import CircuitModel
-from repro.simulation.parallel_sim import mask_to_indices
+from repro.simulation.parallel_sim import PackedPatterns, mask_to_indices
 
 
 @dataclass(frozen=True)
@@ -494,6 +499,189 @@ class SyndromeEvidence:
         return len(self.observed)
 
 
+class SyndromeDictionary:
+    """A cause-effect fault dictionary for one pattern set, filled lazily.
+
+    A candidate's predicted syndrome depends only on the design, the
+    pattern set, the scenario's capture procedures and the candidate's
+    fault; only the tally against the observed bits belongs to a fail log.
+    So the dictionary keeps, for every homogeneous batch of
+    :meth:`~repro.fault_sim.transition.FrameSimulator.iter_batches`, the
+    launch/final good frames, the observation list with its ``po_only``
+    flags and ``po_gate``, and every simulated fault's sparse syndrome: the
+    nonzero ``(observation index, mask)`` pairs after PO gating, stored
+    flat.  Syndromes are keyed by fault, so a ``"transition"`` and an
+    ``"inter-domain"`` candidate on one transition fault share an entry.
+
+    The first :meth:`fill` binds the dictionary to its pattern set and
+    batch size.  Callers key dictionaries by content and never mix pattern
+    sets in one: the diagnosis job kinds keep one per (pattern provider
+    cache key, scenario, batch size) in the plan resources.  Concurrent
+    diagnoses fill one dictionary under its lock.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._shape: tuple[int, int] | None = None
+        self.batches: list[DictionaryBatch] = []
+        #: Pattern index -> (batch position, bit within the batch).
+        self.slot: dict[int, tuple[int, int]] = {}
+        #: Fault -> its small-integer id, the key of every batch's syndromes
+        #: (hashing a fault dataclass once per candidate, not once per batch).
+        self._ids: dict = {}
+        self._faults: list = []
+
+    def __len__(self) -> int:
+        """Number of (batch, fault) syndromes stored."""
+        return sum(len(batch.syndromes) for batch in self.batches)
+
+    def fill(
+        self,
+        frames_sim: FrameSimulator,
+        items: Sequence[TestPattern],
+        batch_size: int,
+        candidates: Sequence[Candidate],
+        scheduler: FaultSimScheduler,
+    ) -> list[int]:
+        """Make sure every candidate's syndrome is stored; returns each
+        candidate's fault id.
+
+        Binds the dictionary on the first call (good frames of every
+        batch), then simulates the faults each batch is missing in one
+        ``syndrome_batch`` call.  Counts the (batch, fault) entries found
+        and simulated as the ``diagnose.dictionary.hits``/``.misses``
+        metrics, once per call.
+        """
+        hits = misses = 0
+        with self._lock:
+            self._bind(frames_sim, items, batch_size)
+            ids = [self._id(candidate.fault) for candidate in candidates]
+            every = list(dict.fromkeys(ids))
+            intra = list(dict.fromkeys(
+                fault_id for fault_id, candidate in zip(ids, candidates)
+                if candidate.kind != "inter-domain"
+            ))
+            for batch in self.batches:
+                needed = every if batch.procedure.is_inter_domain else intra
+                missing = [fault_id for fault_id in needed if fault_id not in batch.syndromes]
+                if missing:
+                    faults = [self._faults[fault_id] for fault_id in missing]
+                    batch.store(missing, scheduler.syndrome_batch(
+                        batch.final, faults, batch.observation, launch=batch.launch
+                    ))
+                misses += len(missing)
+                hits += len(needed) - len(missing)
+        metrics = active_metrics()
+        if metrics is not None:
+            metrics.inc("diagnose.dictionary.hits", hits)
+            metrics.inc("diagnose.dictionary.misses", misses)
+        return ids
+
+    def _id(self, fault) -> int:
+        fault_id = self._ids.get(fault)
+        if fault_id is None:
+            fault_id = self._ids[fault] = len(self._faults)
+            self._faults.append(fault)
+        return fault_id
+
+    def observed_masks(self, observed: set[tuple[int, int]]) -> list[list[int]]:
+        """A log's failing ``(pattern, node)`` bits as per-batch,
+        per-observation masks, in O(fails)."""
+        masks = [[0] * len(batch.observation) for batch in self.batches]
+        for pattern_index, node in observed:
+            where = self.slot.get(pattern_index)
+            if where is None:
+                continue
+            position, local = where
+            obs_index = self.batches[position].obs_index.get(node)
+            if obs_index is not None:
+                masks[position][obs_index] |= 1 << local
+        return masks
+
+    def _bind(
+        self, frames_sim: FrameSimulator, items: Sequence[TestPattern], batch_size: int
+    ) -> None:
+        shape = (len(items), batch_size)
+        if self._shape is not None:
+            if shape != self._shape:
+                raise ValueError(
+                    f"syndrome dictionary built for {self._shape[0]} patterns "
+                    f"in batches of {self._shape[1]}, used with {shape[0]} "
+                    f"in batches of {shape[1]}"
+                )
+            return
+        model = frames_sim.model
+        po_nodes = {idx for _, idx in model.po_nodes}
+        element_by_name = {e.name: e for e in model.state_elements}
+        batches: list[DictionaryBatch] = []
+        slot: dict[int, tuple[int, int]] = {}
+        for procedure, observation, chunk, batch, launch, final in (
+            frames_sim.iter_batches(items, batch_size)
+        ):
+            if not observation:
+                continue
+            captured_d = {
+                element_by_name[name].d_node
+                for name in frames_sim.observed_scan_flops(procedure)
+                if element_by_name[name].d_node is not None
+            }
+            po_gate = 0
+            for local, pattern in enumerate(batch):
+                if pattern.observe_pos:
+                    po_gate |= 1 << local
+            for local, pattern_index in enumerate(chunk):
+                slot[pattern_index] = (len(batches), local)
+            batches.append(
+                DictionaryBatch(
+                    procedure=procedure,
+                    observation=observation,
+                    obs_index={obs: index for index, obs in enumerate(observation)},
+                    chunk=chunk,
+                    # PO-only observation nodes are gated per pattern by
+                    # observe_pos, mirroring what the tester (and
+                    # capture_fail_log) compares.
+                    po_only=[
+                        obs in po_nodes and obs not in captured_d
+                        for obs in observation
+                    ],
+                    po_gate=po_gate,
+                    launch=launch,
+                    final=final,
+                )
+            )
+        self.batches, self.slot, self._shape = batches, slot, shape
+
+
+@dataclass
+class DictionaryBatch:
+    """One homogeneous pattern batch of a :class:`SyndromeDictionary`."""
+
+    procedure: NamedCaptureProcedure
+    observation: list[int]
+    obs_index: dict[int, int]
+    chunk: list[int]
+    po_only: list[bool]
+    po_gate: int
+    launch: PackedPatterns
+    final: PackedPatterns
+    #: Fault id -> flat ``(obs index, mask, obs index, mask, ...)`` syndrome.
+    syndromes: dict[int, tuple[int, ...]] = field(default_factory=dict)
+
+    def store(self, fault_ids: Sequence[int], rows: Sequence[Sequence[int]]) -> None:
+        """Keep the nonzero masks of ``syndrome_batch`` rows, PO-gated and
+        clipped to the batch."""
+        full = self.final.full_mask
+        for fault_id, masks in zip(fault_ids, rows):
+            flat: list[int] = []
+            for obs_index, mask in enumerate(masks):
+                if self.po_only[obs_index]:
+                    mask &= self.po_gate
+                mask &= full
+                if mask:
+                    flat += (obs_index, mask)
+            self.syndromes[fault_id] = tuple(flat)
+
+
 def simulate_candidate_syndromes(
     model: CircuitModel,
     domain_map,
@@ -507,94 +695,66 @@ def simulate_candidate_syndromes(
     max_workers: int | None = None,
     batch_size: int = 256,
     scheduler: FaultSimScheduler | None = None,
+    dictionary: SyndromeDictionary | None = None,
 ) -> SyndromeEvidence:
-    """Simulate every candidate's syndrome and tally it against the log.
+    """Look up every candidate's syndrome and tally it against the log.
 
-    Every candidate's predicted syndrome is computed with the engine's
-    per-observation-node kernels (:meth:`FaultSimScheduler.syndrome_batch`),
-    sharded over the chosen backend; the resulting evidence is bit-identical
-    across backends and shard counts.  Pass an externally owned
-    ``scheduler`` to amortize one worker pool over many diagnoses (volume
-    diagnosis) — it is then the caller's to close, and ``backend``/
+    Two parts.  The pattern set's :class:`SyndromeDictionary` holds each
+    batch's good frames and every fault's sparse syndrome; the faults of
+    this log's candidates it does not hold yet are simulated with the
+    engine's per-observation-node kernels
+    (:meth:`FaultSimScheduler.syndrome_batch`, one call per batch) and
+    stored.  The tally is the log's own: its failing bits become per-batch
+    masks in O(fails), and each candidate's hits and false alarms are
+    counted in O(nonzero syndrome bits).  Inter-domain candidates count
+    only on inter-domain procedures.
+
+    ``dictionary`` is shared across the logs of one pattern set (the
+    diagnosis job kinds keep one per pattern set in the plan resources);
+    without one the call fills a throwaway dictionary.  The evidence is
+    bit-identical either way, and across backends and shard counts.  Pass
+    an externally owned ``scheduler`` to amortize one worker pool over many
+    diagnoses — it is then the caller's to close, and ``backend``/
     ``shard_count``/``max_workers`` are ignored.
     """
-    items = list(patterns)
     candidates: list[Candidate] = candidate_set.candidates
-    observed = observed_fail_pairs(model, fail_log)
-    hit_pairs: list[set[tuple[int, int]]] = [set() for _ in candidates]
-    false_alarms = [0] * len(candidates)
-
-    po_nodes = {idx for _, idx in model.po_nodes}
-    element_by_name = {e.name: e for e in model.state_elements}
+    if dictionary is None:
+        dictionary = SyndromeDictionary()
     owns_scheduler = scheduler is None
     if scheduler is None:
         scheduler = FaultSimScheduler(
             model, backend=backend, shard_count=shard_count, max_workers=max_workers
         )
-    frames_sim = FrameSimulator(model, domain_map, setup, scheduler)
     try:
-        current_procedure: str | None = None
-        po_only: list[bool] = []
-        active: list[tuple[int, Candidate]] = []
-        faults: list = []
-        for procedure, observation, chunk, batch, launch, final in (
-            frames_sim.iter_batches(items, batch_size)
-        ):
-            if not observation:
-                continue
-            if procedure.name != current_procedure:
-                current_procedure = procedure.name
-                captured_d = {
-                    element_by_name[name].d_node
-                    for name in frames_sim.observed_scan_flops(procedure)
-                    if element_by_name[name].d_node is not None
-                }
-                # PO-only observation nodes are gated per pattern by
-                # observe_pos, mirroring what the tester (and
-                # capture_fail_log) compares.
-                po_only = [
-                    obs in po_nodes and obs not in captured_d for obs in observation
-                ]
-                active = [
-                    (index, candidate)
-                    for index, candidate in enumerate(candidates)
-                    if candidate.kind != "inter-domain" or procedure.is_inter_domain
-                ]
-                faults = [candidate.fault for _, candidate in active]
-            if not active:
-                continue
-            full = final.full_mask
-            po_gate = 0
-            for local, pattern in enumerate(batch):
-                if pattern.observe_pos:
-                    po_gate |= 1 << local
-            observed_masks = []
-            for obs in observation:
-                mask = 0
-                for local, pattern_index in enumerate(chunk):
-                    if (pattern_index, obs) in observed:
-                        mask |= 1 << local
-                observed_masks.append(mask)
-            syndromes = scheduler.syndrome_batch(
-                final, faults, observation, launch=launch
-            )
-            for (cand_index, _), masks in zip(active, syndromes):
-                hits = hit_pairs[cand_index]
-                for obs_index, mask in enumerate(masks):
-                    if po_only[obs_index]:
-                        mask &= po_gate
-                    if not mask:
-                        continue
-                    obs_mask = observed_masks[obs_index]
-                    matched = mask & obs_mask
-                    false_alarms[cand_index] += (mask & ~obs_mask & full).bit_count()
-                    if matched:
-                        obs = observation[obs_index]
-                        for local in mask_to_indices(matched):
-                            hits.add((chunk[local], obs))
+        fault_ids = dictionary.fill(
+            FrameSimulator(model, domain_map, setup, scheduler),
+            list(patterns), batch_size, candidates, scheduler,
+        )
     finally:
         if owns_scheduler:
             scheduler.close()
+
+    observed = observed_fail_pairs(model, fail_log)
+    hit_pairs: list[set[tuple[int, int]]] = [set() for _ in candidates]
+    false_alarms = [0] * len(candidates)
+    for batch, obs_masks in zip(dictionary.batches, dictionary.observed_masks(observed)):
+        intra_only = not batch.procedure.is_inter_domain
+        syndromes, chunk, observation = batch.syndromes, batch.chunk, batch.observation
+        for cand_index, (candidate, fault_id) in enumerate(zip(candidates, fault_ids)):
+            if intra_only and candidate.kind == "inter-domain":
+                continue
+            flat = syndromes[fault_id]
+            alarms = 0
+            for at in range(0, len(flat), 2):
+                mask = flat[at + 1]
+                matched = mask & obs_masks[flat[at]]
+                alarms += (mask ^ matched).bit_count()
+                if matched:
+                    obs = observation[flat[at]]
+                    hit_pairs[cand_index].update(
+                        (chunk[local], obs) for local in mask_to_indices(matched)
+                    )
+            false_alarms[cand_index] += alarms
     return SyndromeEvidence(
         observed=observed, hit_pairs=hit_pairs, false_alarms=false_alarms
     )
@@ -614,14 +774,14 @@ def score_candidates(
     batch_size: int = 256,
     rerank_iterations: int = 2,
     scheduler: FaultSimScheduler | None = None,
+    dictionary: SyndromeDictionary | None = None,
 ) -> list[ScoredCandidate]:
     """Rank candidate defects by syndrome match against the fail log.
 
     The evidence layer (:func:`simulate_candidate_syndromes`) is shared
     with volume BP diagnosis; scores are bit-identical across backends and
-    shard counts.  Pass an externally owned ``scheduler`` to amortize one
-    worker pool over many diagnoses — it is then the caller's to close,
-    and ``backend``/``shard_count``/``max_workers`` are ignored.
+    shard counts.  ``scheduler`` and ``dictionary`` are passed through to
+    it.
     """
     score_started = time.perf_counter()
     items = list(patterns)
@@ -638,6 +798,7 @@ def score_candidates(
         max_workers=max_workers,
         batch_size=batch_size,
         scheduler=scheduler,
+        dictionary=dictionary,
     )
     hit_pairs = evidence.hit_pairs
     false_alarms = evidence.false_alarms
@@ -712,6 +873,7 @@ def run_diagnosis(
     fail_log: FailLog | None = None,
     options: AtpgOptions | None = None,
     scheduler: FaultSimScheduler | None = None,
+    dictionary: SyndromeDictionary | None = None,
 ) -> DiagnosisResult:
     """Execute one full diagnosis: capture (if needed), extract, score, rank.
 
@@ -727,6 +889,9 @@ def run_diagnosis(
         scheduler: An externally owned scoring scheduler, reused across
             diagnoses to amortize one worker pool over a whole device stream
             (volume diagnosis); overrides the backend knobs and stays open.
+        dictionary: The pattern set's :class:`SyndromeDictionary`, shared
+            across diagnoses on the same pattern set and batch size
+            (``None``: a throwaway one).
     """
     started = time.perf_counter()
     options = options or setup.options
@@ -766,6 +931,7 @@ def run_diagnosis(
         batch_size=spec.batch_size,
         rerank_iterations=spec.rerank_iterations,
         scheduler=scheduler,
+        dictionary=dictionary,
     )
     resolution = sum(1 for row in rows if row.rank == 1)
     defect = spec.defect or fail_log.defect

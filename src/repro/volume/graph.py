@@ -33,6 +33,7 @@ from repro.diagnose.defects import DefectSpec
 from repro.diagnose.diagnose import (
     DiagnosisSpec,
     ScoredCandidate,
+    SyndromeDictionary,
     SyndromeEvidence,
     simulate_candidate_syndromes,
 )
@@ -390,6 +391,7 @@ def run_bp_diagnosis(
     defects: Sequence[DefectSpec] | None = None,
     options: AtpgOptions | None = None,
     scheduler: FaultSimScheduler | None = None,
+    dictionary: SyndromeDictionary | None = None,
 ) -> BpDiagnosisResult:
     """One full BP diagnosis: capture (if needed), extract, infer, select.
 
@@ -411,6 +413,9 @@ def run_bp_diagnosis(
             captured in one multi-defect pass.
         options: Engine execution knobs; ``spec.backend`` overrides.
         scheduler: Externally owned scoring scheduler (caller closes it).
+        dictionary: The pattern set's
+            :class:`~repro.diagnose.diagnose.SyndromeDictionary` (``None``:
+            a throwaway one).
     """
     started = time.perf_counter()
     bp = bp or BpOptions()
@@ -457,6 +462,7 @@ def run_bp_diagnosis(
         max_workers=options.sim_workers,
         batch_size=spec.batch_size,
         scheduler=scheduler,
+        dictionary=dictionary,
     )
     graph = build_factor_graph(evidence, bp)
     with active_tracer().span(

@@ -142,6 +142,7 @@ def volume_plan(
     *,
     options: object = None,
     name: str = "volume-diagnosis",
+    memos: "Mapping[str, dict] | None" = None,
 ) -> Plan:
     """Compile a fail-log stream into one resumable runtime plan.
 
@@ -166,7 +167,16 @@ def volume_plan(
         spec: The volume configuration applied to every log.
         options: :class:`~repro.atpg.AtpgOptions` the pattern sets were
             generated under.
+        memos: ``_``-prefixed memo dicts to bind into the plan resources
+            (``_materialized``, ``_schedulers``, ``_syndromes``), so built
+            designs, scoring schedulers and syndrome dictionaries outlive
+            this plan; a campaign passes its own.  Omitted, the plan fills
+            fresh ones.
     """
+    memos = dict(memos or {})
+    unprefixed = sorted(key for key in memos if not key.startswith("_"))
+    if unprefixed:
+        raise ValueError(f"volume plan memos must be _-prefixed, got {unprefixed}")
     record_list = list(records)
     if not record_list:
         raise ValueError("a volume plan needs at least one fail-log record")
@@ -205,6 +215,7 @@ def volume_plan(
             "options": options,
             "designs": dict(designs),
             "scenarios": dict(scenarios),
+            **memos,
         },
         name=name,
         metadata={

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.api import TestSession
@@ -16,11 +18,15 @@ from repro.diagnose import (
     DiagnosisSpec,
     FailBit,
     FailLog,
+    SyndromeDictionary,
+    SyndromeEvidence,
     capture_fail_log,
     extract_candidates,
     failing_observation_nodes,
+    observed_fail_pairs,
     parse_fail_log,
     run_diagnosis,
+    simulate_candidate_syndromes,
 )
 from repro.dft import insert_scan
 from repro.engine import compile_circuit
@@ -586,6 +592,268 @@ class TestMultiDefectCapture:
         assert parsed.defects == [d1, d2]
         assert parsed == log
         assert log.to_text().count("Defect {") == 2
+
+
+# --------------------------------------------------------------------------
+# Syndrome dictionary: the per-log scoring loop it replaced is the oracle
+# --------------------------------------------------------------------------
+def _per_log_syndromes(
+    model, domain_map, setup, patterns, candidate_set, fail_log, batch_size
+) -> SyndromeEvidence:
+    """Candidate scoring as it ran before the syndrome dictionary: frames and
+    every active candidate's syndrome simulated afresh for the log, observed
+    masks built by scanning observation x chunk."""
+    from repro.engine import FaultSimScheduler
+    from repro.fault_sim import FrameSimulator
+    from repro.simulation.parallel_sim import mask_to_indices
+
+    items = list(patterns)
+    candidates = candidate_set.candidates
+    observed = observed_fail_pairs(model, fail_log)
+    hit_pairs = [set() for _ in candidates]
+    false_alarms = [0] * len(candidates)
+    po_nodes = {idx for _, idx in model.po_nodes}
+    element_by_name = {e.name: e for e in model.state_elements}
+    scheduler = FaultSimScheduler(model, backend="serial")
+    frames_sim = FrameSimulator(model, domain_map, setup, scheduler)
+    for procedure, observation, chunk, batch, launch, final in (
+        frames_sim.iter_batches(items, batch_size)
+    ):
+        if not observation:
+            continue
+        captured_d = {
+            element_by_name[name].d_node
+            for name in frames_sim.observed_scan_flops(procedure)
+            if element_by_name[name].d_node is not None
+        }
+        po_only = [obs in po_nodes and obs not in captured_d for obs in observation]
+        active = [
+            (index, candidate)
+            for index, candidate in enumerate(candidates)
+            if candidate.kind != "inter-domain" or procedure.is_inter_domain
+        ]
+        if not active:
+            continue
+        full = final.full_mask
+        po_gate = 0
+        for local, pattern in enumerate(batch):
+            if pattern.observe_pos:
+                po_gate |= 1 << local
+        observed_masks = []
+        for obs in observation:
+            mask = 0
+            for local, pattern_index in enumerate(chunk):
+                if (pattern_index, obs) in observed:
+                    mask |= 1 << local
+            observed_masks.append(mask)
+        syndromes = scheduler.syndrome_batch(
+            final, [candidate.fault for _, candidate in active], observation,
+            launch=launch,
+        )
+        for (cand_index, _), masks in zip(active, syndromes):
+            for obs_index, mask in enumerate(masks):
+                if po_only[obs_index]:
+                    mask &= po_gate
+                if not mask:
+                    continue
+                obs_mask = observed_masks[obs_index]
+                matched = mask & obs_mask
+                false_alarms[cand_index] += (mask & ~obs_mask & full).bit_count()
+                for local in mask_to_indices(matched):
+                    hit_pairs[cand_index].add((chunk[local], observation[obs_index]))
+    return SyndromeEvidence(
+        observed=observed, hit_pairs=hit_pairs, false_alarms=false_alarms
+    )
+
+
+@pytest.fixture(scope="module")
+def dictionary_cases():
+    """Fail logs on two pattern sets of tiny, each with its environment.
+
+    * ``table1-a`` (stuck-at procedures) with ``observe_pos`` cleared on
+      every third pattern, so PO-only observation nodes are gated per
+      pattern; single- and two-defect stuck-at logs;
+    * ``table1-d`` (inter-domain procedures among intra-domain ones);
+      single- and two-defect transition and inter-domain logs.
+    """
+    session = TestSession.for_design("tiny", options=CHEAP)
+    prepared = session.prepared
+    cases = []
+    for letter in ("a", "d"):
+        spec = table1_scenario(letter)
+        session.run_scenario(spec)
+        patterns = list(session.artifacts[spec.name].patterns)
+        if letter == "a":
+            patterns = [
+                replace(pattern, observe_pos=index % 3 != 0)
+                for index, pattern in enumerate(patterns)
+            ]
+        setup = spec.build_setup(prepared, CHEAP)
+        detected = session.result_of(spec.name).fault_list.with_status(
+            FaultStatus.DETECTED
+        )
+        defects = []
+        for fault in detected[len(detected) // 3:]:
+            # On table1-d, alternate transition and inter-domain defects.
+            defect = DefectSpec.from_fault(
+                prepared.model, fault, inter_domain=letter == "d" and len(defects) % 2 == 1
+            )
+            log = capture_fail_log(
+                prepared.model, prepared.domain_map, prepared.scan, setup,
+                patterns, defect,
+            )
+            if log.num_fails and defect.net not in {d.net for d in defects}:
+                defects.append(defect)
+            if len(defects) == 6:
+                break
+        groups = [[defect] for defect in defects[:4]] + [defects[2:4], defects[4:6]]
+        logs = [
+            capture_fail_log(
+                prepared.model, prepared.domain_map, prepared.scan, setup,
+                patterns, group,
+            )
+            for group in groups
+        ]
+        cases.append((prepared, setup, patterns, logs))
+    return cases
+
+
+class TestSyndromeDictionaryOracle:
+    """Logs pushed through one shared dictionary, in shuffled order, get the
+    evidence of the per-log loop, field by field."""
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["observe-pos-gated", "inter-domain"])
+    def test_shared_dictionary_matches_per_log_loop(self, dictionary_cases, which):
+        import random
+
+        prepared, setup, patterns, logs = dictionary_cases[which]
+        model = prepared.model
+        kinds = {defect.kind for log in logs for defect in log.defects}
+        assert len(kinds) == (1 if which == 0 else 2), kinds
+        assert any(len(log.defects) == 2 for log in logs)
+        batch_size = 8
+        dictionary = SyndromeDictionary()
+        order = list(range(len(logs)))
+        random.Random(which).shuffle(order)
+        for index in order + order:  # a second pass is all dictionary hits
+            log = logs[index]
+            candidate_set = extract_candidates(model, log, mode="union")
+            assert {c.kind for c in candidate_set.candidates} == {
+                "stuck-at", "transition", "inter-domain"
+            }
+            got = simulate_candidate_syndromes(
+                model, prepared.domain_map, setup, patterns, candidate_set, log,
+                batch_size=batch_size, dictionary=dictionary,
+            )
+            want = _per_log_syndromes(
+                model, prepared.domain_map, setup, patterns, candidate_set, log,
+                batch_size,
+            )
+            assert got.observed == want.observed
+            assert got.hit_pairs == want.hit_pairs
+            assert got.false_alarms == want.false_alarms
+            if index == order[-1]:
+                stored = len(dictionary)
+        assert len(dictionary) == stored
+        procedures = {pattern.procedure.name for pattern in patterns}
+        assert len(dictionary.batches) > len(procedures)
+
+    def test_inter_domain_gate_applies_at_tally_time(self, dictionary_cases):
+        """A transition and an inter-domain candidate on one fault share a
+        syndrome entry; the inter-domain one counts only on inter-domain
+        procedures."""
+        prepared, setup, patterns, logs = dictionary_cases[1]
+        model = prepared.model
+        log = next(log for log in logs if log.defects[0].kind == "inter-domain")
+        candidate_set = extract_candidates(model, log, mode="union")
+        dictionary = SyndromeDictionary()
+        evidence = simulate_candidate_syndromes(
+            model, prepared.domain_map, setup, patterns, candidate_set, log,
+            dictionary=dictionary,
+        )
+        candidates = candidate_set.candidates
+        faults = {candidate.fault for candidate in candidates}
+        intra = {c.fault for c in candidates if c.kind != "inter-domain"}
+        assert len(faults) < len(candidates)
+        for batch in dictionary.batches:
+            expected = faults if batch.procedure.is_inter_domain else intra
+            assert len(batch.syndromes) == len(expected)
+        inter_domain = [
+            index for index, pattern in enumerate(patterns)
+            if pattern.procedure.is_inter_domain
+        ]
+        for candidate, hits in zip(candidates, evidence.hit_pairs):
+            if candidate.kind == "inter-domain":
+                assert all(pattern in inter_domain for pattern, _ in hits)
+
+    def test_concurrent_fills_simulate_each_fault_once(
+        self, dictionary_cases, monkeypatch
+    ):
+        """More threads than cores fill one dictionary with a short switch
+        interval: every thread gets the evidence of a private dictionary,
+        and no (batch, fault) entry is simulated twice."""
+        import sys
+        import threading
+
+        from repro.engine.scheduler import FaultSimScheduler
+
+        prepared, setup, patterns, logs = dictionary_cases[1]
+        model = prepared.model
+        sets = [extract_candidates(model, log, mode="union") for log in logs]
+
+        def evidence(index, dictionary):
+            return simulate_candidate_syndromes(
+                model, prepared.domain_map, setup, patterns, sets[index],
+                logs[index], batch_size=8, dictionary=dictionary,
+            )
+
+        private = [evidence(index, SyndromeDictionary()) for index in range(len(logs))]
+        simulated: list[int] = []
+        syndrome_batch = FaultSimScheduler.syndrome_batch
+
+        def counting(self, final, faults, observation, launch=None):
+            simulated.append(len(faults))
+            return syndrome_batch(self, final, faults, observation, launch=launch)
+
+        monkeypatch.setattr(FaultSimScheduler, "syndrome_batch", counting)
+        shared = SyndromeDictionary()
+        got: dict[int, SyndromeEvidence] = {}
+        workers = [
+            threading.Thread(
+                target=lambda index=index: got.__setitem__(index, evidence(index, shared))
+            )
+            for index in list(range(len(logs))) * 2
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert sorted(got) == list(range(len(logs)))
+        for index, want in enumerate(private):
+            assert got[index].hit_pairs == want.hit_pairs
+            assert got[index].false_alarms == want.false_alarms
+        assert sum(simulated) == len(shared)
+
+    def test_dictionary_rejects_another_pattern_set_shape(self, dictionary_cases):
+        prepared, setup, patterns, logs = dictionary_cases[0]
+        model = prepared.model
+        candidate_set = extract_candidates(model, logs[0])
+        dictionary = SyndromeDictionary()
+        simulate_candidate_syndromes(
+            model, prepared.domain_map, setup, patterns, candidate_set, logs[0],
+            batch_size=8, dictionary=dictionary,
+        )
+        with pytest.raises(ValueError, match="syndrome dictionary built for"):
+            simulate_candidate_syndromes(
+                model, prepared.domain_map, setup, patterns, candidate_set,
+                logs[0], batch_size=16, dictionary=dictionary,
+            )
 
 
 # --------------------------------------------------------------------------

@@ -535,6 +535,20 @@ class TestReportTelemetry:
             assert any(name.startswith(prefix) for name in names), prefix
         assert len(telemetry.trace().find("plan:")) == 2  # run + diagnose
 
+    def test_session_diagnosis_counts_dictionary_hits_and_misses(self):
+        """Each diagnosis records its syndrome-dictionary lookups; a second
+        diagnosis on the same pattern set (here on the BP plane) finds what
+        the first simulated."""
+        telemetry = Telemetry.on()
+        session = TestSession.for_design("tiny", options=CHEAP).with_telemetry(telemetry)
+        defect = DefectSpec(kind="stuck-at", net="scan_en", value=1)
+        session.diagnose(defect, scenario="a")
+        first = telemetry.metrics.snapshot()["counters"]
+        assert first["diagnose.dictionary.misses"] > 0
+        session.diagnose(defect, scenario="a", bp=True)
+        second = telemetry.metrics.snapshot()["counters"]
+        assert second["diagnose.dictionary.hits"] > first.get("diagnose.dictionary.hits", 0)
+
     def test_campaign_disabled_has_no_telemetry_key(self):
         campaign = Campaign(designs=["tiny"], scenarios=["a"], options=CHEAP)
         report = campaign.run()

@@ -281,6 +281,40 @@ class TestCampaignVolume:
         assert counters["volume.converged"] >= 1
         assert "volume.ambiguous_pairs" in counters
 
+    def test_second_run_reuses_the_campaign_syndrome_dictionary(
+        self, tmp_path, monkeypatch
+    ):
+        """volume_plan binds the campaign's memos: a second run on one
+        campaign (cache off) simulates no fault again, and a campaign whose
+        options change its patterns shares no dictionary with the first."""
+        from repro.engine.scheduler import FaultSimScheduler
+
+        entries: list[int] = []
+        syndrome_batch = FaultSimScheduler.syndrome_batch
+
+        def counting(self, final, faults, observation, launch=None):
+            entries.append(len(faults))
+            return syndrome_batch(self, final, faults, observation, launch=launch)
+
+        monkeypatch.setattr(FaultSimScheduler, "syndrome_batch", counting)
+        store = small_store(tmp_path)
+        campaign = Campaign(designs=["tiny"], scenarios=["a"], options=ULTRA)
+        first = campaign.diagnose_volume(store)
+        assert sum(entries) > 0
+        entries.clear()
+        second = campaign.diagnose_volume(store)
+        assert sum(entries) == 0
+        assert second.same_results(first)
+        assert second.to_json().count('"cache_hit": false') == len(second)
+
+        keys = set(campaign._syndromes)
+        campaign.with_options(random_seed=ULTRA.random_seed + 1)
+        assert not campaign._syndromes
+        entries.clear()
+        campaign.diagnose_volume(store)
+        assert sum(entries) > 0
+        assert campaign._syndromes and not keys & set(campaign._syndromes)
+
     def test_store_without_campaign_designs_raises(self, tmp_path):
         store = FailLogStore(tmp_path / "foreign.sqlite")
         store.add("x-0", synthetic_log("0", design="not-in-campaign"))

@@ -10,6 +10,8 @@ candidate table on every engine backend (``repro.engine.scheduler.BACKENDS``).
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.api import TestSession
@@ -19,7 +21,14 @@ from repro.atpg import AtpgOptions
 from repro.diagnose import DefectSpec, DiagnosisSpec, capture_fail_log, run_diagnosis
 from repro.engine.scheduler import BACKENDS as ALL_BACKENDS
 from repro.faults.fault_list import FaultStatus
-from repro.volume import run_bp_diagnosis
+from repro.runtime import Executor
+from repro.volume import (
+    FailLogStore,
+    VolumeSpec,
+    execute_volume_plan,
+    run_bp_diagnosis,
+    volume_plan,
+)
 
 #: Minimal ATPG effort: diagnosis needs a *detected* defect, not coverage.
 ULTRA = AtpgOptions(
@@ -184,3 +193,83 @@ def test_bp_multi_defect_selects_both_true_defects():
         options=ULTRA,
     )
     assert serial.same_ranking(result)
+
+
+# --------------------------------------------------------------------------
+# Syndrome dictionaries in plan resources
+# --------------------------------------------------------------------------
+def _volume_store(tmp_path, name, prepared, spec, setup, patterns, defects):
+    """Two single-defect logs and one two-defect log on ``patterns``."""
+    store = FailLogStore(tmp_path / f"{name}.sqlite")
+    for index, group in enumerate([defects[:1], defects[1:2], defects[:2]]):
+        log = capture_fail_log(
+            prepared.model, prepared.domain_map, prepared.scan, setup,
+            patterns, group, design_name="tiny",
+        )
+        store.add(f"{name}-{index}", log, scenario=spec.name)
+    return store
+
+
+@pytest.fixture(scope="module")
+def two_pattern_sets(tmp_path_factory):
+    """tiny/table1-a under two ATPG seeds, each with its own fail-log store."""
+    tmp_path = tmp_path_factory.mktemp("volume-dictionaries")
+    session = TestSession.for_design("tiny", options=ULTRA)
+    spec = table1_scenario("a")
+    rows = []
+    for seed in (ULTRA.random_seed, ULTRA.random_seed + 1):
+        options = replace(ULTRA, random_seed=seed)
+        session.with_options(options).run_scenario(spec)
+        run = session.artifacts[spec.name]
+        setup = spec.build_setup(session.prepared, options)
+        defects = visible_defects("stuck-at", session, spec, run, setup, count=2)
+        store = _volume_store(
+            tmp_path, f"seed{seed}", session.prepared, spec, setup,
+            run.patterns, defects,
+        )
+        rows.append((options, store))
+    assert list(rows[0][1].records()) != list(rows[1][1].records())
+    return session.prepared, spec, rows
+
+
+def test_syndrome_dictionaries_are_keyed_by_pattern_set_and_batch_size(
+    two_pattern_sets,
+):
+    """Two pattern sets and two batch sizes through one resources dict:
+    each plan gets its own dictionary and the report of a fresh one."""
+    prepared, spec, rows = two_pattern_sets
+    shared: dict = {}
+    for options, store in rows:
+        for batch_size in (8, 256):
+            def plan(memos):
+                return volume_plan(
+                    store, {"tiny": prepared}, {spec.name: spec},
+                    VolumeSpec(scenario=spec.name, batch_size=batch_size),
+                    options=options, memos=memos,
+                )
+
+            fresh = execute_volume_plan(plan(None))
+            report = execute_volume_plan(plan({"_syndromes": shared}))
+            assert report.same_results(fresh), (options.random_seed, batch_size)
+    assert len(shared) == 4
+    assert len({key[0] for key in shared}) == 2
+
+
+@pytest.mark.parametrize("backend", ["threads", "processes"])
+def test_volume_plan_reports_identical_on_executor_backends(two_pattern_sets, backend):
+    """serial, threads and processes executors fill their own dictionaries
+    (process workers one each) and produce identical reports."""
+    prepared, spec, rows = two_pattern_sets
+    options, store = rows[0]
+
+    def report(executor):
+        plan = volume_plan(
+            store, {"tiny": prepared}, {spec.name: spec},
+            VolumeSpec(scenario=spec.name, batch_size=8), options=options,
+        )
+        return execute_volume_plan(plan, executor=executor)
+
+    serial = report(Executor(backend="serial"))
+    other = report(Executor(backend=backend, max_workers=2))
+    assert other.same_results(serial)
+    assert len(other) == len(store)
