@@ -8,8 +8,10 @@ simulation per execution backend.  The point of the exercise:
 * **compile** — the hierarchical compiler builds one kernel per *unique
   core*, not per instance, so compile time stays near-flat while the
   design grows 100×;
-* **simulate** — the in-process backends produce bit-identical detections at every
-  size (the full suite for that claim is ``tests/test_hier_identity.py``);
+* **simulate** — the in-process backends, and the flat compile, produce
+  bit-identical detections at every size (the full suite for that claim is
+  ``tests/test_hier_identity.py``); the script exits non-zero when any of
+  them diverges;
 * **memory** — attach a :class:`~repro.patterns.store.PatternStore` to a
   session or campaign (``with_pattern_store``) and pattern sets spill to
   disk instead of scaling resident memory with design size.
@@ -29,8 +31,6 @@ from repro.faults import all_stuck_at_faults, collapse_faults
 from repro.hier.designs import register_hier_designs
 from repro.logic import Logic
 
-BACKENDS = ("serial", "compiled")
-
 
 def _patterns(model, count=8, seed=11):
     rng = random.Random(seed)
@@ -41,7 +41,8 @@ def _patterns(model, count=8, seed=11):
     ]
 
 
-def sweep(spec) -> None:
+def sweep(spec) -> bool:
+    """Sweep one design family; ``True`` when every kernel agrees."""
     started = time.perf_counter()
     prepared = prepare_from_spec(spec)
     prepare_s = time.perf_counter() - started
@@ -68,15 +69,23 @@ def sweep(spec) -> None:
     faults = [universe[i] for i in sorted(rng.sample(range(len(universe)), 64))]
     patterns = _patterns(model)
     reference = None
-    for backend in BACKENDS:
-        simulator = StuckAtFaultSimulator(model, batch_size=8, backend=backend)
+    agreed = True
+    # The serial reference, the hierarchical kernel, and the flat kernel.
+    for label, circuit, backend in (
+        ("serial", model, "serial"),
+        ("compiled", model, "compiled"),
+        ("flat", flat, "compiled"),
+    ):
+        simulator = StuckAtFaultSimulator(circuit, batch_size=8, backend=backend)
         started = time.perf_counter()
         detections = simulator.simulate(patterns, faults).detections
         elapsed = time.perf_counter() - started
         if reference is None:
             reference = detections
-        verdict = "ok" if detections == reference else "DIVERGED"
-        print(f"    {backend:<9} sim={elapsed:5.2f}s {verdict}")
+        same = detections == reference
+        agreed &= same
+        print(f"    {label:<9} sim={elapsed:5.2f}s {'ok' if same else 'DIVERGED'}")
+    return agreed
 
 
 def main() -> None:
@@ -90,12 +99,13 @@ def main() -> None:
     if args.small:
         specs = specs[:2]
     print(f"Sweeping {len(specs)} hierarchical design families:\n")
-    for spec in specs:
-        sweep(spec)
+    diverged = [spec.name for spec in specs if not sweep(spec)]
     print(
         "\nPer-layer timing of fault grading on hier-soc-10k: "
         "python3 perfbench/run.py --workload fault-grade-10k --seed 1 --trace 1"
     )
+    if diverged:
+        raise SystemExit(f"detections DIVERGED on {', '.join(diverged)}")
 
 
 if __name__ == "__main__":

@@ -254,22 +254,17 @@ class DefectInjector:
         the OR of each defect's syndromes (independent-defect superposition),
         each defect gated by its own procedure activation.
         """
+        active = [
+            fault
+            for spec, fault in zip(self.defects, self.faults)
+            if procedure is None
+            or spec.kind != "inter-domain"
+            or procedure.is_inter_domain
+        ]
+        if launch is None and any(isinstance(f, TransitionFault) for f in active):
+            raise ValueError("delay-defect syndromes need launch-frame planes")
         merged = [0] * len(observation)
-        for spec, fault in zip(self.defects, self.faults):
-            if (
-                procedure is not None
-                and spec.kind == "inter-domain"
-                and not procedure.is_inter_domain
-            ):
-                continue
-            if isinstance(fault, TransitionFault):
-                if launch is None:
-                    raise ValueError("delay-defect syndromes need launch-frame planes")
-                masks = self._compiled.syndrome_transition(
-                    launch, final, fault, observation
-                )
-            else:
-                masks = self._compiled.syndrome_stuck_at(final, fault, observation)
+        for masks in self._compiled.syndrome_batch(final, active, observation, launch):
             for index, mask in enumerate(masks):
                 merged[index] |= mask
         return merged

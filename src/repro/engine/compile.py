@@ -17,17 +17,28 @@ The interpreted simulators (:mod:`repro.simulation.parallel_sim`,
   loop does no list building at all);
 * per-node **plane evaluators** — ``fn(in0, in1) -> (out0, out1)`` closures
   used for fault injection and cone propagation;
-* cached **fanout cones** — for every fault site the level-ordered list of
+* cached **fanout cones** — for every swept node the level-ordered list of
   ``(index, fanin, evaluator)`` triples its effect can reach, computed once
   and reused by every pattern batch.
 
-Faulty-machine propagation uses version-stamped scratch planes instead of
-per-fault dictionaries: planes whose stamp is stale transparently fall back
-to the good machine, so injecting the next fault costs one integer increment
-instead of clearing state.  The propagation order, event condition and
-detection arithmetic replicate the interpreted reference bit for bit — the
-equivalence suite (``tests/test_engine_equivalence.py``) holds the compiled
-kernels to *identical* detection masks.
+Fault detection is one batch kernel (:meth:`CompiledCircuit.detect_batch`,
+:meth:`CompiledCircuit.syndrome_batch`) built on stem-based critical-path
+tracing (Abramovici et al., DAC 1983):
+
+* a **fault pass** traces every fault up its fanout-free region to the
+  region's *stem* and yields ``flip``, the patterns where the fault turns the
+  stem's known good value into its known complement;
+* a **stem pass** propagates one masked complement per live stem (the OR of
+  its faults' flips) through the stem's cone — once per stem, not once per
+  fault;
+* a fault's detection mask is its ``flip`` AND its stem's detection mask.
+
+Propagation uses version-stamped scratch planes instead of per-sweep
+dictionaries: planes whose stamp is stale transparently fall back to the
+good machine, so the next sweep costs one integer increment instead of
+clearing state.  The equivalence suite (``tests/test_engine_equivalence.py``)
+holds the kernel to *identical* detection masks against the interpreted
+per-fault reference.
 """
 
 from __future__ import annotations
@@ -35,9 +46,9 @@ from __future__ import annotations
 import hashlib
 import threading
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from repro.faults.models import StuckAtFault, TransitionFault
+from repro.faults.models import StuckAtFault, TransitionFault, TransitionKind
 from repro.netlist.gates import GateType
 from repro.obs.telemetry import active_metrics
 from repro.simulation.model import CircuitModel, NodeKind
@@ -211,6 +222,8 @@ class CompiledCircuit:
         self._cones: dict[int, tuple[tuple[int, tuple[int, ...], PlaneEvaluator], ...]] = {}
         #: Reachability cache: start node -> frozenset of every reachable node.
         self._cone_sets: dict[int, frozenset[int]] = {}
+        #: Fanout-free-region links: node -> its one gate consumer, else -1.
+        self._ffr_next = _ffr_successors(model)
         self._tls = threading.local()
 
     # ------------------------------------------------------------ good machine
@@ -263,163 +276,295 @@ class CompiledCircuit:
         return scratch
 
     # ------------------------------------------------------------- fault paths
-    def _inject_and_propagate(
-        self, good: PackedPatterns, fault: StuckAtFault
-    ) -> _Scratch:
-        """Inject one stuck-at fault and propagate it through its cone.
+    def _cone_steps(
+        self, start: int
+    ) -> Iterable[tuple[int, Sequence[int], PlaneEvaluator]]:
+        """The ``(index, fanin, evaluator)`` steps of ``start``'s cone, in
+        topological order."""
+        return self.cone(start)
 
-        Returns the thread-local scratch planes; nodes whose stamp equals the
-        scratch's current version carry faulty values, all others read from
-        the good machine.
+    def _propagate(
+        self, good: PackedPatterns, start: int, x0: int, x1: int
+    ) -> tuple[_Scratch, list[int]]:
+        """Force ``start`` to the planes ``(x0, x1)`` and propagate the effect
+        through its fanout cone.
+
+        Returns the thread-local scratch planes and the nodes they changed,
+        ``start`` first; nodes whose stamp equals the scratch's current
+        version carry faulty values, all others read from the good machine.
         """
-        site = fault.site
-        full = good.full_mask
-        stuck0 = full if fault.value == 0 else 0
-        stuck1 = full if fault.value == 1 else 0
         can0, can1 = good.can0, good.can1
-
         scratch = self._scratch()
         f0, f1, stamp = scratch.f0, scratch.f1, scratch.stamp
         scratch.version += 1
         version = scratch.version
-
-        start = site.node
-        if site.pin is None:
-            f0[start] = stuck0
-            f1[start] = stuck1
-        else:
-            fanin = self._fanin[start]
-            in0 = [can0[i] for i in fanin]
-            in1 = [can1[i] for i in fanin]
-            in0[site.pin] = stuck0
-            in1[site.pin] = stuck1
-            evaluator = self._evaluators[start]
-            assert evaluator is not None, "pin faults sit on gate nodes"
-            f0[start], f1[start] = evaluator(in0, in1)
+        f0[start] = x0
+        f1[start] = x1
         stamp[start] = version
-
-        for idx, fanin, evaluator in self.cone(start):
-            touched = False
-            in0 = []
-            in1 = []
+        touched = [start]
+        for idx, fanin, evaluator in self._cone_steps(start):
             for i in fanin:
                 if stamp[i] == version:
-                    touched = True
-                    in0.append(f0[i])
-                    in1.append(f1[i])
-                else:
-                    in0.append(can0[i])
-                    in1.append(can1[i])
-            if not touched:
+                    break
+            else:
                 continue
+            in0 = [f0[i] if stamp[i] == version else can0[i] for i in fanin]
+            in1 = [f1[i] if stamp[i] == version else can1[i] for i in fanin]
             out0, out1 = evaluator(in0, in1)
             if out0 == can0[idx] and out1 == can1[idx]:
                 continue
             f0[idx] = out0
             f1[idx] = out1
             stamp[idx] = version
-        return scratch
+            touched.append(idx)
+        return scratch, touched
 
-    def propagate_stuck_at(
-        self, good: PackedPatterns, fault: StuckAtFault, observation: Sequence[int]
-    ) -> int:
-        """Detection mask of one stuck-at fault (compiled counterpart of
-        :func:`repro.fault_sim.stuck_at.propagate_fault_packed`)."""
-        scratch = self._inject_and_propagate(good, fault)
-        f0, f1, stamp, version = scratch.f0, scratch.f1, scratch.stamp, scratch.version
-        can0, can1 = good.can0, good.can1
-        detect = 0
-        for obs in observation:
-            if stamp[obs] != version:
-                continue
-            g0, g1 = can0[obs], can1[obs]
-            o0, o1 = f0[obs], f1[obs]
-            detect |= (g0 ^ g1) & (o0 ^ o1) & ((g1 & o0) | (g0 & o1))
-        return detect
-
-    def syndrome_stuck_at(
-        self, good: PackedPatterns, fault: StuckAtFault, observation: Sequence[int]
-    ) -> list[int]:
-        """Per-observation-node detection masks of one stuck-at fault.
-
-        Same injection, propagation and detection arithmetic as
-        :meth:`propagate_stuck_at`, but the per-node masks are returned
-        unmerged (aligned with ``observation``) — the *syndrome* the
-        diagnosis engine matches against tester fail logs.  OR-ing the
-        returned masks reproduces :meth:`propagate_stuck_at` exactly.
-        """
-        scratch = self._inject_and_propagate(good, fault)
-        f0, f1, stamp, version = scratch.f0, scratch.f1, scratch.stamp, scratch.version
-        can0, can1 = good.can0, good.can1
-        masks: list[int] = []
-        for obs in observation:
-            if stamp[obs] != version:
-                masks.append(0)
-                continue
-            g0, g1 = can0[obs], can1[obs]
-            o0, o1 = f0[obs], f1[obs]
-            masks.append((g0 ^ g1) & (o0 ^ o1) & ((g1 & o0) | (g0 & o1)))
-        return masks
-
-    def _transition_gate_mask(
-        self, launch: PackedPatterns, final: PackedPatterns, fault: TransitionFault
-    ) -> int:
-        """Launch/settle gating mask of one broadside transition fault."""
-        site = fault.site
-        site_node = site.node if site.pin is None else self._fanin[site.node][site.pin]
-
-        initial = fault.kind.initial_value
-        known = launch.can0[site_node] ^ launch.can1[site_node]
-        launch_ok = known & (
-            launch.can1[site_node] if initial.to_int() else launch.can0[site_node]
-        )
-        if not launch_ok:
-            return 0
-        known = final.can0[site_node] ^ final.can1[site_node]
-        settle_ok = known & (
-            final.can1[site_node] if fault.kind.final_value.to_int() else final.can0[site_node]
-        )
-        return launch_ok & settle_ok
-
-    def detect_transition(
+    def _fault_pass(
         self,
-        launch: PackedPatterns,
         final: PackedPatterns,
-        fault: TransitionFault,
-        observation: Sequence[int],
-    ) -> int:
-        """Detection mask of one broadside transition fault.
+        faults: Sequence[StuckAtFault | TransitionFault],
+        observed: dict[int, list[int]],
+        launch: PackedPatterns | None,
+    ) -> tuple[list[int], list[int], dict[int, int]]:
+        """Fault pass: every fault's stem and flip, plus the live stems.
 
-        Same gating as the interpreted
-        :meth:`repro.fault_sim.transition.TransitionFaultSimulator._detect_fault`:
-        the site must hold the initial value in the launch frame and reach the
-        final value in the capture frame, then the one-cycle stuck-at
-        equivalent must propagate to an observation point.
+        A fault is gated on launch and settle (transition faults only),
+        excited where its site's good value is the known complement of the
+        stuck value, and traced up its fanout-free region to the stem — the
+        first node without exactly one distinct gate consumer, or an
+        observed one.  ``flip`` holds the patterns where the fault turns the
+        stem's known good value into its known complement; a fault with no
+        effect at all gets stem ``-1`` and flip ``0``.  The returned lists
+        are aligned with ``faults``; the dict maps every live stem to the OR
+        of its faults' flips, the input of the stem pass.
+
+        Inside a region only one path leaves the site, so the trace is
+        memoised per node (and per faulty pin): the patterns where
+        complementing that node complements the stem.  Where a node on the
+        path goes unknown instead, monotonicity rules out a known, differing
+        value anywhere downstream, so those patterns are rightly dropped.
         """
-        gate = self._transition_gate_mask(launch, final, fault)
-        if not gate:
-            return 0
-        detect = self.propagate_stuck_at(final, fault.capture_frame_stuck_at, observation)
-        return gate & detect
+        can0, can1 = final.can0, final.can1
+        full = final.full_mask
+        fanin_of = self._fanin
+        gates: dict[int, int] = {}
+        pins: dict[tuple[int, int], int] = {}
+        reach: dict[int, tuple[int, int]] = {}
+        stems: list[int] = []
+        flips: list[int] = []
+        live: dict[int, int] = {}
+        for fault in faults:
+            site = fault.site
+            node, pin = site.node, site.pin
+            net = node if pin is None else fanin_of[node][pin]
+            if isinstance(fault, TransitionFault):
+                assert launch is not None, "transition faults need launch-frame planes"
+                rising = fault.kind is TransitionKind.SLOW_TO_RISE
+                key = 2 * net + rising
+                gate = gates.get(key, -1)
+                if gate < 0:
+                    gate = gates[key] = _transition_gate(launch, final, net, rising)
+                # A slow-to-rise site behaves as stuck-at-0 for one cycle.
+                stuck = 0 if rising else 1
+            else:
+                gate = full
+                stuck = fault.value
+            g0, g1 = can0[net], can1[net]
+            flip = gate & (g0 ^ g1) & (g1 if stuck == 0 else g0)
+            if flip and pin is not None:
+                sensitive = pins.get((node, pin), -1)
+                if sensitive < 0:
+                    sensitive = pins[(node, pin)] = self._complement_sensitivity(
+                        can0, can1, node, (pin,)
+                    )
+                flip &= sensitive
+            if flip:
+                traced = reach.get(node)
+                if traced is None:
+                    traced = self._trace_region(can0, can1, node, observed, reach)
+                stem, sensitive = traced
+                flip &= sensitive
+            if flip:
+                live[stem] = live.get(stem, 0) | flip
+            else:
+                stem = -1
+            stems.append(stem)
+            flips.append(flip)
+        metrics = active_metrics()
+        if metrics is not None:
+            metrics.inc("engine.stem_sweeps", len(live))
+        return stems, flips, live
 
-    def syndrome_transition(
+    def _trace_region(
         self,
-        launch: PackedPatterns,
-        final: PackedPatterns,
-        fault: TransitionFault,
-        observation: Sequence[int],
-    ) -> list[int]:
-        """Per-observation-node detection masks of one transition fault.
+        can0: list[int],
+        can1: list[int],
+        node: int,
+        observed: dict[int, list[int]],
+        reach: dict[int, tuple[int, int]],
+    ) -> tuple[int, int]:
+        """``(stem, patterns)`` of ``node``: its region's stem and the
+        patterns where complementing ``node`` complements the stem.  Fills
+        ``reach`` for every node on the way."""
+        successor, fanin_of = self._ffr_next, self._fanin
+        path: list[int] = []
+        while node not in reach:
+            nxt = successor[node]
+            if nxt < 0 or node in observed:
+                reach[node] = (node, can0[node] ^ can1[node])
+                break
+            path.append(node)
+            node = nxt
+        stem, sensitive = reach[node]
+        for node in reversed(path):
+            if sensitive:
+                nxt = successor[node]
+                sensitive &= self._complement_sensitivity(
+                    can0, can1, nxt,
+                    [pin for pin, src in enumerate(fanin_of[nxt]) if src == node],
+                )
+            reach[node] = (stem, sensitive)
+        return reach[path[0]] if path else reach[node]
 
-        The launch/settle gate of :meth:`detect_transition` is applied to
-        every per-node mask, so OR-ing the result reproduces
-        :meth:`detect_transition` exactly.
+    def _complement_sensitivity(
+        self, can0: list[int], can1: list[int], node: int, pins: Sequence[int]
+    ) -> int:
+        """Patterns where complementing the known values on ``pins`` turns
+        gate ``node``'s known good output into its known complement."""
+        fanin = self._fanin[node]
+        in0 = [can0[i] for i in fanin]
+        in1 = [can1[i] for i in fanin]
+        for pin in pins:
+            known = in0[pin] ^ in1[pin]
+            in0[pin] ^= known
+            in1[pin] ^= known
+        evaluator = self._evaluators[node]
+        assert evaluator is not None, "pin faults sit on gate nodes"
+        o0, o1 = evaluator(in0, in1)
+        g0, g1 = can0[node], can1[node]
+        return (g0 ^ g1) & (o0 ^ o1) & ((g1 & o0) | (g0 & o1))
+
+    def _stem_pass(
+        self,
+        final: PackedPatterns,
+        faults: Sequence[StuckAtFault | TransitionFault],
+        observation: Sequence[int],
+        launch: PackedPatterns | None,
+    ) -> tuple[list[int], list[int], dict[int, list[tuple[int, int]]]]:
+        """Fault pass, then one sweep per live stem.
+
+        Each live stem is forced to its known complement on the OR of its
+        faults' flips; its row lists the ``(observation position, mask)``
+        pairs where the sweep gives a known, differing value.  Only the
+        nodes the sweep touched are looked up, never the whole observation
+        list.  Returns the fault pass's stems and flips with the rows.
         """
-        gate = self._transition_gate_mask(launch, final, fault)
-        if not gate:
-            return [0] * len(observation)
-        masks = self.syndrome_stuck_at(final, fault.capture_frame_stuck_at, observation)
-        return [gate & mask for mask in masks]
+        positions: dict[int, list[int]] = {}
+        for position, node in enumerate(observation):
+            positions.setdefault(node, []).append(position)
+        stems, flips, live = self._fault_pass(final, faults, positions, launch)
+        can0, can1 = final.can0, final.can1
+        rows: dict[int, list[tuple[int, int]]] = {}
+        for stem, mask in live.items():
+            g0, g1 = can0[stem], can1[stem]
+            scratch, touched = self._propagate(final, stem, g0 ^ mask, g1 ^ mask)
+            f0, f1 = scratch.f0, scratch.f1
+            row: list[tuple[int, int]] = []
+            for idx in touched:
+                at = positions.get(idx)
+                if at is not None:
+                    g0, g1 = can0[idx], can1[idx]
+                    o0, o1 = f0[idx], f1[idx]
+                    found = (g0 ^ g1) & (o0 ^ o1) & ((g1 & o0) | (g0 & o1))
+                    if found:
+                        row.extend((position, found) for position in at)
+            rows[stem] = row
+        return stems, flips, rows
+
+    def detect_batch(
+        self,
+        final: PackedPatterns,
+        faults: Sequence[StuckAtFault | TransitionFault],
+        observation: Sequence[int],
+        launch: PackedPatterns | None = None,
+    ) -> list[int]:
+        """Detection masks of a fault batch, aligned with ``faults``.
+
+        Stuck-at faults propagate through the ``final`` planes; transition
+        faults must also hold the initial value in ``launch`` and reach the
+        final value in ``final`` (the broadside launch/settle gate), then
+        their one-cycle stuck-at equivalent must reach an observation point.
+
+        One sweep per live fanout-free-region stem, not one per fault: the
+        stem is forced to its known complement on the OR of its faults'
+        flips and its detection mask ``D`` is shared, so a fault's mask is
+        ``flip & D``.  That is exact because every plane operation is
+        bitwise and the dual-rail evaluators are monotone: per pattern, a
+        fault that flips the stem leaves the rest of the circuit exactly as
+        the stem sweep does, and one that leaves the stem unknown (or finds
+        it unknown) cannot produce a known, differing observation.
+        """
+        stems, flips, rows = self._stem_pass(final, faults, observation, launch)
+        detect: dict[int, int] = {}
+        for stem, row in rows.items():
+            found = 0
+            for _, mask in row:
+                found |= mask
+            detect[stem] = found
+        return [flip and flip & detect[stem] for stem, flip in zip(stems, flips)]
+
+    def syndrome_batch(
+        self,
+        final: PackedPatterns,
+        faults: Sequence[StuckAtFault | TransitionFault],
+        observation: Sequence[int],
+        launch: PackedPatterns | None = None,
+    ) -> list[list[int]]:
+        """Per-fault, per-observation-node detection masks of a fault batch.
+
+        Same kernel as :meth:`detect_batch`, but each fault's masks stay per
+        observation node, aligned with ``observation`` — the *syndrome* the
+        diagnosis engine matches against tester fail logs.  OR-ing a fault's
+        row reproduces its :meth:`detect_batch` mask.
+        """
+        stems, flips, rows = self._stem_pass(final, faults, observation, launch)
+        width = len(observation)
+        syndromes: list[list[int]] = []
+        for stem, flip in zip(stems, flips):
+            masks = [0] * width
+            if flip:
+                for position, found in rows[stem]:
+                    masks[position] = flip & found
+            syndromes.append(masks)
+        return syndromes
+
+
+def _transition_gate(
+    launch: PackedPatterns, final: PackedPatterns, site_node: int, rising: bool
+) -> int:
+    """Launch/settle gating mask: the site holds the transition's initial
+    value in the launch frame and its final value in the capture frame."""
+    launch0, launch1 = launch.can0[site_node], launch.can1[site_node]
+    launch_ok = (launch0 ^ launch1) & (launch0 if rising else launch1)
+    if not launch_ok:
+        return 0
+    final0, final1 = final.can0[site_node], final.can1[site_node]
+    return launch_ok & (final0 ^ final1) & (final1 if rising else final0)
+
+
+def _ffr_successors(model: CircuitModel) -> list[int]:
+    """Per node, its one distinct gate consumer, else ``-1`` (a stem).
+
+    Fanout-free regions chain through these links; a gate that reads one
+    net on several pins is still a single consumer.
+    """
+    successor = [-1] * model.num_nodes
+    for index, targets in enumerate(model.fanout):
+        # Only gates have fanin, so every fanout target is a gate.
+        consumers = set(targets)
+        if len(consumers) == 1:
+            successor[index] = consumers.pop()
+    return successor
 
 
 def compile_circuit(model: CircuitModel) -> CompiledCircuit:

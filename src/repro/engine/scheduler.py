@@ -345,80 +345,29 @@ def _fault_worker_init(model_payload: bytes) -> None:
     _WORKER_COMPILED = compile_circuit(pickle.loads(model_payload))
 
 
-def _fault_worker_detect(task: tuple) -> list[int]:
-    """Detect one fault shard against shipped good-machine planes."""
-    launch_planes, final_planes, faults, observation = task
+def _fault_worker(task: tuple) -> list:
+    """Run one fault shard through the batch kernel against shipped planes.
+
+    ``kernel`` names the :class:`CompiledCircuit` batch method
+    (``"detect_batch"`` or ``"syndrome_batch"``).
+    """
+    kernel, launch_planes, final_planes, faults, observation = task
     compiled = _WORKER_COMPILED
     assert compiled is not None, "worker pool initialized without a model"
     final = PackedPatterns(*final_planes)
     launch = PackedPatterns(*launch_planes) if launch_planes is not None else None
-    return [
-        _detect_compiled(compiled, fault, final, observation, launch) for fault in faults
-    ]
+    return getattr(compiled, kernel)(final, faults, observation, launch)
 
 
-def _fault_worker_syndrome(task: tuple) -> list[list[int]]:
-    """Per-node syndromes of one fault shard against shipped planes."""
-    launch_planes, final_planes, faults, observation = task
-    compiled = _WORKER_COMPILED
-    assert compiled is not None, "worker pool initialized without a model"
-    final = PackedPatterns(*final_planes)
-    launch = PackedPatterns(*launch_planes) if launch_planes is not None else None
-    return [
-        _syndrome_compiled(compiled, fault, final, observation, launch)
-        for fault in faults
-    ]
-
-
-def _fault_worker_detect_timed(task: tuple) -> tuple[list[int], float]:
-    """Telemetry variant: detect one shard and report its measured wall.
+def _fault_worker_timed(task: tuple) -> tuple[list, float]:
+    """Telemetry variant: run one shard and report its measured wall.
 
     The masks are produced by the exact same worker, so results stay
     bit-identical; only the return envelope differs.
     """
     started = time.perf_counter()
-    masks = _fault_worker_detect(task)
+    masks = _fault_worker(task)
     return masks, time.perf_counter() - started
-
-
-def _fault_worker_syndrome_timed(task: tuple) -> tuple[list[list[int]], float]:
-    """Telemetry variant of :func:`_fault_worker_syndrome`."""
-    started = time.perf_counter()
-    masks = _fault_worker_syndrome(task)
-    return masks, time.perf_counter() - started
-
-
-#: Worker fn -> its timed envelope, used only when telemetry is enabled.
-_TIMED_WORKERS = {
-    _fault_worker_detect: _fault_worker_detect_timed,
-    _fault_worker_syndrome: _fault_worker_syndrome_timed,
-}
-
-
-def _detect_compiled(
-    compiled: CompiledCircuit,
-    fault: StuckAtFault | TransitionFault,
-    final: PackedPatterns,
-    observation: Sequence[int],
-    launch: PackedPatterns | None,
-) -> int:
-    if isinstance(fault, TransitionFault):
-        assert launch is not None, "transition detection needs launch-frame planes"
-        return compiled.detect_transition(launch, final, fault, observation)
-    return compiled.propagate_stuck_at(final, fault, observation)
-
-
-def _syndrome_compiled(
-    compiled: CompiledCircuit,
-    fault: StuckAtFault | TransitionFault,
-    final: PackedPatterns,
-    observation: Sequence[int],
-    launch: PackedPatterns | None,
-) -> list[int]:
-    if isinstance(fault, TransitionFault):
-        assert launch is not None, "transition syndromes need launch-frame planes"
-        return compiled.syndrome_transition(launch, final, fault, observation)
-    return compiled.syndrome_stuck_at(final, fault, observation)
 
 
 def _transition_gate_serial(
@@ -582,8 +531,7 @@ class FaultSimScheduler:
         observation: Sequence[int],
         launch: PackedPatterns | None,
         serial_fn: Callable,
-        compiled_fn: Callable,
-        worker_fn: Callable,
+        kernel: str,
     ) -> list:
         """Shared backend dispatch of one fault batch.
 
@@ -591,14 +539,16 @@ class FaultSimScheduler:
         serial/compiled in-process loops, the spill heuristic, the shard
         fan-out and the order-preserving merge are identical by construction,
         which is what keeps ``syndrome_batch`` bit-consistent with
-        ``detect_batch`` on every backend and shard count.
+        ``detect_batch`` on every backend and shard count.  ``kernel`` names
+        the compiled batch method; a pooled shard runs the same method on its
+        slice of the batch.
         """
         if not faults:
             return []
         name = self.backend_name
         telemetry = get_telemetry()
         if telemetry:
-            # Plane ops == fault-plane propagations this round, per backend.
+            # Plane ops == faults handed to the kernel this round, per backend.
             telemetry.metrics.inc(f"engine.plane_ops.{name}", len(faults))
         if name == "serial":
             model = self.model
@@ -613,10 +563,7 @@ class FaultSimScheduler:
                 # A pooled backend ran this round in-process: the round was
                 # below the spill threshold (late, fault-dropped rounds).
                 telemetry.metrics.inc("engine.inprocess_spills")
-            return [
-                compiled_fn(compiled, fault, final, observation, launch)
-                for fault in faults
-            ]
+            return getattr(compiled, kernel)(final, faults, observation, launch)
         shards = _shard(list(faults), self.shard_count)
         if telemetry:
             telemetry.metrics.inc("engine.sharded_rounds")
@@ -627,14 +574,14 @@ class FaultSimScheduler:
         )
         final_planes = (final.num_patterns, final.can0, final.can1)
         tasks = [
-            (launch_planes, final_planes, shard, list(observation))
+            (kernel, launch_planes, final_planes, shard, list(observation))
             for shard in shards
         ]
         if telemetry:
             dispatch = time.perf_counter()
-            results = self._pool().map(_TIMED_WORKERS[worker_fn], tasks)
+            results = self._pool().map(_fault_worker_timed, tasks)
         else:
-            results = self._pool().map(worker_fn, tasks)
+            results = self._pool().map(_fault_worker, tasks)
         merged: list = []
         if telemetry:
             # Same seam as the mask merge: shard spans land in shard order,
@@ -665,7 +612,7 @@ class FaultSimScheduler:
         """
         return self._run_batch(
             final, faults, observation, launch,
-            _detect_serial, _detect_compiled, _fault_worker_detect,
+            _detect_serial, "detect_batch",
         )
 
     def syndrome_batch(
@@ -684,5 +631,5 @@ class FaultSimScheduler:
         """
         return self._run_batch(
             final, faults, observation, launch,
-            _syndrome_serial, _syndrome_compiled, _fault_worker_syndrome,
+            _syndrome_serial, "syndrome_batch",
         )

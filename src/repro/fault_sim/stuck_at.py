@@ -116,7 +116,7 @@ def propagate_fault_nodes(
 ) -> list[int]:
     """Per-observation-node detection masks of one stuck-at fault.
 
-    Interpreted reference of :meth:`repro.engine.compile.CompiledCircuit.syndrome_stuck_at`:
+    Interpreted reference of :meth:`repro.engine.compile.CompiledCircuit.syndrome_batch`:
     same injection and detection arithmetic as :func:`propagate_fault_packed`,
     but each observation node's mask is returned unmerged (aligned with
     ``observation``).

@@ -64,12 +64,9 @@ class _UnionFind:
         return groups
 
 
-# A "polarity key" is (node, pin, stuck_value_or_equivalent).
-_PolarityKey = tuple[int, int | None, int]
-
-
 def _equivalence_classes(model: CircuitModel) -> _UnionFind:
-    """Union-find of (site, polarity) keys under the local equivalence rules."""
+    """Union-find of ``(node, pin, stuck value or equivalent)`` keys under
+    the local equivalence rules."""
     uf = _UnionFind()
     # Seed every terminal with both polarities so singleton classes exist.
     for site in enumerate_fault_sites(model):
@@ -121,6 +118,21 @@ class CollapseResult:
         return len(self.class_of) / len(self.representatives)
 
 
+def fault_order_key(fault: StuckAtFault | TransitionFault) -> tuple:
+    """Sort key with exactly the dataclass order of one fault model.
+
+    ``(node, pin or -1, value)`` for stuck-at faults and ``(node, pin or -1,
+    kind)`` for transition faults — the fields the generated ``__lt__``
+    compares, in order, as plain ints and ``str``-valued kinds, so sorting
+    never calls back into Python-level comparisons.
+    """
+    site = fault.site
+    pin = -1 if site.pin is None else site.pin
+    if isinstance(fault, StuckAtFault):
+        return (site.node, pin, fault.value)
+    return (site.node, pin, fault.kind)
+
+
 def _polarity_of(fault: StuckAtFault | TransitionFault) -> int:
     if isinstance(fault, StuckAtFault):
         return fault.value
@@ -150,28 +162,33 @@ def collapse_faults(model: CircuitModel, faults: Sequence[FaultT]) -> CollapseRe
     """
     if not faults:
         return CollapseResult(representatives=[], class_of={})
-    uf = _equivalence_classes(model)
-
-    by_key: dict[_PolarityKey, list[FaultT]] = {}
-    for fault in faults:
-        key = (fault.site.node, fault.site.pin, _polarity_of(fault))
-        by_key.setdefault(key, []).append(fault)
-
     # Choose, per union-find class, the smallest member fault as representative.
-    class_members: dict[object, list[FaultT]] = {}
-    for key, members in by_key.items():
-        root = uf.find(key)
-        class_members.setdefault(root, []).extend(members)
-
     representatives: list[FaultT] = []
     class_of: dict[FaultT, FaultT] = {}
-    for members in class_members.values():
-        representative = min(members)
+    for members in _class_members(model, faults):
+        representative = (
+            min(members, key=fault_order_key) if len(members) > 1 else members[0]
+        )
         representatives.append(representative)
         for member in members:
             class_of[member] = representative
-    representatives.sort()
+    representatives.sort(key=fault_order_key)
     return CollapseResult(representatives=representatives, class_of=class_of)
+
+
+def _class_members(model: CircuitModel, faults: Sequence[FaultT]) -> list[list[FaultT]]:
+    """The faults grouped by equivalence class, in first-seen order.
+
+    The union-find is local to this call, so it is freed before the caller
+    picks and sorts the representatives; kept alive, it would add to the
+    collapse's memory peak.
+    """
+    uf = _equivalence_classes(model)
+    classes: dict[object, list[FaultT]] = {}
+    for fault in faults:
+        root = uf.find((fault.site.node, fault.site.pin, _polarity_of(fault)))
+        classes.setdefault(root, []).append(fault)
+    return list(classes.values())
 
 
 def equivalent_faults(model: CircuitModel, fault: FaultT) -> list[FaultT]:
@@ -183,4 +200,4 @@ def equivalent_faults(model: CircuitModel, fault: FaultT) -> list[FaultT]:
         for polarity in (0, 1):
             if uf.find((site.node, site.pin, polarity)) == target_root:
                 result.append(_fault_with_polarity(fault, site, polarity))
-    return sorted(result)
+    return sorted(result, key=fault_order_key)

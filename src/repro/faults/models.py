@@ -172,7 +172,7 @@ def enumerate_fault_sites(model: CircuitModel, include_checkpoints_only: bool = 
                     source = node.fanin[pin]
                     if len(model.fanout[source]) > 1:
                         sites.append(FaultSite(node=node.index, pin=pin))
-    return sorted(sites)
+    return sorted(sites, key=lambda site: (site.node, -1 if site.pin is None else site.pin))
 
 
 def all_stuck_at_faults(model: CircuitModel) -> list[StuckAtFault]:

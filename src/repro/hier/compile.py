@@ -30,14 +30,13 @@ instance's shared template program through its *binding* — a local-id →
 global-node translation table.  Closedness guarantees no residual gate ever
 reads a core output, so this schedule is topological.
 
-Fault injection reuses the same trick: a fault site inside a closed
-instance propagates through a **shared local cone** computed once per
-(core, local site) and translated through the instance binding; all other
-sites fall back to the flat reference path inherited from
-:class:`~repro.engine.compile.CompiledCircuit`.  The propagation order,
-event condition and detection arithmetic are the flat kernel's, applied to
-the same topological dependences — the bit-identity suite
-(``tests/test_hier_identity.py``) holds both paths to identical masks.
+Fault detection reuses the same trick: the batch kernel inherited from
+:class:`~repro.engine.compile.CompiledCircuit` sweeps a stem inside a closed
+instance through a **shared local cone** computed once per (core, local
+node) and translated through the instance binding; all other stems use the
+flat kernel's lazy cones.  The event condition and arithmetic are the flat
+kernel's, applied to the same topological dependences — the bit-identity
+suite (``tests/test_hier_identity.py``) holds both paths to identical masks.
 
 Templates are memoised process-wide by fingerprint digest, so a campaign
 sweeping ``hier-soc-1k`` → ``hier-soc-100k`` compiles each unique core once
@@ -50,15 +49,15 @@ import hashlib
 import heapq
 import threading
 from collections import defaultdict
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro.engine.compile import (
     CompiledCircuit,
     PlaneEvaluator,
+    _ffr_successors,
     _plane_evaluator,
     _tape_op,
 )
-from repro.faults.models import StuckAtFault
 from repro.netlist.gates import GateType
 from repro.netlist.netlist import DesignHierarchy
 from repro.obs.telemetry import active_metrics
@@ -219,10 +218,10 @@ class _CanonicalInstance:
 class HierCompiledCircuit(CompiledCircuit):
     """A hierarchical model lowered into one shared kernel per unique core.
 
-    Drop-in for :class:`~repro.engine.compile.CompiledCircuit`: the fault
-    paths (``propagate_stuck_at``, ``syndrome_*``, ``detect_transition``)
-    and the cone API are inherited unchanged — only good-machine execution
-    and in-core fault propagation run through shared templates.
+    Drop-in for :class:`~repro.engine.compile.CompiledCircuit`: the batch
+    fault kernel (``detect_batch``, ``syndrome_batch``) and the cone API
+    are inherited unchanged — only good-machine execution and in-core cone
+    steps run through shared templates.
     """
 
     def __init__(self, model: CircuitModel) -> None:
@@ -234,6 +233,7 @@ class HierCompiledCircuit(CompiledCircuit):
         self._fanin: list[tuple[int, ...]] = [()] * self.num_nodes
         self._cones = {}
         self._cone_sets = {}
+        self._ffr_next = _ffr_successors(model)
         self._tls = threading.local()
 
         nodes = model.nodes
@@ -401,65 +401,22 @@ class HierCompiledCircuit(CompiledCircuit):
         return packed
 
     # ------------------------------------------------------------- fault paths
-    def _inject_and_propagate(self, good, fault: StuckAtFault):
-        site = fault.site
-        bound = self._binding_of_node.get(site.node)
+    def _cone_steps(
+        self, start: int
+    ) -> Iterable[tuple[int, Sequence[int], PlaneEvaluator]]:
+        bound = self._binding_of_node.get(start)
         if bound is None:
-            # Residual/glue/PPI sites: the flat reference path (lazy cones).
-            return super()._inject_and_propagate(good, fault)
-
-        slot, site_local = bound
+            # Residual/glue/PPI nodes: the flat reference path (lazy cones).
+            return super()._cone_steps(start)
+        # Shared local cone, translated through the instance binding;
+        # closedness keeps the whole cone inside the instance, so the local
+        # walk is complete.
+        slot, local_start = bound
         template, trans = self._bindings[slot]
-        full = good.full_mask
-        stuck0 = full if fault.value == 0 else 0
-        stuck1 = full if fault.value == 1 else 0
-        can0, can1 = good.can0, good.can1
-
-        scratch = self._scratch()
-        f0, f1, stamp = scratch.f0, scratch.f1, scratch.stamp
-        scratch.version += 1
-        version = scratch.version
-
-        start = site.node
-        if site.pin is None:
-            f0[start] = stuck0
-            f1[start] = stuck1
-        else:
-            fanin = self._fanin[start]
-            in0 = [can0[i] for i in fanin]
-            in1 = [can1[i] for i in fanin]
-            in0[site.pin] = stuck0
-            in1[site.pin] = stuck1
-            evaluator = self._evaluators[start]
-            assert evaluator is not None, "pin faults sit on gate nodes"
-            f0[start], f1[start] = evaluator(in0, in1)
-        stamp[start] = version
-
-        # Shared local cone, translated through the instance binding.  Same
-        # event condition and arithmetic as the flat path; closedness keeps
-        # the whole cone inside the instance, so the local walk is complete.
         ops = template.ops
-        for position in template.local_cone(site_local):
-            local_out, local_fanin, evaluator, _ = ops[position]
-            idx = trans[local_out]
-            touched = False
-            in0 = []
-            in1 = []
-            for local in local_fanin:
-                i = trans[local]
-                if stamp[i] == version:
-                    touched = True
-                    in0.append(f0[i])
-                    in1.append(f1[i])
-                else:
-                    in0.append(can0[i])
-                    in1.append(can1[i])
-            if not touched:
-                continue
-            out0, out1 = evaluator(in0, in1)
-            if out0 == can0[idx] and out1 == can1[idx]:
-                continue
-            f0[idx] = out0
-            f1[idx] = out1
-            stamp[idx] = version
-        return scratch
+        return (
+            (trans[local_out], [trans[local] for local in local_fanin], evaluator)
+            for local_out, local_fanin, evaluator, _ in map(
+                ops.__getitem__, template.local_cone(local_start)
+            )
+        )

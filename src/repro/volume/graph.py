@@ -13,7 +13,7 @@ needs.
 Evidence comes from the same kernels as the legacy ranking
 (:func:`repro.diagnose.diagnose.simulate_candidate_syndromes`, i.e.
 ``FaultSimScheduler.syndrome_batch`` over
-``CompiledCircuit.syndrome_stuck_at/_transition``), so BP verdicts are
+``CompiledCircuit.syndrome_batch``), so BP verdicts are
 bit-identical across the serial/compiled/processes backends and
 every shard count.  Candidates are extracted in *union*-cone mode: a
 multi-defect die only requires each candidate to reach its own share of

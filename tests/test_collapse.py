@@ -1,13 +1,20 @@
 """Unit tests for structural fault-equivalence collapsing."""
 
+import random
+
+import pytest
+
+from repro.circuits import random_sequential
 from repro.faults import (
     FaultSite,
     StuckAtFault,
     all_stuck_at_faults,
     all_transition_faults,
     collapse_faults,
+    enumerate_fault_sites,
     equivalent_faults,
 )
+from repro.faults.collapse import fault_order_key
 from repro.netlist import GateType, NetlistBuilder
 from repro.simulation import build_model
 
@@ -104,3 +111,47 @@ def test_empty_collapse():
     empty = collapse_faults(model, [])
     assert empty.representatives == []
     assert empty.collapse_ratio == 1.0
+
+
+# ------------------------------------------------------------- sort order
+_ORDER_MODELS: dict[str, object] = {}
+
+
+def _order_model(name):
+    """``hier-soc-10k`` or a seeded random sequential circuit, built once."""
+    if name not in _ORDER_MODELS:
+        if name == "hier-soc-10k":
+            from repro.api.design import prepare_from_spec
+            from repro.hier.designs import register_hier_designs
+
+            register_hier_designs()
+            _ORDER_MODELS[name] = prepare_from_spec(name).model
+        else:
+            _ORDER_MODELS[name] = build_model(random_sequential(6, 10, 80, 4, seed=5))
+    return _ORDER_MODELS[name]
+
+
+@pytest.mark.parametrize("universe", [all_stuck_at_faults, all_transition_faults])
+@pytest.mark.parametrize("design", ["hier-soc-10k", "random"])
+def test_key_sort_is_the_dataclass_order(design, universe):
+    """The precomputed sort key orders faults, class representatives and
+    sites exactly as the dataclasses' own ``__lt__`` does."""
+    model = _order_model(design)
+    assert enumerate_fault_sites(model) == sorted(enumerate_fault_sites(model))
+    shuffled = universe(model)
+    random.Random(3).shuffle(shuffled)
+    assert sorted(shuffled, key=fault_order_key) == sorted(shuffled)
+    result = collapse_faults(model, shuffled)
+    assert result.representatives == sorted(result.representatives)
+    members: dict[object, list] = {}
+    for fault, representative in result.class_of.items():
+        members.setdefault(representative, []).append(fault)
+    assert all(rep == min(klass) for rep, klass in members.items())
+
+
+def test_equivalent_faults_come_in_dataclass_order():
+    model = _order_model("random")
+    for universe in (all_stuck_at_faults, all_transition_faults):
+        for fault in random.Random(4).sample(universe(model), 12):
+            klass = equivalent_faults(model, fault)
+            assert klass == sorted(klass)

@@ -158,9 +158,9 @@ class TestDefectInjector:
         merged = 0
         for mask in masks:
             merged |= mask
-        assert merged == compiled.propagate_stuck_at(
-            final, defect.as_fault(model), observation
-        )
+        assert merged == compiled.detect_batch(
+            final, (defect.as_fault(model),), observation
+        )[0]
 
     def test_inter_domain_defect_silent_on_intra_domain_procedure(self, sr_design):
         _, _, model, _, setup = sr_design

@@ -70,7 +70,7 @@ class TestKernelCompiler:
         faults = collapse_faults(model, all_stuck_at_faults(model)).representatives
         for fault in faults:
             expected = propagate_fault_packed(model, packed, fault, observation)
-            assert compiled.propagate_stuck_at(packed, fault, observation) == expected
+            assert compiled.detect_batch(packed, (fault,), observation)[0] == expected
 
     def test_compile_is_memoised_per_model(self):
         model = build_model(random_combinational(4, 10, 2, seed=5))

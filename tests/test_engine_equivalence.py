@@ -20,6 +20,7 @@ from repro.circuits import random_sequential
 from repro.clocking import ClockDomain, ClockDomainMap, external_clock_procedures
 from repro.dft import insert_scan
 from repro.engine.scheduler import BACKENDS as ALL_BACKENDS
+from repro.engine.scheduler import FaultSimScheduler
 from repro.fault_sim import StuckAtFaultSimulator, TransitionFaultSimulator
 from repro.faults import (
     all_stuck_at_faults,
@@ -27,8 +28,11 @@ from repro.faults import (
     collapse_faults,
 )
 from repro.logic import Logic
+from repro.netlist import GateType, NetlistBuilder
 from repro.runtime import Executor
 from repro.simulation import build_model
+from repro.simulation.model import NodeKind
+from repro.simulation.parallel_sim import pack_patterns
 
 
 def _random_design(seed):
@@ -164,6 +168,73 @@ def test_shard_count_does_not_change_results(shard_count):
         assert sharded.simulate(patterns, faults).detections == expected
     finally:
         sharded.scheduler.close()
+
+
+def _stem_corner_model(seed):
+    """A random combinational circuit with every fanout-free-region corner:
+    tie cells, gates that read one net on two pins, reconvergent fanout
+    branches and an observed internal node with a single consumer."""
+    rng = random.Random(seed)
+    builder = NetlistBuilder(f"stems-{seed}")
+    nets = builder.inputs("a", 6) + [builder.tie0(), builder.tie1()]
+    two_input = [GateType.AND, GateType.NAND, GateType.OR, GateType.NOR,
+                 GateType.XOR, GateType.XNOR]
+    for _ in range(60):
+        roll = rng.random()
+        if roll < 0.1:
+            net = builder.inv(rng.choice(nets))
+        elif roll < 0.2:
+            net = builder.mux(*rng.sample(nets, 3))
+        elif roll < 0.3:
+            # A fanout-free net read on two pins of its only consumer.
+            shared = builder.gate(rng.choice(two_input), rng.sample(nets, 2))
+            net = builder.gate(rng.choice(two_input), [shared, shared, rng.choice(nets)])
+        else:
+            net = builder.gate(rng.choice(two_input), rng.sample(nets, 2))
+        nets.append(net)
+    for index, net in enumerate(nets[-6:]):
+        builder.output_from(net, f"y{index}")
+    model = build_model(builder.build())
+    single = [
+        node.index for node in model.nodes
+        if node.kind is NodeKind.GATE and len(set(model.fanout[node.index])) == 1
+    ]
+    observation = sorted(set(model.observation_nodes()) | set(rng.sample(single, 3)))
+    return model, observation
+
+
+def _x_heavy_frame(model, rng, count=48):
+    sources = model.pi_nodes + model.ppi_nodes
+    patterns = [
+        {idx: rng.choice((Logic.ZERO, Logic.ONE, Logic.X)) for idx in sources}
+        for _ in range(count)
+    ]
+    return FaultSimScheduler(model).simulate_good(pack_patterns(model, patterns))
+
+
+@pytest.mark.parametrize("seed", [3, 8, 27])
+def test_stem_kernel_matches_serial_on_corner_cases(seed):
+    model, observation = _stem_corner_model(seed)
+    rng = random.Random(seed)
+    launch, final = _x_heavy_frame(model, rng), _x_heavy_frame(model, rng)
+    serial = FaultSimScheduler(model, backend="serial")
+    compiled = FaultSimScheduler(model, backend="compiled")
+    for faults, frame in (
+        (all_stuck_at_faults(model), None),
+        (all_transition_faults(model), launch),
+    ):
+        assert any(f.site.pin is not None and len(model.fanout[
+            model.nodes[f.site.node].fanin[f.site.pin]]) > 1 for f in faults)
+        masks = compiled.detect_batch(final, faults, observation, frame)
+        assert masks == serial.detect_batch(final, faults, observation, frame)
+        assert any(masks)
+        rows = compiled.syndrome_batch(final, faults, observation, frame)
+        assert rows == serial.syndrome_batch(final, faults, observation, frame)
+        for mask, row in zip(masks, rows):
+            merged = 0
+            for node_mask in row:
+                merged |= node_mask
+            assert merged == mask
 
 
 class TestSessionLevelEquivalence:

@@ -23,10 +23,10 @@ from repro.atpg import AtpgOptions
 from repro.atpg.random_fill import random_pattern_batch
 from repro.diagnose import DefectSpec, DiagnosisSpec, capture_fail_log, run_diagnosis
 from repro.engine.scheduler import BACKENDS as ALL_BACKENDS
-from repro.fault_sim import StuckAtFaultSimulator
-from repro.faults import all_stuck_at_faults, collapse_faults
+from repro.fault_sim import StuckAtFaultSimulator, TransitionFaultSimulator
+from repro.faults import all_stuck_at_faults, all_transition_faults, collapse_faults
 from repro.hier.compile import HierCompiledCircuit
-from repro.hier.designs import HIER_SOC_10K
+from repro.hier.designs import HIER_SOC_10K, register_hier_designs
 from repro.logic import Logic
 from repro.patterns.pattern import PatternSet
 from repro.volume import run_bp_diagnosis
@@ -141,6 +141,43 @@ def test_shard_count_does_not_change_results(shard_count):
     finally:
         simulator.scheduler.close()
     assert result.detections == expected, f"shard_count={shard_count} diverged"
+
+
+def test_full_transition_universe_identical_to_serial():
+    """Every collapsed transition fault of ``hier-soc-1k`` under scenario
+    (d)'s capture procedures: the stem kernel (in-process and sharded over
+    processes) detects exactly what the per-fault serial reference does."""
+    register_hier_designs()
+    prepared = prepare_from_spec("hier-soc-1k")
+    model = prepared.model
+    setup = get_scenario("table1-d").build_setup(prepared, ULTRA)
+    faults = collapse_faults(model, all_transition_faults(model)).representatives
+    constrained = setup.effective_pin_constraints()
+    patterns = random_pattern_batch(
+        list(setup.procedures),
+        [e.name for e in model.state_elements if e.flop.is_scan],
+        [model.nodes[i].net for i in model.pi_nodes
+         if model.nodes[i].net not in constrained],
+        32, random.Random(19),
+        hold_pis=setup.hold_pis, observe_pos=setup.observe_pos,
+    )
+    results = {}
+    for backend in ALL_BACKENDS:
+        simulator = TransitionFaultSimulator(
+            model, prepared.domain_map, setup, backend=backend,
+            shard_count=2, max_workers=2,
+        )
+        simulator.scheduler.spill_threshold = 0
+        try:
+            results[backend] = simulator.simulate(
+                patterns, faults, drop_detected=False
+            ).detections
+        finally:
+            simulator.scheduler.close()
+    assert len(faults) == 6676
+    assert any(results["serial"].values())
+    for backend in ALL_BACKENDS[1:]:
+        assert results[backend] == results["serial"], f"{backend} diverged"
 
 
 # ---------------------------------------------------------------- diagnosis

@@ -514,6 +514,17 @@ class TestReportTelemetry:
         restored = json.loads(lit.to_json())
         assert restored["session"]["telemetry"] == lit.session["telemetry"]
 
+    def test_stem_sweeps_counted_and_bounded_by_plane_ops(self, tiny_prepared):
+        """The batch kernel reports one stem sweep per live stem: at least
+        one per session, never more than the faults handed to it."""
+        lit = self._session(tiny_prepared).with_telemetry(Telemetry.on()).run()
+        counters = lit.session["telemetry"]["metrics"]["counters"]
+        plane_ops = sum(
+            value for name, value in counters.items()
+            if name.startswith("engine.plane_ops.")
+        )
+        assert 1 <= counters["engine.stem_sweeps"] <= plane_ops
+
     def test_enabled_results_match_disabled(self, tiny_prepared):
         dark = self._session(tiny_prepared).run()
         lit = self._session(tiny_prepared).with_telemetry(True).run()
