@@ -42,7 +42,7 @@ def fresh_campaign() -> Campaign:
 
 def main() -> None:
     with tempfile.TemporaryDirectory(prefix="repro-serve-demo-") as tmp:
-        server = ServeServer(tmp, poll_seconds=0.02).start()
+        server = ServeServer(tmp).start()
         host, port = server.address
         print(f"server listening on {host}:{port}")
 

@@ -26,7 +26,6 @@ yields identical detections.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -237,37 +236,9 @@ class TransitionFaultSimulator:
         drop_detected: bool = True,
     ) -> TransitionSimResult:
         """Fault-simulate a pattern set against a transition fault list."""
-        remaining = list(faults)
-        detections: dict[TransitionFault, list[int]] = {fault: [] for fault in remaining}
-
-        # Group pattern indices by procedure so every batch is homogeneous.
-        by_procedure: dict[str, list[int]] = defaultdict(list)
-        for index, pattern in enumerate(patterns):
-            by_procedure[pattern.procedure.name].append(index)
-
-        for indices in by_procedure.values():
-            procedure = patterns[indices[0]].procedure
-            observation = self.observation_nodes(procedure)
-            for start in range(0, len(indices), self.batch_size):
-                chunk = indices[start:start + self.batch_size]
-                batch = [patterns[i] for i in chunk]
-                frames = self._frame_values_packed(batch, procedure)
-                launch_packed = frames[procedure.launch_frame]
-                final_packed = frames[procedure.capture_frame]
-                masks = self.scheduler.detect_batch(
-                    final_packed, remaining, observation, launch=launch_packed
-                )
-                still_remaining: list[TransitionFault] = []
-                for fault, mask in zip(remaining, masks):
-                    if mask:
-                        hits = [chunk[i] for i in mask_to_indices(mask) if i < len(chunk)]
-                        detections[fault].extend(hits)
-                        if not drop_detected:
-                            still_remaining.append(fault)
-                    else:
-                        still_remaining.append(fault)
-                remaining = still_remaining
-        return TransitionSimResult(detections=detections)
+        return TransitionSimResult(
+            detections=self._detections(patterns, faults, drop_detected, gate_on_launch=True)
+        )
 
     def detects(self, pattern: TestPattern, fault: TransitionFault) -> bool:
         result = self.simulate([pattern], [fault], drop_detected=False)
@@ -287,30 +258,41 @@ class TransitionFaultSimulator:
         frame — the same approximation the time-frame-expanded PODEM model
         uses, so generator claims and simulation stay consistent.
         """
+        return self._detections(patterns, faults, drop_detected, gate_on_launch=False)
+
+    def _detections(
+        self,
+        patterns: Sequence[TestPattern],
+        faults: Iterable,
+        drop_detected: bool,
+        gate_on_launch: bool,
+    ) -> dict:
+        """Detecting pattern indices per fault, keyed in first-listed order.
+
+        Hits go straight into each position's list, so a fault is hashed
+        once (when its list is made), never per hit.  A fault listed twice
+        shares one list, which gets both positions' hits batch by batch.
+        """
+        detections: dict = {}
         remaining = list(faults)
-        detections: dict = {fault: [] for fault in remaining}
-        by_procedure: dict[str, list[int]] = defaultdict(list)
-        for index, pattern in enumerate(patterns):
-            by_procedure[pattern.procedure.name].append(index)
-        for indices in by_procedure.values():
-            procedure = patterns[indices[0]].procedure
-            observation = self.observation_nodes(procedure)
-            for start in range(0, len(indices), self.batch_size):
-                chunk = indices[start:start + self.batch_size]
-                batch = [patterns[i] for i in chunk]
-                frames = self._frame_values_packed(batch, procedure)
-                final_packed = frames[procedure.capture_frame]
-                masks = self.scheduler.detect_batch(final_packed, remaining, observation)
-                still_remaining = []
-                for fault, mask in zip(remaining, masks):
-                    if mask:
-                        hits = [chunk[i] for i in mask_to_indices(mask) if i < len(chunk)]
-                        detections[fault].extend(hits)
-                        if not drop_detected:
-                            still_remaining.append(fault)
-                    else:
-                        still_remaining.append(fault)
-                remaining = still_remaining
+        found = [detections.setdefault(fault, []) for fault in remaining]
+        for _, observation, chunk, _, launch, final in self.frames.iter_batches(
+            patterns, self.batch_size
+        ):
+            masks = self.scheduler.detect_batch(
+                final, remaining, observation,
+                launch=launch if gate_on_launch else None,
+            )
+            kept_faults: list = []
+            kept_found: list[list[int]] = []
+            for fault, hits, mask in zip(remaining, found, masks):
+                if mask:
+                    hits.extend(chunk[i] for i in mask_to_indices(mask) if i < len(chunk))
+                    if drop_detected:
+                        continue
+                kept_faults.append(fault)
+                kept_found.append(hits)
+            remaining, found = kept_faults, kept_found
         return detections
 
     # --------------------------------------------------------------- internals

@@ -6,13 +6,17 @@ plans, resources, task results) carried as base64 strings under ``"blob"``
 keys.  JSON carries the routing and bookkeeping; pickle carries the values —
 the same split the event wire format uses
 (:mod:`repro.runtime.events`), so every byte crossing a serve socket is
-inspectable except the payloads that were never JSON to begin with.
+inspectable except the payloads that were never JSON to begin with.  Both
+sockets listen on :class:`WakingTCPServer`.
 """
 
 from __future__ import annotations
 
 import base64
 import json
+import socket
+import socketserver
+import threading
 from typing import Any, BinaryIO
 
 #: Bump when the serve socket protocol changes incompatibly.
@@ -21,6 +25,48 @@ PROTOCOL_VERSION = 1
 
 class ProtocolError(RuntimeError):
     """A peer sent something that is not a protocol line."""
+
+
+class WakingTCPServer(socketserver.ThreadingTCPServer):
+    """Threaded TCP server whose accept loop sleeps until a connection.
+
+    ``socketserver``'s ``serve_forever`` wakes every ``poll_interval`` to
+    look for a shutdown request, so an idle server spends a wake-up per
+    period and ``shutdown()`` waits for the next one.  Here the loop blocks
+    in accept, and :meth:`shutdown` wakes it by connecting to the socket
+    itself: an idle server does nothing, and stops at once.
+    """
+
+    allow_reuse_address = True
+    daemon_threads = True
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        self._closing = False
+        self._serving = False
+        self._closed = threading.Event()
+
+    def serve_forever(self, poll_interval: "float | None" = None) -> None:
+        """Accept until :meth:`shutdown` (``poll_interval`` is unused)."""
+        self._serving = True
+        try:
+            while not self._closing:
+                self.handle_request()
+        finally:
+            self._closed.set()
+
+    def verify_request(self, request: Any, client_address: Any) -> bool:
+        return not self._closing  # drops the wake-up connection
+
+    def shutdown(self) -> None:
+        """Stop the accept loop and wait for it (a no-op if it never ran)."""
+        self._closing = True
+        while self._serving and not self._closed.is_set():
+            try:
+                socket.create_connection(self.server_address[:2], timeout=1.0).close()
+            except OSError:
+                pass  # retried until the loop has stopped
+            self._closed.wait(1.0)
 
 
 def send_line(wfile: BinaryIO, message: dict[str, Any]) -> None:

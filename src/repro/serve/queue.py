@@ -69,8 +69,12 @@ CREATE INDEX IF NOT EXISTS events_job ON events(job, seq);
 class ServeQueue:
     """Crash-safe sqlite job queue with leased claims and an event journal.
 
-    Thread-safe: one connection guarded by one lock (every operation is a
-    short transaction, so contention is negligible next to plan execution).
+    Thread-safe: one connection guarded by one condition variable (every
+    operation is a short transaction, so contention is negligible next to
+    plan execution).  Every write a waiter can act on — a submission, an
+    event, a terminal ack, a cancel, a re-queue, :meth:`close` — bumps
+    :attr:`changes` and wakes :meth:`wait_change`, so the runner and event
+    tails of the owning server react at once instead of on a poll period.
     Claims use ``BEGIN IMMEDIATE`` so a claim is an atomic
     queued→running flip even under WAL; a claim carries a **lease** that the
     runner extends via :meth:`heartbeat` while the plan executes, and
@@ -84,18 +88,48 @@ class ServeQueue:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self.lease_seconds = float(lease_seconds)
-        self._lock = threading.Lock()
+        self._cond = threading.Condition(threading.Lock())
+        self._changes = 0
         self._conn = sqlite3.connect(str(self.path), check_same_thread=False)
         self._conn.row_factory = sqlite3.Row
-        with self._lock:
+        with self._cond:
             self._conn.execute("PRAGMA journal_mode=WAL")
             self._conn.execute("PRAGMA synchronous=NORMAL")
             self._conn.executescript(_SCHEMA)
             self._conn.commit()
 
     def close(self) -> None:
-        with self._lock:
+        with self._cond:
             self._conn.close()
+            self._changed()
+
+    # ---------------------------------------------------------- notification
+    @property
+    def changes(self) -> int:
+        """Count of waiter-visible writes so far.
+
+        Read it *before* the query that decides to wait, then pass it to
+        :meth:`wait_change`: a write that lands between the query and the
+        wait has already moved the count, so it is never missed.
+        """
+        with self._cond:
+            return self._changes
+
+    def wait_change(self, seen: int, timeout: float) -> bool:
+        """Block until :attr:`changes` differs from ``seen`` or ``timeout``
+        seconds pass; returns whether it changed."""
+        with self._cond:
+            return self._cond.wait_for(lambda: self._changes != seen, timeout)
+
+    def wake(self) -> None:
+        """Wake every waiter without a write (a stopping server's nudge)."""
+        with self._cond:
+            self._changed()
+
+    def _changed(self) -> None:
+        # Caller holds the condition.
+        self._changes += 1
+        self._cond.notify_all()
 
     # ------------------------------------------------------------ submission
     def submit(
@@ -107,7 +141,7 @@ class ServeQueue:
         metadata: "dict[str, Any] | None" = None,
     ) -> int:
         """Enqueue one serialized plan; returns the queue job id."""
-        with self._lock:
+        with self._cond:
             cursor = self._conn.execute(
                 "INSERT INTO jobs (tenant, name, state, plan, resources, "
                 "metadata, submitted_at) VALUES (?, ?, 'queued', ?, ?, ?, ?)",
@@ -121,6 +155,7 @@ class ServeQueue:
                 ),
             )
             self._conn.commit()
+            self._changed()
             return int(cursor.lastrowid)
 
     # --------------------------------------------------------------- claiming
@@ -132,7 +167,7 @@ class ServeQueue:
         the runner needs (including the plan JSON and the resources blob).
         """
         now = time.time()
-        with self._lock:
+        with self._cond:
             self._conn.execute("BEGIN IMMEDIATE")
             row = self._conn.execute(
                 "SELECT id FROM jobs WHERE state = 'queued' ORDER BY id LIMIT 1"
@@ -153,7 +188,7 @@ class ServeQueue:
 
     def heartbeat(self, job_id: int) -> bool:
         """Extend a running job's lease; returns whether the job still runs."""
-        with self._lock:
+        with self._cond:
             cursor = self._conn.execute(
                 "UPDATE jobs SET lease_deadline = ? "
                 "WHERE id = ? AND state = 'running'",
@@ -171,7 +206,7 @@ class ServeQueue:
         completed before the crash is never redone.
         """
         now = time.time()
-        with self._lock:
+        with self._cond:
             self._conn.execute("BEGIN IMMEDIATE")
             rows = self._conn.execute(
                 "SELECT id FROM jobs WHERE state = 'running' "
@@ -186,6 +221,8 @@ class ServeQueue:
                     [(job_id,) for job_id in ids],
                 )
             self._conn.commit()
+            if ids:
+                self._changed()
             return ids
 
     def recover(self) -> list[int]:
@@ -194,7 +231,7 @@ class ServeQueue:
         Valid under the single-service-per-root model — any ``running`` row
         seen at startup was claimed by a process that no longer exists.
         """
-        with self._lock:
+        with self._cond:
             self._conn.execute("BEGIN IMMEDIATE")
             rows = self._conn.execute(
                 "SELECT id FROM jobs WHERE state = 'running'"
@@ -207,6 +244,8 @@ class ServeQueue:
                     [(job_id,) for job_id in ids],
                 )
             self._conn.commit()
+            if ids:
+                self._changed()
             return ids
 
     # -------------------------------------------------------------- lifecycle
@@ -222,7 +261,7 @@ class ServeQueue:
             raise ValueError(
                 f"finish() takes a terminal state {TERMINAL_STATES}, got {state!r}"
             )
-        with self._lock:
+        with self._cond:
             self._conn.execute(
                 "UPDATE jobs SET state = ?, error = ?, summary = ?, "
                 "finished_at = ?, lease_deadline = NULL "
@@ -236,6 +275,7 @@ class ServeQueue:
                 ),
             )
             self._conn.commit()
+            self._changed()
 
     def request_cancel(self, job_id: int) -> "str | None":
         """Cancel a job; returns its state after the request (None == unknown).
@@ -244,7 +284,7 @@ class ServeQueue:
         cancel flag raised (the runner observes it between events and stops
         scheduling new plan jobs); terminal jobs are left untouched.
         """
-        with self._lock:
+        with self._cond:
             self._conn.execute("BEGIN IMMEDIATE")
             row = self._conn.execute(
                 "SELECT state FROM jobs WHERE id = ?", (job_id,)
@@ -265,10 +305,11 @@ class ServeQueue:
                     "UPDATE jobs SET cancel_requested = 1 WHERE id = ?", (job_id,)
                 )
             self._conn.commit()
+            self._changed()
             return state
 
     def cancel_requested(self, job_id: int) -> bool:
-        with self._lock:
+        with self._cond:
             row = self._conn.execute(
                 "SELECT cancel_requested FROM jobs WHERE id = ?", (job_id,)
             ).fetchone()
@@ -290,7 +331,7 @@ class ServeQueue:
         return data
 
     def status(self, job_id: int) -> "dict[str, Any] | None":
-        with self._lock:
+        with self._cond:
             row = self._conn.execute(
                 "SELECT * FROM jobs WHERE id = ?", (job_id,)
             ).fetchone()
@@ -298,7 +339,7 @@ class ServeQueue:
 
     def payload(self, job_id: int) -> "tuple[str, bytes | None] | None":
         """The stored (plan JSON, resources blob) of one job."""
-        with self._lock:
+        with self._cond:
             row = self._conn.execute(
                 "SELECT plan, resources FROM jobs WHERE id = ?", (job_id,)
             ).fetchone()
@@ -320,13 +361,13 @@ class ServeQueue:
         if clauses:
             query += " WHERE " + " AND ".join(clauses)
         query += " ORDER BY id"
-        with self._lock:
+        with self._cond:
             rows = self._conn.execute(query, args).fetchall()
         return [self._public(row) for row in rows]
 
     def counts(self) -> dict[str, int]:
         """Jobs per state (every state present, zero included)."""
-        with self._lock:
+        with self._cond:
             rows = self._conn.execute(
                 "SELECT state, COUNT(*) AS n FROM jobs GROUP BY state"
             ).fetchall()
@@ -336,12 +377,13 @@ class ServeQueue:
     # ---------------------------------------------------------------- journal
     def append_event(self, job_id: int, payload: str) -> int:
         """Journal one wire-form event line; returns its sequence number."""
-        with self._lock:
+        with self._cond:
             cursor = self._conn.execute(
                 "INSERT INTO events (job, recorded_at, payload) VALUES (?, ?, ?)",
                 (job_id, time.time(), payload),
             )
             self._conn.commit()
+            self._changed()
             return int(cursor.lastrowid)
 
     def events_after(
@@ -356,6 +398,6 @@ class ServeQueue:
         if limit is not None:
             query += " LIMIT ?"
             args.append(limit)
-        with self._lock:
+        with self._cond:
             rows = self._conn.execute(query, args).fetchall()
         return [(int(row["seq"]), row["payload"]) for row in rows]

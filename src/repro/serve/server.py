@@ -19,7 +19,10 @@ execution's events are journaled through a detachable executor sink
 (:meth:`~repro.runtime.Executor.add_event_sink`), which doubles as the lease
 heartbeat and the cancellation poll.  Because the executor runs with the
 tenant's cache attached, a requeued job (server crash, lapsed lease) resumes
-with every completed plan job served from cache — zero re-runs.
+with every completed plan job served from cache — zero re-runs.  The runner
+and every following event stream sleep on the queue's change count
+(:meth:`~repro.serve.queue.ServeQueue.wait_change`), so a submission is
+claimed, and a journaled event streamed, as soon as it is written.
 
 The control socket speaks the JSON-lines protocol of
 :mod:`repro.serve.protocol`; :class:`~repro.serve.client.ServeClient` is the
@@ -58,6 +61,7 @@ import repro.serve.worker  # noqa: F401 - registers the "remote" backend
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
+    WakingTCPServer,
     decode_blob,
     format_address,
     is_loopback,
@@ -66,11 +70,6 @@ from repro.serve.protocol import (
 )
 from repro.serve.queue import TERMINAL_STATES, ServeQueue
 from repro.serve.store import TenantStore, tenant_namespace
-
-
-class _ControlServer(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
 
 
 class ServeServer:
@@ -85,6 +84,11 @@ class ServeServer:
         default_quota_bytes: Per-tenant cache quota (``None`` == unlimited).
         lease_seconds: Queue claim lease (heartbeat-extended while running).
         worker_ttl: Seconds after which a silent worker registration expires.
+        poll_seconds: Fallback period.  The runner claims and event tails
+            stream as soon as the queue changes (every queue write wakes
+            them), so this only paces the lapsed-lease sweep
+            (:meth:`~repro.serve.queue.ServeQueue.requeue_expired`) and the
+            keepalive check of a quiet tail.
         keepalive_seconds: Interval of keepalive lines on quiet following
             event streams, so tailing clients' reads never starve between
             events of a long-running plan job.
@@ -169,7 +173,7 @@ class ServeServer:
                     except OSError:
                         pass
 
-        self._tcp = _ControlServer((host, port), Handler)
+        self._tcp = WakingTCPServer((host, port), Handler)
 
     # -------------------------------------------------------------- lifecycle
     @property
@@ -220,6 +224,7 @@ class ServeServer:
             if executor is not None:
                 executor.cancel()
         self._stop.set()
+        self.queue.wake()
         self._tcp.shutdown()
         self._tcp.server_close()
         if self._accept_thread is not None:
@@ -251,11 +256,16 @@ class ServeServer:
 
     # ----------------------------------------------------------------- runner
     def _run_loop(self) -> None:
-        while not self._stop.is_set():
+        while True:
+            # Read the change count before the stop flag and the claim, so
+            # neither a submit nor stop()'s wake can land unseen in between.
+            seen = self.queue.changes
+            if self._stop.is_set():
+                return
             self.queue.requeue_expired()
             row = self.queue.claim()
             if row is None:
-                self._stop.wait(self.poll_seconds)
+                self.queue.wait_change(seen, self.poll_seconds)
                 continue
             # Activated so ambient active_metrics()/active_tracer() callers
             # on the runner and its dispatcher threads (e.g. the remote
@@ -444,6 +454,8 @@ class ServeServer:
         send_line(wfile, {"ok": True})
         last_sent = time.monotonic()
         while True:
+            # Read before the queries: a write after them wakes the wait.
+            seen = self.queue.changes
             batch = self.queue.events_after(job_id, after)
             for seq, payload in batch:
                 after = seq
@@ -469,7 +481,8 @@ class ServeServer:
             if time.monotonic() - last_sent >= self.keepalive_seconds:
                 send_line(wfile, {"keepalive": True})
                 last_sent = time.monotonic()
-            time.sleep(self.poll_seconds)
+            keepalive_due = last_sent + self.keepalive_seconds - time.monotonic()
+            self.queue.wait_change(seen, min(self.poll_seconds, keepalive_due))
 
     def _op_results(self, request: dict[str, Any], wfile) -> None:
         """Latest result-bearing event per plan job, replayed from the journal.

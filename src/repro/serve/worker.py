@@ -50,6 +50,7 @@ from typing import Any, Callable, Sequence
 from repro.engine.scheduler import register_backend
 from repro.obs.telemetry import active_metrics
 from repro.serve.protocol import (
+    WakingTCPServer,
     decode_blob,
     encode_blob,
     format_address,
@@ -176,11 +177,6 @@ class _WorkerHandler(socketserver.StreamRequestHandler):
         reply({"op": "result", "index": index, "blob": blob})
 
 
-class _WorkerServer(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
-
-
 class ServeWorker:
     """One remote execution slot, optionally registered with a serve server.
 
@@ -214,7 +210,7 @@ class ServeWorker:
                 "shipped (arbitrary code execution for any reachable peer)"
             )
         self.auth_token = auth_token
-        self._tcp = _WorkerServer((host, port), _WorkerHandler)
+        self._tcp = WakingTCPServer((host, port), _WorkerHandler)
         self._tcp.heartbeat_seconds = heartbeat_seconds
         self._tcp.auth_token = auth_token
         self.server_address = (

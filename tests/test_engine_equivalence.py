@@ -32,7 +32,7 @@ from repro.netlist import GateType, NetlistBuilder
 from repro.runtime import Executor
 from repro.simulation import build_model
 from repro.simulation.model import NodeKind
-from repro.simulation.parallel_sim import pack_patterns
+from repro.simulation.parallel_sim import mask_to_indices, pack_patterns
 
 
 def _random_design(seed):
@@ -151,6 +151,70 @@ def test_multi_frame_stuck_at_identical_across_backends():
             reference = detections
         else:
             assert detections == reference, f"{backend} diverged"
+
+
+def _keyed_detections(simulator, patterns, faults, drop_detected, transition):
+    """The fault-keyed grading loop the position-indexed one replaced: the
+    oracle for its keys, key order and hit lists."""
+    remaining = list(faults)
+    detections = {fault: [] for fault in remaining}
+    by_procedure: dict[str, list[int]] = {}
+    for index, pattern in enumerate(patterns):
+        by_procedure.setdefault(pattern.procedure.name, []).append(index)
+    for indices in by_procedure.values():
+        procedure = patterns[indices[0]].procedure
+        observation = simulator.observation_nodes(procedure)
+        for start in range(0, len(indices), simulator.batch_size):
+            chunk = indices[start:start + simulator.batch_size]
+            frames = simulator._frame_values_packed(
+                [patterns[i] for i in chunk], procedure
+            )
+            launch = frames[procedure.launch_frame] if transition else None
+            masks = simulator.scheduler.detect_batch(
+                frames[procedure.capture_frame], remaining, observation,
+                launch=launch,
+            )
+            still_remaining = []
+            for fault, mask in zip(remaining, masks):
+                if mask:
+                    detections[fault].extend(
+                        chunk[i] for i in mask_to_indices(mask) if i < len(chunk)
+                    )
+                    if not drop_detected:
+                        still_remaining.append(fault)
+                else:
+                    still_remaining.append(fault)
+            remaining = still_remaining
+    return detections
+
+
+@pytest.mark.parametrize("drop_detected", [True, False])
+def test_position_indexed_grading_matches_the_keyed_loop(drop_detected):
+    """Same keys, key order and lists as the keyed loop, for a fault list
+    with repeats (a repeated fault shares one list of both positions' hits)
+    graded over several batches of several procedures."""
+    model, domain_map, setup = _random_design(4)
+    simulator = TransitionFaultSimulator(model, domain_map, setup, batch_size=4)
+    patterns = _pattern_batch(model, setup, 4)
+    fault_lists = {
+        True: collapse_faults(model, all_transition_faults(model)).representatives,
+        False: collapse_faults(model, all_stuck_at_faults(model)).representatives,
+    }
+    for transition, faults in fault_lists.items():
+        once = _keyed_detections(simulator, patterns, faults, False, transition)
+        hit = [fault for fault, hits in once.items() if hits]
+        listed = faults[::-1] + hit[:5] + hit[2:4]
+        expected = _keyed_detections(
+            simulator, patterns, listed, drop_detected, transition
+        )
+        if transition:
+            got = simulator.simulate(patterns, listed, drop_detected).detections
+        else:
+            got = simulator.simulate_stuck_at(patterns, listed, drop_detected)
+        assert list(got) == list(expected)
+        assert got == expected
+        assert all(len(got[fault]) > len(set(got[fault])) for fault in hit[:5])
+    simulator.close()
 
 
 @pytest.mark.parametrize("shard_count", [1, 4])

@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import json
 import socket
+import socketserver
+import sys
+import threading
 import time
 
 import pytest
@@ -22,6 +25,7 @@ from repro.serve import (
     TenantStore,
     tenant_namespace,
 )
+from repro.serve.protocol import WakingTCPServer
 
 
 @register_job_kind("serve-value")
@@ -291,6 +295,121 @@ class TestStreamLiveness:
         with pytest.raises(TimeoutError, match="event stream"):
             client.wait(job_id, timeout=0.3)
         client.cancel(job_id)
+
+
+class TestPushDelivery:
+    """Claims and event tails are woken by queue writes: with a fallback
+    period far longer than the test, a lost wake-up times out the client."""
+
+    def test_cold_and_cache_hit_submits_finish_without_the_fallback(self, tmp_path):
+        server = ServeServer(tmp_path / "root", poll_seconds=30,
+                             keepalive_seconds=30).start()
+        try:
+            client = ServeClient(server.address)
+            # Naps keep the cold run going after its tail starts following.
+            plan = nap_plan(2, 0.1, name="pushed")
+            cold = client.wait(client.submit(plan), timeout=10)
+            hit = client.wait(client.submit(plan), timeout=10)
+        finally:
+            server.stop()
+        assert cold["state"] == "done" and cold["summary"]["executed"] == 2
+        assert hit["state"] == "done" and hit["summary"]["skipped_cache"] == 2
+
+    def test_stop_on_an_idle_runner_is_prompt(self, tmp_path):
+        server = ServeServer(tmp_path / "root", poll_seconds=30).start()
+        time.sleep(0.05)  # the runner is parked in its wait
+        started = time.monotonic()
+        server.stop()
+        assert time.monotonic() - started < 0.3
+
+    def test_accept_loop_sleeps_until_shutdown_wakes_it(self):
+        handled = []
+
+        class Count(socketserver.BaseRequestHandler):
+            def handle(self) -> None:
+                handled.append(self.client_address)
+
+        never_served = WakingTCPServer(("127.0.0.1", 0), Count)
+        started = time.monotonic()
+        never_served.shutdown()  # no accept loop ran: nothing to wait for
+        never_served.server_close()
+        assert time.monotonic() - started < 0.1
+
+        tcp = WakingTCPServer(("127.0.0.1", 0), Count)
+        loop = threading.Thread(target=tcp.serve_forever, daemon=True)
+        loop.start()
+        socket.create_connection(tcp.server_address, timeout=5).close()
+        deadline = time.monotonic() + 5
+        while not handled and time.monotonic() < deadline:
+            time.sleep(0.01)
+        started = time.monotonic()
+        stopper = threading.Thread(target=tcp.shutdown, daemon=True)
+        stopper.start()
+        stopper.join(timeout=5)  # a lost wake-up fails here, not hangs
+        assert not stopper.is_alive()
+        assert time.monotonic() - started < 0.1
+        loop.join(timeout=5)
+        tcp.server_close()
+        assert not loop.is_alive()
+        assert len(handled) == 1  # the wake-up connection is not served
+
+    def test_a_write_between_read_and_wait_is_not_lost(self, tmp_path):
+        queue = ServeQueue(tmp_path / "queue.sqlite")
+        try:
+            job_id = queue.submit("t", "n", "{}")
+            seen = queue.changes  # a follower reads the count...
+            assert queue.events_after(job_id) == []  # ...then queries
+            writer = threading.Thread(target=queue.append_event,
+                                      args=(job_id, "{}"))
+            writer.start()
+            writer.join()
+            started = time.monotonic()
+            assert queue.wait_change(seen, timeout=30)
+            assert time.monotonic() - started < 1.0
+            assert not queue.wait_change(queue.changes, timeout=0.01)
+        finally:
+            queue.close()
+
+    def test_followers_miss_no_write_under_thread_churn(self, tmp_path):
+        """More followers and writers than cores, switching every few
+        bytecodes: a lost wake-up parks a follower for the whole 30 s wait
+        and fails the join deadline."""
+        queue = ServeQueue(tmp_path / "queue.sqlite")
+        job_id = queue.submit("t", "n", "{}")
+        writers, per_writer = 4, 50
+        total = writers * per_writer
+        counts: list[int] = []
+
+        def follow() -> None:
+            after, count = 0, 0
+            while count < total:
+                seen = queue.changes
+                batch = queue.events_after(job_id, after)
+                if batch:
+                    after, count = batch[-1][0], count + len(batch)
+                else:
+                    queue.wait_change(seen, timeout=30)
+            counts.append(count)
+
+        def write() -> None:
+            for _ in range(per_writer):
+                queue.append_event(job_id, "{}")
+
+        threads = [threading.Thread(target=follow, daemon=True) for _ in range(4)]
+        threads += [threading.Thread(target=write, daemon=True)
+                    for _ in range(writers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=20)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            queue.close()
+        assert counts == [total] * 4
 
 
 class TestAuth:
