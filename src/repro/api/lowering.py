@@ -34,6 +34,7 @@ from repro.engine.cache import (
     design_identity,
     diagnosis_key,
     fail_log_fingerprint,
+    spec_fingerprint,
 )
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.runtime import Event, Executor, Job, Plan, PlanCancelled, PlanResult
@@ -102,23 +103,28 @@ def lower_diagnoses(
     content-addressed on the row, its JSON-safe verdict inputs (spec, BP
     knobs, injected defects) and the fingerprint of its external fail log;
     its ``pattern_key`` param names the provider's cache key, which keys
-    the pattern set's syndrome dictionary.
+    the pattern set's syndrome dictionary.  The scenario half of the key is
+    fingerprinted once per row, not once per case.
     """
     identities = {
         design: design_identity(entry) for design, entry in resources["designs"].items()
     }
     fail_logs: dict[str, Any] = {}
-    providers: dict[tuple[str, str], Job] = {}
+    providers: dict[tuple[str, str], tuple[Job, str]] = {}
     jobs: list[Job] = []
     for case in cases:
-        scenario_spec = resources["scenarios"][case.scenario]
-        provider = providers.get((case.design, case.scenario))
-        if provider is None:
-            provider = providers[case.design, case.scenario] = scenario_job(
-                f"patterns:{case.design}:{case.scenario}",
-                case.design, scenario_spec, resources, if_needed=True,
+        row = providers.get((case.design, case.scenario))
+        if row is None:
+            scenario_spec = resources["scenarios"][case.scenario]
+            row = providers[case.design, case.scenario] = (
+                scenario_job(
+                    f"patterns:{case.design}:{case.scenario}",
+                    case.design, scenario_spec, resources, if_needed=True,
+                ),
+                spec_fingerprint(scenario_spec, resources.get("options")),
             )
-            jobs.append(provider)
+            jobs.append(row[0])
+        provider, scenario_fp = row
         inputs: dict[str, Any] = {"spec": case.spec.to_dict()}
         if case.bp is not None:
             inputs["bp"] = case.bp.to_dict()
@@ -128,10 +134,7 @@ def lower_diagnoses(
         if case.fail_log is not None:
             fail_logs[case.log] = case.fail_log
             log_fp = fail_log_fingerprint(case.fail_log)
-        key = diagnosis_key(
-            identities[case.design], scenario_spec, inputs, resources.get("options"),
-            log_fp=log_fp,
-        )
+        key = diagnosis_key(identities[case.design], scenario_fp, inputs, log_fp=log_fp)
         params = {
             "design": case.design,
             "scenario": case.scenario,

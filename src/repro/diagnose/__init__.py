@@ -13,7 +13,8 @@ back to ranked candidate defects.  Four pieces:
   (per-pattern / per-chain / per-cycle failing bits, round-trippable to the
   STIL-flavoured text format);
 * :mod:`repro.diagnose.candidates` — cone-intersection candidate extraction
-  over the engine's cached fanout cones;
+  from a per-design :class:`CandidateUniverse` (sites, candidates, fault ids
+  and row labels built once per node, memoised on the circuit model);
 * :mod:`repro.diagnose.diagnose` — candidate syndromes from a per-pattern-set
   :class:`SyndromeDictionary` (each fault simulated once, sharded over the
   engine's serial/compiled/processes backends), tallied per log by syndrome
@@ -26,7 +27,9 @@ API integration lives in :meth:`repro.api.session.TestSession.diagnose` and
 from repro.diagnose.candidates import (
     Candidate,
     CandidateSet,
+    CandidateUniverse,
     candidate_nodes,
+    candidate_universe,
     extract_candidates,
     failing_observation_nodes,
     observed_fail_pairs,
@@ -63,6 +66,7 @@ __all__ = [
     "POLARITIES",
     "Candidate",
     "CandidateSet",
+    "CandidateUniverse",
     "DefectInjector",
     "DefectSpec",
     "DiagnosisCell",
@@ -75,6 +79,7 @@ __all__ = [
     "SyndromeDictionary",
     "SyndromeEvidence",
     "candidate_nodes",
+    "candidate_universe",
     "capture_fail_log",
     "extract_candidates",
     "failing_observation_nodes",

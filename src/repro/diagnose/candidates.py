@@ -13,10 +13,18 @@ hypothesis per site, defect kind and value/polarity — which
 observed syndrome, propagating through the engine's cached fanout cones
 (:meth:`~repro.engine.compile.CompiledCircuit.cone`, computed once per site
 and shared with ATPG fault simulation).
+
+Which candidates a node yields depends only on the design, so they live in
+a :class:`CandidateUniverse` memoised on the
+:class:`~repro.simulation.model.CircuitModel` (:func:`candidate_universe`)
+and filled node by node as logs touch them: a fail log pays for its cone
+walk and a concatenation, not for building sites, candidates, fault ids
+and row labels again.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 from repro.diagnose.defects import DEFECT_KINDS, DefectSpec
@@ -56,9 +64,21 @@ class Candidate:
         return self.spec(model).describe()
 
 
+#: A candidate's ranking-row label: ``(kind, net, pin, value, polarity)``,
+#: the fields of the :class:`~repro.diagnose.defects.DefectSpec` it
+#: hypothesizes.
+Label = tuple[str, str, int | None, int | None, str | None]
+
+
 @dataclass
 class CandidateSet:
-    """The candidate universe extracted for one fail log."""
+    """The candidates extracted for one fail log.
+
+    ``fault_ids`` and ``labels`` run parallel to ``candidates``: each
+    candidate's fault id and row label in ``universe``, the design's
+    :class:`CandidateUniverse` they were drawn from.  They are derived from
+    the candidates, so equality compares only the extracted content.
+    """
 
     sites: list[FaultSite] = field(default_factory=list)
     candidates: list[Candidate] = field(default_factory=list)
@@ -66,6 +86,9 @@ class CandidateSet:
     truncated_sites: int = 0
     #: Failing observation nodes the cones were intersected over.
     failing_observation: list[int] = field(default_factory=list)
+    fault_ids: list[int] = field(default_factory=list, compare=False, repr=False)
+    labels: list[Label] = field(default_factory=list, compare=False, repr=False)
+    universe: "CandidateUniverse | None" = field(default=None, compare=False, repr=False)
 
     @property
     def site_count(self) -> int:
@@ -84,8 +107,8 @@ def observed_fail_pairs(model: CircuitModel, fail_log: FailLog) -> set[tuple[int
     The single signal-to-node resolver shared by candidate extraction and
     syndrome scoring.
     """
-    po_node_of_net = dict(model.po_nodes)
-    element_by_name = {e.name: e for e in model.state_elements}
+    universe = candidate_universe(model)
+    po_node_of_net, d_node_of_cell = universe.po_node_of_net, universe.d_node_of_cell
     pairs: set[tuple[int, int]] = set()
     for bit in fail_log.fails:
         if bit.chain == PO_CHAIN:
@@ -97,16 +120,16 @@ def observed_fail_pairs(model: CircuitModel, fail_log: FailLog) -> set[tuple[int
                 ) from None
         else:
             try:
-                element = element_by_name[bit.signal]
+                d_node = d_node_of_cell[bit.signal]
             except KeyError:
                 raise KeyError(
                     f"fail log names unknown scan cell {bit.signal!r}"
                 ) from None
-            if element.d_node is None:
+            if d_node is None:
                 raise ValueError(
                     f"scan cell {bit.signal!r} has no D driver to observe"
                 )
-            pairs.add((bit.pattern, element.d_node))
+            pairs.add((bit.pattern, d_node))
     return pairs
 
 
@@ -126,31 +149,152 @@ def candidate_nodes(
     reaching at least one failing observation — the multi-defect universe,
     where each defect only has to explain its own share of the log.
 
-    One traversal per observation, exact by construction
-    (``CircuitModel.fanout`` is the transpose of ``fanin``, so fan-in
-    membership *is* reachability).  The equivalent fanout-side queries
-    (:meth:`~repro.engine.compile.CompiledCircuit.cone_indices`) serve as
-    the independent cross-check in the test suite.
+    The union is one fan-in walk from every failing observation at once;
+    the intersection walks each observation's cone.  Both are exact by
+    construction (``CircuitModel.fanout`` is the transpose of ``fanin``, so
+    fan-in membership *is* reachability).  The equivalent fanout-side
+    queries (:meth:`~repro.engine.compile.CompiledCircuit.cone_indices`)
+    serve as the independent cross-check in the test suite.
     """
     if mode not in ("intersection", "union"):
         raise ValueError(f"unknown extraction mode {mode!r}")
     if not failing_obs:
         return []
+    keep = (NodeKind.PI, NodeKind.PPI, NodeKind.RAM_OUT, NodeKind.GATE)
+    if mode == "union":
+        reached = set(failing_obs)
+        frontier = list(reached)
+        model_nodes = model.nodes
+        while frontier:
+            for prev in model_nodes[frontier.pop()].fanin:
+                if prev not in reached:
+                    reached.add(prev)
+                    frontier.append(prev)
+        return sorted(node for node in reached if model_nodes[node].kind in keep)
     nodes: set[int] | None = None
     for obs in failing_obs:
         cone = set(model.transitive_fanin(obs))
         cone.add(obs)
         if nodes is None:
             nodes = cone
-        elif mode == "union":
-            nodes |= cone
         else:
             nodes &= cone
             if not nodes:
                 return []
     assert nodes is not None
-    keep = (NodeKind.PI, NodeKind.PPI, NodeKind.RAM_OUT, NodeKind.GATE)
     return sorted(node for node in nodes if model.nodes[node].kind in keep)
+
+
+@dataclass(frozen=True)
+class NodeCandidates:
+    """One node's candidates for one set of defect kinds, in extraction
+    order: per site, stuck-at-0/1, then slow-to-rise/fall per delay kind."""
+
+    sites: tuple[FaultSite, ...]
+    candidates: tuple[Candidate, ...]
+    fault_ids: tuple[int, ...]
+    labels: tuple[Label, ...]
+
+
+class CandidateUniverse:
+    """Every candidate one design can yield, filled lazily node by node.
+
+    A node's sites, :class:`Candidate` objects, fault ids and row labels
+    depend only on the design, so they are built the first time a fail log
+    reaches the node and shared by every later log; a large design is
+    never enumerated up front.  A published :class:`NodeCandidates` is
+    never changed.  Faults get small integer ids in first-touch order, and
+    a ``"transition"`` and an ``"inter-domain"`` candidate on one fault
+    share its id: a :class:`~repro.diagnose.diagnose.SyndromeDictionary`
+    keys syndromes by these ids and binds to one universe.  The universe
+    also keeps the signal-to-observation-node maps of
+    :func:`observed_fail_pairs`.  Concurrent extractions fill it under its
+    lock.
+    """
+
+    def __init__(self, model: CircuitModel) -> None:
+        self.model = model
+        self._lock = threading.Lock()
+        #: Node -> its sites and, per site and defect kind, the
+        #: ``(candidate, fault id, label)`` entries.
+        self._rows: dict[int, tuple[tuple[FaultSite, ...], list[dict[str, tuple]]]] = {}
+        #: Canonical kinds -> node -> :class:`NodeCandidates`.
+        self._views: dict[tuple[str, ...], dict[int, NodeCandidates]] = {}
+        #: Fault id -> fault.
+        self.faults: list[StuckAtFault | TransitionFault] = []
+        self.po_node_of_net: dict[str, int] = dict(model.po_nodes)
+        self.d_node_of_cell: dict[str, int | None] = {
+            element.name: element.d_node for element in model.state_elements
+        }
+
+    def node(self, node: int, kinds: tuple[str, ...]) -> NodeCandidates:
+        """``node``'s candidates of ``kinds`` (a subsequence of
+        :data:`~repro.diagnose.defects.DEFECT_KINDS`), built on first use."""
+        view = self._views.get(kinds, {}).get(node)
+        if view is None:
+            with self._lock:
+                views = self._views.setdefault(kinds, {})
+                view = views.get(node)
+                if view is None:
+                    view = views[node] = self._view(node, kinds)
+        return view
+
+    def _view(self, node: int, kinds: tuple[str, ...]) -> NodeCandidates:
+        if node not in self._rows:
+            sites = [FaultSite(node=node, pin=None)]
+            if self.model.nodes[node].kind is NodeKind.GATE:
+                sites += [
+                    FaultSite(node=node, pin=pin)
+                    for pin in range(len(self.model.nodes[node].fanin))
+                ]
+            self._rows[node] = (tuple(sites), [self._site_rows(site) for site in sites])
+        sites, rows = self._rows[node]
+        picked = [entry for row in rows for kind in kinds for entry in row[kind]]
+        return NodeCandidates(
+            sites=sites,
+            candidates=tuple(candidate for candidate, _, _ in picked),
+            fault_ids=tuple(fault_id for _, fault_id, _ in picked),
+            labels=tuple(label for _, _, label in picked),
+        )
+
+    def _site_rows(self, site: FaultSite) -> dict[str, tuple]:
+        stuck = (StuckAtFault(site=site, value=0), StuckAtFault(site=site, value=1))
+        delay = (
+            TransitionFault(site=site, kind=TransitionKind.SLOW_TO_RISE),
+            TransitionFault(site=site, kind=TransitionKind.SLOW_TO_FALL),
+        )
+        first = len(self.faults)
+        self.faults += (*stuck, *delay)
+        rows = {}
+        for kind in DEFECT_KINDS:
+            faults, base = (stuck, first) if kind == "stuck-at" else (delay, first + 2)
+            entries = []
+            for offset, fault in enumerate(faults):
+                spec = DefectSpec.from_fault(
+                    self.model, fault, inter_domain=kind == "inter-domain"
+                )
+                label = (spec.kind, spec.net, spec.pin, spec.value, spec.polarity)
+                entries.append((Candidate(kind, fault), base + offset, label))
+            rows[kind] = tuple(entries)
+        return rows
+
+
+#: Serializes the creation of a model's candidate universe, so concurrent
+#: first extractions on one model share one universe (and its fault ids).
+_UNIVERSE_LOCK = threading.Lock()
+
+
+def candidate_universe(model: CircuitModel) -> CandidateUniverse:
+    """The model's :class:`CandidateUniverse` (memoised on the instance,
+    like :func:`repro.engine.compile.compile_circuit`; dropped when the
+    model is pickled)."""
+    universe = model.__dict__.get("_candidate_universe")
+    if universe is None or universe.model is not model:
+        with _UNIVERSE_LOCK:
+            universe = model.__dict__.get("_candidate_universe")
+            if universe is None or universe.model is not model:
+                universe = model.__dict__["_candidate_universe"] = CandidateUniverse(model)
+    return universe
 
 
 def extract_candidates(
@@ -160,7 +304,13 @@ def extract_candidates(
     max_sites: int | None = None,
     mode: str = "intersection",
 ) -> CandidateSet:
-    """Extract the scoreable candidate universe for one fail log.
+    """Extract the scoreable candidates for one fail log.
+
+    The log's failing observations pick the cone nodes
+    (:func:`candidate_nodes`); each node's sites and candidates come from
+    the design's :class:`CandidateUniverse` and are concatenated in node
+    order, so the result carries the universe's interned
+    :class:`Candidate` objects with their fault ids and row labels.
 
     Args:
         model: The failing design's circuit model.
@@ -180,38 +330,31 @@ def extract_candidates(
             raise ValueError(
                 f"unknown defect kind {kind!r} (expected a subset of {DEFECT_KINDS})"
             )
+    kinds = tuple(kind for kind in DEFECT_KINDS if kind in kinds)
+    universe = candidate_universe(model)
     failing_obs = failing_observation_nodes(model, fail_log)
-    nodes = candidate_nodes(model, failing_obs, mode=mode)
     sites: list[FaultSite] = []
-    for node in nodes:
-        sites.append(FaultSite(node=node, pin=None))
-        if model.nodes[node].kind is NodeKind.GATE:
-            for pin in range(len(model.nodes[node].fanin)):
-                sites.append(FaultSite(node=node, pin=pin))
+    candidates: list[Candidate] = []
+    fault_ids: list[int] = []
+    labels: list[Label] = []
+    for node in candidate_nodes(model, failing_obs, mode=mode):
+        part = universe.node(node, kinds)
+        sites += part.sites
+        candidates += part.candidates
+        fault_ids += part.fault_ids
+        labels += part.labels
     truncated = 0
     if max_sites is not None and len(sites) > max_sites:
         truncated = len(sites) - max_sites
         sites = sites[:max_sites]
-    candidates: list[Candidate] = []
-    for site in sites:
-        if "stuck-at" in kinds:
-            candidates.append(Candidate("stuck-at", StuckAtFault(site=site, value=0)))
-            candidates.append(Candidate("stuck-at", StuckAtFault(site=site, value=1)))
-        for kind in ("transition", "inter-domain"):
-            if kind in kinds:
-                candidates.append(
-                    Candidate(
-                        kind, TransitionFault(site=site, kind=TransitionKind.SLOW_TO_RISE)
-                    )
-                )
-                candidates.append(
-                    Candidate(
-                        kind, TransitionFault(site=site, kind=TransitionKind.SLOW_TO_FALL)
-                    )
-                )
+        kept = max_sites * 2 * len(kinds)
+        candidates, fault_ids, labels = candidates[:kept], fault_ids[:kept], labels[:kept]
     return CandidateSet(
         sites=sites,
         candidates=candidates,
         truncated_sites=truncated,
         failing_observation=failing_obs,
+        fault_ids=fault_ids,
+        labels=labels,
+        universe=universe,
     )

@@ -38,6 +38,7 @@ from repro.clocking.named_capture import NamedCaptureProcedure
 from repro.diagnose.candidates import (
     Candidate,
     CandidateSet,
+    CandidateUniverse,
     extract_candidates,
     observed_fail_pairs,
 )
@@ -510,26 +511,29 @@ class SyndromeDictionary:
     launch/final good frames, the observation list with its ``po_only``
     flags and ``po_gate``, and every simulated fault's sparse syndrome: the
     nonzero ``(observation index, mask)`` pairs after PO gating, stored
-    flat.  Syndromes are keyed by fault, so a ``"transition"`` and an
-    ``"inter-domain"`` candidate on one transition fault share an entry.
+    flat.  Syndromes are keyed by the fault ids of the design's
+    :class:`~repro.diagnose.candidates.CandidateUniverse`, which every
+    :class:`~repro.diagnose.candidates.CandidateSet` carries, so no fault
+    is hashed per log, and a ``"transition"`` and an ``"inter-domain"``
+    candidate on one transition fault share an entry.
 
-    The first :meth:`fill` binds the dictionary to its pattern set and
-    batch size.  Callers key dictionaries by content and never mix pattern
-    sets in one: the diagnosis job kinds keep one per (pattern provider
-    cache key, scenario, batch size) in the plan resources.  Concurrent
-    diagnoses fill one dictionary under its lock.
+    The first :meth:`fill` binds the dictionary to its pattern set, batch
+    size and candidate universe; a later fill with another shape or from
+    another universe raises ``ValueError`` rather than mixing ids.  Callers
+    key dictionaries by content and never mix pattern sets in one: the
+    diagnosis job kinds keep one per (pattern provider cache key, scenario,
+    batch size) in the plan resources.  Concurrent diagnoses fill one
+    dictionary under its lock.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._shape: tuple[int, int] | None = None
+        #: The candidate universe whose fault ids key the syndromes.
+        self.universe: CandidateUniverse | None = None
         self.batches: list[DictionaryBatch] = []
         #: Pattern index -> (batch position, bit within the batch).
         self.slot: dict[int, tuple[int, int]] = {}
-        #: Fault -> its small-integer id, the key of every batch's syndromes
-        #: (hashing a fault dataclass once per candidate, not once per batch).
-        self._ids: dict = {}
-        self._faults: list = []
 
     def __len__(self) -> int:
         """Number of (batch, fault) syndromes stored."""
@@ -540,32 +544,32 @@ class SyndromeDictionary:
         frames_sim: FrameSimulator,
         items: Sequence[TestPattern],
         batch_size: int,
-        candidates: Sequence[Candidate],
+        candidate_set: CandidateSet,
         scheduler: FaultSimScheduler,
-    ) -> list[int]:
-        """Make sure every candidate's syndrome is stored; returns each
-        candidate's fault id.
+    ) -> None:
+        """Make sure every candidate's syndrome is stored.
 
         Binds the dictionary on the first call (good frames of every
-        batch), then simulates the faults each batch is missing in one
-        ``syndrome_batch`` call.  Counts the (batch, fault) entries found
-        and simulated as the ``diagnose.dictionary.hits``/``.misses``
-        metrics, once per call.
+        batch, and the candidate set's universe), then simulates the faults
+        each batch is missing in one ``syndrome_batch`` call.  Counts the
+        (batch, fault) entries found and simulated as the
+        ``diagnose.dictionary.hits``/``.misses`` metrics, once per call.
         """
         hits = misses = 0
+        ids = candidate_set.fault_ids
         with self._lock:
-            self._bind(frames_sim, items, batch_size)
-            ids = [self._id(candidate.fault) for candidate in candidates]
+            self._bind(frames_sim, items, batch_size, candidate_set.universe)
             every = list(dict.fromkeys(ids))
             intra = list(dict.fromkeys(
-                fault_id for fault_id, candidate in zip(ids, candidates)
-                if candidate.kind != "inter-domain"
+                fault_id for fault_id, label in zip(ids, candidate_set.labels)
+                if label[0] != "inter-domain"
             ))
+            faults_of = candidate_set.universe.faults
             for batch in self.batches:
                 needed = every if batch.procedure.is_inter_domain else intra
                 missing = [fault_id for fault_id in needed if fault_id not in batch.syndromes]
                 if missing:
-                    faults = [self._faults[fault_id] for fault_id in missing]
+                    faults = [faults_of[fault_id] for fault_id in missing]
                     batch.store(missing, scheduler.syndrome_batch(
                         batch.final, faults, batch.observation, launch=batch.launch
                     ))
@@ -575,14 +579,6 @@ class SyndromeDictionary:
         if metrics is not None:
             metrics.inc("diagnose.dictionary.hits", hits)
             metrics.inc("diagnose.dictionary.misses", misses)
-        return ids
-
-    def _id(self, fault) -> int:
-        fault_id = self._ids.get(fault)
-        if fault_id is None:
-            fault_id = self._ids[fault] = len(self._faults)
-            self._faults.append(fault)
-        return fault_id
 
     def observed_masks(self, observed: set[tuple[int, int]]) -> list[list[int]]:
         """A log's failing ``(pattern, node)`` bits as per-batch,
@@ -599,7 +595,11 @@ class SyndromeDictionary:
         return masks
 
     def _bind(
-        self, frames_sim: FrameSimulator, items: Sequence[TestPattern], batch_size: int
+        self,
+        frames_sim: FrameSimulator,
+        items: Sequence[TestPattern],
+        batch_size: int,
+        universe: CandidateUniverse | None,
     ) -> None:
         shape = (len(items), batch_size)
         if self._shape is not None:
@@ -609,7 +609,15 @@ class SyndromeDictionary:
                     f"in batches of {self._shape[1]}, used with {shape[0]} "
                     f"in batches of {shape[1]}"
                 )
+            if universe is not self.universe:
+                raise ValueError(
+                    "syndrome dictionary bound to another candidate universe "
+                    f"(design {self.universe.model.name!r}); its fault ids "
+                    "do not mix"
+                )
             return
+        if universe is None:
+            raise ValueError("candidates carry no candidate universe")
         model = frames_sim.model
         po_nodes = {idx for _, idx in model.po_nodes}
         element_by_name = {e.name: e for e in model.state_elements}
@@ -650,6 +658,7 @@ class SyndromeDictionary:
                 )
             )
         self.batches, self.slot, self._shape = batches, slot, shape
+        self.universe = universe
 
 
 @dataclass
@@ -726,9 +735,9 @@ def simulate_candidate_syndromes(
             model, backend=backend, shard_count=shard_count, max_workers=max_workers
         )
     try:
-        fault_ids = dictionary.fill(
+        dictionary.fill(
             FrameSimulator(model, domain_map, setup, scheduler),
-            list(patterns), batch_size, candidates, scheduler,
+            list(patterns), batch_size, candidate_set, scheduler,
         )
     finally:
         if owns_scheduler:
@@ -737,12 +746,14 @@ def simulate_candidate_syndromes(
     observed = observed_fail_pairs(model, fail_log)
     hit_pairs: list[set[tuple[int, int]]] = [set() for _ in candidates]
     false_alarms = [0] * len(candidates)
+    every = list(enumerate(candidate_set.fault_ids))
+    intra = [
+        (cand_index, fault_id) for cand_index, fault_id in every
+        if candidate_set.labels[cand_index][0] != "inter-domain"
+    ]
     for batch, obs_masks in zip(dictionary.batches, dictionary.observed_masks(observed)):
-        intra_only = not batch.procedure.is_inter_domain
         syndromes, chunk, observation = batch.syndromes, batch.chunk, batch.observation
-        for cand_index, (candidate, fault_id) in enumerate(zip(candidates, fault_ids)):
-            if intra_only and candidate.kind == "inter-domain":
-                continue
+        for cand_index, fault_id in every if batch.procedure.is_inter_domain else intra:
             flat = syndromes[fault_id]
             alarms = 0
             for at in range(0, len(flat), 2):
@@ -836,15 +847,15 @@ def score_candidates(
             scores = {index: float(len(hit_pairs[index])) for index in group}
         rank = position + 1
         for index in group:
-            spec = candidates[index].spec(model)
+            kind, net, pin, value, polarity = candidate_set.labels[index]
             rows.append(
                 ScoredCandidate(
                     rank=rank,
-                    kind=spec.kind,
-                    net=spec.net,
-                    pin=spec.pin,
-                    value=spec.value,
-                    polarity=spec.polarity,
+                    kind=kind,
+                    net=net,
+                    pin=pin,
+                    value=value,
+                    polarity=polarity,
                     hits=len(hit_pairs[index]),
                     misses=total_observed - len(hit_pairs[index]),
                     false_alarms=false_alarms[index],

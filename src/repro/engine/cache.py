@@ -179,38 +179,38 @@ def campaign_cell_key(design_fp: str, spec: Any, options: Any = None) -> str:
 def fail_log_fingerprint(fail_log: Any) -> str:
     """Content hash of a captured fail log.
 
-    Derived from the log's stable dict lowering (design, pattern count,
-    every fail bit, injected-defect provenance), so an externally captured
-    tester log becomes content-addressed: diagnoses cache per log
+    Derived from the log's dict form (design, pattern count, every fail
+    bit, injected-defect provenance), so an externally captured tester log
+    becomes content-addressed: diagnoses cache per log
     (:func:`diagnosis_key`) even though no declarative spec describes where
-    the log came from.
+    the log came from.  That dict holds only JSON scalars, lists and
+    ``str``-keyed dicts, so ``json.dumps`` sorts it directly, byte for byte
+    as the generic :func:`_stable` lowering would.
     """
-    return _digest(
-        "faillog|" + json.dumps(_stable(fail_log.to_dict()), sort_keys=True)
-    )
+    return _digest("faillog|" + json.dumps(fail_log.to_dict(), sort_keys=True))
 
 
 def diagnosis_key(
     design_fp: str,
-    scenario_spec: Any,
+    scenario_fp: str,
     diagnosis: Any,
-    options: Any = None,
     log_fp: str | None = None,
 ) -> str:
     """The cache key of one diagnosis job, classical or BP.
 
-    Keyed on the design identity, the scenario that produced the pattern
-    set (with the effective ATPG options the patterns depend on),
-    ``diagnosis`` (the
-    job's JSON-safe verdict inputs: diagnosis spec, BP knobs, injected
-    defect list) and the engine version.  ``log_fp`` is the
+    Keyed on the design identity, ``scenario_fp`` — the
+    :func:`spec_fingerprint` of the scenario that produced the pattern set
+    with the effective ATPG options the patterns depend on, computed once
+    per (design, scenario) row by the caller — ``diagnosis`` (the job's
+    JSON-safe verdict inputs: diagnosis spec, BP knobs, injected defect
+    list) and the engine version.  ``log_fp`` is the
     :func:`fail_log_fingerprint` of an externally captured fail log, so
     tester logs are content-addressed too; closed-loop runs pass ``None``
     and are keyed by their injected defects alone.
     """
     return _digest(
         f"diagnosis|engine={ENGINE_VERSION}|design={design_fp}|"
-        f"scenario={spec_fingerprint(scenario_spec, options)}|"
+        f"scenario={scenario_fp}|"
         f"spec={spec_fingerprint(diagnosis)}|log={log_fp}"
     )
 

@@ -113,10 +113,13 @@ class CircuitModel:
 
     def __getstate__(self) -> dict:
         # The engine memoises its compiled kernels on the instance
-        # (repro.engine.compile.compile_circuit); closures don't pickle and
-        # every process rebuilds them anyway, so strip the memo.
+        # (repro.engine.compile.compile_circuit), and diagnosis its candidate
+        # universe (repro.diagnose.candidates.candidate_universe); closures
+        # and locks don't pickle and every process rebuilds them anyway, so
+        # strip the memos.
         state = dict(self.__dict__)
         state.pop("_engine_compiled", None)
+        state.pop("_candidate_universe", None)
         return state
 
     # ------------------------------------------------------------------ sizes

@@ -288,7 +288,7 @@ class BpDiagnosisResult:
 def _select_cover(
     graph: CandidateFactorGraph,
     evidence: SyndromeEvidence,
-    marginals: Sequence[float],
+    rounded: Sequence[float],
 ) -> set[int]:
     """Round the LP marginals into a covering candidate set.
 
@@ -296,12 +296,13 @@ def _select_cover(
     a class whose hit set still covers an uncovered failing bit is
     selected whole — the applied patterns cannot prefer one member over
     another, so the diagnosis reports every indistinguishable member and
-    leaves the split to adaptive ATPG.
+    leaves the split to adaptive ATPG.  ``rounded`` holds the marginals
+    rounded to 9 places, as the ranking uses them.
     """
     ordered = sorted(
         (members for members in graph.classes if evidence.hit_pairs[members[0]]),
         key=lambda members: (
-            -round(marginals[members[0]], 9),
+            -rounded[members[0]],
             len(evidence.observed) - len(evidence.hit_pairs[members[0]])
             + evidence.false_alarms[members[0]],
             members[0],
@@ -470,20 +471,19 @@ def run_bp_diagnosis(
         factors=len(graph.factors),
     ):
         outcome: BpOutcome = max_product_bp(graph.costs, graph.factors, bp)
-    selected = _select_cover(graph, evidence, outcome.marginals)
+    rounded = [round(marginal, 9) for marginal in outcome.marginals]
+    selected = _select_cover(graph, evidence, rounded)
 
     # ------------------------------------------------------------------ ranking
     total_observed = evidence.total_observed
+    hit_counts = [len(hits) for hits in evidence.hit_pairs]
     # The stable sort over ascending indices breaks key ties by index;
     # candidates with equal keys share a rank.
     keys = [
-        (
-            -round(outcome.marginals[index], 9),
-            (total_observed - len(evidence.hit_pairs[index]))
-            + evidence.false_alarms[index],
-            -len(evidence.hit_pairs[index]),
+        (-confidence, (total_observed - hits) + false_alarms, -hits)
+        for confidence, hits, false_alarms in zip(
+            rounded, hit_counts, evidence.false_alarms
         )
-        for index in range(len(graph.costs))
     ]
     order = sorted(range(len(keys)), key=keys.__getitem__)
     rows: list[BpScoredCandidate] = []
@@ -495,21 +495,21 @@ def run_bp_diagnosis(
         if key != previous_key:
             rank = position + 1
             previous_key = key
-        cand_spec = candidate_set.candidates[index].spec(model)
+        kind, net, pin, value, polarity = candidate_set.labels[index]
         row_of[index] = position
         rows.append(
             BpScoredCandidate(
                 rank=rank,
-                kind=cand_spec.kind,
-                net=cand_spec.net,
-                pin=cand_spec.pin,
-                value=cand_spec.value,
-                polarity=cand_spec.polarity,
-                hits=len(evidence.hit_pairs[index]),
-                misses=total_observed - len(evidence.hit_pairs[index]),
+                kind=kind,
+                net=net,
+                pin=pin,
+                value=value,
+                polarity=polarity,
+                hits=hit_counts[index],
+                misses=total_observed - hit_counts[index],
                 false_alarms=evidence.false_alarms[index],
-                score=round(outcome.marginals[index], 9),
-                confidence=round(outcome.marginals[index], 9),
+                score=rounded[index],
+                confidence=rounded[index],
                 selected=index in selected,
             )
         )

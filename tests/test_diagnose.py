@@ -5,13 +5,17 @@ from __future__ import annotations
 from dataclasses import replace
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.api import TestSession
 from repro.api.scenarios import table1_scenario
 from repro.atpg import AtpgOptions, TestSetup
 from repro.clocking import ClockDomain, ClockDomainMap, external_clock_procedures
 from repro.diagnose import (
+    DEFECT_KINDS,
     PO_CHAIN,
+    Candidate,
+    CandidateSet,
     DefectInjector,
     DefectSpec,
     DiagnosisResult,
@@ -20,6 +24,7 @@ from repro.diagnose import (
     FailLog,
     SyndromeDictionary,
     SyndromeEvidence,
+    candidate_universe,
     capture_fail_log,
     extract_candidates,
     failing_observation_nodes,
@@ -30,12 +35,13 @@ from repro.diagnose import (
 )
 from repro.dft import insert_scan
 from repro.engine import compile_circuit
-from repro.faults import StuckAtFault, FaultSite
+from repro.faults import StuckAtFault, FaultSite, TransitionFault, TransitionKind
 from repro.faults.fault_list import FaultStatus
 from repro.logic import Logic
 from repro.netlist import NetlistBuilder
 from repro.patterns import TestPattern
 from repro.simulation import build_model
+from repro.simulation.model import NodeKind
 
 #: ATPG effort small enough for unit tests, big enough to detect most faults.
 CHEAP = AtpgOptions(random_pattern_batches=2, patterns_per_batch=32, backtrack_limit=20)
@@ -313,6 +319,193 @@ class TestCandidates:
         candidate_set = extract_candidates(session.prepared.model, log)
         assert candidate_set.site_count == 0
         assert candidate_set.candidate_count == 0
+
+
+# --------------------------------------------------------------------------
+# Candidate universe: the per-log construction it replaced is the oracle
+# --------------------------------------------------------------------------
+def _per_log_candidates(model, fail_log, kinds=DEFECT_KINDS, max_sites=None, mode="intersection"):
+    """Candidate extraction as it ran before the candidate universe: signal
+    maps rebuilt per log, one fan-in walk per failing observation, and new
+    sites and candidates made for every log."""
+    po_node_of_net = dict(model.po_nodes)
+    element_by_name = {e.name: e for e in model.state_elements}
+    failing_obs = sorted({
+        po_node_of_net[bit.signal] if bit.chain == PO_CHAIN
+        else element_by_name[bit.signal].d_node
+        for bit in fail_log.fails
+    })
+    nodes = None
+    for obs in failing_obs:
+        cone = set(model.transitive_fanin(obs)) | {obs}
+        if nodes is None:
+            nodes = cone
+        elif mode == "union":
+            nodes |= cone
+        else:
+            nodes &= cone
+    keep = (NodeKind.PI, NodeKind.PPI, NodeKind.RAM_OUT, NodeKind.GATE)
+    nodes = sorted(node for node in nodes or () if model.nodes[node].kind in keep)
+    sites = []
+    for node in nodes:
+        sites.append(FaultSite(node=node, pin=None))
+        if model.nodes[node].kind is NodeKind.GATE:
+            sites += [FaultSite(node=node, pin=pin) for pin in range(len(model.nodes[node].fanin))]
+    truncated = 0
+    if max_sites is not None and len(sites) > max_sites:
+        truncated = len(sites) - max_sites
+        sites = sites[:max_sites]
+    candidates = []
+    for site in sites:
+        if "stuck-at" in kinds:
+            candidates += [
+                Candidate("stuck-at", StuckAtFault(site=site, value=value)) for value in (0, 1)
+            ]
+        for kind in ("transition", "inter-domain"):
+            if kind in kinds:
+                candidates += [
+                    Candidate(kind, TransitionFault(site=site, kind=polarity))
+                    for polarity in (TransitionKind.SLOW_TO_RISE, TransitionKind.SLOW_TO_FALL)
+                ]
+    return CandidateSet(
+        sites=sites, candidates=candidates, truncated_sites=truncated,
+        failing_observation=failing_obs,
+    )
+
+
+def _assert_matches_oracle(model, log, **options):
+    got = extract_candidates(model, log, **options)
+    want = _per_log_candidates(model, log, **options)
+    assert got.sites == want.sites
+    assert got.candidates == want.candidates
+    assert got.truncated_sites == want.truncated_sites
+    assert got.failing_observation == want.failing_observation
+    # The universe's ids and labels belong to the candidates they ride with.
+    assert got.universe is candidate_universe(model)
+    assert len(got.fault_ids) == len(got.labels) == len(got.candidates)
+    for candidate, fault_id, label in zip(got.candidates, got.fault_ids, got.labels):
+        assert got.universe.faults[fault_id] == candidate.fault
+        spec = candidate.spec(model)
+        assert label == (spec.kind, spec.net, spec.pin, spec.value, spec.polarity)
+    return got
+
+
+_EXTRACTION_OPTIONS = [
+    {"mode": "union"},
+    {"mode": "intersection"},
+    {"mode": "union", "kinds": ("stuck-at",)},
+    {"mode": "union", "kinds": ("inter-domain", "transition")},
+    {"mode": "intersection", "kinds": ("transition",), "max_sites": 5},
+    {"mode": "union", "max_sites": 7},
+    {"mode": "union", "kinds": (), "max_sites": 3},
+]
+
+
+def _random_logs(seed):
+    """A random scan design and fail logs naming random PO and scan-cell
+    signals (including an empty log)."""
+    import random
+
+    from repro.circuits import random_sequential
+
+    netlist, _ = insert_scan(random_sequential(5, 8, 60, 3, seed=seed), num_chains=2)
+    model = build_model(netlist)
+    rng = random.Random(seed)
+    signals = [(PO_CHAIN, net) for net, _ in model.po_nodes] + [
+        ("chain0", e.name) for e in model.state_elements if e.d_node is not None
+    ]
+    logs = [FailLog(design=model.name, pattern_count=8, fails=[])]
+    for _ in range(4):
+        picked = rng.sample(signals, rng.randint(1, min(4, len(signals))))
+        logs.append(FailLog(design=model.name, pattern_count=8, fails=[
+            FailBit(rng.randrange(8), chain, 0, signal, "0", "1") for chain, signal in picked
+        ]))
+    return model, logs
+
+
+class TestCandidateUniverseOracle:
+    """extract_candidates from the memoised universe equals the per-log
+    construction field by field, across modes, kind subsets and max_sites,
+    on cold and warm universes."""
+
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_random_circuits(self, seed):
+        model, logs = _random_logs(seed)
+        for _ in range(2):  # the second pass reads a warm universe
+            for log in logs:
+                for options in _EXTRACTION_OPTIONS:
+                    _assert_matches_oracle(model, log, **options)
+
+    def test_tiny(self, dictionary_cases):
+        for prepared, _, _, logs in dictionary_cases:
+            for log in logs:
+                for options in _EXTRACTION_OPTIONS:
+                    got = _assert_matches_oracle(prepared.model, log, **options)
+                    if options == {"mode": "union"}:
+                        assert got.candidate_count > 0
+
+    def test_pickled_model_carries_no_memo(self, dictionary_cases):
+        import pickle
+
+        prepared, _, _, logs = dictionary_cases[0]
+        extract_candidates(prepared.model, logs[0])
+        assert "_candidate_universe" in prepared.model.__dict__
+        copy = pickle.loads(pickle.dumps(prepared.model))
+        assert "_candidate_universe" not in copy.__dict__
+        assert candidate_universe(copy) is not candidate_universe(prepared.model)
+        _assert_matches_oracle(copy, logs[0], mode="union")
+
+    def test_concurrent_extraction_interns_one_candidate_per_fault(
+        self, dictionary_cases
+    ):
+        """12 threads extract from one cold universe with a 1 µs switch
+        interval: every result equals the oracle, and each (kind, fault)
+        is one Candidate object with one fault id."""
+        import pickle
+        import sys
+        import threading
+
+        prepared, _, _, logs = dictionary_cases[1]
+        model = pickle.loads(pickle.dumps(prepared.model))  # a cold universe
+        jobs = [(log, mode) for log in logs for mode in ("union", "intersection")]
+        results: dict[int, list] = {}
+        start = threading.Barrier(12)
+
+        def work(worker):
+            order = jobs[worker % len(jobs):] + jobs[:worker % len(jobs)]
+            start.wait(timeout=60)
+            results[worker] = [
+                (log, mode, extract_candidates(model, log, mode=mode))
+                for log, mode in order
+            ]
+
+        threads = [threading.Thread(target=work, args=(worker,)) for worker in range(12)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(results) == list(range(12))
+        interned: dict = {}
+        ids: dict = {}
+        for runs in results.values():
+            for log, mode, got in runs:
+                want = _per_log_candidates(model, log, mode=mode)
+                assert got.sites == want.sites and got.candidates == want.candidates
+                assert got.universe is candidate_universe(model)
+                for candidate, fault_id in zip(got.candidates, got.fault_ids):
+                    key = (candidate.kind, candidate.fault)
+                    assert interned.setdefault(key, candidate) is candidate
+                    assert ids.setdefault(candidate.fault, fault_id) == fault_id
+        assert len(set(ids.values())) == len(ids)
+        assert len(candidate_universe(model).faults) == len(ids)
 
 
 # --------------------------------------------------------------------------
@@ -733,6 +926,7 @@ class TestSyndromeDictionaryOracle:
         assert any(len(log.defects) == 2 for log in logs)
         batch_size = 8
         dictionary = SyndromeDictionary()
+        id_of: dict = {}
         order = list(range(len(logs)))
         random.Random(which).shuffle(order)
         for index in order + order:  # a second pass is all dictionary hits
@@ -754,7 +948,16 @@ class TestSyndromeDictionaryOracle:
             assert got.false_alarms == want.false_alarms
             if index == order[-1]:
                 stored = len(dictionary)
+            # Keyed by universe id as the parent keyed by fault: one id per
+            # fault, across logs, so candidates share an entry exactly when
+            # their faults are equal.
+            for candidate, fault_id in zip(candidate_set.candidates, candidate_set.fault_ids):
+                assert id_of.setdefault(candidate.fault, fault_id) == fault_id
         assert len(dictionary) == stored
+        assert dictionary.universe is candidate_universe(model)
+        assert len(set(id_of.values())) == len(id_of)
+        keys = {fault_id for batch in dictionary.batches for fault_id in batch.syndromes}
+        assert keys == set(id_of.values())
         procedures = {pattern.procedure.name for pattern in patterns}
         assert len(dictionary.batches) > len(procedures)
 
@@ -839,6 +1042,30 @@ class TestSyndromeDictionaryOracle:
             assert got[index].hit_pairs == want.hit_pairs
             assert got[index].false_alarms == want.false_alarms
         assert sum(simulated) == len(shared)
+
+    def test_dictionary_rejects_another_candidate_universe(self, dictionary_cases):
+        """Fault ids are per universe: candidates drawn from another model's
+        universe (here an unpickled copy of the same design) never land in
+        a bound dictionary."""
+        import pickle
+
+        prepared, setup, patterns, logs = dictionary_cases[0]
+        model = prepared.model
+        dictionary = SyndromeDictionary()
+        simulate_candidate_syndromes(
+            model, prepared.domain_map, setup, patterns,
+            extract_candidates(model, logs[0]), logs[0],
+            batch_size=8, dictionary=dictionary,
+        )
+        stored = len(dictionary)
+        copy = pickle.loads(pickle.dumps(model))
+        with pytest.raises(ValueError, match="another candidate universe"):
+            simulate_candidate_syndromes(
+                copy, prepared.domain_map, setup, patterns,
+                extract_candidates(copy, logs[0]), logs[0],
+                batch_size=8, dictionary=dictionary,
+            )
+        assert len(dictionary) == stored
 
     def test_dictionary_rejects_another_pattern_set_shape(self, dictionary_cases):
         prepared, setup, patterns, logs = dictionary_cases[0]

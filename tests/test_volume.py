@@ -6,6 +6,7 @@ the session/campaign front doors.
 from __future__ import annotations
 
 import itertools
+import json
 import time
 
 import pytest
@@ -13,7 +14,15 @@ import pytest
 from repro.api import Campaign, TestSession
 from repro.api.scenarios import table1_scenario
 from repro.atpg import AtpgOptions
-from repro.diagnose import DefectSpec, DiagnosisSpec, FailBit, FailLog, capture_fail_log
+from repro.diagnose import (
+    PO_CHAIN,
+    DefectSpec,
+    DiagnosisSpec,
+    FailBit,
+    FailLog,
+    capture_fail_log,
+    parse_fail_log,
+)
 from repro.engine.cache import ResultCache
 from repro.faults.fault_list import FaultStatus
 from repro.obs import Telemetry
@@ -321,6 +330,104 @@ class TestCampaignVolume:
         campaign = Campaign(designs=["tiny"], scenarios=["a"], options=ULTRA)
         with pytest.raises(ValueError, match="no records"):
             campaign.volume_plan(store)
+
+
+# --------------------------------------------------------------------------
+# Volume plan keys and the per-design memos
+# --------------------------------------------------------------------------
+def _stable_fingerprint(fail_log: FailLog) -> str:
+    """The fail-log fingerprint through the generic ``_stable`` lowering."""
+    from repro.engine.cache import _digest, _stable
+
+    return _digest("faillog|" + json.dumps(_stable(fail_log.to_dict()), sort_keys=True))
+
+
+class TestVolumePlanKeys:
+    def test_fail_log_fingerprint_matches_the_stable_lowering(self):
+        from repro.engine.cache import fail_log_fingerprint
+
+        logs = {
+            "empty": FailLog(design="tiny", pattern_count=3),
+            "po": FailLog(design="tiny", pattern_count=4, fails=[
+                FailBit(0, PO_CHAIN, 0, "out0", "0", "1"),
+                FailBit(3, PO_CHAIN, 0, "out1", "1", "0"),
+            ]),
+            "scan": synthetic_log("7"),
+            "two-defect": make_log(visible_defects(2)),
+        }
+        logs["two-defect, re-parsed"] = parse_fail_log(logs["two-defect"].to_text())
+        chains = {bit.chain for bit in logs["two-defect"].fails}
+        assert len(logs["two-defect"].defects) == 2 and chains - {PO_CHAIN}
+        digests = set()
+        for name, log in logs.items():
+            assert fail_log_fingerprint(log) == _stable_fingerprint(log), name
+            digests.add(fail_log_fingerprint(log))
+        assert len(digests) == len(logs) - 1  # the re-parsed log is the same content
+
+    def test_every_job_key_matches_the_per_log_formula(self, tmp_path):
+        """Fingerprinting the scenario once per row keeps every job's cache
+        key byte-identical to the formula evaluated per log."""
+        from repro.engine.cache import (
+            ENGINE_VERSION,
+            _digest,
+            design_identity,
+            spec_fingerprint,
+        )
+        from repro.volume import volume_plan
+
+        session, spec, _, _ = tiny_env()
+        store = small_store(tmp_path)
+        store.add("die-po", FailLog(design="tiny", pattern_count=4, fails=[
+            FailBit(1, PO_CHAIN, 0, session.prepared.model.po_nodes[0][0], "0", "1"),
+        ]), scenario=spec.name)
+        plan = volume_plan(
+            store, {"tiny": session.prepared}, {spec.name: spec},
+            VolumeSpec(scenario=spec.name), options=ULTRA,
+        )
+        jobs = [job for job in plan.jobs if job.kind == "bp-diagnosis"]
+        assert len(jobs) == len(store) == 4
+        design_fp = design_identity(session.prepared)
+        for job in jobs:
+            inputs = {"spec": job.params["spec"], "bp": job.params["bp"]}
+            log = plan.resources["fail_logs"][job.params["log"]]
+            want = _digest(
+                f"diagnosis|engine={ENGINE_VERSION}|design={design_fp}|"
+                f"scenario={spec_fingerprint(spec, ULTRA)}|"
+                f"spec={spec_fingerprint(inputs)}|log={_stable_fingerprint(log)}"
+            )
+            assert job.cache_key == want, job.id
+        assert len({job.cache_key for job in jobs}) == len(jobs)
+
+    def test_processes_run_ships_a_model_with_a_warm_universe(self, tmp_path):
+        """The shipped design's model already holds a candidate universe
+        (and compiled kernels) from a serial run; pickling drops both, so
+        the processes run neither fails to ship nor falls back, and its
+        report equals the serial one."""
+        import pickle
+
+        from repro.volume import volume_plan
+
+        session, spec, _, _ = tiny_env()
+        store = small_store(tmp_path)
+
+        def plan():
+            return volume_plan(
+                store, {"tiny": session.prepared}, {spec.name: spec},
+                VolumeSpec(scenario=spec.name), options=ULTRA,
+            )
+
+        serial = execute_volume_plan(plan())
+        model = session.prepared.model
+        assert "_candidate_universe" in model.__dict__
+        shipped = pickle.loads(pickle.dumps(session.prepared))
+        assert "_candidate_universe" not in shipped.model.__dict__
+        assert "_engine_compiled" not in shipped.model.__dict__
+        pooled = execute_volume_plan(
+            plan(), executor=Executor(backend="processes", max_workers=2)
+        )
+        assert not pooled.degraded, pooled.backend_fallbacks
+        assert pooled.same_results(serial)
+        assert len(pooled) == len(store)
 
 
 # --------------------------------------------------------------------------
