@@ -58,8 +58,8 @@ def main() -> None:
     print("  ...")
 
     # Diagnosis side: rank every cone-intersection candidate by how well its
-    # simulated syndrome matches the log (process-backend fan-out).
-    diagnosis = session.diagnose(defect, scenario="c", backend="processes")
+    # simulated syndrome matches the log.
+    diagnosis = session.diagnose(defect, scenario="c")
     print(f"\n{diagnosis.summary()}")
     assert diagnosis.rank_of_defect == 1, "expected rank-1 recovery"
     print("\nThe injected defect was recovered at rank 1.")

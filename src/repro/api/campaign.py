@@ -274,9 +274,9 @@ class Campaign:
         self._lint = False
         self._lint_waivers: tuple = ()
         #: Diagnosis scoring schedulers, bound into every plan as the
-        #: ``_schedulers`` memo: reused across diagnose() calls so one worker
-        #: pool serves a whole device stream.  Closed when the design or the
-        #: options change (the remainder by the scheduler's GC finalizer).
+        #: ``_schedulers`` memo: reused across diagnose() calls so one
+        #: compiled circuit serves a whole device stream.  Dropped when the
+        #: design or the options change.
         self._schedulers: dict = {}
         #: Syndrome dictionaries per pattern set, bound into every plan as
         #: the ``_syndromes`` memo: each diagnosis candidate is simulated
@@ -300,13 +300,10 @@ class Campaign:
         self._forget()
 
     def _forget(self) -> None:
-        """Drop the kept runs and syndrome dictionaries and close the
-        memoised schedulers (and their worker pools): they describe the
-        previous design or options."""
+        """Drop the kept runs, syndrome dictionaries and memoised
+        schedulers: they describe the previous design or options."""
         self.artifacts.clear()
         self._syndromes.clear()
-        for scheduler in self._schedulers.values():
-            scheduler.close()
         self._schedulers.clear()
 
     # -------------------------------------------------------- fluent builders
@@ -314,9 +311,9 @@ class Campaign:
         self, options: AtpgOptions | None = None, **knobs: object
     ) -> "Campaign":
         """Set the ATPG options, or tweak individual knobs (the engine
-        backend is one: ``sim_backend``/``sim_shards``/``sim_workers``).
+        backend is one: ``sim_backend``).
 
-        Kept :attr:`artifacts` are dropped and memoised schedulers closed:
+        Kept :attr:`artifacts` and memoised schedulers are dropped:
         they were made under the old options (reusing them would pair stale
         patterns with a cache key derived from the new ones).
         """

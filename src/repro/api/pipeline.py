@@ -353,24 +353,19 @@ def materialize_setup(
 def _diagnosis_job_scheduler(resources, prepared, spec, options):
     """The candidate-scoring scheduler a diagnosis job should use.
 
-    Memoised into ``resources["_schedulers"]`` per (design, backend,
-    sharding), so one worker pool serves a whole plan's defect stream.  A
-    campaign (and so a session) binds its own persistent dict there, so its
-    pools also outlive one ``diagnose()`` call; the dict is filled lazily,
-    so a fully cached diagnosis never compiles kernels it will not use.
+    Memoised into ``resources["_schedulers"]`` per (design, backend), so one
+    compiled circuit serves a whole plan's defect stream.  A campaign (and
+    so a session) binds its own persistent dict there, so its schedulers
+    also outlive one ``diagnose()`` call; the dict is filled lazily, so a
+    fully cached diagnosis never compiles kernels it will not use.
     """
     from repro.engine.scheduler import FaultSimScheduler
 
     backend = spec.backend or options.sim_backend
     return _memoised(
         resources, "_schedulers",
-        (id(prepared.model), backend, options.sim_shards, options.sim_workers),
-        lambda: FaultSimScheduler(
-            prepared.model,
-            backend=backend,
-            shard_count=options.sim_shards,
-            max_workers=options.sim_workers,
-        ),
+        (id(prepared.model), backend),
+        lambda: FaultSimScheduler(prepared.model, backend=backend),
     )
 
 

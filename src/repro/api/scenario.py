@@ -66,7 +66,7 @@ class ScenarioSpec:
         path_count: Number of critical paths to target (path-delay only).
         rng_seed: Explicit RNG seed for this scenario's ATPG run (overrides
             ``AtpgOptions.random_seed``); with a fixed seed the run is
-            bit-reproducible across engine backends and shard counts.
+            bit-reproducible across engine backends.
         backend: Engine execution backend for this scenario's fault
             simulation (one of :data:`repro.engine.scheduler.BACKENDS`;
             ``None`` == use the options' ``sim_backend``).

@@ -22,13 +22,10 @@ from repro.logic import Logic
 class AtpgOptions:
     """Effort/behaviour knobs of the test generator itself.
 
-    The ``sim_*`` fields select the execution backend of
-    :mod:`repro.engine`: ``sim_backend`` is one of ``"serial"`` (interpreted
-    reference path), ``"compiled"`` (default) or ``"processes"``
-    (compiled kernels over fault shards); ``sim_shards`` /
-    ``sim_workers`` bound the sharding fan-out (``None`` == auto).  All
-    three are validated on construction, so a typo fails where the option
-    is set, not inside the first job.  Every backend produces bit-identical
+    ``sim_backend`` selects the execution backend of :mod:`repro.engine`:
+    ``"serial"`` (interpreted reference path) or ``"compiled"`` (default).
+    It is validated on construction, so a typo fails where the option is
+    set, not inside the first job.  Both backends produce bit-identical
     patterns and coverage for a given ``random_seed``.
 
     ``prune_untestable`` runs the static untestability prover
@@ -49,20 +46,16 @@ class AtpgOptions:
     fill: str = "random"  # how unassigned scan cells / PIs are filled
     max_patterns: int | None = None
     sim_backend: str = "compiled"
-    sim_shards: int | None = None
-    sim_workers: int | None = None
     prune_untestable: bool = False
 
     def __post_init__(self) -> None:
-        from repro.engine.scheduler import BACKENDS, validate_pool_size
+        from repro.engine.scheduler import BACKENDS
 
         if self.sim_backend not in BACKENDS:
             raise ValueError(
                 f"unknown engine backend {self.sim_backend!r} "
                 f"(expected one of {BACKENDS})"
             )
-        validate_pool_size("sim_shards", self.sim_shards)
-        validate_pool_size("sim_workers", self.sim_workers)
 
 
 @dataclass

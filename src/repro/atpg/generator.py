@@ -117,7 +117,7 @@ class AtpgGenerator:
         self.options = setup.options
         # Explicit value-seeded RNG (threaded down from ScenarioSpec.rng_seed
         # via AtpgOptions.random_seed): runs are bit-reproducible across
-        # engine backends and shard counts.
+        # engine backends.
         self.rng = derive_rng(self.options.random_seed)
 
         universe = list(faults) if faults is not None else self._fault_universe()
@@ -172,18 +172,10 @@ class AtpgGenerator:
         pattern_set = PatternSet()
         tracer = active_tracer()
 
-        try:
-            with tracer.span("atpg:random_phase", setup=self.setup.name):
-                self._random_phase(pattern_set)
-            with tracer.span("atpg:deterministic_phase", setup=self.setup.name):
-                self._deterministic_phase(pattern_set)
-        finally:
-            # Release the fault simulator's engine worker pools so a long
-            # sweep of scenarios does not accumulate idle processes (pooled
-            # backends respawn lazily if this generator runs again).
-            simulator = getattr(self, "simulator", None)
-            if simulator is not None:
-                simulator.close()
+        with tracer.span("atpg:random_phase", setup=self.setup.name):
+            self._random_phase(pattern_set)
+        with tracer.span("atpg:deterministic_phase", setup=self.setup.name):
+            self._deterministic_phase(pattern_set)
 
         self.stats.runtime_seconds = time.perf_counter() - start
         metrics = active_metrics()

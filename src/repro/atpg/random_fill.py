@@ -22,10 +22,10 @@ def derive_rng(seed: int, stream: str | None = None) -> random.Random:
 
     Every consumer of randomness in the ATPG flow derives its generator
     here, which is what makes runs **bit-reproducible across engine
-    backends and shard counts**: fault simulation itself consumes no
+    and executor backends**: fault simulation itself consumes no
     randomness, so as long as the random phase and the X-fill draw from a
     generator seeded purely by value (never by object identity, wall clock
-    or worker id), serial, compiled and sharded-process runs produce the
+    or worker id), serial, compiled and process-pool runs produce the
     same patterns and therefore the same coverage.
 
     ``stream=None`` is the classic single-stream generator (bit-compatible

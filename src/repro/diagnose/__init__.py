@@ -16,8 +16,8 @@ back to ranked candidate defects.  Four pieces:
   from a per-design :class:`CandidateUniverse` (sites, candidates, fault ids
   and row labels built once per node, memoised on the circuit model);
 * :mod:`repro.diagnose.diagnose` — candidate syndromes from a per-pattern-set
-  :class:`SyndromeDictionary` (each fault simulated once, sharded over the
-  engine's serial/compiled/processes backends), tallied per log by syndrome
+  :class:`SyndromeDictionary` (each fault simulated once, on the
+  engine's serial or compiled backend), tallied per log by syndrome
   match, with iterative re-ranking of tied candidates.
 
 API integration lives in :meth:`repro.api.session.TestSession.diagnose` and

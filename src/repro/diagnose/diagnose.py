@@ -13,16 +13,16 @@ more, exactly like a belief-propagation message.
 Predictions come from a :class:`SyndromeDictionary`, one per pattern set:
 a candidate's syndrome depends only on the design, the patterns, the
 capture procedures and its fault, so each fault is simulated once per
-pattern set (per-observation-node ``syndrome_batch`` over the
-serial/compiled/processes backends of
+pattern set (per-observation-node ``syndrome_batch`` on the
+serial/compiled backends of
 :class:`~repro.engine.scheduler.FaultSimScheduler`) and every later log
 only tallies against it.  Results flow through the persistent engine cache
 so re-diagnosing an unchanged (design, scenario, defect) cell is a disk
 read.
 
-Every backend and shard count produces bit-identical syndrome scores and
-therefore identical rankings — ``tests/test_diagnose_backends.py`` holds the
-three backends to exactly that.
+Both backends produce bit-identical syndrome scores and therefore
+identical rankings — ``tests/test_diagnose_backends.py`` holds them to
+exactly that.
 """
 
 from __future__ import annotations
@@ -700,8 +700,6 @@ def simulate_candidate_syndromes(
     fail_log: FailLog,
     *,
     backend: str = "compiled",
-    shard_count: int | None = None,
-    max_workers: int | None = None,
     batch_size: int = 256,
     scheduler: FaultSimScheduler | None = None,
     dictionary: SyndromeDictionary | None = None,
@@ -721,27 +719,19 @@ def simulate_candidate_syndromes(
     ``dictionary`` is shared across the logs of one pattern set (the
     diagnosis job kinds keep one per pattern set in the plan resources);
     without one the call fills a throwaway dictionary.  The evidence is
-    bit-identical either way, and across backends and shard counts.  Pass
-    an externally owned ``scheduler`` to amortize one worker pool over many
-    diagnoses — it is then the caller's to close, and ``backend``/
-    ``shard_count``/``max_workers`` are ignored.
+    bit-identical either way, and across backends.  Pass an externally
+    owned ``scheduler`` to reuse one compiled circuit over many diagnoses;
+    ``backend`` is then ignored.
     """
     candidates: list[Candidate] = candidate_set.candidates
     if dictionary is None:
         dictionary = SyndromeDictionary()
-    owns_scheduler = scheduler is None
     if scheduler is None:
-        scheduler = FaultSimScheduler(
-            model, backend=backend, shard_count=shard_count, max_workers=max_workers
-        )
-    try:
-        dictionary.fill(
-            FrameSimulator(model, domain_map, setup, scheduler),
-            list(patterns), batch_size, candidate_set, scheduler,
-        )
-    finally:
-        if owns_scheduler:
-            scheduler.close()
+        scheduler = FaultSimScheduler(model, backend=backend)
+    dictionary.fill(
+        FrameSimulator(model, domain_map, setup, scheduler),
+        list(patterns), batch_size, candidate_set, scheduler,
+    )
 
     observed = observed_fail_pairs(model, fail_log)
     hit_pairs: list[set[tuple[int, int]]] = [set() for _ in candidates]
@@ -780,8 +770,6 @@ def score_candidates(
     fail_log: FailLog,
     *,
     backend: str = "compiled",
-    shard_count: int | None = None,
-    max_workers: int | None = None,
     batch_size: int = 256,
     rerank_iterations: int = 2,
     scheduler: FaultSimScheduler | None = None,
@@ -790,9 +778,8 @@ def score_candidates(
     """Rank candidate defects by syndrome match against the fail log.
 
     The evidence layer (:func:`simulate_candidate_syndromes`) is shared
-    with volume BP diagnosis; scores are bit-identical across backends and
-    shard counts.  ``scheduler`` and ``dictionary`` are passed through to
-    it.
+    with volume BP diagnosis; scores are bit-identical across backends.
+    ``scheduler`` and ``dictionary`` are passed through to it.
     """
     score_started = time.perf_counter()
     items = list(patterns)
@@ -805,8 +792,6 @@ def score_candidates(
         candidate_set,
         fail_log,
         backend=backend,
-        shard_count=shard_count,
-        max_workers=max_workers,
         batch_size=batch_size,
         scheduler=scheduler,
         dictionary=dictionary,
@@ -895,11 +880,11 @@ def run_diagnosis(
         spec: The declarative diagnosis configuration.
         fail_log: An externally captured fail log; ``None`` injects
             ``spec.defect`` and captures one (the closed-loop experiment).
-        options: Engine execution knobs (``sim_backend``/``sim_shards``/
-            ``sim_workers``); ``spec.backend`` overrides the backend.
+        options: Engine execution knobs (``sim_backend``);
+            ``spec.backend`` overrides the backend.
         scheduler: An externally owned scoring scheduler, reused across
-            diagnoses to amortize one worker pool over a whole device stream
-            (volume diagnosis); overrides the backend knobs and stays open.
+            diagnoses to amortize one compiled circuit over a whole device
+            stream (volume diagnosis); overrides the backend knob.
         dictionary: The pattern set's :class:`SyndromeDictionary`, shared
             across diagnoses on the same pattern set and batch size
             (``None``: a throwaway one).
@@ -937,8 +922,6 @@ def run_diagnosis(
         candidate_set,
         fail_log,
         backend=backend,
-        shard_count=options.sim_shards,
-        max_workers=options.sim_workers,
         batch_size=spec.batch_size,
         rerank_iterations=spec.rerank_iterations,
         scheduler=scheduler,

@@ -6,10 +6,9 @@ Three pieces:
   :class:`~repro.simulation.model.CircuitModel` once into flat instruction
   tapes (gate-specialized plane evaluators, cached fanout cones), replacing
   the per-call dict walks of the interpreted simulators;
-* :mod:`repro.engine.scheduler` — the ``Backend`` protocol (``serial`` /
-  ``compiled`` / ``processes``) and the
-  :class:`~repro.engine.scheduler.FaultSimScheduler` that shards fault
-  batches across workers and merges detection masks deterministically;
+* :mod:`repro.engine.scheduler` — the
+  :class:`~repro.engine.scheduler.FaultSimScheduler` that grades fault
+  batches on the ``serial`` (interpreted reference) or ``compiled`` backend;
 * :mod:`repro.engine.cache` — a persistent content-addressed result store
   keyed on (design fingerprint, scenario fingerprint, engine version).
 
@@ -32,37 +31,18 @@ from repro.engine.cache import (
     spec_fingerprint,
 )
 from repro.engine.compile import ENGINE_VERSION, CompiledCircuit, compile_circuit
-from repro.engine.scheduler import (
-    BACKENDS,
-    Backend,
-    FaultSimScheduler,
-    ProcessBackend,
-    SerialBackend,
-    ThreadBackend,
-    backend_factory,
-    default_worker_count,
-    has_backend_factory,
-    register_backend,
-)
+from repro.engine.scheduler import BACKENDS, FaultSimScheduler
 
 __all__ = [
     "BACKENDS",
-    "Backend",
-    "backend_factory",
-    "has_backend_factory",
-    "register_backend",
     "CACHE_ENV_VAR",
     "CompiledCircuit",
     "ENGINE_VERSION",
     "FaultSimScheduler",
-    "ProcessBackend",
     "ResultCache",
-    "SerialBackend",
-    "ThreadBackend",
     "campaign_cell_key",
     "compile_circuit",
     "default_cache_root",
-    "default_worker_count",
     "design_fingerprint",
     "design_identity",
     "design_spec_fingerprint",

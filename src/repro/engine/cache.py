@@ -207,11 +207,16 @@ def diagnosis_key(
     :func:`fail_log_fingerprint` of an externally captured fail log, so
     tester logs are content-addressed too; closed-loop runs pass ``None``
     and are keyed by their injected defects alone.
+
+    ``diagnosis`` holds only JSON scalars, lists and ``str``-keyed dicts, so
+    one ``json.dumps`` lowers it to the :func:`spec_fingerprint` digest
+    without the generic :func:`_stable` walk (the same shortcut as
+    :func:`fail_log_fingerprint`).
     """
+    spec_fp = _digest(json.dumps({"spec": diagnosis, "options": None}, sort_keys=True))
     return _digest(
         f"diagnosis|engine={ENGINE_VERSION}|design={design_fp}|"
-        f"scenario={scenario_fp}|"
-        f"spec={spec_fingerprint(diagnosis)}|log={log_fp}"
+        f"scenario={scenario_fp}|spec={spec_fp}|log={log_fp}"
     )
 
 

@@ -195,9 +195,8 @@ class _Scratch:
 class CompiledCircuit:
     """A :class:`CircuitModel` lowered into flat execution tapes.
 
-    Thread-safe: faulty-machine scratch planes are thread-local, so shard
-    workers of the :mod:`~repro.engine.scheduler` thread backend can share
-    one instance.
+    Thread-safe: faulty-machine scratch planes are thread-local, so jobs on
+    the runtime executor's ``threads`` backend can share one instance.
     """
 
     def __init__(self, model: CircuitModel) -> None:

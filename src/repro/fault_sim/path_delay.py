@@ -39,10 +39,6 @@ class PathDelaySensitizationChecker:
             model, domain_map, setup, backend=backend
         )
 
-    def close(self) -> None:
-        """Release the underlying simulator's worker pools."""
-        self._simulator.close()
-
     def sensitizes(self, pattern: TestPattern, fault: PathDelayFault) -> bool:
         """True when the pattern launches and propagates along the path."""
         frames = self._simulator._frame_values_packed([pattern], pattern.procedure)

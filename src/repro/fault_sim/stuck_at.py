@@ -11,9 +11,8 @@ the caller (usually via a :class:`~repro.faults.fault_list.FaultList`).
 it remains the ``serial`` reference backend of :mod:`repro.engine` and the
 ground truth the compiled kernels are equivalence-tested against.  The
 simulator class routes through a
-:class:`~repro.engine.scheduler.FaultSimScheduler`, so the backend (and the
-shard fan-out of the ``processes`` backend) is selectable per
-instance.
+:class:`~repro.engine.scheduler.FaultSimScheduler`, so the backend is
+selectable per instance.
 """
 
 from __future__ import annotations
@@ -149,10 +148,7 @@ class StuckAtFaultSimulator:
     Args:
         backend: Engine execution backend (``"serial"`` runs the interpreted
             reference path above; ``"compiled"``, the default, uses the
-            precompiled kernels; ``"processes"`` shards the fault batch
-            over worker processes).  All backends produce identical
-            detection masks.
-        shard_count / max_workers: Sharding fan-out for the pooled backends.
+            precompiled kernels).  Both produce identical detection masks.
     """
 
     def __init__(
@@ -161,8 +157,6 @@ class StuckAtFaultSimulator:
         observation: Sequence[int] | None = None,
         batch_size: int = 256,
         backend: str | None = None,
-        shard_count: int | None = None,
-        max_workers: int | None = None,
     ) -> None:
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
@@ -171,17 +165,7 @@ class StuckAtFaultSimulator:
             list(observation) if observation is not None else model.observation_nodes()
         )
         self.batch_size = batch_size
-        self.scheduler = FaultSimScheduler(
-            model,
-            backend=backend or "compiled",
-            shard_count=shard_count,
-            max_workers=max_workers,
-        )
-
-    def close(self) -> None:
-        """Release the scheduler's worker pools (safe to keep simulating:
-        pooled backends respawn lazily on the next batch)."""
-        self.scheduler.close()
+        self.scheduler = FaultSimScheduler(model, backend=backend or "compiled")
 
     def simulate(
         self,

@@ -18,8 +18,7 @@ inter-domain launch/capture procedures of the enhanced CPF.
 
 Per-fault detection routes through a
 :class:`~repro.engine.scheduler.FaultSimScheduler`, so the execution backend
-(interpreted ``serial`` reference, in-process ``compiled`` kernels, or
-sharded ``processes`` pool) follows
+(interpreted ``serial`` reference or ``compiled`` kernels) follows
 ``setup.options.sim_backend`` unless overridden per instance; every backend
 yields identical detections.
 """
@@ -198,26 +197,15 @@ class TransitionFaultSimulator:
         setup: TestSetup,
         batch_size: int = 256,
         backend: str | None = None,
-        shard_count: int | None = None,
-        max_workers: int | None = None,
     ) -> None:
         self.model = model
         self.domain_map = domain_map
         self.setup = setup
         self.batch_size = max(1, batch_size)
-        options = setup.options
         self.scheduler = FaultSimScheduler(
-            model,
-            backend=backend or options.sim_backend,
-            shard_count=shard_count or options.sim_shards,
-            max_workers=max_workers or options.sim_workers,
+            model, backend=backend or setup.options.sim_backend
         )
         self.frames = FrameSimulator(model, domain_map, setup, self.scheduler)
-
-    def close(self) -> None:
-        """Release the scheduler's worker pools (safe to keep simulating:
-        pooled backends respawn lazily on the next batch)."""
-        self.scheduler.close()
 
     # ------------------------------------------------------------- observation
     def observation_nodes(self, procedure: NamedCaptureProcedure) -> list[int]:

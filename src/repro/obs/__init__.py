@@ -19,15 +19,15 @@ Everything hangs off one :class:`Telemetry` object::
 
 The default everywhere is the shared, falsy :data:`NULL_TELEMETRY`: with it,
 instrumented code records nothing, reports stay byte-identical to their
-un-instrumented output, and all three engine backends remain bit-identical.
+un-instrumented output, and both engine backends remain bit-identical.
 
 Counter taxonomy (prefix per plane): ``cache.*`` result-cache I/O,
 ``executor.*`` runtime dispatch (retries, backend fallbacks, sink errors),
-``engine.*`` fault-sim sharding, ``atpg.*`` generation, and ``serve.*`` the
+``engine.*`` fault-sim kernels, ``atpg.*`` generation, and ``serve.*`` the
 service plane — ``serve.jobs_submitted`` / ``serve.jobs_started`` /
 ``serve.jobs_done`` / ``serve.jobs_failed`` / ``serve.jobs_cancelled`` /
 ``serve.recovered_jobs`` queue lifecycle, ``serve.remote_requeues``
-lost-worker shard requeues, ``serve.local_fallbacks`` remote→local dispatch
+lost-worker task requeues, ``serve.local_fallbacks`` remote→local dispatch
 degradations and ``serve.quota_evictions`` tenant-store pruning.
 """
 

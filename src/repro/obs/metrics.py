@@ -5,7 +5,7 @@ Names are dotted strings grouped by subsystem (``engine.tape_passes``,
 numbers so a :meth:`MetricsRegistry.snapshot` drops straight into report
 JSON and round-trips losslessly.  :meth:`MetricsRegistry.merge` folds a
 worker's snapshot into the parent registry (counters add, gauges last-write-
-wins, histograms combine), mirroring how the engine merges shard results.
+wins, histograms combine).
 
 The shared :data:`NULL_METRICS` instance is the disabled path: every method
 is a no-op, so hot code increments unconditionally through

@@ -11,7 +11,7 @@ Activation is a process-global stack (not a ``contextvars`` variable, on
 purpose: executor worker *threads* must see the run's telemetry, and thread
 pools do not inherit context).  Process workers start with an empty stack,
 so their spans/counters are folded in at the existing merge seams (timed
-shard workers, worker metric snapshots) rather than recorded remotely.
+shipped jobs, worker metric snapshots) rather than recorded remotely.
 
 The disabled singleton :data:`NULL_TELEMETRY` is falsy and shared: the
 default for every layer, with no measurable overhead — one list check per

@@ -15,10 +15,9 @@ Design constraints inherited from the engine:
 
 * **thread-safe** — spans may open/close on executor worker threads; the
   current-span stack is thread-local and the finished list lock-guarded;
-* **merge-friendly** — work that was timed elsewhere (fault-simulation
-  shards in worker processes) is folded in *after the fact* with
-  :meth:`Tracer.record`, called in shard order at the same seam that merges
-  detection masks, so span order is as deterministic as the results;
+* **merge-friendly** — work that was timed elsewhere (jobs shipped to
+  worker processes, diagnosis stages) is folded in *after the fact* with
+  :meth:`Tracer.record`, called at the same seam that lands the results;
 * **zero-dependency** — stdlib only, like everything under ``repro``.
 
 The module-level :data:`NULL_TRACER` is the shared disabled instance: its
@@ -325,9 +324,9 @@ class Tracer:
 
         ``start``/``end`` are ``time.perf_counter()`` readings from this
         process; a remote-process measurement passes ``duration`` (anchored
-        at ``start`` when given, else ending now).  Called in shard order at
-        merge seams, so recorded spans are as ordered as the results they
-        describe.
+        at ``start`` when given, else ending now).  Called at the seams
+        that land results, so recorded spans are as ordered as the results
+        they describe.
         """
         now = time.perf_counter()
         if end is None:

@@ -8,7 +8,9 @@ Every run path of the API front door compiles to the same three pieces:
   built-in compilers; custom kinds register with
   :func:`~repro.runtime.plan.register_job_kind`);
 * :class:`~repro.runtime.executor.Executor` — topological scheduling over
-  the engine's serial/threads/processes backends, cache-aware job skipping
+  the serial/threads/processes backends of :mod:`repro.runtime.backends`
+  (plus any registered with
+  :func:`~repro.runtime.backends.register_backend`), cache-aware job skipping
   (interrupted plans resume from the persistent
   :class:`~repro.engine.cache.ResultCache`), cancellation, per-job retry and
   one centralised processes→threads spill;
@@ -26,6 +28,16 @@ Quickstart::
     result = Executor(backend="processes").execute(plan)
 """
 
+from repro.runtime.backends import (
+    EXECUTOR_BACKENDS,
+    Backend,
+    ProcessBackend,
+    ThreadBackend,
+    backend_factory,
+    default_worker_count,
+    has_backend_factory,
+    register_backend,
+)
 from repro.runtime.events import (
     EVENT_KINDS,
     EVENT_SCHEMA_VERSION,
@@ -33,7 +45,6 @@ from repro.runtime.events import (
     event_from_json,
 )
 from repro.runtime.executor import (
-    EXECUTOR_BACKENDS,
     Executor,
     JobResult,
     PlanCancelled,
@@ -50,6 +61,7 @@ from repro.runtime.plan import (
 )
 
 __all__ = [
+    "Backend",
     "EVENT_KINDS",
     "EVENT_SCHEMA_VERSION",
     "EXECUTOR_BACKENDS",
@@ -63,7 +75,13 @@ __all__ = [
     "Plan",
     "PlanCancelled",
     "PlanResult",
+    "ProcessBackend",
+    "ThreadBackend",
+    "backend_factory",
     "chain",
+    "default_worker_count",
     "handler_for",
+    "has_backend_factory",
+    "register_backend",
     "register_job_kind",
 ]

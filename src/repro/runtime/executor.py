@@ -7,8 +7,8 @@ silent threads fallback), ``TestSession.diagnose`` (memoised schedulers),
 resume) — each reimplementing cache probing, fallback and result assembly.
 They are now *plan compilers*; this executor owns the one copy of:
 
-* **topological scheduling** — jobs run in dependency waves over the engine's
-  :class:`~repro.engine.scheduler.Backend` protocol (``serial`` / ``threads``
+* **topological scheduling** — jobs run in dependency waves over the
+  :class:`~repro.runtime.backends.Backend` protocol (``serial`` / ``threads``
   / ``processes``); single-job waves always run in-process (spinning a pool
   for one job costs more than it buys, matching the historical front doors);
 * **cache-aware skipping** — jobs whose ``cache_key`` is present in the
@@ -40,14 +40,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.engine.cache import ResultCache, coerce_cache
-from repro.engine.scheduler import (
-    ProcessBackend,
-    ThreadBackend,
-    backend_factory,
-    has_backend_factory,
-    is_result_transport_error,
-    validate_pool_size,
-)
 from repro.obs.telemetry import (
     Telemetry,
     active_metrics,
@@ -55,15 +47,17 @@ from repro.obs.telemetry import (
     coerce_telemetry,
     get_telemetry,
 )
+from repro.runtime.backends import (
+    EXECUTOR_BACKENDS,
+    ProcessBackend,
+    ThreadBackend,
+    backend_factory,
+    has_backend_factory,
+    is_result_transport_error,
+    validate_pool_size,
+)
 from repro.runtime.events import Event
 from repro.runtime.plan import Job, Plan, handler_for, handler_module
-
-#: Built-in plan fan-out backends (the engine backend set minus ``compiled``,
-#: which only makes sense *inside* fault simulation).  Backends registered
-#: via :func:`~repro.engine.scheduler.register_backend` (e.g. the serve
-#: plane's ``remote``) are accepted in addition to these.
-EXECUTOR_BACKENDS = ("serial", "threads", "processes")
-
 
 class PlanCancelled(RuntimeError):
     """Raised by report assemblers when a cancelled plan left jobs unrun."""
@@ -213,13 +207,14 @@ class Executor:
 
     Args:
         backend: One of :data:`EXECUTOR_BACKENDS`, or a backend registered
-            with :func:`~repro.engine.scheduler.register_backend` (such
+            with :func:`~repro.runtime.backends.register_backend` (such
             backends dispatch exactly like ``processes`` — picklable wave
             payloads shipped through the factory-built backend, with the
             same threads spill on transport failure).
         max_workers: Pool size for the pooled backends (``None`` == one
-            thread per wave job for ``threads``, the engine's auto sizing
-            for ``processes``).
+            thread per wave job for ``threads``; for ``processes``, one
+            worker per job of the plan's widest wave, bounded by the core
+            count).
         cache: A :class:`~repro.engine.cache.ResultCache` (or anything
             :func:`~repro.engine.cache.coerce_cache` accepts) used to skip
             jobs whose ``cache_key`` already resolves and to store fresh
@@ -669,7 +664,7 @@ class Executor:
                 emit("job_started", job)
         # Worker threads have their own (empty) span stacks: pin the wave
         # span open on *this* thread as every job span's parent, so spans
-        # opened inside the handler (stages, shards) still nest correctly.
+        # opened inside the handler (stages) still nest correctly.
         tracer = active_tracer()
         wave_span = tracer.current_id()
 

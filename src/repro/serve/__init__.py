@@ -17,7 +17,7 @@ outlives a Python process:
   oldest-first eviction;
 * :mod:`repro.serve.worker` — :class:`~repro.serve.worker.ServeWorker`
   execution slots and the ``remote``
-  :class:`~repro.engine.scheduler.Backend` that ships executor waves to
+  :class:`~repro.runtime.backends.Backend` that ships executor waves to
   them (heartbeat leases, lost-shard requeue, local fallback).
 
 Restart safety is the defining property: a killed server's claims are

@@ -12,10 +12,10 @@ Two halves of one wire:
   itself with a :class:`~repro.serve.server.ServeServer` and re-registers
   periodically so the server's registry doubles as its liveness record).
 
-* :class:`RemoteBackend` — an engine
-  :class:`~repro.engine.scheduler.Backend` that fans those payloads out over
+* :class:`RemoteBackend` — a runtime
+  :class:`~repro.runtime.backends.Backend` that fans those payloads out over
   registered workers.  It is registered as the ``"remote"`` executor backend
-  (:func:`~repro.engine.scheduler.register_backend`), so
+  (:func:`~repro.runtime.backends.register_backend`), so
   ``Executor(backend="remote", backend_options={"workers": [...]})`` is all
   it takes — the executor ships waves through it exactly as it ships them to
   the local process pool, which is what keeps remote results byte-identical
@@ -47,8 +47,8 @@ import threading
 import time
 from typing import Any, Callable, Sequence
 
-from repro.engine.scheduler import register_backend
 from repro.obs.telemetry import active_metrics
+from repro.runtime.backends import register_backend
 from repro.serve.protocol import (
     WakingTCPServer,
     decode_blob,
@@ -276,7 +276,7 @@ class _RemoteTaskError(Exception):
 
 
 class RemoteBackend:
-    """Engine backend fanning shipped tasks out over remote workers.
+    """Executor backend fanning shipped tasks out over remote workers.
 
     Constructed by the executor through the registered ``"remote"`` factory:
     ``initializer``/``initargs`` follow the ``concurrent.futures`` contract
@@ -317,10 +317,6 @@ class RemoteBackend:
         self._local_init_done = False
 
     # ------------------------------------------------------------- protocol
-    def map(self, fn: Callable, items: Sequence) -> list:
-        done = self.run_tasks(fn, items)
-        return [done[index] for index in range(len(items))]
-
     def close(self) -> None:
         """Connections are per ``run_tasks`` call; nothing pooled to release."""
 

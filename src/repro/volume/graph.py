@@ -14,8 +14,7 @@ Evidence comes from the same kernels as the legacy ranking
 (:func:`repro.diagnose.diagnose.simulate_candidate_syndromes`, i.e.
 ``FaultSimScheduler.syndrome_batch`` over
 ``CompiledCircuit.syndrome_batch``), so BP verdicts are
-bit-identical across the serial/compiled/processes backends and
-every shard count.  Candidates are extracted in *union*-cone mode: a
+bit-identical across the serial/compiled backends.  Candidates are extracted in *union*-cone mode: a
 multi-defect die only requires each candidate to reach its own share of
 the failing observations.
 """
@@ -459,8 +458,6 @@ def run_bp_diagnosis(
         candidate_set,
         fail_log,
         backend=backend,
-        shard_count=options.sim_shards,
-        max_workers=options.sim_workers,
         batch_size=spec.batch_size,
         scheduler=scheduler,
         dictionary=dictionary,

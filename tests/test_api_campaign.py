@@ -80,13 +80,6 @@ class TestCampaignBuilder:
         with pytest.raises(TypeError):
             campaign.diagnose_volume([], None, "threads", executor=Executor())
 
-    def test_options_reject_non_positive_pool_knobs(self, fast_options):
-        campaign = Campaign(["tiny"], ["a"], options=fast_options)
-        with pytest.raises(ValueError, match=r"sim_shards must be a positive integer \(got 0\)"):
-            campaign.with_options(sim_backend="processes", sim_shards=0)
-        with pytest.raises(ValueError, match=r"sim_workers must be a positive integer \(got -2\)"):
-            campaign.with_options(sim_backend="processes", sim_workers=-2)
-
 
 class TestCampaignResults:
     def test_cells_cover_the_grid(self, small_grid_report):

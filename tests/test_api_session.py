@@ -176,13 +176,7 @@ class TestSessionBuilder:
         with pytest.raises(TypeError):
             session.run(max_workers=2, executor=Executor())
 
-    def test_options_reject_non_positive_pool_knobs(self, tiny_prepared):
-        """Session options and executor share one validation message."""
-        session = TestSession.from_prepared(tiny_prepared)
-        with pytest.raises(ValueError, match=r"sim_shards must be a positive integer \(got 0\)"):
-            session.with_options(sim_backend="processes", sim_shards=0)
-        with pytest.raises(ValueError, match=r"sim_workers must be a positive integer \(got -2\)"):
-            session.with_options(sim_backend="processes", sim_workers=-2)
+    def test_options_reject_non_positive_pool_knobs(self):
         with pytest.raises(ValueError, match=r"workers must be a positive integer \(got 0\)"):
             Executor(backend="processes", max_workers=0)
 

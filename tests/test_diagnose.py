@@ -519,6 +519,10 @@ class TestDiagnosis:
             DiagnosisSpec(scenario="s", candidate_kinds=("bridge",))
         with pytest.raises(ValueError, match="unknown engine backend"):
             DiagnosisSpec(scenario="s", backend="gpu")
+        with pytest.raises(
+            ValueError, match=r"'processes' \(expected one of \('serial', 'compiled'\)\)"
+        ):
+            DiagnosisSpec(scenario="s", backend="processes")
         spec = DiagnosisSpec(
             scenario="table1-a",
             defect=DefectSpec(kind="stuck-at", net="n", value=0),

@@ -1,11 +1,11 @@
 """Diagnosis acceptance: rank-1 recovery on every registry design, and
-bit-identical candidate rankings across all four engine backends.
+bit-identical candidate rankings across both engine backends.
 
 For each registered design and each defect family (stuck-at, transition,
 inter-domain) a single defect is injected, its fail log captured, and the
 Table 1 scenario's pattern set diagnosed on every engine backend
-(``repro.engine.scheduler.BACKENDS``) — every backend (and shard count) must produce the identical
-ranking, with the injected defect at rank 1.
+(``repro.engine.scheduler.BACKENDS``) — every backend must produce the
+identical ranking, with the injected defect at rank 1.
 """
 
 from __future__ import annotations
@@ -115,24 +115,6 @@ def test_injected_defect_rank_1_on_all_backends(design, kind):
         assert result.same_ranking(reference), f"{design}/{kind}/{backend}"
 
 
-@pytest.mark.parametrize("shards", [1, 3, 7])
-def test_shard_count_does_not_change_rankings(shards):
-    session, spec, run, setup = scenario_env("tiny", "c")
-    defect = pick_defect("transition", session, spec, run, setup)
-    reference = run_diagnosis(
-        session.prepared, setup, run.patterns,
-        DiagnosisSpec(scenario=spec.name, defect=defect, backend="compiled"),
-        options=ULTRA,
-    )
-    for backend in ("processes",):
-        sharded = run_diagnosis(
-            session.prepared, setup, run.patterns,
-            DiagnosisSpec(scenario=spec.name, defect=defect, backend=backend),
-            options=AtpgOptions(sim_shards=shards),
-        )
-        assert sharded.same_ranking(reference), (backend, shards)
-
-
 def test_syndrome_batch_consistent_with_detect_batch():
     """Engine-level contract: OR of syndrome_batch == detect_batch, on every
     backend, for both fault models."""
@@ -148,7 +130,7 @@ def test_syndrome_batch_consistent_with_detect_batch():
     transition = all_transition_faults(model)[::37][:20]
     reference = None
     for backend in ALL_BACKENDS:
-        scheduler = FaultSimScheduler(model, backend=backend, spill_threshold=0)
+        scheduler = FaultSimScheduler(model, backend=backend)
         frames_sim = FrameSimulator(model, session.prepared.domain_map, setup, scheduler)
         frames = frames_sim.frame_values_packed(batch, procedure)
         launch = frames[procedure.launch_frame]
@@ -168,7 +150,6 @@ def test_syndrome_batch_consistent_with_detect_batch():
                     merged |= mask
                 assert merged == detect
             outcome.append(syndromes)
-        scheduler.close()
         if reference is None:
             reference = outcome
         else:

@@ -11,6 +11,7 @@ from repro.api.scenarios import table1_scenario
 from repro.atpg import AtpgOptions
 from repro.atpg.random_fill import derive_rng
 from repro.circuits import random_combinational, random_sequential
+from repro.diagnose import DefectSpec, DiagnosisSpec, FailBit, FailLog
 from repro.engine import (
     BACKENDS,
     ENGINE_VERSION,
@@ -19,14 +20,22 @@ from repro.engine import (
     campaign_cell_key,
     compile_circuit,
     design_fingerprint,
+    diagnosis_key,
+    fail_log_fingerprint,
     spec_fingerprint,
 )
+from repro.engine.cache import _digest
 from repro.faults import all_stuck_at_faults, collapse_faults
 from repro.fault_sim.stuck_at import propagate_fault_packed
 from repro.logic import Logic
 from repro.runtime import Executor
 from repro.simulation import build_model
 from repro.simulation.parallel_sim import pack_patterns, simulate_packed
+from repro.volume.bp import BpOptions
+
+
+#: The message every engine-backend check raises for an unknown name.
+_REJECTED = r"unknown engine backend '{}' \(expected one of \('serial', 'compiled'\)\)"
 
 
 def _random_assignments(model, rng, num_patterns=48):
@@ -89,43 +98,32 @@ class TestKernelCompiler:
 class TestSchedulerPlumbing:
     def test_unknown_backend_rejected(self):
         model = build_model(random_combinational(4, 10, 2, seed=5))
-        with pytest.raises(ValueError, match="unknown engine backend"):
-            FaultSimScheduler(model, backend="gpu")
+        for backend in ("gpu", "processes"):
+            with pytest.raises(ValueError, match=_REJECTED.format(backend)):
+                FaultSimScheduler(model, backend=backend)
 
     def test_scenario_spec_backend_validated(self):
-        with pytest.raises(ValueError, match="unknown engine backend"):
-            ScenarioSpec(
-                name="bad-backend",
-                description="",
-                procedures=lambda prepared: [],
-                backend="quantum",
-            )
+        for backend in ("quantum", "processes"):
+            with pytest.raises(ValueError, match=_REJECTED.format(backend)):
+                ScenarioSpec(
+                    name="bad-backend",
+                    description="",
+                    procedures=lambda prepared: [],
+                    backend=backend,
+                )
 
     def test_session_options_select_engine_backend(self):
-        session = TestSession.for_soc(size=1).with_options(
-            sim_backend="processes", sim_shards=3, sim_workers=2
-        )
-        assert session.options.sim_backend == "processes"
-        assert session.options.sim_shards == 3
-        assert session.options.sim_workers == 2
+        session = TestSession.for_soc(size=1).with_options(sim_backend="serial")
+        assert session.options.sim_backend == "serial"
         with pytest.raises(ValueError, match="unknown engine backend"):
             session.with_options(sim_backend="gpu")
 
-    def test_backend_switch_preserves_configured_sharding(self):
-        session = TestSession.for_soc(size=1).with_options(
-            sim_shards=8, sim_workers=8
-        ).with_options(sim_backend="processes")
-        assert session.options.sim_shards == 8
-        assert session.options.sim_workers == 8
-
     def test_options_validate_engine_knobs_where_they_are_set(self):
-        """A bad ``sim_*`` knob fails at construction, not in the first job."""
-        with pytest.raises(ValueError, match="unknown engine backend 'threads'"):
-            AtpgOptions(sim_backend="threads")
-        with pytest.raises(ValueError, match=r"sim_workers must be a positive integer \(got 0\)"):
-            AtpgOptions(sim_workers=0)
-        with pytest.raises(ValueError, match=r"sim_shards must be a positive integer \(got -1\)"):
-            AtpgOptions(sim_shards=-1)
+        """A bad ``sim_backend`` fails at construction, not in the first
+        job; the executor's pool backends are not engine backends."""
+        for backend in ("threads", "processes"):
+            with pytest.raises(ValueError, match=_REJECTED.format(backend)):
+                AtpgOptions(sim_backend=backend)
 
     def test_run_backend_validated(self):
         session = TestSession.for_soc(size=1).add_scenario("table1-a")
@@ -184,6 +182,35 @@ class TestFingerprints:
         assert spec_fingerprint(two) == spec_fingerprint(
             spec.with_overrides(procedures=make_procs(2))
         )
+
+    @pytest.mark.parametrize("variant", ["spec", "bp", "defects", "fail_log"])
+    def test_diagnosis_key_matches_the_generic_lowering(self, variant):
+        """``diagnosis_key`` lowers its JSON-safe verdict inputs (built like
+        ``lower_diagnoses`` builds them) with one ``json.dumps``; the key
+        must equal the one the generic ``spec_fingerprint`` walk gives."""
+        defects = [
+            DefectSpec(kind="stuck-at", net="scan_en", value=1),
+            DefectSpec(kind="transition", net="n7", polarity="slow-to-fall"),
+        ]
+        spec = DiagnosisSpec(
+            scenario="table1-c",
+            defect=defects[0] if variant == "defects" else None,
+            max_sites=12,
+        )
+        inputs: dict = {"spec": spec.to_dict()}
+        if variant in ("bp", "defects"):
+            inputs["bp"] = BpOptions(damping=0.25).to_dict()
+        if variant == "defects":
+            inputs["defects"] = [defect.to_dict() for defect in defects]
+        log_fp = None
+        if variant == "fail_log":
+            log = FailLog("tiny", 4, [FailBit(1, "chain0", 3, "ff3", "0", "1")])
+            log_fp = fail_log_fingerprint(log)
+        expected = _digest(
+            f"diagnosis|engine={ENGINE_VERSION}|design=design|scenario=scenario|"
+            f"spec={spec_fingerprint(inputs)}|log={log_fp}"
+        )
+        assert diagnosis_key("design", "scenario", inputs, log_fp=log_fp) == expected
 
     def test_partial_factories_fingerprint_without_addresses(self):
         import functools

@@ -1,10 +1,10 @@
 """Engine/legacy equivalence: every backend must produce identical results.
 
-The compiled kernels and the sharded pooled backends are only admissible
-because they change *where* the arithmetic runs, never *what* it computes.
-This suite holds them to that bar on randomized circuits and on the SoC
-session flow: identical detection masks fault by fault, identical coverage
-and pattern counts, regardless of backend or shard count.
+The compiled kernels are only admissible because they change *how* the
+arithmetic runs, never *what* it computes.  This suite holds them to that
+bar on randomized circuits and on the SoC session flow: identical detection
+masks fault by fault, identical coverage and pattern counts, regardless of
+engine or executor backend.
 """
 
 from __future__ import annotations
@@ -89,15 +89,8 @@ def test_stuck_at_detection_masks_identical_across_backends(seed):
     patterns = _flat_patterns(model, seed)
     reference = None
     for backend in ALL_BACKENDS:
-        simulator = StuckAtFaultSimulator(
-            model, batch_size=8, backend=backend, shard_count=3, max_workers=2
-        )
-        # Force the pooled path even on tiny rounds so sharding is exercised.
-        simulator.scheduler.spill_threshold = 0
-        try:
-            result = simulator.simulate(patterns, faults, drop_detected=True)
-        finally:
-            simulator.scheduler.close()
+        simulator = StuckAtFaultSimulator(model, batch_size=8, backend=backend)
+        result = simulator.simulate(patterns, faults, drop_detected=True)
         if reference is None:
             reference = result.detections
         else:
@@ -113,21 +106,11 @@ def test_transition_detections_identical_across_backends(seed):
     results = {}
     for backend in ALL_BACKENDS:
         simulator = TransitionFaultSimulator(
-            model,
-            domain_map,
-            setup,
-            batch_size=8,
-            backend=backend,
-            shard_count=3,
-            max_workers=2,
+            model, domain_map, setup, batch_size=8, backend=backend
         )
-        simulator.scheduler.spill_threshold = 0
-        try:
-            results[backend] = simulator.simulate(
-                patterns, faults, drop_detected=True
-            ).detections
-        finally:
-            simulator.scheduler.close()
+        results[backend] = simulator.simulate(
+            patterns, faults, drop_detected=True
+        ).detections
     for backend in ALL_BACKENDS[1:]:
         assert results[backend] == results["serial"], f"{backend} diverged"
     assert any(hits for hits in results["serial"].values())
@@ -138,15 +121,9 @@ def test_multi_frame_stuck_at_identical_across_backends():
     faults = collapse_faults(model, all_stuck_at_faults(model)).representatives
     patterns = _pattern_batch(model, setup, 13)
     reference = None
-    for backend in ("serial", "compiled", "processes"):
-        simulator = TransitionFaultSimulator(
-            model, domain_map, setup, backend=backend, shard_count=2
-        )
-        simulator.scheduler.spill_threshold = 0
-        try:
-            detections = simulator.simulate_stuck_at(patterns, faults)
-        finally:
-            simulator.scheduler.close()
+    for backend in ALL_BACKENDS:
+        simulator = TransitionFaultSimulator(model, domain_map, setup, backend=backend)
+        detections = simulator.simulate_stuck_at(patterns, faults)
         if reference is None:
             reference = detections
         else:
@@ -214,24 +191,6 @@ def test_position_indexed_grading_matches_the_keyed_loop(drop_detected):
         assert list(got) == list(expected)
         assert got == expected
         assert all(len(got[fault]) > len(set(got[fault])) for fault in hit[:5])
-    simulator.close()
-
-
-@pytest.mark.parametrize("shard_count", [1, 4])
-def test_shard_count_does_not_change_results(shard_count):
-    model, _domain_map, _setup = _random_design(21)
-    faults = collapse_faults(model, all_stuck_at_faults(model)).representatives
-    patterns = _flat_patterns(model, 21)
-    baseline = StuckAtFaultSimulator(model, backend="compiled")
-    expected = baseline.simulate(patterns, faults).detections
-    sharded = StuckAtFaultSimulator(
-        model, backend="processes", shard_count=shard_count, max_workers=2
-    )
-    sharded.scheduler.spill_threshold = 0
-    try:
-        assert sharded.simulate(patterns, faults).detections == expected
-    finally:
-        sharded.scheduler.close()
 
 
 def _stem_corner_model(seed):
@@ -333,7 +292,6 @@ class TestSessionLevelEquivalence:
     def test_sim_backends_match_reference_end_to_end(self):
         reference = self._run("serial", sim_backend="serial")
         assert self._run("serial", sim_backend="compiled") == reference
-        assert self._run("serial", sim_backend="processes") == reference
 
     def test_rng_seed_override_is_reproducible_across_backends(self):
         def run_with_seed(sim_backend):

@@ -1,12 +1,11 @@
 """Hierarchical-kernel admission suite: flat and hierarchical lowerings of
-a ≥10⁴-gate SoC must be bit-identical, on every backend and shard count.
+a ≥10⁴-gate SoC must be bit-identical, on every backend.
 
 The hierarchical compiler (:mod:`repro.hier.compile`) is only admissible
 because it changes *where* closures are built, never *what* they compute.
 This suite holds it to that bar at ``hier-soc-10k`` scale for fault
 simulation, legacy diagnosis and one volume BP diagnosis — hier versus the
-flat reference (``model.without_hierarchy()``), every engine backend,
-shard counts 1 and 4.
+flat reference (``model.without_hierarchy()``), every engine backend.
 """
 
 from __future__ import annotations
@@ -115,38 +114,15 @@ def test_hier_model_compiles_through_shared_kernels():
 def test_fault_sim_detections_identical_to_flat(backend):
     prepared, faults, patterns = env()
     expected = _expected_detections()
-    simulator = StuckAtFaultSimulator(
-        prepared.model, batch_size=8, backend=backend, shard_count=3,
-        max_workers=2,
-    )
-    simulator.scheduler.spill_threshold = 0
-    try:
-        result = simulator.simulate(patterns, faults)
-    finally:
-        simulator.scheduler.close()
+    simulator = StuckAtFaultSimulator(prepared.model, batch_size=8, backend=backend)
+    result = simulator.simulate(patterns, faults)
     assert result.detections == expected, f"{backend} diverged from flat"
-
-
-@pytest.mark.parametrize("shard_count", [1, 4])
-def test_shard_count_does_not_change_results(shard_count):
-    prepared, faults, patterns = env()
-    expected = _expected_detections()
-    simulator = StuckAtFaultSimulator(
-        prepared.model, batch_size=8, backend="processes",
-        shard_count=shard_count, max_workers=2,
-    )
-    simulator.scheduler.spill_threshold = 0
-    try:
-        result = simulator.simulate(patterns, faults)
-    finally:
-        simulator.scheduler.close()
-    assert result.detections == expected, f"shard_count={shard_count} diverged"
 
 
 def test_full_transition_universe_identical_to_serial():
     """Every collapsed transition fault of ``hier-soc-1k`` under scenario
-    (d)'s capture procedures: the stem kernel (in-process and sharded over
-    processes) detects exactly what the per-fault serial reference does."""
+    (d)'s capture procedures: the stem kernel detects exactly what the
+    per-fault serial reference does."""
     register_hier_designs()
     prepared = prepare_from_spec("hier-soc-1k")
     model = prepared.model
@@ -164,16 +140,11 @@ def test_full_transition_universe_identical_to_serial():
     results = {}
     for backend in ALL_BACKENDS:
         simulator = TransitionFaultSimulator(
-            model, prepared.domain_map, setup, backend=backend,
-            shard_count=2, max_workers=2,
+            model, prepared.domain_map, setup, backend=backend
         )
-        simulator.scheduler.spill_threshold = 0
-        try:
-            results[backend] = simulator.simulate(
-                patterns, faults, drop_detected=False
-            ).detections
-        finally:
-            simulator.scheduler.close()
+        results[backend] = simulator.simulate(
+            patterns, faults, drop_detected=False
+        ).detections
     assert len(faults) == 6676
     assert any(results["serial"].values())
     for backend in ALL_BACKENDS[1:]:

@@ -5,8 +5,7 @@ Three layers of guarantees:
 * the :mod:`repro.obs` primitives themselves (tracer nesting and thread
   safety, Chrome/Perfetto export schema, metrics registry arithmetic);
 * the instrumentation seams (executor plan/wave/job spans stable across
-  backends, cache-probe wall time on skip events, fault-shard spans folded
-  in at the mask-merge seam without changing detection masks);
+  backends, cache-probe wall time on skip events);
 * the reporting contract (disabled telemetry leaves report JSON
   byte-identical and key-free; enabled telemetry round-trips kernel/cache/
   ATPG counters through ``RunReport.session["telemetry"]``).
@@ -15,7 +14,6 @@ Three layers of guarantees:
 from __future__ import annotations
 
 import json
-import random
 import threading
 import time
 
@@ -23,13 +21,8 @@ import pytest
 
 from repro.api import Campaign, TestSession
 from repro.atpg import AtpgOptions
-from repro.circuits import random_sequential
-from repro.dft import insert_scan
 from repro.diagnose import DefectSpec
 from repro.diagnose.diagnose import DiagnosisReport
-from repro.fault_sim import StuckAtFaultSimulator
-from repro.faults import all_stuck_at_faults, collapse_faults
-from repro.logic import Logic
 from repro.obs import (
     NULL_TELEMETRY,
     MetricsRegistry,
@@ -46,7 +39,6 @@ from repro.obs import (
     rss_kb,
 )
 from repro.runtime import Executor, Job, Plan, register_job_kind
-from repro.simulation import build_model
 
 #: ATPG effort tuned for unit-test speed (one batch, a handful of patterns).
 CHEAP = AtpgOptions(
@@ -401,52 +393,6 @@ class TestExecutorSpans:
         executor = Executor()
         executor.execute(_echo_plan())
         assert NULL_TELEMETRY.trace().names() == []
-
-
-# --------------------------------------------------------------------------
-# Fault-shard spans at the mask-merge seam
-# --------------------------------------------------------------------------
-class TestFaultShardSpans:
-    def _workload(self, seed=21):
-        netlist = random_sequential(6, 10, 80, 4, seed=seed)
-        netlist, _scan = insert_scan(netlist, num_chains=2)
-        model = build_model(netlist)
-        rng = random.Random(seed)
-        sources = model.pi_nodes + model.ppi_nodes
-        patterns = []
-        for _ in range(16):
-            patterns.append({
-                idx: (Logic.ONE if rng.random() < 0.5 else Logic.ZERO)
-                for idx in sources
-            })
-        faults = collapse_faults(model, all_stuck_at_faults(model)).representatives
-        return model, patterns, faults
-
-    @pytest.mark.parametrize("backend", ["processes"])
-    def test_shard_spans_recorded_without_changing_masks(self, backend):
-        model, patterns, faults = self._workload()
-        baseline = StuckAtFaultSimulator(model, backend="compiled")
-        expected = baseline.simulate(patterns, faults).detections
-
-        telemetry = Telemetry.on()
-        simulator = StuckAtFaultSimulator(
-            model, backend=backend, shard_count=3, max_workers=2
-        )
-        simulator.scheduler.spill_threshold = 0  # force the pooled path
-        try:
-            with telemetry.activate():
-                detections = simulator.simulate(patterns, faults).detections
-        finally:
-            simulator.scheduler.close()
-        assert detections == expected  # telemetry must not perturb results
-
-        shards = telemetry.trace().find("shard:")
-        assert shards, f"no shard spans recorded on {backend}"
-        # Spans are folded in at the merge seam in shard order per round.
-        names = [span.name for span in shards]
-        assert names[0] == "shard:0"
-        assert all(span.attrs["backend"] == backend for span in shards)
-        assert all(span.attrs["faults"] > 0 for span in shards)
 
 
 # --------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from repro.runtime import (
     Job,
     Plan,
     PlanCancelled,
+    register_backend,
     register_job_kind,
 )
 
@@ -118,6 +119,13 @@ class TestExecutionBasics:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown executor backend"):
             Executor(backend="warp-drive")
+
+    @pytest.mark.parametrize("name", EXECUTOR_BACKENDS)
+    def test_builtin_names_cannot_be_registered(self, name):
+        """A plugin must never silently replace a built-in pool (``_run_wave``
+        consults registered factories before the thread path)."""
+        with pytest.raises(ValueError, match="reserved for a built-in"):
+            register_backend(name, lambda **kwargs: None)
 
     def test_pool_knob_validation_shares_the_common_message(self):
         with pytest.raises(ValueError, match=r"workers must be a positive integer \(got 0\)"):
