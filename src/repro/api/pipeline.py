@@ -207,7 +207,7 @@ def spill_run(
     count = store.count(design=design, scenario=scenario) or store.extend(
         iter(run.patterns), design=design, scenario=scenario
     )
-    run.extras["store"] = {"path": str(store.path), "kind": store.kind, "patterns": count}
+    run.extras["store"] = {"path": str(store.path), "patterns": count}
     if stream:
         run.patterns = store.view(design=design, scenario=scenario)
     return run

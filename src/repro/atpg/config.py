@@ -80,6 +80,8 @@ class TestSetup:
         options: ATPG effort knobs.
     """
 
+    __test__ = False  # "Test" prefix is domain vocabulary, not a pytest class
+
     name: str
     procedures: Sequence[NamedCaptureProcedure]
     observe_pos: bool = True

@@ -52,6 +52,8 @@ class TestPattern:
             dict means "no deterministic care bits" (purely random patterns).
     """
 
+    __test__ = False  # "Test" prefix is domain vocabulary, not a pytest class
+
     procedure: NamedCaptureProcedure
     scan_load: dict[str, Logic] = field(default_factory=dict)
     pi_frames: list[dict[str, Logic]] = field(default_factory=list)

@@ -2,20 +2,17 @@
 
 At 10⁵ gates a scan load carries tens of thousands of cells; holding a full
 campaign's pattern sets in memory is what actually bounds design size, not
-simulation speed.  :class:`PatternStore` spills patterns to disk behind one
-path-shaped constructor with the same two stdlib backends as
-:class:`repro.volume.store.FailLogStore`:
-
-* ``*.jsonl`` — an append-only JSON-lines file, one pattern per line: the
-  archival/interchange format;
-* anything else — a sqlite3 database: the random-access format, which is
-  what makes the lazy :class:`StoredPatternView` cheap.
+simulation speed.  :class:`PatternStore` spills patterns to a sqlite3
+database, the random-access format that makes the lazy
+:class:`StoredPatternView` cheap.  JSON lines, one pattern per line, are
+the archival/interchange format: :meth:`PatternStore.export_jsonl` writes
+them and :meth:`PatternStore.import_jsonl` reads them back.
 
 Patterns are grouped by ``(design, scenario)`` and kept in insertion order
 within a group — the order a :class:`~repro.patterns.pattern.PatternSet`
 would have.  :meth:`PatternStore.view` returns a sequence-shaped *lazy*
 view over a group: ``len()``/indexing/iteration without materializing
-payloads, so a :class:`~repro.engine.frame.FrameSimulator` batch loop
+payloads, so a :class:`~repro.fault_sim.transition.FrameSimulator` batch loop
 touches one batch of patterns at a time while the rest stay on disk.
 """
 
@@ -23,7 +20,6 @@ from __future__ import annotations
 
 import json
 import sqlite3
-import threading
 from collections import Counter
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -34,27 +30,20 @@ from repro.patterns.pattern import PatternSet, PatternSetStats, TestPattern
 class PatternStore:
     """Scan patterns by the thousand behind one path.
 
-    The backend is picked from the suffix: ``.jsonl`` appends JSON lines,
-    anything else opens (creating if needed) a sqlite3 database.  Both
-    honor the same contract: insertion-ordered iteration per
-    ``(design, scenario)`` group and lazy sequence views — so sessions,
-    campaigns and the runtime can swap formats freely.
+    The path opens (creating if needed) a sqlite3 database with
+    insertion-ordered iteration per ``(design, scenario)`` group and lazy
+    sequence views.  A ``.jsonl`` path is refused: that is the dump format
+    of :meth:`export_jsonl`, loaded with :meth:`import_jsonl`.
     """
 
     def __init__(self, path: "Path | str") -> None:
         self.path = Path(path)
-        self.kind = "jsonl" if self.path.suffix == ".jsonl" else "sqlite"
+        if self.path.suffix == ".jsonl":
+            raise ValueError(
+                f"{self.path} is a JSON-lines dump, not a pattern store: open a"
+                " sqlite path and load the dump with import_jsonl()"
+            )
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        # Serializes jsonl appends from concurrent thread-backend scenarios
-        # (sqlite brings its own locking; cross-process campaigns should
-        # prefer the sqlite backend).
-        self._write_lock = threading.Lock()
-        if self.kind == "sqlite":
-            self._init_sqlite()
-        elif not self.path.exists():
-            self.path.touch()
-
-    def _init_sqlite(self) -> None:
         with self._connect() as connection:
             connection.execute(
                 "CREATE TABLE IF NOT EXISTS patterns ("
@@ -68,35 +57,8 @@ class PatternStore:
                 " ON patterns (design, scenario, id)"
             )
 
-    def __getstate__(self) -> dict[str, object]:
-        # Views cross process boundaries (cached runs, worker returns);
-        # locks do not — each process gets a fresh one.
-        state = dict(self.__dict__)
-        del state["_write_lock"]
-        return state
-
-    def __setstate__(self, state: dict[str, object]) -> None:
-        self.__dict__.update(state)
-        self._write_lock = threading.Lock()
-
-    # ----------------------------------------------------------------- backend
     def _connect(self) -> sqlite3.Connection:
         return sqlite3.connect(self.path)
-
-    def _jsonl_rows(self) -> Iterator[dict[str, object]]:
-        with self.path.open("r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    yield json.loads(line)
-
-    @staticmethod
-    def _row_dict(design: str, scenario: str, pattern: TestPattern) -> dict[str, object]:
-        return {
-            "design": design,
-            "scenario": scenario,
-            "pattern": pattern.to_dict(),
-        }
 
     # ------------------------------------------------------------------- write
     def append(
@@ -119,25 +81,14 @@ class PatternStore:
         straight to disk without a full in-memory pattern list.
         """
         count = 0
-        if self.kind == "jsonl":
-            with self._write_lock, self.path.open("a", encoding="utf-8") as handle:
-                for pattern in patterns:
-                    row = self._row_dict(design, scenario, pattern)
-                    handle.write(json.dumps(row, sort_keys=True) + "\n")
-                    count += 1
-        else:
-            with self._connect() as connection:
-                for pattern in patterns:
-                    connection.execute(
-                        "INSERT INTO patterns (design, scenario, payload)"
-                        " VALUES (?, ?, ?)",
-                        (
-                            design,
-                            scenario,
-                            json.dumps(pattern.to_dict(), sort_keys=True),
-                        ),
-                    )
-                    count += 1
+        with self._connect() as connection:
+            for pattern in patterns:
+                connection.execute(
+                    "INSERT INTO patterns (design, scenario, payload)"
+                    " VALUES (?, ?, ?)",
+                    (design, scenario, json.dumps(pattern.to_dict(), sort_keys=True)),
+                )
+                count += 1
         return count
 
     def spill(
@@ -149,28 +100,14 @@ class PatternStore:
     # -------------------------------------------------------------------- read
     def groups(self) -> list[tuple[str, str]]:
         """Distinct ``(design, scenario)`` groups, first-appearance order."""
-        seen: dict[tuple[str, str], None] = {}
-        if self.kind == "jsonl":
-            for row in self._jsonl_rows():
-                seen.setdefault((str(row["design"]), str(row["scenario"])), None)
-        else:
-            with self._connect() as connection:
-                rows = connection.execute(
-                    "SELECT design, scenario, MIN(id) FROM patterns"
-                    " GROUP BY design, scenario ORDER BY MIN(id)"
-                ).fetchall()
-            for row in rows:
-                seen.setdefault((row[0], row[1]), None)
-        return list(seen)
+        with self._connect() as connection:
+            rows = connection.execute(
+                "SELECT design, scenario, MIN(id) FROM patterns"
+                " GROUP BY design, scenario ORDER BY MIN(id)"
+            ).fetchall()
+        return [(row[0], row[1]) for row in rows]
 
     def count(self, design: str | None = None, scenario: str | None = None) -> int:
-        if self.kind == "jsonl":
-            return sum(
-                1
-                for row in self._jsonl_rows()
-                if (design is None or row["design"] == design)
-                and (scenario is None or row["scenario"] == scenario)
-            )
         query = "SELECT COUNT(*) FROM patterns"
         clauses, params = self._filters(design, scenario)
         if clauses:
@@ -217,24 +154,18 @@ class PatternStore:
         target = Path(path)
         target.parent.mkdir(parents=True, exist_ok=True)
         count = 0
-        with target.open("w", encoding="utf-8") as handle:
-            if self.kind == "jsonl":
-                for row in self._jsonl_rows():
-                    handle.write(json.dumps(row, sort_keys=True) + "\n")
-                    count += 1
-            else:
-                with self._connect() as connection:
-                    rows = connection.execute(
-                        "SELECT design, scenario, payload FROM patterns ORDER BY id"
-                    )
-                    for design, scenario, payload in rows:
-                        row = {
-                            "design": design,
-                            "scenario": scenario,
-                            "pattern": json.loads(payload),
-                        }
-                        handle.write(json.dumps(row, sort_keys=True) + "\n")
-                        count += 1
+        with target.open("w", encoding="utf-8") as handle, self._connect() as connection:
+            rows = connection.execute(
+                "SELECT design, scenario, payload FROM patterns ORDER BY id"
+            )
+            for design, scenario, payload in rows:
+                row = {
+                    "design": design,
+                    "scenario": scenario,
+                    "pattern": json.loads(payload),
+                }
+                handle.write(json.dumps(row, sort_keys=True) + "\n")
+                count += 1
         return count
 
     def import_jsonl(self, path: "Path | str") -> int:
@@ -265,8 +196,7 @@ class StoredPatternView:
     ``FrameSimulator.iter_batches`` — run unchanged while only the
     patterns of the current batch are resident.
 
-    The sqlite backend keeps just the group's row ids in memory; the jsonl
-    backend keeps byte offsets.  Both are built once, on first access.
+    Only the group's row ids stay in memory, read once on first access.
     """
 
     def __init__(
@@ -278,23 +208,11 @@ class StoredPatternView:
         self._store = store
         self._design = design
         self._scenario = scenario
-        self._keys: list[int] | None = None  # row ids (sqlite) / offsets (jsonl)
+        self._keys: list[int] | None = None  # row ids
 
     # ------------------------------------------------------------------ keying
     def _index(self) -> list[int]:
-        if self._keys is not None:
-            return self._keys
-        if self._store.kind == "jsonl":
-            keys: list[int] = []
-            with self._store.path.open("rb") as handle:
-                offset = handle.tell()
-                for raw in handle:
-                    line = raw.strip()
-                    if line and self._matches(json.loads(line)):
-                        keys.append(offset)
-                    offset += len(raw)
-            self._keys = keys
-        else:
+        if self._keys is None:
             query = "SELECT id FROM patterns"
             clauses, params = PatternStore._filters(self._design, self._scenario)
             if clauses:
@@ -304,19 +222,7 @@ class StoredPatternView:
                 self._keys = [row[0] for row in connection.execute(query, params)]
         return self._keys
 
-    def _matches(self, row: dict[str, object]) -> bool:
-        if self._design is not None and row["design"] != self._design:
-            return False
-        if self._scenario is not None and row["scenario"] != self._scenario:
-            return False
-        return True
-
     def _fetch(self, key: int) -> TestPattern:
-        if self._store.kind == "jsonl":
-            with self._store.path.open("rb") as handle:
-                handle.seek(key)
-                row = json.loads(handle.readline().decode("utf-8"))
-            return TestPattern.from_dict(row["pattern"])
         with self._store._connect() as connection:
             row = connection.execute(
                 "SELECT payload FROM patterns WHERE id = ?", (key,)

@@ -34,7 +34,6 @@ from repro.runtime.backends import (
     ProcessBackend,
     ThreadBackend,
     backend_factory,
-    default_worker_count,
     has_backend_factory,
     register_backend,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "ThreadBackend",
     "backend_factory",
     "chain",
-    "default_worker_count",
     "handler_for",
     "has_backend_factory",
     "register_backend",

@@ -11,7 +11,6 @@ without the runtime importing them.
 from __future__ import annotations
 
 import atexit
-import os
 import pickle
 import weakref
 from concurrent.futures import (
@@ -67,11 +66,6 @@ def backend_factory(name: str) -> Callable:
             f"no backend factory registered for {name!r} "
             f"(registered: {sorted(_BACKEND_FACTORIES) or '<none>'})"
         ) from None
-
-
-def default_worker_count() -> int:
-    """Worker-pool size when the caller does not pin one."""
-    return max(1, min(4, os.cpu_count() or 1))
 
 
 def validate_pool_size(name: str, value: "int | None") -> "int | None":
@@ -180,8 +174,8 @@ class ThreadBackend:
 
     name = "threads"
 
-    def __init__(self, max_workers: int | None = None) -> None:
-        self.max_workers = max_workers or default_worker_count()
+    def __init__(self, max_workers: int) -> None:
+        self.max_workers = max_workers
         self._pool: Executor | None = None
 
     def _executor(self) -> Executor:
@@ -218,11 +212,11 @@ class ProcessBackend:
 
     def __init__(
         self,
-        max_workers: int | None = None,
+        max_workers: int,
         initializer: Callable | None = None,
         initargs: tuple = (),
     ) -> None:
-        self.max_workers = max_workers or default_worker_count()
+        self.max_workers = max_workers
         self._initializer = initializer
         self._initargs = initargs
         self._pool: Executor | None = None

@@ -2,14 +2,11 @@
 
 The tester floor produces fail logs by the thousand; volume diagnosis
 needs them durable, enumerable and cheap to stream.  :class:`FailLogStore`
-provides exactly that behind one path-shaped constructor with two
-stdlib-only backends:
-
-* ``*.jsonl`` — an append-only JSON-lines file, one record per log: the
-  archival/interchange format (folds straight into ``import_jsonl`` /
-  ``export_jsonl`` on either backend);
-* anything else — a sqlite3 database with a unique name index: the
-  random-access format for stores too big to rescan per lookup.
+keeps them in a sqlite3 database with a unique name index, the
+random-access format for stores too big to rescan per lookup.  JSON lines,
+one record per log, are the archival/interchange format:
+:meth:`FailLogStore.export_jsonl` writes them and
+:meth:`FailLogStore.import_jsonl` reads them back.
 
 Records are keyed by a caller-chosen unique ``name`` (lot/wafer/die ids on
 a real floor) and carry the design name plus an optional scenario label,
@@ -58,57 +55,32 @@ class FailLogRecord:
 class FailLogStore:
     """Thousands of captured fail logs behind one path.
 
-    The backend is picked from the suffix: ``.jsonl`` appends JSON lines,
-    anything else opens (creating if needed) a sqlite3 database.  Both
-    honor the same contract: unique names, insertion-ordered iteration,
-    and design/scenario filtering — so tests, examples and the serve plane
-    can swap formats freely.
+    The path opens (creating if needed) a sqlite3 database with unique
+    names, insertion-ordered iteration and design/scenario filtering.  A
+    ``.jsonl`` path is refused: that is the dump format of
+    :meth:`export_jsonl`, loaded with :meth:`import_jsonl`.
     """
 
     def __init__(self, path: "Path | str") -> None:
         self.path = Path(path)
-        self.kind = "jsonl" if self.path.suffix == ".jsonl" else "sqlite"
-        # ``.jsonl`` duplicate check: the names stored in the file's first
-        # ``_scanned`` bytes (lines other writers append are read on demand).
-        self._names: set[str] = set()
-        self._scanned = 0
+        if self.path.suffix == ".jsonl":
+            raise ValueError(
+                f"{self.path} is a JSON-lines dump, not a fail-log store: open a"
+                " sqlite path and load the dump with import_jsonl()"
+            )
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        if self.kind == "sqlite":
-            with self._connect() as connection:
-                connection.execute(
-                    "CREATE TABLE IF NOT EXISTS fail_logs ("
-                    "  id INTEGER PRIMARY KEY AUTOINCREMENT,"
-                    "  name TEXT NOT NULL UNIQUE,"
-                    "  design TEXT NOT NULL,"
-                    "  scenario TEXT NOT NULL,"
-                    "  payload TEXT NOT NULL)"
-                )
-        elif not self.path.exists():
-            self.path.touch()
+        with self._connect() as connection:
+            connection.execute(
+                "CREATE TABLE IF NOT EXISTS fail_logs ("
+                "  id INTEGER PRIMARY KEY AUTOINCREMENT,"
+                "  name TEXT NOT NULL UNIQUE,"
+                "  design TEXT NOT NULL,"
+                "  scenario TEXT NOT NULL,"
+                "  payload TEXT NOT NULL)"
+            )
 
-    # ----------------------------------------------------------------- backend
     def _connect(self) -> sqlite3.Connection:
         return sqlite3.connect(self.path)
-
-    def _jsonl_records(self) -> Iterator[FailLogRecord]:
-        with self.path.open("r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    yield FailLogRecord.from_dict(json.loads(line))
-
-    def _jsonl_names(self) -> set[str]:
-        """Every stored name, reading only the lines appended (by this or
-        any other writer) since the last call and decoding just their name."""
-        with self.path.open("rb") as handle:
-            handle.seek(self._scanned)
-            for line in handle:
-                if not line.endswith(b"\n"):
-                    break  # another writer is mid-append; read it next time
-                self._scanned += len(line)
-                if line.strip():
-                    self._names.add(json.loads(line)["name"])
-        return self._names
 
     # ------------------------------------------------------------------- write
     def add(
@@ -124,26 +96,20 @@ class FailLogStore:
         record = FailLogRecord(
             name=name, design=log.design, scenario=scenario, log=log
         )
-        if self.kind == "jsonl":
-            if name in self._jsonl_names():
-                raise ValueError(f"fail log {name!r} already stored")
-            with self.path.open("a", encoding="utf-8") as handle:
-                handle.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
-        else:
-            try:
-                with self._connect() as connection:
-                    connection.execute(
-                        "INSERT INTO fail_logs (name, design, scenario, payload)"
-                        " VALUES (?, ?, ?, ?)",
-                        (
-                            name,
-                            record.design,
-                            scenario,
-                            json.dumps(log.to_dict(), sort_keys=True),
-                        ),
-                    )
-            except sqlite3.IntegrityError:
-                raise ValueError(f"fail log {name!r} already stored") from None
+        try:
+            with self._connect() as connection:
+                connection.execute(
+                    "INSERT INTO fail_logs (name, design, scenario, payload)"
+                    " VALUES (?, ?, ?, ?)",
+                    (
+                        name,
+                        record.design,
+                        scenario,
+                        json.dumps(log.to_dict(), sort_keys=True),
+                    ),
+                )
+        except sqlite3.IntegrityError:
+            raise ValueError(f"fail log {name!r} already stored") from None
         return record
 
     def add_many(
@@ -157,8 +123,6 @@ class FailLogStore:
 
     # -------------------------------------------------------------------- read
     def names(self) -> list[str]:
-        if self.kind == "jsonl":
-            return [record.name for record in self._jsonl_records()]
         with self._connect() as connection:
             rows = connection.execute(
                 "SELECT name FROM fail_logs ORDER BY id"
@@ -166,8 +130,6 @@ class FailLogStore:
         return [row[0] for row in rows]
 
     def __len__(self) -> int:
-        if self.kind == "jsonl":
-            return sum(1 for _ in self._jsonl_records())
         with self._connect() as connection:
             (count,) = connection.execute(
                 "SELECT COUNT(*) FROM fail_logs"
@@ -178,11 +140,6 @@ class FailLogStore:
         return iter(self.records())
 
     def get(self, name: str) -> FailLogRecord:
-        if self.kind == "jsonl":
-            for record in self._jsonl_records():
-                if record.name == name:
-                    return record
-            raise KeyError(f"no fail log named {name!r}")
         with self._connect() as connection:
             row = connection.execute(
                 "SELECT name, design, scenario, payload FROM fail_logs"
@@ -202,23 +159,20 @@ class FailLogStore:
         self, design: str | None = None, scenario: str | None = None
     ) -> list[FailLogRecord]:
         """All records in insertion order, optionally filtered."""
-        if self.kind == "jsonl":
-            found = list(self._jsonl_records())
-        else:
-            with self._connect() as connection:
-                rows = connection.execute(
-                    "SELECT name, design, scenario, payload FROM fail_logs"
-                    " ORDER BY id"
-                ).fetchall()
-            found = [
-                FailLogRecord(
-                    name=row[0],
-                    design=row[1],
-                    scenario=row[2],
-                    log=FailLog.from_json(row[3]),
-                )
-                for row in rows
-            ]
+        with self._connect() as connection:
+            rows = connection.execute(
+                "SELECT name, design, scenario, payload FROM fail_logs"
+                " ORDER BY id"
+            ).fetchall()
+        found = [
+            FailLogRecord(
+                name=row[0],
+                design=row[1],
+                scenario=row[2],
+                log=FailLog.from_json(row[3]),
+            )
+            for row in rows
+        ]
         if design is not None:
             found = [record for record in found if record.design == design]
         if scenario is not None:

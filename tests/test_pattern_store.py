@@ -1,6 +1,6 @@
 """Tests for the disk-spilling pattern store (PR-10 tentpole).
 
-Covers both backends (sqlite and jsonl), the lazy view, interchange, and
+Covers the sqlite store, the lazy view, JSON-lines interchange, and
 the session/campaign wiring that spills executed scenarios' patterns.
 """
 
@@ -20,7 +20,7 @@ from repro.patterns.pattern import PatternSet, TestPattern
 from repro.patterns.store import PatternStore, StoredPatternView
 from repro.runtime import Executor
 
-BACKEND_PATHS = {"sqlite": "store.db", "jsonl": "store.jsonl"}
+BACKEND_PATHS = {"sqlite": "store.db"}
 
 CHEAP = AtpgOptions(
     random_pattern_batches=1, patterns_per_batch=8, backtrack_limit=4,
@@ -52,9 +52,11 @@ def store(request, tmp_path):
 
 class TestPatternStoreBackends:
     def test_backend_picked_from_suffix(self, tmp_path):
-        assert PatternStore(tmp_path / "a.jsonl").kind == "jsonl"
-        assert PatternStore(tmp_path / "a.db").kind == "sqlite"
-        assert PatternStore(tmp_path / "nested" / "deep.db").path.parent.is_dir()
+        with pytest.raises(ValueError, match=r"import_jsonl\(\)"):
+            PatternStore(tmp_path / "a.jsonl")
+        assert not (tmp_path / "a.jsonl").exists()
+        store = PatternStore(tmp_path / "nested" / "deep.db")
+        assert store.path.read_bytes().startswith(b"SQLite format 3")
 
     def test_append_extend_count(self, store):
         assert store.append(_pattern(0), design="d", scenario="s") == 0
@@ -170,14 +172,14 @@ class TestSessionStoreStage:
                 .with_pattern_store(tmp_path / store, stream=stream)
             )
 
-        session("p.jsonl", True).run()
-        second = session("q.jsonl", False)
+        session("p.db", True).run()
+        second = session("q.db", False)
         second.run()
         run = second.artifacts["table1-a"]
         assert run.cache_info is not None and run.cache_info["hit"] is True
         assert not isinstance(run.patterns, StoredPatternView)
-        assert run.extras["store"]["path"] == str(tmp_path / "q.jsonl")
-        stored = PatternStore(tmp_path / "q.jsonl").count(scenario="table1-a")
+        assert run.extras["store"]["path"] == str(tmp_path / "q.db")
+        stored = PatternStore(tmp_path / "q.db").count(scenario="table1-a")
         assert stored == len(run.patterns) > 0
 
 

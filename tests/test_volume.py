@@ -123,11 +123,10 @@ def synthetic_log(name_suffix: str, design: str = "tiny") -> FailLog:
     )
 
 
-@pytest.mark.parametrize("suffix", ["store.sqlite", "store.jsonl"])
+@pytest.mark.parametrize("suffix", ["store.sqlite"])
 class TestFailLogStore:
     def test_round_trip_and_order(self, tmp_path, suffix):
         store = FailLogStore(tmp_path / suffix)
-        assert store.kind == ("jsonl" if suffix.endswith(".jsonl") else "sqlite")
         for i in range(5):
             store.add(f"die-{i}", synthetic_log(str(i)), scenario="table1-a")
         assert len(store) == 5
@@ -166,26 +165,33 @@ class TestFailLogStore:
             store.add(f"die-{i}", synthetic_log(str(i)), scenario="s")
         dump = tmp_path / "dump.jsonl"
         assert store.export_jsonl(dump) == 3
-        other_suffix = "other.jsonl" if store.kind == "sqlite" else "other.db"
-        other = FailLogStore(tmp_path / other_suffix)
+        other = FailLogStore(tmp_path / "other.db")
         assert other.import_jsonl(dump) == 3
         assert [r.to_dict() for r in other] == [r.to_dict() for r in store]
 
 
+def test_jsonl_path_is_refused(tmp_path):
+    with pytest.raises(ValueError, match=r"import_jsonl\(\)"):
+        FailLogStore(tmp_path / "store.jsonl")
+    assert not (tmp_path / "store.jsonl").exists()
+
+
 class TestJsonlStoreAdd:
+    """`add` on a store path that several instances share."""
+
     def test_duplicate_appended_by_another_instance_is_rejected(self, tmp_path):
-        first = FailLogStore(tmp_path / "shared.jsonl")
-        second = FailLogStore(tmp_path / "shared.jsonl")
+        first = FailLogStore(tmp_path / "shared.sqlite")
+        second = FailLogStore(tmp_path / "shared.sqlite")
         first.add("die-0", synthetic_log("0"))
         second.add("die-1", synthetic_log("1"))
         with pytest.raises(ValueError, match="already stored"):
             second.add("die-0", synthetic_log("2"))
         with pytest.raises(ValueError, match="already stored"):
             first.add("die-1", synthetic_log("3"))
-        assert FailLogStore(tmp_path / "shared.jsonl").names() == ["die-0", "die-1"]
+        assert FailLogStore(tmp_path / "shared.sqlite").names() == ["die-0", "die-1"]
 
     def test_add_decodes_no_stored_record(self, tmp_path, monkeypatch):
-        store = FailLogStore(tmp_path / "store.jsonl")
+        store = FailLogStore(tmp_path / "store.sqlite")
         decoded = []
         from_dict = FailLogRecord.from_dict.__func__
         monkeypatch.setattr(
