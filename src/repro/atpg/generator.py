@@ -123,10 +123,7 @@ class AtpgGenerator:
         universe = list(faults) if faults is not None else self._fault_universe()
         collapse = collapse_faults(model, universe)
         self.fault_list: FaultList = FaultList(collapse.representatives)
-        class_sizes: dict = {}
-        for fault, representative in collapse.class_of.items():
-            class_sizes[representative] = class_sizes.get(representative, 0) + 1
-        for representative, size in class_sizes.items():
+        for representative, size in zip(collapse.representatives, collapse.class_sizes):
             self.fault_list.set_uncollapsed_count(representative, size)
 
         constraints = setup.effective_pin_constraints()

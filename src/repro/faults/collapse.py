@@ -1,7 +1,9 @@
 """Structural fault-equivalence collapsing.
 
 Two faults are structurally equivalent when every test for one is a test for
-the other.  The classic local rules are applied with a union-find:
+the other.  The classic local rules are applied once per model, with an
+integer union-find over its fault sites
+(:class:`repro.faults.models.FaultSiteTable`):
 
 * a stuck-at-*c* fault on any input of a gate whose controlling value is *c*
   is equivalent to stuck-at-(*c* xor inversion) at the gate output
@@ -20,7 +22,7 @@ collapsed stuck-at count — the property the paper notes for its device.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence, TypeVar
 
 from repro.faults.models import (
@@ -28,94 +30,59 @@ from repro.faults.models import (
     StuckAtFault,
     TransitionFault,
     TransitionKind,
-    enumerate_fault_sites,
+    fault_site_table,
 )
-from repro.netlist.gates import GateType
-from repro.simulation.model import CircuitModel, NodeKind
+from repro.simulation.model import CircuitModel
 
 FaultT = TypeVar("FaultT", StuckAtFault, TransitionFault)
 
 
-class _UnionFind:
-    """Minimal union-find over hashable keys."""
-
-    def __init__(self) -> None:
-        self._parent: dict[object, object] = {}
-
-    def find(self, key: object) -> object:
-        self._parent.setdefault(key, key)
-        root = key
-        while self._parent[root] != root:
-            root = self._parent[root]
-        # Path compression.
-        while self._parent[key] != root:
-            self._parent[key], key = root, self._parent[key]
-        return root
-
-    def union(self, a: object, b: object) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self._parent[rb] = ra
-
-    def classes(self) -> dict[object, list[object]]:
-        groups: dict[object, list[object]] = {}
-        for key in list(self._parent):
-            groups.setdefault(self.find(key), []).append(key)
-        return groups
-
-
-def _equivalence_classes(model: CircuitModel) -> _UnionFind:
-    """Union-find of ``(node, pin, stuck value or equivalent)`` keys under
-    the local equivalence rules."""
-    uf = _UnionFind()
-    # Seed every terminal with both polarities so singleton classes exist.
-    for site in enumerate_fault_sites(model):
-        uf.find((site.node, site.pin, 0))
-        uf.find((site.node, site.pin, 1))
-
-    for node in model.nodes:
-        if node.kind is not NodeKind.GATE:
-            continue
-        gtype = node.gtype
-        inverting = gtype.is_inverting if gtype is not None else False
-        controlling = gtype.controlling_value if gtype is not None else None
-        for pin, source in enumerate(node.fanin):
-            # Input pin fault on a fanout-free connection == driver stem fault.
-            if len(model.fanout[source]) == 1 and model.nodes[source].kind not in (
-                NodeKind.CONST0,
-                NodeKind.CONST1,
-            ):
-                for value in (0, 1):
-                    uf.union((source, None, value), (node.index, pin, value))
-            if gtype in (GateType.BUF, GateType.NOT):
-                for value in (0, 1):
-                    out_value = value ^ 1 if inverting else value
-                    uf.union((node.index, pin, value), (node.index, None, out_value))
-            elif controlling is not None:
-                c = controlling.to_int()
-                out_value = c ^ 1 if inverting else c
-                uf.union((node.index, pin, c), (node.index, None, out_value))
-    return uf
-
-
-@dataclass
 class CollapseResult:
     """Result of collapsing a fault list.
 
     Attributes:
         representatives: One fault per equivalence class (sorted).
-        class_of: Maps every original fault to its representative.
+        class_sizes: Per representative, the number of distinct input
+            faults in its class.
     """
 
-    representatives: list
-    class_of: dict
+    def __init__(
+        self,
+        representatives: list,
+        class_sizes: list[int],
+        faults: Sequence = (),
+        fault_classes: Sequence = (),
+        class_keys: Sequence = (),
+    ) -> None:
+        self.representatives = representatives
+        self.class_sizes = class_sizes
+        # What ``class_of`` is built from on first access: each input fault's
+        # class key, and the class key of each representative.
+        self._faults = faults
+        self._fault_classes = fault_classes
+        self._class_keys = class_keys
+
+    @cached_property
+    def class_of(self) -> dict:
+        """Maps every input fault to its representative, grouped by class in
+        the order the classes were first seen (built on first access)."""
+        representative_of = dict(zip(self._class_keys, self.representatives))
+        members: dict[object, list] = {}
+        for fault, key in zip(self._faults, self._fault_classes):
+            members.setdefault(key, []).append(fault)
+        class_of: dict = {}
+        for key, klass in members.items():
+            representative = representative_of[key]
+            for fault in klass:
+                class_of[fault] = representative
+        return class_of
 
     @property
     def collapse_ratio(self) -> float:
-        """Original fault count divided by collapsed count."""
+        """Distinct input fault count divided by collapsed count."""
         if not self.representatives:
             return 1.0
-        return len(self.class_of) / len(self.representatives)
+        return sum(self.class_sizes) / len(self.representatives)
 
 
 def fault_order_key(fault: StuckAtFault | TransitionFault) -> tuple:
@@ -133,10 +100,30 @@ def fault_order_key(fault: StuckAtFault | TransitionFault) -> tuple:
     return (site.node, pin, fault.kind)
 
 
-def _polarity_of(fault: StuckAtFault | TransitionFault) -> int:
-    if isinstance(fault, StuckAtFault):
-        return fault.value
-    return fault.kind.equivalent_stuck_value
+#: Per transition kind, its polarity (equivalent stuck value).
+_TRANSITION_POLARITY = {
+    kind: kind.equivalent_stuck_value for kind in TransitionKind
+}
+
+
+def _polarities(faults: Sequence[FaultT]) -> tuple[list[int], int]:
+    """Each fault's polarity, and the bit that turns a fault key into an
+    order key: ``2 * site_id + (flip ^ polarity)`` sorts like
+    :func:`fault_order_key` (stuck values 0 < 1; ``"STF" < "STR"``, and
+    slow-to-fall has polarity 1).
+
+    Raises:
+        ValueError: If the list is not all stuck-at or all transition faults.
+    """
+    models = {type(fault) for fault in faults}
+    if models == {StuckAtFault}:
+        return [fault.value for fault in faults], 0
+    if models == {TransitionFault}:
+        return [_TRANSITION_POLARITY[fault.kind] for fault in faults], 1
+    names = ", ".join(sorted(model.__name__ for model in models))
+    raise ValueError(
+        f"collapse_faults needs faults of one model, stuck-at or transition; got {names}"
+    )
 
 
 def _fault_with_polarity(template: FaultT, site: FaultSite, polarity: int) -> FaultT:
@@ -153,51 +140,82 @@ def collapse_faults(model: CircuitModel, faults: Sequence[FaultT]) -> CollapseRe
 
     Args:
         model: The base circuit model the faults are defined on.
-        faults: Uncollapsed faults (all of the same model — stuck-at or
-            transition; mixing is not supported).
+        faults: Uncollapsed faults, all stuck-at or all transition.  A fault
+            on a site the model does not have (say, on a CONST node) is a
+            class of its own.
 
     Returns:
-        A :class:`CollapseResult` with one representative per class and the
-        mapping from every input fault to its representative.
+        A :class:`CollapseResult` with one representative per class — its
+        smallest member — and the mapping from every input fault to its
+        representative.
+
+    Raises:
+        ValueError: If ``faults`` mixes fault models.
     """
     if not faults:
-        return CollapseResult(representatives=[], class_of={})
-    # Choose, per union-find class, the smallest member fault as representative.
-    representatives: list[FaultT] = []
-    class_of: dict[FaultT, FaultT] = {}
-    for members in _class_members(model, faults):
-        representative = (
-            min(members, key=fault_order_key) if len(members) > 1 else members[0]
+        return CollapseResult(representatives=[], class_sizes=[])
+    polarities, flip = _polarities(faults)
+    table = fault_site_table(model)
+    roots = table.roots
+    size = len(roots)
+    # Keys at or above ``size`` name faults off the table, one per distinct
+    # (node, pin, polarity); such a key is its own class and order key.
+    loose: dict[tuple, int] = {}
+    first_of_key: list = [None] * size  # per order key, the first fault with it
+    smallest: list[int] = [size] * size  # per class root, its smallest order key
+    members: list[int] = [0] * size  # per class root, its distinct faults
+    seen: list[int] = []  # class roots in first-seen order
+    fault_classes: list[int] = []
+    for fault, polarity in zip(faults, polarities):
+        sid = table.site_id(fault.site)
+        if sid is None:
+            site = fault.site
+            identity = (site.node, site.pin, polarity)
+            order = loose.get(identity)
+            if order is None:
+                order = loose[identity] = size + len(loose)
+                first_of_key.append(None)
+                smallest.append(order)
+                members.append(0)
+            root = order
+        else:
+            key = 2 * sid + polarity
+            root = roots[key]
+            order = key ^ flip
+        if first_of_key[order] is None:
+            first_of_key[order] = fault
+            if not members[root]:
+                seen.append(root)
+            members[root] += 1
+            if order < smallest[root]:
+                smallest[root] = order
+        fault_classes.append(root)
+    class_keys = sorted(seen, key=smallest.__getitem__)
+    representatives = [first_of_key[smallest[root]] for root in class_keys]
+    class_sizes = [members[root] for root in class_keys]
+    if loose:
+        # Off-table order keys do not interleave with site ids.
+        order_of = sorted(
+            range(len(class_keys)), key=lambda i: fault_order_key(representatives[i])
         )
-        representatives.append(representative)
-        for member in members:
-            class_of[member] = representative
-    representatives.sort(key=fault_order_key)
-    return CollapseResult(representatives=representatives, class_of=class_of)
-
-
-def _class_members(model: CircuitModel, faults: Sequence[FaultT]) -> list[list[FaultT]]:
-    """The faults grouped by equivalence class, in first-seen order.
-
-    The union-find is local to this call, so it is freed before the caller
-    picks and sorts the representatives; kept alive, it would add to the
-    collapse's memory peak.
-    """
-    uf = _equivalence_classes(model)
-    classes: dict[object, list[FaultT]] = {}
-    for fault in faults:
-        root = uf.find((fault.site.node, fault.site.pin, _polarity_of(fault)))
-        classes.setdefault(root, []).append(fault)
-    return list(classes.values())
+        class_keys = [class_keys[i] for i in order_of]
+        representatives = [representatives[i] for i in order_of]
+        class_sizes = [class_sizes[i] for i in order_of]
+    return CollapseResult(representatives, class_sizes, tuple(faults), fault_classes, class_keys)
 
 
 def equivalent_faults(model: CircuitModel, fault: FaultT) -> list[FaultT]:
     """All faults of the uncollapsed universe equivalent to ``fault``."""
-    uf = _equivalence_classes(model)
-    target_root = uf.find((fault.site.node, fault.site.pin, _polarity_of(fault)))
-    result: list[FaultT] = []
-    for site in enumerate_fault_sites(model):
-        for polarity in (0, 1):
-            if uf.find((site.node, site.pin, polarity)) == target_root:
-                result.append(_fault_with_polarity(fault, site, polarity))
+    table = fault_site_table(model)
+    sid = table.site_id(fault.site)
+    if sid is None:
+        return []
+    polarities, _ = _polarities([fault])
+    roots = table.roots
+    target = roots[2 * sid + polarities[0]]
+    result = [
+        _fault_with_polarity(fault, table.sites[key >> 1], key & 1)
+        for key in range(len(roots))
+        if roots[key] == target
+    ]
     return sorted(result, key=fault_order_key)

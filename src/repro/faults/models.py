@@ -11,10 +11,12 @@ collapsed fault counts.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from enum import Enum
 
 from repro.logic import Logic
+from repro.netlist.gates import GateType
 from repro.simulation.model import CircuitModel, NodeKind
 
 
@@ -142,6 +144,111 @@ class PathDelayFault:
 Fault = StuckAtFault | TransitionFault | PathDelayFault
 
 
+class FaultSiteTable:
+    """A model's fault sites and their structural equivalence classes, in ints.
+
+    Built once per model by :func:`fault_site_table`.  A fault on site id
+    ``s`` with polarity ``p`` (the stuck value, or a transition's equivalent
+    stuck value) has the integer key ``2 * s + p``.
+
+    Attributes:
+        model: The model the table was built for.
+        sites: Every gate terminal in site order (node index, then the output
+            before the input pins); site id ``s`` is ``sites[s]``.
+        first_site: Per node, the id of its output site, so input pin ``p``
+            is ``first_site[node] + 1 + p``; ``-1`` for CONST nodes, which
+            carry no sites.
+        roots: Per fault key, the key that names its equivalence class under
+            the local rules listed in :mod:`repro.faults.collapse`.
+    """
+
+    def __init__(self, model: CircuitModel) -> None:
+        self.model = model
+        sites: list[FaultSite] = []
+        first_site: list[int] = []
+        for node in model.nodes:
+            if node.kind in (NodeKind.CONST0, NodeKind.CONST1):
+                first_site.append(-1)
+                continue
+            first_site.append(len(sites))
+            sites.append(FaultSite(node=node.index, pin=None))
+            if node.kind is NodeKind.GATE:
+                sites.extend(FaultSite(node=node.index, pin=pin) for pin in range(len(node.fanin)))
+        self.sites = sites
+        self.first_site = first_site
+        self.roots = _equivalence_roots(model, first_site, 2 * len(sites))
+
+    def site_id(self, site: FaultSite) -> int | None:
+        """The id of ``site``, or ``None`` when the model has no such site."""
+        node, pin = site.node, site.pin
+        if not 0 <= node < len(self.first_site):
+            return None
+        first = self.first_site[node]
+        sid = first if pin is None else first + 1 + pin
+        if first < 0 or not 0 <= sid < len(self.sites):
+            return None
+        found = self.sites[sid]
+        return sid if found is site or found == site else None
+
+
+def _equivalence_roots(model: CircuitModel, first_site: list[int], size: int) -> list[int]:
+    """Union the fault keys of every local equivalence rule and return each
+    key's class root."""
+    parent = list(range(size))
+
+    def find(key: int) -> int:
+        while parent[key] != key:
+            parent[key] = parent[parent[key]]
+            key = parent[key]
+        return key
+
+    def union(a: int, b: int) -> None:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[rb] = ra
+
+    fanout = model.fanout
+    for node in model.nodes:
+        if node.kind is not NodeKind.GATE:
+            continue
+        gtype = node.gtype
+        inverting = 1 if gtype is not None and gtype.is_inverting else 0
+        controlling = gtype.controlling_value if gtype is not None else None
+        out = 2 * first_site[node.index]
+        for pin, source in enumerate(node.fanin):
+            key = out + 2 * (pin + 1)
+            # Input pin fault on a fanout-free connection == driver stem fault.
+            if len(fanout[source]) == 1 and first_site[source] >= 0:
+                stem = 2 * first_site[source]
+                union(stem, key)
+                union(stem + 1, key + 1)
+            if gtype in (GateType.BUF, GateType.NOT):
+                union(key, out + inverting)
+                union(key + 1, out + (1 ^ inverting))
+            elif controlling is not None:
+                c = controlling.to_int()
+                union(key + c, out + (c ^ inverting))
+    return [find(key) for key in range(size)]
+
+
+#: Serializes the creation of a model's fault-site table, so concurrent first
+#: uses of one model share one table.
+_SITE_TABLE_LOCK = threading.Lock()
+
+
+def fault_site_table(model: CircuitModel) -> FaultSiteTable:
+    """The model's :class:`FaultSiteTable` (memoised on the instance, like
+    :func:`repro.engine.compile.compile_circuit`; dropped when the model is
+    pickled)."""
+    table = model.__dict__.get("_fault_sites")
+    if table is None or table.model is not model:
+        with _SITE_TABLE_LOCK:
+            table = model.__dict__.get("_fault_sites")
+            if table is None or table.model is not model:
+                table = model.__dict__["_fault_sites"] = FaultSiteTable(model)
+    return table
+
+
 def enumerate_fault_sites(model: CircuitModel, include_checkpoints_only: bool = False) -> list[FaultSite]:
     """Enumerate every gate terminal of a circuit model.
 
@@ -155,42 +262,37 @@ def enumerate_fault_sites(model: CircuitModel, include_checkpoints_only: bool = 
     Returns:
         Sites sorted by node index then pin.
     """
+    if not include_checkpoints_only:
+        return list(fault_site_table(model).sites)
     sites: list[FaultSite] = []
     for node in model.nodes:
-        if node.kind in (NodeKind.CONST0, NodeKind.CONST1):
-            continue
-        if not include_checkpoints_only:
+        if node.kind in (NodeKind.PI, NodeKind.PPI, NodeKind.RAM_OUT):
             sites.append(FaultSite(node=node.index, pin=None))
-            if node.kind is NodeKind.GATE:
-                for pin in range(len(node.fanin)):
+        elif node.kind is NodeKind.GATE:
+            for pin in range(len(node.fanin)):
+                source = node.fanin[pin]
+                if len(model.fanout[source]) > 1:
                     sites.append(FaultSite(node=node.index, pin=pin))
-        else:
-            if node.kind in (NodeKind.PI, NodeKind.PPI, NodeKind.RAM_OUT):
-                sites.append(FaultSite(node=node.index, pin=None))
-            elif node.kind is NodeKind.GATE:
-                for pin in range(len(node.fanin)):
-                    source = node.fanin[pin]
-                    if len(model.fanout[source]) > 1:
-                        sites.append(FaultSite(node=node.index, pin=pin))
-    return sorted(sites, key=lambda site: (site.node, -1 if site.pin is None else site.pin))
+    return sites
 
 
 def all_stuck_at_faults(model: CircuitModel) -> list[StuckAtFault]:
     """The uncollapsed stuck-at fault universe (two faults per terminal)."""
-    faults: list[StuckAtFault] = []
-    for site in enumerate_fault_sites(model):
-        faults.append(StuckAtFault(site=site, value=0))
-        faults.append(StuckAtFault(site=site, value=1))
-    return faults
+    return [
+        StuckAtFault(site=site, value=value)
+        for site in fault_site_table(model).sites
+        for value in (0, 1)
+    ]
 
 
 def all_transition_faults(model: CircuitModel) -> list[TransitionFault]:
     """The uncollapsed transition fault universe (two faults per terminal)."""
-    faults: list[TransitionFault] = []
-    for site in enumerate_fault_sites(model):
-        faults.append(TransitionFault(site=site, kind=TransitionKind.SLOW_TO_RISE))
-        faults.append(TransitionFault(site=site, kind=TransitionKind.SLOW_TO_FALL))
-    return faults
+    kinds = (TransitionKind.SLOW_TO_RISE, TransitionKind.SLOW_TO_FALL)
+    return [
+        TransitionFault(site=site, kind=kind)
+        for site in fault_site_table(model).sites
+        for kind in kinds
+    ]
 
 
 def site_value(model: CircuitModel, site: FaultSite, values: list[Logic]) -> Logic:

@@ -231,7 +231,6 @@ class Netlist:
         if net in self._outputs:
             raise NetlistError(f"primary output {net!r} already declared")
         self._outputs.append(net)
-        self._invalidate()
         return net
 
     def declare_clock(self, net: str) -> str:

@@ -113,13 +113,15 @@ class CircuitModel:
 
     def __getstate__(self) -> dict:
         # The engine memoises its compiled kernels on the instance
-        # (repro.engine.compile.compile_circuit), and diagnosis its candidate
-        # universe (repro.diagnose.candidates.candidate_universe); closures
-        # and locks don't pickle and every process rebuilds them anyway, so
-        # strip the memos.
+        # (repro.engine.compile.compile_circuit), diagnosis its candidate
+        # universe (repro.diagnose.candidates.candidate_universe) and fault
+        # collapsing its site table (repro.faults.models.fault_site_table);
+        # closures and locks don't pickle and every process rebuilds them
+        # anyway, so strip the memos.
         state = dict(self.__dict__)
         state.pop("_engine_compiled", None)
         state.pop("_candidate_universe", None)
+        state.pop("_fault_sites", None)
         return state
 
     # ------------------------------------------------------------------ sizes

@@ -80,6 +80,40 @@ class TestNetlistEditing:
         assert stats.num_primary_inputs == 3
         assert stats.num_primary_outputs == 1
 
+    def test_add_output_keeps_the_driver_and_fanout_maps(self):
+        """Primary outputs are in neither map, so declaring one must not
+        drop them (every scan chain's ``add_input`` would rebuild the
+        driver map)."""
+        netlist = small_netlist()
+        netlist.driver_of("n1")
+        netlist.fanout_of("n1")
+        drivers, fanouts = netlist._driver_cache, netlist._fanout_cache
+        netlist.add_output("n2")
+        assert netlist._driver_cache is drivers and netlist._fanout_cache is fanouts
+        assert netlist.driver_of("n2")[1].name == "g2"
+        assert netlist.outputs == ("q1", "n2")
+        with pytest.raises(NetlistError):
+            netlist.add_output("n2")
+
+
+@pytest.mark.parametrize(
+    "design, digest",
+    [
+        ("tiny", "f65579a3e820b5311d9bec2fec62abdf4f9abe9501d62b38b4cb9786444be67f"),
+        ("hier-soc-1k", "f56f5bdc675d36542573484c6af6de3207e0aebcdf0249f98cffc8561a529ecc"),
+        ("hier-soc-10k", "c9e4acd3e15603f8c170776ce590d4809bbb5d7558633b50b3308131eef5d24e"),
+    ],
+)
+def test_prepared_design_fingerprints_are_pinned(design, digest):
+    """Building a design (scan insertion declares outputs between inputs)
+    yields the same model, content hash for content hash."""
+    from repro.api.design import prepare_from_spec
+    from repro.engine.cache import design_fingerprint
+    from repro.hier.designs import register_hier_designs
+
+    register_hier_designs()
+    assert design_fingerprint(prepare_from_spec(design).model) == digest
+
 
 class TestTopologicalOrder:
     def test_order_respects_dependencies(self):
