@@ -46,7 +46,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from repro.faults.models import StuckAtFault, TransitionFault, TransitionKind
 from repro.netlist.gates import GateType
@@ -75,6 +75,10 @@ ENGINE_VERSION = _source_digest()
 #: ``fn(in0, in1) -> (out0, out1)`` over dual-rail planes, pin order as in
 #: ``Node.fanin``.
 PlaneEvaluator = Callable[[Sequence[int], Sequence[int]], tuple[int, int]]
+
+#: What the stem pass keeps per observed node, and what it folds per stem.
+_At = TypeVar("_At")
+_Row = TypeVar("_Row")
 
 
 def _plane_evaluator(gtype: GateType, arity: int) -> PlaneEvaluator:
@@ -115,6 +119,16 @@ def _plane_evaluator(gtype: GateType, arity: int) -> PlaneEvaluator:
         return eval_or
     if gtype in (GateType.XOR, GateType.XNOR):
         invert = gtype is GateType.XNOR
+        if arity == 2:
+            if invert:
+                return lambda in0, in1: (
+                    (in0[0] & in1[1]) | (in1[0] & in0[1]),
+                    (in0[0] & in0[1]) | (in1[0] & in1[1]),
+                )
+            return lambda in0, in1: (
+                (in0[0] & in0[1]) | (in1[0] & in1[1]),
+                (in0[0] & in1[1]) | (in1[0] & in0[1]),
+            )
 
         def eval_xor(in0: Sequence[int], in1: Sequence[int]) -> tuple[int, int]:
             out0, out1 = in0[0], in1[0]
@@ -322,7 +336,7 @@ class CompiledCircuit:
         self,
         final: PackedPatterns,
         faults: Sequence[StuckAtFault | TransitionFault],
-        observed: dict[int, list[int]],
+        observed: dict[int, object],
         launch: PackedPatterns | None,
     ) -> tuple[list[int], list[int], dict[int, int]]:
         """Fault pass: every fault's stem and flip, plus the live stems.
@@ -346,7 +360,8 @@ class CompiledCircuit:
         can0, can1 = final.can0, final.can1
         full = final.full_mask
         fanin_of = self._fanin
-        gates: dict[int, int] = {}
+        # Launch/settle gates per ``2 * net + rising``; -1 until computed.
+        gates = [-1] * (2 * self.num_nodes)
         pins: dict[tuple[int, int], int] = {}
         reach: dict[int, tuple[int, int]] = {}
         stems: list[int] = []
@@ -360,7 +375,7 @@ class CompiledCircuit:
                 assert launch is not None, "transition faults need launch-frame planes"
                 rising = fault.kind is TransitionKind.SLOW_TO_RISE
                 key = 2 * net + rising
-                gate = gates.get(key, -1)
+                gate = gates[key]
                 if gate < 0:
                     gate = gates[key] = _transition_gate(launch, final, net, rising)
                 # A slow-to-rise site behaves as stuck-at-0 for one cycle.
@@ -399,7 +414,7 @@ class CompiledCircuit:
         can0: list[int],
         can1: list[int],
         node: int,
-        observed: dict[int, list[int]],
+        observed: dict[int, object],
         reach: dict[int, tuple[int, int]],
     ) -> tuple[int, int]:
         """``(stem, patterns)`` of ``node``: its region's stem and the
@@ -447,36 +462,36 @@ class CompiledCircuit:
         self,
         final: PackedPatterns,
         faults: Sequence[StuckAtFault | TransitionFault],
-        observation: Sequence[int],
+        observed: dict[int, _At],
         launch: PackedPatterns | None,
-    ) -> tuple[list[int], list[int], dict[int, list[tuple[int, int]]]]:
+        fold: Callable[[_Row, _At, int], _Row],
+        start: Callable[[], _Row],
+    ) -> tuple[list[int], list[int], dict[int, _Row]]:
         """Fault pass, then one sweep per live stem.
 
         Each live stem is forced to its known complement on the OR of its
-        faults' flips; its row lists the ``(observation position, mask)``
-        pairs where the sweep gives a known, differing value.  Only the
+        faults' flips.  Its row starts as ``start()`` and is folded with
+        ``fold(row, observed[node], found)`` for every observed node where
+        the sweep gives a known, differing value (``found``).  Only the
         nodes the sweep touched are looked up, never the whole observation
         list.  Returns the fault pass's stems and flips with the rows.
         """
-        positions: dict[int, list[int]] = {}
-        for position, node in enumerate(observation):
-            positions.setdefault(node, []).append(position)
-        stems, flips, live = self._fault_pass(final, faults, positions, launch)
+        stems, flips, live = self._fault_pass(final, faults, observed, launch)
         can0, can1 = final.can0, final.can1
-        rows: dict[int, list[tuple[int, int]]] = {}
+        rows: dict[int, _Row] = {}
         for stem, mask in live.items():
             g0, g1 = can0[stem], can1[stem]
             scratch, touched = self._propagate(final, stem, g0 ^ mask, g1 ^ mask)
             f0, f1 = scratch.f0, scratch.f1
-            row: list[tuple[int, int]] = []
+            row = start()
             for idx in touched:
-                at = positions.get(idx)
+                at = observed.get(idx)
                 if at is not None:
                     g0, g1 = can0[idx], can1[idx]
                     o0, o1 = f0[idx], f1[idx]
                     found = (g0 ^ g1) & (o0 ^ o1) & ((g1 & o0) | (g0 & o1))
                     if found:
-                        row.extend((position, found) for position in at)
+                        row = fold(row, at, found)
             rows[stem] = row
         return stems, flips, rows
 
@@ -486,6 +501,7 @@ class CompiledCircuit:
         faults: Sequence[StuckAtFault | TransitionFault],
         observation: Sequence[int],
         launch: PackedPatterns | None = None,
+        lanes: Sequence[int] | None = None,
     ) -> list[int]:
         """Detection masks of a fault batch, aligned with ``faults``.
 
@@ -502,14 +518,25 @@ class CompiledCircuit:
         fault that flips the stem leaves the rest of the circuit exactly as
         the stem sweep does, and one that leaves the stem unknown (or finds
         it unknown) cannot produce a known, differing observation.
+
+        ``lanes``, aligned with ``observation``, gives each position the
+        patterns (lanes) that observe it; by default every pattern does.
+        A batch can so pack lane groups that observe different nodes (the
+        capture procedures of a grading window), and a found mask counts
+        only on its node's lanes.  A node any group observes also ends a
+        fanout-free region for every group; that only moves the cut inside
+        the region, so a group that does not observe the node still sees
+        the fault through the sweep from there, lane for lane.
         """
-        stems, flips, rows = self._stem_pass(final, faults, observation, launch)
-        detect: dict[int, int] = {}
-        for stem, row in rows.items():
-            found = 0
-            for _, mask in row:
-                found |= mask
-            detect[stem] = found
+        full = final.full_mask
+        observed: dict[int, int] = {}
+        for position, node in enumerate(observation):
+            observed[node] = observed.get(node, 0) | (
+                full if lanes is None else lanes[position]
+            )
+        stems, flips, detect = self._stem_pass(
+            final, faults, observed, launch, _fold_mask, int
+        )
         return [flip and flip & detect[stem] for stem, flip in zip(stems, flips)]
 
     def syndrome_batch(
@@ -518,6 +545,7 @@ class CompiledCircuit:
         faults: Sequence[StuckAtFault | TransitionFault],
         observation: Sequence[int],
         launch: PackedPatterns | None = None,
+        lanes: Sequence[int] | None = None,
     ) -> list[list[int]]:
         """Per-fault, per-observation-node detection masks of a fault batch.
 
@@ -526,7 +554,15 @@ class CompiledCircuit:
         diagnosis engine matches against tester fail logs.  OR-ing a fault's
         row reproduces its :meth:`detect_batch` mask.
         """
-        stems, flips, rows = self._stem_pass(final, faults, observation, launch)
+        full = final.full_mask
+        observed: dict[int, list[tuple[int, int]]] = {}
+        for position, node in enumerate(observation):
+            observed.setdefault(node, []).append(
+                (position, full if lanes is None else lanes[position])
+            )
+        stems, flips, rows = self._stem_pass(
+            final, faults, observed, launch, _fold_positions, list
+        )
         width = len(observation)
         syndromes: list[list[int]] = []
         for stem, flip in zip(stems, flips):
@@ -536,6 +572,19 @@ class CompiledCircuit:
                     masks[position] = flip & found
             syndromes.append(masks)
         return syndromes
+
+
+def _fold_mask(row: int, lanes: int, found: int) -> int:
+    """``detect_batch``'s fold: OR a stem's detection into one mask."""
+    return row | (lanes & found)
+
+
+def _fold_positions(
+    row: list[tuple[int, int]], at: list[tuple[int, int]], found: int
+) -> list[tuple[int, int]]:
+    """``syndrome_batch``'s fold: list ``(position, mask)`` per hit."""
+    row.extend((position, lanes & found) for position, lanes in at)
+    return row
 
 
 def _transition_gate(

@@ -52,6 +52,7 @@ def _syndrome_serial(
     final: PackedPatterns,
     observation: Sequence[int],
     launch: PackedPatterns | None,
+    lanes: Sequence[int] | None,
 ) -> list[int]:
     """Interpreted reference per-node syndromes (mirrors ``_detect_serial``)."""
     # Imported lazily: repro.fault_sim imports this module at load time.
@@ -65,8 +66,12 @@ def _syndrome_serial(
         masks = propagate_fault_nodes(
             model, final, fault.capture_frame_stuck_at, observation
         )
-        return [gate & mask for mask in masks]
-    return propagate_fault_nodes(model, final, fault, observation)
+        masks = [gate & mask for mask in masks]
+    else:
+        masks = propagate_fault_nodes(model, final, fault, observation)
+    if lanes is None:
+        return masks
+    return [mask & lane for mask, lane in zip(masks, lanes)]
 
 
 def _detect_serial(
@@ -75,11 +80,18 @@ def _detect_serial(
     final: PackedPatterns,
     observation: Sequence[int],
     launch: PackedPatterns | None,
+    lanes: Sequence[int] | None,
 ) -> int:
     """Interpreted reference detection (the pre-engine code path)."""
     # Imported lazily: repro.fault_sim imports this module at load time.
     from repro.fault_sim.stuck_at import propagate_fault_packed
 
+    if lanes is not None:
+        # Each observation position counts on its own lanes only.
+        detect = 0
+        for mask in _syndrome_serial(model, fault, final, observation, launch, lanes):
+            detect |= mask
+        return detect
     if isinstance(fault, TransitionFault):
         assert launch is not None, "transition detection needs launch-frame planes"
         gate = _transition_gate_serial(model, fault, launch, final)
@@ -124,6 +136,7 @@ class FaultSimScheduler:
         faults: Sequence[StuckAtFault | TransitionFault],
         observation: Sequence[int],
         launch: PackedPatterns | None,
+        lanes: Sequence[int] | None,
         serial_fn: Callable,
         kernel: str,
     ) -> list:
@@ -144,10 +157,10 @@ class FaultSimScheduler:
         if self._compiled is None:
             model = self.model
             return [
-                serial_fn(model, fault, final, observation, launch)
+                serial_fn(model, fault, final, observation, launch, lanes)
                 for fault in faults
             ]
-        return getattr(self._compiled, kernel)(final, faults, observation, launch)
+        return getattr(self._compiled, kernel)(final, faults, observation, launch, lanes)
 
     def detect_batch(
         self,
@@ -155,15 +168,21 @@ class FaultSimScheduler:
         faults: Sequence[StuckAtFault | TransitionFault],
         observation: Sequence[int],
         launch: PackedPatterns | None = None,
+        *,
+        lanes: Sequence[int] | None = None,
     ) -> list[int]:
         """Detection masks for one pattern batch, aligned with ``faults``.
 
         Stuck-at faults are propagated through the ``final`` planes;
         transition faults are additionally gated on the ``launch`` planes.
-        The caller merges masks and drops detected faults between rounds.
+        ``lanes``, aligned with ``observation``, restricts each position to
+        the patterns that observe it (the lane groups of a grading window,
+        see :meth:`repro.engine.compile.CompiledCircuit.detect_batch`); by
+        default every pattern observes every position.  The caller merges
+        masks and drops detected faults between rounds.
         """
         return self._run_batch(
-            final, faults, observation, launch,
+            final, faults, observation, launch, lanes,
             _detect_serial, "detect_batch",
         )
 
@@ -182,6 +201,6 @@ class FaultSimScheduler:
         backends.
         """
         return self._run_batch(
-            final, faults, observation, launch,
+            final, faults, observation, launch, None,
             _syndrome_serial, "syndrome_batch",
         )

@@ -41,7 +41,7 @@ class PathDelaySensitizationChecker:
 
     def sensitizes(self, pattern: TestPattern, fault: PathDelayFault) -> bool:
         """True when the pattern launches and propagates along the path."""
-        frames = self._simulator._frame_values_packed([pattern], pattern.procedure)
+        frames = self._simulator.frames.frame_values_packed([pattern], pattern.procedure)
         launch = frames[pattern.procedure.launch_frame]
         capture = frames[pattern.procedure.capture_frame]
         start = fault.nodes[0]

@@ -16,6 +16,16 @@ stuck-at engine; frames are simulated a batch at a time and the per-frame
 state hand-off honours which clock domains each pulse clocks — including the
 inter-domain launch/capture procedures of the enhanced CPF.
 
+Grading packs the batches of several capture procedures into one *window*
+of up to ``batch_size`` patterns.  Each batch is a *lane group*: it owns a
+contiguous range of bit positions, and its launch and capture planes are
+shifted into those lanes.  The window gets one fault pass and one stem pass
+over the union of the groups' observation nodes, each node counted only on
+the lanes of the groups that observe it.  Groups are laid out in batch
+order, so with fault dropping a fault keeps the hits of its lowest group
+with a hit — exactly the hits of the batch that would have dropped it had
+each batch been graded on its own.
+
 Per-fault detection routes through a
 :class:`~repro.engine.scheduler.FaultSimScheduler`, so the execution backend
 (interpreted ``serial`` reference or ``compiled`` kernels) follows
@@ -25,6 +35,7 @@ yields identical detections.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -52,6 +63,67 @@ class TransitionSimResult:
 
     def detected_faults(self) -> list[TransitionFault]:
         return [fault for fault, hits in self.detections.items() if hits]
+
+
+class PatternWindow:
+    """Capture-procedure batches packed side by side into one plane width.
+
+    Lane group *g* is the *g*-th batch added; it owns the contiguous bit
+    positions of ``groups[g]``, and ``patterns[lane]`` is the global
+    pattern index in a lane.  ``launch`` and ``final`` hold every group's
+    launch- and capture-frame planes, each shifted into its own lanes.
+    """
+
+    def __init__(self) -> None:
+        self.patterns: list[int] = []
+        self.groups: list[int] = []
+        self.launch: PackedPatterns | None = None
+        self.final: PackedPatterns | None = None
+        self._lane_group: list[int] = []
+        self._observers: dict[int, int] = {}
+
+    def add(
+        self,
+        chunk: Sequence[int],
+        observation: Sequence[int],
+        launch: PackedPatterns,
+        final: PackedPatterns,
+    ) -> None:
+        """Append one batch as the next lane group."""
+        offset = len(self.patterns)
+        if self.launch is None or self.final is None:
+            self.launch, self.final = launch, final
+        else:
+            self.launch = _shifted_union(self.launch, launch, offset)
+            self.final = _shifted_union(self.final, final, offset)
+        group = ((1 << len(chunk)) - 1) << offset
+        self.groups.append(group)
+        self.patterns.extend(chunk)
+        self._lane_group.extend([group] * len(chunk))
+        observers = self._observers
+        for node in observation:
+            observers[node] = observers.get(node, 0) | group
+
+    def observed(self) -> tuple[list[int], list[int]]:
+        """The union of the groups' observation nodes (sorted) and, aligned
+        with it, the lanes of the groups that observe each node."""
+        observation = sorted(self._observers)
+        return observation, [self._observers[node] for node in observation]
+
+    def lowest_group(self, mask: int) -> int:
+        """``mask`` restricted to the lowest lane group it has a bit in."""
+        return mask & self._lane_group[(mask & -mask).bit_length() - 1]
+
+
+def _shifted_union(
+    window: PackedPatterns, group: PackedPatterns, offset: int
+) -> PackedPatterns:
+    """``window``'s planes with ``group``'s shifted in above bit ``offset``."""
+    return PackedPatterns(
+        num_patterns=offset + group.num_patterns,
+        can0=[w | (g << offset) for w, g in zip(window.can0, group.can0)],
+        can1=[w | (g << offset) for w, g in zip(window.can1, group.can1)],
+    )
 
 
 class FrameSimulator:
@@ -133,6 +205,26 @@ class FrameSimulator:
                     frames[procedure.launch_frame],
                     frames[procedure.capture_frame],
                 )
+
+    def iter_windows(self, items: Sequence[TestPattern], batch_size: int = 256):
+        """Pack the batches of :meth:`iter_batches` side by side into windows.
+
+        A window takes batches in :meth:`iter_batches` order while they fit
+        in ``batch_size`` patterns; each batch becomes a *lane group*, a
+        contiguous range of bit positions, and its launch and capture
+        planes are shifted into those lanes as it arrives (no batch's
+        frames outlive its merge).  Yields one :class:`PatternWindow` per
+        window.
+        """
+        step = max(1, batch_size)
+        window = PatternWindow()
+        for _, observation, chunk, _, launch, final in self.iter_batches(items, step):
+            if window.patterns and len(window.patterns) + len(chunk) > step:
+                yield window
+                window = PatternWindow()
+            window.add(chunk, observation, launch, final)
+        if window.patterns:
+            yield window
 
     def frame_values_packed(
         self, batch: Sequence[TestPattern], procedure: NamedCaptureProcedure
@@ -257,41 +349,54 @@ class TransitionFaultSimulator:
     ) -> dict:
         """Detecting pattern indices per fault, keyed in first-listed order.
 
+        One :meth:`FrameSimulator.iter_windows` window of up to
+        ``batch_size`` patterns at a time: each capture-procedure batch is
+        a lane group of the window, and the window gets one
+        ``detect_batch`` call whose lane masks count every observation
+        node only on the groups that observe it.  The hits come out exactly
+        as if each batch were graded on its own, in batch order: with
+        ``drop_detected`` a fault keeps only the hits of its lowest lane
+        group with a hit (the first batch that would have dropped it).
+
         Hits go straight into each position's list, so a fault is hashed
         once (when its list is made), never per hit.  A fault listed twice
-        shares one list, which gets both positions' hits batch by batch.
+        shares one list, which gets both positions' hits group by group.
         """
         detections: dict = {}
         remaining = list(faults)
         found = [detections.setdefault(fault, []) for fault in remaining]
-        for _, observation, chunk, _, launch, final in self.frames.iter_batches(
-            patterns, self.batch_size
-        ):
+        shared: set[int] = set()
+        if len(detections) < len(remaining):
+            counts = Counter(map(id, found))
+            shared = {key for key, count in counts.items() if count > 1}
+        for window in self.frames.iter_windows(patterns, self.batch_size):
+            observation, lanes = window.observed()
             masks = self.scheduler.detect_batch(
-                final, remaining, observation,
-                launch=launch if gate_on_launch else None,
+                window.final, remaining, observation,
+                launch=window.launch if gate_on_launch else None,
+                lanes=lanes,
             )
+            lane_pattern = window.patterns.__getitem__
             kept_faults: list = []
             kept_found: list[list[int]] = []
+            deferred: list[tuple[list[int], int]] = []
             for fault, hits, mask in zip(remaining, found, masks):
                 if mask:
-                    hits.extend(chunk[i] for i in mask_to_indices(mask) if i < len(chunk))
+                    if drop_detected:
+                        mask = window.lowest_group(mask)
+                    if shared and id(hits) in shared:
+                        deferred.append((hits, mask))
+                    else:
+                        hits.extend(map(lane_pattern, mask_to_indices(mask)))
                     if drop_detected:
                         continue
                 kept_faults.append(fault)
                 kept_found.append(hits)
+            for group in window.groups:
+                for hits, mask in deferred:
+                    hits.extend(map(lane_pattern, mask_to_indices(mask & group)))
             remaining, found = kept_faults, kept_found
         return detections
-
-    # --------------------------------------------------------------- internals
-    def _frame_values_packed(
-        self, batch: Sequence[TestPattern], procedure: NamedCaptureProcedure
-    ) -> list[PackedPatterns]:
-        """Simulate all frames of a homogeneous pattern batch bit-parallel."""
-        return self.frames.frame_values_packed(batch, procedure)
-
-    def _frame_source_assignment(self, pattern: TestPattern, frame: int) -> dict[int, Logic]:
-        return self.frames.frame_source_assignment(pattern, frame)
 
     # ----------------------------------------------------------- good machine
     def good_capture(self, pattern: TestPattern) -> tuple[dict[str, Logic], dict[str, Logic]]:
@@ -315,7 +420,7 @@ class TransitionFaultSimulator:
 
         values: list[Logic] = []
         for frame in range(procedure.num_frames):
-            assignment = self._frame_source_assignment(pattern, frame)
+            assignment = self.frames.frame_source_assignment(pattern, frame)
             for element in self.model.state_elements:
                 assignment[element.q_node] = state[element.name]
             values = scalar_simulate(self.model, assignment)

@@ -182,14 +182,17 @@ def known_equal_mask(packed: PackedPatterns, node_index: int, value: Logic) -> i
 
 
 def mask_to_indices(mask: int, offset: int = 0) -> list[int]:
-    """Indices of set bits in a detection mask (plus an optional offset)."""
+    """Indices of set bits in a detection mask (plus an optional offset).
+
+    Steps from set bit to set bit, so a sparse wide mask costs one step per
+    hit, not one per bit below its top hit.
+    """
     indices: list[int] = []
-    bit = 0
+    offset -= 1
     while mask:
-        if mask & 1:
-            indices.append(offset + bit)
-        mask >>= 1
-        bit += 1
+        low = mask & -mask
+        indices.append(offset + low.bit_length())
+        mask ^= low
     return indices
 
 

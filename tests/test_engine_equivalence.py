@@ -13,7 +13,8 @@ import random
 
 import pytest
 
-from repro.api import TestSession
+from repro.api import TestSession, get_scenario
+from repro.api.design import prepare_from_spec
 from repro.atpg import AtpgOptions, TestSetup
 from repro.atpg.random_fill import random_pattern_batch
 from repro.circuits import random_sequential
@@ -22,7 +23,10 @@ from repro.dft import insert_scan
 from repro.engine.scheduler import BACKENDS as ALL_BACKENDS
 from repro.engine.scheduler import FaultSimScheduler
 from repro.fault_sim import StuckAtFaultSimulator, TransitionFaultSimulator
+from repro.fault_sim.transition import PatternWindow
 from repro.faults import (
+    FaultSite,
+    StuckAtFault,
     all_stuck_at_faults,
     all_transition_faults,
     collapse_faults,
@@ -32,7 +36,9 @@ from repro.netlist import GateType, NetlistBuilder
 from repro.runtime import Executor
 from repro.simulation import build_model
 from repro.simulation.model import NodeKind
-from repro.simulation.parallel_sim import mask_to_indices, pack_patterns
+from repro.simulation.parallel_sim import pack_patterns
+
+from grading_oracle import keyed_detections
 
 
 def _random_design(seed):
@@ -130,67 +136,79 @@ def test_multi_frame_stuck_at_identical_across_backends():
             assert detections == reference, f"{backend} diverged"
 
 
-def _keyed_detections(simulator, patterns, faults, drop_detected, transition):
-    """The fault-keyed grading loop the position-indexed one replaced: the
-    oracle for its keys, key order and hit lists."""
-    remaining = list(faults)
-    detections = {fault: [] for fault in remaining}
-    by_procedure: dict[str, list[int]] = {}
-    for index, pattern in enumerate(patterns):
-        by_procedure.setdefault(pattern.procedure.name, []).append(index)
-    for indices in by_procedure.values():
-        procedure = patterns[indices[0]].procedure
-        observation = simulator.observation_nodes(procedure)
-        for start in range(0, len(indices), simulator.batch_size):
-            chunk = indices[start:start + simulator.batch_size]
-            frames = simulator._frame_values_packed(
-                [patterns[i] for i in chunk], procedure
-            )
-            launch = frames[procedure.launch_frame] if transition else None
-            masks = simulator.scheduler.detect_batch(
-                frames[procedure.capture_frame], remaining, observation,
-                launch=launch,
-            )
-            still_remaining = []
-            for fault, mask in zip(remaining, masks):
-                if mask:
-                    detections[fault].extend(
-                        chunk[i] for i in mask_to_indices(mask) if i < len(chunk)
-                    )
-                    if not drop_detected:
-                        still_remaining.append(fault)
-                else:
-                    still_remaining.append(fault)
-            remaining = still_remaining
-    return detections
+def _uneven_table1_d():
+    """``tiny`` under scenario (d)'s ten capture procedures (fast-domain and
+    slow-domain ones observe different scan cells) and a pattern set whose
+    procedures have uneven pattern counts: 12 for the first, 3 for each of
+    the other nine."""
+    prepared = prepare_from_spec("tiny")
+    setup = get_scenario("table1-d").build_setup(prepared, AtpgOptions(
+        random_pattern_batches=1, patterns_per_batch=16, backtrack_limit=8,
+    ))
+    model = prepared.model
+    procedures = list(setup.procedures)
+    constrained = setup.effective_pin_constraints()
+    patterns = random_pattern_batch(
+        procedures[:1] * 4 + procedures[1:],
+        [e.name for e in model.state_elements if e.flop.is_scan],
+        [model.nodes[i].net for i in model.pi_nodes
+         if model.nodes[i].net not in constrained],
+        39, random.Random(4),
+        hold_pis=setup.hold_pis, observe_pos=setup.observe_pos,
+    )
+    return prepared, setup, patterns
+
+
+def _window_shapes(simulator, patterns):
+    """Per window, the procedure of each of its lane groups."""
+    return [
+        [patterns[window.patterns[group.bit_length() - 1]].procedure.name
+         for group in window.groups]
+        for window in simulator.frames.iter_windows(patterns, simulator.batch_size)
+    ]
 
 
 @pytest.mark.parametrize("drop_detected", [True, False])
 def test_position_indexed_grading_matches_the_keyed_loop(drop_detected):
     """Same keys, key order and lists as the keyed loop, for a fault list
     with repeats (a repeated fault shares one list of both positions' hits)
-    graded over several batches of several procedures."""
-    model, domain_map, setup = _random_design(4)
-    simulator = TransitionFaultSimulator(model, domain_map, setup, batch_size=4)
-    patterns = _pattern_batch(model, setup, 4)
+    graded over windows of several procedures' batches at three batch
+    sizes: all ten procedures in one window (64), a procedure split across
+    windows next to windows of several groups (5), and one pattern per
+    window (1)."""
+    prepared, setup, patterns = _uneven_table1_d()
+    model = prepared.model
     fault_lists = {
         True: collapse_faults(model, all_transition_faults(model)).representatives,
         False: collapse_faults(model, all_stuck_at_faults(model)).representatives,
     }
-    for transition, faults in fault_lists.items():
-        once = _keyed_detections(simulator, patterns, faults, False, transition)
-        hit = [fault for fault, hits in once.items() if hits]
-        listed = faults[::-1] + hit[:5] + hit[2:4]
-        expected = _keyed_detections(
-            simulator, patterns, listed, drop_detected, transition
+    for batch_size in (64, 5, 1):
+        simulator = TransitionFaultSimulator(
+            model, prepared.domain_map, setup, batch_size=batch_size
         )
-        if transition:
-            got = simulator.simulate(patterns, listed, drop_detected).detections
+        shapes = _window_shapes(simulator, patterns)
+        if batch_size == 64:
+            assert [len(names) for names in shapes] == [10]
+        elif batch_size == 5:
+            first = patterns[0].procedure.name
+            assert sum(first in names for names in shapes) > 1
+            assert any(len(names) > 1 for names in shapes)
         else:
-            got = simulator.simulate_stuck_at(patterns, listed, drop_detected)
-        assert list(got) == list(expected)
-        assert got == expected
-        assert all(len(got[fault]) > len(set(got[fault])) for fault in hit[:5])
+            assert len(shapes) == len(patterns)
+        for transition, faults in fault_lists.items():
+            once = keyed_detections(simulator, patterns, faults, False, transition)
+            hit = [fault for fault, hits in once.items() if hits]
+            listed = faults[::-1] + hit[:5] + hit[2:4]
+            expected = keyed_detections(
+                simulator, patterns, listed, drop_detected, transition
+            )
+            if transition:
+                got = simulator.simulate(patterns, listed, drop_detected).detections
+            else:
+                got = simulator.simulate_stuck_at(patterns, listed, drop_detected)
+            assert list(got) == list(expected), batch_size
+            assert got == expected, batch_size
+            assert all(len(got[fault]) > len(set(got[fault])) for fault in hit[:5])
 
 
 def _stem_corner_model(seed):
@@ -254,6 +272,88 @@ def test_stem_kernel_matches_serial_on_corner_cases(seed):
         rows = compiled.syndrome_batch(final, faults, observation, frame)
         assert rows == serial.syndrome_batch(final, faults, observation, frame)
         for mask, row in zip(masks, rows):
+            merged = 0
+            for node_mask in row:
+                merged |= node_mask
+            assert merged == mask
+
+
+def test_lane_group_counts_only_the_nodes_it_observes():
+    """An internal node with one consumer, observed by one lane group only:
+    the fault region is cut there for every lane, but a lane of the other
+    group counts a detection only where its own observation node (the
+    output behind the consumer) sees one."""
+    builder = NetlistBuilder("lanes")
+    a, b, c = builder.inputs("x", 3)
+    inner = builder.gate(GateType.AND, [a, b])
+    out = builder.gate(GateType.OR, [inner, c])
+    builder.output_from(out, "y")
+    model = build_model(builder.build())
+    node = model.node_of_net
+    assert len(model.fanout[node[inner]]) == 1
+    # Every lane complements ``inner`` under ``a`` stuck-at-0; ``c`` blocks
+    # the output on lanes 0-2 and opens it on lane 3.
+    patterns = [
+        {node[a]: Logic.ONE, node[b]: Logic.ONE, node[c]: value}
+        for value in (Logic.ONE, Logic.ONE, Logic.ONE, Logic.ZERO)
+    ]
+    final = FaultSimScheduler(model).simulate_good(pack_patterns(model, patterns))
+    fault = StuckAtFault(FaultSite(node[a]), 0)
+    observation = [node[inner], node[out]]
+    lanes = [0b0011, 0b1100]
+    for backend in ALL_BACKENDS:
+        scheduler = FaultSimScheduler(model, backend=backend)
+        assert scheduler.detect_batch(final, [fault], observation) == [0b1111]
+        assert scheduler.detect_batch(
+            final, [fault], observation, lanes=lanes
+        ) == [0b1011], backend
+
+
+@pytest.mark.parametrize("seed", [3, 8, 27])
+def test_window_lanes_match_per_group_batches(seed):
+    """Two lane groups of different widths packed into one window, the
+    second observing none of the single-consumer internal nodes the first
+    observes: the window's masks, on either backend, are the two groups'
+    own masks shifted into their lanes."""
+    model, observation = _stem_corner_model(seed)
+    internal = {n for n in observation if len(set(model.fanout[n])) == 1}
+    assert internal
+    rng = random.Random(seed)
+    groups = []
+    for count, observed in ((24, observation),
+                            (40, [n for n in observation if n not in internal])):
+        groups.append((_x_heavy_frame(model, rng, count),
+                       _x_heavy_frame(model, rng, count), observed))
+    window = PatternWindow()
+    for launch, final, observed in groups:
+        start = len(window.patterns)
+        window.add(range(start, start + final.num_patterns), observed, launch, final)
+    window_observation, lanes = window.observed()
+    compiled = FaultSimScheduler(model, backend="compiled")
+    for faults, transition in (
+        (all_stuck_at_faults(model), False),
+        (all_transition_faults(model), True),
+    ):
+        expected = [0] * len(faults)
+        offset = 0
+        for launch, final, observed in groups:
+            masks = compiled.detect_batch(
+                final, faults, observed, launch if transition else None
+            )
+            expected = [got | (mask << offset) for got, mask in zip(expected, masks)]
+            offset += final.num_patterns
+        assert any(mask >> 24 for mask in expected)
+        launch = window.launch if transition else None
+        for backend in ALL_BACKENDS:
+            scheduler = FaultSimScheduler(model, backend=backend)
+            masks = scheduler.detect_batch(
+                window.final, faults, window_observation, launch, lanes=lanes
+            )
+            assert masks == expected, backend
+        rows = compiled._compiled.syndrome_batch(
+            window.final, faults, window_observation, launch, lanes
+        )
+        for mask, row in zip(expected, rows):
             merged = 0
             for node_mask in row:
                 merged |= node_mask

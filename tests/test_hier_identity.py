@@ -30,6 +30,8 @@ from repro.logic import Logic
 from repro.patterns.pattern import PatternSet
 from repro.volume import run_bp_diagnosis
 
+from grading_oracle import keyed_detections
+
 #: Diagnosis needs a detected defect, not coverage.
 ULTRA = AtpgOptions(
     random_pattern_batches=1, patterns_per_batch=16, backtrack_limit=8,
@@ -121,8 +123,10 @@ def test_fault_sim_detections_identical_to_flat(backend):
 
 def test_full_transition_universe_identical_to_serial():
     """Every collapsed transition fault of ``hier-soc-1k`` under scenario
-    (d)'s capture procedures: the stem kernel detects exactly what the
-    per-fault serial reference does."""
+    (d)'s capture procedures, with and without fault dropping: the stem
+    kernel, grading all procedures in one window, detects exactly what the
+    per-fault serial reference does, and exactly what the per-procedure
+    keyed loop does."""
     register_hier_designs()
     prepared = prepare_from_spec("hier-soc-1k")
     model = prepared.model
@@ -137,18 +141,27 @@ def test_full_transition_universe_identical_to_serial():
         32, random.Random(19),
         hold_pis=setup.hold_pis, observe_pos=setup.observe_pos,
     )
-    results = {}
-    for backend in ALL_BACKENDS:
-        simulator = TransitionFaultSimulator(
+    assert len(faults) == 6676
+    simulators = {
+        backend: TransitionFaultSimulator(
             model, prepared.domain_map, setup, backend=backend
         )
-        results[backend] = simulator.simulate(
-            patterns, faults, drop_detected=False
-        ).detections
-    assert len(faults) == 6676
-    assert any(results["serial"].values())
-    for backend in ALL_BACKENDS[1:]:
-        assert results[backend] == results["serial"], f"{backend} diverged"
+        for backend in ALL_BACKENDS
+    }
+    for drop_detected in (True, False):
+        results = {
+            backend: simulator.simulate(
+                patterns, faults, drop_detected=drop_detected
+            ).detections
+            for backend, simulator in simulators.items()
+        }
+        assert any(results["serial"].values())
+        for backend in ALL_BACKENDS[1:]:
+            assert results[backend] == results["serial"], f"{backend} diverged"
+        keyed = keyed_detections(
+            simulators["compiled"], patterns, faults, drop_detected, True
+        )
+        assert results["compiled"] == keyed, "the windowed loop diverged from the keyed loop"
 
 
 # ---------------------------------------------------------------- diagnosis

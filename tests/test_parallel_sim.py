@@ -73,6 +73,13 @@ def test_mask_to_indices():
     assert mask_to_indices(0b1011) == [0, 1, 3]
     assert mask_to_indices(0b1011, offset=10) == [10, 11, 13]
     assert mask_to_indices(0) == []
+    # Wide and sparse: a 128-lane window mask with hits far apart.
+    wide = (1 << 127) | (1 << 64) | (1 << 5)
+    assert mask_to_indices(wide) == [5, 64, 127]
+    assert mask_to_indices(wide, offset=3) == [8, 67, 130]
+    assert mask_to_indices(1 << 255) == [255]
+    dense = (1 << 130) - 1
+    assert mask_to_indices(dense) == list(range(130))
 
 
 def test_full_mask_tracks_batch_size(c17_model):
