@@ -66,10 +66,6 @@ class TimeFrameView:
     def capture_frame(self) -> int:
         return self.procedure.capture_frame
 
-    def node_in_frame(self, base_node: int, frame: int) -> int:
-        """Expanded node index of a base node in a given frame."""
-        return self.frame_map[frame][base_node]
-
     # ----------------------------------------------------------------- faults
     def expanded_stuck_at(self, fault: StuckAtFault, frame: int | None = None) -> StuckAtFault:
         """Map a base-model stuck-at fault into the expanded model."""
@@ -86,12 +82,6 @@ class TimeFrameView:
         base = self.base_model
         base_node = site.node if site.pin is None else base.nodes[site.node].fanin[site.pin]
         return self.frame_map[self.launch_frame][base_node]
-
-    def final_value_node(self, site: FaultSite) -> int:
-        """Expanded node carrying the fault site's value in the capture frame."""
-        base = self.base_model
-        base_node = site.node if site.pin is None else base.nodes[site.node].fanin[site.pin]
-        return self.frame_map[self.capture_frame][base_node]
 
     def transition_requirements(self, fault: TransitionFault) -> tuple[StuckAtFault, list[tuple[int, Logic]]]:
         """Stuck-at fault + additional value objectives for a transition fault.

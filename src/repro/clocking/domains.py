@@ -53,7 +53,7 @@ class ClockDomain:
 
 
 class ClockDomainMap:
-    """Assignment of every flip-flop (and RAM) to a clock domain."""
+    """Assignment of every flip-flop to a clock domain."""
 
     def __init__(self, domains: Iterable[ClockDomain]) -> None:
         self._domains: dict[str, ClockDomain] = {}
@@ -62,7 +62,6 @@ class ClockDomainMap:
                 raise ValueError(f"duplicate clock domain {domain.name!r}")
             self._domains[domain.name] = domain
         self._flop_domain: dict[str, str] = {}
-        self._ram_domain: dict[str, str] = {}
 
     # ------------------------------------------------------------- properties
     @property
@@ -81,7 +80,7 @@ class ClockDomainMap:
     # ------------------------------------------------------------ assignment
     @classmethod
     def from_netlist(cls, netlist: Netlist, domains: Iterable[ClockDomain]) -> "ClockDomainMap":
-        """Assign flip-flops/RAMs to domains by matching their clock nets.
+        """Assign flip-flops to domains by matching their clock nets.
 
         Flip-flops whose clock net does not match any declared domain are left
         unassigned; :meth:`domain_of` returns ``None`` for them (this is where
@@ -94,24 +93,12 @@ class ClockDomainMap:
             domain_name = net_to_domain.get(flop.clock)
             if domain_name is not None:
                 mapping._flop_domain[flop.name] = domain_name
-        for ram in netlist.rams.values():
-            domain_name = net_to_domain.get(ram.clock)
-            if domain_name is not None:
-                mapping._ram_domain[ram.name] = domain_name
         return mapping
-
-    def assign_flop(self, flop_name: str, domain_name: str) -> None:
-        if domain_name not in self._domains:
-            raise KeyError(f"unknown domain {domain_name!r}")
-        self._flop_domain[flop_name] = domain_name
 
     # --------------------------------------------------------------- queries
     def domain_of(self, flop_name: str) -> str | None:
         """Domain of a flip-flop (None when the flop is outside all domains)."""
         return self._flop_domain.get(flop_name)
-
-    def domain_of_ram(self, ram_name: str) -> str | None:
-        return self._ram_domain.get(ram_name)
 
     def flops_in(self, domain_name: str) -> list[str]:
         return sorted(name for name, d in self._flop_domain.items() if d == domain_name)
@@ -134,7 +121,6 @@ class ClockDomainMap:
         ]
         clone = ClockDomainMap(updated)
         clone._flop_domain = dict(self._flop_domain)
-        clone._ram_domain = dict(self._ram_domain)
         return clone
 
     def summary(self) -> dict[str, int]:

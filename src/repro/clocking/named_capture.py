@@ -140,9 +140,6 @@ class NamedCaptureProcedure:
         CPF capability of experiment (d))."""
         return self.num_pulses >= 2 and self.launch_domains != self.capture_domains
 
-    def capturing_domains_of_pulse(self, pulse_index: int) -> frozenset[str]:
-        return self.pulses[pulse_index].domains
-
     def describe(self) -> str:
         parts = []
         for i, pulse in enumerate(self.pulses):

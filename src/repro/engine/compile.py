@@ -353,7 +353,9 @@ class CompiledCircuit:
 
         Inside a region only one path leaves the site, so the trace is
         memoised per node (and per faulty pin): the patterns where
-        complementing that node complements the stem.  Where a node on the
+        complementing that node complements the stem.  Every memo is a
+        list indexed by node (the pin memo holds one small list per node,
+        indexed by pin), never a dict of tuples.  Where a node on the
         path goes unknown instead, monotonicity rules out a known, differing
         value anywhere downstream, so those patterns are rightly dropped.
         """
@@ -362,8 +364,11 @@ class CompiledCircuit:
         fanin_of = self._fanin
         # Launch/settle gates per ``2 * net + rising``; -1 until computed.
         gates = [-1] * (2 * self.num_nodes)
-        pins: dict[tuple[int, int], int] = {}
-        reach: dict[int, tuple[int, int]] = {}
+        pins: list[list[int] | None] = [None] * self.num_nodes
+        # Region trace per node: its stem (-1 until traced) and the patterns
+        # where complementing the node complements that stem.
+        reach_stem = [-1] * self.num_nodes
+        reach_mask = [0] * self.num_nodes
         stems: list[int] = []
         flips: list[int] = []
         live: dict[int, int] = {}
@@ -386,18 +391,22 @@ class CompiledCircuit:
             g0, g1 = can0[net], can1[net]
             flip = gate & (g0 ^ g1) & (g1 if stuck == 0 else g0)
             if flip and pin is not None:
-                sensitive = pins.get((node, pin), -1)
+                memo = pins[node]
+                if memo is None:
+                    memo = pins[node] = [-1] * len(fanin_of[node])
+                sensitive = memo[pin]
                 if sensitive < 0:
-                    sensitive = pins[(node, pin)] = self._complement_sensitivity(
+                    sensitive = memo[pin] = self._complement_sensitivity(
                         can0, can1, node, (pin,)
                     )
                 flip &= sensitive
             if flip:
-                traced = reach.get(node)
-                if traced is None:
-                    traced = self._trace_region(can0, can1, node, observed, reach)
-                stem, sensitive = traced
-                flip &= sensitive
+                stem = reach_stem[node]
+                if stem < 0:
+                    stem = self._trace_region(
+                        can0, can1, node, observed, reach_stem, reach_mask
+                    )
+                flip &= reach_mask[node]
             if flip:
                 live[stem] = live.get(stem, 0) | flip
             else:
@@ -415,21 +424,23 @@ class CompiledCircuit:
         can1: list[int],
         node: int,
         observed: dict[int, object],
-        reach: dict[int, tuple[int, int]],
-    ) -> tuple[int, int]:
-        """``(stem, patterns)`` of ``node``: its region's stem and the
-        patterns where complementing ``node`` complements the stem.  Fills
-        ``reach`` for every node on the way."""
+        stems: list[int],
+        masks: list[int],
+    ) -> int:
+        """The stem of ``node``'s region.  Fills ``stems`` (the stem) and
+        ``masks`` (the patterns where complementing the node complements
+        the stem) for every node on the way."""
         successor, fanin_of = self._ffr_next, self._fanin
         path: list[int] = []
-        while node not in reach:
+        while stems[node] < 0:
             nxt = successor[node]
             if nxt < 0 or node in observed:
-                reach[node] = (node, can0[node] ^ can1[node])
+                stems[node] = node
+                masks[node] = can0[node] ^ can1[node]
                 break
             path.append(node)
             node = nxt
-        stem, sensitive = reach[node]
+        stem, sensitive = stems[node], masks[node]
         for node in reversed(path):
             if sensitive:
                 nxt = successor[node]
@@ -437,8 +448,9 @@ class CompiledCircuit:
                     can0, can1, nxt,
                     [pin for pin, src in enumerate(fanin_of[nxt]) if src == node],
                 )
-            reach[node] = (stem, sensitive)
-        return reach[path[0]] if path else reach[node]
+            stems[node] = stem
+            masks[node] = sensitive
+        return stem
 
     def _complement_sensitivity(
         self, can0: list[int], can1: list[int], node: int, pins: Sequence[int]

@@ -12,19 +12,31 @@ site is detected by a pattern when
   final pulse into an observable scan cell, or an observed primary output.
 
 The simulator shares the bit-parallel single-fault-propagation core with the
-stuck-at engine; frames are simulated a batch at a time and the per-frame
-state hand-off honours which clock domains each pulse clocks — including the
-inter-domain launch/capture procedures of the enhanced CPF.
+stuck-at engine.  Grading packs the batches of several capture procedures
+into one *window* of up to ``batch_size`` patterns; each batch is a *lane
+group* that owns a contiguous range of bit positions.  Frames are simulated
+a window at a time: frame *k* of every lane is one good-machine pass, so a
+window costs as many passes as its longest procedure has frames (at most
+four for the paper's procedures), over source planes built straight from
+the patterns.  The hand-off from frame *k*-1 to *k* honours which clock
+domains each pulse clocks — including the inter-domain launch/capture
+procedures of the enhanced CPF — as a masked merge per state element: per
+domain, ``pulsed`` is the OR of the groups whose procedure's pulse *k*-1
+clocks it, and an element takes ``(d & pulsed) | (q & ~pulsed)`` (a cell
+with no D input goes to X on the pulsed lanes).  A group whose procedure
+has fewer frames holds its state past its capture frame; its lanes run on
+as garbage that nothing reads.  After frame *k*, the lanes of the groups
+that launch (capture) at *k* are ORed into the window's launch (capture)
+planes, so at most two frames are live at once.  Every plane operation is
+bitwise per lane and a lane's frames depend only on its own pattern and
+procedure, so each lane's planes equal those of its batch framed alone.
 
-Grading packs the batches of several capture procedures into one *window*
-of up to ``batch_size`` patterns.  Each batch is a *lane group*: it owns a
-contiguous range of bit positions, and its launch and capture planes are
-shifted into those lanes.  The window gets one fault pass and one stem pass
-over the union of the groups' observation nodes, each node counted only on
-the lanes of the groups that observe it.  Groups are laid out in batch
-order, so with fault dropping a fault keeps the hits of its lowest group
-with a hit — exactly the hits of the batch that would have dropped it had
-each batch been graded on its own.
+The window gets one fault pass and one stem pass over the union of the
+groups' observation nodes, each node counted only on the lanes of the
+groups that observe it.  Groups are laid out in batch order, so with fault
+dropping a fault keeps the hits of its lowest group with a hit — exactly
+the hits of the batch that would have dropped it had each batch been
+graded on its own.
 
 Per-fault detection routes through a
 :class:`~repro.engine.scheduler.FaultSimScheduler`, so the execution backend
@@ -37,7 +49,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.atpg.config import TestSetup
 from repro.clocking.domains import ClockDomainMap
@@ -47,11 +59,7 @@ from repro.faults.models import TransitionFault
 from repro.patterns.pattern import TestPattern
 from repro.logic import Logic
 from repro.simulation.model import CircuitModel
-from repro.simulation.parallel_sim import (
-    PackedPatterns,
-    mask_to_indices,
-    pack_patterns,
-)
+from repro.simulation.parallel_sim import PackedPatterns, mask_to_indices, planes_of
 from repro.simulation.scalar_sim import simulate as scalar_simulate
 
 
@@ -69,35 +77,31 @@ class PatternWindow:
     """Capture-procedure batches packed side by side into one plane width.
 
     Lane group *g* is the *g*-th batch added; it owns the contiguous bit
-    positions of ``groups[g]``, and ``patterns[lane]`` is the global
-    pattern index in a lane.  ``launch`` and ``final`` hold every group's
-    launch- and capture-frame planes, each shifted into its own lanes.
+    positions of ``groups[g]`` and applies ``procedures[g]``, and
+    ``patterns[lane]`` is the global pattern index in a lane.  ``launch``
+    and ``final`` hold every lane's launch- and capture-frame planes; the
+    :class:`FrameSimulator` that builds the window fills them in.
     """
 
     def __init__(self) -> None:
         self.patterns: list[int] = []
         self.groups: list[int] = []
+        self.procedures: list[NamedCaptureProcedure] = []
         self.launch: PackedPatterns | None = None
         self.final: PackedPatterns | None = None
         self._lane_group: list[int] = []
         self._observers: dict[int, int] = {}
 
-    def add(
+    def add_group(
         self,
         chunk: Sequence[int],
+        procedure: NamedCaptureProcedure,
         observation: Sequence[int],
-        launch: PackedPatterns,
-        final: PackedPatterns,
     ) -> None:
         """Append one batch as the next lane group."""
-        offset = len(self.patterns)
-        if self.launch is None or self.final is None:
-            self.launch, self.final = launch, final
-        else:
-            self.launch = _shifted_union(self.launch, launch, offset)
-            self.final = _shifted_union(self.final, final, offset)
-        group = ((1 << len(chunk)) - 1) << offset
+        group = ((1 << len(chunk)) - 1) << len(self.patterns)
         self.groups.append(group)
+        self.procedures.append(procedure)
         self.patterns.extend(chunk)
         self._lane_group.extend([group] * len(chunk))
         observers = self._observers
@@ -115,15 +119,22 @@ class PatternWindow:
         return mask & self._lane_group[(mask & -mask).bit_length() - 1]
 
 
-def _shifted_union(
-    window: PackedPatterns, group: PackedPatterns, offset: int
-) -> PackedPatterns:
-    """``window``'s planes with ``group``'s shifted in above bit ``offset``."""
-    return PackedPatterns(
-        num_patterns=offset + group.num_patterns,
-        can0=[w | (g << offset) for w, g in zip(window.can0, group.can0)],
-        can1=[w | (g << offset) for w, g in zip(window.can1, group.can1)],
-    )
+def _merge_lanes(
+    window: PackedPatterns | None, frame: PackedPatterns, lanes: int
+) -> PackedPatterns | None:
+    """``window``'s planes with ``frame``'s ORed in on ``lanes`` —
+    ``frame`` itself, uncopied, when ``lanes`` is every lane."""
+    if not lanes:
+        return window
+    if lanes == frame.full_mask:
+        return frame
+    if window is None:
+        can0 = [value & lanes for value in frame.can0]
+        can1 = [value & lanes for value in frame.can1]
+    else:
+        can0 = [w | (v & lanes) for w, v in zip(window.can0, frame.can0)]
+        can1 = [w | (v & lanes) for w, v in zip(window.can1, frame.can1)]
+    return PackedPatterns(num_patterns=frame.num_patterns, can0=can0, can1=can1)
 
 
 class FrameSimulator:
@@ -132,9 +143,10 @@ class FrameSimulator:
     Owns the per-frame state hand-off of broadside patterns: which clock
     domains each pulse clocks, how scan loads seed frame 0, which scan cells
     and primary outputs the final pulse observes.  Shared by the transition
-    fault simulator, the tester-side fail-log capture of
-    :mod:`repro.diagnose.faillog` and the diagnosis candidate scorer — all
-    three must agree bit for bit on the frames they reason about.
+    fault simulator, the path-delay checker, the tester-side fail-log
+    capture of :mod:`repro.diagnose.faillog` and the diagnosis candidate
+    scorer — all of them must agree bit for bit on the frames they reason
+    about, so all of them frame through :meth:`_frames`.
     """
 
     def __init__(
@@ -148,44 +160,57 @@ class FrameSimulator:
         self.domain_map = domain_map
         self.setup = setup
         self.scheduler = scheduler
-        self._constraints = setup.effective_pin_constraints()
-        self._scan_elements = [e for e in model.state_elements if e.flop.is_scan]
+        node_of_net = model.node_of_net
+        #: ``(node, value)`` of every pin constraint the model has a node for.
+        self._constrained = [
+            (node_of_net[net], value)
+            for net, value in setup.effective_pin_constraints().items()
+            if net in node_of_net
+        ]
+        #: One row per state element: ``(name, q, d, domain, is_scan, init)``.
+        self._elements = [
+            (
+                element.name, element.q_node, element.d_node,
+                domain_map.domain_of(element.name), element.flop.is_scan,
+                element.flop.init,
+            )
+            for element in model.state_elements
+        ]
+        #: Scan cell name -> its position among the scan cells' Q nodes.
+        scan = [(name, q) for name, q, _, _, is_scan, _ in self._elements if is_scan]
+        self._scan_position = {name: position for position, (name, _) in enumerate(scan)}
+        self._scan_q = [q for _, q in scan]
+        #: ``(q, value)`` of every non-scan cell with a power-up value.
+        self._initialised = [
+            (q, Logic.from_int(init))
+            for _, q, _, _, is_scan, init in self._elements
+            if not is_scan and init is not None
+        ]
 
     # ------------------------------------------------------------- observation
     def observation_nodes(self, procedure: NamedCaptureProcedure) -> list[int]:
         """Observation points for one procedure: D inputs of scan cells captured
         by the final pulse, plus primary outputs when they may be strobed."""
-        observation: list[int] = []
         last_domains = procedure.capture_domains
-        for element in self._scan_elements:
-            if element.d_node is None:
-                continue
-            domain = self.domain_map.domain_of(element.name)
-            if domain is not None and domain in last_domains:
-                observation.append(element.d_node)
+        observation = [
+            d for _, _, d, domain, is_scan, _ in self._elements
+            if is_scan and d is not None and domain in last_domains
+        ]
         if self.setup.observe_pos:
             observation.extend(idx for _, idx in self.model.po_nodes)
         return sorted(set(observation))
 
     def observed_scan_flops(self, procedure: NamedCaptureProcedure) -> list[str]:
-        names = []
-        for element in self._scan_elements:
-            domain = self.domain_map.domain_of(element.name)
-            if domain is not None and domain in procedure.capture_domains:
-                names.append(element.name)
-        return names
+        return [
+            name for name, _, _, domain, is_scan, _ in self._elements
+            if is_scan and domain in procedure.capture_domains
+        ]
 
     # --------------------------------------------------------------- framing
-    def iter_batches(self, items: Sequence[TestPattern], batch_size: int = 256):
-        """Group a pattern set by capture procedure and simulate per batch.
-
-        Yields ``(procedure, observation, chunk, batch, launch, final)`` for
-        every homogeneous batch: the global pattern indices (``chunk``), the
-        patterns themselves, and the launch/capture-frame planes.  Fail-log
-        capture and diagnosis candidate scoring both iterate through this
-        single generator, so the frames they reason about are identical by
-        construction.
-        """
+    def _batches(self, items: Sequence[TestPattern], batch_size: int):
+        """``(procedure, observation, chunk)`` per homogeneous batch: each
+        procedure's global pattern indices, procedures in first-listed
+        order, in chunks of up to ``batch_size``."""
         by_procedure: dict[str, list[int]] = {}
         for index, pattern in enumerate(items):
             by_procedure.setdefault(pattern.procedure.name, []).append(index)
@@ -194,89 +219,192 @@ class FrameSimulator:
             procedure = items[indices[0]].procedure
             observation = self.observation_nodes(procedure)
             for start in range(0, len(indices), step):
-                chunk = indices[start:start + step]
-                batch = [items[i] for i in chunk]
-                frames = self.frame_values_packed(batch, procedure)
-                yield (
-                    procedure,
-                    observation,
-                    chunk,
-                    batch,
-                    frames[procedure.launch_frame],
-                    frames[procedure.capture_frame],
-                )
+                yield procedure, observation, indices[start:start + step]
+
+    def iter_batches(self, items: Sequence[TestPattern], batch_size: int = 256):
+        """Group a pattern set by capture procedure and simulate per batch.
+
+        Yields ``(procedure, observation, chunk, batch, launch, final)`` for
+        every homogeneous batch: the global pattern indices (``chunk``), the
+        patterns themselves, and the launch/capture-frame planes — the
+        one-group case of the window framer.  Fail-log capture and
+        diagnosis candidate scoring both iterate through this single
+        generator, so the frames they reason about are identical by
+        construction.
+        """
+        for procedure, observation, chunk in self._batches(items, batch_size):
+            batch = [items[i] for i in chunk]
+            lanes = (1 << len(batch)) - 1
+            launch, final = self._launch_and_final(batch, ((lanes, procedure),))
+            yield procedure, observation, chunk, batch, launch, final
 
     def iter_windows(self, items: Sequence[TestPattern], batch_size: int = 256):
-        """Pack the batches of :meth:`iter_batches` side by side into windows.
+        """Pack the batches of :meth:`iter_batches` side by side into windows
+        and frame each window as a whole.
 
         A window takes batches in :meth:`iter_batches` order while they fit
         in ``batch_size`` patterns; each batch becomes a *lane group*, a
-        contiguous range of bit positions, and its launch and capture
-        planes are shifted into those lanes as it arrives (no batch's
-        frames outlive its merge).  Yields one :class:`PatternWindow` per
-        window.
+        contiguous range of bit positions.  Frame *k* of the window is one
+        good-machine pass over all of its lanes, so a window costs as many
+        passes as its longest procedure has frames.  Between frames, each
+        state element takes its D value on the lanes ``pulsed`` by pulse
+        *k*-1 of their group's procedure, per clock domain, and holds on the
+        others; a group past its capture frame holds, and its lanes run on
+        as garbage nobody reads.  After frame *k*, the lanes of the groups
+        that launch (capture) at *k* are ORed into the window's ``launch``
+        (``final``) planes, so at most two frames are live at once.  Yields
+        one :class:`PatternWindow` per window.
         """
         step = max(1, batch_size)
         window = PatternWindow()
-        for _, observation, chunk, _, launch, final in self.iter_batches(items, step):
+        for procedure, observation, chunk in self._batches(items, step):
             if window.patterns and len(window.patterns) + len(chunk) > step:
-                yield window
+                yield self._framed(window, items)
                 window = PatternWindow()
-            window.add(chunk, observation, launch, final)
+            window.add_group(chunk, procedure, observation)
         if window.patterns:
-            yield window
+            yield self._framed(window, items)
+
+    def _framed(self, window: PatternWindow, items: Sequence[TestPattern]) -> PatternWindow:
+        window.launch, window.final = self._launch_and_final(
+            [items[i] for i in window.patterns],
+            list(zip(window.groups, window.procedures)),
+        )
+        return window
 
     def frame_values_packed(
         self, batch: Sequence[TestPattern], procedure: NamedCaptureProcedure
     ) -> list[PackedPatterns]:
-        """Simulate all frames of a homogeneous pattern batch bit-parallel."""
-        frames: list[PackedPatterns] = []
-        previous: PackedPatterns | None = None
-        for frame_index in range(procedure.num_frames):
-            assignments = [
-                self.frame_source_assignment(pattern, frame_index) for pattern in batch
-            ]
-            packed = pack_patterns(self.model, assignments)
-            if previous is not None:
-                pulse = procedure.pulses[frame_index - 1]
-                full = packed.full_mask
-                for element in self.model.state_elements:
-                    q = element.q_node
-                    domain = self.domain_map.domain_of(element.name)
-                    captured = domain is not None and domain in pulse.domains
-                    if captured and element.d_node is not None:
-                        packed.can0[q] = previous.can0[element.d_node]
-                        packed.can1[q] = previous.can1[element.d_node]
-                    elif captured:
-                        packed.can0[q] = full
-                        packed.can1[q] = full
-                    else:
-                        packed.can0[q] = previous.can0[q]
-                        packed.can1[q] = previous.can1[q]
-            self.scheduler.simulate_good(packed)
-            frames.append(packed)
-            previous = packed
-        return frames
+        """Every frame of a homogeneous pattern batch, bit-parallel: the
+        window framer with one lane group, all of whose frames are kept."""
+        lanes = (1 << max(1, len(batch))) - 1
+        return list(self._frames(batch, ((lanes, procedure),)))
 
-    def frame_source_assignment(self, pattern: TestPattern, frame: int) -> dict[int, Logic]:
-        assignment: dict[int, Logic] = {}
-        pi_values = pattern.pi_frames[min(frame, len(pattern.pi_frames) - 1)]
-        for net, value in pi_values.items():
-            idx = self.model.node_of_net.get(net)
-            if idx is not None:
-                assignment[idx] = value
-        for net, value in self._constraints.items():
-            idx = self.model.node_of_net.get(net)
-            if idx is not None:
-                assignment[idx] = value
+    def _launch_and_final(
+        self,
+        batch: Sequence[TestPattern],
+        groups: Sequence[tuple[int, NamedCaptureProcedure]],
+    ) -> tuple[PackedPatterns, PackedPatterns]:
+        """Each lane's launch- and capture-frame planes: after frame *k*,
+        one merge of the lanes of every group that launches (captures) at
+        *k*."""
+        launching: dict[int, int] = {}
+        capturing: dict[int, int] = {}
+        for lanes, procedure in groups:
+            frame = procedure.launch_frame
+            launching[frame] = launching.get(frame, 0) | lanes
+            frame = procedure.capture_frame
+            capturing[frame] = capturing.get(frame, 0) | lanes
+        launch = final = None
+        for frame, planes in enumerate(self._frames(batch, groups)):
+            launch = _merge_lanes(launch, planes, launching.get(frame, 0))
+            final = _merge_lanes(final, planes, capturing.get(frame, 0))
+        return launch, final
+
+    def _frames(
+        self,
+        batch: Sequence[TestPattern],
+        groups: Sequence[tuple[int, NamedCaptureProcedure]],
+    ) -> Iterator[PackedPatterns]:
+        """Frames 0, 1, ... of ``batch`` up to the longest procedure's last,
+        one good-machine pass each.  ``groups`` pairs each lane group's
+        lanes with its procedure."""
+        num_frames = max(procedure.num_frames for _, procedure in groups)
+        previous: PackedPatterns | None = None
+        for frame in range(num_frames):
+            packed = self._source_planes(batch, frame)
+            if previous is not None:
+                pulsed: dict[str, int] = {}
+                for lanes, procedure in groups:
+                    if frame < procedure.num_frames:
+                        for domain in procedure.pulses[frame - 1].domains:
+                            pulsed[domain] = pulsed.get(domain, 0) | lanes
+                self._hand_off(previous, packed, pulsed)
+            previous = self.scheduler.simulate_good(packed)
+            yield previous
+
+    def _source_planes(self, batch: Sequence[TestPattern], frame: int) -> PackedPatterns:
+        """Frame ``frame``'s source planes, straight from the patterns.
+
+        Every node starts X; each lane's PI values are ORed into per-node
+        ``ones``/``zeros`` lane masks, pin constraints overwrite them on
+        every lane, and frame 0 sets the scan loads and the ``init`` of
+        non-scan cells.  Gate and constant planes are left for the
+        good-machine pass to overwrite.
+        """
+        num_patterns = max(1, len(batch))
+        full = (1 << num_patterns) - 1
+        can0 = [full] * self.model.num_nodes
+        can1 = [full] * self.model.num_nodes
+        node_of_net = self.model.node_of_net
+        one, zero = Logic.ONE, Logic.ZERO
+        ones: dict[int, int] = {}
+        zeros: dict[int, int] = {}
+        bit = 1
+        for pattern in batch:
+            pi_frames = pattern.pi_frames
+            for net, value in pi_frames[min(frame, len(pi_frames) - 1)].items():
+                node = node_of_net.get(net)
+                if node is None:
+                    continue
+                if value is one:
+                    ones[node] = ones.get(node, 0) | bit
+                elif value is zero:
+                    zeros[node] = zeros.get(node, 0) | bit
+            bit <<= 1
+        for node, lanes in ones.items():
+            can0[node] = full ^ lanes
+        for node, lanes in zeros.items():
+            can1[node] = full ^ lanes
+        for node, value in self._constrained:
+            can0[node], can1[node] = planes_of(value, full)
         if frame == 0:
-            for element in self.model.state_elements:
-                if element.flop.is_scan:
-                    value = pattern.scan_load.get(element.name, Logic.X)
-                    assignment[element.q_node] = value
-                elif element.flop.init is not None:
-                    assignment[element.q_node] = Logic.from_int(element.flop.init)
-        return assignment
+            position = self._scan_position
+            scan_ones = [0] * len(self._scan_q)
+            scan_zeros = [0] * len(self._scan_q)
+            bit = 1
+            for pattern in batch:
+                for name, value in pattern.scan_load.items():
+                    at = position.get(name)
+                    if at is None:
+                        continue
+                    if value is one:
+                        scan_ones[at] |= bit
+                    elif value is zero:
+                        scan_zeros[at] |= bit
+                bit <<= 1
+            for q, lanes_one, lanes_zero in zip(self._scan_q, scan_ones, scan_zeros):
+                can0[q] = full ^ lanes_one
+                can1[q] = full ^ lanes_zero
+            for q, value in self._initialised:
+                can0[q], can1[q] = planes_of(value, full)
+        return PackedPatterns(num_patterns=num_patterns, can0=can0, can1=can1)
+
+    def _hand_off(
+        self, previous: PackedPatterns, packed: PackedPatterns, pulsed: dict[str, int]
+    ) -> None:
+        """Set every state element's Q planes in ``packed`` from frame
+        ``previous``: ``q = (d & pulsed) | (q & ~pulsed)`` per clock
+        domain's ``pulsed`` lanes; a cell with no D input goes to X on
+        them."""
+        full = packed.full_mask
+        p0, p1 = previous.can0, previous.can1
+        can0, can1 = packed.can0, packed.can1
+        for _, q, d, domain, _, _ in self._elements:
+            lanes = pulsed.get(domain, 0)
+            if not lanes:
+                can0[q] = p0[q]
+                can1[q] = p1[q]
+            elif d is None:
+                can0[q] = p0[q] | lanes
+                can1[q] = p1[q] | lanes
+            elif lanes == full:
+                can0[q] = p0[d]
+                can1[q] = p1[d]
+            else:
+                hold = full ^ lanes
+                can0[q] = (p0[d] & lanes) | (p0[q] & hold)
+                can1[q] = (p1[d] & lanes) | (p1[q] & hold)
 
 
 class TransitionFaultSimulator:
@@ -418,9 +546,16 @@ class TransitionFaultSimulator:
             else:
                 state[element.name] = Logic.X
 
+        node_of_net = self.model.node_of_net
+        constraints = self.setup.effective_pin_constraints()
         values: list[Logic] = []
         for frame in range(procedure.num_frames):
-            assignment = self.frames.frame_source_assignment(pattern, frame)
+            pi_values = pattern.pi_frames[min(frame, len(pattern.pi_frames) - 1)]
+            assignment = {
+                node_of_net[net]: value
+                for net, value in {**pi_values, **constraints}.items()
+                if net in node_of_net
+            }
             for element in self.model.state_elements:
                 assignment[element.q_node] = state[element.name]
             values = scalar_simulate(self.model, assignment)

@@ -42,10 +42,6 @@ class Logic(Enum):
             raise ValueError(f"not a logic character: {ch!r}") from exc
 
     @classmethod
-    def from_bool(cls, value: bool) -> "Logic":
-        return cls.ONE if value else cls.ZERO
-
-    @classmethod
     def from_int(cls, value: int) -> "Logic":
         if value not in (0, 1):
             raise ValueError(f"only 0 or 1 convert to Logic, got {value}")

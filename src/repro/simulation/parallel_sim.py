@@ -62,7 +62,7 @@ def pack_patterns(
     """
     num_patterns = max(1, len(patterns))
     full = (1 << num_patterns) - 1
-    default0, default1 = _planes_of(default, full)
+    default0, default1 = planes_of(default, full)
 
     num_nodes = model.num_nodes
     can0 = [0] * num_nodes
@@ -196,7 +196,8 @@ def mask_to_indices(mask: int, offset: int = 0) -> list[int]:
     return indices
 
 
-def _planes_of(value: Logic, full: int) -> tuple[int, int]:
+def planes_of(value: Logic, full: int) -> tuple[int, int]:
+    """The ``(can0, can1)`` planes of ``value`` on every lane of ``full``."""
     if value is Logic.ZERO:
         return full, 0
     if value is Logic.ONE:

@@ -18,7 +18,13 @@ from repro.api.design import prepare_from_spec
 from repro.atpg import AtpgOptions, TestSetup
 from repro.atpg.random_fill import random_pattern_batch
 from repro.circuits import random_sequential
-from repro.clocking import ClockDomain, ClockDomainMap, external_clock_procedures
+from repro.clocking import (
+    CapturePulse,
+    ClockDomain,
+    ClockDomainMap,
+    NamedCaptureProcedure,
+    external_clock_procedures,
+)
 from repro.dft import insert_scan
 from repro.engine.scheduler import BACKENDS as ALL_BACKENDS
 from repro.engine.scheduler import FaultSimScheduler
@@ -36,9 +42,9 @@ from repro.netlist import GateType, NetlistBuilder
 from repro.runtime import Executor
 from repro.simulation import build_model
 from repro.simulation.model import NodeKind
-from repro.simulation.parallel_sim import pack_patterns
+from repro.simulation.parallel_sim import PackedPatterns, mask_to_indices, pack_patterns
 
-from grading_oracle import keyed_detections
+from grading_oracle import keyed_detections, reference_frames
 
 
 def _random_design(seed):
@@ -309,6 +315,22 @@ def test_lane_group_counts_only_the_nodes_it_observes():
         ) == [0b1011], backend
 
 
+def _shifted_into_lanes(groups):
+    """One window's planes: each group's planes shifted above the lanes of
+    the groups before it."""
+    offset, can0, can1 = 0, None, None
+    for group in groups:
+        shifted0 = [value << offset for value in group.can0]
+        shifted1 = [value << offset for value in group.can1]
+        if can0 is None:
+            can0, can1 = shifted0, shifted1
+        else:
+            can0 = [a | b for a, b in zip(can0, shifted0)]
+            can1 = [a | b for a, b in zip(can1, shifted1)]
+        offset += group.num_patterns
+    return PackedPatterns(num_patterns=offset, can0=can0, can1=can1)
+
+
 @pytest.mark.parametrize("seed", [3, 8, 27])
 def test_window_lanes_match_per_group_batches(seed):
     """Two lane groups of different widths packed into one window, the
@@ -327,7 +349,9 @@ def test_window_lanes_match_per_group_batches(seed):
     window = PatternWindow()
     for launch, final, observed in groups:
         start = len(window.patterns)
-        window.add(range(start, start + final.num_patterns), observed, launch, final)
+        window.add_group(range(start, start + final.num_patterns), None, observed)
+    window.launch = _shifted_into_lanes([launch for launch, _, _ in groups])
+    window.final = _shifted_into_lanes([final for _, final, _ in groups])
     window_observation, lanes = window.observed()
     compiled = FaultSimScheduler(model, backend="compiled")
     for faults, transition in (
@@ -358,6 +382,165 @@ def test_window_lanes_match_per_group_batches(seed):
             for node_mask in row:
                 merged |= node_mask
             assert merged == mask
+
+
+def _framer_design():
+    """Two clock domains under 1-, 2-, 3- and 4-pulse procedures, with a
+    non-scan cell that powers up to 1, a cell with no D input that powers
+    up to 0, and a pin constraint on an input the patterns also drive."""
+    builder = NetlistBuilder("framer")
+    pis = builder.inputs("a", 4)
+    clk_a, clk_b = builder.clock("clk_a"), builder.clock("clk_b")
+    q = [builder.flop(pis[i], clk_a if i % 2 else clk_b) for i in range(4)]
+    mixed = builder.gate(GateType.XOR, [q[0], q[1]])
+    q.append(builder.flop(mixed, clk_a, name="held", scannable=False, init=1))
+    q.append(builder.flop("floating", clk_b, name="no_d", scannable=False, init=0))
+    feedback = [
+        builder.gate(GateType.NAND, [q[4], q[2]]),
+        builder.gate(GateType.OR, [q[5], pis[0]]),
+        builder.gate(GateType.AND, [q[3], pis[1]]),
+    ]
+    for i, net in enumerate(feedback):
+        q.append(builder.flop(net, clk_a if i % 2 else clk_b))
+    builder.output_from(builder.gate(GateType.XOR, q[-3:]), "y")
+    netlist, _scan = insert_scan(builder.build(), num_chains=2)
+    model = build_model(netlist)
+    domain_map = ClockDomainMap.from_netlist(
+        netlist, [ClockDomain("A", "clk_a", 100.0), ClockDomain("B", "clk_b", 50.0)]
+    )
+    pulses = {"A": CapturePulse.of("A"), "B": CapturePulse.of("B"),
+              "AB": CapturePulse.of("A", "B")}
+    procedures = [
+        NamedCaptureProcedure(name, tuple(pulses[p] for p in sequence))
+        for name, sequence in (
+            ("one", ["AB"]), ("two", ["A", "B"]), ("three", ["B", "AB", "A"]),
+            ("four", ["A", "B", "B", "AB"]), ("four-b", ["B", "A", "A", "B"]),
+        )
+    ]
+    setup = TestSetup(
+        name="framer", procedures=procedures, observe_pos=True, hold_pis=False,
+        pin_constraints={"a_2": Logic.ONE}, scan_enable_net="scan_en",
+    )
+    rng = random.Random(5)
+    patterns = random_pattern_batch(
+        procedures[:1] * 3 + procedures[1:2] * 5 + procedures[2:],
+        [e.name for e in model.state_elements if e.flop.is_scan],
+        pis, 23, rng, hold_pis=False,
+    )
+    for index, pattern in enumerate(patterns):
+        for name in rng.sample(sorted(pattern.scan_load), 1):
+            del pattern.scan_load[name]
+        pattern.pi_frames[0]["a_3"] = Logic.X
+        if index % 3 == 0:
+            pattern.pi_frames = pattern.pi_frames[:1]
+    return model, domain_map, setup, patterns
+
+
+def _reference_window(simulator, window, patterns):
+    """The window's launch and capture planes from its groups framed one
+    by one by the reference framer, shifted into their lanes."""
+    launch, final = [], []
+    for group, procedure in zip(window.groups, window.procedures):
+        lanes = mask_to_indices(group)
+        frames = reference_frames(
+            simulator, [patterns[window.patterns[lane]] for lane in lanes], procedure
+        )
+        launch.append(frames[procedure.launch_frame])
+        final.append(frames[procedure.capture_frame])
+    return _shifted_into_lanes(launch), _shifted_into_lanes(final)
+
+
+def _assert_past_capture_lanes_hold(simulator, window, patterns):
+    """A group past its capture frame holds its state: its lanes run on
+    through the longer groups' frames, but no pulse clocks them."""
+    groups = list(zip(window.groups, window.procedures))
+    batch = [patterns[i] for i in window.patterns]
+    q_nodes = [element.q_node for element in simulator.model.state_elements]
+    previous = None
+    for frame, planes in enumerate(simulator.frames._frames(batch, groups)):
+        held = 0
+        for group, procedure in groups:
+            if frame >= procedure.num_frames:
+                held |= group
+        for q in q_nodes if held else ():
+            assert planes.can0[q] & held == previous.can0[q] & held
+            assert planes.can1[q] & held == previous.can1[q] & held
+        previous = planes
+    return held
+
+
+def _assert_framer_matches_reference(simulator, patterns):
+    """Window and batch framing equal the reference framer; returns the
+    lanes of the last window that ran past their capture frame."""
+    held = 0
+    for window in simulator.frames.iter_windows(patterns, simulator.batch_size):
+        held = _assert_past_capture_lanes_hold(simulator, window, patterns)
+        launch, final = _reference_window(simulator, window, patterns)
+        assert window.launch.num_patterns == launch.num_patterns
+        assert (window.launch.can0, window.launch.can1) == (launch.can0, launch.can1)
+        assert (window.final.can0, window.final.can1) == (final.can0, final.can1)
+    for procedure, _, chunk, batch, launch, final in simulator.frames.iter_batches(
+        patterns, simulator.batch_size
+    ):
+        frames = reference_frames(simulator, batch, procedure)
+        got = simulator.frames.frame_values_packed(batch, procedure)
+        assert [(f.can0, f.can1) for f in got] == [(f.can0, f.can1) for f in frames]
+        for plane, reference in ((launch, frames[procedure.launch_frame]),
+                                 (final, frames[procedure.capture_frame])):
+            assert (plane.can0, plane.can1) == (reference.can0, reference.can1)
+    return held
+
+
+@pytest.mark.parametrize("batch_size", [64, 5, 1])
+def test_window_framer_matches_the_reference_framer(batch_size):
+    """Window-wide launch and capture planes, lane for lane, equal each
+    group framed on its own by the per-pattern reference framer, at three
+    batch sizes: one window of 1-, 2-, 3- and 4-pulse procedures (64), a
+    procedure split across windows (5), and one pattern per window (1)."""
+    model, domain_map, setup, patterns = _framer_design()
+    simulator = TransitionFaultSimulator(
+        model, domain_map, setup, batch_size=batch_size
+    )
+    shapes = _window_shapes(simulator, patterns)
+    if batch_size == 64:
+        assert [len(names) for names in shapes] == [5]
+    elif batch_size == 5:
+        assert sum("two" in names for names in shapes) > 1
+        assert any(len(names) > 1 for names in shapes)
+    else:
+        assert len(shapes) == len(patterns)
+    assert any(len(p.pi_frames) < p.procedure.num_frames for p in patterns)
+    held = _assert_framer_matches_reference(simulator, patterns)
+    assert held if batch_size == 64 else True
+
+    # The corner cases are exercised, not vacuous.
+    node = model.node_of_net
+    window = next(simulator.frames.iter_windows(patterns, 64))
+    final = window.final
+    constrained = node["a_2"]
+    assert any(p.pi_frames[-1].get("a_2") is Logic.ZERO for p in patterns)
+    assert (final.can0[constrained], final.can1[constrained]) == (0, final.full_mask)
+    by_name = {e.name: e for e in model.state_elements}
+    no_d, held = by_name["no_d"], by_name["held"]
+    assert no_d.d_node is None and held.flop.init == 1 and not held.flop.is_scan
+    unknown = final.can0[no_d.q_node] & final.can1[no_d.q_node]
+    pulsed = 0
+    for group, procedure in zip(window.groups, window.procedures):
+        if any("B" in pulse.domains for pulse in procedure.pulses[:-1]):
+            pulsed |= group
+    assert unknown == pulsed and 0 < pulsed < final.full_mask
+    assert final.can0[no_d.q_node] == final.full_mask
+
+
+def test_framer_holds_a_constrained_procedure_set_on_tiny():
+    """The window framer equals the reference framer on ``tiny`` under
+    scenario (d)'s ten procedures, at the three grading batch sizes."""
+    prepared, setup, patterns = _uneven_table1_d()
+    for batch_size in (64, 5, 1):
+        simulator = TransitionFaultSimulator(
+            prepared.model, prepared.domain_map, setup, batch_size=batch_size
+        )
+        _assert_framer_matches_reference(simulator, patterns)
 
 
 class TestSessionLevelEquivalence:
