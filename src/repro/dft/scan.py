@@ -91,9 +91,6 @@ class ScanArchitecture:
     def scan_in_ports(self) -> list[str]:
         return [chain.scan_in for chain in self.chains]
 
-    def scan_out_ports(self) -> list[str]:
-        return [chain.scan_out for chain in self.chains]
-
     def load_sequences(
         self, scan_load: Mapping[str, Logic], fill: Logic = Logic.ZERO
     ) -> dict[str, list[Logic]]:

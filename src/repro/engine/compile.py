@@ -30,7 +30,8 @@ tracing (Abramovici et al., DAC 1983):
   stem's known good value into its known complement;
 * a **stem pass** propagates one masked complement per live stem (the OR of
   its faults' flips) through the stem's cone — once per stem, not once per
-  fault;
+  fault (:class:`repro.hier.compile.HierCompiledCircuit` goes further and
+  sweeps the stems at one core-template site of every instance at once);
 * a fault's detection mask is its ``flip`` AND its stem's detection mask.
 
 Propagation uses version-stamped scratch planes instead of per-sweep
@@ -289,49 +290,6 @@ class CompiledCircuit:
         return scratch
 
     # ------------------------------------------------------------- fault paths
-    def _cone_steps(
-        self, start: int
-    ) -> Iterable[tuple[int, Sequence[int], PlaneEvaluator]]:
-        """The ``(index, fanin, evaluator)`` steps of ``start``'s cone, in
-        topological order."""
-        return self.cone(start)
-
-    def _propagate(
-        self, good: PackedPatterns, start: int, x0: int, x1: int
-    ) -> tuple[_Scratch, list[int]]:
-        """Force ``start`` to the planes ``(x0, x1)`` and propagate the effect
-        through its fanout cone.
-
-        Returns the thread-local scratch planes and the nodes they changed,
-        ``start`` first; nodes whose stamp equals the scratch's current
-        version carry faulty values, all others read from the good machine.
-        """
-        can0, can1 = good.can0, good.can1
-        scratch = self._scratch()
-        f0, f1, stamp = scratch.f0, scratch.f1, scratch.stamp
-        scratch.version += 1
-        version = scratch.version
-        f0[start] = x0
-        f1[start] = x1
-        stamp[start] = version
-        touched = [start]
-        for idx, fanin, evaluator in self._cone_steps(start):
-            for i in fanin:
-                if stamp[i] == version:
-                    break
-            else:
-                continue
-            in0 = [f0[i] if stamp[i] == version else can0[i] for i in fanin]
-            in1 = [f1[i] if stamp[i] == version else can1[i] for i in fanin]
-            out0, out1 = evaluator(in0, in1)
-            if out0 == can0[idx] and out1 == can1[idx]:
-                continue
-            f0[idx] = out0
-            f1[idx] = out1
-            stamp[idx] = version
-            touched.append(idx)
-        return scratch, touched
-
     def _fault_pass(
         self,
         final: PackedPatterns,
@@ -467,8 +425,7 @@ class CompiledCircuit:
         evaluator = self._evaluators[node]
         assert evaluator is not None, "pin faults sit on gate nodes"
         o0, o1 = evaluator(in0, in1)
-        g0, g1 = can0[node], can1[node]
-        return (g0 ^ g1) & (o0 ^ o1) & ((g1 & o0) | (g0 & o1))
+        return _known_complement(can0[node], can1[node], o0, o1)
 
     def _stem_pass(
         self,
@@ -479,7 +436,7 @@ class CompiledCircuit:
         fold: Callable[[_Row, _At, int], _Row],
         start: Callable[[], _Row],
     ) -> tuple[list[int], list[int], dict[int, _Row]]:
-        """Fault pass, then one sweep per live stem.
+        """Fault pass, then the sweeps of the live stems.
 
         Each live stem is forced to its known complement on the OR of its
         faults' flips.  Its row starts as ``start()`` and is folded with
@@ -489,23 +446,53 @@ class CompiledCircuit:
         list.  Returns the fault pass's stems and flips with the rows.
         """
         stems, flips, live = self._fault_pass(final, faults, observed, launch)
-        can0, can1 = final.can0, final.can1
-        rows: dict[int, _Row] = {}
-        for stem, mask in live.items():
-            g0, g1 = can0[stem], can1[stem]
-            scratch, touched = self._propagate(final, stem, g0 ^ mask, g1 ^ mask)
-            f0, f1 = scratch.f0, scratch.f1
-            row = start()
-            for idx in touched:
-                at = observed.get(idx)
-                if at is not None:
-                    g0, g1 = can0[idx], can1[idx]
-                    o0, o1 = f0[idx], f1[idx]
-                    found = (g0 ^ g1) & (o0 ^ o1) & ((g1 & o0) | (g0 & o1))
-                    if found:
-                        row = fold(row, at, found)
-            rows[stem] = row
+        rows: dict[int, _Row] = {stem: start() for stem in live}
+        sweeps = self._sweep_stems(final, live, observed, fold, rows)
+        metrics = active_metrics()
+        if metrics is not None:
+            metrics.inc("engine.cone_sweeps", sweeps)
         return stems, flips, rows
+
+    def _sweep_stems(
+        self,
+        final: PackedPatterns,
+        live: dict[int, int],
+        observed: dict[int, _At],
+        fold: Callable[[_Row, _At, int], _Row],
+        rows: dict[int, _Row],
+    ) -> int:
+        """Fold every live stem's detections into ``rows``, one sweep per
+        stem; returns the number of cone sweeps run."""
+        scratch = self._scratch()
+        for stem, mask in live.items():
+            self._sweep_flat(final, stem, mask, observed, fold, rows, scratch)
+        return len(live)
+
+    def _sweep_flat(
+        self,
+        final: PackedPatterns,
+        stem: int,
+        mask: int,
+        observed: dict[int, _At],
+        fold: Callable[[_Row, _At, int], _Row],
+        rows: dict[int, _Row],
+        scratch: _Scratch,
+    ) -> None:
+        """Sweep one stem through its flat cone and fold its row."""
+        can0, can1 = final.can0, final.can1
+        touched = _propagate(
+            can0, can1, self.cone(stem), scratch,
+            stem, can0[stem] ^ mask, can1[stem] ^ mask,
+        )
+        f0, f1 = scratch.f0, scratch.f1
+        row = rows[stem]
+        for idx in touched:
+            at = observed.get(idx)
+            if at is not None:
+                found = _known_complement(can0[idx], can1[idx], f0[idx], f1[idx])
+                if found:
+                    row = fold(row, at, found)
+        rows[stem] = row
 
     def detect_batch(
         self,
@@ -584,6 +571,58 @@ class CompiledCircuit:
                     masks[position] = flip & found
             syndromes.append(masks)
         return syndromes
+
+
+def _propagate(
+    can0: Sequence[int],
+    can1: Sequence[int],
+    steps: Iterable[tuple[int, Sequence[int], PlaneEvaluator]],
+    scratch: _Scratch,
+    start: int,
+    x0: int,
+    x1: int,
+) -> list[int]:
+    """Force ``start`` to the planes ``(x0, x1)`` and propagate the effect
+    through ``steps``, the ``(index, fanin, evaluator)`` triples of its cone
+    in topological order, over the good planes ``can0``/``can1``.
+
+    Returns the nodes the sweep changed, ``start`` first.  Nodes whose
+    stamp equals the scratch's current version carry faulty values in
+    ``scratch.f0``/``scratch.f1``; all others read from the good planes.  A
+    step runs only when a fanin is stamped, and stamps its output only
+    where it differs from the good value, so a sweep stops where the
+    effect dies out.  Every operation is bitwise per lane, so the sweep
+    serves any plane width.
+    """
+    f0, f1, stamp = scratch.f0, scratch.f1, scratch.stamp
+    scratch.version += 1
+    version = scratch.version
+    f0[start] = x0
+    f1[start] = x1
+    stamp[start] = version
+    touched = [start]
+    for idx, fanin, evaluator in steps:
+        for i in fanin:
+            if stamp[i] == version:
+                break
+        else:
+            continue
+        in0 = [f0[i] if stamp[i] == version else can0[i] for i in fanin]
+        in1 = [f1[i] if stamp[i] == version else can1[i] for i in fanin]
+        out0, out1 = evaluator(in0, in1)
+        if out0 == can0[idx] and out1 == can1[idx]:
+            continue
+        f0[idx] = out0
+        f1[idx] = out1
+        stamp[idx] = version
+        touched.append(idx)
+    return touched
+
+
+def _known_complement(g0: int, g1: int, o0: int, o1: int) -> int:
+    """Patterns where the planes ``(o0, o1)`` hold the known complement of
+    the known good value ``(g0, g1)``."""
+    return (g0 ^ g1) & (o0 ^ o1) & ((g1 & o0) | (g0 & o1))
 
 
 def _fold_mask(row: int, lanes: int, found: int) -> int:

@@ -29,15 +29,6 @@ class FaultStatus(str, Enum):
     UNTESTABLE = "UT"
     ABORTED = "AB"
 
-    @property
-    def counts_as_tested(self) -> bool:
-        return self is FaultStatus.DETECTED
-
-    @property
-    def excluded_from_test_coverage(self) -> bool:
-        """Untestable faults are removed from the test-coverage denominator."""
-        return self is FaultStatus.UNTESTABLE
-
 
 @dataclass
 class FaultRecord(Generic[FaultT]):

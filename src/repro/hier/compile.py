@@ -30,13 +30,37 @@ instance's shared template program through its *binding* — a local-id →
 global-node translation table.  Closedness guarantees no residual gate ever
 reads a core output, so this schedule is topological.
 
-Fault detection reuses the same trick: the batch kernel inherited from
-:class:`~repro.engine.compile.CompiledCircuit` sweeps a stem inside a closed
-instance through a **shared local cone** computed once per (core, local
-node) and translated through the instance binding; all other stems use the
-flat kernel's lazy cones.  The event condition and arithmetic are the flat
-kernel's, applied to the same topological dependences — the bit-identity
-suite (``tests/test_hier_identity.py``) holds both paths to identical masks.
+Fault detection reuses the same trick in the stem pass of the batch
+kernel inherited from :class:`~repro.engine.compile.CompiledCircuit`.  A
+stem at template site *s* has the same local cone in every instance, so
+one sweep of that cone carries every instance's stem at *s*:
+
+* **groups** — a live stem whose whole fanout lies in closed instances (a
+  member gate, or an external input such as a scan cell's Q whose every
+  fanout target is a member) joins one ``(template, local id)`` group per
+  instance it belongs to or feeds;
+* **lanes per instance** — per call and template, each instance with a
+  stem in a wide sweep gets an ordinal *k* and owns lanes ``[k*W,
+  (k+1)*W)`` of wide planes (``W`` patterns); a group forces its site to
+  the good value XOR each member stem's mask in that stem's lanes, sweeps
+  the local cone once with the flat kernel's event loop, and splits each
+  observed local's found mask per instance into that instance's stem row;
+* **lazy gather** — the wide good planes are gathered per call only for
+  the locals a group's cone reads and only for the instances it forces,
+  each (local, instance) once, so a dense batch shares the gather across
+  every group of the template.
+
+Stems whose fanout reaches residual glue or demoted gates keep the flat
+sweep, and so does a stem that shares none of its groups with another
+stem: a wide sweep would carry only its own lanes and add the gather, so
+a sparse batch runs mostly flat sweeps.  The result is exact, lane
+for lane: closed instances never read each other's gates, so the
+instances' cones are disjoint; every plane operation is bitwise per lane;
+and a lane of an instance the group does not force holds at most what the
+good machine knows there (gathered or X), so by the monotonicity of the
+dual-rail evaluators it can never show a known, differing value.  The
+bit-identity suite (``tests/test_hier_identity.py``) holds both kernels to
+identical masks and syndrome rows.
 
 Templates are memoised process-wide by fingerprint digest, so a campaign
 sweeping ``hier-soc-1k`` → ``hier-soc-100k`` compiles each unique core once
@@ -49,13 +73,17 @@ import hashlib
 import heapq
 import threading
 from collections import defaultdict
-from typing import Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.engine.compile import (
     CompiledCircuit,
     PlaneEvaluator,
+    _At,
     _ffr_successors,
+    _known_complement,
     _plane_evaluator,
+    _propagate,
+    _Row,
     _tape_op,
 )
 from repro.netlist.gates import GateType
@@ -64,6 +92,14 @@ from repro.obs.telemetry import active_metrics
 from repro.simulation.model import CircuitModel, NodeKind
 from repro.simulation.parallel_sim import PackedPatterns
 
+#: A template cone: ``(local_out, local_fanin, evaluator)`` steps.
+_Steps = tuple[tuple[int, tuple[int, ...], PlaneEvaluator], ...]
+#: One template's wide planes in a stem pass: good rails, per local the
+#: instances gathered (a bit per ordinal), the observed ``(lane shift, at)``
+#: per local, and the bindings of the instances by ordinal.
+_WidePlanes = tuple[
+    list[int], list[int], list[int], dict[int, list[tuple[int, Any]]], list[list[int]]
+]
 
 # --------------------------------------------------------------------------
 # Shared kernels
@@ -88,6 +124,7 @@ class CoreTemplate:
         "num_internal",
         "num_external",
         "_local_fanout",
+        "_steps",
         "_local_cones",
         "_lock",
     )
@@ -109,15 +146,21 @@ class CoreTemplate:
         fanout: dict[int, list[int]] = defaultdict(list)
         for position, (_, fanin, _, _) in enumerate(ops):
             for local in fanin:
-                if local < num_internal:
-                    fanout[local].append(position)
+                fanout[local].append(position)
         self._local_fanout = dict(fanout)
-        #: local site id -> tuple of op positions its effect can reach.
-        self._local_cones: dict[int, tuple[int, ...]] = {}
+        #: Per op, its cone step ``(local_out, local_fanin, evaluator)``.
+        self._steps = tuple(op[:3] for op in ops)
+        #: local site id -> (cone steps, read set); see :meth:`local_cone`.
+        self._local_cones: dict[int, tuple[_Steps, tuple[int, ...]]] = {}
         self._lock = threading.Lock()
 
-    def local_cone(self, site: int) -> tuple[int, ...]:
-        """Op positions reachable from a local site, in program order."""
+    def local_cone(self, site: int) -> tuple[_Steps, tuple[int, ...]]:
+        """A local site's cone and read set.
+
+        The cone is the ``(local_out, local_fanin, evaluator)`` steps its
+        effect can reach, in program order; the read set is every local a
+        sweep of it reads: the site, the steps' outputs and their fanins.
+        """
         cached = self._local_cones.get(site)
         if cached is None:
             seen: set[int] = set()
@@ -128,7 +171,12 @@ class CoreTemplate:
                     if position not in seen:
                         seen.add(position)
                         frontier.append(self.ops[position][0])
-            cached = tuple(sorted(seen))
+            steps = tuple(map(self._steps.__getitem__, sorted(seen)))
+            reads = {site}
+            for local_out, local_fanin, _ in steps:
+                reads.add(local_out)
+                reads.update(local_fanin)
+            cached = (steps, tuple(sorted(reads)))
             with self._lock:
                 self._local_cones[site] = cached
         return cached
@@ -219,9 +267,12 @@ class HierCompiledCircuit(CompiledCircuit):
     """A hierarchical model lowered into one shared kernel per unique core.
 
     Drop-in for :class:`~repro.engine.compile.CompiledCircuit`: the batch
-    fault kernel (``detect_batch``, ``syndrome_batch``) and the cone API
-    are inherited unchanged — only good-machine execution and in-core cone
-    steps run through shared templates.
+    fault kernel (``detect_batch``, ``syndrome_batch``), its fault pass and
+    the cone API are inherited unchanged.  Good-machine execution runs
+    through shared templates, and the stem pass sweeps live stems by
+    template site (:meth:`_sweep_stems`): one wide sweep per ``(template,
+    local id)`` group, each instance in its own lanes, and flat sweeps for
+    stems that reach residual logic or share no group.
     """
 
     def __init__(self, model: CircuitModel) -> None:
@@ -297,8 +348,10 @@ class HierCompiledCircuit(CompiledCircuit):
         # ---- canonicalize + verify: share a template per exact fingerprint
         core_of = dict(hierarchy.instances)
         self._bindings: list[tuple[CoreTemplate, list[int]]] = []
-        #: member node index -> (binding slot, local id) for fault sites.
-        self._binding_of_node: dict[int, tuple[int, int]] = {}
+        #: member node index -> (binding slot, local id).
+        binding_of_node: dict[int, tuple[int, int]] = {}
+        #: external input -> binding slot, local id, ... per instance it feeds.
+        feeds: dict[int, list[int]] = defaultdict(list)
         for prefix, _core in hierarchy.instances:
             members = closed.get(prefix)
             if not members:
@@ -329,13 +382,29 @@ class HierCompiledCircuit(CompiledCircuit):
             slot = len(self._bindings)
             self._bindings.append((template, canonical.trans))
             for idx in members:
-                self._binding_of_node[idx] = (slot, canonical.local_of[idx])
+                binding_of_node[idx] = (slot, canonical.local_of[idx])
+            for local in range(len(canonical.order), len(canonical.trans)):
+                feeds[canonical.trans[local]].extend((slot, local))
+
+        # ---- wide stem sites: a stem whose whole fanout lies in closed
+        # instances is swept by template site (see ``_sweep_stems``).
+        wide: list[tuple[int, ...] | None] = [None] * self.num_nodes
+        for idx, site in binding_of_node.items():
+            wide[idx] = site
+        for idx, sites in feeds.items():
+            if all(target in binding_of_node for target in fanout[idx]):
+                wide[idx] = tuple(sites)
+        #: Per node: the sites a wide sweep forces for it as a stem, one per
+        #: closed instance it belongs to or feeds, flattened as ``(slot,
+        #: local, slot, local, ...)``; ``None`` where its fanout reaches
+        #: residual logic (a flat sweep).
+        self._wide_sites = wide
 
         # ---- residual tape: constants + glue + demoted gates, model order
         tape = []
         for node in nodes:
             if node.kind is NodeKind.GATE:
-                if node.index in self._binding_of_node:
+                if node.index in binding_of_node:
                     continue
                 tape.append(
                     _tape_op(
@@ -401,22 +470,127 @@ class HierCompiledCircuit(CompiledCircuit):
         return packed
 
     # ------------------------------------------------------------- fault paths
-    def _cone_steps(
-        self, start: int
-    ) -> Iterable[tuple[int, Sequence[int], PlaneEvaluator]]:
-        bound = self._binding_of_node.get(start)
-        if bound is None:
-            # Residual/glue/PPI nodes: the flat reference path (lazy cones).
-            return super()._cone_steps(start)
-        # Shared local cone, translated through the instance binding;
-        # closedness keeps the whole cone inside the instance, so the local
-        # walk is complete.
-        slot, local_start = bound
-        template, trans = self._bindings[slot]
-        ops = template.ops
-        return (
-            (trans[local_out], [trans[local] for local in local_fanin], evaluator)
-            for local_out, local_fanin, evaluator, _ in map(
-                ops.__getitem__, template.local_cone(local_start)
+    def _sweep_stems(
+        self,
+        final: PackedPatterns,
+        live: dict[int, int],
+        observed: dict[int, _At],
+        fold: Callable[[_Row, _At, int], _Row],
+        rows: dict[int, _Row],
+    ) -> int:
+        """Sweep live stems by template site: one wide sweep per
+        ``(template, local)`` group, flat sweeps for the rest (see the
+        module docstring for the lanes and why the rows are exact).
+
+        Per call and template, each instance with a stem in a wide sweep
+        gets an ordinal *k* and owns lanes ``[k*W, (k+1)*W)`` of the
+        template's wide planes.  A group forces its site to the good value
+        XOR every member stem's mask in its instance's lanes, sweeps the
+        template's local cone once, and splits each observed local's found
+        mask per instance.  The stem node itself is checked once, in global
+        ids.  A stem that shares none of its groups with another stem is
+        swept flat: a wide sweep would carry only its own lanes and add the
+        gather.  Returns the number of cone sweeps run.
+        """
+        can0, can1 = final.can0, final.can1
+        width = final.num_patterns
+        full = final.full_mask
+        scratch = self._scratch()
+        bindings = self._bindings
+        wide_sites = self._wide_sites
+        groups: dict[tuple[CoreTemplate, int], list[tuple[int, int, int]]] = {}
+        sweeps = 0
+        for stem, mask in live.items():
+            sites = wide_sites[stem]
+            if sites is None:
+                self._sweep_flat(final, stem, mask, observed, fold, rows, scratch)
+                sweeps += 1
+                continue
+            for at_site in range(0, len(sites), 2):
+                slot, local = sites[at_site], sites[at_site + 1]
+                groups.setdefault((bindings[slot][0], local), []).append(
+                    (slot, stem, mask)
+                )
+        shared = {
+            stem for members in groups.values() if len(members) > 1
+            for _, stem, _ in members
+        }
+        for stem, mask in live.items():
+            if wide_sites[stem] is None:
+                continue
+            if stem not in shared:
+                self._sweep_flat(final, stem, mask, observed, fold, rows, scratch)
+                sweeps += 1
+                continue
+            # The stem node itself, once in global ids: an external stem
+            # is a site in every instance it feeds.
+            at = observed.get(stem)
+            if at is not None:
+                g0, g1 = can0[stem], can1[stem]
+                found = _known_complement(g0, g1, g0 ^ mask, g1 ^ mask)
+                if found:
+                    rows[stem] = fold(rows[stem], at, found)
+
+        ordinal: dict[int, int] = {}
+        planes: dict[CoreTemplate, _WidePlanes] = {}
+        for (template, site), members in groups.items():
+            if members[0][1] not in shared:  # its one stem was swept flat
+                continue
+            state = planes.get(template)
+            if state is None:
+                size = template.num_internal + template.num_external
+                state = planes[template] = ([0] * size, [0] * size, [0] * size, {}, [])
+            wide0, wide1, gathered, observers, trans_of = state
+            force = need = 0
+            stem_of: dict[int, int] = {}
+            lanes = []
+            for slot, stem, mask in members:
+                k = ordinal.get(slot)
+                if k is None:
+                    k = ordinal[slot] = len(trans_of)
+                    trans_of.append(bindings[slot][1])
+                shift = k * width
+                force |= mask << shift
+                need |= 1 << k
+                lanes.append((1 << k, shift, trans_of[k]))
+                stem_of[shift] = stem
+            steps, reads = template.local_cone(site)
+            # Gather lazily: each (local, instance) once per call, only the
+            # locals this cone reads and only the instances it forces; note
+            # the observed ones on the way.
+            for local in reads:
+                have = gathered[local]
+                if need & ~have:
+                    gathered[local] = have | need
+                    v0, v1 = wide0[local], wide1[local]
+                    for bit, shift, trans in lanes:
+                        if not have & bit:
+                            node = trans[local]
+                            v0 |= can0[node] << shift
+                            v1 |= can1[node] << shift
+                            at = observed.get(node)
+                            if at is not None:
+                                observers.setdefault(local, []).append((shift, at))
+                    wide0[local] = v0
+                    wide1[local] = v1
+            touched = _propagate(
+                wide0, wide1, steps, scratch,
+                site, wide0[site] ^ force, wide1[site] ^ force,
             )
-        )
+            sweeps += 1
+            f0, f1 = scratch.f0, scratch.f1
+            for local in touched[1:]:
+                at_of = observers.get(local)
+                if at_of is None:
+                    continue
+                found = _known_complement(
+                    wide0[local], wide1[local], f0[local], f1[local]
+                )
+                if not found:
+                    continue
+                for shift, at in at_of:
+                    part = (found >> shift) & full
+                    if part:
+                        stem = stem_of[shift]
+                        rows[stem] = fold(rows[stem], at, part)
+        return sweeps

@@ -16,7 +16,7 @@ from __future__ import annotations
 import copy
 from collections import defaultdict, deque
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from repro.netlist.gates import GateType
 
@@ -40,10 +40,6 @@ class Gate:
     gtype: GateType
     inputs: tuple[str, ...]
     output: str
-
-    def with_inputs(self, inputs: Iterable[str]) -> "Gate":
-        """Return a copy of the gate with a new input connection list."""
-        return replace(self, inputs=tuple(inputs))
 
 
 @dataclass(frozen=True)
@@ -147,17 +143,6 @@ class DesignHierarchy:
     instances: tuple[tuple[str, str], ...]
 
     SEPARATOR = "__"
-
-    def core_types(self) -> tuple[str, ...]:
-        """Unique core type names, in first-appearance order."""
-        seen: list[str] = []
-        for _, core in self.instances:
-            if core not in seen:
-                seen.append(core)
-        return tuple(seen)
-
-    def instances_of(self, core: str) -> tuple[str, ...]:
-        return tuple(prefix for prefix, c in self.instances if c == core)
 
 
 @dataclass
@@ -310,23 +295,6 @@ class Netlist:
         self._fanout_cache = None
         return new_flop
 
-    def replace_gate(self, name: str, new_gate: Gate) -> Gate:
-        """Replace an existing gate in place (used for rewiring)."""
-        if name not in self._gates:
-            raise NetlistError(f"no gate named {name!r}")
-        if new_gate.name != name:
-            raise NetlistError("replacement gate must keep the instance name")
-        old = self._gates[name]
-        if new_gate.output != old.output:
-            self._check_net_undriven(new_gate.output)
-        self._gates[name] = new_gate
-        if self._driver_cache is not None:
-            if old.output != new_gate.output:
-                self._driver_cache.pop(old.output, None)
-            self._driver_cache[new_gate.output] = ("gate", new_gate)
-        self._fanout_cache = None
-        return new_gate
-
     def remove_gate(self, name: str) -> None:
         if name not in self._gates:
             raise NetlistError(f"no gate named {name!r}")
@@ -336,9 +304,6 @@ class Netlist:
         self._fanout_cache = None
 
     # -------------------------------------------------------------- structure
-    def has_net(self, net: str) -> bool:
-        return net in self.all_nets()
-
     def all_nets(self) -> set[str]:
         """Every net name referenced anywhere in the design."""
         nets: set[str] = set(self._inputs) | set(self._outputs) | set(self._clock_nets)

@@ -172,11 +172,6 @@ class Trace:
             })
         return {"traceEvents": events, "displayTimeUnit": "ms"}
 
-    def write_jsonl(self, path: "str | Path") -> Path:
-        path = Path(path)
-        path.write_text(self.to_jsonl())
-        return path
-
     def write_chrome(self, path: "str | Path") -> Path:
         path = Path(path)
         path.write_text(json.dumps(self.to_chrome(), indent=1, sort_keys=True) + "\n")

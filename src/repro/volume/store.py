@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import sqlite3
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -115,11 +116,37 @@ class FailLogStore:
     def add_many(
         self, records: Iterable[tuple[str, FailLog]], *, scenario: str = ""
     ) -> int:
-        count = 0
+        """Store many logs in one transaction; returns the count.
+
+        Raises :meth:`add`'s ``ValueError`` on an empty name, or on a name
+        already stored or repeated in the batch; then nothing of the batch
+        is stored.
+        """
+        rows = []
         for name, log in records:
-            self.add(name, log, scenario=scenario)
-            count += 1
-        return count
+            if not name:
+                raise ValueError("a fail log record needs a non-empty name")
+            rows.append(
+                (name, log.design, scenario, json.dumps(log.to_dict(), sort_keys=True))
+            )
+        with closing(self._connect()) as connection:
+            try:
+                with connection:
+                    connection.executemany(
+                        "INSERT INTO fail_logs (name, design, scenario, payload)"
+                        " VALUES (?, ?, ?, ?)",
+                        rows,
+                    )
+            except sqlite3.IntegrityError:
+                seen: set[str] = set()
+                for name, *_ in rows:
+                    if name in seen or connection.execute(
+                        "SELECT 1 FROM fail_logs WHERE name = ?", (name,)
+                    ).fetchone():
+                        raise ValueError(f"fail log {name!r} already stored") from None
+                    seen.add(name)
+                raise
+        return len(rows)
 
     # -------------------------------------------------------------------- read
     def names(self) -> list[str]:

@@ -21,13 +21,24 @@ from repro.api.design import prepare_from_spec
 from repro.atpg import AtpgOptions
 from repro.atpg.random_fill import random_pattern_batch
 from repro.diagnose import DefectSpec, DiagnosisSpec, capture_fail_log, run_diagnosis
+from repro.engine.compile import compile_circuit
 from repro.engine.scheduler import BACKENDS as ALL_BACKENDS
 from repro.fault_sim import StuckAtFaultSimulator, TransitionFaultSimulator
-from repro.faults import all_stuck_at_faults, all_transition_faults, collapse_faults
+from repro.faults import (
+    FaultSite,
+    StuckAtFault,
+    TransitionFault,
+    TransitionKind,
+    all_stuck_at_faults,
+    all_transition_faults,
+    collapse_faults,
+)
 from repro.hier.compile import HierCompiledCircuit
 from repro.hier.designs import HIER_SOC_10K, register_hier_designs
 from repro.logic import Logic
 from repro.patterns.pattern import PatternSet
+from repro.simulation.model import NodeKind
+from repro.simulation.parallel_sim import pack_patterns
 from repro.volume import run_bp_diagnosis
 
 from grading_oracle import keyed_detections
@@ -162,6 +173,173 @@ def test_full_transition_universe_identical_to_serial():
             simulators["compiled"], patterns, faults, drop_detected, True
         )
         assert results["compiled"] == keyed, "the windowed loop diverged from the keyed loop"
+
+
+# ------------------------------------------------------- wide stem sweeps
+def _wide_kernel_env():
+    """``hier-soc-1k``: hier and flat kernels, X-heavy launch and final
+    planes, and a two-group lane window whose groups observe different
+    nodes (group B also observes internal stems of closed instances)."""
+    if "wide" not in _STATE:
+        register_hier_designs()
+        model = prepare_from_spec("hier-soc-1k").model
+        hier = compile_circuit(model)
+        flat = compile_circuit(model.without_hierarchy())
+        assert isinstance(hier, HierCompiledCircuit)
+        assert not isinstance(flat, HierCompiledCircuit)
+        rng = random.Random(5)
+        sources = model.pi_nodes + model.ppi_nodes
+
+        def frame():
+            patterns = [
+                {idx: rng.choice((Logic.ZERO, Logic.ONE, Logic.ONE, Logic.X))
+                 for idx in sources}
+                for _ in range(48)
+            ]
+            return flat.simulate(pack_patterns(model, patterns))
+
+        launch, final = frame(), frame()
+        group_a, group_b = (1 << 24) - 1, ((1 << 24) - 1) << 24
+        default = model.observation_nodes()
+        # Member gates with fanout: observed stems whose sweep goes on.
+        inner = [
+            node.index for node in model.nodes
+            if node.kind is NodeKind.GATE and len(set(model.fanout[node.index])) > 1
+            and hier._wide_sites[node.index] is not None
+        ][::7]
+        observation = default[::2] + default + inner
+        lanes = (
+            [group_a] * len(default[::2]) + [group_b] * len(default)
+            + [group_b] * len(inner)
+        )
+        _STATE["wide"] = (model, hier, flat, launch, final, observation, lanes)
+    return _STATE["wide"]
+
+
+def _wide_cases(model, hier, observation):
+    """Output-fault sites, a few per case the instance-parallel stem pass
+    must get right.  Each wide case comes with a *sibling*, a stem at the
+    same template site in another instance, so that the site's sweep is
+    shared (a stem that shares none of its sweeps is swept flat)."""
+    wide = hier._wide_sites
+    observed = set(observation)
+    bindings = hier._bindings
+    used: set[int] = set()
+
+    def stem(index):
+        return hier._ffr_next[index] < 0 and model.fanout[index]
+
+    def instances(index):
+        return len(wide[index]) // 2
+
+    def siblings(index):
+        """Wide stems at the template site of ``index``'s first instance."""
+        slot, local = wide[index][0], wide[index][1]
+        for other, (template, trans) in enumerate(bindings):
+            sibling = trans[local]
+            if (other != slot and template is bindings[slot][0]
+                    and sibling not in used and sibling != index
+                    and wide[sibling] is not None and stem(sibling)):
+                yield sibling
+
+    def with_sibling(candidates, count, prefer=lambda sibling: True):
+        """Up to ``count`` unused candidates, each followed by a sibling
+        (one that ``prefer`` accepts, if there is one)."""
+        picked: list[int] = []
+        for index in candidates:
+            if index in used:
+                continue
+            found = sorted(siblings(index), key=lambda sibling: not prefer(sibling))
+            if found:
+                picked += [index, found[0]]
+                used.update(picked[-2:])
+            if len(picked) >= 2 * count:
+                break
+        return picked
+
+    by_template: dict[int, list[list[int]]] = {}
+    for template, trans in bindings:
+        by_template.setdefault(id(template), []).append(trans)
+    shared = max(by_template.values(), key=len)
+    assert len(shared) >= 3
+    num_internal = next(
+        template.num_internal for template, trans in bindings if trans is shared[0]
+    )
+    internal = [local for local in range(num_internal) if stem(shared[0][local])]
+    # Neighbouring sites of one template, live in different instance sets:
+    # {0, 2}, then {1, 2} (so instance 1 joins reads gathered without it),
+    # then {1} alone (a stem that shares no sweep, swept flat).
+    partial = [shared[i][local] for i in (0, 2) for local in internal[0:6:2]]
+    partial += [shared[i][local] for i in (1, 2) for local in internal[1:6:2]]
+    partial.append(shared[1][internal[6]])
+    used.update(partial)
+    cases = {
+        "template site live in some instances": partial,
+        "external input read by one instance": with_sibling(
+            [node.index for node in model.nodes
+             if node.kind is not NodeKind.GATE and wide[node.index] is not None
+             and instances(node.index) == 1 and stem(node.index)], 2,
+        ),
+        # A sibling read by one instance leaves the PPI's other instance
+        # a group of its own, swept wide because the PPI shares a sweep.
+        "PPI feeding several closed instances": with_sibling(
+            [index for index in model.ppi_nodes
+             if wide[index] is not None and instances(index) > 1], 3,
+            prefer=lambda sibling: instances(sibling) == 1,
+        ),
+        "stem reaching residual glue": [
+            node.index for node in model.nodes
+            if wide[node.index] is None and stem(node.index)
+        ][:6],
+        "observed stem with fanout": with_sibling(
+            [index for index in sorted(observed)
+             if wide[index] is not None and model.fanout[index]], 3,
+        ),
+    }
+    for case, nodes in cases.items():
+        assert nodes, f"hier-soc-1k has no {case}"
+    return [index for nodes in cases.values() for index in nodes]
+
+
+def _sparse_faults(nodes):
+    faults = []
+    for index in nodes:
+        site = FaultSite(index)
+        faults += [StuckAtFault(site, 0), StuckAtFault(site, 1)]
+    return faults
+
+
+def _sparse_transitions(nodes):
+    faults = []
+    for index in nodes:
+        site = FaultSite(index)
+        faults += [TransitionFault(site, TransitionKind.SLOW_TO_RISE),
+                   TransitionFault(site, TransitionKind.SLOW_TO_FALL)]
+    return faults
+
+
+@pytest.mark.parametrize("universe", ["sparse", "full"])
+def test_wide_stem_pass_matches_the_flat_kernel(universe):
+    """The hier kernel's wide stem sweeps (one per template site across
+    every instance sharing it) give the flat kernel's masks and syndrome
+    rows, mask for mask, on a lane-grouped window: stuck-at and transition
+    faults, a handful at chosen stems (``sparse``: few instances per
+    sweep, lazily gathered) and every collapsed fault (``full``)."""
+    model, hier, flat, launch, final, observation, lanes = _wide_kernel_env()
+    if universe == "sparse":
+        nodes = _wide_cases(model, hier, observation)
+        batches = ((_sparse_faults(nodes), None), (_sparse_transitions(nodes), launch))
+    else:
+        batches = (
+            (collapse_faults(model, all_stuck_at_faults(model)).representatives, None),
+            (collapse_faults(model, all_transition_faults(model)).representatives, launch),
+        )
+    for faults, frame in batches:
+        masks = hier.detect_batch(final, faults, observation, frame, lanes=lanes)
+        assert masks == flat.detect_batch(final, faults, observation, frame, lanes=lanes)
+        assert sum(1 for mask in masks if mask) > len(faults) // 4
+        rows = hier.syndrome_batch(final, faults, observation, frame, lanes=lanes)
+        assert rows == flat.syndrome_batch(final, faults, observation, frame, lanes=lanes)
 
 
 # ---------------------------------------------------------------- diagnosis

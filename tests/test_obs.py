@@ -14,15 +14,21 @@ Three layers of guarantees:
 from __future__ import annotations
 
 import json
+import random
 import threading
 import time
 
 import pytest
 
 from repro.api import Campaign, TestSession
+from repro.api.design import prepare_from_spec
 from repro.atpg import AtpgOptions
 from repro.diagnose import DefectSpec
 from repro.diagnose.diagnose import DiagnosisReport
+from repro.fault_sim import StuckAtFaultSimulator
+from repro.faults import all_stuck_at_faults, collapse_faults
+from repro.hier.designs import register_hier_designs
+from repro.logic import Logic
 from repro.obs import (
     NULL_TELEMETRY,
     MetricsRegistry,
@@ -462,7 +468,8 @@ class TestReportTelemetry:
 
     def test_stem_sweeps_counted_and_bounded_by_plane_ops(self, tiny_prepared):
         """The batch kernel reports one stem sweep per live stem: at least
-        one per session, never more than the faults handed to it."""
+        one per session, never more than the faults handed to it.  On a
+        flat design every live stem is its own cone sweep."""
         lit = self._session(tiny_prepared).with_telemetry(Telemetry.on()).run()
         counters = lit.session["telemetry"]["metrics"]["counters"]
         plane_ops = sum(
@@ -470,6 +477,25 @@ class TestReportTelemetry:
             if name.startswith("engine.plane_ops.")
         )
         assert 1 <= counters["engine.stem_sweeps"] <= plane_ops
+        assert counters["engine.cone_sweeps"] == counters["engine.stem_sweeps"]
+
+    def test_hier_cone_sweeps_fewer_than_stem_sweeps(self):
+        """On a design of repeated cores, live stems at one template site
+        share a wide cone sweep, so fewer sweeps run than stems are live."""
+        register_hier_designs()
+        model = prepare_from_spec("hier-soc-1k").model
+        faults = collapse_faults(model, all_stuck_at_faults(model)).representatives
+        rng = random.Random(2)
+        sources = model.pi_nodes + model.ppi_nodes
+        patterns = [
+            {idx: rng.choice((Logic.ZERO, Logic.ONE)) for idx in sources}
+            for _ in range(32)
+        ]
+        telemetry = Telemetry.on()
+        with telemetry.activate():
+            StuckAtFaultSimulator(model, batch_size=32).simulate(patterns, faults)
+        counters = telemetry.snapshot()["metrics"]["counters"]
+        assert 1 <= counters["engine.cone_sweeps"] < counters["engine.stem_sweeps"]
 
     def test_enabled_results_match_disabled(self, tiny_prepared):
         dark = self._session(tiny_prepared).run()

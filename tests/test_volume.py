@@ -150,6 +150,36 @@ class TestFailLogStore:
         with pytest.raises(KeyError):
             store.get("missing")
 
+    def test_add_many_keeps_insertion_order(self, tmp_path, suffix):
+        store = FailLogStore(tmp_path / suffix)
+        store.add("die-9", synthetic_log("9"))
+        names = ["die-3", "die-0", "die-7"]
+        added = store.add_many(
+            ((name, synthetic_log(name)) for name in names), scenario="s"
+        )
+        assert added == 3
+        assert store.names() == ["die-9", *names]
+        assert [r.scenario for r in store.records()] == ["", "s", "s", "s"]
+        assert store.get("die-7").log == synthetic_log("die-7")
+
+    @pytest.mark.parametrize("clash", ["stored", "in batch", "empty"])
+    def test_add_many_duplicate_stores_nothing(self, tmp_path, suffix, clash):
+        store = FailLogStore(tmp_path / suffix)
+        store.add("die-0", synthetic_log("0"))
+        batch = {
+            "stored": ["die-1", "die-0", "die-2"],
+            "in batch": ["die-1", "die-2", "die-1"],
+            "empty": ["die-1", ""],
+        }[clash]
+        expected = {
+            "stored": "'die-0' already stored",
+            "in batch": "'die-1' already stored",
+            "empty": "non-empty name",
+        }[clash]
+        with pytest.raises(ValueError, match=expected):
+            store.add_many((name, synthetic_log(name)) for name in batch)
+        assert store.names() == ["die-0"]
+
     def test_filters(self, tmp_path, suffix):
         store = FailLogStore(tmp_path / suffix)
         store.add("t-0", synthetic_log("0", design="tiny"), scenario="a")
