@@ -45,8 +45,7 @@ shorthand for the registered ``table1-*`` scenarios.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.api.design import DesignSpec, PreparedDesign, resolve_design
@@ -68,6 +67,7 @@ from repro.engine.cache import ResultCache, coerce_cache
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry, coerce_telemetry
 from repro.patterns.store import PatternStore
 from repro.runtime import Event, Executor, Job, Plan, PlanResult
+from repro.runtime.report import PlanReport, ReportCell, mark_cache_hit
 
 
 # --------------------------------------------------------------------------
@@ -90,8 +90,10 @@ def _design_entry(
 # Report
 # --------------------------------------------------------------------------
 @dataclass
-class CampaignCell:
+class CampaignCell(ReportCell):
     """One completed (design, scenario) grid cell, in JSON-safe form."""
+
+    nested = {"outcome": ScenarioOutcome}
 
     design: str
     scenario: str
@@ -100,18 +102,8 @@ class CampaignCell:
     cache_hit: bool = False
     wall_seconds: float = 0.0
 
-    def to_dict(self) -> dict[str, object]:
-        return {**vars(self), "outcome": self.outcome.to_dict()}
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "CampaignCell":
-        payload = dict(data)
-        payload["outcome"] = ScenarioOutcome.from_dict(payload["outcome"])  # type: ignore[arg-type]
-        return cls(**payload)  # type: ignore[arg-type]
-
-
-@dataclass
-class CampaignReport:
+class CampaignReport(PlanReport):
     """Streaming per-cell campaign results.
 
     Cells are appended as they complete (:meth:`add_cell`); per-design views
@@ -120,19 +112,7 @@ class CampaignReport:
     built-in Table 1 scenarios.
     """
 
-    campaign: dict[str, object] = field(default_factory=dict)
-    cells: list[CampaignCell] = field(default_factory=list)
-
-    # ------------------------------------------------------------- collection
-    def __len__(self) -> int:
-        return len(self.cells)
-
-    def __iter__(self):
-        return iter(self.cells)
-
-    def add_cell(self, cell: CampaignCell) -> CampaignCell:
-        self.cells.append(cell)
-        return cell
+    cell_type = CampaignCell
 
     def designs(self) -> list[str]:
         return list(dict.fromkeys(cell.design for cell in self.cells))
@@ -148,9 +128,6 @@ class CampaignReport:
             ):
                 return cell
         raise KeyError(f"no campaign cell for design={design!r} scenario={scenario!r}")
-
-    def cache_hits(self) -> int:
-        return sum(1 for cell in self.cells if cell.cache_hit)
 
     # ------------------------------------------------------------- formatting
     def run_report(self, design: str) -> RunReport:
@@ -190,22 +167,6 @@ class CampaignReport:
                 f"{origin:<5} {cell.wall_seconds:8.2f}s"
             )
         return "\n".join(lines)
-
-    # ---------------------------------------------------------- serialization
-    def to_json(self, indent: int | None = 2) -> str:
-        payload = {
-            "campaign": self.campaign,
-            "cells": [cell.to_dict() for cell in self.cells],
-        }
-        return json.dumps(payload, indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "CampaignReport":
-        payload = json.loads(text)
-        return cls(
-            campaign=dict(payload.get("campaign", {})),
-            cells=[CampaignCell.from_dict(item) for item in payload.get("cells", [])],
-        )
 
     # ------------------------------------------------------------- comparison
     def same_results(self, other: "CampaignReport") -> bool:
@@ -674,10 +635,10 @@ class Campaign:
         from repro.diagnose import DiagnosisCell, DiagnosisReport, DiagnosisSpec
 
         def cell_of(job: Job, result, cache_hit: bool) -> DiagnosisCell:
-            if cache_hit:
-                result.cache_hit = True
             spec = DiagnosisSpec.from_dict(job.params["spec"])
-            return DiagnosisCell.from_result(job.params["design"], spec, result)
+            return DiagnosisCell.from_result(
+                job.params["design"], spec, mark_cache_hit(result, cache_hit)
+            )
 
         executor = executor or Executor()
         self._preflight_lint()
@@ -747,9 +708,7 @@ class Campaign:
         ``cache_hit`` when the diagnosis came from the cache."""
         plan = self._case_plan(spec, scenario_spec, **case)
         diagnosis = self._execute(plan, executor, on_event=on_event)[plan.jobs[-1].id]
-        if diagnosis.skipped:
-            diagnosis.value.cache_hit = True
-        return diagnosis.value
+        return mark_cache_hit(diagnosis.value, diagnosis.skipped)
 
     # ----------------------------------------------------------------- volume
     def volume_plan(

@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Iterator, Mapping
 
 from repro.patterns.statistics import TableRow, format_table
+from repro.runtime.report import FallbackRecords
 
 
 @dataclass
@@ -80,8 +81,12 @@ class ScenarioOutcome:
 
 
 @dataclass
-class RunReport:
-    """Ordered per-scenario outcomes plus the session configuration."""
+class RunReport(FallbackRecords):
+    """Ordered per-scenario outcomes plus the session configuration.
+
+    ``backend_fallbacks``/``degraded`` read the ``session`` header
+    (:class:`~repro.runtime.report.FallbackRecords`).
+    """
 
     session: dict[str, object] = field(default_factory=dict)
     outcomes: list[ScenarioOutcome] = field(default_factory=list)
@@ -107,22 +112,8 @@ class RunReport:
     def scenarios(self) -> list[str]:
         return [outcome.scenario for outcome in self.outcomes]
 
-    @property
-    def backend_fallbacks(self) -> list[dict[str, str]]:
-        """Execution degradations recorded by the runtime executor.
-
-        Empty for healthy runs.  When a processes fan-out spilled to the
-        threads backend (payload or result-transport failure), each record
-        carries ``{"requested", "used", "reason"}`` — results are still
-        bit-identical, but wall-clock expectations are not, so CI should
-        check this instead of trusting the warning stream.
-        """
-        return list(self.session.get("backend_fallbacks") or [])
-
-    @property
-    def degraded(self) -> bool:
-        """True when the run did not execute on the requested backend."""
-        return bool(self.backend_fallbacks)
+    def _header(self) -> Mapping[str, object]:
+        return self.session
 
     # ------------------------------------------------------------- formatting
     def table(
@@ -144,15 +135,7 @@ class RunReport:
             outcome.table_row()
             for outcome in sorted(self.outcomes, key=lambda o: o.row_key)
         ]
-        text = format_table(rows, title=title)
-        fallbacks = self.backend_fallbacks
-        if fallbacks:
-            notes = "\n".join(
-                f"NOTE: backend fallback {fb.get('requested', '?')} -> "
-                f"{fb.get('used', '?')}: {fb.get('reason', 'unknown reason')}"
-                for fb in fallbacks
-            )
-            text = f"{text}\n{notes}"
+        text = "\n".join([format_table(rows, title=title), *self.fallback_notes()])
         if show_size:
             size = self._design_size()
             if size:

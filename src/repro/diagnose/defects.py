@@ -98,10 +98,6 @@ class DefectSpec:
             return f"{terminal} stuck-at-{self.value}"
         return f"{terminal} {self.kind} {self.polarity}"
 
-    @property
-    def is_delay(self) -> bool:
-        return self.kind != "stuck-at"
-
     def with_overrides(self, **changes: object) -> "DefectSpec":
         """A copy of the spec with the given fields replaced."""
         return replace(self, **changes)  # type: ignore[arg-type]

@@ -48,6 +48,7 @@ from repro.engine.scheduler import BACKENDS, FaultSimScheduler
 from repro.fault_sim.transition import FrameSimulator
 from repro.obs.telemetry import active_metrics, active_tracer
 from repro.patterns.pattern import PatternSet, TestPattern
+from repro.runtime.report import PlanReport, ReportCell
 from repro.simulation.model import CircuitModel
 from repro.simulation.parallel_sim import PackedPatterns, mask_to_indices
 
@@ -157,10 +158,6 @@ class ScoredCandidate:
     def errors(self) -> int:
         """Symmetric difference between predicted and observed syndromes."""
         return self.misses + self.false_alarms
-
-    @property
-    def is_perfect(self) -> bool:
-        return self.errors == 0
 
     def describe(self) -> str:
         terminal = self.net if self.pin is None else f"{self.net}.in{self.pin}"
@@ -294,8 +291,10 @@ class DiagnosisResult:
 # Campaign-facing report
 # --------------------------------------------------------------------------
 @dataclass
-class DiagnosisCell:
+class DiagnosisCell(ReportCell):
     """One completed (design, scenario, defect) diagnosis grid cell."""
+
+    nested = {"defect": DefectSpec}
 
     design: str
     scenario: str
@@ -311,28 +310,6 @@ class DiagnosisCell:
     #: Calibrated BP marginal of the injected defect's candidate (None for
     #: the legacy syndrome ranking, which produces no marginals).
     confidence: float | None = None
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "design": self.design,
-            "scenario": self.scenario,
-            "defect": self.defect.to_dict(),
-            "rank_of_defect": self.rank_of_defect,
-            "resolution": self.resolution,
-            "candidate_count": self.candidate_count,
-            "site_count": self.site_count,
-            "fail_count": self.fail_count,
-            "pattern_count": self.pattern_count,
-            "wall_seconds": self.wall_seconds,
-            "cache_hit": self.cache_hit,
-            "confidence": self.confidence,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "DiagnosisCell":
-        payload = dict(data)
-        payload["defect"] = DefectSpec.from_dict(payload["defect"])  # type: ignore[arg-type]
-        return cls(**payload)  # type: ignore[arg-type]
 
     @classmethod
     def from_result(
@@ -361,22 +338,10 @@ class DiagnosisCell:
         )
 
 
-@dataclass
-class DiagnosisReport:
+class DiagnosisReport(PlanReport):
     """Streaming design x scenario x defect diagnosis sweep results."""
 
-    campaign: dict[str, object] = field(default_factory=dict)
-    cells: list[DiagnosisCell] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.cells)
-
-    def __iter__(self):
-        return iter(self.cells)
-
-    def add_cell(self, cell: DiagnosisCell) -> DiagnosisCell:
-        self.cells.append(cell)
-        return cell
+    cell_type = DiagnosisCell
 
     def cell(self, design: str, scenario: str, defect: DefectSpec) -> DiagnosisCell:
         for cell in self.cells:
@@ -392,25 +357,6 @@ class DiagnosisReport:
 
     def rank_one_count(self) -> int:
         return sum(1 for cell in self.cells if cell.rank_of_defect == 1)
-
-    def cache_hits(self) -> int:
-        return sum(1 for cell in self.cells if cell.cache_hit)
-
-    @property
-    def backend_fallbacks(self) -> list[dict[str, str]]:
-        """Execution degradations recorded by the runtime executor.
-
-        Same contract as :attr:`RunReport.backend_fallbacks`: empty for
-        healthy sweeps, ``{"requested", "used", "reason"}`` per spill when a
-        processes fan-out fell back to threads.  Rankings are bit-identical
-        either way, but wall-clock expectations are not.
-        """
-        return list(self.campaign.get("backend_fallbacks") or [])
-
-    @property
-    def degraded(self) -> bool:
-        """True when the sweep did not execute on the requested backend."""
-        return bool(self.backend_fallbacks)
 
     def summary(self) -> str:
         lines = []
@@ -428,35 +374,15 @@ class DiagnosisReport:
         lines.append(
             f"recovered at rank 1: {self.rank_one_count()}/{len(self.cells)}"
         )
-        for fb in self.backend_fallbacks:
-            lines.append(
-                f"NOTE: backend fallback {fb.get('requested', '?')} -> "
-                f"{fb.get('used', '?')}: {fb.get('reason', 'unknown reason')}"
-            )
-        return "\n".join(lines)
-
-    def to_json(self, indent: int | None = 2) -> str:
-        payload = {
-            "campaign": self.campaign,
-            "cells": [cell.to_dict() for cell in self.cells],
-        }
-        return json.dumps(payload, indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "DiagnosisReport":
-        payload = json.loads(text)
-        return cls(
-            campaign=dict(payload.get("campaign", {})),
-            cells=[DiagnosisCell.from_dict(item) for item in payload.get("cells", [])],
-        )
+        return "\n".join(lines + self.fallback_notes())
 
 
 # --------------------------------------------------------------------------
 # Scoring
 # --------------------------------------------------------------------------
-def _rerank_scores(
-    group: list[int],
-    hit_pairs: list[set[tuple[int, int]]],
+def rerank_tied_scores(
+    group: Sequence[int],
+    hit_pairs: Sequence[set[tuple[int, int]]],
     iterations: int,
 ) -> dict[int, float]:
     """Message-passing style evidence reweighting for one tie group.
@@ -464,14 +390,35 @@ def _rerank_scores(
     This is the *cheap path* of candidate inference: only candidates inside
     one already-tied rank group exchange messages, so the cost is a few
     dict sweeps over the group's evidence instead of full factor-graph
-    inference over every candidate.  The actual kernel lives in
-    :func:`repro.volume.bp.rerank_tied_scores` — one implementation shared
-    with the volume subsystem's loopy-BP schedule (imported lazily here
-    because :mod:`repro.volume` layers on top of the diagnosis plane).
-    """
-    from repro.volume.bp import rerank_tied_scores
+    inference over every candidate.  Each observed failing bit sends its
+    explaining candidates a message worth ``1 / (sum of the strengths of
+    the candidates explaining it)``; candidate strengths are re-estimated
+    from the received evidence each round.  Rare evidence — a failing bit
+    only one candidate explains — dominates the final score, separating
+    otherwise tied hypotheses.
 
-    return rerank_tied_scores(group, hit_pairs, iterations)
+    This is the degenerate single-defect form of the full factor-graph
+    schedule in :func:`repro.volume.bp.max_product_bp`: evidence factors
+    reweight their variable neighborhoods, but no cover constraint is
+    enforced and no marginal is calibrated.  :func:`score_candidates` uses
+    it for the tie groups of an already-ranked list.
+    """
+    strengths = {index: 1.0 for index in group}
+    raw = dict(strengths)
+    for _ in range(max(1, iterations)):
+        weight: dict[tuple[int, int], float] = {}
+        for index in group:
+            for pair in hit_pairs[index]:
+                weight[pair] = weight.get(pair, 0.0) + strengths[index]
+        raw = {
+            index: sum(1.0 / weight[pair] for pair in hit_pairs[index])
+            for index in group
+        }
+        peak = max(raw.values(), default=0.0)
+        strengths = {
+            index: (raw[index] / peak if peak else 1.0) for index in group
+        }
+    return raw
 
 
 @dataclass
@@ -826,7 +773,7 @@ def score_candidates(
             end += 1
         group = order[position:end]
         if len(group) > 1 and rerank_iterations > 0:
-            scores = _rerank_scores(group, hit_pairs, rerank_iterations)
+            scores = rerank_tied_scores(group, hit_pairs, rerank_iterations)
             group = sorted(group, key=lambda index: (-scores[index], index))
         else:
             scores = {index: float(len(hit_pairs[index])) for index in group}
@@ -861,6 +808,55 @@ def score_candidates(
     return rows
 
 
+def diagnosis_inputs(
+    prepared,
+    setup: TestSetup,
+    patterns: "PatternSet | Sequence[TestPattern]",
+    spec: DiagnosisSpec,
+    fail_log: FailLog | None,
+    injected: Sequence[DefectSpec],
+    options: AtpgOptions | None,
+    scheduler: FaultSimScheduler | None,
+    *,
+    mode: str = "intersection",
+) -> tuple[str, list[TestPattern], FailLog, CandidateSet]:
+    """The preamble :func:`run_diagnosis` and the BP plane's
+    :func:`~repro.volume.graph.run_bp_diagnosis` share.
+
+    Returns ``(backend, patterns, fail_log, candidates)``: the engine
+    backend (``scheduler``'s, else ``spec.backend``, else ``options``),
+    the patterns as a list, the fail log (captured from the ``injected``
+    defects in one pass when none is given) and its candidates
+    (``mode`` as in :func:`~repro.diagnose.candidates.extract_candidates`).
+    """
+    options = options or setup.options
+    backend = (
+        scheduler.backend_name if scheduler is not None
+        else spec.backend or options.sim_backend
+    )
+    items = list(patterns)
+    if fail_log is None:
+        if not injected:
+            raise ValueError("a diagnosis needs either a fail log or a defect to inject")
+        fail_log = capture_fail_log(
+            prepared.model,
+            prepared.domain_map,
+            prepared.scan,
+            setup,
+            items,
+            injected,
+            batch_size=spec.batch_size,
+        )
+    candidate_set = extract_candidates(
+        prepared.model,
+        fail_log,
+        kinds=spec.candidate_kinds,
+        max_sites=spec.max_sites,
+        mode=mode,
+    )
+    return backend, items, fail_log, candidate_set
+
+
 def run_diagnosis(
     prepared,
     setup: TestSetup,
@@ -890,30 +886,11 @@ def run_diagnosis(
             (``None``: a throwaway one).
     """
     started = time.perf_counter()
-    options = options or setup.options
-    backend = (
-        scheduler.backend_name if scheduler is not None
-        else spec.backend or options.sim_backend
+    backend, items, fail_log, candidate_set = diagnosis_inputs(
+        prepared, setup, patterns, spec, fail_log,
+        [spec.defect] if spec.defect else [], options, scheduler,
     )
     model = prepared.model
-    items = list(patterns)
-    if fail_log is None:
-        if spec.defect is None:
-            raise ValueError(
-                "run_diagnosis needs either a fail log or a defect to inject"
-            )
-        fail_log = capture_fail_log(
-            model,
-            prepared.domain_map,
-            prepared.scan,
-            setup,
-            items,
-            spec.defect,
-            batch_size=spec.batch_size,
-        )
-    candidate_set = extract_candidates(
-        model, fail_log, kinds=spec.candidate_kinds, max_sites=spec.max_sites
-    )
     rows = score_candidates(
         model,
         prepared.domain_map,

@@ -57,6 +57,7 @@ from repro.runtime.plan import (
     chain,
     handler_for,
     register_job_kind,
+    shippable_resources,
 )
 
 __all__ = [
@@ -82,4 +83,5 @@ __all__ = [
     "has_backend_factory",
     "register_backend",
     "register_job_kind",
+    "shippable_resources",
 ]

@@ -57,7 +57,13 @@ from repro.runtime.backends import (
     validate_pool_size,
 )
 from repro.runtime.events import Event
-from repro.runtime.plan import Job, Plan, handler_for, handler_module
+from repro.runtime.plan import (
+    Job,
+    Plan,
+    handler_for,
+    handler_module,
+    shippable_resources,
+)
 
 class PlanCancelled(RuntimeError):
     """Raised by report assemblers when a cancelled plan left jobs unrun."""
@@ -737,10 +743,7 @@ class Executor:
             ]
             backend = backends.get(self.backend)
             if backend is None:
-                shippable = {
-                    key: value for key, value in resources.items()
-                    if not key.startswith("_")
-                }
+                shippable = shippable_resources(resources)
                 designs = shippable.get("designs")
                 if design_hint and isinstance(designs, dict):
                     # Ship only the designs the remaining jobs reference —

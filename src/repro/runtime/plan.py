@@ -280,6 +280,14 @@ class Plan:
         return cls.from_dict(json.loads(text))
 
 
+def shippable_resources(resources: "Mapping[str, Any] | None") -> dict[str, Any]:
+    """The subset of a resources dict that crosses process boundaries:
+    private (``_``-prefixed) keys — per-process memos — stay behind."""
+    if not resources:
+        return {}
+    return {key: value for key, value in resources.items() if not key.startswith("_")}
+
+
 def plan_graph_problems(
     name: str, jobs: Iterable[Any]
 ) -> list[dict[str, str]]:

@@ -3,7 +3,7 @@
 One request per connection, JSON lines both ways.  Plans are submitted in
 their declarative :meth:`~repro.runtime.Plan.to_dict` form plus a pickled
 resource-bindings blob (the same shippable subset the executor sends to its
-process workers, filtered through :func:`shippable_resources`); results come
+process workers, filtered through :func:`~repro.runtime.shippable_resources`); results come
 back as journal replays — each plan job's latest value-bearing event, decoded
 through :func:`~repro.runtime.event_from_json` so the caller receives real
 :class:`~repro.runtime.Event` objects with real result values.
@@ -20,7 +20,7 @@ import socket
 import time
 from typing import Any, Callable, Iterator, Mapping
 
-from repro.runtime import Event, Plan, event_from_json
+from repro.runtime import Event, Plan, event_from_json, shippable_resources
 from repro.serve.protocol import (
     encode_blob,
     parse_address,
@@ -28,17 +28,6 @@ from repro.serve.protocol import (
     send_line,
 )
 from repro.serve.queue import TERMINAL_STATES
-
-
-def shippable_resources(resources: "Mapping[str, Any] | None") -> dict[str, Any]:
-    """The subset of a resources dict that crosses process boundaries.
-
-    Mirrors the executor's own filtering for its process pool: private
-    (``_``-prefixed) keys stay behind.
-    """
-    if not resources:
-        return {}
-    return {key: value for key, value in resources.items() if not key.startswith("_")}
 
 
 class ServeError(RuntimeError):

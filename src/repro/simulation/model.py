@@ -132,9 +132,6 @@ class CircuitModel:
     def node(self, index: int) -> Node:
         return self.nodes[index]
 
-    def node_for_net(self, net: str) -> Node:
-        return self.nodes[self.node_of_net[net]]
-
     def state_element_by_name(self, name: str) -> StateElement:
         for element in self.state_elements:
             if element.name == name:

@@ -116,10 +116,6 @@ class SequentialSimulator:
         values = values if values is not None else self.settle()
         return {net: values[idx] for net, idx in self.model.po_nodes}
 
-    def net_value(self, net: str, values: Sequence[Logic] | None = None) -> Logic:
-        values = values if values is not None else self.settle()
-        return values[self.model.node_of_net[net]]
-
     # ----------------------------------------------------------------- pulses
     def pulse(self, clock_nets: Iterable[str]) -> dict[str, Logic]:
         """Apply one rising clock edge to the named clock nets.

@@ -3,8 +3,9 @@
 Four layers, bottom up:
 
 * :mod:`repro.volume.bp` — the damped max-product BP kernel over weighted
-  set cover (convexified schedule, LP-relaxation objective) plus the
-  shared tie re-ranking kernel the classical ranking delegates to;
+  set cover (convexified schedule, LP-relaxation objective);
+  ``rerank_tied_scores``, the classical ranking's tie re-ranker, is
+  re-exported here from :mod:`repro.diagnose.diagnose`;
 * :mod:`repro.volume.graph` — candidate x failing-bit factor graphs built
   from the engine's syndrome kernels, greedy LP-rounded cover selection,
   calibrated per-candidate confidences and the
@@ -24,7 +25,8 @@ from repro.volume.adaptive import (
     adaptive_diagnose,
     generate_distinguishing_pattern,
 )
-from repro.volume.bp import BpOptions, BpOutcome, max_product_bp, rerank_tied_scores
+from repro.diagnose.diagnose import rerank_tied_scores
+from repro.volume.bp import BpOptions, BpOutcome, max_product_bp
 from repro.volume.graph import (
     BpDiagnosisResult,
     BpScoredCandidate,

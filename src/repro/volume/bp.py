@@ -12,14 +12,12 @@ makes the free energy convex and the marginals usable as confidences
 with Convex Free Energies").
 
 The module is deliberately a leaf: pure Python over plain lists and dicts,
-importing nothing from the diagnosis or engine planes, so
-:mod:`repro.diagnose.diagnose` (the cheap tie-only re-ranker,
-:func:`rerank_tied_scores`) and :mod:`repro.volume.graph` (full
-multi-defect inference, :func:`max_product_bp`) can both import their
-kernel from here without an import cycle.  The two are separate kernels.
-Every operation iterates in a fixed order over the adjacency lists, so
-results are bit-identical for a given graph regardless of which engine
-backend produced the evidence.
+importing nothing from the diagnosis or engine planes.  (The cheap
+tie-only re-ranker, :func:`repro.diagnose.diagnose.rerank_tied_scores`, is
+a separate kernel and lives next to its one caller.)  Every operation
+iterates in a fixed order over the adjacency lists, so results are
+bit-identical for a given graph regardless of which engine backend
+produced the evidence.
 """
 
 from __future__ import annotations
@@ -31,46 +29,6 @@ from typing import Mapping, Sequence
 
 #: Belief magnitudes beyond this are saturated before the logistic squash.
 _BELIEF_CLIP = 50.0
-
-
-# --------------------------------------------------------------------------
-# Tie re-ranking (the cheap path)
-# --------------------------------------------------------------------------
-def rerank_tied_scores(
-    group: Sequence[int],
-    hit_pairs: Sequence[set[tuple[int, int]]],
-    iterations: int,
-) -> dict[int, float]:
-    """Message-passing style evidence reweighting for one tie group.
-
-    Each observed failing bit sends its explaining candidates a message
-    worth ``1 / (sum of the strengths of the candidates explaining it)``;
-    candidate strengths are re-estimated from the received evidence each
-    round.  Rare evidence — a failing bit only one candidate explains —
-    dominates the final score, separating otherwise tied hypotheses.
-
-    This is the degenerate single-defect form of the full factor-graph
-    schedule in :func:`max_product_bp`: evidence factors reweight their
-    variable neighborhoods, but no cover constraint is enforced and no
-    marginal is calibrated.  :func:`repro.diagnose.diagnose.score_candidates`
-    uses it as the cheap path for tie groups of an already-ranked list.
-    """
-    strengths = {index: 1.0 for index in group}
-    raw = dict(strengths)
-    for _ in range(max(1, iterations)):
-        weight: dict[tuple[int, int], float] = {}
-        for index in group:
-            for pair in hit_pairs[index]:
-                weight[pair] = weight.get(pair, 0.0) + strengths[index]
-        raw = {
-            index: sum(1.0 / weight[pair] for pair in hit_pairs[index])
-            for index in group
-        }
-        peak = max(raw.values(), default=0.0)
-        strengths = {
-            index: (raw[index] / peak if peak else 1.0) for index in group
-        }
-    return raw
 
 
 # --------------------------------------------------------------------------

@@ -27,16 +27,16 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from repro.atpg.config import AtpgOptions, TestSetup
-from repro.diagnose.candidates import CandidateSet, extract_candidates
 from repro.diagnose.defects import DefectSpec
 from repro.diagnose.diagnose import (
     DiagnosisSpec,
     ScoredCandidate,
     SyndromeDictionary,
     SyndromeEvidence,
+    diagnosis_inputs,
     simulate_candidate_syndromes,
 )
-from repro.diagnose.faillog import FailLog, capture_fail_log
+from repro.diagnose.faillog import FailLog
 from repro.engine.scheduler import FaultSimScheduler
 from repro.obs.telemetry import active_metrics, active_tracer
 from repro.patterns.pattern import PatternSet, TestPattern
@@ -419,37 +419,13 @@ def run_bp_diagnosis(
     """
     started = time.perf_counter()
     bp = bp or BpOptions()
-    options = options or setup.options
-    backend = (
-        scheduler.backend_name if scheduler is not None
-        else spec.backend or options.sim_backend
-    )
-    model = prepared.model
-    items = list(patterns)
     injected: list[DefectSpec] = list(defects or ([spec.defect] if spec.defect else []))
-    if fail_log is None:
-        if not injected:
-            raise ValueError(
-                "run_bp_diagnosis needs either a fail log or defects to inject"
-            )
-        fail_log = capture_fail_log(
-            model,
-            prepared.domain_map,
-            prepared.scan,
-            setup,
-            items,
-            injected,
-            batch_size=spec.batch_size,
-        )
-    elif not injected:
-        injected = list(fail_log.defects)
-    candidate_set: CandidateSet = extract_candidates(
-        model,
-        fail_log,
-        kinds=spec.candidate_kinds,
-        max_sites=spec.max_sites,
+    backend, items, fail_log, candidate_set = diagnosis_inputs(
+        prepared, setup, patterns, spec, fail_log, injected, options, scheduler,
         mode="union",
     )
+    injected = injected or list(fail_log.defects)
+    model = prepared.model
     evidence = simulate_candidate_syndromes(
         model,
         prepared.domain_map,

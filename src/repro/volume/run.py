@@ -43,6 +43,7 @@ from repro.diagnose.defects import DEFECT_KINDS
 from repro.diagnose.diagnose import DiagnosisSpec
 from repro.engine.scheduler import BACKENDS
 from repro.runtime import Event, Executor, Job, Plan
+from repro.runtime.report import PlanReport, ReportCell, mark_cache_hit
 from repro.volume.bp import BpOptions
 from repro.volume.graph import BpDiagnosisResult
 from repro.volume.store import FailLogRecord, FailLogStore
@@ -230,7 +231,7 @@ def volume_plan(
 # Cells & report
 # --------------------------------------------------------------------------
 @dataclass
-class BpDiagnosisCell:
+class BpDiagnosisCell(ReportCell):
     """One fail log's landed volume-diagnosis outcome (JSON-safe)."""
 
     design: str
@@ -275,31 +276,6 @@ class BpDiagnosisCell:
             wall_seconds=result.wall_seconds,
         )
 
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "design": self.design,
-            "scenario": self.scenario,
-            "log": self.log,
-            "defects": list(self.defects),
-            "rank_of_defect": self.rank_of_defect,
-            "confidence": self.confidence,
-            "recovered_all": self.recovered_all,
-            "selected": self.selected,
-            "resolution": self.resolution,
-            "candidate_count": self.candidate_count,
-            "fail_count": self.fail_count,
-            "converged": self.converged,
-            "bp_iterations": self.bp_iterations,
-            "ambiguous_pairs": self.ambiguous_pairs,
-            "unexplained": self.unexplained,
-            "cache_hit": self.cache_hit,
-            "wall_seconds": self.wall_seconds,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "BpDiagnosisCell":
-        return cls(**dict(data))  # type: ignore[arg-type]
-
     def deterministic_dict(self) -> dict[str, object]:
         """The backend-independent projection (drops timing and cache
         provenance — what byte-identity across executions is asserted on)."""
@@ -309,22 +285,10 @@ class BpDiagnosisCell:
         return payload
 
 
-@dataclass
-class BpDiagnosisReport:
+class BpDiagnosisReport(PlanReport):
     """Streaming volume-diagnosis results over one fail-log store."""
 
-    campaign: dict[str, object] = field(default_factory=dict)
-    cells: list[BpDiagnosisCell] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.cells)
-
-    def __iter__(self):
-        return iter(self.cells)
-
-    def add_cell(self, cell: BpDiagnosisCell) -> BpDiagnosisCell:
-        self.cells.append(cell)
-        return cell
+    cell_type = BpDiagnosisCell
 
     def cell(self, log: str) -> BpDiagnosisCell:
         for cell in self.cells:
@@ -337,20 +301,6 @@ class BpDiagnosisReport:
 
     def recovered_count(self) -> int:
         return sum(1 for cell in self.cells if cell.recovered_all)
-
-    def cache_hits(self) -> int:
-        return sum(1 for cell in self.cells if cell.cache_hit)
-
-    @property
-    def backend_fallbacks(self) -> list[dict[str, str]]:
-        """Executor degradations — same contract as
-        :attr:`~repro.diagnose.DiagnosisReport.backend_fallbacks`."""
-        return list(self.campaign.get("backend_fallbacks") or [])
-
-    @property
-    def degraded(self) -> bool:
-        """True when the run did not execute on the requested backend."""
-        return bool(self.backend_fallbacks)
 
     def summary(self) -> str:
         lines = []
@@ -369,12 +319,7 @@ class BpDiagnosisReport:
             f"recovered all defects: {self.recovered_count()}/{len(self.cells)} "
             f"(rank 1: {self.rank_one_count()}/{len(self.cells)})"
         )
-        for fb in self.backend_fallbacks:
-            lines.append(
-                f"NOTE: backend fallback {fb.get('requested', '?')} -> "
-                f"{fb.get('used', '?')}: {fb.get('reason', 'unknown reason')}"
-            )
-        return "\n".join(lines)
+        return "\n".join(lines + self.fallback_notes())
 
     def same_results(self, other: "BpDiagnosisReport") -> bool:
         """Deterministic-projection equality — the cross-backend (and
@@ -384,24 +329,6 @@ class BpDiagnosisReport:
         return all(
             mine.deterministic_dict() == theirs.deterministic_dict()
             for mine, theirs in zip(self.cells, other.cells)
-        )
-
-    def to_json(self, indent: int | None = 2) -> str:
-        payload = {
-            "campaign": self.campaign,
-            "cells": [cell.to_dict() for cell in self.cells],
-        }
-        return json.dumps(payload, indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "BpDiagnosisReport":
-        payload = json.loads(text)
-        return cls(
-            campaign=dict(payload.get("campaign", {})),
-            cells=[
-                BpDiagnosisCell.from_dict(item)
-                for item in payload.get("cells", [])
-            ],
         )
 
 
@@ -432,9 +359,9 @@ def volume_report_builder(
     }
 
     def cell_of(job: Job, result: BpDiagnosisResult, cache_hit: bool) -> BpDiagnosisCell:
-        if cache_hit:
-            result.cache_hit = True
-        return BpDiagnosisCell.from_result(str(job.params["log"]), result)
+        return BpDiagnosisCell.from_result(
+            str(job.params["log"]), mark_cache_hit(result, cache_hit)
+        )
 
     return fold_events(
         plan, BpDiagnosisReport(campaign=header), cell_of,

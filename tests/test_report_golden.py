@@ -104,6 +104,7 @@ def test_campaign_report_golden():
         assert report.summary() == CAMPAIGN_SUMMARY
         assert report.table("tiny") == RUN_TABLE + (NOTES if degraded else "")
         assert CampaignReport.from_json(report.to_json()).to_json() == report.to_json()
+        assert report.degraded is degraded
         assert report.cache_hits() == 1 and len(report) == 2
 
 

@@ -10,7 +10,6 @@ import random
 
 import pytest
 
-from repro.diagnose.diagnose import _rerank_scores
 from repro.volume import BpOptions, max_product_bp, rerank_tied_scores
 
 
@@ -247,8 +246,8 @@ class TestLeaveOneOutOracle:
 
 
 class TestRerankDelegation:
-    """The classical tie re-ranker delegates to the volume plane's
-    `rerank_tied_scores` — `_rerank_scores` must be that function applied."""
+    """The classical ranking's tie re-ranker, `rerank_tied_scores`, as
+    `repro.volume` re-exports it."""
 
     def _case(self):
         hit_pairs = [
@@ -257,13 +256,6 @@ class TestRerankDelegation:
             {(0, "a")},
         ]
         return [0, 1, 2], hit_pairs
-
-    def test_same_scores_as_shared_kernel(self):
-        group, hit_pairs = self._case()
-        for iterations in (1, 2, 5):
-            assert _rerank_scores(group, hit_pairs, iterations) == (
-                rerank_tied_scores(group, hit_pairs, iterations)
-            )
 
     def test_rare_evidence_dominates(self):
         group, hit_pairs = self._case()
