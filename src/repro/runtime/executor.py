@@ -57,13 +57,7 @@ from repro.runtime.backends import (
     validate_pool_size,
 )
 from repro.runtime.events import Event
-from repro.runtime.plan import (
-    Job,
-    Plan,
-    handler_for,
-    handler_module,
-    shippable_resources,
-)
+from repro.runtime.plan import Job, Plan, handler_for, handler_module, shippable_resources
 
 class PlanCancelled(RuntimeError):
     """Raised by report assemblers when a cancelled plan left jobs unrun."""
