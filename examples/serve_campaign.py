@@ -8,7 +8,9 @@ processes register with it and execute shipped plan waves; the
 journal live, and assembles the final :class:`CampaignReport` — through the
 exact same event fold ``Campaign.run()`` uses, so the report is identical
 to a local run's.  A second submission of the same grid is served entirely
-from the tenant's cache: zero jobs execute.
+from the tenant's cache: zero jobs execute.  The script exits non-zero
+when the resubmission executes a job or its results differ from the
+first run's.
 
 Everything runs in-process here for a self-contained demo; in production
 the workers are separate processes started with
@@ -17,6 +19,7 @@ the workers are separate processes started with
 Run with ``python examples/serve_campaign.py``.
 """
 
+import sys
 import tempfile
 import time
 
@@ -40,7 +43,7 @@ def fresh_campaign() -> Campaign:
     return Campaign(designs=["tiny"], scenarios=["a", "c"], options=options)
 
 
-def main() -> None:
+def main() -> int:
     with tempfile.TemporaryDirectory(prefix="repro-serve-demo-") as tmp:
         server = ServeServer(tmp).start()
         host, port = server.address
@@ -50,32 +53,41 @@ def main() -> None:
             ServeWorker(server_address=server.address, register_seconds=0.2).start()
             for _ in range(2)
         ]
-        client = ServeClient(server.address)
-        while len(client.workers()) < 2:
-            time.sleep(0.05)
-        print(f"workers registered: {client.workers()}\n")
+        try:
+            client = ServeClient(server.address)
+            while len(client.workers()) < 2:
+                time.sleep(0.05)
+            print(f"workers registered: {client.workers()}\n")
 
-        print("Submitting the campaign (tenant 'demo', streaming events):")
-        handle = fresh_campaign().submit(client, tenant="demo")
-        report = handle.report(on_event=ticker)
-        summary = handle.status()["summary"]
-        print(f"\nbackend: {summary['backend']}  "
-              f"executed: {summary['executed']}  "
-              f"cache hits: {summary['skipped_cache']}")
-        print(report.table("tiny"))
+            print("Submitting the campaign (tenant 'demo', streaming events):")
+            handle = fresh_campaign().submit(client, tenant="demo")
+            report = handle.report(on_event=ticker)
+            summary = handle.status()["summary"]
+            print(f"\nbackend: {summary['backend']}  "
+                  f"executed: {summary['executed']}  "
+                  f"cache hits: {summary['skipped_cache']}")
+            print(report.table("tiny"))
 
-        print("Resubmitting — the tenant cache serves everything:")
-        resumed = fresh_campaign().submit(client, tenant="demo").report()
-        second = client.status(2)["summary"]
-        print(f"executed: {second['executed']}  "
-              f"cache hits: {second['skipped_cache']}  "
-              f"identical results: {resumed.same_results(report)}")
+            print("Resubmitting — the tenant cache serves everything:")
+            second_handle = fresh_campaign().submit(client, tenant="demo")
+            resumed = second_handle.report()
+            second = second_handle.status()["summary"]
+            identical = resumed.same_results(report)
+            print(f"executed: {second['executed']}  "
+                  f"cache hits: {second['skipped_cache']}  "
+                  f"identical results: {identical}")
 
-        print("\nservice stats:", client.stats()["queue"])
-        for worker in workers:
-            worker.stop()
-        server.stop()
+            print("\nservice stats:", client.stats()["queue"])
+        finally:
+            for worker in workers:
+                worker.stop()
+            server.stop()
+    if second["executed"] or not identical:
+        print("FAIL: the resubmission must execute no job and match the first run",
+              file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

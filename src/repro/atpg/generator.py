@@ -288,17 +288,9 @@ class AtpgGenerator:
             cell: value for cell, value in pattern.scan_load.items() if value.is_known
         }
         filled = fill_pattern(pattern, self.rng, fill=self.options.fill)
-        candidates = self.fault_list.with_status(FaultStatus.UNDETECTED, FaultStatus.DETECTED,
-                                                 FaultStatus.ABORTED)
         # Restrict the confirmation simulation to provisionally-detected and
-        # still-open faults to keep it cheap: confirmed = those whose record
-        # has no pattern index yet plus undetected/aborted ones.
-        to_check = [
-            fault
-            for fault in candidates
-            if self.fault_list.record(fault).detected_by is None
-            or self.fault_list.status_of(fault) in (FaultStatus.UNDETECTED, FaultStatus.ABORTED)
-        ]
+        # still-open faults to keep it cheap.
+        to_check = self.fault_list.open_or_provisional()
         detections = self._fault_simulate([filled], to_check)
         index = pattern_set.add(filled)
         self.stats.deterministic_patterns += 1
@@ -315,12 +307,10 @@ class AtpgGenerator:
         self.stats.deterministic_detections += confirmed
         # Any provisionally detected fault this pattern targeted but did not
         # actually detect goes back to undetected (PODEM result not confirmed).
-        for fault in to_check:
-            record = self.fault_list.record(fault)
-            if record.status is FaultStatus.DETECTED and record.detected_by is None:
-                if self._describe_fault(fault) in filled.target_faults:
-                    record.status = FaultStatus.UNDETECTED
-                    self.stats.unconfirmed_podem_tests += 1
+        for fault in self.fault_list.provisional():
+            if self._describe_fault(fault) in filled.target_faults:
+                self.fault_list.set_status(fault, FaultStatus.UNDETECTED)
+                self.stats.unconfirmed_podem_tests += 1
 
     # ------------------------------------------------------------------ utils
     def _describe_fault(self, fault) -> str:

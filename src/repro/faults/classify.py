@@ -104,10 +104,9 @@ class FaultClassifier:
 
     def classify_list(self, fault_list: FaultList) -> dict[str, int]:
         """Tag every not-detected fault in a fault list; returns the histogram."""
-        for record in fault_list.records():
-            if record.status is FaultStatus.DETECTED:
-                continue
-            record.group = self.classify_fault(record.fault)
+        not_detected = [s for s in FaultStatus if s is not FaultStatus.DETECTED]
+        for fault in fault_list.with_status(*not_detected):
+            fault_list.set_group(fault, self.classify_fault(fault))
         return fault_list.group_histogram()
 
     # --------------------------------------------------------------- internals

@@ -75,6 +75,18 @@ def send_line(wfile: BinaryIO, message: dict[str, Any]) -> None:
     wfile.flush()
 
 
+def send_event_line(wfile: BinaryIO, seq: int, payload: str) -> None:
+    """Write one journaled event as a ``{"event": ..., "seq": N}`` line.
+
+    ``payload`` is the stored :meth:`~repro.runtime.events.Event.to_json`
+    text, spliced in verbatim: it already has sorted keys, so the line is
+    the one :func:`send_line` writes for the parsed event, without parsing
+    and re-encoding the event's (possibly large) value.
+    """
+    wfile.write(b'{"event": %s, "seq": %d}\n' % (payload.encode("utf-8"), seq))
+    wfile.flush()
+
+
 def recv_line(rfile: BinaryIO) -> "dict[str, Any] | None":
     """Read one protocol line (``None`` on a cleanly closed peer)."""
     line = rfile.readline()

@@ -66,6 +66,7 @@ from repro.serve.protocol import (
     format_address,
     is_loopback,
     recv_line,
+    send_event_line,
     send_line,
 )
 from repro.serve.queue import TERMINAL_STATES, ServeQueue
@@ -459,7 +460,7 @@ class ServeServer:
             batch = self.queue.events_after(job_id, after)
             for seq, payload in batch:
                 after = seq
-                send_line(wfile, {"seq": seq, "event": json.loads(payload)})
+                send_event_line(wfile, seq, payload)
             if batch:
                 last_sent = time.monotonic()
             status = self.queue.status(job_id)
@@ -469,7 +470,7 @@ class ServeServer:
                 # read above and the state flip.
                 for seq, payload in self.queue.events_after(job_id, after):
                     after = seq
-                    send_line(wfile, {"seq": seq, "event": json.loads(payload)})
+                    send_event_line(wfile, seq, payload)
                 send_line(wfile, {"end": True, "state": state, "last": after})
                 return
             if self._stop.is_set():

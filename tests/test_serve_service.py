@@ -7,6 +7,7 @@ workers); the remote backend has its own suite in test_serve_remote.py.
 
 from __future__ import annotations
 
+import io
 import json
 import socket
 import socketserver
@@ -16,7 +17,7 @@ import time
 
 import pytest
 
-from repro.runtime import Job, Plan, register_job_kind
+from repro.runtime import Event, Job, Plan, event_from_json, register_job_kind
 from repro.serve import (
     ServeClient,
     ServeError,
@@ -25,7 +26,7 @@ from repro.serve import (
     TenantStore,
     tenant_namespace,
 )
-from repro.serve.protocol import WakingTCPServer
+from repro.serve.protocol import WakingTCPServer, recv_line, send_event_line, send_line
 
 
 @register_job_kind("serve-value")
@@ -212,6 +213,20 @@ class TestProtocolRobustness:
         finally:
             sock.close()
         assert reply["ok"] is False
+
+
+    @pytest.mark.parametrize("value", [
+        None, {"value": 3, "name": "caf\u00e9"}, b"\x00\xff" * 64, 1.0 / 3,
+    ])
+    def test_journaled_event_line_is_spliced_verbatim(self, value):
+        event = Event(kind="job_finished", plan="p\u00e9", job="j:0", value=value,
+                      wall_seconds=0.1 + 0.2, completed=1, total=2)
+        payload = event.to_json()
+        spliced, reencoded = io.BytesIO(), io.BytesIO()
+        send_event_line(spliced, 42, payload)
+        send_line(reencoded, {"seq": 42, "event": json.loads(payload)})
+        assert spliced.getvalue() == reencoded.getvalue()
+        assert event_from_json(recv_line(io.BytesIO(spliced.getvalue()))["event"]) == event
 
 
 class TestRestartRecovery:
