@@ -458,7 +458,11 @@ class SyndromeDictionary:
     launch/final good frames, the observation list with its ``po_only``
     flags and ``po_gate``, and every simulated fault's sparse syndrome: the
     nonzero ``(observation index, mask)`` pairs after PO gating, stored
-    flat.  Syndromes are keyed by the fault ids of the design's
+    flat.  The good frames are the frame memo's (see
+    :meth:`~repro.fault_sim.transition.FrameSimulator.iter_batches`), so a
+    dictionary bound to a pattern set that fail-log capture has replayed
+    on the same model simulates no good machine, and shares its planes
+    read-only.  Syndromes are keyed by the fault ids of the design's
     :class:`~repro.diagnose.candidates.CandidateUniverse`, which every
     :class:`~repro.diagnose.candidates.CandidateSet` carries, so no fault
     is hashed per log, and a ``"transition"`` and an ``"inter-domain"``
@@ -565,9 +569,7 @@ class SyndromeDictionary:
             return
         if universe is None:
             raise ValueError("candidates carry no candidate universe")
-        model = frames_sim.model
-        po_nodes = {idx for _, idx in model.po_nodes}
-        element_by_name = {e.name: e for e in model.state_elements}
+        po_nodes = {idx for _, idx in frames_sim.model.po_nodes}
         batches: list[DictionaryBatch] = []
         slot: dict[int, tuple[int, int]] = {}
         for procedure, observation, chunk, batch, launch, final in (
@@ -575,11 +577,7 @@ class SyndromeDictionary:
         ):
             if not observation:
                 continue
-            captured_d = {
-                element_by_name[name].d_node
-                for name in frames_sim.observed_scan_flops(procedure)
-                if element_by_name[name].d_node is not None
-            }
+            captured_d = frames_sim.captured_cells(procedure)
             po_gate = 0
             for local, pattern in enumerate(batch):
                 if pattern.observe_pos:

@@ -28,7 +28,7 @@ from repro.dft.scan import ScanArchitecture
 from repro.engine.scheduler import FaultSimScheduler
 from repro.fault_sim.transition import FrameSimulator
 from repro.patterns.pattern import PatternSet, TestPattern
-from repro.simulation.parallel_sim import mask_to_indices, unpack_value
+from repro.simulation.parallel_sim import mask_to_indices
 
 #: Chain label fail bits on primary outputs carry (POs have no scan chain).
 PO_CHAIN = "po"
@@ -290,6 +290,52 @@ def _unload_position(scan: ScanArchitecture) -> dict[str, tuple[str, int]]:
     return position
 
 
+class _CaptureLayout:
+    """The per-(design, setup) fixed work of :func:`capture_fail_log`: the
+    frame simulator, the PO nets of each node and, per capture procedure,
+    the ``(cell, chain, cycle)`` taps of each observed D node."""
+
+    def __init__(self, model, domain_map, scan: ScanArchitecture, setup: TestSetup, key):
+        self.model = model
+        self.key = key
+        self.frames = FrameSimulator(
+            model, domain_map, setup, FaultSimScheduler(model, backend="compiled")
+        )
+        self.position = _unload_position(scan)
+        self.po_nets: dict[int, list[str]] = {}
+        for net, idx in model.po_nodes:
+            self.po_nets.setdefault(idx, []).append(net)
+        self._taps: dict = {}
+
+    def taps(self, procedure) -> dict[int, list[tuple[str, str, int]]]:
+        taps = self._taps.get(procedure)
+        if taps is None:
+            position = self.position
+            taps = self._taps[procedure] = {
+                node: [(cell, *position[cell]) for cell in cells]
+                for node, cells in self.frames.captured_cells(procedure).items()
+            }
+        return taps
+
+
+def _capture_layout(model, domain_map, scan: ScanArchitecture, setup: TestSetup) -> _CaptureLayout:
+    """The model's capture layout for this setup and scan architecture
+    (``_capture_layout`` in the model's ``__dict__``, dropped on pickling),
+    rebuilt when their content differs from the last call's."""
+    key = (
+        tuple(setup.effective_pin_constraints().items()),
+        setup.observe_pos,
+        tuple(domain_map.domain_of(element.name) for element in model.state_elements),
+        tuple(scan.chains),
+    )
+    layout = model.__dict__.get("_capture_layout")
+    if layout is None or layout.model is not model or layout.key != key:
+        layout = model.__dict__["_capture_layout"] = _CaptureLayout(
+            model, domain_map, scan, setup, key
+        )
+    return layout
+
+
 def capture_fail_log(
     model,
     domain_map,
@@ -306,7 +352,16 @@ def capture_fail_log(
     :class:`~repro.fault_sim.transition.FrameSimulator` (bit-parallel, one
     batch per capture procedure), so every emitted fail bit corresponds to a
     known-value difference an ATE comparator would flag — per pattern, per
-    chain, per unload cycle.
+    chain, per unload cycle.  The expected value of a bit is read straight
+    from the good machine's capture-frame planes; a miscompare on a bit
+    the good machine leaves unknown raises ``RuntimeError``.
+
+    A design replays one pattern set for every die, so the replay's fixed
+    work is done once: the frame simulator, unload positions, PO nets and
+    per-procedure taps once per (design, setup, scan architecture), and
+    the good frames once per pattern set through the frame memo of
+    :meth:`~repro.fault_sim.transition.FrameSimulator.iter_batches`.  Only
+    the injected device is simulated per call.
 
     ``defect`` may be a sequence of specs: every defect is injected into the
     same device in one pass and the log records their unioned miscompares
@@ -314,66 +369,44 @@ def capture_fail_log(
     """
     items = list(patterns)
     injector = DefectInjector(model, defect)
-    scheduler = FaultSimScheduler(model, backend="compiled")
-    frames_sim = FrameSimulator(model, domain_map, setup, scheduler)
-    position = _unload_position(scan)
-    po_nets_of_node: dict[int, list[str]] = {}
-    for net, idx in model.po_nodes:
-        po_nets_of_node.setdefault(idx, []).append(net)
-    element_by_name = {e.name: e for e in model.state_elements}
-
-    fails: list[FailBit] = []
-    cells_of_node: dict[int, list[str]] = {}
-    current_procedure: str | None = None
-    for procedure, observation, chunk, batch, launch, final in frames_sim.iter_batches(
+    layout = _capture_layout(model, domain_map, scan, setup)
+    po_nets = layout.po_nets
+    rows: list[tuple[int, str, int, str, str, str]] = []
+    for procedure, observation, chunk, batch, launch, final in layout.frames.iter_batches(
         items, batch_size
     ):
-        if procedure.name != current_procedure:
-            current_procedure = procedure.name
-            cells_of_node = {}
-            for name in frames_sim.observed_scan_flops(procedure):
-                node = element_by_name[name].d_node
-                if node is not None:
-                    cells_of_node.setdefault(node, []).append(name)
+        taps = layout.taps(procedure)
         masks = injector.syndrome(
             final, observation, launch=launch, procedure=procedure
         )
+        can0, can1 = final.can0, final.can1
         for obs, mask in zip(observation, masks):
             if not mask:
                 continue
-            for local in mask_to_indices(mask):
-                pattern_index = chunk[local]
-                expected = unpack_value(final, obs, local)
-                assert expected.is_known, "detection requires a known good value"
-                exp, got = str(expected), "1" if str(expected) == "0" else "0"
-                for cell in cells_of_node.get(obs, ()):
-                    chain, cycle = position[cell]
-                    fails.append(
-                        FailBit(
-                            pattern=pattern_index,
-                            chain=chain,
-                            cycle=cycle,
-                            signal=cell,
-                            expected=exp,
-                            observed=got,
-                        )
-                    )
-                if batch[local].observe_pos:
-                    for net in po_nets_of_node.get(obs, ()):
-                        fails.append(
-                            FailBit(
-                                pattern=pattern_index,
-                                chain=PO_CHAIN,
-                                cycle=0,
-                                signal=net,
-                                expected=exp,
-                                observed=got,
-                            )
-                        )
-    fails.sort()
+            zeros = mask & can0[obs] & ~can1[obs]
+            ones = mask & can1[obs] & ~can0[obs]
+            if zeros | ones != mask:
+                unknown = mask_to_indices(mask & ~(zeros | ones))
+                raise RuntimeError(
+                    f"miscompare on node {obs} of pattern {chunk[unknown[0]]}, "
+                    "where the good machine's value is unknown"
+                )
+            cells = taps.get(obs, ())
+            nets = po_nets.get(obs, ())
+            for bits, exp, got in ((zeros, "0", "1"), (ones, "1", "0")):
+                for local in mask_to_indices(bits):
+                    pattern_index = chunk[local]
+                    for cell, chain, cycle in cells:
+                        rows.append((pattern_index, chain, cycle, cell, exp, got))
+                    if nets and batch[local].observe_pos:
+                        for net in nets:
+                            rows.append((pattern_index, PO_CHAIN, 0, net, exp, got))
+    # FailBit orders by its fields in this order, so sorting the rows sorts
+    # the bits.
+    rows.sort()
     return FailLog(
         design=design_name or model.name,
         pattern_count=len(items),
-        fails=fails,
+        fails=[FailBit(*row) for row in rows],
         defects=list(injector.defects),
     )

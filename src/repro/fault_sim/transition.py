@@ -43,6 +43,11 @@ Per-fault detection routes through a
 (interpreted ``serial`` reference or ``compiled`` kernels) follows
 ``setup.options.sim_backend`` unless overridden per instance; every backend
 yields identical detections.
+
+The per-batch frames of :meth:`FrameSimulator.iter_batches` (fail-log
+capture and the diagnosis syndrome dictionary) are memoised per model: a
+design replays one pattern set for every failing die, and only the
+injected defect differs between the replays.
 """
 
 from __future__ import annotations
@@ -119,6 +124,17 @@ class PatternWindow:
         return mask & self._lane_group[(mask & -mask).bit_length() - 1]
 
 
+@dataclass(frozen=True)
+class _FrameMemo:
+    """The framed batches of the last pattern set framed on ``model``
+    (:meth:`FrameSimulator._framed_batches`)."""
+
+    model: CircuitModel
+    key: tuple
+    patterns: list[tuple]
+    batches: list[tuple]
+
+
 def _merge_lanes(
     window: PackedPatterns | None, frame: PackedPatterns, lanes: int
 ) -> PackedPatterns | None:
@@ -146,7 +162,8 @@ class FrameSimulator:
     fault simulator, the path-delay checker, the tester-side fail-log
     capture of :mod:`repro.diagnose.faillog` and the diagnosis candidate
     scorer — all of them must agree bit for bit on the frames they reason
-    about, so all of them frame through :meth:`_frames`.
+    about, so all of them frame through :meth:`_frames`.  The setup's pin
+    constraints and ``observe_pos`` are read once, at construction.
     """
 
     def __init__(
@@ -186,6 +203,15 @@ class FrameSimulator:
             for _, q, _, _, is_scan, init in self._elements
             if not is_scan and init is not None
         ]
+        self._observe_pos = setup.observe_pos
+        #: Everything besides the model and the patterns that the frames of
+        #: :meth:`iter_batches` depend on; part of the frame memo's key.
+        self._frame_key = (
+            scheduler.backend_name,
+            tuple(self._constrained),
+            self._observe_pos,
+            tuple(domain for _, _, _, domain, _, _ in self._elements),
+        )
 
     # ------------------------------------------------------------- observation
     def observation_nodes(self, procedure: NamedCaptureProcedure) -> list[int]:
@@ -196,7 +222,7 @@ class FrameSimulator:
             d for _, _, d, domain, is_scan, _ in self._elements
             if is_scan and d is not None and domain in last_domains
         ]
-        if self.setup.observe_pos:
+        if self._observe_pos:
             observation.extend(idx for _, idx in self.model.po_nodes)
         return sorted(set(observation))
 
@@ -205,6 +231,17 @@ class FrameSimulator:
             name for name, _, _, domain, is_scan, _ in self._elements
             if is_scan and domain in procedure.capture_domains
         ]
+
+    def captured_cells(self, procedure: NamedCaptureProcedure) -> dict[int, list[str]]:
+        """D node -> the scan cells the final pulse of ``procedure``
+        captures it into, in state-element order; cells without a D input
+        capture nothing and are left out."""
+        domains = procedure.capture_domains
+        cells: dict[int, list[str]] = {}
+        for name, _, d, domain, is_scan, _ in self._elements:
+            if is_scan and d is not None and domain in domains:
+                cells.setdefault(d, []).append(name)
+        return cells
 
     # --------------------------------------------------------------- framing
     def _batches(self, items: Sequence[TestPattern], batch_size: int):
@@ -231,12 +268,61 @@ class FrameSimulator:
         diagnosis candidate scoring both iterate through this single
         generator, so the frames they reason about are identical by
         construction.
+
+        The framed batches come from the model's frame memo (see
+        :meth:`_framed_batches`), so a pattern set replayed against many
+        injected devices is framed once.  ``observation``, ``chunk`` and
+        the planes are shared with every later replay: read them, never
+        write them.
         """
-        for procedure, observation, chunk in self._batches(items, batch_size):
+        items = list(items)
+        for procedure, observation, chunk, launch, final in self._framed_batches(
+            items, max(1, batch_size)
+        ):
+            yield procedure, observation, chunk, [items[i] for i in chunk], launch, final
+
+    def _framed_batches(self, items: list[TestPattern], step: int) -> list[tuple]:
+        """``(procedure, observation, chunk, launch, final)`` per batch of
+        ``items``, framed once per content.
+
+        The model keeps the batches of the last pattern set framed
+        (``_frame_memo`` in its ``__dict__``, dropped on pickling).  Its key
+        is content, never object identity: this framer's backend, pin
+        constraints, ``observe_pos`` and every state element's clock
+        domain, the batch size, and a copy of every pattern's procedure,
+        scan load, PI frames and ``observe_pos``.  The copy is compared by
+        equality, not hashed: dict and list equality skip the values they
+        share by identity, where hashing would hash every ``Logic`` value.
+        So an in-place edit of a pattern, another setup or another batch
+        size frames afresh.  Concurrent framers of one model may both
+        frame a miss; the entries are equal and the last one stays.
+        """
+        key = self._frame_key + (step,)
+        snapshot = [
+            (pattern.procedure, pattern.scan_load, pattern.pi_frames, pattern.observe_pos)
+            for pattern in items
+        ]
+        memo = self.model.__dict__.get("_frame_memo")
+        if (
+            memo is not None and memo.model is self.model
+            and memo.key == key and memo.patterns == snapshot
+        ):
+            return memo.batches
+        batches = []
+        for procedure, observation, chunk in self._batches(items, step):
             batch = [items[i] for i in chunk]
             lanes = (1 << len(batch)) - 1
             launch, final = self._launch_and_final(batch, ((lanes, procedure),))
-            yield procedure, observation, chunk, batch, launch, final
+            batches.append((procedure, observation, chunk, launch, final))
+        self.model.__dict__["_frame_memo"] = _FrameMemo(
+            self.model, key,
+            [
+                (procedure, dict(scan_load), [dict(frame) for frame in pi_frames], observe_pos)
+                for procedure, scan_load, pi_frames, observe_pos in snapshot
+            ],
+            batches,
+        )
+        return batches
 
     def iter_windows(self, items: Sequence[TestPattern], batch_size: int = 256):
         """Pack the batches of :meth:`iter_batches` side by side into windows

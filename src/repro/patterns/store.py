@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import sqlite3
 from collections import Counter
+from contextlib import closing
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -44,7 +45,7 @@ class PatternStore:
                 " sqlite path and load the dump with import_jsonl()"
             )
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self._connect() as connection:
+        with closing(self._connect()) as connection, connection:
             connection.execute(
                 "CREATE TABLE IF NOT EXISTS patterns ("
                 "  id INTEGER PRIMARY KEY AUTOINCREMENT,"
@@ -81,7 +82,7 @@ class PatternStore:
         straight to disk without a full in-memory pattern list.
         """
         count = 0
-        with self._connect() as connection:
+        with closing(self._connect()) as connection, connection:
             for pattern in patterns:
                 connection.execute(
                     "INSERT INTO patterns (design, scenario, payload)"
@@ -100,7 +101,7 @@ class PatternStore:
     # -------------------------------------------------------------------- read
     def groups(self) -> list[tuple[str, str]]:
         """Distinct ``(design, scenario)`` groups, first-appearance order."""
-        with self._connect() as connection:
+        with closing(self._connect()) as connection:
             rows = connection.execute(
                 "SELECT design, scenario, MIN(id) FROM patterns"
                 " GROUP BY design, scenario ORDER BY MIN(id)"
@@ -112,7 +113,7 @@ class PatternStore:
         clauses, params = self._filters(design, scenario)
         if clauses:
             query += " WHERE " + " AND ".join(clauses)
-        with self._connect() as connection:
+        with closing(self._connect()) as connection:
             (count,) = connection.execute(query, params).fetchone()
         return int(count)
 
@@ -154,7 +155,9 @@ class PatternStore:
         target = Path(path)
         target.parent.mkdir(parents=True, exist_ok=True)
         count = 0
-        with target.open("w", encoding="utf-8") as handle, self._connect() as connection:
+        with target.open("w", encoding="utf-8") as handle, closing(
+            self._connect()
+        ) as connection:
             rows = connection.execute(
                 "SELECT design, scenario, payload FROM patterns ORDER BY id"
             )
@@ -218,12 +221,12 @@ class StoredPatternView:
             if clauses:
                 query += " WHERE " + " AND ".join(clauses)
             query += " ORDER BY id"
-            with self._store._connect() as connection:
+            with closing(self._store._connect()) as connection:
                 self._keys = [row[0] for row in connection.execute(query, params)]
         return self._keys
 
     def _fetch(self, key: int) -> TestPattern:
-        with self._store._connect() as connection:
+        with closing(self._store._connect()) as connection:
             row = connection.execute(
                 "SELECT payload FROM patterns WHERE id = ?", (key,)
             ).fetchone()

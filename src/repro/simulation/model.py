@@ -114,14 +114,20 @@ class CircuitModel:
     def __getstate__(self) -> dict:
         # The engine memoises its compiled kernels on the instance
         # (repro.engine.compile.compile_circuit), diagnosis its candidate
-        # universe (repro.diagnose.candidates.candidate_universe) and fault
-        # collapsing its site table (repro.faults.models.fault_site_table);
-        # closures and locks don't pickle and every process rebuilds them
+        # universe (repro.diagnose.candidates.candidate_universe), fault
+        # collapsing its site table (repro.faults.models.fault_site_table),
+        # the frame simulator the good frames of its last pattern set
+        # (_frame_memo, repro.fault_sim.transition.FrameSimulator.
+        # iter_batches) and fail-log capture its layout (_capture_layout,
+        # repro.diagnose.faillog.capture_fail_log); closures and locks
+        # don't pickle, frames are bulky and every process rebuilds them
         # anyway, so strip the memos.
         state = dict(self.__dict__)
-        state.pop("_engine_compiled", None)
-        state.pop("_candidate_universe", None)
-        state.pop("_fault_sites", None)
+        for memo in (
+            "_engine_compiled", "_candidate_universe", "_fault_sites",
+            "_frame_memo", "_capture_layout",
+        ):
+            state.pop(memo, None)
         return state
 
     # ------------------------------------------------------------------ sizes

@@ -70,7 +70,7 @@ class FailLogStore:
                 " sqlite path and load the dump with import_jsonl()"
             )
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self._connect() as connection:
+        with closing(self._connect()) as connection, connection:
             connection.execute(
                 "CREATE TABLE IF NOT EXISTS fail_logs ("
                 "  id INTEGER PRIMARY KEY AUTOINCREMENT,"
@@ -98,7 +98,7 @@ class FailLogStore:
             name=name, design=log.design, scenario=scenario, log=log
         )
         try:
-            with self._connect() as connection:
+            with closing(self._connect()) as connection, connection:
                 connection.execute(
                     "INSERT INTO fail_logs (name, design, scenario, payload)"
                     " VALUES (?, ?, ?, ?)",
@@ -150,14 +150,14 @@ class FailLogStore:
 
     # -------------------------------------------------------------------- read
     def names(self) -> list[str]:
-        with self._connect() as connection:
+        with closing(self._connect()) as connection:
             rows = connection.execute(
                 "SELECT name FROM fail_logs ORDER BY id"
             ).fetchall()
         return [row[0] for row in rows]
 
     def __len__(self) -> int:
-        with self._connect() as connection:
+        with closing(self._connect()) as connection:
             (count,) = connection.execute(
                 "SELECT COUNT(*) FROM fail_logs"
             ).fetchone()
@@ -167,7 +167,7 @@ class FailLogStore:
         return iter(self.records())
 
     def get(self, name: str) -> FailLogRecord:
-        with self._connect() as connection:
+        with closing(self._connect()) as connection:
             row = connection.execute(
                 "SELECT name, design, scenario, payload FROM fail_logs"
                 " WHERE name = ?",
@@ -186,7 +186,7 @@ class FailLogStore:
         self, design: str | None = None, scenario: str | None = None
     ) -> list[FailLogRecord]:
         """All records in insertion order, optionally filtered."""
-        with self._connect() as connection:
+        with closing(self._connect()) as connection:
             rows = connection.execute(
                 "SELECT name, design, scenario, payload FROM fail_logs"
                 " ORDER BY id"

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import pickle
 import shutil
+import sqlite3
 
 import pytest
 
@@ -118,6 +119,31 @@ class TestPatternStoreBackends:
         assert other.import_jsonl(dump) == 5
         assert other.groups() == store.groups()
         assert other.view(design="d", scenario="s")[1].scan_load == _pattern(1).scan_load
+
+
+def test_pattern_store_closes_every_connection(tmp_path, monkeypatch):
+    """``with connection:`` only commits; every call must also close."""
+    store = PatternStore(tmp_path / "store.db")
+    other = PatternStore(tmp_path / "other.db")
+    opened = []
+    for each in (store, other):
+        connect = each._connect
+        monkeypatch.setattr(
+            each, "_connect", lambda connect=connect: opened.append(connect()) or opened[-1]
+        )
+    store.extend([_pattern(0), _pattern(1)], design="d", scenario="s")
+    assert store.append(_pattern(2), design="d", scenario="t") == 0
+    assert len(store) == 3 and store.count(design="d", scenario="s") == 2
+    assert store.groups() == [("d", "s"), ("d", "t")]
+    view = store.view(design="d", scenario="s")
+    assert view[1] == _pattern(1) and list(view) == [_pattern(0), _pattern(1)]
+    assert len(store.load()) == 3
+    assert store.export_jsonl(tmp_path / "dump.jsonl") == 3
+    assert other.import_jsonl(tmp_path / "dump.jsonl") == 3
+    assert len(opened) >= 10
+    for connection in opened:
+        with pytest.raises(sqlite3.ProgrammingError, match="closed"):
+            connection.execute("SELECT 1")
 
 
 class TestSessionStoreStage:

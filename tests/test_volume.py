@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import sqlite3
 import time
 
 import pytest
@@ -198,6 +199,44 @@ class TestFailLogStore:
         other = FailLogStore(tmp_path / "other.db")
         assert other.import_jsonl(dump) == 3
         assert [r.to_dict() for r in other] == [r.to_dict() for r in store]
+
+
+def tracked_connections(monkeypatch, *stores) -> list:
+    """Every connection the stores' ``_connect`` opens from now on."""
+    opened = []
+    for store in stores:
+        connect = store._connect
+        monkeypatch.setattr(
+            store, "_connect", lambda connect=connect: opened.append(connect()) or opened[-1]
+        )
+    return opened
+
+
+def is_closed(connection) -> bool:
+    try:
+        connection.execute("SELECT 1")
+    except sqlite3.ProgrammingError:
+        return True
+    return False
+
+
+def test_fail_log_store_closes_every_connection(tmp_path, monkeypatch):
+    """``with connection:`` only commits; every call must also close."""
+    store = FailLogStore(tmp_path / "store.sqlite")
+    other = FailLogStore(tmp_path / "other.sqlite")
+    opened = tracked_connections(monkeypatch, store, other)
+    store.add("die-0", synthetic_log("0"))
+    with pytest.raises(ValueError, match="already stored"):
+        store.add("die-0", synthetic_log("1"))
+    store.add_many([("die-1", synthetic_log("1"))])
+    assert len(store) == 2
+    assert [record.name for record in store.records()] == ["die-0", "die-1"]
+    assert store.names() == ["die-0", "die-1"]
+    assert store.get("die-1").log == synthetic_log("1")
+    store.export_jsonl(tmp_path / "dump.jsonl")
+    assert other.import_jsonl(tmp_path / "dump.jsonl") == 2
+    assert len(opened) == 10
+    assert all(is_closed(connection) for connection in opened)
 
 
 def test_jsonl_path_is_refused(tmp_path):
