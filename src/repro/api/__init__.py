@@ -59,7 +59,6 @@ from repro.api.design import (
     DesignSpec,
     DomainSpec,
     PreparedDesign,
-    all_designs,
     design_names,
     get_design,
     instrument_soc,
@@ -75,7 +74,6 @@ from repro.api.scenario import (
     ProcedureFactory,
     ScenarioNotFound,
     ScenarioSpec,
-    all_scenarios,
     get_scenario,
     register_scenario,
     resolve_scenario,
@@ -102,8 +100,6 @@ __all__ = [
     "ScenarioRun",
     "ScenarioSpec",
     "TestSession",
-    "all_designs",
-    "all_scenarios",
     "design_names",
     "execute_scenario",
     "get_design",

@@ -359,9 +359,6 @@ class PreparedDesign:
     def all_domain_names(self) -> list[str]:
         return [d.name for d in self.soc.domains]
 
-    def clock_net_of(self, domain: str) -> str:
-        return self.domain_map.clock_net_of(domain)
-
     def __getstate__(self) -> dict:
         """Pickle without the instrument memo.
 
@@ -648,11 +645,6 @@ def design_names(*, tag: str | None = None) -> list[str]:
     if tag is None:
         return sorted(_REGISTRY)
     return sorted(name for name, spec in _REGISTRY.items() if tag in spec.tags)
-
-
-def all_designs() -> list[DesignSpec]:
-    """All registered specs, sorted by name."""
-    return [_REGISTRY[name] for name in sorted(_REGISTRY)]
 
 
 def resolve_design(spec_or_name: "DesignSpec | str") -> DesignSpec:

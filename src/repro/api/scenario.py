@@ -204,11 +204,6 @@ def scenario_names(*, tag: str | None = None) -> list[str]:
     return sorted(name for name, spec in _REGISTRY.items() if tag in spec.tags)
 
 
-def all_scenarios() -> list[ScenarioSpec]:
-    """All registered specs, sorted by name."""
-    return [_REGISTRY[name] for name in sorted(_REGISTRY)]
-
-
 def resolve_scenario(spec_or_name: "ScenarioSpec | str") -> ScenarioSpec:
     """Accept either a spec object or a registered name."""
     if isinstance(spec_or_name, ScenarioSpec):

@@ -101,10 +101,6 @@ class TestSetup:
         return max(p.num_pulses for p in self.procedures)
 
     @property
-    def allows_inter_domain(self) -> bool:
-        return any(p.is_inter_domain for p in self.procedures)
-
-    @property
     def at_speed_domains(self) -> frozenset[str]:
         """Domains that some procedure pulses at speed."""
         domains: set[str] = set()
@@ -127,12 +123,6 @@ class TestSetup:
         if self.scan_enable_net is not None and self.constrain_scan_enable:
             constraints[self.scan_enable_net] = Logic.ZERO
         return constraints
-
-    def procedure_by_name(self, name: str) -> NamedCaptureProcedure:
-        for procedure in self.procedures:
-            if procedure.name == name:
-                return procedure
-        raise KeyError(f"no capture procedure named {name!r}")
 
     def describe(self) -> str:
         lines = [f"TestSetup {self.name}"]

@@ -11,7 +11,7 @@ classifier and the sequential simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from repro.netlist.netlist import Netlist
 
@@ -42,15 +42,6 @@ class ClockDomain:
     def period_ps(self) -> float:
         return 1_000_000.0 / self.frequency_mhz
 
-    def with_clock_net(self, clock_net: str) -> "ClockDomain":
-        """Same domain, re-pointed at a different clock net (after CPF insertion)."""
-        return ClockDomain(
-            name=self.name,
-            clock_net=clock_net,
-            frequency_mhz=self.frequency_mhz,
-            pll_output=self.pll_output,
-        )
-
 
 class ClockDomainMap:
     """Assignment of every flip-flop to a clock domain."""
@@ -73,9 +64,6 @@ class ClockDomainMap:
 
     def domain_names(self) -> list[str]:
         return sorted(self._domains)
-
-    def clock_net_of(self, domain_name: str) -> str:
-        return self._domains[domain_name].clock_net
 
     # ------------------------------------------------------------ assignment
     @classmethod
@@ -100,28 +88,8 @@ class ClockDomainMap:
         """Domain of a flip-flop (None when the flop is outside all domains)."""
         return self._flop_domain.get(flop_name)
 
-    def flops_in(self, domain_name: str) -> list[str]:
-        return sorted(name for name, d in self._flop_domain.items() if d == domain_name)
-
-    def unassigned_flops(self, netlist: Netlist) -> list[str]:
-        return sorted(name for name in netlist.flops if name not in self._flop_domain)
-
     def clock_nets(self, domain_names: Iterable[str]) -> set[str]:
         return {self._domains[name].clock_net for name in domain_names}
-
-    def retarget(self, new_clock_nets: Mapping[str, str]) -> "ClockDomainMap":
-        """Return a copy whose domains point at different clock nets.
-
-        Used after CPF insertion: the functional flip-flops are then clocked
-        by the CPF outputs instead of the raw PLL outputs.
-        """
-        updated = [
-            d.with_clock_net(new_clock_nets.get(d.name, d.clock_net))
-            for d in self._domains.values()
-        ]
-        clone = ClockDomainMap(updated)
-        clone._flop_domain = dict(self._flop_domain)
-        return clone
 
     def summary(self) -> dict[str, int]:
         """Number of flip-flops per domain (plus ``None`` bucket for unassigned)."""

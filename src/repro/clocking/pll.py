@@ -57,10 +57,6 @@ class Pll:
                 return out
         raise KeyError(f"no PLL output named {name!r}")
 
-    def multiplication_factor(self, name: str) -> float:
-        """Ratio of an output frequency to the reference frequency."""
-        return self.output(name).frequency_mhz / self.reference_mhz
-
     def stimulus(
         self,
         name: str,
@@ -77,7 +73,3 @@ class Pll:
         start = self.lock_time_ps if start_ps is None else start_ps
         num_cycles = max(0, int((duration_ps - start) / out.period_ps) + 1)
         return clock_stimulus(period=out.period_ps, num_cycles=num_cycles, start=start, duty=duty)
-
-    def all_stimuli(self, duration_ps: float) -> dict[str, list[tuple[float, Logic]]]:
-        """Stimulus for every output, keyed by output clock net name."""
-        return {out.name: self.stimulus(out.name, duration_ps) for out in self.outputs}

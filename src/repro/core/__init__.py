@@ -11,7 +11,6 @@ from repro.core.results import (
     compare_with_paper,
     format_comparison,
     format_table1,
-    results_as_records,
 )
 
 __all__ = [
@@ -23,5 +22,4 @@ __all__ = [
     "format_table1",
     "inter_domain_ablation",
     "pulse_count_ablation",
-    "results_as_records",
 ]

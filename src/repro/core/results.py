@@ -139,14 +139,3 @@ def format_comparison(results: Mapping[str, AtpgResult]) -> str:
     lines.append(f"{passed}/{len(checks)} qualitative claims reproduced")
     return "\n".join(lines)
 
-
-def results_as_records(results: Mapping[str, AtpgResult]) -> list[dict[str, object]]:
-    """Machine-readable per-experiment records (used to regenerate EXPERIMENTS.md)."""
-    records = []
-    for key in sorted(results):
-        result = results[key]
-        record = result.summary()
-        record["description"] = TABLE1_DESCRIPTIONS.get(key, "")
-        record["statistics"] = result.stats.as_dict()
-        records.append(record)
-    return records

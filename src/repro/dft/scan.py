@@ -82,15 +82,6 @@ class ScanArchitecture:
     def total_cells(self) -> int:
         return sum(chain.length for chain in self.chains)
 
-    def chain_of(self, cell: str) -> ScanChain:
-        for chain in self.chains:
-            if cell in chain.cells:
-                return chain
-        raise KeyError(f"flip-flop {cell!r} is not in any scan chain")
-
-    def scan_in_ports(self) -> list[str]:
-        return [chain.scan_in for chain in self.chains]
-
     def load_sequences(
         self, scan_load: Mapping[str, Logic], fill: Logic = Logic.ZERO
     ) -> dict[str, list[Logic]]:

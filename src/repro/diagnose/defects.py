@@ -223,17 +223,6 @@ class DefectInjector:
         self.fault = self.faults[0]
         self._compiled: CompiledCircuit = compile_circuit(model)
 
-    def active_for(self, procedure: NamedCaptureProcedure) -> bool:
-        """Does any injected defect manifest under this capture procedure?
-
-        Inter-domain delay defects stay silent unless launch and capture
-        pulse different domains; the other families are always active.
-        """
-        return any(
-            spec.kind != "inter-domain" or procedure.is_inter_domain
-            for spec in self.defects
-        )
-
     def syndrome(
         self,
         final: PackedPatterns,

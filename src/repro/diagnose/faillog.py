@@ -130,10 +130,6 @@ class FailLog:
     def fails_of(self, pattern: int) -> list[FailBit]:
         return [bit for bit in self.fails if bit.pattern == pattern]
 
-    def observed_bits(self) -> set[tuple[int, str]]:
-        """The ``(pattern, signal)`` syndrome set diagnosis matches against."""
-        return {(bit.pattern, bit.signal) for bit in self.fails}
-
     # ------------------------------------------------------------ serialization
     def to_dict(self) -> dict[str, object]:
         return {

@@ -138,9 +138,6 @@ class FaultSimResult:
 
     detections: dict[StuckAtFault, list[int]]
 
-    def detected_faults(self) -> list[StuckAtFault]:
-        return [fault for fault, hits in self.detections.items() if hits]
-
 
 class StuckAtFaultSimulator:
     """Parallel-pattern single-fault-propagation stuck-at fault simulator.

@@ -74,9 +74,6 @@ class TransitionSimResult:
 
     detections: dict[TransitionFault, list[int]]
 
-    def detected_faults(self) -> list[TransitionFault]:
-        return [fault for fault, hits in self.detections.items() if hits]
-
 
 class PatternWindow:
     """Capture-procedure batches packed side by side into one plane width.

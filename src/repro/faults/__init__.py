@@ -14,7 +14,6 @@ from repro.faults.models import (
     all_stuck_at_faults,
     all_transition_faults,
     enumerate_fault_sites,
-    site_value,
 )
 
 __all__ = [
@@ -37,5 +36,4 @@ __all__ = [
     "collapse_faults",
     "enumerate_fault_sites",
     "equivalent_faults",
-    "site_value",
 ]

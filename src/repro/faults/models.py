@@ -293,16 +293,3 @@ def all_transition_faults(model: CircuitModel) -> list[TransitionFault]:
         for site in fault_site_table(model).sites
         for kind in kinds
     ]
-
-
-def site_value(model: CircuitModel, site: FaultSite, values: list[Logic]) -> Logic:
-    """Fault-free value currently present at a fault site.
-
-    For an output site this is the node value; for an input pin site it is
-    the value of the driving node (the distinction matters only when a fault
-    is *injected*, not when it is read).
-    """
-    node = model.nodes[site.node]
-    if site.pin is None:
-        return values[site.node]
-    return values[node.fanin[site.pin]]

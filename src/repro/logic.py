@@ -1,16 +1,10 @@
-"""Multi-valued logic algebras used throughout the library.
+"""The 4-valued logic algebra used throughout the library.
 
-Two algebras are provided:
-
-* :class:`Logic` — the 4-valued simulation algebra ``{0, 1, X, Z}`` used by the
-  logic, timing and fault simulators.
-* :class:`DValue` — the 5-valued D-calculus ``{0, 1, X, D, D'}`` used by the
-  PODEM test generator, where ``D`` means *good machine 1 / faulty machine 0*
-  and ``D'`` the opposite.
-
-Both are small enums with explicit operator tables; speed-critical bit-parallel
-simulation uses the encoded two-plane representation in
-:mod:`repro.simulation.parallel_sim` instead.
+:class:`Logic` is ``{0, 1, X, Z}``, the value set of the scalar, timing and
+sequential simulators and of patterns and fail logs.  It is a small enum
+with explicit operator tables; speed-critical bit-parallel simulation uses
+the encoded two-plane representation in :mod:`repro.simulation.parallel_sim`
+instead, and PODEM keeps its good and faulty values as ints.
 """
 
 from __future__ import annotations
@@ -97,90 +91,3 @@ class Logic(Enum):
 def _xz_to_x(v: Logic) -> Logic:
     return Logic.X if v is Logic.Z else v
 
-
-class DValue(Enum):
-    """Five-valued D-calculus for deterministic test generation.
-
-    ``D`` encodes good-machine 1 / faulty-machine 0; ``DBAR`` the reverse.
-    """
-
-    ZERO = "0"
-    ONE = "1"
-    X = "X"
-    D = "D"
-    DBAR = "D'"
-
-    def __str__(self) -> str:
-        return self.value
-
-    @classmethod
-    def from_pair(cls, good: Logic, faulty: Logic) -> "DValue":
-        """Build a D-value from (good, faulty) 3-valued pair."""
-        if not good.is_known or not faulty.is_known:
-            return cls.X
-        if good is Logic.ONE and faulty is Logic.ONE:
-            return cls.ONE
-        if good is Logic.ZERO and faulty is Logic.ZERO:
-            return cls.ZERO
-        if good is Logic.ONE and faulty is Logic.ZERO:
-            return cls.D
-        return cls.DBAR
-
-    @property
-    def good(self) -> Logic:
-        """Good-machine component."""
-        return {
-            DValue.ZERO: Logic.ZERO,
-            DValue.ONE: Logic.ONE,
-            DValue.X: Logic.X,
-            DValue.D: Logic.ONE,
-            DValue.DBAR: Logic.ZERO,
-        }[self]
-
-    @property
-    def faulty(self) -> Logic:
-        """Faulty-machine component."""
-        return {
-            DValue.ZERO: Logic.ZERO,
-            DValue.ONE: Logic.ONE,
-            DValue.X: Logic.X,
-            DValue.D: Logic.ZERO,
-            DValue.DBAR: Logic.ONE,
-        }[self]
-
-    @property
-    def is_fault_effect(self) -> bool:
-        """True for D or D'."""
-        return self in (DValue.D, DValue.DBAR)
-
-    @property
-    def is_known(self) -> bool:
-        return self is not DValue.X
-
-    def invert(self) -> "DValue":
-        return DValue.from_pair(self.good.invert(), self.faulty.invert())
-
-    @classmethod
-    def from_logic(cls, value: Logic) -> "DValue":
-        """Lift a fault-free Logic value into the D-calculus."""
-        if value is Logic.ZERO:
-            return cls.ZERO
-        if value is Logic.ONE:
-            return cls.ONE
-        return cls.X
-
-
-def dvalue_and(a: DValue, b: DValue) -> DValue:
-    return DValue.from_pair(a.good & b.good, a.faulty & b.faulty)
-
-
-def dvalue_or(a: DValue, b: DValue) -> DValue:
-    return DValue.from_pair(a.good | b.good, a.faulty | b.faulty)
-
-
-def dvalue_xor(a: DValue, b: DValue) -> DValue:
-    return DValue.from_pair(a.good ^ b.good, a.faulty ^ b.faulty)
-
-
-def dvalue_not(a: DValue) -> DValue:
-    return a.invert()

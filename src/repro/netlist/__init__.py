@@ -1,15 +1,12 @@
 """Gate-level netlist representation, construction and I/O."""
 
 from repro.netlist.builder import NetlistBuilder
-from repro.netlist.gates import GateType, evaluate_gate, noncontrolling_value
+from repro.netlist.gates import GateType, evaluate_gate
 from repro.netlist.library import (
     DEFAULT_LIBRARY,
     AreaReport,
     CellInfo,
     area_report,
-    critical_path_estimate,
-    gate_area,
-    gate_delay,
 )
 from repro.netlist.netlist import (
     FlipFlop,
@@ -36,11 +33,7 @@ __all__ = [
     "NetlistStats",
     "RamMacro",
     "area_report",
-    "critical_path_estimate",
     "evaluate_gate",
-    "gate_area",
-    "gate_delay",
-    "noncontrolling_value",
     "read_verilog",
     "round_trip",
     "write_verilog",

@@ -104,9 +104,6 @@ class NetlistBuilder:
     def xor(self, inputs: Sequence[str], output: str | None = None) -> str:
         return self.gate(GateType.XOR, inputs, output=output)
 
-    def xnor(self, inputs: Sequence[str], output: str | None = None) -> str:
-        return self.gate(GateType.XNOR, inputs, output=output)
-
     def mux(self, sel: str, a: str, b: str, output: str | None = None) -> str:
         """2:1 mux returning ``a`` when ``sel`` is 0 and ``b`` when ``sel`` is 1."""
         return self.gate(GateType.MUX2, [sel, a, b], output=output)
@@ -201,13 +198,6 @@ class NetlistBuilder:
             level = nxt
         return level[0]
 
-    def equality_comparator(self, bus_a: Sequence[str], bus_b: Sequence[str]) -> str:
-        """Return a net that is 1 when two equal-width buses match."""
-        if len(bus_a) != len(bus_b):
-            raise ValueError("equality comparator requires equal bus widths")
-        bits = [self.xnor([a, b]) for a, b in zip(bus_a, bus_b)]
-        return self.reduce_tree(GateType.AND, bits)
-
     def ripple_adder(
         self, bus_a: Sequence[str], bus_b: Sequence[str], carry_in: str | None = None
     ) -> tuple[list[str], str]:
@@ -221,23 +211,6 @@ class NetlistBuilder:
             sums.append(self.xor([axb, carry]))
             carry = self.or_([self.and_([a, b]), self.and_([axb, carry])])
         return sums, carry
-
-    def register_bank(
-        self,
-        data: Sequence[str],
-        clock: str,
-        enable: str | None = None,
-        scannable: bool = True,
-        prefix: str = "reg",
-    ) -> list[str]:
-        """A bank of flip-flops with optional synchronous load enable."""
-        outs: list[str] = []
-        for i, d in enumerate(data):
-            q = self.fresh_net(f"{prefix}{i}_q")
-            src = d if enable is None else self.mux(enable, q, d)
-            self.flop(src, clock, q=q, scannable=scannable, name=f"{prefix}_{i}_{next(self._gate_counter)}")
-            outs.append(q)
-        return outs
 
     def counter(self, width: int, clock: str, enable: str, prefix: str = "cnt") -> list[str]:
         """A binary up-counter with synchronous enable; returns state nets."""

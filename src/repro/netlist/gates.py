@@ -167,11 +167,3 @@ def _xor_reduce(vals: Sequence[Logic]) -> Logic:
         return Logic.X
     parity = sum(1 for v in vals if v is Logic.ONE) % 2
     return Logic.ONE if parity else Logic.ZERO
-
-
-def noncontrolling_value(gtype: GateType) -> Logic | None:
-    """Return the non-controlling input value of a gate, if it has one."""
-    ctl = gtype.controlling_value
-    if ctl is None:
-        return None
-    return ctl.invert()

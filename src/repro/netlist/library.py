@@ -46,18 +46,6 @@ LATCH_INFO = CellInfo(delay_ps=80.0, area_nand2=3.5)
 RAM_BIT_INFO = CellInfo(delay_ps=450.0, area_nand2=0.6)
 
 
-def gate_delay(gtype: GateType, library: Mapping[GateType, CellInfo] | None = None) -> float:
-    """Nominal propagation delay of a primitive cell in picoseconds."""
-    lib = library or DEFAULT_LIBRARY
-    return lib[gtype].delay_ps
-
-
-def gate_area(gtype: GateType, library: Mapping[GateType, CellInfo] | None = None) -> float:
-    """Area of a primitive cell in NAND2 equivalents."""
-    lib = library or DEFAULT_LIBRARY
-    return lib[gtype].area_nand2
-
-
 @dataclass(frozen=True)
 class AreaReport:
     """Area accounting of a netlist in NAND2-equivalent units."""
@@ -86,23 +74,3 @@ def area_report(netlist: Netlist, library: Mapping[GateType, CellInfo] | None = 
     mem = sum(RAM_BIT_INFO.area_nand2 * ram.num_words * ram.width for ram in netlist.rams.values())
     return AreaReport(combinational=comb, sequential=seq, memory=mem)
 
-
-def critical_path_estimate(
-    netlist: Netlist, library: Mapping[GateType, CellInfo] | None = None
-) -> float:
-    """Longest combinational path delay estimate (static, topological) in ps.
-
-    This is a zero-slack static estimate used to pick functional clock periods
-    for the synthetic SOC and to decide which paths the path-delay fault model
-    should target.
-    """
-    lib = library or DEFAULT_LIBRARY
-    arrival: dict[str, float] = {}
-    for gate in netlist.topological_gate_order():
-        start = max((arrival.get(net, 0.0) for net in gate.inputs), default=0.0)
-        arrival[gate.output] = start + lib[gate.gtype].delay_ps
-    flop_setup = max(
-        (arrival.get(flop.d, 0.0) for flop in netlist.flops.values()), default=0.0
-    )
-    po_arrival = max((arrival.get(net, 0.0) for net in netlist.outputs), default=0.0)
-    return max(flop_setup, po_arrival)

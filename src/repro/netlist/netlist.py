@@ -16,7 +16,7 @@ from __future__ import annotations
 import copy
 from collections import defaultdict, deque
 from dataclasses import dataclass, replace
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from repro.netlist.gates import GateType
 
@@ -167,9 +167,9 @@ class Netlist:
     """A flat gate-level design.
 
     The class offers the editing operations the rest of the library needs:
-    adding/removing cells, querying drivers and fanout, levelizing the
-    combinational logic, and merging sub-netlists (used when the CPF blocks
-    are stitched next to the PLL).
+    adding cells, querying drivers, levelizing the combinational logic, and
+    merging sub-netlists (used when the CPF blocks are stitched next to the
+    PLL).
     """
 
     def __init__(self, name: str) -> None:
@@ -186,7 +186,6 @@ class Netlist:
         self._clock_nets: set[str] = set()
         # Derived maps, rebuilt lazily.
         self._driver_cache: dict[str, tuple[str, object]] | None = None
-        self._fanout_cache: dict[str, list[tuple[str, object]]] | None = None
 
     # ------------------------------------------------------------------ ports
     @property
@@ -292,16 +291,7 @@ class Netlist:
             if old.q != new_flop.q:
                 self._driver_cache.pop(old.q, None)
             self._driver_cache[new_flop.q] = ("flop", new_flop)
-        self._fanout_cache = None
         return new_flop
-
-    def remove_gate(self, name: str) -> None:
-        if name not in self._gates:
-            raise NetlistError(f"no gate named {name!r}")
-        gate = self._gates.pop(name)
-        if self._driver_cache is not None:
-            self._driver_cache.pop(gate.output, None)
-        self._fanout_cache = None
 
     # -------------------------------------------------------------- structure
     def all_nets(self) -> set[str]:
@@ -337,14 +327,6 @@ class Netlist:
         ``"ram"``.  Returns ``None`` for undriven (floating) nets.
         """
         return self._drivers().get(net)
-
-    def fanout_of(self, net: str) -> list[tuple[str, object]]:
-        """All sinks of a net as ``(kind, element)`` pairs (excluding POs)."""
-        return list(self._fanouts().get(net, []))
-
-    def sequential_elements(self) -> Iterator[FlipFlop | Latch]:
-        yield from self._flops.values()
-        yield from self._latches.values()
 
     def scan_flops(self) -> list[FlipFlop]:
         """Flip-flops that are part of scan chains, in name order."""
@@ -465,31 +447,6 @@ class Netlist:
             self._driver_cache = drivers
         return self._driver_cache
 
-    def _fanouts(self) -> dict[str, list[tuple[str, object]]]:
-        if self._fanout_cache is None:
-            fanouts: dict[str, list[tuple[str, object]]] = defaultdict(list)
-            for gate in self._gates.values():
-                for net in gate.inputs:
-                    fanouts[net].append(("gate", gate))
-            for flop in self._flops.values():
-                sinks = [flop.d, flop.clock]
-                if flop.reset:
-                    sinks.append(flop.reset)
-                if flop.scan_in:
-                    sinks.append(flop.scan_in)
-                if flop.scan_enable:
-                    sinks.append(flop.scan_enable)
-                for net in sinks:
-                    fanouts[net].append(("flop", flop))
-            for latch in self._latches.values():
-                for net in (latch.d, latch.enable):
-                    fanouts[net].append(("latch", latch))
-            for ram in self._rams.values():
-                for net in (ram.clock, ram.write_enable, *ram.address, *ram.data_in):
-                    fanouts[net].append(("ram", ram))
-            self._fanout_cache = dict(fanouts)
-        return self._fanout_cache
-
     def _check_instance_name(self, name: str) -> None:
         if (
             name in self._gates
@@ -506,19 +463,16 @@ class Netlist:
 
     def _invalidate(self) -> None:
         self._driver_cache = None
-        self._fanout_cache = None
 
     def _driver_added(self, net: str, kind: str, cell: object) -> None:
         """Record a new driver incrementally instead of dropping the cache.
 
         ``add_*`` is the inner loop of every generator; rebuilding the
         driver map per added cell made construction quadratic in design
-        size.  The fanout map has no incremental path (sinks are lists) and
-        stays lazily rebuilt.
+        size.
         """
         if self._driver_cache is not None:
             self._driver_cache[net] = (kind, cell)
-        self._fanout_cache = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         s = self.stats()

@@ -15,10 +15,8 @@ from repro.patterns.procedures import (
     execute_pattern,
 )
 from repro.patterns.statistics import (
-    ShapeChecks,
     TableRow,
     format_table,
-    shape_checks,
     table_rows,
 )
 
@@ -27,7 +25,6 @@ __all__ = [
     "PatternExecution",
     "PatternSet",
     "PatternSetStats",
-    "ShapeChecks",
     "TableRow",
     "TestPattern",
     "VectorMemoryReport",
@@ -37,7 +34,6 @@ __all__ = [
     "format_table",
     "parse_pattern_text",
     "parse_stil_pattern_count",
-    "shape_checks",
     "table_rows",
     "vector_memory_report",
 ]

@@ -13,7 +13,7 @@ outlives a Python process:
   :class:`~repro.serve.client.ServeClient` as the programmatic peer and
   ``Campaign.submit(client=...)`` as the front door;
 * :mod:`repro.serve.store` — per-tenant namespaces of the engine
-  :class:`~repro.engine.cache.ResultCache` with byte quotas and
+  :class:`~repro.engine.cache.ResultCache` under one byte quota with
   oldest-first eviction;
 * :mod:`repro.serve.worker` — :class:`~repro.serve.worker.ServeWorker`
   execution slots and the ``remote``

@@ -5,7 +5,7 @@ One :class:`ServeServer` owns three things rooted in one directory:
 * the durable :class:`~repro.serve.queue.ServeQueue`
   (``<root>/queue.sqlite``) — submissions, claims, the event journal;
 * the :class:`~repro.serve.store.TenantStore` (``<root>/cache``) — one
-  result-cache namespace per tenant, with byte quotas;
+  result-cache namespace per tenant, all under one byte quota;
 * a worker registry — :class:`~repro.serve.worker.ServeWorker` processes
   register their addresses over the control socket and re-register
   periodically; entries older than ``worker_ttl`` are considered dead.
@@ -82,7 +82,8 @@ class ServeServer:
         local_backend: Executor backend used when no remote worker is live
             (one of :data:`~repro.runtime.EXECUTOR_BACKENDS`).
         max_workers: Worker-pool size forwarded to the executor.
-        default_quota_bytes: Per-tenant cache quota (``None`` == unlimited).
+        default_quota_bytes: The server's one cache quota, in bytes per
+            tenant, applied to every tenant alike (``None`` == unlimited).
         lease_seconds: Queue claim lease (heartbeat-extended while running).
         worker_ttl: Seconds after which a silent worker registration expires.
         poll_seconds: Fallback period.  The runner claims and event tails

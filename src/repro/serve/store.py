@@ -1,4 +1,4 @@
-"""Per-tenant result stores with byte quotas, on one shared cache root.
+"""Per-tenant result stores under one byte quota, on one shared cache root.
 
 Every tenant of a :class:`~repro.serve.server.ServeServer` gets its own
 namespace of the server's :class:`~repro.engine.cache.ResultCache`
@@ -12,7 +12,6 @@ tenant's namespaced handle (oldest entries first).
 
 from __future__ import annotations
 
-import threading
 from pathlib import Path
 from typing import Any
 
@@ -36,8 +35,8 @@ class TenantStore:
 
     Args:
         root: Directory holding every tenant's cache entries.
-        default_quota_bytes: Byte quota applied to tenants without their own
-            (``None`` == unlimited).
+        default_quota_bytes: The one byte quota of the store, applied to
+            every tenant alike (``None`` == unlimited).
     """
 
     def __init__(
@@ -50,30 +49,11 @@ class TenantStore:
             raise ValueError("default_quota_bytes must be non-negative")
         self.default_quota_bytes = default_quota_bytes
         self._root_cache = ResultCache(self.root)
-        self._quotas: dict[str, int] = {}
-        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------ caches
     def cache_for(self, tenant: str) -> ResultCache:
         """The tenant's namespaced cache handle (creates nothing on disk)."""
         return self._root_cache.namespaced(tenant_namespace(tenant))
-
-    # ------------------------------------------------------------------ quotas
-    def set_quota(self, tenant: str, max_bytes: "int | None") -> None:
-        """Pin (or with ``None`` clear) one tenant's byte quota."""
-        tenant_namespace(tenant)  # validate early
-        if max_bytes is not None and max_bytes < 0:
-            raise ValueError("max_bytes must be non-negative")
-        with self._lock:
-            if max_bytes is None:
-                self._quotas.pop(tenant, None)
-            else:
-                self._quotas[tenant] = int(max_bytes)
-
-    def quota_for(self, tenant: str) -> "int | None":
-        with self._lock:
-            quota = self._quotas.get(tenant)
-        return quota if quota is not None else self.default_quota_bytes
 
     # -------------------------------------------------------------- accounting
     def usage(self) -> dict[str, dict[str, Any]]:
@@ -92,17 +72,17 @@ class TenantStore:
             usage[tenant] = {
                 "entries": counts["entries"],
                 "payload_bytes": counts["payload_bytes"],
-                "quota_bytes": self.quota_for(tenant),
+                "quota_bytes": self.default_quota_bytes,
             }
         return usage
 
     def enforce(self, tenant: str) -> dict[str, int]:
-        """Prune one tenant back under its quota (no-op without a quota).
+        """Prune one tenant back under the quota (no-op without a quota).
 
         Returns the cache's prune summary (``removed`` == 0 when the tenant
         fits).  Eviction is oldest-first within the tenant's namespace only.
         """
-        quota = self.quota_for(tenant)
+        quota = self.default_quota_bytes
         if quota is None:
             return {"removed": 0, "freed_bytes": 0}
         pruned = self.cache_for(tenant).prune(quota)
@@ -111,10 +91,6 @@ class TenantStore:
             if metrics is not None:
                 metrics.inc("serve.quota_evictions", pruned["removed"])
         return pruned
-
-    def enforce_all(self) -> dict[str, dict[str, int]]:
-        """Quota-prune every tenant that currently holds entries."""
-        return {tenant: self.enforce(tenant) for tenant in sorted(self.usage())}
 
     def stats(self) -> dict[str, Any]:
         """Root-level cache stats plus the per-tenant quota view."""

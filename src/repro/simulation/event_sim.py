@@ -17,7 +17,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from itertools import count
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro.netlist.gates import GateType, evaluate_gate
 from repro.netlist.library import DEFAULT_LIBRARY, CellInfo, FLOP_INFO, LATCH_INFO
@@ -216,7 +216,3 @@ def clock_stimulus(
         changes.append((fall, Logic.ZERO))
     return changes
 
-
-def step_stimulus(changes: Iterable[tuple[float, int]]) -> list[tuple[float, Logic]]:
-    """Convert ``(time, 0/1)`` tuples into a Logic change list."""
-    return [(time, Logic.from_int(value)) for time, value in changes]

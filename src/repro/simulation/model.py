@@ -138,12 +138,6 @@ class CircuitModel:
     def node(self, index: int) -> Node:
         return self.nodes[index]
 
-    def state_element_by_name(self, name: str) -> StateElement:
-        for element in self.state_elements:
-            if element.name == name:
-                return element
-        raise KeyError(f"no state element named {name!r}")
-
     def levels(self) -> list[list[int]]:
         """Node indices grouped by topological level (ascending)."""
         buckets: list[list[int]] = [[] for _ in range(self.max_level + 1)]

@@ -166,11 +166,6 @@ def unpack_value(packed: PackedPatterns, node_index: int, pattern_index: int) ->
     return Logic.X
 
 
-def unpack_node(packed: PackedPatterns, node_index: int) -> list[Logic]:
-    """Read back one node's values for the whole batch."""
-    return [unpack_value(packed, node_index, p) for p in range(packed.num_patterns)]
-
-
 def known_equal_mask(packed: PackedPatterns, node_index: int, value: Logic) -> int:
     """Bit mask of patterns where a node has the given known value."""
     known = packed.can0[node_index] ^ packed.can1[node_index]

@@ -2,14 +2,12 @@
 
 The scalar simulator is the reference implementation: simple, obviously
 correct, used by unit tests and by the property-based tests as the oracle the
-bit-parallel simulator must agree with.  It is also the engine behind PODEM's
-forward implication when lifted to the D-calculus
-(:mod:`repro.atpg.podem` has its own five-valued evaluation).
+bit-parallel simulator must agree with.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
 from repro.netlist.gates import evaluate_gate
 from repro.logic import Logic
@@ -62,48 +60,6 @@ def simulate_by_net(
         assignments[idx] = _coerce(value)
     values = simulate(model, assignments, default=default)
     return {node.net: values[node.index] for node in model.nodes}
-
-
-def output_values(model: CircuitModel, values: Sequence[Logic]) -> dict[str, Logic]:
-    """Extract primary-output values from a full node-value vector."""
-    return {net: values[idx] for net, idx in model.po_nodes}
-
-
-def next_state_values(model: CircuitModel, values: Sequence[Logic]) -> dict[str, Logic]:
-    """Extract the next-state (D-pin) value of every flip-flop.
-
-    Flip-flops whose D net is undriven yield ``X``.
-    """
-    state: dict[str, Logic] = {}
-    for element in model.state_elements:
-        if element.d_node is None:
-            state[element.name] = Logic.X
-        else:
-            state[element.name] = values[element.d_node]
-    return state
-
-
-def resimulate_from(
-    model: CircuitModel,
-    values: list[Logic],
-    changed_nodes: Iterable[int],
-) -> list[Logic]:
-    """Event-driven incremental re-evaluation after source nodes changed.
-
-    ``values`` is modified in place and returned.  Only nodes in the
-    transitive fanout of ``changed_nodes`` are re-evaluated — this is what the
-    fault simulators use to propagate a single fault's effect cheaply.
-    """
-    # Collect the affected region in level order.
-    affected: set[int] = set()
-    for start in changed_nodes:
-        affected.add(start)
-        affected.update(model.transitive_fanout(start))
-    for index in sorted(affected, key=lambda i: (model.nodes[i].level, i)):
-        node = model.nodes[index]
-        if node.kind is NodeKind.GATE:
-            values[index] = evaluate_gate(node.gtype, [values[i] for i in node.fanin])
-    return values
 
 
 def _coerce(value: Logic | int | str) -> Logic:

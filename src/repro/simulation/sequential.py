@@ -2,11 +2,9 @@
 
 This zero-delay simulator applies whole test procedures to a design: scan
 shifting, launch/capture pulse bursts per clock domain, RAM reads/writes, and
-primary-output strobes.  It is the engine that
-
-* verifies ATPG patterns end-to-end (scan load -> CPF pulse burst -> unload),
-* produces the Figure 2 clocking waveform at cycle granularity, and
-* executes the memory macro-test example from Section 4 of the paper.
+primary-output strobes.  It is the engine that verifies ATPG patterns
+end-to-end (scan load -> CPF pulse burst -> unload) and executes the memory
+macro-test example from Section 4 of the paper.
 
 The simulator works on a :class:`~repro.netlist.netlist.Netlist` plus its
 flattened :class:`~repro.simulation.model.CircuitModel`; flip-flop state and
@@ -24,7 +22,6 @@ from repro.netlist.netlist import Netlist, RamMacro
 from repro.logic import Logic
 from repro.simulation.model import CircuitModel, build_model
 from repro.simulation.scalar_sim import simulate
-from repro.simulation.waveform import Waveform
 
 
 @dataclass
@@ -206,41 +203,6 @@ class SequentialSimulator:
             self.pulse(shift_clock_nets)
         self.set_inputs({scan_enable_net: Logic.ZERO})
         return shifted_out
-
-    # ------------------------------------------------------------- waveforms
-    def trace_procedure(
-        self,
-        steps: Sequence[tuple[Mapping[str, Logic | int], Iterable[str]]],
-        signals: Iterable[str],
-        cycle_time: float = 1.0,
-    ) -> Waveform:
-        """Run a sequence of (inputs, pulsed clocks) steps recording a waveform.
-
-        Each step occupies one ``cycle_time``: input changes are recorded at
-        the start of the step, the clock pulse (if any) in the middle.  The
-        result is the cycle-granular picture the paper draws in Figure 2.
-        """
-        waveform = Waveform(time_unit="cycle")
-        time = 0.0
-        for inputs, clocks in steps:
-            if inputs:
-                self.set_inputs(inputs)
-            values = self.settle()
-            for net in signals:
-                if net in self.model.node_of_net:
-                    waveform.record(net, time, values[self.model.node_of_net[net]])
-                elif net in self.pi_values:
-                    waveform.record(net, time, self.pi_values[net])
-            clocks = list(clocks)
-            for clock in clocks:
-                waveform.record(clock, time, Logic.ZERO)
-                waveform.record(clock, time + 0.25 * cycle_time, Logic.ONE)
-                waveform.record(clock, time + 0.75 * cycle_time, Logic.ZERO)
-            if clocks:
-                self.pulse(clocks)
-            time += cycle_time
-        waveform.end_time = time
-        return waveform
 
     # -------------------------------------------------------------- internals
     def _capture_value(self, flop, values: Sequence[Logic]) -> Logic:

@@ -1,4 +1,4 @@
-"""Waveform storage, querying and export.
+"""Waveform storage, querying and text rendering.
 
 The event-driven timing simulator records every value change of every traced
 net into a :class:`Waveform`.  The waveform API is what the CPF verification
@@ -146,34 +146,6 @@ class Waveform:
         self.trace(name).record(time, value)
         self.end_time = max(self.end_time, time)
 
-    def values_at(self, time: float) -> dict[str, Logic]:
-        return {name: trace.value_at(time) for name, trace in self._traces.items()}
-
-    # --------------------------------------------------------------- exports
-    def to_vcd(self, signals: Iterable[str] | None = None) -> str:
-        """Render a minimal VCD dump of the selected signals."""
-        names = list(signals) if signals is not None else self.signals()
-        ids = {name: chr(33 + i) for i, name in enumerate(names)}
-        lines = [
-            "$date repro $end",
-            f"$timescale 1{self.time_unit} $end",
-            "$scope module dut $end",
-        ]
-        for name in names:
-            lines.append(f"$var wire 1 {ids[name]} {name} $end")
-        lines += ["$upscope $end", "$enddefinitions $end"]
-        events: dict[float, list[str]] = {}
-        for name in names:
-            if name not in self._traces:
-                continue
-            for time, value in self._traces[name].changes():
-                events.setdefault(time, []).append(f"{_vcd_char(value)}{ids[name]}")
-        for time in sorted(events):
-            lines.append(f"#{int(round(time))}")
-            lines.extend(events[time])
-        lines.append(f"#{int(round(self.end_time))}")
-        return "\n".join(lines) + "\n"
-
     def to_ascii(
         self,
         signals: Iterable[str] | None = None,
@@ -205,6 +177,3 @@ class Waveform:
             rows.append(f"{name:>16} {''.join(chars)}")
         return "\n".join(rows)
 
-
-def _vcd_char(value: Logic) -> str:
-    return {Logic.ZERO: "0", Logic.ONE: "1", Logic.X: "x", Logic.Z: "z"}[value]

@@ -31,7 +31,7 @@ def _classifier_for(prepared, setup):
         model=prepared.model,
         domain_map=prepared.domain_map,
         at_speed_domains=setup.at_speed_domains,
-        inter_domain_allowed=setup.allows_inter_domain,
+        inter_domain_allowed=any(p.is_inter_domain for p in setup.procedures),
         observe_pos=setup.observe_pos,
         scan_enable_net=setup.scan_enable_net,
         scan_enable_constrained=setup.constrain_scan_enable,

@@ -217,7 +217,7 @@ class TestDesignPreparation:
         prepared = prepare_from_spec(spec)
         assert prepared.all_domain_names == ["a", "b"]
         assert prepared.scan.num_chains == 2
-        assert prepared.domain_map.flops_in("a")
+        assert prepared.domain_map.summary()["a"]
         # the dangling reset input keeps constrain_reset scenarios satisfiable
         assert spec.reset_net in prepared.netlist.inputs
 

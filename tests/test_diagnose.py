@@ -169,11 +169,35 @@ class TestDefectInjector:
         )[0]
 
     def test_inter_domain_defect_silent_on_intra_domain_procedure(self, sr_design):
-        _, _, model, _, setup = sr_design
-        procedure = setup.procedures[0]  # all pulses clock the same domain
-        defect = DefectSpec(kind="inter-domain", net="mid", polarity="slow-to-rise")
-        injector = DefectInjector(model, defect)
-        assert not injector.active_for(procedure)
+        """The same slow-to-rise site that a transition defect fails under
+        this launch-on-capture procedure stays silent as an inter-domain
+        defect: every pulse clocks the one domain."""
+        _, _, model, domain_map, setup = sr_design
+        from repro.engine import FaultSimScheduler
+        from repro.fault_sim import FrameSimulator
+
+        scheduler = FaultSimScheduler(model, backend="compiled")
+        frames_sim = FrameSimulator(model, domain_map, setup, scheduler)
+        procedure = next(p for p in setup.procedures if p.num_frames == 2)
+        assert not procedure.is_inter_domain
+        pattern = TestPattern(
+            procedure=procedure,
+            scan_load={"ff0": Logic.ZERO, "ff1": Logic.ZERO},
+            pi_frames=[{"d": Logic.ONE, "scan_en": Logic.ZERO}] * procedure.num_frames,
+        )
+        frames = frames_sim.frame_values_packed([pattern], procedure)
+        final = frames[procedure.capture_frame]
+        launch = frames[procedure.launch_frame]
+        observation = frames_sim.observation_nodes(procedure)
+
+        def masks(kind):
+            defect = DefectSpec(kind=kind, net="mid", polarity="slow-to-rise")
+            return DefectInjector(model, defect).syndrome(
+                final, observation, launch, procedure
+            )
+
+        assert any(masks("transition"))
+        assert masks("inter-domain") == [0] * len(observation)
 
     def test_model_is_not_mutated(self, sr_design):
         _, _, model, domain_map, setup = sr_design
@@ -227,7 +251,7 @@ class TestFailLog:
         log = self._sample()
         assert log.failing_patterns() == [2, 5]
         assert len(log.fails_of(2)) == 2
-        assert (5, "ff_b") in log.observed_bits()
+        assert [(bit.pattern, bit.signal) for bit in log.fails_of(5)] == [(5, "ff_b")]
 
 
 class TestCaptureFailLog:

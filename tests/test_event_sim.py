@@ -4,7 +4,7 @@ import pytest
 
 from repro.logic import Logic
 from repro.netlist import NetlistBuilder
-from repro.simulation import EventSimulator, clock_stimulus, step_stimulus
+from repro.simulation import EventSimulator, clock_stimulus
 
 
 def inverter_chain(length=3):
@@ -103,10 +103,6 @@ def test_clock_stimulus_shape():
     rising = [t for t, v in changes if v is Logic.ONE]
     assert rising == [5.0, 15.0, 25.0]
     assert changes[0] == (0.0, Logic.ZERO)
-
-
-def test_step_stimulus():
-    assert step_stimulus([(1.0, 1), (2.0, 0)]) == [(1.0, Logic.ONE), (2.0, Logic.ZERO)]
 
 
 def test_rejects_ram():

@@ -6,20 +6,16 @@ Section 5.2 relations, and the claim-evaluation/reporting code is tested on
 synthetic results.
 """
 
+import json
 
 import pytest
 
 from repro.api.scenarios import TABLE1_DESCRIPTIONS, table1_scenario
 from repro.atpg.compaction import CompactionStats
 from repro.atpg.generator import AtpgResult, AtpgStatistics
-from repro.core import (
-    compare_with_paper,
-    format_comparison,
-    format_table1,
-    results_as_records,
-)
+from repro.core import compare_with_paper, format_comparison, format_table1
 from repro.faults import FaultList
-from repro.patterns import PatternSet, format_table, shape_checks, table_rows
+from repro.patterns import PatternSet, format_table, table_rows
 from repro.faults.fault_list import CoverageReport
 
 
@@ -42,7 +38,7 @@ class TestExperimentSetups:
         assert not setup.observe_pos and setup.hold_pis
         assert setup.constrain_scan_enable
         assert setup.max_pulses == 2
-        assert not setup.allows_inter_domain
+        assert not any(p.is_inter_domain for p in setup.procedures)
         assert "tc" not in setup.all_domains
         # One procedure per functional domain, each pulsing a single domain.
         assert len(setup.procedures) == 2
@@ -51,7 +47,7 @@ class TestExperimentSetups:
     def test_experiment_d_enhanced_cpf(self, tiny_prepared):
         setup = table1_scenario("d").build_setup(tiny_prepared)
         assert setup.max_pulses == 4
-        assert setup.allows_inter_domain
+        assert any(p.is_inter_domain for p in setup.procedures)
         assert not setup.observe_pos
 
     def test_experiment_e_constrained_external(self, tiny_prepared):
@@ -175,6 +171,7 @@ class TestReporting:
         assert all(check.holds for check in checks)
         text = format_comparison(results)
         assert "7/7" in text
+        assert "(b)/(a) = 4.80" in text
 
     def test_table_formatting(self):
         results = self.make_results()
@@ -185,17 +182,11 @@ class TestReporting:
         assert len(rows) == 5
         assert "Table 1" in format_table(rows)
 
-    def test_shape_checks_summary(self):
-        results = self.make_results()
-        checks = shape_checks(results)
-        assert checks.stuck_at_above_transition
-        assert checks.enhanced_cpf_recovers_coverage
-        assert checks.transition_patterns_factor_over_stuck_at == pytest.approx(4.8)
-
     def test_records_serializable(self):
-        records = results_as_records(self.make_results())
+        records = [result.summary() for result in self.make_results().values()]
         assert len(records) == 5
         assert all("test_coverage_percent" in r for r in records)
+        assert json.loads(json.dumps(records)) == records
 
     def test_missing_experiment_raises(self):
         results = self.make_results()

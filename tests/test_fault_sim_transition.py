@@ -112,7 +112,7 @@ class TestDomainAwareness:
             scan_enable_net="scan_en",
         )
         simulator = TransitionFaultSimulator(model, domain_map, setup)
-        proc_a = setup.procedure_by_name("cpf_a_2pulse")
+        proc_a = next(p for p in setup.procedures if p.name == "cpf_a_2pulse")
         obs_a = simulator.observation_nodes(proc_a)
         # Observation points of the domain-a procedure are D inputs of a-domain
         # scan cells only.

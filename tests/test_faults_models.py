@@ -10,10 +10,9 @@ from repro.faults import (
     all_stuck_at_faults,
     all_transition_faults,
     enumerate_fault_sites,
-    site_value,
 )
 from repro.logic import Logic
-from repro.simulation import build_model, simulate
+from repro.simulation import build_model
 from repro.simulation.model import NodeKind
 
 
@@ -67,19 +66,6 @@ def test_describe_names_nets(c17_model):
     assert "N10" in fault.describe(c17_model)
     pin_fault = StuckAtFault(site=FaultSite(node=node, pin=0), value=1)
     assert "in0" in pin_fault.describe(c17_model)
-
-
-def test_site_value_output_vs_pin(c17_model):
-    values = simulate(
-        c17_model,
-        {c17_model.node_of_net[n]: Logic.ONE for n in ("N1", "N2", "N3", "N6", "N7")},
-    )
-    gate = c17_model.node_of_net["N10"]
-    out_site = FaultSite(node=gate)
-    pin_site = FaultSite(node=gate, pin=0)
-    assert site_value(c17_model, out_site, values) is values[gate]
-    driver = c17_model.nodes[gate].fanin[0]
-    assert site_value(c17_model, pin_site, values) is values[driver]
 
 
 def test_fault_ordering_is_stable(c17_model):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.logic import Logic
-from repro.netlist import GateType, evaluate_gate, noncontrolling_value
+from repro.netlist import GateType, evaluate_gate
 
 
 ZERO, ONE, X = Logic.ZERO, Logic.ONE, Logic.X
@@ -69,11 +69,6 @@ class TestGateMetadata:
         assert GateType.OR.controlling_value is ONE
         assert GateType.NOR.controlling_value is ONE
         assert GateType.XOR.controlling_value is None
-
-    def test_noncontrolling_values(self):
-        assert noncontrolling_value(GateType.AND) is ONE
-        assert noncontrolling_value(GateType.NOR) is ZERO
-        assert noncontrolling_value(GateType.XOR) is None
 
     def test_inverting(self):
         assert GateType.NAND.is_inverting

@@ -1,27 +1,22 @@
 """Unit tests for cell library metadata, area and timing estimates."""
 
+from repro.atpg import select_critical_paths
 from repro.circuits import c17, ripple_adder
 from repro.clocking import build_cpf
 from repro.dft import insert_scan
-from repro.netlist import (
-    DEFAULT_LIBRARY,
-    GateType,
-    area_report,
-    critical_path_estimate,
-    gate_area,
-    gate_delay,
-)
+from repro.netlist import DEFAULT_LIBRARY, GateType, area_report
+from repro.simulation import build_model
 
 
 def test_every_gate_type_has_library_entry():
     for gtype in GateType:
         assert gtype in DEFAULT_LIBRARY
-        assert gate_delay(gtype) >= 0.0
-        assert gate_area(gtype) > 0.0
+        assert DEFAULT_LIBRARY[gtype].delay_ps >= 0.0
+        assert DEFAULT_LIBRARY[gtype].area_nand2 > 0.0
 
 
 def test_nand_is_area_reference():
-    assert gate_area(GateType.NAND) == 1.0
+    assert DEFAULT_LIBRARY[GateType.NAND].area_nand2 == 1.0
 
 
 def test_area_report_combinational():
@@ -51,6 +46,8 @@ def test_cpf_area_is_negligible():
 
 
 def test_critical_path_monotone_with_depth():
-    shallow = critical_path_estimate(ripple_adder(2))
-    deep = critical_path_estimate(ripple_adder(8))
-    assert deep > shallow > 0.0
+    """The library-delay-longest path that path-delay ATPG targets grows
+    with the carry chain."""
+    shallow = select_critical_paths(build_model(ripple_adder(2)), count=1)[0]
+    deep = select_critical_paths(build_model(ripple_adder(8)), count=1)[0]
+    assert len(deep.nodes) > len(shallow.nodes) > 1

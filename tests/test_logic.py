@@ -1,8 +1,8 @@
-"""Unit tests for the 4-valued logic and the D-calculus."""
+"""Unit tests for the 4-valued logic."""
 
 import pytest
 
-from repro.logic import DValue, Logic, dvalue_and, dvalue_not, dvalue_or, dvalue_xor
+from repro.logic import Logic
 
 
 class TestLogic:
@@ -56,46 +56,3 @@ class TestLogic:
         assert str(Logic.ZERO) == "0"
         assert str(Logic.X) == "X"
 
-
-class TestDValue:
-    def test_from_pair(self):
-        assert DValue.from_pair(Logic.ONE, Logic.ZERO) is DValue.D
-        assert DValue.from_pair(Logic.ZERO, Logic.ONE) is DValue.DBAR
-        assert DValue.from_pair(Logic.ONE, Logic.ONE) is DValue.ONE
-        assert DValue.from_pair(Logic.X, Logic.ONE) is DValue.X
-
-    def test_good_faulty_components(self):
-        assert DValue.D.good is Logic.ONE
-        assert DValue.D.faulty is Logic.ZERO
-        assert DValue.DBAR.good is Logic.ZERO
-        assert DValue.DBAR.faulty is Logic.ONE
-
-    def test_is_fault_effect(self):
-        assert DValue.D.is_fault_effect and DValue.DBAR.is_fault_effect
-        assert not DValue.ONE.is_fault_effect and not DValue.X.is_fault_effect
-
-    def test_invert(self):
-        assert DValue.D.invert() is DValue.DBAR
-        assert DValue.ZERO.invert() is DValue.ONE
-        assert DValue.X.invert() is DValue.X
-
-    def test_d_algebra_and(self):
-        assert dvalue_and(DValue.D, DValue.ONE) is DValue.D
-        assert dvalue_and(DValue.D, DValue.ZERO) is DValue.ZERO
-        assert dvalue_and(DValue.D, DValue.DBAR) is DValue.ZERO
-
-    def test_d_algebra_or(self):
-        assert dvalue_or(DValue.D, DValue.ZERO) is DValue.D
-        assert dvalue_or(DValue.D, DValue.ONE) is DValue.ONE
-        assert dvalue_or(DValue.D, DValue.DBAR) is DValue.ONE
-
-    def test_d_algebra_xor(self):
-        assert dvalue_xor(DValue.D, DValue.ZERO) is DValue.D
-        assert dvalue_xor(DValue.D, DValue.D) is DValue.ZERO
-
-    def test_d_algebra_not(self):
-        assert dvalue_not(DValue.D) is DValue.DBAR
-
-    def test_from_logic(self):
-        assert DValue.from_logic(Logic.ONE) is DValue.ONE
-        assert DValue.from_logic(Logic.Z) is DValue.X

@@ -11,6 +11,7 @@ from repro.netlist import (
     NetlistError,
     RamMacro,
 )
+from repro.simulation import build_model
 
 
 def small_netlist() -> Netlist:
@@ -33,8 +34,9 @@ class TestNetlistEditing:
         assert kind == "gate" and gate.name == "g1"
         kind, _ = netlist.driver_of("a")
         assert kind == "input"
-        sinks = netlist.fanout_of("n1")
-        assert [(k, e.name) for k, e in sinks] == [("gate", "g2")]
+        model = build_model(netlist)
+        sinks = model.fanout[model.node_of_net["n1"]]
+        assert [model.nodes[i].net for i in sinks] == ["n2"]
 
     def test_duplicate_input_rejected(self):
         netlist = small_netlist()
@@ -61,13 +63,6 @@ class TestNetlistEditing:
         with pytest.raises(NetlistError):
             netlist.replace_flop("ff1", replace(flop, name="other"))
 
-    def test_remove_gate(self):
-        netlist = small_netlist()
-        netlist.remove_gate("g2")
-        assert "g2" not in netlist.gates
-        with pytest.raises(NetlistError):
-            netlist.remove_gate("g2")
-
     def test_all_nets(self):
         netlist = small_netlist()
         nets = netlist.all_nets()
@@ -80,16 +75,15 @@ class TestNetlistEditing:
         assert stats.num_primary_inputs == 3
         assert stats.num_primary_outputs == 1
 
-    def test_add_output_keeps_the_driver_and_fanout_maps(self):
-        """Primary outputs are in neither map, so declaring one must not
-        drop them (every scan chain's ``add_input`` would rebuild the
-        driver map)."""
+    def test_add_output_keeps_the_driver_map(self):
+        """Primary outputs are not in the driver map, so declaring one must
+        not drop it (every scan chain's ``add_input`` would rebuild the
+        map)."""
         netlist = small_netlist()
         netlist.driver_of("n1")
-        netlist.fanout_of("n1")
-        drivers, fanouts = netlist._driver_cache, netlist._fanout_cache
+        drivers = netlist._driver_cache
         netlist.add_output("n2")
-        assert netlist._driver_cache is drivers and netlist._fanout_cache is fanouts
+        assert netlist._driver_cache is drivers
         assert netlist.driver_of("n2")[1].name == "g2"
         assert netlist.outputs == ("q1", "n2")
         with pytest.raises(NetlistError):
@@ -188,7 +182,7 @@ class TestSequentialElements:
         )
         assert netlist.rams["ram"].num_words == 2
         assert netlist.rams["ram"].width == 1
-        assert any(isinstance(e, Latch) for e in netlist.sequential_elements())
+        assert isinstance(netlist.latches["lat"], Latch)
 
     def test_scan_flop_queries(self):
         netlist = small_netlist()

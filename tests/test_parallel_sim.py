@@ -8,7 +8,6 @@ from repro.simulation import build_model, pack_patterns, simulate, simulate_pack
 from repro.simulation.parallel_sim import (
     known_equal_mask,
     mask_to_indices,
-    unpack_node,
 )
 
 
@@ -58,7 +57,7 @@ def test_unpack_node_batch(c17_model):
     pi = c17_model.pi_nodes[0]
     patterns = [{pi: Logic.ONE}, {pi: Logic.ZERO}, {pi: Logic.X}]
     packed = pack_patterns(c17_model, patterns)
-    assert unpack_node(packed, pi) == [Logic.ONE, Logic.ZERO, Logic.X]
+    assert [unpack_value(packed, pi, p) for p in range(3)] == [Logic.ONE, Logic.ZERO, Logic.X]
 
 
 def test_known_equal_mask(c17_model):

@@ -103,7 +103,7 @@ class TestDomainSelectiveExecution:
             name="cpf", procedures=simple_cpf_procedures(["a", "b"]),
             observe_pos=False, scan_enable_net="scan_en",
         )
-        procedure = setup.procedure_by_name("cpf_a_2pulse")
+        procedure = next(p for p in setup.procedures if p.name == "cpf_a_2pulse")
         cells = [cell for chain in scan.chains for cell in chain.cells]
         load = {cell: Logic.ZERO for cell in cells}
         pis = {f"da_{i}": Logic.ONE for i in range(4)} | {f"db_{i}": Logic.ONE for i in range(4)}

@@ -20,12 +20,12 @@ from repro.api import (
     Campaign,
     RunReport,
     TestSession,
-    all_scenarios,
     design_names,
     execute_scenario,
     outcome_of,
     prepare_from_spec,
     resolve_design,
+    scenario_names,
 )
 from repro.atpg import AtpgOptions
 from repro.runtime import EXECUTOR_BACKENDS, Executor
@@ -36,7 +36,7 @@ CHEAP = AtpgOptions(
 )
 
 DESIGNS = tuple(design_names())
-SCENARIOS = tuple(spec.name for spec in all_scenarios())
+SCENARIOS = tuple(scenario_names())
 CAMPAIGN_DESIGNS = ("tiny", "wide-edt")
 
 

@@ -2,14 +2,7 @@
 
 from repro.circuits import alu_slice, ripple_adder
 from repro.logic import Logic
-from repro.simulation import (
-    build_model,
-    next_state_values,
-    output_values,
-    simulate,
-    simulate_by_net,
-)
-from repro.simulation.scalar_sim import resimulate_from
+from repro.simulation import build_model, simulate, simulate_by_net
 
 
 def test_c17_known_vector(c17_model):
@@ -66,20 +59,8 @@ def test_output_and_next_state_helpers():
     for element in model.state_elements:
         assignment[element.q_node] = Logic.ZERO
     values = simulate(model, assignment)
-    outs = output_values(model, values)
+    outs = {net: values[idx] for net, idx in model.po_nodes}
     assert set(outs) == {"G17"}
-    nxt = next_state_values(model, values)
+    nxt = {element.name: values[element.d_node] for element in model.state_elements}
     assert set(nxt) == {"ff0", "ff1", "ff2"}
     assert all(v.is_known for v in nxt.values())
-
-
-def test_resimulate_from_matches_full_sim(c17_model):
-    full_a = simulate(c17_model, {c17_model.node_of_net[n]: Logic.ONE for n in
-                                  ("N1", "N2", "N3", "N6", "N7")})
-    # Start from a different input vector, then flip N3 and re-simulate incrementally.
-    start = {c17_model.node_of_net[n]: Logic.ONE for n in ("N1", "N2", "N6", "N7")}
-    start[c17_model.node_of_net["N3"]] = Logic.ZERO
-    values = simulate(c17_model, start)
-    values[c17_model.node_of_net["N3"]] = Logic.ONE
-    incremental = resimulate_from(c17_model, values, [c17_model.node_of_net["N3"]])
-    assert incremental == full_a

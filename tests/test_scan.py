@@ -77,12 +77,10 @@ def test_load_and_unload_sequences_are_inverses():
 
 def test_architecture_queries():
     netlist, arch = insert_scan(two_domain_crossing(4), num_chains=2)
-    cell = arch.chains[0].cells[0]
-    assert arch.chain_of(cell).name == arch.chains[0].name
-    with pytest.raises(KeyError):
-        arch.chain_of("not_a_cell")
-    assert len(arch.scan_in_ports()) == arch.num_chains
+    assert len({chain.scan_in for chain in arch.chains}) == arch.num_chains
+    assert all(chain.scan_in in netlist.inputs for chain in arch.chains)
     assert arch.max_chain_length == max(c.length for c in arch.chains)
+    assert arch.total_cells == len(netlist.scan_flops())
 
 
 def test_partition_into_chains_validation():

@@ -116,12 +116,3 @@ def test_ram_unknown_address_corrupts():
     sim.set_inputs({"we": 1, "d_0": 1})  # address left X
     sim.pulse(["clk"])
     assert sim.rams["ram0"].corrupted
-
-
-def test_trace_procedure_waveform():
-    sim = SequentialSimulator(loadable_counter(width=2))
-    sim.load_state({"cnt_ff_0": 0, "cnt_ff_1": 0})
-    steps = [({"load": 0, "enable": 1}, ["clk"]) for _ in range(3)]
-    wave = sim.trace_procedure(steps, signals=["cnt_0", "cnt_1"])
-    assert "clk" in wave.signals()
-    assert wave["clk"].count_pulses() == 3

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import socket
 import socketserver
 import sys
@@ -505,24 +506,32 @@ class TestTenantStore:
             tenant_namespace("../up")
 
     def test_quota_enforcement_evicts_oldest(self, tmp_path):
-        store = TenantStore(tmp_path / "cache")
-        cache = store.cache_for("acme")
-        for i in range(4):
-            cache.put(f"{i:02x}" + "a" * 62, b"x" * 1024)
-        store.set_quota("acme", 2048)
+        cache = TenantStore(tmp_path / "cache").cache_for("acme")
+        keys = [f"{i:02x}" + "a" * 62 for i in range(4)]
+        for age, key in zip((4, 3, 2, 1), keys):
+            cache.put(key, b"x" * 1024)
+            stamp = time.time() - 60 * age
+            os.utime(cache._entry_paths(key)[0], (stamp, stamp))
+        per_entry = cache.stats()["payload_bytes"] // 4
+        store = TenantStore(tmp_path / "cache", default_quota_bytes=2 * per_entry)
         outcome = store.enforce("acme")
-        assert outcome["removed"] >= 2
-        assert store.usage()["acme"]["payload_bytes"] <= 2048
+        assert outcome["removed"] == 2
+        assert [cache.contains(key) for key in keys] == [False, False, True, True]
+        assert store.usage()["acme"]["payload_bytes"] <= 2 * per_entry
 
     def test_default_quota_applies_to_every_tenant(self, tmp_path):
-        store = TenantStore(tmp_path / "cache", default_quota_bytes=1024)
+        unlimited = TenantStore(tmp_path / "cache")
         for tenant in ("a1", "b2"):
-            cache = store.cache_for(tenant)
+            cache = unlimited.cache_for(tenant)
             for i in range(3):
                 cache.put(f"{i:02x}" + "c" * 62, b"y" * 1024)
-        store.enforce_all()
+        per_entry = unlimited.usage()["a1"]["payload_bytes"] // 3
+        store = TenantStore(tmp_path / "cache", default_quota_bytes=per_entry)
+        for tenant in ("a1", "b2"):
+            assert store.enforce(tenant)["removed"] == 2
         usage = store.usage()
-        assert all(info["payload_bytes"] <= 1024 for info in usage.values())
+        assert {tenant: info["entries"] for tenant, info in usage.items()} == {"a1": 1, "b2": 1}
+        assert all(info["quota_bytes"] == per_entry for info in usage.values())
 
     def test_no_quota_means_no_eviction(self, tmp_path):
         store = TenantStore(tmp_path / "cache")

@@ -62,7 +62,7 @@ class TestExpansionStructure:
         _, model, domain_map = simple_design
         setup = two_pulse_setup()
         view = build_timeframe_view(model, domain_map, setup.procedures[0], setup)
-        element = model.state_element_by_name("ff1")
+        element = next(e for e in model.state_elements if e.name == "ff1")
         frame1_q = view.frame_map[1][element.q_node]
         node = view.model.nodes[frame1_q]
         # The frame-1 copy of ff1's output is a buffer of the frame-0 D value.

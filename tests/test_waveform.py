@@ -68,20 +68,9 @@ class TestWaveform:
         wave.record("a", 5.0, Logic.ONE)
         wave.record("b", 3.0, Logic.ONE)
         assert wave.signals() == ["a", "b"]
-        assert wave.values_at(4.0)["a"] is Logic.ZERO
-        assert wave.values_at(6.0)["a"] is Logic.ONE
+        assert wave["a"].value_at(4.0) is Logic.ZERO
+        assert wave["a"].value_at(6.0) is Logic.ONE
         assert wave.end_time == 5.0
-
-    def test_vcd_export(self):
-        wave = Waveform()
-        wave.record("clk", 0.0, Logic.ZERO)
-        wave.record("clk", 10.0, Logic.ONE)
-        wave.record("data", 10.0, Logic.X)
-        text = wave.to_vcd()
-        assert "$timescale 1ps $end" in text
-        assert "$var wire 1" in text
-        assert "#10" in text
-        assert "x" in text  # unknown value dumped
 
     def test_ascii_rendering(self):
         wave = Waveform()
