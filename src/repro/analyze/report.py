@@ -19,11 +19,12 @@ renderer in :mod:`repro.patterns.statistics`.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fnmatch import fnmatchcase
 from typing import Any, Iterable, Mapping
+
+from repro.records import JsonRecord
 
 
 class Severity(str, Enum):
@@ -44,7 +45,7 @@ class LintError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Finding:
+class Finding(JsonRecord):
     """One rule violation (or observation) at one subject.
 
     Attributes:
@@ -71,32 +72,15 @@ class Finding:
         tag = " [waived]" if self.waived else ""
         return f"[{self.severity.value}]{tag} {self.rule}: {self.message} ({self.subject})"
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "rule": self.rule,
-            "severity": self.severity.value,
-            "message": self.message,
-            "subject": self.subject,
-            "data": dict(self.data),
-            "waived": self.waived,
-            "waived_reason": self.waived_reason,
-        }
-
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "Finding":
-        return cls(
-            rule=str(data["rule"]),
-            severity=Severity(data["severity"]),
-            message=str(data["message"]),
-            subject=str(data.get("subject", "")),
-            data=dict(data.get("data", {})),
-            waived=bool(data.get("waived", False)),
-            waived_reason=str(data.get("waived_reason", "")),
-        )
+        """Rebuild a finding; its JSON form holds the severity's value (a
+        :class:`Severity` is a ``str``, so ``to_dict`` needs no override)."""
+        return super().from_dict({**data, "severity": Severity(data["severity"])})
 
 
 @dataclass(frozen=True)
-class Waiver:
+class Waiver(JsonRecord):
     """A per-design exemption: ``rule`` and ``subject`` are glob patterns.
 
     ``Waiver("dangling-output", "dbg_*", reason="debug taps")`` waives every
@@ -113,16 +97,6 @@ class Waiver:
             finding.subject, self.subject
         )
 
-    def to_dict(self) -> dict[str, str]:
-        return {"rule": self.rule, "subject": self.subject, "reason": self.reason}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "Waiver":
-        return cls(
-            rule=str(data["rule"]),
-            subject=str(data.get("subject", "*")),
-            reason=str(data.get("reason", "")),
-        )
 
 
 def apply_waivers(
@@ -140,7 +114,7 @@ def apply_waivers(
 
 
 @dataclass
-class LintReport:
+class LintReport(JsonRecord):
     """Aggregated result of one lint run over one target.
 
     Attributes:
@@ -151,6 +125,8 @@ class LintReport:
             list only means "clean" for the rules in this tuple).
         waivers: The waivers that were in force during the run.
     """
+
+    nested = {"findings": Finding, "waivers": Waiver}
 
     target: str
     findings: list[Finding] = field(default_factory=list)
@@ -254,28 +230,3 @@ class LintReport:
             f"({len(self.rules_run)} rules run)"
         )
         return "\n".join(lines)
-
-    # ---------------------------------------------------------- serialization
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "target": self.target,
-            "findings": [f.to_dict() for f in self.findings],
-            "rules_run": list(self.rules_run),
-            "waivers": [w.to_dict() for w in self.waivers],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "LintReport":
-        return cls(
-            target=str(data.get("target", "")),
-            findings=[Finding.from_dict(f) for f in data.get("findings", [])],
-            rules_run=tuple(str(r) for r in data.get("rules_run", [])),
-            waivers=tuple(Waiver.from_dict(w) for w in data.get("waivers", [])),
-        )
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "LintReport":
-        return cls.from_dict(json.loads(text))

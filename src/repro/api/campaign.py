@@ -66,8 +66,9 @@ from repro.atpg.generator import AtpgResult
 from repro.engine.cache import ResultCache, coerce_cache
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry, coerce_telemetry
 from repro.patterns.store import PatternStore
+from repro.records import JsonRecord
 from repro.runtime import Event, Executor, Job, Plan, PlanResult
-from repro.runtime.report import PlanReport, ReportCell, mark_cache_hit
+from repro.runtime.report import PlanReport, mark_cache_hit
 
 
 # --------------------------------------------------------------------------
@@ -90,7 +91,7 @@ def _design_entry(
 # Report
 # --------------------------------------------------------------------------
 @dataclass
-class CampaignCell(ReportCell):
+class CampaignCell(JsonRecord):
     """One completed (design, scenario) grid cell, in JSON-safe form."""
 
     nested = {"outcome": ScenarioOutcome}

@@ -29,11 +29,10 @@ resumable at cache speed.
 
 from __future__ import annotations
 
-import json
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
-from typing import Iterator, Mapping
+from dataclasses import dataclass, field
+from typing import Iterator
 
 from repro.circuits.soc import SocDesign, build_soc
 from repro.clocking.cpf import InsertedCpf, insert_cpf
@@ -45,6 +44,7 @@ from repro.dft.scan import ScanArchitecture, insert_scan
 from repro.netlist.netlist import Netlist
 from repro.netlist.verilog import read_verilog
 from repro.obs.telemetry import active_tracer
+from repro.records import JsonRecord
 from repro.simulation.model import CircuitModel, build_model
 
 
@@ -53,7 +53,7 @@ class DesignNotFound(KeyError):
 
 
 @dataclass(frozen=True)
-class DomainSpec:
+class DomainSpec(JsonRecord):
     """Declarative description of one clock domain (JSON-safe).
 
     Used by custom-netlist designs to describe their clock layout; the
@@ -73,21 +73,9 @@ class DomainSpec:
             pll_output=self.pll_output,
         )
 
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "name": self.name,
-            "clock_net": self.clock_net,
-            "frequency_mhz": self.frequency_mhz,
-            "pll_output": self.pll_output,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "DomainSpec":
-        return cls(**dict(data))  # type: ignore[arg-type]
-
 
 @dataclass(frozen=True)
-class DesignSpec:
+class DesignSpec(JsonRecord):
     """One named, declarative device-under-test configuration.
 
     Attributes:
@@ -130,6 +118,8 @@ class DesignSpec:
             functional.
         tags: Free-form labels ("paper", "variant", ...) for filtering.
     """
+
+    nested = {"edt": EdtConfig, "domains": DomainSpec}
 
     name: str
     description: str = ""
@@ -192,8 +182,8 @@ class DesignSpec:
                 raise ValueError("hier_core_kinds must be in 1..hier_cores")
             if self.hier_core_gates < 8:
                 raise ValueError("hier_core_gates must be at least 8")
-        # JSON round trips hand lists back; normalize to the frozen tuples
-        # the fingerprint and equality semantics expect.
+        # Callers may pass lists; normalize to the frozen tuples the
+        # fingerprint and equality semantics expect.
         for fname in ("extra_domains", "domains", "tags"):
             value = getattr(self, fname)
             if isinstance(value, list):
@@ -206,10 +196,6 @@ class DesignSpec:
         from repro.engine.cache import design_spec_fingerprint
 
         return design_spec_fingerprint(self)
-
-    def with_overrides(self, **changes: object) -> "DesignSpec":
-        """A copy of the spec with the given fields replaced (not registered)."""
-        return replace(self, **changes)  # type: ignore[arg-type]
 
     # ------------------------------------------------------------------ building
     def prepare(self) -> "PreparedDesign":
@@ -268,59 +254,6 @@ class DesignSpec:
     def gate_count(self) -> int:
         """The exact pre-scan gate count (builds the netlist; expensive)."""
         return len(_build_soc(self).netlist.gates)
-
-    # ------------------------------------------------------------- serialization
-    def to_dict(self) -> dict[str, object]:
-        data: dict[str, object] = {
-            "name": self.name,
-            "description": self.description,
-            "size": self.size,
-            "seed": self.seed,
-            "fast_mhz": self.fast_mhz,
-            "slow_mhz": self.slow_mhz,
-            "extra_domains": list(self.extra_domains),
-            "inter_domain_factor": self.inter_domain_factor,
-            "nonscan_per_domain": self.nonscan_per_domain,
-            "ram_address_bits": self.ram_address_bits,
-            "ram_width": self.ram_width,
-            "pll_reference_mhz": self.pll_reference_mhz,
-            "num_chains": self.num_chains,
-            "edt": self.edt.to_dict() if self.edt is not None else None,
-            "occ_style": self.occ_style,
-            "trigger_latency": self.trigger_latency,
-            "reset_net": self.reset_net,
-            "hier_cores": self.hier_cores,
-            "hier_core_gates": self.hier_core_gates,
-            "hier_core_kinds": self.hier_core_kinds,
-            "netlist_verilog": self.netlist_verilog,
-            "netlist_bench": self.netlist_bench,
-            "domains": [d.to_dict() for d in self.domains],
-            "test_domain": self.test_domain,
-            "tags": list(self.tags),
-        }
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "DesignSpec":
-        payload = dict(data)
-        edt = payload.get("edt")
-        if isinstance(edt, Mapping):
-            payload["edt"] = EdtConfig.from_dict(edt)
-        domains = payload.get("domains") or ()
-        payload["domains"] = tuple(
-            d if isinstance(d, DomainSpec) else DomainSpec.from_dict(d)
-            for d in domains
-        )
-        payload["extra_domains"] = tuple(payload.get("extra_domains") or ())
-        payload["tags"] = tuple(payload.get("tags") or ())
-        return cls(**payload)  # type: ignore[arg-type]
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "DesignSpec":
-        return cls.from_dict(json.loads(text))
 
 
 # --------------------------------------------------------------------------

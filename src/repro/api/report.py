@@ -10,15 +10,16 @@ for the built-in Table 1 scenarios it renders the paper's Table 1 layout
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
 from repro.patterns.statistics import TableRow, format_table
+from repro.records import JsonRecord
 from repro.runtime.report import FallbackRecords
 
 
 @dataclass
-class ScenarioOutcome:
+class ScenarioOutcome(JsonRecord):
     """Everything one scenario run produced, in JSON-safe form.
 
     Attributes:
@@ -59,13 +60,6 @@ class ScenarioOutcome:
             test_coverage=self.test_coverage,
             pattern_count=self.pattern_count,
         )
-
-    def to_dict(self) -> dict[str, object]:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "ScenarioOutcome":
-        return cls(**dict(data))  # type: ignore[arg-type]
 
     def same_results(self, other: "ScenarioOutcome") -> bool:
         """Deterministic-field equality (ignores the timing measurements)."""

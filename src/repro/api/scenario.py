@@ -150,10 +150,6 @@ class ScenarioSpec:
             options=effective,
         )
 
-    def with_overrides(self, **changes: object) -> "ScenarioSpec":
-        """A copy of the spec with the given fields replaced (not registered)."""
-        return replace(self, **changes)  # type: ignore[arg-type]
-
 
 # --------------------------------------------------------------------------
 # Registry

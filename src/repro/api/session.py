@@ -30,6 +30,7 @@ a :class:`~repro.api.report.RunReport` with the session header,
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable, Mapping, Sequence
 
 from repro.api.campaign import Campaign
@@ -200,7 +201,7 @@ class TestSession:
         "a".."e") for the next run."""
         spec = resolve_scenario_or_letter(spec_or_name)
         if overrides:
-            spec = spec.with_overrides(**overrides)
+            spec = replace(spec, **overrides)
         if spec.name in self._campaign.scenario_names:
             raise ValueError(f"scenario {spec.name!r} is already queued in this session")
         self._campaign._scenarios.append(spec)

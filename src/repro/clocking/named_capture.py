@@ -19,11 +19,13 @@ initialization ("clock sequential") cycles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Any, Iterable, Mapping
+
+from repro.records import JsonRecord
 
 
 @dataclass(frozen=True)
-class CapturePulse:
+class CapturePulse(JsonRecord):
     """One internal clock pulse during the capture phase.
 
     Attributes:
@@ -40,19 +42,17 @@ class CapturePulse:
         return CapturePulse(domains=frozenset(domains), at_speed=at_speed)
 
     # ------------------------------------------------------------- serialization
-    def to_dict(self) -> dict[str, object]:
-        return {"domains": sorted(self.domains), "at_speed": self.at_speed}
+    def to_dict(self) -> dict[str, Any]:
+        """The fields, with ``domains`` as a sorted list."""
+        return {**super().to_dict(), "domains": sorted(self.domains)}
 
     @classmethod
-    def from_dict(cls, data: dict[str, object]) -> "CapturePulse":
-        return cls(
-            domains=frozenset(data["domains"]),  # type: ignore[arg-type]
-            at_speed=bool(data.get("at_speed", True)),
-        )
+    def from_dict(cls, data: Mapping[str, Any]) -> "CapturePulse":
+        return super().from_dict({**data, "domains": frozenset(data["domains"])})
 
 
 @dataclass(frozen=True)
-class NamedCaptureProcedure:
+class NamedCaptureProcedure(JsonRecord):
     """A named capture procedure: the ATPG-visible clocking abstraction.
 
     Attributes:
@@ -61,6 +61,8 @@ class NamedCaptureProcedure:
         description: Human-readable summary.
     """
 
+    nested = {"pulses": CapturePulse}
+
     name: str
     pulses: tuple[CapturePulse, ...]
     description: str = ""
@@ -68,25 +70,6 @@ class NamedCaptureProcedure:
     def __post_init__(self) -> None:
         if not self.pulses:
             raise ValueError("a capture procedure needs at least one pulse")
-
-    # ------------------------------------------------------------- serialization
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "name": self.name,
-            "pulses": [pulse.to_dict() for pulse in self.pulses],
-            "description": self.description,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, object]) -> "NamedCaptureProcedure":
-        return cls(
-            name=str(data["name"]),
-            pulses=tuple(
-                CapturePulse.from_dict(p)  # type: ignore[arg-type]
-                for p in data["pulses"]  # type: ignore[union-attr]
-            ),
-            description=str(data.get("description", "")),
-        )
 
     # ------------------------------------------------------------------ sizes
     @property

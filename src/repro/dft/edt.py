@@ -27,6 +27,7 @@ from typing import Mapping, Sequence
 from repro.dft.scan import ScanArchitecture
 from repro.patterns.pattern import PatternSet, TestPattern
 from repro.logic import Logic
+from repro.records import JsonRecord
 
 
 @dataclass
@@ -294,7 +295,7 @@ class EdtStatistics:
 
 
 @dataclass(frozen=True)
-class EdtConfig:
+class EdtConfig(JsonRecord):
     """Declarative EDT configuration — the design-side compression contract.
 
     A plain-data counterpart of :class:`EdtArchitecture` that design specs
@@ -319,17 +320,6 @@ class EdtConfig:
             num_output_channels=self.output_channels,
             lfsr_length=self.lfsr_length,
         )
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "input_channels": self.input_channels,
-            "output_channels": self.output_channels,
-            "lfsr_length": self.lfsr_length,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "EdtConfig":
-        return cls(**dict(data))  # type: ignore[arg-type]
 
 
 class EdtArchitecture:

@@ -23,9 +23,8 @@ keeps serving fault-free ATPG, fault simulation and diagnosis concurrently.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 from repro.clocking.named_capture import NamedCaptureProcedure
 from repro.engine.compile import CompiledCircuit, compile_circuit
@@ -35,6 +34,7 @@ from repro.faults.models import (
     TransitionFault,
     TransitionKind,
 )
+from repro.records import JsonRecord
 from repro.simulation.model import CircuitModel
 from repro.simulation.parallel_sim import PackedPatterns
 
@@ -52,7 +52,7 @@ _POLARITY_OF_KIND = {v: k for k, v in _KIND_OF_POLARITY.items()}
 
 
 @dataclass(frozen=True)
-class DefectSpec:
+class DefectSpec(JsonRecord):
     """One declarative, injectable defect hypothesis.
 
     Attributes:
@@ -63,6 +63,8 @@ class DefectSpec:
         value: Stuck value (0/1) — ``stuck-at`` defects only.
         polarity: One of :data:`POLARITIES` — delay defects only.
     """
+
+    json_indent = None
 
     kind: str
     net: str
@@ -97,10 +99,6 @@ class DefectSpec:
         if self.kind == "stuck-at":
             return f"{terminal} stuck-at-{self.value}"
         return f"{terminal} {self.kind} {self.polarity}"
-
-    def with_overrides(self, **changes: object) -> "DefectSpec":
-        """A copy of the spec with the given fields replaced."""
-        return replace(self, **changes)  # type: ignore[arg-type]
 
     # ------------------------------------------------------------ model binding
     def site(self, model: CircuitModel) -> FaultSite:
@@ -159,27 +157,6 @@ class DefectSpec:
             pin=fault.site.pin,
             polarity=_POLARITY_OF_KIND[fault.kind],
         )
-
-    # ------------------------------------------------------------ serialization
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "kind": self.kind,
-            "net": self.net,
-            "pin": self.pin,
-            "value": self.value,
-            "polarity": self.polarity,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "DefectSpec":
-        return cls(**dict(data))  # type: ignore[arg-type]
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "DefectSpec":
-        return cls.from_dict(json.loads(text))
 
 
 def _coerce_defects(

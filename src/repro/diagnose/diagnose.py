@@ -27,11 +27,10 @@ exactly that.
 
 from __future__ import annotations
 
-import json
 import threading
 import time
-from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.atpg.config import AtpgOptions, TestSetup
 from repro.clocking.named_capture import NamedCaptureProcedure
@@ -48,13 +47,14 @@ from repro.engine.scheduler import BACKENDS, FaultSimScheduler
 from repro.fault_sim.transition import FrameSimulator
 from repro.obs.telemetry import active_metrics, active_tracer
 from repro.patterns.pattern import PatternSet, TestPattern
-from repro.runtime.report import PlanReport, ReportCell
+from repro.records import JsonRecord
+from repro.runtime.report import PlanReport
 from repro.simulation.model import CircuitModel
 from repro.simulation.parallel_sim import PackedPatterns, mask_to_indices
 
 
 @dataclass(frozen=True)
-class DiagnosisSpec:
+class DiagnosisSpec(JsonRecord):
     """One declarative diagnosis configuration (JSON-round-trippable).
 
     Attributes:
@@ -71,6 +71,9 @@ class DiagnosisSpec:
         backend: Engine backend override for candidate simulation (``None``
             == follow ``AtpgOptions.sim_backend``).
     """
+
+    nested = {"defect": DefectSpec}
+    json_indent = None
 
     scenario: str
     defect: DefectSpec | None = None
@@ -103,39 +106,9 @@ class DiagnosisSpec:
         if isinstance(self.candidate_kinds, list):
             object.__setattr__(self, "candidate_kinds", tuple(self.candidate_kinds))
 
-    def with_overrides(self, **changes: object) -> "DiagnosisSpec":
-        return replace(self, **changes)  # type: ignore[arg-type]
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "scenario": self.scenario,
-            "defect": self.defect.to_dict() if self.defect is not None else None,
-            "candidate_kinds": list(self.candidate_kinds),
-            "max_sites": self.max_sites,
-            "rerank_iterations": self.rerank_iterations,
-            "batch_size": self.batch_size,
-            "backend": self.backend,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "DiagnosisSpec":
-        payload = dict(data)
-        defect = payload.get("defect")
-        if isinstance(defect, Mapping):
-            payload["defect"] = DefectSpec.from_dict(defect)
-        payload["candidate_kinds"] = tuple(payload.get("candidate_kinds") or DEFECT_KINDS)
-        return cls(**payload)  # type: ignore[arg-type]
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "DiagnosisSpec":
-        return cls.from_dict(json.loads(text))
-
 
 @dataclass
-class ScoredCandidate:
+class ScoredCandidate(JsonRecord):
     """One ranked defect hypothesis (JSON-safe).
 
     ``rank`` is competition-style: 1 plus the number of candidates with a
@@ -178,28 +151,12 @@ class ScoredCandidate:
             return self.value == defect.value
         return self.polarity == defect.polarity
 
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "rank": self.rank,
-            "kind": self.kind,
-            "net": self.net,
-            "pin": self.pin,
-            "value": self.value,
-            "polarity": self.polarity,
-            "hits": self.hits,
-            "misses": self.misses,
-            "false_alarms": self.false_alarms,
-            "score": self.score,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "ScoredCandidate":
-        return cls(**dict(data))  # type: ignore[arg-type]
-
 
 @dataclass
-class DiagnosisResult:
+class DiagnosisResult(JsonRecord):
     """The ranked outcome of one diagnosis run (JSON-round-trippable)."""
+
+    nested = {"candidates": ScoredCandidate, "defect": DefectSpec}
 
     design: str
     scenario: str
@@ -240,42 +197,6 @@ class DiagnosisResult:
             lines.append(f"  {row.describe()}")
         return "\n".join(lines)
 
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "design": self.design,
-            "scenario": self.scenario,
-            "backend": self.backend,
-            "pattern_count": self.pattern_count,
-            "fail_count": self.fail_count,
-            "site_count": self.site_count,
-            "candidate_count": self.candidate_count,
-            "truncated_sites": self.truncated_sites,
-            "candidates": [row.to_dict() for row in self.candidates],
-            "defect": self.defect.to_dict() if self.defect is not None else None,
-            "resolution": self.resolution,
-            "rank_of_defect": self.rank_of_defect,
-            "wall_seconds": self.wall_seconds,
-            "cache_hit": self.cache_hit,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "DiagnosisResult":
-        payload = dict(data)
-        payload["candidates"] = [
-            ScoredCandidate.from_dict(item) for item in payload.get("candidates", [])
-        ]
-        defect = payload.get("defect")
-        if isinstance(defect, Mapping):
-            payload["defect"] = DefectSpec.from_dict(defect)
-        return cls(**payload)  # type: ignore[arg-type]
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "DiagnosisResult":
-        return cls.from_dict(json.loads(text))
-
     def same_ranking(self, other: "DiagnosisResult") -> bool:
         """Deterministic-field equality of the full ranking (ignores timing,
         backend and cache provenance — the backend-equivalence contract)."""
@@ -291,7 +212,7 @@ class DiagnosisResult:
 # Campaign-facing report
 # --------------------------------------------------------------------------
 @dataclass
-class DiagnosisCell(ReportCell):
+class DiagnosisCell(JsonRecord):
     """One completed (design, scenario, defect) diagnosis grid cell."""
 
     nested = {"defect": DefectSpec}

@@ -17,10 +17,9 @@ so logs can be archived next to exported pattern sets and replayed later.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from repro.atpg.config import TestSetup
 from repro.diagnose.defects import DefectInjector, DefectSpec
@@ -28,6 +27,7 @@ from repro.dft.scan import ScanArchitecture
 from repro.engine.scheduler import FaultSimScheduler
 from repro.fault_sim.transition import FrameSimulator
 from repro.patterns.pattern import PatternSet, TestPattern
+from repro.records import JsonRecord
 from repro.simulation.parallel_sim import mask_to_indices
 
 #: Chain label fail bits on primary outputs carry (POs have no scan chain).
@@ -35,7 +35,7 @@ PO_CHAIN = "po"
 
 
 @dataclass(frozen=True, order=True)
-class FailBit:
+class FailBit(JsonRecord):
     """One miscomparing bit of the tester comparator.
 
     Attributes:
@@ -55,24 +55,12 @@ class FailBit:
     expected: str
     observed: str
 
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "pattern": self.pattern,
-            "chain": self.chain,
-            "cycle": self.cycle,
-            "signal": self.signal,
-            "expected": self.expected,
-            "observed": self.observed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "FailBit":
-        return cls(**dict(data))  # type: ignore[arg-type]
-
 
 @dataclass
-class FailLog:
+class FailLog(JsonRecord):
     """Per-pattern, per-chain, per-cycle failing bits of one tester run."""
+
+    nested = {"fails": FailBit, "defects": DefectSpec}
 
     design: str
     pattern_count: int
@@ -131,34 +119,21 @@ class FailLog:
         return [bit for bit in self.fails if bit.pattern == pattern]
 
     # ------------------------------------------------------------ serialization
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "design": self.design,
-            "pattern_count": self.pattern_count,
-            "fails": [bit.to_dict() for bit in self.fails],
-            "defect": self.defect.to_dict() if self.defect is not None else None,
-            "defects": [spec.to_dict() for spec in self.defects],
-        }
+    def to_dict(self) -> dict[str, Any]:
+        """The fields, plus the derived ``defect`` key (``defects[0]``)."""
+        data = super().to_dict()
+        data["defect"] = data["defects"][0] if data["defects"] else None
+        return data
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "FailLog":
+    def from_dict(cls, data: Mapping[str, Any]) -> "FailLog":
+        """Rebuild a log; one that carries only ``defect`` (the
+        single-defect form) loads as a one-element ``defects``."""
         payload = dict(data)
-        payload["fails"] = [FailBit.from_dict(item) for item in payload.get("fails", [])]
-        defect = payload.get("defect")
-        if isinstance(defect, Mapping):
-            payload["defect"] = DefectSpec.from_dict(defect)
-        payload["defects"] = [
-            DefectSpec.from_dict(item) if isinstance(item, Mapping) else item
-            for item in payload.get("defects", [])
-        ]
-        return cls(**payload)  # type: ignore[arg-type]
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FailLog":
-        return cls.from_dict(json.loads(text))
+        defect = payload.pop("defect", None)
+        if defect is not None and not payload.get("defects"):
+            payload["defects"] = [defect]
+        return super().from_dict(payload)
 
     # ------------------------------------------------------------- text format
     def to_text(self) -> str:

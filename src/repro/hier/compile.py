@@ -190,7 +190,8 @@ _TEMPLATE_LOCK = threading.Lock()
 
 
 def shared_template_count() -> int:
-    """Number of unique core kernels compiled in this process (bench metric)."""
+    """Number of unique core kernels compiled in this process (checked by
+    the hier tests)."""
     return len(_TEMPLATE_CACHE)
 
 

@@ -6,7 +6,7 @@ Three pillars, one handle:
   producing a :class:`Trace`, exportable as JSON-lines or the Chrome
   ``chrome://tracing`` / Perfetto trace-event format;
 * **Metrics** (:mod:`repro.obs.metrics`): a thread-safe registry of
-  counters/gauges/histograms snapshotted into report metadata;
+  counters and histograms snapshotted into report metadata;
 * **Profiling** (:mod:`repro.obs.profile`): opt-in RSS sampling per span
   plus ``format_table``/``format_flame`` text renderers.
 

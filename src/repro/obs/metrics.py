@@ -1,11 +1,11 @@
-"""Counters, gauges and histograms behind one thread-safe registry.
+"""Counters and histograms behind one thread-safe registry.
 
 Names are dotted strings grouped by subsystem (``engine.tape_passes``,
 ``cache.hits``, ``atpg.backtracks``, ``scheduler.spills``); values are plain
 numbers so a :meth:`MetricsRegistry.snapshot` drops straight into report
 JSON and round-trips losslessly.  :meth:`MetricsRegistry.merge` folds a
-worker's snapshot into the parent registry (counters add, gauges last-write-
-wins, histograms combine).
+worker's snapshot into the parent registry (counters add, histograms
+combine).
 
 The shared :data:`NULL_METRICS` instance is the disabled path: every method
 is a no-op, so hot code increments unconditionally through
@@ -20,14 +20,13 @@ __all__ = ["MetricsRegistry", "NullMetrics", "NULL_METRICS"]
 
 
 class MetricsRegistry:
-    """One process-local home for every counter/gauge/histogram."""
+    """One process-local home for every counter and histogram."""
 
     enabled = True
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: dict[str, "int | float"] = {}
-        self._gauges: dict[str, "int | float"] = {}
         self._hists: dict[str, dict[str, "int | float"]] = {}
 
     # -------------------------------------------------------------- recording
@@ -35,11 +34,6 @@ class MetricsRegistry:
         """Add ``amount`` to counter ``name`` (created at zero)."""
         with self._lock:
             self._counters[name] = self._counters.get(name, 0) + amount
-
-    def gauge(self, name: str, value: "int | float") -> None:
-        """Set gauge ``name`` to its latest ``value``."""
-        with self._lock:
-            self._gauges[name] = value
 
     def observe(self, name: str, value: "int | float") -> None:
         """Record one sample into histogram ``name`` (count/total/min/max)."""
@@ -65,7 +59,6 @@ class MetricsRegistry:
         with self._lock:
             return {
                 "counters": dict(sorted(self._counters.items())),
-                "gauges": dict(sorted(self._gauges.items())),
                 "histograms": {
                     name: dict(hist)
                     for name, hist in sorted(self._hists.items())
@@ -77,7 +70,6 @@ class MetricsRegistry:
         with self._lock:
             for name, value in snapshot.get("counters", {}).items():
                 self._counters[name] = self._counters.get(name, 0) + value
-            self._gauges.update(snapshot.get("gauges", {}))
             for name, theirs in snapshot.get("histograms", {}).items():
                 mine = self._hists.get(name)
                 if mine is None:
@@ -91,7 +83,6 @@ class MetricsRegistry:
     def clear(self) -> None:
         with self._lock:
             self._counters.clear()
-            self._gauges.clear()
             self._hists.clear()
 
 
@@ -103,9 +94,6 @@ class NullMetrics:
     def inc(self, name: str, amount: "int | float" = 1) -> None:
         return None
 
-    def gauge(self, name: str, value: "int | float") -> None:
-        return None
-
     def observe(self, name: str, value: "int | float") -> None:
         return None
 
@@ -113,7 +101,7 @@ class NullMetrics:
         return 0
 
     def snapshot(self) -> dict[str, dict]:
-        return {"counters": {}, "gauges": {}, "histograms": {}}
+        return {"counters": {}, "histograms": {}}
 
     def merge(self, snapshot: dict[str, dict]) -> None:
         return None

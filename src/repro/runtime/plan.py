@@ -25,11 +25,11 @@ executed with an explicit ``resources=`` argument).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable, Mapping
 
 from repro.engine.cache import plan_fingerprint
+from repro.records import NOT_JSON, JsonRecord
 
 # --------------------------------------------------------------------------
 # Job-kind registry
@@ -80,7 +80,7 @@ def handler_module(kind: str) -> str:
 # Jobs
 # --------------------------------------------------------------------------
 @dataclass(frozen=True)
-class Job:
+class Job(JsonRecord):
     """One frozen node of a plan.
 
     Attributes:
@@ -117,34 +117,12 @@ class Job:
         if not isinstance(self.deps, tuple):
             object.__setattr__(self, "deps", tuple(self.deps))
 
-    def with_overrides(self, **changes: Any) -> "Job":
-        return replace(self, **changes)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "id": self.id,
-            "kind": self.kind,
-            "params": dict(self.params),
-            "deps": list(self.deps),
-            "cache_key": self.cache_key,
-            "label": self.label,
-            "retries": self.retries,
-            "if_needed": self.if_needed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "Job":
-        payload = dict(data)
-        payload["deps"] = tuple(payload.get("deps") or ())
-        payload["params"] = dict(payload.get("params") or {})
-        return cls(**payload)  # type: ignore[arg-type]
-
 
 # --------------------------------------------------------------------------
 # Plans
 # --------------------------------------------------------------------------
 @dataclass(frozen=True)
-class Plan:
+class Plan(JsonRecord):
     """A frozen DAG of jobs plus (optional) runtime resource bindings.
 
     Construction validates the graph: ids must be unique, dependencies must
@@ -154,11 +132,13 @@ class Plan:
     re-plumbing heavyweight objects through JSON.
     """
 
+    nested = {"jobs": Job}
+
     name: str
     jobs: tuple[Job, ...] = ()
     metadata: Mapping[str, Any] = field(default_factory=dict)
     resources: "dict[str, Any] | None" = field(
-        default=None, compare=False, repr=False
+        default=None, compare=False, repr=False, metadata=NOT_JSON
     )
 
     def __post_init__(self) -> None:
@@ -255,29 +235,6 @@ class Plan:
     def with_resources(self, resources: "dict[str, Any] | None") -> "Plan":
         """The same plan bound to different runtime resources."""
         return replace(self, resources=resources)
-
-    # ---------------------------------------------------------- serialization
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "metadata": dict(self.metadata),
-            "jobs": [job.to_dict() for job in self.jobs],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "Plan":
-        return cls(
-            name=str(data.get("name", "")),
-            jobs=tuple(Job.from_dict(item) for item in data.get("jobs", [])),
-            metadata=dict(data.get("metadata", {})),
-        )
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Plan":
-        return cls.from_dict(json.loads(text))
 
 
 def shippable_resources(resources: "Mapping[str, Any] | None") -> dict[str, Any]:

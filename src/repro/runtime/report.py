@@ -7,11 +7,9 @@ order in ``report.cells``.  The campaign, diagnosis and volume reports
 differ only in their cells, lookups and text; the container, the JSON
 form and the backend-fallback record live here, once:
 
-* :class:`ReportCell` — a cell's JSON form is its dataclass fields
-  (``asdict``); ``nested`` names the fields rebuilt by their own
-  ``from_dict``;
 * :class:`PlanReport` — a ``campaign`` header plus ``cells`` of one
-  ``cell_type``, with ``to_json``/``from_json``;
+  ``cell_type`` (a :class:`~repro.records.JsonRecord`, whose JSON form is
+  its dataclass fields), with ``to_json``/``from_json``;
 * :class:`FallbackRecords` — ``backend_fallbacks``/``degraded`` and the
   ``NOTE:`` lines over a report's header (the session-level
   :class:`~repro.api.report.RunReport` keeps its own ``session`` header);
@@ -22,8 +20,10 @@ form and the backend-fallback record live here, once:
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any, ClassVar, Iterator, Mapping
+
+from repro.records import JsonRecord
 
 
 class FallbackRecords:
@@ -58,23 +58,6 @@ class FallbackRecords:
         ]
 
 
-class ReportCell:
-    """Base of a report's dataclass cells: JSON form is the fields."""
-
-    #: Field name -> class whose ``from_dict`` rebuilds that field.
-    nested: ClassVar[Mapping[str, Any]] = {}
-
-    def to_dict(self) -> dict[str, object]:
-        return asdict(self)  # type: ignore[call-overload]
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> Any:
-        payload = dict(data)
-        for name, kind in cls.nested.items():
-            payload[name] = kind.from_dict(payload[name])
-        return cls(**payload)
-
-
 @dataclass
 class PlanReport(FallbackRecords):
     """Cells of one ``cell_type`` under a ``campaign`` header dict.
@@ -83,7 +66,7 @@ class PlanReport(FallbackRecords):
     them back in plan order when the plan finishes.
     """
 
-    cell_type: ClassVar[type] = ReportCell
+    cell_type: ClassVar[type[JsonRecord]]
 
     campaign: dict[str, object] = field(default_factory=dict)
     cells: list[Any] = field(default_factory=list)

@@ -22,10 +22,11 @@ produced the evidence.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Sequence
+
+from repro.records import JsonRecord
 
 #: Belief magnitudes beyond this are saturated before the logistic squash.
 _BELIEF_CLIP = 50.0
@@ -35,7 +36,7 @@ _BELIEF_CLIP = 50.0
 # Loopy max-product BP over the cover factor graph
 # --------------------------------------------------------------------------
 @dataclass(frozen=True)
-class BpOptions:
+class BpOptions(JsonRecord):
     """Knobs of the loopy-BP inference (JSON-round-trippable).
 
     Attributes:
@@ -54,6 +55,8 @@ class BpOptions:
         ambiguity_threshold: Marginal gap below which two evidence-sharing
             candidates count as an ambiguous pair (adaptive ATPG's worklist).
     """
+
+    json_indent = None
 
     iterations: int = 48
     damping: float = 0.5
@@ -76,31 +79,6 @@ class BpOptions:
             raise ValueError("false_alarm_weight must be non-negative")
         if self.ambiguity_threshold < 0.0:
             raise ValueError("ambiguity_threshold must be non-negative")
-
-    def with_overrides(self, **changes: object) -> "BpOptions":
-        return replace(self, **changes)  # type: ignore[arg-type]
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "iterations": self.iterations,
-            "damping": self.damping,
-            "convexified": self.convexified,
-            "tolerance": self.tolerance,
-            "base_cost": self.base_cost,
-            "false_alarm_weight": self.false_alarm_weight,
-            "ambiguity_threshold": self.ambiguity_threshold,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "BpOptions":
-        return cls(**dict(data))  # type: ignore[arg-type]
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "BpOptions":
-        return cls.from_dict(json.loads(text))
 
 
 @dataclass

@@ -21,7 +21,6 @@ the failing observations.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -40,6 +39,7 @@ from repro.diagnose.faillog import FailLog
 from repro.engine.scheduler import FaultSimScheduler
 from repro.obs.telemetry import active_metrics, active_tracer
 from repro.patterns.pattern import PatternSet, TestPattern
+from repro.records import JsonRecord
 from repro.volume.bp import BpOptions, BpOutcome, max_product_bp
 
 
@@ -112,19 +112,9 @@ class BpScoredCandidate(ScoredCandidate):
         mark = " *" if self.selected else ""
         return f"{super().describe()} conf={self.confidence:.3f}{mark}"
 
-    def to_dict(self) -> dict[str, object]:
-        payload = super().to_dict()
-        payload["confidence"] = self.confidence
-        payload["selected"] = self.selected
-        return payload
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "BpScoredCandidate":
-        return cls(**dict(data))  # type: ignore[arg-type]
-
 
 @dataclass
-class BpDiagnosisResult:
+class BpDiagnosisResult(JsonRecord):
     """The outcome of one loopy-BP multi-defect diagnosis (JSON-safe).
 
     ``candidates`` is the full confidence-ranked universe;
@@ -135,6 +125,8 @@ class BpDiagnosisResult:
     worklist :mod:`repro.volume.adaptive` generates distinguishing
     patterns for.
     """
+
+    nested = {"candidates": BpScoredCandidate, "defects": DefectSpec}
 
     design: str
     scenario: str
@@ -225,53 +217,6 @@ class BpDiagnosisResult:
         if self.ambiguous_pairs:
             lines.append(f"  ambiguous pairs: {len(self.ambiguous_pairs)}")
         return "\n".join(lines)
-
-    # ------------------------------------------------------------ serialization
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "design": self.design,
-            "scenario": self.scenario,
-            "backend": self.backend,
-            "pattern_count": self.pattern_count,
-            "fail_count": self.fail_count,
-            "site_count": self.site_count,
-            "candidate_count": self.candidate_count,
-            "truncated_sites": self.truncated_sites,
-            "unexplained": self.unexplained,
-            "candidates": [row.to_dict() for row in self.candidates],
-            "defects": [spec.to_dict() for spec in self.defects],
-            "resolution": self.resolution,
-            "ranks_of_defects": list(self.ranks_of_defects),
-            "converged": self.converged,
-            "bp_iterations": self.bp_iterations,
-            "objective": self.objective,
-            "lp_objective": self.lp_objective,
-            "ambiguous_pairs": [dict(pair) for pair in self.ambiguous_pairs],
-            "wall_seconds": self.wall_seconds,
-            "cache_hit": self.cache_hit,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "BpDiagnosisResult":
-        payload = dict(data)
-        payload["candidates"] = [
-            BpScoredCandidate.from_dict(item)
-            for item in payload.get("candidates", [])
-        ]
-        payload["defects"] = [
-            DefectSpec.from_dict(item) for item in payload.get("defects", [])
-        ]
-        payload["ambiguous_pairs"] = [
-            dict(item) for item in payload.get("ambiguous_pairs", [])
-        ]
-        return cls(**payload)  # type: ignore[arg-type]
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "BpDiagnosisResult":
-        return cls.from_dict(json.loads(text))
 
     def same_ranking(self, other: "BpDiagnosisResult") -> bool:
         """Deterministic-field equality of the full ranking (ignores timing,

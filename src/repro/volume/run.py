@@ -28,8 +28,7 @@ per-log cells and the report.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
 from repro.api.lowering import (
@@ -43,7 +42,8 @@ from repro.diagnose.defects import DEFECT_KINDS
 from repro.diagnose.diagnose import DiagnosisSpec
 from repro.engine.scheduler import BACKENDS
 from repro.runtime import Event, Executor, Job, Plan
-from repro.runtime.report import PlanReport, ReportCell, mark_cache_hit
+from repro.records import JsonRecord
+from repro.runtime.report import PlanReport, mark_cache_hit
 from repro.volume.bp import BpOptions
 from repro.volume.graph import BpDiagnosisResult
 from repro.volume.store import FailLogRecord, FailLogStore
@@ -53,7 +53,7 @@ from repro.volume.store import FailLogRecord, FailLogStore
 # The declarative volume configuration
 # --------------------------------------------------------------------------
 @dataclass(frozen=True)
-class VolumeSpec:
+class VolumeSpec(JsonRecord):
     """One declarative volume-diagnosis configuration (JSON-round-trippable).
 
     The volume analogue of :class:`~repro.diagnose.DiagnosisSpec`: the same
@@ -63,6 +63,8 @@ class VolumeSpec:
     on the tester; records carrying their own scenario label override it
     per log.
     """
+
+    nested = {"bp": BpOptions}
 
     scenario: str
     candidate_kinds: tuple[str, ...] = DEFECT_KINDS
@@ -92,9 +94,6 @@ class VolumeSpec:
         if isinstance(self.bp, Mapping):
             object.__setattr__(self, "bp", BpOptions.from_dict(self.bp))
 
-    def with_overrides(self, **changes: object) -> "VolumeSpec":
-        return replace(self, **changes)  # type: ignore[arg-type]
-
     def diagnosis_spec(self, scenario: str | None = None) -> DiagnosisSpec:
         """Lower to the per-log diagnosis configuration (no defect — the
         log carries the evidence)."""
@@ -106,30 +105,6 @@ class VolumeSpec:
             batch_size=self.batch_size,
             backend=self.backend,
         )
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "scenario": self.scenario,
-            "candidate_kinds": list(self.candidate_kinds),
-            "max_sites": self.max_sites,
-            "batch_size": self.batch_size,
-            "backend": self.backend,
-            "bp": self.bp.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "VolumeSpec":
-        payload = dict(data)
-        payload["candidate_kinds"] = tuple(payload.get("candidate_kinds", DEFECT_KINDS))
-        payload["bp"] = BpOptions.from_dict(payload.get("bp", {}))
-        return cls(**payload)  # type: ignore[arg-type]
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "VolumeSpec":
-        return cls.from_dict(json.loads(text))
 
 
 # --------------------------------------------------------------------------
@@ -231,7 +206,7 @@ def volume_plan(
 # Cells & report
 # --------------------------------------------------------------------------
 @dataclass
-class BpDiagnosisCell(ReportCell):
+class BpDiagnosisCell(JsonRecord):
     """One fail log's landed volume-diagnosis outcome (JSON-safe)."""
 
     design: str

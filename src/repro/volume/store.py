@@ -24,33 +24,19 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from repro.diagnose.faillog import FailLog
+from repro.records import JsonRecord
 
 
 @dataclass(frozen=True)
-class FailLogRecord:
+class FailLogRecord(JsonRecord):
     """One stored fail log plus its store-side identity."""
+
+    nested = {"log": FailLog}
 
     name: str
     design: str
     scenario: str
     log: FailLog
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "name": self.name,
-            "design": self.design,
-            "scenario": self.scenario,
-            "log": self.log.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, object]) -> "FailLogRecord":
-        return cls(
-            name=str(data["name"]),
-            design=str(data["design"]),
-            scenario=str(data.get("scenario", "")),
-            log=FailLog.from_dict(data["log"]),  # type: ignore[arg-type]
-        )
 
 
 class FailLogStore:

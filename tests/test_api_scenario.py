@@ -1,10 +1,13 @@
 """Tests for the scenario registry and the declarative scenario specs."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.api import (
     ScenarioNotFound,
     ScenarioSpec,
+    TestSession,
     get_scenario,
     register_scenario,
     scenario_names,
@@ -48,7 +51,7 @@ class TestRegistry:
             with pytest.raises(ValueError, match="test-duplicate.*already registered"):
                 register_scenario(spec)
             # Explicit replacement is allowed.
-            register_scenario(spec.with_overrides(description="y"), replace_existing=True)
+            register_scenario(replace(spec, description="y"), replace_existing=True)
             assert get_scenario("test-duplicate").description == "y"
         finally:
             unregister_scenario("test-duplicate")
@@ -85,13 +88,13 @@ class TestScenarioSpec:
             name="x", description="d", procedures=_dummy_procedures, legacy_key="a"
         )
         assert spec.row_key == "a"
-        assert spec.with_overrides(legacy_key=None).row_key == "x"
+        assert replace(spec, legacy_key=None).row_key == "x"
 
     def test_with_overrides_returns_modified_copy(self):
-        spec = get_scenario("table1-c")
-        tweaked = spec.with_overrides(edt_channels=3)
+        session = TestSession.for_soc(1, seed=3).add_scenario("table1-c", edt_channels=3)
+        (tweaked,) = session.queued_scenarios
         assert tweaked.edt_channels == 3
-        assert spec.edt_channels is None  # original untouched
+        assert get_scenario("table1-c").edt_channels is None  # original untouched
 
 
 class TestBuiltinSetupsMatchLegacy:

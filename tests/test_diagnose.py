@@ -672,7 +672,7 @@ class TestSessionDiagnose:
     def test_ad_hoc_scenario_spec_object(self):
         """An unregistered ScenarioSpec drives diagnosis without a registry hit."""
         session = TestSession.for_design("tiny", options=CHEAP)
-        custom = table1_scenario("a").with_overrides(name="my-custom-a")
+        custom = replace(table1_scenario("a"), name="my-custom-a")
         result = session.diagnose(
             DefectSpec(kind="stuck-at", net="scan_en", value=1), scenario=custom
         )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -131,7 +132,7 @@ class TestSchedulerPlumbing:
             session.run(executor=Executor(backend="fpga"))
 
     def test_spec_backend_reaches_setup_options(self):
-        spec = table1_scenario("a").with_overrides(backend="serial", rng_seed=99)
+        spec = replace(table1_scenario("a"), backend="serial", rng_seed=99)
         session = TestSession.for_soc(size=1)
         setup = spec.build_setup(session.prepared, session.options)
         assert setup.options.sim_backend == "serial"
@@ -163,7 +164,7 @@ class TestFingerprints:
         spec = table1_scenario("a")
         base = spec_fingerprint(spec, AtpgOptions())
         assert base == spec_fingerprint(spec, AtpgOptions())
-        assert base != spec_fingerprint(spec.with_overrides(rng_seed=1), AtpgOptions())
+        assert base != spec_fingerprint(replace(spec, rng_seed=1), AtpgOptions())
         assert base != spec_fingerprint(spec, AtpgOptions(backtrack_limit=99))
 
     def test_closure_factories_fingerprint_by_captured_values(self):
@@ -174,13 +175,13 @@ class TestFingerprints:
             return factory
 
         spec = table1_scenario("a")
-        two = spec.with_overrides(procedures=make_procs(2))
-        four = spec.with_overrides(procedures=make_procs(4))
+        two = replace(spec, procedures=make_procs(2))
+        four = replace(spec, procedures=make_procs(4))
         # Same __qualname__, different captured cells: must not collide.
         assert spec_fingerprint(two) != spec_fingerprint(four)
         # And the fingerprint must be stable for equal captures.
         assert spec_fingerprint(two) == spec_fingerprint(
-            spec.with_overrides(procedures=make_procs(2))
+            replace(spec, procedures=make_procs(2))
         )
 
     @pytest.mark.parametrize("variant", ["spec", "bp", "defects", "fail_log"])
@@ -219,9 +220,9 @@ class TestFingerprints:
             return count
 
         spec = table1_scenario("a")
-        p2 = spec.with_overrides(procedures=functools.partial(factory, 2))
-        p2_again = spec.with_overrides(procedures=functools.partial(factory, 2))
-        p4 = spec.with_overrides(procedures=functools.partial(factory, 4))
+        p2 = replace(spec, procedures=functools.partial(factory, 2))
+        p2_again = replace(spec, procedures=functools.partial(factory, 2))
+        p4 = replace(spec, procedures=functools.partial(factory, 4))
         assert spec_fingerprint(p2) == spec_fingerprint(p2_again)
         assert spec_fingerprint(p2) != spec_fingerprint(p4)
 

@@ -224,16 +224,14 @@ class TestTraceExports:
 # Metrics
 # --------------------------------------------------------------------------
 class TestMetricsRegistry:
-    def test_counters_gauges_histograms_snapshot(self):
+    def test_counters_histograms_snapshot(self):
         metrics = MetricsRegistry()
         metrics.inc("engine.tape_passes")
         metrics.inc("engine.tape_passes", 2)
-        metrics.gauge("cache.bytes", 512)
         metrics.observe("atpg.run_seconds", 0.5)
         metrics.observe("atpg.run_seconds", 1.5)
         snapshot = metrics.snapshot()
         assert snapshot["counters"]["engine.tape_passes"] == 3
-        assert snapshot["gauges"]["cache.bytes"] == 512
         hist = snapshot["histograms"]["atpg.run_seconds"]
         assert hist["count"] == 2
         assert hist["total"] == pytest.approx(2.0)
@@ -247,9 +245,11 @@ class TestMetricsRegistry:
         second.inc("n", 3)
         second.observe("h", 1.0)
         first.merge(second.snapshot())
+        first.merge({"counters": {"n": 1}, "gauges": {"g": 1}})  # gauges ignored
         snapshot = first.snapshot()
-        assert snapshot["counters"]["n"] == 5
+        assert snapshot["counters"]["n"] == 6
         assert snapshot["histograms"]["h"]["count"] == 1
+        assert "gauges" not in snapshot
 
     def test_concurrent_increments_are_exact(self):
         metrics = MetricsRegistry()
@@ -268,9 +268,8 @@ class TestMetricsRegistry:
     def test_null_metrics_is_inert(self):
         metrics = NullMetrics()
         metrics.inc("n")
-        metrics.gauge("g", 1)
         metrics.observe("h", 1.0)
-        assert metrics.snapshot() == {"counters": {}, "gauges": {}, "histograms": {}}
+        assert metrics.snapshot() == {"counters": {}, "histograms": {}}
 
 
 # --------------------------------------------------------------------------

@@ -72,7 +72,6 @@ KEPT: dict[str, str] = {
     "raise_on_error": "LintReport.raise_on_error: the lint gate",
     "proven_faults": "UntestabilityReport.proven_faults: the faults the prover proved",
     "value_of": "PlanResult.value_of: one job's value",
-    "gauge": "the gauge kind of the metrics API, which snapshots carry",
     # Circuit fixtures.
     "c17": "circuit fixture (ISCAS-85 c17)",
     "s27": "circuit fixture (s27-like sequential circuit)",
