@@ -105,8 +105,7 @@ def _plan(cls: type[JsonRecord]) -> _Plan:
 
 def _container(annotation: object) -> str | None:
     """``"tuple"``, ``"list"`` or ``"dict"`` for a field annotated as one."""
-    text: str = annotation if isinstance(annotation, str) else getattr(annotation, "__name__", "")
-    head = text.strip("'\"").split("[", 1)[0]
+    head = str(annotation).strip("'\"").split("[", 1)[0]
     if head in ("tuple", "list"):
         return head
     return "dict" if head in ("dict", "Mapping") else None
