@@ -7,10 +7,13 @@ example runs that volume flow end to end on ``table1-soc``:
 
 1. generate the scenario (a) stuck-at pattern set once;
 2. build a fail-log store of 50 devices, each injected with a *pair* of
-   defects on distinct nets (the netlist itself is never touched);
+   defects on distinct nets (the netlist itself is never touched), plus
+   a 51st die whose log repeats the first one;
 3. diagnose the whole store as one campaign plan — every log becomes a
    candidate x failing-bit factor graph and damped max-product BP selects
-   the multi-defect candidate set with calibrated confidences;
+   the multi-defect candidate set with calibrated confidences.  The
+   repeated log runs once and lands a cell under each die name; the
+   example exits non-zero if the two cells differ in anything but the log;
 4. take the most ambiguous verdict and run one adaptive diagnostic-ATPG
    round: generate distinguishing patterns for BP's ambiguous pairs,
    re-capture, re-diagnose.
@@ -102,6 +105,10 @@ def main() -> None:
                 run.patterns, [first, second], design_name=DESIGN,
             )
             store.add(f"die-{index:04d}", log, scenario=spec.name)
+            if index == 0:
+                repeated = log
+        # A second die failing exactly like the first (a systematic defect).
+        store.add("die-repeat", repeated, scenario=spec.name)
 
         # Diagnosis side: the whole store as one campaign plan.  Each log's
         # verdict is a BP-selected candidate *set* with calibrated
@@ -116,6 +123,13 @@ def main() -> None:
         assert recovered >= len(report) - 2, (
             f"only {recovered}/{len(report)} two-defect sets recovered"
         )
+
+        # The repeated log ran once; both dies still get their own cell.
+        first_cell, repeat_cell = report.cell("die-0000"), report.cell("die-repeat")
+        if {**first_cell.deterministic_dict(), "log": repeat_cell.log} != (
+            repeat_cell.deterministic_dict()
+        ):
+            raise SystemExit("die-repeat's verdict differs from die-0000's")
 
         # Zoom into one verdict: the full confidence-ranked top set.
         name = report.cells[0].log

@@ -497,7 +497,7 @@ class Campaign:
         cached = self._cached(executor)
         for job in providers:
             landed = result.results.get(job.id)
-            if landed is not None and landed.reason in (None, "cache"):
+            if landed is not None and landed.reason in (None, "cache", "coalesced"):
                 self._keep(job, landed.value, landed.skipped, cached)
         return result
 

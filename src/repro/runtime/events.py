@@ -44,7 +44,10 @@ _REPR_TAG = "__event_repr__"
 #: * ``plan_started`` / ``plan_finished`` — one each per ``execute()`` call
 #:   (``plan_finished`` fires even when the plan was cancelled);
 #: * ``job_started`` — a job was dispatched (for pooled waves, at submission);
-#: * ``job_finished`` — a job ran to completion; ``value`` holds its result;
+#: * ``job_finished`` — a job ran to completion; ``value`` holds its result.
+#:   ``reason`` is ``"coalesced"`` when the job shared its ``cache_key``
+#:   with an earlier job of the plan and took that job's value as it landed
+#:   (its ``job_started`` fires just before, and ``wall_seconds`` is 0);
 #: * ``job_skipped`` — a job did not need to run; ``reason`` says why
 #:   (``"cache"`` — served from the result cache, ``"seed"`` — supplied by
 #:   the caller, ``"unneeded"`` — an ``if_needed`` provider whose dependents
@@ -74,8 +77,10 @@ class Event:
         job: The job id (``None`` for plan-level events).
         value: The job's result object (``job_finished`` and cache/seed
             ``job_skipped`` events; ``None`` otherwise).
-        reason: Skip reason (``"cache"`` / ``"seed"`` / ``"unneeded"``) or
-            the failure description for ``job_failed``.
+        reason: Skip reason (``"cache"`` / ``"seed"`` / ``"unneeded"``),
+            ``"coalesced"`` for a ``job_finished`` that took the value of
+            an earlier job with the same ``cache_key``, or the failure
+            description for ``job_failed``.
         wall_seconds: Job wall time (``job_finished``), the cache-probe
             duration that served the job (cache ``job_skipped``) or total
             plan wall time (``plan_finished``) — cache-served plans report

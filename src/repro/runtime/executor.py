@@ -16,6 +16,12 @@ They are now *plan compilers*; this executor owns the one copy of:
   cached value, so an interrupted plan resumes without redoing completed
   work (and ``if_needed`` provider jobs whose consumers were all satisfied
   are pruned entirely — no design build, no ATPG);
+* **in-plan coalescing** — pending jobs that share a ``cache_key`` run
+  once: the first in plan order leads, and when it lands every other job
+  of the key (its followers) resolves at once with the leader's value
+  (``job_finished`` with reason ``"coalesced"``).  The cache promises one
+  result per key, so this is exact under its contract; followers store
+  nothing and count as neither executed nor skipped;
 * **streaming events** — ``job_started`` / ``job_finished`` / ``job_skipped``
   / ``plan_progress`` callbacks fire on the calling thread as each job
   resolves (see :mod:`repro.runtime.events`);
@@ -70,7 +76,9 @@ class JobResult:
     job: str
     value: Any = None
     skipped: bool = False
-    #: ``"cache"`` / ``"seed"`` / ``"unneeded"`` for skipped jobs, else None.
+    #: ``"cache"`` / ``"seed"`` / ``"unneeded"`` for skipped jobs,
+    #: ``"coalesced"`` for a job that took the value of the job it shares
+    #: its ``cache_key`` with, else None.
     reason: str | None = None
     cache_key: str | None = None
     wall_seconds: float = 0.0
@@ -119,7 +127,10 @@ class PlanResult:
 
     def executed(self) -> list[str]:
         """Ids of the jobs that actually ran (completion order)."""
-        return [r.job for r in self.results.values() if not r.skipped]
+        return [
+            r.job for r in self.results.values()
+            if not r.skipped and r.reason != "coalesced"
+        ]
 
     def skipped(self, reason: str | None = None) -> list[str]:
         """Ids of the skipped jobs (optionally filtered by skip reason)."""
@@ -386,7 +397,10 @@ class Executor:
                     if metrics is not None:
                         metrics.inc("executor.sink_errors")
 
-        def resolve(job: Job, result: JobResult, kind: str, **extra: Any) -> None:
+        # Leader job id -> the pending jobs that share its cache key.
+        followers: dict[str, list[Job]] = {}
+
+        def record(job: Job, result: JobResult, kind: str, **extra: Any) -> None:
             outcome.results[job.id] = result
             if result.skipped:
                 # Skipped jobs still show in the trace (duration == the cache
@@ -395,6 +409,24 @@ class Executor:
                               kind=job.kind, skipped=True, reason=result.reason)
             emit(kind, job, value=result.value, reason=result.reason, **extra)
             emit("plan_progress")
+
+        # Not recursive on purpose: a closure that calls itself is a
+        # reference cycle, which would keep every landed value of the plan
+        # alive until the cyclic collector runs.
+        def resolve(job: Job, result: JobResult, kind: str, **extra: Any) -> None:
+            record(job, result, kind, **extra)
+            if kind != "job_finished":
+                return
+            for follower in followers.pop(job.id, ()):
+                emit("job_started", follower)
+                tracer.record(f"job:{follower.id}", duration=0.0,
+                              kind=follower.kind, reason="coalesced")
+                record(
+                    follower,
+                    JobResult(job=follower.id, value=result.value,
+                              reason="coalesced", cache_key=follower.cache_key),
+                    "job_finished",
+                )
 
         emit("plan_started")
         ordered = plan.topological_order()
@@ -452,9 +484,26 @@ class Executor:
             if job.if_needed and job.id not in outcome.results:
                 probe(job)
 
+        # Coalescing pass: one job per distinct cache key runs; the rest
+        # follow the first of their key in plan order and leave ``pending``.
+        leaders: dict[str, Job] = {}
+        for job in ordered:
+            if job.id in outcome.results or job.cache_key is None:
+                continue
+            leader = leaders.setdefault(job.cache_key, job)
+            if leader is not job:
+                followers.setdefault(leader.id, []).append(job)
+        following = {
+            follower.id: leader_id
+            for leader_id, group in followers.items() for follower in group
+        }
+
         # Wave scheduling: run every ready job, repeat until done/cancelled.
-        pending = [job for job in ordered if job.id not in outcome.results]
-        pool_hint = self._widest_wave(ordered, outcome)
+        pending = [
+            job for job in ordered
+            if job.id not in outcome.results and job.id not in following
+        ]
+        pool_hint = self._widest_wave(ordered, outcome, following)
         # Designs the remaining jobs actually reference (the "designs"
         # resource convention) — process workers only receive these, so a
         # mostly cache-resolved plan never ships untouched prebuilt designs.
@@ -489,19 +538,25 @@ class Executor:
         return {dep: outcome.results[dep].value for dep in job.deps}
 
     @staticmethod
-    def _widest_wave(ordered: Sequence[Job], outcome: PlanResult) -> int:
+    def _widest_wave(
+        ordered: Sequence[Job], outcome: PlanResult, following: Mapping[str, str]
+    ) -> int:
         """The largest dependency level still to run — the pool-sizing hint.
 
         Computed once per execution so the process pool (created at the
         first pooled wave and reused) is sized for the whole plan, not just
         its first wave (e.g. a few pattern providers followed by many
-        diagnosis jobs).
+        diagnosis jobs).  Only leaders count: a follower (``following``
+        maps it to its leader) lands with its leader, at the leader's level.
         """
         levels: dict[str, int] = {}
         widths: dict[int, int] = {}
         for job in ordered:
             if job.id in outcome.results:
                 levels[job.id] = 0
+                continue
+            if job.id in following:
+                levels[job.id] = levels[following[job.id]]
                 continue
             level = 1 + max((levels.get(dep, 0) for dep in job.deps), default=0)
             levels[job.id] = level

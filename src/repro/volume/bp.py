@@ -134,6 +134,20 @@ def max_product_bp(
     O(edges).  The clip runs once per factor on the two values, and the
     convexified unary split is computed once before the sweeps.
 
+    Twin candidates — the same cost and the same factors — are collapsed
+    to one representative before the sweeps.  Twins start with the same
+    messages, their ``mu`` is the same float in every factor they share,
+    so every update they receive is the same too: their messages stay
+    bit-identical in every sweep.  Only the leave-one-out minimum sees the
+    difference between one twin and several: when a representative that
+    stands for two or more twins is a factor's first argmin, the twin it
+    hides still holds ``low``, so it receives ``low`` rather than
+    ``second``.  A factor keeps its original size for the sole-explainer
+    cap.  This only drops variable-side duplicates and keeps the factor
+    sweep order, so it is exact.  Merging duplicate *factors* is not: a
+    merged factor updates once where its copies updated one after another,
+    which changes the floats of every later message.
+
     Deterministic: messages update in factor order, sums run in adjacency
     order, no randomness — the same graph yields bit-identical beliefs on
     every platform, which is what lets volume diagnosis promise backend
@@ -144,44 +158,65 @@ def max_product_bp(
     if any(cost <= 0.0 for cost in cost_list):
         raise ValueError("BP candidate costs must be positive")
     adjacency = [tuple(factor) for factor in factors]
-    for factor in adjacency:
+    # members[j]: the factors candidate j explains, in factor order; a
+    # candidate listed twice in one factor never joins a twin group.
+    members: list[list[int]] = [[] for _ in cost_list]
+    repeated: set[int] = set()
+    for e, factor in enumerate(adjacency):
         if not factor:
             raise ValueError("an evidence factor needs at least one explainer")
         for j in factor:
             if not 0 <= j < len(cost_list):
                 raise ValueError(f"factor references unknown candidate {j}")
+            where = members[j]
+            if where and where[-1] == e:
+                repeated.add(j)
+            where.append(e)
     cap = (max(cost_list) if cost_list else 1.0) + 1.0
-    degree = [0] * len(cost_list)
-    for factor in adjacency:
-        for j in factor:
-            degree[j] += 1
     unary = [
-        cost / count if opts.convexified and count else cost
-        for cost, count in zip(cost_list, degree)
+        cost / len(where) if opts.convexified and where else cost
+        for cost, where in zip(cost_list, members)
     ]
+    twin_of, plural = _twin_groups(cost_list, members, repeated)
+    if twin_of:
+        # One slot per twin group: the representative's, flagged plural.
+        sweep = [
+            tuple(j for j in factor if j not in twin_of) for factor in adjacency
+        ]
+        flags: list[tuple[bool, ...] | None] = [
+            tuple(j in plural for j in factor)
+            if any(j in plural for j in factor) else None
+            for factor in sweep
+        ]
+    else:
+        sweep = adjacency
+        flags = [None] * len(adjacency)
     keep = opts.damping
     take = 1.0 - keep
-    # messages[e][k] pairs with adjacency[e][k]: factor e -> candidate j.
-    messages = [[0.0] * len(factor) for factor in adjacency]
+    # messages[e][k] pairs with sweep[e][k]: factor e -> candidate j.
+    messages = [[0.0] * len(factor) for factor in sweep]
     incoming = [0.0] * len(cost_list)  # sum of factor->variable messages
     sweeps = 0
     max_delta = math.inf
     converged = False
     for sweeps in range(1, opts.iterations + 1):
         max_delta = 0.0
-        for factor, row in zip(adjacency, messages):
+        for factor, row, original, flag in zip(sweep, messages, adjacency, flags):
             # mu_{j->e}: unary cost (possibly split) minus the other
             # factors' pressure; subtracting this factor's own previous
             # message keeps the exchange extrinsic.
             mu = [unary[j] - (incoming[j] - old) for j, old in zip(factor, row)]
-            if len(mu) == 1:
+            if len(original) == 1:
                 first, low, second = 0, cap, cap
             else:
                 # Leave-one-out minima: slot ``first`` sees ``second``,
                 # every other slot ``low`` (bit-identical; see docstring).
                 low = min(mu)
                 first = mu.index(low)
-                second = min(mu[:first] + mu[first + 1:])
+                if flag is not None and flag[first]:
+                    second = low  # a hidden twin of ``first`` holds ``low``
+                else:
+                    second = min(mu[:first] + mu[first + 1:])
                 low = min(max(low, 0.0), cap)
                 second = min(max(second, 0.0), cap)
             for k, j in enumerate(factor):
@@ -195,6 +230,8 @@ def max_product_bp(
         if max_delta < opts.tolerance:
             converged = True
             break
+    for j, representative in twin_of.items():
+        incoming[j] = incoming[representative]
     beliefs = [cost_list[j] - incoming[j] for j in range(len(cost_list))]
     marginals = [
         1.0 / (1.0 + math.exp(min(max(belief, -_BELIEF_CLIP), _BELIEF_CLIP)))
@@ -207,3 +244,23 @@ def max_product_bp(
         converged=converged,
         max_delta=max_delta,
     )
+
+
+def _twin_groups(
+    costs: Sequence[float], members: Sequence[Sequence[int]], repeated: set[int]
+) -> tuple[dict[int, int], set[int]]:
+    """Twin groups of candidates with equal cost and equal factors.
+
+    Returns ``(twin_of, plural)``: every twin but the first of its group
+    maps to that first one, its representative; ``plural`` holds the
+    representatives with at least one twin.
+    """
+    leaders: dict[tuple[float, tuple[int, ...]], int] = {}
+    twin_of: dict[int, int] = {}
+    for j, where in enumerate(members):
+        if not where or j in repeated:
+            continue
+        leader = leaders.setdefault((costs[j], tuple(where)), j)
+        if leader != j:
+            twin_of[j] = leader
+    return twin_of, set(twin_of.values())

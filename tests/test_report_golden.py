@@ -10,7 +10,10 @@ itself; these check that the text itself never moves.
 from repro.api import CampaignReport, RunReport, ScenarioOutcome
 from repro.api.campaign import CampaignCell
 from repro.diagnose import DefectSpec, DiagnosisCell, DiagnosisReport
-from repro.volume import BpDiagnosisCell, BpDiagnosisReport
+from repro.engine.cache import ResultCache
+from repro.runtime import Executor, Job, Plan, register_job_kind
+from repro.volume import BpDiagnosisCell, BpDiagnosisReport, BpDiagnosisResult
+from repro.volume.run import volume_report_builder
 
 FALLBACKS = [
     {"requested": "processes", "used": "threads", "reason": "no fork"},
@@ -90,6 +93,31 @@ def volume_report(degraded: bool = False) -> BpDiagnosisReport:
     return report
 
 
+@register_job_kind("golden-bp")
+def _golden_bp(resources, params, deps):
+    """A fixed BP verdict per log content (``fails``), no design needed."""
+    return BpDiagnosisResult(
+        design="tiny", scenario="table1-a", backend="compiled",
+        pattern_count=12, fail_count=params["fails"], site_count=4,
+        candidate_count=9, truncated_sites=0, unexplained=0,
+        converged=True, bp_iterations=7, wall_seconds=0.25,
+    )
+
+
+def repeated_log_plan() -> Plan:
+    """Three dies in store order; die-1 and die-3 carry the same log."""
+    fails = {"die-1": 5, "die-2": 3, "die-3": 5}
+    return Plan(
+        name="golden-volume",
+        jobs=tuple(
+            Job(id=f"bp:{die}", kind="golden-bp",
+                params={"log": die, "fails": count},
+                cache_key=f"golden-log-{count}")
+            for die, count in fails.items()
+        ),
+    )
+
+
 def run_report(degraded: bool = False) -> RunReport:
     return RunReport(
         session={"design": "soc", **_header(degraded)},
@@ -126,6 +154,26 @@ def test_volume_report_golden():
         assert BpDiagnosisReport.from_json(report.to_json()).to_json() == report.to_json()
         assert report.degraded is degraded
         assert report.cache_hits() == 1 and len(report) == 2
+
+
+def test_repeated_log_lands_one_cell_per_die(tmp_path):
+    """A log stored under two die names runs once, lands a cell per die in
+    store order, and the coalesced cell is not a cache hit."""
+    cache = ResultCache(tmp_path)
+    reports = []
+    for _ in ("cold", "warm"):
+        report, handle, finalize = volume_report_builder(repeated_log_plan())
+        result = Executor(cache=cache).execute(repeated_log_plan(), on_event=handle)
+        reports.append(finalize())
+    cold, warm = reports
+    assert result.skipped("cache") == ["bp:die-1", "bp:die-2", "bp:die-3"]
+    for report in reports:
+        assert [cell.log for cell in report] == ["die-1", "die-2", "die-3"]
+        first, _, third = report.cells
+        assert {**first.deterministic_dict(), "log": "die-3"} == third.deterministic_dict()
+    assert cold.summary() == REPEATED_SUMMARY
+    assert cold.cache_hits() == 0
+    assert warm.cache_hits() == 3
 
 
 def test_run_report_table_notes_golden():
@@ -535,6 +583,13 @@ VOLUME_SUMMARY = (
     'tiny                 table1-a     die-1                    rank=1   conf=0.969  sel=2   res=1   amb=1   conv cache    0.38s\n'
     'tiny                 table1-a     die-2                    rank=-   conf=-      sel=0   res=0   amb=0   DIV  run      0.12s\n'
     'recovered all defects: 1/2 (rank 1: 1/2)'
+)
+
+REPEATED_SUMMARY = (
+    'tiny                 table1-a     die-1                    rank=-   conf=-      sel=0   res=0   amb=0   conv run      0.25s\n'
+    'tiny                 table1-a     die-2                    rank=-   conf=-      sel=0   res=0   amb=0   conv run      0.25s\n'
+    'tiny                 table1-a     die-3                    rank=-   conf=-      sel=0   res=0   amb=0   conv run      0.25s\n'
+    'recovered all defects: 3/3 (rank 1: 0/3)'
 )
 
 RUN_TABLE = (

@@ -8,12 +8,16 @@ suite and the API tests.
 
 from __future__ import annotations
 
+import collections
+import gc
 import threading
 import time
+import weakref
 
 import pytest
 
 from repro.engine.cache import ResultCache
+from repro.obs import Telemetry
 from repro.runtime import (
     EXECUTOR_BACKENDS,
     Event,
@@ -62,6 +66,28 @@ def _unpicklable(resources, params, deps):
 def _sleep(resources, params, deps):
     time.sleep(params["seconds"])
     return params["seconds"]
+
+
+@register_job_kind("tallied")
+def _tallied(resources, params, deps):
+    """Appends its key to a tally file (visible from any worker process)."""
+    with open(params["tally"], "a", encoding="utf-8") as handle:
+        handle.write(params["key"] + "\n")
+    if params.get("fail"):
+        raise RuntimeError(f"tallied {params['key']} failed")
+    return params["value"]
+
+
+class Boxed:
+    """A job value a weak reference can watch."""
+
+    def __init__(self, value) -> None:
+        self.value = value
+
+
+@register_job_kind("boxed")
+def _boxed(resources, params, deps):
+    return Boxed(params["value"])
 
 
 def echo_plan(count: int = 3, *, keys: bool = False, name: str = "echo-plan") -> Plan:
@@ -450,3 +476,111 @@ class TestCacheConcurrency:
         assert not failures
         stats = cache.stats()
         assert stats["entries"] == len(cache.entries())
+
+
+# --------------------------------------------------------------------------
+# In-plan coalescing: one run per distinct cache key
+# --------------------------------------------------------------------------
+class CountingCache(ResultCache):
+    def __init__(self, root) -> None:
+        super().__init__(root)
+        self.puts: collections.Counter = collections.Counter()
+
+    def put(self, key, value, **kwargs):
+        self.puts[key] += 1
+        return super().put(key, value, **kwargs)
+
+
+def tallied_plan(tally, *, fail: bool = False) -> Plan:
+    """Keys A, B, A, A, B in plan order, plus a consumer of a follower."""
+    keys = ["A", "B", "A", "A", "B"]
+    jobs = [
+        Job(id=f"t:{i}", kind="tallied", cache_key=f"coalesce-{key}",
+            params={"tally": str(tally), "key": key, "value": ord(key),
+                    "fail": fail and key == "A"})
+        for i, key in enumerate(keys)
+    ]
+    jobs.append(Job(id="consumer", kind="sum-deps", params={"base": 1},
+                    deps=("t:2",)))
+    return Plan(name="coalesce", jobs=tuple(jobs))
+
+
+class TestCoalescing:
+    @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+    def test_one_run_per_distinct_key(self, backend, tmp_path):
+        tally = tmp_path / "tally.txt"
+        cache = CountingCache(tmp_path / "cache")
+        events: list[Event] = []
+        result = Executor(backend=backend, cache=cache, max_workers=2).execute(
+            tallied_plan(tally), on_event=events.append
+        )
+        assert collections.Counter(tally.read_text().split()) == {"A": 1, "B": 1}
+        assert [result.value_of(f"t:{i}") for i in range(5)] == [65, 66, 65, 65, 66]
+        assert result.value_of("consumer") == 66  # a follower's dependent runs
+        followers = ["t:2", "t:3", "t:4"]
+        for job_id in followers:
+            landed = result[job_id]
+            assert landed.reason == "coalesced" and not landed.skipped
+            assert landed.wall_seconds == 0.0
+        assert sorted(result.executed()) == ["consumer", "t:0", "t:1"]
+        assert result.skipped() == []
+        assert cache.puts == {"coalesce-A": 1, "coalesce-B": 1}
+        for job_id in result.jobs:
+            kinds = [e.kind for e in events if e.job == job_id]
+            assert kinds == ["job_started", "job_finished"], (job_id, kinds)
+        finished = [e for e in events if e.kind == "job_finished"]
+        reasons = {e.job: e.reason for e in finished}
+        assert {job for job, reason in reasons.items() if reason} == set(followers)
+        order = [e.job for e in finished]
+        assert order.index("t:0") < order.index("t:2") < order.index("t:3")
+        assert order.index("t:1") < order.index("t:4")
+
+    def test_followers_are_not_cache_hits_on_a_warm_run(self, tmp_path):
+        tally = tmp_path / "tally.txt"
+        cache = ResultCache(tmp_path / "cache")
+        Executor(cache=cache).execute(tallied_plan(tally))
+        warm = Executor(cache=cache).execute(tallied_plan(tally))
+        assert sorted(warm.skipped("cache")) == [f"t:{i}" for i in range(5)]
+        assert warm.executed() == ["consumer"]
+        assert len(tally.read_text().split()) == 2
+
+    def test_follower_spans_are_zero_length(self, tmp_path):
+        telemetry = Telemetry.on()
+        Executor(telemetry=telemetry).execute(tallied_plan(tmp_path / "tally.txt"))
+        spans = {span.name: span for span in telemetry.trace().find("job:")}
+        assert len(spans) == 6
+        for job_id in ("t:2", "t:3", "t:4"):
+            assert spans[f"job:{job_id}"].duration == 0.0
+
+    def test_landed_values_die_with_the_result_without_the_collector(self):
+        """Executing a plan leaves no reference cycle holding its values, so
+        dropping the result frees them at once (a long-running server
+        would otherwise carry every finished plan's values until the cyclic
+        collector runs)."""
+        plan = Plan(name="boxed", jobs=tuple(
+            Job(id=f"b:{i}", kind="boxed", params={"value": i % 2},
+                cache_key=f"boxed-{i % 2}")
+            for i in range(4)
+        ))
+        gc.disable()
+        try:
+            result = Executor().execute(plan)
+            assert result["b:2"].reason == "coalesced"
+            watched = [weakref.ref(result.value_of(f"b:{i}")) for i in range(2)]
+            del result
+            assert [ref() for ref in watched] == [None, None]
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+    def test_failing_leader_raises_and_followers_never_land(self, backend, tmp_path):
+        events: list[Event] = []
+        with pytest.raises(RuntimeError, match="tallied A failed"):
+            Executor(backend=backend, max_workers=2).execute(
+                tallied_plan(tmp_path / "tally.txt", fail=True),
+                on_event=events.append,
+            )
+        failed = [e.job for e in events if e.kind == "job_failed"]
+        assert failed == ["t:0"]
+        landed = {e.job for e in events if e.kind == "job_finished"}
+        assert not landed & {"t:2", "t:3"}

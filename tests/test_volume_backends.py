@@ -22,11 +22,13 @@ from repro.diagnose import DefectSpec, DiagnosisSpec, capture_fail_log, run_diag
 from repro.engine.scheduler import BACKENDS as ALL_BACKENDS
 from repro.faults.fault_list import FaultStatus
 from repro.runtime import Executor
+from repro.serve import ServeClient, ServeServer
 from repro.volume import (
     FailLogStore,
     VolumeSpec,
     execute_volume_plan,
     run_bp_diagnosis,
+    submit_volume,
     volume_plan,
 )
 
@@ -255,3 +257,42 @@ def test_volume_plan_reports_identical_on_executor_backends(two_pattern_sets, ba
     other = report(Executor(backend=backend, max_workers=2))
     assert other.same_results(serial)
     assert len(other) == len(store)
+
+
+def test_repeated_log_reports_identical_on_backends_and_served(two_pattern_sets, tmp_path):
+    """A store with one log under two die names: the duplicate coalesces
+    onto its first copy, and every executor backend and a served run give
+    the same report, one cell per die."""
+    prepared, spec, rows = two_pattern_sets
+    options, source = rows[0]
+    records = list(source.records())
+    store = FailLogStore(tmp_path / "repeated.sqlite")
+    for record in records:
+        store.add(record.name, record.log, scenario=record.scenario)
+    store.add("repeat-of-0", records[0].log, scenario=records[0].scenario)
+
+    def plan():
+        return volume_plan(
+            store, {"tiny": prepared}, {spec.name: spec},
+            VolumeSpec(scenario=spec.name, batch_size=8), options=options,
+        )
+
+    serial = execute_volume_plan(plan(), executor=Executor(backend="serial"))
+    logs = [record.name for record in records] + ["repeat-of-0"]
+    assert [cell.log for cell in serial] == logs
+    assert {**serial.cells[0].deterministic_dict(), "log": "repeat-of-0"} == (
+        serial.cells[-1].deterministic_dict()
+    )
+    assert serial.cache_hits() == 0
+    for backend in ("threads", "processes"):
+        other = execute_volume_plan(
+            plan(), executor=Executor(backend=backend, max_workers=2)
+        )
+        assert other.same_results(serial), backend
+
+    server = ServeServer(tmp_path / "serve", poll_seconds=0.02).start()
+    try:
+        served = submit_volume(ServeClient(server.address), plan()).report(timeout=120)
+    finally:
+        server.stop()
+    assert served.same_results(serial)

@@ -156,7 +156,8 @@ def _reference_bp(costs, factors, opts):
 
 
 def _random_graph(seed, *, equal_costs=False, singletons=False,
-                  duplicates=False, orphan=False):
+                  duplicates=False, orphan=False, twins=0, near_twins=0,
+                  twin_factors=False):
     rng = random.Random(seed)
     n = rng.randint(3, 24)
     if equal_costs:
@@ -171,7 +172,32 @@ def _random_graph(seed, *, equal_costs=False, singletons=False,
         factors.append(rng.sample(range(used), size))
         if duplicates and rng.random() < 0.4:
             factors.append(list(factors[-1]))
+    for index in range(twins + near_twins):
+        # A clone of an original candidate: same cost, and a slot at a
+        # random position in every factor the original explains.  A near
+        # twin also explains one factor its original does not.
+        base = rng.randrange(used)
+        clone = len(costs)
+        costs.append(costs[base])
+        for factor in factors:
+            if base in factor:
+                factor.insert(rng.randint(0, len(factor)), clone)
+        if index >= twins:
+            outside = [factor for factor in factors if base not in factor]
+            if outside:
+                rng.choice(outside).append(clone)
+            else:
+                factors.append([clone])
+        elif twin_factors:
+            # A factor made only of the twin group.
+            group = [j for j in range(len(costs)) if costs[j] == costs[base]
+                     and _members(factors, j) == _members(factors, base)]
+            factors.insert(rng.randint(0, len(factors)), rng.sample(group, len(group)))
     return costs, factors
+
+
+def _members(factors, j):
+    return [e for e, factor in enumerate(factors) if j in factor]
 
 
 def _assert_matches_reference(costs, factors, opts):
@@ -243,6 +269,82 @@ class TestLeaveOneOutOracle:
         out = _assert_matches_reference(costs, factors, BpOptions(iterations=2))
         assert out.iterations == 2
         assert not out.converged
+
+
+class TestTwinCollapse:
+    """Candidates with the same cost and the same factors are swept as one
+    representative; the result stays bit-identical to the O(d^2) oracle."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_plain_twins(self, seed):
+        _assert_matches_reference(*_random_graph(800 + seed, twins=4), BpOptions())
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equal_cost_different_membership(self, seed):
+        costs, factors = _random_graph(900 + seed, near_twins=4, equal_costs=True)
+        _assert_matches_reference(costs, factors, BpOptions())
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_factor_made_only_of_twins(self, seed):
+        _assert_matches_reference(
+            *_random_graph(1000 + seed, twins=3, twin_factors=True), BpOptions()
+        )
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equal_costs_ties(self, seed):
+        _assert_matches_reference(
+            *_random_graph(1100 + seed, twins=5, near_twins=2, equal_costs=True,
+                           twin_factors=seed % 2 == 0),
+            BpOptions(),
+        )
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_undamped(self, seed):
+        _assert_matches_reference(
+            *_random_graph(1200 + seed, twins=4, equal_costs=seed % 2 == 0,
+                           twin_factors=True),
+            BpOptions(damping=0.0),
+        )
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_not_convexified(self, seed):
+        _assert_matches_reference(
+            *_random_graph(1300 + seed, twins=4, equal_costs=seed % 2 == 0,
+                           singletons=True),
+            BpOptions(convexified=False),
+        )
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_repeated_factors_and_budget(self, seed):
+        _assert_matches_reference(
+            *_random_graph(1400 + seed, twins=3, duplicates=True),
+            BpOptions(iterations=3),
+        )
+
+    def test_unsorted_factor_order(self):
+        # Twins 0 and 2 sit in opposite orders around a rival with the
+        # same cost; the lone factor of 2 and 0 is one made only of twins.
+        costs = [1.0, 1.0, 1.0, 1.5]
+        factors = [[2, 1, 0], [0, 3, 2], [2, 0], [1, 3], [3]]
+        out = _assert_matches_reference(costs, factors, BpOptions())
+        assert out.beliefs[0] == out.beliefs[2]
+
+    def test_candidate_listed_twice(self):
+        # 0 and 1 share cost and factors but repeat inside factor 0, so
+        # their slots there may be summed in different orders: no collapse.
+        costs = [1.0, 1.0, 1.0, 1.0]
+        factors = [[0, 1, 1, 0], [1, 2, 0], [3, 2], [2, 3]]
+        _assert_matches_reference(costs, factors, BpOptions())
+
+    def test_groups(self):
+        from repro.volume.bp import _twin_groups
+
+        costs = [1.0, 1.0, 1.0, 2.0, 1.0, 1.0]
+        members = [[0, 2], [0, 2], [0, 1], [0, 2], [], []]
+        assert _twin_groups(costs, members, set()) == ({1: 0}, {0})
+        # A candidate listed twice in one factor stays on its own.
+        members = [[0, 0], [0, 0], [1], [1]]
+        assert _twin_groups([1.0] * 4, members, {0, 1}) == ({3: 2}, {2})
 
 
 class TestRerankDelegation:
