@@ -87,7 +87,9 @@ class Event:
             where their wall time went too.
         completed: Jobs resolved so far (run, skipped or failed).
         total: Total jobs in the plan.
-        skipped: Jobs resolved without running (``plan_finished`` only).
+        skipped: Jobs resolved without running (``plan_finished`` only);
+            coalesced jobs are not counted, so a finished plan's
+            ``completed - skipped`` is its executed plus coalesced jobs.
     """
 
     kind: str

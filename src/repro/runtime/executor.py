@@ -132,6 +132,12 @@ class PlanResult:
             if not r.skipped and r.reason != "coalesced"
         ]
 
+    def coalesced(self) -> list[str]:
+        """Ids of the jobs that took the value of an earlier job with the
+        same ``cache_key`` (completion order).  A finished plan's jobs are
+        the executed, skipped and coalesced ones, each counted once."""
+        return [r.job for r in self.results.values() if r.reason == "coalesced"]
+
     def skipped(self, reason: str | None = None) -> list[str]:
         """Ids of the skipped jobs (optionally filtered by skip reason)."""
         return [

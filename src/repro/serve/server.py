@@ -369,6 +369,7 @@ class ServeServer:
             "executed": len(outcome.executed()),
             "skipped_cache": len(outcome.skipped("cache")),
             "skipped_total": len(outcome.skipped()),
+            "coalesced": len(outcome.coalesced()),
             "wall_seconds": outcome.wall_seconds,
             "fallbacks": list(outcome.fallbacks),
         }

@@ -178,19 +178,13 @@ def max_product_bp(
         for cost, where in zip(cost_list, members)
     ]
     twin_of, plural = _twin_groups(cost_list, members, repeated)
-    if twin_of:
-        # One slot per twin group: the representative's, flagged plural.
-        sweep = [
-            tuple(j for j in factor if j not in twin_of) for factor in adjacency
-        ]
-        flags: list[tuple[bool, ...] | None] = [
-            tuple(j in plural for j in factor)
-            if any(j in plural for j in factor) else None
-            for factor in sweep
-        ]
-    else:
-        sweep = adjacency
-        flags = [None] * len(adjacency)
+    # One slot per twin group: the representative's, flagged plural.
+    sweep = [tuple(j for j in factor if j not in twin_of) for factor in adjacency]
+    flags: list[tuple[bool, ...] | None] = [
+        tuple(j in plural for j in factor)
+        if any(j in plural for j in factor) else None
+        for factor in sweep
+    ]
     keep = opts.damping
     take = 1.0 - keep
     # messages[e][k] pairs with sweep[e][k]: factor e -> candidate j.

@@ -109,6 +109,21 @@ class TestControlPlane:
         assert len(results) == 4
         assert all(e.kind == "job_skipped" for e in results.values())
 
+    def test_summary_counts_coalesced_jobs(self, service):
+        server, client = service
+        jobs = tuple(
+            Job(id=f"v:{i}", kind="serve-value", params={"x": i % 2},
+                cache_key=f"twins-{i % 2}")
+            for i in range(5)
+        )
+        first = client.wait(client.submit(Plan(name="twins", jobs=jobs)), timeout=30)
+        summary = first["summary"]
+        assert (summary["jobs"], summary["executed"], summary["coalesced"]) == (5, 2, 3)
+        assert summary["skipped_total"] == 0
+        second = client.wait(client.submit(Plan(name="twins", jobs=jobs)), timeout=30)
+        summary = second["summary"]
+        assert (summary["executed"], summary["skipped_cache"], summary["coalesced"]) == (0, 5, 0)
+
     def test_tenants_do_not_share_caches(self, service):
         server, client = service
         plan = value_plan(name="isolated")
