@@ -63,7 +63,7 @@ from repro.api.scenarios import resolve_scenario_or_letter
 from repro.api.pipeline import ScenarioRun, materialize_design, outcome_of, spill_run
 from repro.atpg.config import AtpgOptions
 from repro.atpg.generator import AtpgResult
-from repro.engine.cache import ResultCache, coerce_cache
+from repro.engine.cache import ResultCache, coerce_cache, design_identity
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry, coerce_telemetry
 from repro.patterns.store import PatternStore
 from repro.records import JsonRecord
@@ -220,11 +220,12 @@ class Campaign:
     def _bind(self, designs: dict, scenarios: list, options: AtpgOptions | None) -> None:
         #: Design name -> declarative spec or built design (plan resource).
         self._designs = designs
-        #: Designs built so far, shared with every plan as its
-        #: ``_materialized`` resource: a design built by one run (in-parent)
-        #: is reused by the next without a rebuild.
+        #: Designs built so far by design identity, shared with every plan
+        #: as its ``_materialized`` resource: a design built by one run
+        #: (in-parent) is reused, ATPG artefacts and all, by the next
+        #: without a rebuild.
         self._built: dict[str, PreparedDesign] = {
-            name: design for name, design in designs.items()
+            design_identity(design): design for design in designs.values()
             if isinstance(design, PreparedDesign)
         }
         self._scenarios = scenarios
@@ -258,7 +259,9 @@ class Campaign:
         """Replace a one-design campaign's design (a session's override)."""
         name, entry = _design_entry(design)
         self._designs = {name: entry}
-        self._built = {name: entry} if isinstance(entry, PreparedDesign) else {}
+        self._built = (
+            {design_identity(entry): entry} if isinstance(entry, PreparedDesign) else {}
+        )
         self._forget()
 
     def _forget(self) -> None:
@@ -445,7 +448,7 @@ class Campaign:
         return {
             "options": self.options,
             "designs": {
-                name: self._built.get(name, design)
+                name: self._built.get(design_identity(design), design)
                 for name, design in self._designs.items()
             },
             "scenarios": {spec.name: spec for spec in specs},
@@ -835,7 +838,7 @@ class Campaign:
         """
         sizes: dict[str, dict[str, object]] = {}
         for name, design in self._designs.items():
-            prepared = self._built.get(name)
+            prepared = self._built.get(design_identity(design))
             if prepared is not None:
                 stats = prepared.netlist.stats()
                 sizes[name] = {

@@ -25,6 +25,7 @@ from repro.atpg.podem import PodemStatus
 from repro.atpg.stuck_at import StuckAtAtpg
 from repro.atpg.transition import TransitionAtpg
 from repro.dft.edt import EdtArchitecture
+from repro.engine.cache import design_identity
 from repro.patterns.ate import export_stil
 from repro.patterns.pattern import PatternSet
 from repro.patterns.store import PatternStore, StoredPatternView
@@ -241,21 +242,26 @@ def _memoised(resources: dict, memo: str, key, build):
 
 
 def materialize_design(resources: dict, name: str) -> PreparedDesign:
-    """The built design a plan resource entry names (memoised in
-    ``_materialized``).
+    """The built design a plan resource entry names, memoised in
+    ``_materialized`` by its :func:`~repro.engine.cache.design_identity`.
 
     ``resources["designs"]`` maps design names to either an already built
     :class:`~repro.api.design.PreparedDesign` (shipped to process workers
     once via the pool initializer) or a declarative
     :class:`~repro.api.design.DesignSpec` (each worker builds it the first
-    time one of its jobs touches it).
+    time one of its jobs touches it).  Keying on identity, not on the
+    name, lets a memo that outlives one plan (a campaign's, a session's, a
+    server's) serve every later plan on the same design, and never serve a
+    different design registered under the same name.  The memoised
+    design's model carries the ATPG artefacts of every run on it
+    (:mod:`repro.atpg.artefacts`).
     """
+    design = resources["designs"][name]
 
     def build() -> PreparedDesign:
-        design = resources["designs"][name]
         return design if isinstance(design, PreparedDesign) else prepare_from_spec(design)
 
-    return _memoised(resources, "_materialized", name, build)
+    return _memoised(resources, "_materialized", design_identity(design), build)
 
 
 @register_job_kind("scenario")

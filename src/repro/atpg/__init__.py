@@ -9,7 +9,7 @@ from repro.atpg.compaction import (
 from repro.atpg.config import AtpgOptions, TestSetup
 from repro.atpg.generator import AtpgGenerator, AtpgResult, AtpgStatistics
 from repro.atpg.path_delay import PathDelayAtpg, PathDelayTest, select_critical_paths
-from repro.atpg.podem import PodemEngine, PodemResult, PodemStatus
+from repro.atpg.podem import PodemEngine, PodemResult, PodemStatus, PodemTables
 from repro.atpg.random_fill import fill_pattern, random_pattern, random_pattern_batch
 from repro.atpg.scoap import INFINITE_COST, TestabilityMeasures, compute_testability
 from repro.atpg.stuck_at import StuckAtAtpg, run_stuck_at_atpg
@@ -29,6 +29,7 @@ __all__ = [
     "PodemEngine",
     "PodemResult",
     "PodemStatus",
+    "PodemTables",
     "StuckAtAtpg",
     "TestSetup",
     "TestabilityMeasures",

@@ -29,6 +29,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from repro.atpg.artefacts import ProcedureEngines, collapsed_universe
 from repro.atpg.compaction import CompactionStats, DynamicCompactor
 from repro.atpg.config import TestSetup
 from repro.atpg.podem import PodemStatus
@@ -100,9 +101,16 @@ class AtpgResult:
 class AtpgGenerator:
     """Base class implementing the common ATPG flow.
 
-    Subclasses provide the fault universe, the fault simulator and the
-    per-fault deterministic targeting.
+    Subclasses name their fault model (``fault_model``) and provide the
+    fault simulator and the per-fault deterministic targeting.
+    The collapsed universe, the time-frame views and the PODEM tables come
+    from the model's memo (:mod:`repro.atpg.artefacts`); this run owns its
+    fault list and its PODEM engines (``self.engines``).
     """
+
+    #: ``"stuck-at"`` or ``"transition"``: the universe a run collapses
+    #: (:func:`~repro.atpg.artefacts.collapsed_universe`).
+    fault_model = ""
 
     def __init__(
         self,
@@ -120,11 +128,15 @@ class AtpgGenerator:
         # engine backends.
         self.rng = derive_rng(self.options.random_seed)
 
-        universe = list(faults) if faults is not None else self._fault_universe()
-        collapse = collapse_faults(model, universe)
-        self.fault_list: FaultList = FaultList(collapse.representatives)
-        for representative, size in zip(collapse.representatives, collapse.class_sizes):
-            self.fault_list.set_uncollapsed_count(representative, size)
+        self.fault_list: FaultList
+        if faults is None:
+            self.fault_list = collapsed_universe(model, self.fault_model).blank()
+        else:
+            collapse = collapse_faults(model, list(faults))
+            self.fault_list = FaultList(collapse.representatives)
+            for representative, size in zip(collapse.representatives, collapse.class_sizes):
+                self.fault_list.set_uncollapsed_count(representative, size)
+        self.engines = ProcedureEngines(model, domain_map, setup)
 
         constraints = setup.effective_pin_constraints()
         self.scan_flops = [
@@ -149,9 +161,6 @@ class AtpgGenerator:
             self.stats.proven_untestable = prune_report.num_untestable
 
     # ------------------------------------------------------------------ hooks
-    def _fault_universe(self) -> list:
-        raise NotImplementedError
-
     def _fault_simulate(
         self, patterns: Sequence[TestPattern], faults: Iterable
     ) -> dict:

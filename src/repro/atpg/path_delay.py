@@ -21,10 +21,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.atpg.config import TestSetup
-from repro.atpg.podem import PodemEngine, PodemStatus
-from repro.atpg.timeframe import TimeFrameView, build_timeframe_view
+from repro.atpg.artefacts import ProcedureEngines
+from repro.atpg.podem import PodemStatus
+from repro.atpg.timeframe import TimeFrameView
 from repro.clocking.domains import ClockDomainMap
-from repro.clocking.named_capture import NamedCaptureProcedure
 from repro.faults.models import FaultSite, PathDelayFault, TransitionFault, TransitionKind
 from repro.netlist.library import DEFAULT_LIBRARY
 from repro.patterns.pattern import TestPattern
@@ -116,8 +116,7 @@ class PathDelayAtpg:
         self.model = model
         self.domain_map = domain_map
         self.setup = setup
-        self._views: dict[str, TimeFrameView] = {}
-        self._engines: dict[str, PodemEngine] = {}
+        self.engines = ProcedureEngines(model, domain_map, setup)
 
     def generate(self, fault: PathDelayFault) -> PathDelayTest:
         """Generate a broadside test for one path-delay fault."""
@@ -125,8 +124,7 @@ class PathDelayAtpg:
         for procedure in sorted(self.setup.procedures, key=lambda p: p.num_pulses):
             if procedure.num_pulses < 2:
                 continue
-            view = self._view(procedure)
-            engine = self._engine(procedure)
+            view, engine = self.engines(procedure)
             launch_node = fault.nodes[0]
             kind = TransitionKind.SLOW_TO_RISE if fault.rising else TransitionKind.SLOW_TO_FALL
             transition = TransitionFault(site=FaultSite(node=launch_node), kind=kind)
@@ -134,7 +132,7 @@ class PathDelayAtpg:
             required = list(required) + self._side_input_objectives(fault, view)
             if not engine.observable(stuck.site.node):
                 continue
-            result = engine.run(stuck, required)
+            result = engine.target(stuck, required)
             if result.found:
                 scan_load, pi_frames = view.pattern_fields(result.assignment)
                 pattern = TestPattern(
@@ -174,22 +172,3 @@ class PathDelayAtpg:
                 expanded = view.frame_map[view.capture_frame][src]
                 objectives.append((expanded, required_value))
         return objectives
-
-    def _view(self, procedure: NamedCaptureProcedure) -> TimeFrameView:
-        if procedure.name not in self._views:
-            self._views[procedure.name] = build_timeframe_view(
-                self.model, self.domain_map, procedure, self.setup
-            )
-        return self._views[procedure.name]
-
-    def _engine(self, procedure: NamedCaptureProcedure) -> PodemEngine:
-        if procedure.name not in self._engines:
-            view = self._view(procedure)
-            self._engines[procedure.name] = PodemEngine(
-                model=view.model,
-                controllable=view.controllable,
-                fixed=view.fixed,
-                observation=view.observation,
-                backtrack_limit=self.setup.options.backtrack_limit,
-            )
-        return self._engines[procedure.name]

@@ -16,9 +16,12 @@ the delay-test semantics of the paper:
 Values are tracked as separate good/faulty 3-valued integers (0, 1, 2=X) for
 speed; the public result converts back to :class:`~repro.logic.Logic`.
 
-Implication is event-driven.  The constructor lowers the model once into
-per-node tables: fanin tuples and, per gate, a truth-table lookup
+Implication is event-driven.  :class:`PodemTables` lowers the model once
+into per-node tables: fanin tuples and, per gate, a truth-table lookup
 specialized to its type and fanin (the idiom of :mod:`repro.engine.compile`).
+A :class:`PodemEngine` holds only the state of one search over such tables,
+so one design's tables (and their memo of verdicts) serve every ATPG run on
+it (:mod:`repro.atpg.artefacts`).
 A decision re-evaluates only nodes with a changed fanin, in index
 (topological) order off a heap and each at most once, and stops where a
 value does not change.  It records the (node, old good, old faulty) triples
@@ -146,8 +149,20 @@ class PodemResult:
         return self.status is PodemStatus.TEST_FOUND
 
 
-class PodemEngine:
-    """Reusable PODEM engine bound to one circuit model and test view."""
+class PodemTables:
+    """The immutable lowering of one circuit model and test view.
+
+    Everything a search reads and never writes: the SCOAP measures, the
+    per-node evaluators, the observation reachability, the fault-free
+    baseline and the fault-site cone cache.  ``outcomes`` memoises every
+    :class:`PodemResult` by ``(fault, required)``: a search is a pure
+    function of these tables, ``backtrack_limit``, the fault and the
+    required objectives, so a memoised verdict is the one a new search
+    would return.  Tables are shared by every engine built
+    :meth:`~PodemEngine.over` them, across runs and threads; the cone cache
+    and the memo fill idempotently (a race computes one entry twice, with
+    equal values), and a memoised result must not be mutated.
+    """
 
     def __init__(
         self,
@@ -168,31 +183,98 @@ class PodemEngine:
             fixed={k: v for k, v in fixed.items()},
             observation=self.observation,
         )
-
-        self._nodes = model.nodes
-        self._num = model.num_nodes
-        self._fanin = [node.fanin for node in self._nodes]
-        self._fanout = model.fanout
+        self.fanin = [node.fanin for node in model.nodes]
         # One evaluator per node; ``None`` marks a source (PI/PPI/RAM_OUT),
         # whose value is its fixed constraint or decision.
-        self._evals: list[NodeEvaluator | None] = []
-        for node in self._nodes:
+        self.evals: list[NodeEvaluator | None] = []
+        for node in model.nodes:
             if node.kind is NodeKind.GATE:
-                self._evals.append(_gate_evaluator(node.gtype, node.fanin))
+                self.evals.append(_gate_evaluator(node.gtype, node.fanin))
             elif node.kind is NodeKind.CONST0:
-                self._evals.append(_constant(0))
+                self.evals.append(_constant(0))
             elif node.kind is NodeKind.CONST1:
-                self._evals.append(_constant(1))
+                self.evals.append(_constant(1))
             else:
-                self._evals.append(None)
-        self._obs_set = set(self.observation)
-        self._obs_reachable = self._compute_obs_reachable()
-        # Fault-site fanout cones, sorted (index order is topological).
-        self._cone_cache: dict[int, list[int]] = {}
+                self.evals.append(None)
+        self.obs_set = set(self.observation)
+        self.obs_reachable = self._compute_obs_reachable()
+        # Baseline (no decisions, no fault): every search starts from a copy
+        # of this instead of re-evaluating the whole model.
+        self.baseline = self._compute_baseline()
+        #: Fault-site fanout cones, sorted (index order is topological).
+        self.cones: dict[int, list[int]] = {}
+        #: ``(fault, required)`` -> the search's :class:`PodemResult`.
+        self.outcomes: dict[tuple, PodemResult] = {}
 
-        # Per-run state.
-        self._good = [_X] * self._num
-        self._faulty = [_X] * self._num
+    def _compute_baseline(self) -> list[int]:
+        """Fault-free values with no decisions taken (only fixed constraints)."""
+        values = [_X] * self.model.num_nodes
+        for idx, evaluate in enumerate(self.evals):
+            values[idx] = self.fixed.get(idx, _X) if evaluate is None else evaluate(values)
+        return values
+
+    def _compute_obs_reachable(self) -> list[bool]:
+        fanout = self.model.fanout
+        reachable = [False] * self.model.num_nodes
+        for idx in self.observation:
+            reachable[idx] = True
+        for idx in range(self.model.num_nodes - 1, -1, -1):
+            if reachable[idx]:
+                continue
+            reachable[idx] = any(reachable[out] for out in fanout[idx])
+        return reachable
+
+
+class PodemEngine:
+    """PODEM search state over one :class:`PodemTables`.
+
+    The constructor lowers the model into fresh tables; :meth:`over` binds
+    a new engine to shared ones.  An engine holds the state of one search
+    at a time, so each thread (and each ATPG run) uses its own engine.
+    """
+
+    def __init__(
+        self,
+        model: CircuitModel,
+        controllable: set[int],
+        fixed: Mapping[int, Logic],
+        observation: Sequence[int],
+        backtrack_limit: int = 64,
+        measures: TestabilityMeasures | None = None,
+    ) -> None:
+        self._bind(PodemTables(
+            model, controllable, fixed, observation, backtrack_limit, measures
+        ))
+
+    @classmethod
+    def over(cls, tables: PodemTables) -> "PodemEngine":
+        """A new engine (fresh search state) over shared tables."""
+        engine = cls.__new__(cls)
+        engine._bind(tables)
+        return engine
+
+    def _bind(self, tables: PodemTables) -> None:
+        self.tables = tables
+        # The tables' fields under the names the search reads.
+        self.model = tables.model
+        self.controllable = tables.controllable
+        self.fixed = tables.fixed
+        self.observation = tables.observation
+        self.backtrack_limit = tables.backtrack_limit
+        self.measures = tables.measures
+        self._nodes = tables.model.nodes
+        self._num = tables.model.num_nodes
+        self._fanin = tables.fanin
+        self._fanout = tables.model.fanout
+        self._evals = tables.evals
+        self._obs_set = tables.obs_set
+        self._obs_reachable = tables.obs_reachable
+        self._baseline = tables.baseline
+        self._cone_cache = tables.cones
+
+        # Per-search state (reset by every search).
+        self._good: list[int] = []
+        self._faulty: list[int] = []
         self._assignment: dict[int, int] = {}
         # One entry per decision on the stack: the (node, old good, old
         # faulty) triples its implication overwrote.
@@ -205,11 +287,33 @@ class PodemEngine:
         self._fault_cone: list[int] = []
         self._fault_cone_set: set[int] = set()
         self._obs_in_cone: list[int] = []
-        # Baseline (no decisions, no fault): every run starts from a copy of
-        # this instead of re-evaluating the whole model.
-        self._baseline = self._compute_baseline()
 
     # ------------------------------------------------------------------ public
+    def target(
+        self,
+        fault: StuckAtFault,
+        required: Sequence[tuple[int, Logic]] = (),
+    ) -> PodemResult:
+        """:meth:`run` through the tables' outcome memo.
+
+        A verdict already in ``tables.outcomes`` is returned without a
+        search; a new one is searched and memoised.  Either way the
+        result's backtracks and decisions fold into the ambient metrics
+        (``atpg.backtracks``, ``atpg.decisions``), so those counters read
+        the same on cold and warm tables.  The result is shared: read it,
+        never write it.
+        """
+        key = (fault, tuple(required))
+        outcomes = self.tables.outcomes
+        result = outcomes.get(key)
+        if result is None:
+            result = outcomes[key] = self.run(fault, required)
+        metrics = active_metrics()
+        if metrics is not None:
+            metrics.inc("atpg.backtracks", result.backtracks)
+            metrics.inc("atpg.decisions", result.decisions)
+        return result
+
     def run(
         self,
         fault: StuckAtFault,
@@ -226,18 +330,6 @@ class PodemEngine:
             A :class:`PodemResult`; when a test is found, ``assignment`` maps
             every controllable node the algorithm assigned to its value.
         """
-        result = self._search(fault, required)
-        metrics = active_metrics()
-        if metrics is not None:
-            metrics.inc("atpg.backtracks", result.backtracks)
-            metrics.inc("atpg.decisions", result.decisions)
-        return result
-
-    def _search(
-        self,
-        fault: StuckAtFault,
-        required: Sequence[tuple[int, Logic]],
-    ) -> PodemResult:
         self._fault_node = fault.site.node
         self._fault_pin = fault.site.pin
         self._stuck = fault.value
@@ -317,13 +409,6 @@ class PodemEngine:
                 )
 
     # ------------------------------------------------------------- implication
-    def _compute_baseline(self) -> list[int]:
-        """Fault-free values with no decisions taken (only fixed constraints)."""
-        values = [_X] * self._num
-        for idx, evaluate in enumerate(self._evals):
-            values[idx] = self.fixed.get(idx, _X) if evaluate is None else evaluate(values)
-        return values
-
     def observable(self, node_index: int) -> bool:
         """True when a fault effect at ``node_index`` can structurally reach an
         observation point (cheap pre-screen before running the algorithm)."""
@@ -490,16 +575,6 @@ class PodemEngine:
                 if good[nxt] == _X or faulty[nxt] != good[nxt]:
                     stack.append(nxt)
         return False
-
-    def _compute_obs_reachable(self) -> list[bool]:
-        reachable = [False] * self._num
-        for idx in self.observation:
-            reachable[idx] = True
-        for idx in range(self._num - 1, -1, -1):
-            if reachable[idx]:
-                continue
-            reachable[idx] = any(reachable[out] for out in self._fanout[idx])
-        return reachable
 
     # -------------------------------------------------------------- objectives
     def _candidate_objectives(self) -> list[tuple[int, int]]:

@@ -38,12 +38,19 @@ from repro.simulation.model import CircuitModel, Node, NodeKind
 
 @dataclass
 class TimeFrameView:
-    """Expanded combinational view of one capture procedure."""
+    """Expanded combinational view of one capture procedure.
 
-    base_model: CircuitModel
+    A view depends on the base model, the procedure, every state element's
+    clock domain and three setup fields (pin constraints, ``hold_pis``,
+    ``observe_pos``), and carries no setup: one view serves every setup
+    that agrees on those (:mod:`repro.atpg.artefacts`).  It keeps only
+    its base model's fanin table (``base_fanin``), never the model: a view
+    memoised on the model then forms no reference cycle with it, so a
+    discarded design is freed at once.
+    """
+
+    base_fanin: list[tuple[int, ...]]
     procedure: NamedCaptureProcedure
-    setup: TestSetup
-    domain_map: ClockDomainMap
     model: CircuitModel
     frame_map: list[dict[int, int]]
     controllable: set[int]
@@ -79,8 +86,7 @@ class TimeFrameView:
     def launch_value_node(self, site: FaultSite) -> int:
         """Expanded node whose launch-frame value must equal the transition's
         initial value (the driver node for input-pin sites)."""
-        base = self.base_model
-        base_node = site.node if site.pin is None else base.nodes[site.node].fanin[site.pin]
+        base_node = site.node if site.pin is None else self.base_fanin[site.node][site.pin]
         return self.frame_map[self.launch_frame][base_node]
 
     def transition_requirements(self, fault: TransitionFault) -> tuple[StuckAtFault, list[tuple[int, Logic]]]:
@@ -266,10 +272,8 @@ def build_timeframe_view(
     )
 
     return TimeFrameView(
-        base_model=base_model,
+        base_fanin=[node.fanin for node in base_model.nodes],
         procedure=procedure,
-        setup=setup,
-        domain_map=domain_map,
         model=expanded,
         frame_map=frame_map,
         controllable=controllable,

@@ -15,18 +15,19 @@ from typing import Iterable, Sequence
 
 from repro.atpg.config import TestSetup
 from repro.atpg.generator import AtpgGenerator, AtpgResult
-from repro.atpg.podem import PodemEngine, PodemStatus
-from repro.atpg.timeframe import TimeFrameView, build_timeframe_view
+from repro.atpg.podem import PodemStatus
 from repro.clocking.domains import ClockDomainMap
 from repro.clocking.named_capture import NamedCaptureProcedure
 from repro.fault_sim.transition import TransitionFaultSimulator
-from repro.faults.models import TransitionFault, all_transition_faults
+from repro.faults.models import TransitionFault
 from repro.patterns.pattern import TestPattern
 from repro.simulation.model import CircuitModel
 
 
 class TransitionAtpg(AtpgGenerator):
     """Broadside transition-fault test generation."""
+
+    fault_model = "transition"
 
     def __init__(
         self,
@@ -43,13 +44,8 @@ class TransitionAtpg(AtpgGenerator):
                 )
         super().__init__(model, domain_map, setup, faults)
         self.simulator = TransitionFaultSimulator(model, domain_map, setup)
-        self._views: dict[str, TimeFrameView] = {}
-        self._engines: dict[str, PodemEngine] = {}
 
     # ------------------------------------------------------------------ hooks
-    def _fault_universe(self) -> list[TransitionFault]:
-        return all_transition_faults(self.model)
-
     def _fault_simulate(
         self, patterns: Sequence[TestPattern], faults: Iterable[TransitionFault]
     ) -> dict[TransitionFault, list[int]]:
@@ -61,13 +57,12 @@ class TransitionAtpg(AtpgGenerator):
     ) -> tuple[TestPattern | None, list[PodemStatus]]:
         statuses: list[PodemStatus] = []
         for procedure in self._ordered_procedures():
-            view = self._view(procedure)
-            engine = self._engine(procedure)
+            view, engine = self.engines(procedure)
             stuck, required = view.transition_requirements(fault)
             if not engine.observable(stuck.site.node):
                 statuses.append(PodemStatus.UNTESTABLE)
                 continue
-            result = engine.run(stuck, required)
+            result = engine.target(stuck, required)
             statuses.append(result.status)
             if result.found:
                 scan_load, pi_frames = view.pattern_fields(result.assignment)
@@ -87,25 +82,6 @@ class TransitionAtpg(AtpgGenerator):
             self.setup.procedures,
             key=lambda p: (p.num_pulses, p.is_inter_domain, p.name),
         )
-
-    def _view(self, procedure: NamedCaptureProcedure) -> TimeFrameView:
-        if procedure.name not in self._views:
-            self._views[procedure.name] = build_timeframe_view(
-                self.model, self.domain_map, procedure, self.setup
-            )
-        return self._views[procedure.name]
-
-    def _engine(self, procedure: NamedCaptureProcedure) -> PodemEngine:
-        if procedure.name not in self._engines:
-            view = self._view(procedure)
-            self._engines[procedure.name] = PodemEngine(
-                model=view.model,
-                controllable=view.controllable,
-                fixed=view.fixed,
-                observation=view.observation,
-                backtrack_limit=self.options.backtrack_limit,
-            )
-        return self._engines[procedure.name]
 
 
 def run_transition_atpg(

@@ -46,13 +46,14 @@ from __future__ import annotations
 
 import hashlib
 import threading
+import weakref
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from repro.faults.models import StuckAtFault, TransitionFault, TransitionKind
 from repro.netlist.gates import GateType
 from repro.obs.telemetry import active_metrics
-from repro.simulation.model import CircuitModel, NodeKind
+from repro.simulation.model import CircuitModel, NodeKind, fanout_cone
 from repro.simulation.parallel_sim import PackedPatterns
 
 
@@ -215,8 +216,7 @@ class CompiledCircuit:
     """
 
     def __init__(self, model: CircuitModel) -> None:
-        self.model = model
-        self.num_nodes = model.num_nodes
+        self._bind_model(model)
         #: Per-node plane evaluator (gate nodes only, else ``None``).
         self._evaluators: list[PlaneEvaluator | None] = [None] * self.num_nodes
         #: Per-node fanin tuples (flat copy, no Node attribute walks).
@@ -240,6 +240,22 @@ class CompiledCircuit:
         self._ffr_next = _ffr_successors(model)
         self._tls = threading.local()
 
+    def _bind_model(self, model: CircuitModel) -> None:
+        # The model memoises this circuit (``_engine_compiled``), so a
+        # strong reference back would make every model a reference cycle,
+        # kept alive with all its memos until the cycle collector runs.
+        # Keep the model weakly and its node and fanout tables, which hold
+        # no model, for the cone walks.
+        self._model = weakref.ref(model)
+        self._nodes = model.nodes
+        self._fanout = model.fanout
+        self.num_nodes = model.num_nodes
+
+    @property
+    def model(self) -> "CircuitModel | None":
+        """The model this circuit was compiled from (``None`` once it is gone)."""
+        return self._model()
+
     # ------------------------------------------------------------ good machine
     def simulate(self, packed: PackedPatterns) -> PackedPatterns:
         """Evaluate all gate/constant planes in place (compiled counterpart of
@@ -260,7 +276,7 @@ class CompiledCircuit:
         """The compiled fanout cone of a node: level-ordered gate triples."""
         cached = self._cones.get(start)
         if cached is None:
-            order = self.model.transitive_fanout(start)
+            order = fanout_cone(self._nodes, self._fanout, start)
             cached = tuple(
                 (idx, self._fanin[idx], self._evaluators[idx])
                 for idx in order
@@ -278,7 +294,7 @@ class CompiledCircuit:
         """
         cached = self._cone_sets.get(start)
         if cached is None:
-            cached = frozenset(self.model.transitive_fanout(start))
+            cached = frozenset(fanout_cone(self._nodes, self._fanout, start))
             self._cone_sets[start] = cached
         return cached
 

@@ -149,6 +149,25 @@ class FaultList(Generic[FaultT]):
         self._sizes = array("i", [1]) * count
         self._groups: dict[int, str] = {}
 
+    def blank(self) -> "FaultList[FaultT]":
+        """A list of the same faults and class sizes with fresh bookkeeping.
+
+        It shares this list's fault tuple and fault -> id index, which no
+        list writes once built, and owns its status, pattern, size and
+        group arrays; so many runs can start from one collapsed universe
+        (:func:`repro.atpg.artefacts.collapsed_universe`).
+        """
+        flist: FaultList[FaultT] = FaultList.__new__(FaultList)
+        flist._faults = self._fault_tuple()
+        flist._code = self._code
+        flist._index = self._fault_index()
+        count = len(self)
+        flist._status = bytearray([_UD]) * count
+        flist._detected_by = array("i", [_NO_PATTERN]) * count
+        flist._sizes = self._sizes[:]
+        flist._groups = {}
+        return flist
+
     def __reduce__(self):
         """Pickle as the arrays plus the compact fault code of :func:`_pack`."""
         if self._code is None:

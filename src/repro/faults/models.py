@@ -12,6 +12,7 @@ collapsed fault counts.
 from __future__ import annotations
 
 import threading
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 
@@ -163,7 +164,10 @@ class FaultSiteTable:
     """
 
     def __init__(self, model: CircuitModel) -> None:
-        self.model = model
+        # Weak: the model memoises this table, and a strong reference back
+        # would make the model a reference cycle (see
+        # repro.engine.compile.CompiledCircuit).
+        self._model = weakref.ref(model)
         sites: list[FaultSite] = []
         first_site: list[int] = []
         for node in model.nodes:
@@ -177,6 +181,11 @@ class FaultSiteTable:
         self.sites = sites
         self.first_site = first_site
         self.roots = _equivalence_roots(model, first_site, 2 * len(sites))
+
+    @property
+    def model(self) -> CircuitModel | None:
+        """The model the table was built for (``None`` once it is gone)."""
+        return self._model()
 
     def site_id(self, site: FaultSite) -> int | None:
         """The id of ``site``, or ``None`` when the model has no such site."""

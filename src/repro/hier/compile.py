@@ -279,8 +279,7 @@ class HierCompiledCircuit(CompiledCircuit):
     def __init__(self, model: CircuitModel) -> None:
         hierarchy = model.hierarchy
         assert hierarchy is not None, "HierCompiledCircuit needs hierarchy metadata"
-        self.model = model
-        self.num_nodes = model.num_nodes
+        self._bind_model(model)
         self._evaluators: list[PlaneEvaluator | None] = [None] * self.num_nodes
         self._fanin: list[tuple[int, ...]] = [()] * self.num_nodes
         self._cones = {}

@@ -43,7 +43,7 @@ import threading
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.engine.cache import ResultCache, coerce_cache
 from repro.obs.telemetry import (
@@ -470,13 +470,35 @@ class Executor:
             if not job.if_needed:
                 probe(job)
 
+        # Coalescing: one job per distinct cache key runs; the rest follow
+        # the first of their key in plan order and leave ``pending``.
+        # Consumers group before the prune pass, so a provider that only
+        # followers need is pruned; providers group after their probe.
+        following: dict[str, str] = {}
+
+        def coalesce(jobs: Iterable[Job]) -> None:
+            leaders: dict[str, Job] = {}
+            for job in jobs:
+                if job.id in outcome.results or job.cache_key is None:
+                    continue
+                leader = leaders.setdefault(job.cache_key, job)
+                if leader is not job:
+                    followers.setdefault(leader.id, []).append(job)
+                    following[job.id] = leader.id
+
+        coalesce(job for job in ordered if not job.if_needed)
+
         # Prune pass: providers whose dependents are all already satisfied
-        # never run (reverse topological order cascades through chains).
+        # (or follow a leader) never run (reverse topological order
+        # cascades through chains).
         dependents = plan.dependents()
         for job in reversed(ordered):
             if not job.if_needed or job.id in outcome.results:
                 continue
-            if all(dep_id in outcome.results for dep_id in dependents[job.id]):
+            if all(
+                dep_id in outcome.results or dep_id in following
+                for dep_id in dependents[job.id]
+            ):
                 resolve(
                     job,
                     JobResult(job=job.id, value=None, skipped=True,
@@ -489,20 +511,7 @@ class Executor:
         for job in ordered:
             if job.if_needed and job.id not in outcome.results:
                 probe(job)
-
-        # Coalescing pass: one job per distinct cache key runs; the rest
-        # follow the first of their key in plan order and leave ``pending``.
-        leaders: dict[str, Job] = {}
-        for job in ordered:
-            if job.id in outcome.results or job.cache_key is None:
-                continue
-            leader = leaders.setdefault(job.cache_key, job)
-            if leader is not job:
-                followers.setdefault(leader.id, []).append(job)
-        following = {
-            follower.id: leader_id
-            for leader_id, group in followers.items() for follower in group
-        }
+        coalesce(job for job in ordered if job.if_needed)
 
         # Wave scheduling: run every ready job, repeat until done/cancelled.
         pending = [

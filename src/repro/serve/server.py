@@ -147,6 +147,9 @@ class ServeServer:
         self._accept_thread: "threading.Thread | None" = None
         self._runner_thread: "threading.Thread | None" = None
         self._active_executor: "Executor | None" = None
+        #: Prepared designs by design identity, bound into every plan the
+        #: runner executes (``_materialized``) for the server's lifetime.
+        self._designs: dict[str, Any] = {}
         server = self
 
         class Handler(socketserver.StreamRequestHandler):
@@ -320,8 +323,11 @@ class ServeServer:
         try:
             metadata = json.loads(row["metadata"] or "{}")
             plan = Plan.from_dict(json.loads(row["plan"]))
-            if row["resources"]:
-                plan = plan.with_resources(pickle.loads(row["resources"]))
+            resources = pickle.loads(row["resources"]) if row["resources"] else {}
+            # The server's one design memo, keyed by design identity: every
+            # write on a design reuses its build and ATPG artefacts.
+            # ``_``-prefixed, so it never ships to process or remote workers.
+            plan = plan.with_resources({**resources, "_materialized": self._designs})
             backend, backend_options = self._choose_backend(metadata)
             executor = Executor(
                 backend=backend,

@@ -26,6 +26,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Sequence
 
 from repro.netlist.gates import GateType
 from repro.netlist.netlist import DesignHierarchy, FlipFlop, Netlist
@@ -89,6 +90,26 @@ class StateElement:
         return self.flop.scannable
 
 
+def fanout_cone(
+    nodes: Sequence[Node], fanout: Sequence[tuple[int, ...]], start: int
+) -> list[int]:
+    """All nodes reachable from ``start`` (excluding it), level-ordered:
+    :meth:`CircuitModel.transitive_fanout` over a model's node and fanout
+    tables, for holders of those tables that keep no model."""
+    seen = {start}
+    frontier = [start]
+    reached: list[int] = []
+    while frontier:
+        current = frontier.pop()
+        for nxt in fanout[current]:
+            if nxt not in seen:
+                seen.add(nxt)
+                reached.append(nxt)
+                frontier.append(nxt)
+    reached.sort(key=lambda i: (nodes[i].level, i))
+    return reached
+
+
 @dataclass
 class CircuitModel:
     """Levelized combinational view of a netlist (one time frame)."""
@@ -118,14 +139,16 @@ class CircuitModel:
         # collapsing its site table (repro.faults.models.fault_site_table),
         # the frame simulator the good frames of its last pattern set
         # (_frame_memo, repro.fault_sim.transition.FrameSimulator.
-        # iter_batches) and fail-log capture its layout (_capture_layout,
-        # repro.diagnose.faillog.capture_fail_log); closures and locks
+        # iter_batches), fail-log capture its layout (_capture_layout,
+        # repro.diagnose.faillog.capture_fail_log) and ATPG its views, PODEM
+        # tables and fault universes (_atpg_artefacts,
+        # repro.atpg.artefacts.atpg_artefacts); closures and locks
         # don't pickle, frames are bulky and every process rebuilds them
         # anyway, so strip the memos.
         state = dict(self.__dict__)
         for memo in (
             "_engine_compiled", "_candidate_universe", "_fault_sites",
-            "_frame_memo", "_capture_layout",
+            "_frame_memo", "_capture_layout", "_atpg_artefacts",
         ):
             state.pop(memo, None)
         return state
@@ -147,18 +170,7 @@ class CircuitModel:
 
     def transitive_fanout(self, start: int) -> list[int]:
         """All nodes reachable from ``start`` (excluding it), level-ordered."""
-        seen = {start}
-        frontier = [start]
-        reached: list[int] = []
-        while frontier:
-            current = frontier.pop()
-            for nxt in self.fanout[current]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    reached.append(nxt)
-                    frontier.append(nxt)
-        reached.sort(key=lambda i: (self.nodes[i].level, i))
-        return reached
+        return fanout_cone(self.nodes, self.fanout, start)
 
     def transitive_fanin(self, start: int) -> list[int]:
         """All nodes feeding ``start`` (excluding it)."""

@@ -573,6 +573,34 @@ class TestCoalescing:
             gc.enable()
 
     @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+    def test_provider_only_a_follower_needs_is_pruned(self, backend, tmp_path):
+        """Followers group before the prune pass: the provider feeding only
+        a follower never runs, and the follower still lands."""
+        tally = tmp_path / "tally.txt"
+        providers = [
+            Job(id=f"p:{i}", kind="tallied", if_needed=True,
+                params={"tally": str(tally), "key": f"P{i}", "value": 10 + i})
+            for i in range(2)
+        ]
+        consumers = [
+            Job(id=f"c:{i}", kind="sum-deps", params={"base": 1},
+                deps=(f"p:{i}",), cache_key="coalesce-consumer")
+            for i in range(2)
+        ]
+        events: list[Event] = []
+        result = Executor(backend=backend, max_workers=2).execute(
+            Plan(name="prune-follower", jobs=tuple(providers + consumers)),
+            on_event=events.append,
+        )
+        assert tally.read_text().split() == ["P0"]
+        assert result["p:1"].reason == "unneeded" and result["p:1"].skipped
+        assert result["c:1"].reason == "coalesced" and not result["c:1"].skipped
+        assert result.value_of("c:1") == result.value_of("c:0") == 11
+        assert sorted(result.executed()) == ["c:0", "p:0"]
+        skipped = {e.job: e.reason for e in events if e.kind == "job_skipped"}
+        assert skipped == {"p:1": "unneeded"}
+
+    @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
     def test_failing_leader_raises_and_followers_never_land(self, backend, tmp_path):
         events: list[Event] = []
         with pytest.raises(RuntimeError, match="tallied A failed"):
